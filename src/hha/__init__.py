@@ -53,18 +53,10 @@ from .hermitian import (  # noqa: F401
     CurvatureData,
     Metric,
     MetricError,
-    canonical_forms,
-    curvature,
-    form_inner_product,
-    hodge_star,
     is_qpositive,
-    lefschetz,
-    lefschetz_adjoint,
-    omega_for_L,
     phi,
     phi_inverse,
     qpositivity_verdict,
-    trace_tr_omega,
 )
 from .classify import (  # noqa: F401
     Certificate,

@@ -4,6 +4,11 @@ Every flag is decided by its defining equation and, where an equivalent
 scalar characterisation exists, cross-checked against it; a disagreement is
 a hard internal error, never silently resolved.  All nonexistence verdicts
 are scoped to invariant data.
+
+The balanced, Gauduchon and q-Gauduchon characterisations live in one place,
+``_characterisation_routes``, which both ``classify_metric`` and
+``equivalence_audit`` read; the hyperkaehler and q-balanced audits are checked
+inline in ``classify_metric``.
 """
 from __future__ import annotations
 
@@ -190,9 +195,49 @@ def _gauduchon_scalar_residual(m: Metric) -> Scalar:
     return cur.s_ch - cur.s_bis - m.norm2(ab) * rational(2)
 
 
-def _q_gauduchon_scalar_residual(m: Metric) -> Scalar:
-    cur = m.curvature()
-    return cur.s_bis + m.norm2(m.canonical_forms().beta) * rational(2)
+def _characterisation_routes(m: Metric):
+    """Every characterisation of the balanced, Gauduchon and q-Gauduchon flags.
+
+    Balanced: d(omega_I^{2n-1}) = 0, alpha + beta = 0, del(Omega^{n-1} ^
+    conj(Omega^n)) = 0 and theta = 0.  Gauduchon: del delbar(omega_I^{2n-1}) =
+    0, s^Ch - s^Bis - 2|alpha + beta|^2 = 0 and del del_J(Omega^{n-1} ^
+    conj(Omega^n)) = 0.  q-Gauduchon: del del_J(Omega^{n-1}) = 0 and
+    s^Bis + 2|beta|^2 = 0.  omega_I^{2n-1} and the mixed power are built once.
+
+    Returns the per-flag tuples of booleans, one per route, and the residual
+    string each flag reports.
+    """
+    fr = m.geometry.frame
+    cf = m.canonical_forms()
+    n = m.n
+    power = m.omega_power(n - 1)
+    top_i = m.omega_i().wedge_power(2 * n - 1)
+    mixed = power.wedge(fr.conjugate(m.omega_power(n)))
+    gauduchon_scalar = _gauduchon_scalar_residual(m)
+    ddj_power = fr.del_(fr.del_j(power))
+    values = {
+        "gauduchon": (
+            fr.del_(fr.delbar(top_i)).is_zero(),
+            gauduchon_scalar.is_zero(),
+            fr.del_(fr.del_j(mixed)).is_zero(),
+        ),
+        "balanced": (
+            fr.d(top_i).is_zero(),
+            (cf.alpha + cf.beta).is_zero(),
+            fr.del_(mixed).is_zero(),
+            cf.theta.is_zero(),
+        ),
+        "q_gauduchon": (
+            ddj_power.is_zero(),
+            (m.curvature().s_bis + m.norm2(cf.beta) * rational(2)).is_zero(),
+        ),
+    }
+    residuals = {
+        "gauduchon": str(gauduchon_scalar),
+        "balanced": _residual(cf.theta, fr),
+        "q_gauduchon": _residual(ddj_power, fr),
+    }
+    return values, residuals
 
 
 def classify_metric(m: Metric, with_obstruction: bool = True,
@@ -231,27 +276,14 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     if witness is not None and not witness.is_zero():
         witnesses["q_strongly_gauduchon"] = witness
 
-    ddj_power = fr.del_(fr.del_j(power))
-    q_gauduchon = ddj_power.is_zero()
-    q_gau_scalar = _q_gauduchon_scalar_residual(m)
-    if q_gauduchon != q_gau_scalar.is_zero():
-        raise ConsistencyError("q-Gauduchon disagrees with s^Bis + 2|beta|^2 = 0")
-
-    mixed = power.wedge(fr.conjugate(m.omega_power(n)))
-    balanced = fr.del_(mixed).is_zero()
-    balanced_ab = (cf.alpha + cf.beta).is_zero()
-    balanced_lee = cf.theta.is_zero()
-    d_omega_i_power = fr.d(omega_i.wedge_power(2 * n - 1))
-    balanced_def = d_omega_i_power.is_zero()
-    if len({balanced, balanced_ab, balanced_lee, balanced_def}) != 1:
-        raise ConsistencyError("balanced characterisations disagree")
-
-    gauduchon_def = fr.del_(fr.delbar(omega_i.wedge_power(2 * n - 1))).is_zero()
-    gauduchon_scalar = _gauduchon_scalar_residual(m)
-    gauduchon_mixed = fr.del_(fr.del_j(mixed)).is_zero()
-    if len({gauduchon_def, gauduchon_scalar.is_zero(), gauduchon_mixed}) != 1:
-        raise ConsistencyError("Gauduchon characterisations disagree")
-    gauduchon = gauduchon_def
+    routes, residuals = _characterisation_routes(m)
+    for name, message in (
+        ("q_gauduchon", "q-Gauduchon disagrees with s^Bis + 2|beta|^2 = 0"),
+        ("balanced", "balanced characterisations disagree"),
+        ("gauduchon", "Gauduchon characterisations disagree"),
+    ):
+        if len(set(routes[name])) != 1:
+            raise ConsistencyError(message)
 
     strong_hkt = hkt and fr.del_(fr.del_j(m.omega_bar())).is_zero()
 
@@ -267,10 +299,9 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
             q_strongly_gauduchon,
             "" if q_strongly_gauduchon else _residual(del_power, fr),
         ),
-        "q_gauduchon": FlagResult(q_gauduchon, _residual(ddj_power, fr)),
-        "balanced": FlagResult(balanced, _residual(cf.theta, fr)),
-        "gauduchon": FlagResult(gauduchon, str(gauduchon_scalar)),
     }
+    for name in ("q_gauduchon", "balanced", "gauduchon"):
+        flags[name] = FlagResult(routes[name][0], residuals[name])
     if n == 1:
         notes.append(
             "n = 1 degenerate: the (n-1)-st power predicates are vacuous"
@@ -292,7 +323,7 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     sl = sl_and_class_check(m)
 
     obstruction = None
-    if with_obstruction and gauduchon:
+    if with_obstruction and routes["gauduchon"][0]:
         obstruction = conformal_class_obstruction(m)
 
     if geom.algebra.validate().nilpotent and not geom.is_abelian():
@@ -331,28 +362,7 @@ def equivalence_audit(m: Metric) -> dict:
     condition; classification treats any disagreement as a hard error, and
     this helper exposes the raw tuples for the acceptance suite.
     """
-    fr = m.geometry.frame
-    cf = m.canonical_forms()
-    n = m.n
-    omega_i = m.omega_i()
-    mixed = m.omega_power(n - 1).wedge(fr.conjugate(m.omega_power(n)))
-    power = m.omega_power(n - 1)
-    return {
-        "gauduchon": (
-            fr.del_(fr.delbar(omega_i.wedge_power(2 * n - 1))).is_zero(),
-            _gauduchon_scalar_residual(m).is_zero(),
-            fr.del_(fr.del_j(mixed)).is_zero(),
-        ),
-        "balanced": (
-            fr.d(omega_i.wedge_power(2 * n - 1)).is_zero(),
-            (cf.alpha + cf.beta).is_zero(),
-            fr.del_(mixed).is_zero(),
-        ),
-        "q_gauduchon": (
-            fr.del_(fr.del_j(power)).is_zero(),
-            _q_gauduchon_scalar_residual(m).is_zero(),
-        ),
-    }
+    return _characterisation_routes(m)[0]
 
 
 def conformal_class_obstruction(m: Metric) -> ObstructionReport:

@@ -45,7 +45,7 @@ from .forms import Form
 from .hermitian import MetricError, QRealError
 from .hypercomplex import IntegrabilityError, SpherePoint, StructureError
 from .liealg import JacobiError
-from .scalars import ComplexScalar, parse_scalar
+from .scalars import ComplexScalar, ScalarError, parse_scalar
 
 
 INPUT_FAULTS = (InputError, JacobiError, IntegrabilityError, StructureError,
@@ -70,7 +70,10 @@ def _parse_sphere_point(text: str) -> SpherePoint:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError("--pair", "sphere point needs three components")
-    return SpherePoint(*(parse_scalar(p) for p in parts))
+    try:
+        return SpherePoint(*(parse_scalar(p) for p in parts))
+    except ScalarError as exc:
+        raise InputError("--pair", str(exc)) from exc
 
 
 _WITNESS_TERM = re.compile(

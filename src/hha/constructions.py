@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import linalg
 from .classify import classify_metric
 from .forms import Form
 from .hermitian import ConsistencyError, Metric
@@ -303,26 +304,6 @@ class QuaternionicRep:
             self.images[idx] = mat
         self._check_homomorphism()
 
-    def image(self, idx: int):
-        return self.images.get(idx)
-
-    def apply(self, idx: int, vec):
-        mat = self.images.get(idx)
-        if mat is None:
-            return None
-        out = {}
-        for j, c in vec.items():
-            for i in range(4 * self.k):
-                x = mat[i][j]
-                if x.is_zero():
-                    continue
-                acc = out.get(i, ZERO) + x * c
-                if acc.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = acc
-        return out
-
     def _check_homomorphism(self):
         alg = self.algebra
         zero = [[ZERO] * (4 * self.k) for _ in range(4 * self.k)]
@@ -330,7 +311,7 @@ class QuaternionicRep:
             mi = self.images.get(i, zero)
             for j in range(i + 1, alg.dim):
                 mj = self.images.get(j, zero)
-                comm = _mat_sub(_mat_mul(mi, mj), _mat_mul(mj, mi))
+                comm = linalg.mat_sub(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
                 target = [[ZERO] * (4 * self.k) for _ in range(4 * self.k)]
                 for t, c in alg.bracket_basis(i, j).items():
                     mt = self.images.get(t)
@@ -357,27 +338,8 @@ class QuaternionicRep:
         return cls(algebra, k, {})
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            x = a[i][t]
-            if x.is_zero():
-                continue
-            for j in range(n):
-                y = b[t][j]
-                if not y.is_zero():
-                    out[i][j] = out[i][j] + x * y
-    return out
-
-
-def _mat_sub(a, b):
-    return [[a[i][j] - b[i][j] for j in range(len(a))] for i in range(len(a))]
-
-
 def _commutator(a, b):
-    c = _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
+    c = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
     if any(not x.is_zero() for row in c for x in row):
         return c
     return None
@@ -437,7 +399,7 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
         for f0, f1 in ((cur0.ric_ch, cur1.ric_ch), (cur0.ric_bis, cur1.ric_bis)):
             fr0 = geom_base.frame
             real0 = fr0.to_real(f0)
-            emb_real = _embed_real_form(real0, d0, dim)
+            emb_real = Form(dim, real0.degree, dict(real0.terms))
             if geom.frame.to_real(f1) != emb_real:
                 raise ConsistencyError("Ricci forms failed to pull back")
         pullback_ok = True
@@ -449,10 +411,6 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
         pullback_verified=pullback_ok,
         output_report=rep,
     )
-
-
-def _embed_real_form(form: Form, dim_src: int, dim_dst: int) -> Form:
-    return Form(dim_dst, form.degree, dict(form.terms))
 
 
 def sp1_spin_rep(algebra: LieAlgebraData, su2_indices=(1, 2, 3),
@@ -497,7 +455,8 @@ class JoyceData:
     """
     blocks: list
     extra_brackets: dict = field(default_factory=dict)
-    field_descriptor: ScalarField = field(default_factory=lambda: ScalarFieldDefault())
+    field_descriptor: ScalarField = field(
+        default_factory=lambda: ScalarField("quadratic", 2))
 
     def block_base(self, j: int) -> int:
         off = 0
@@ -507,10 +466,6 @@ class JoyceData:
 
     def dimension(self) -> int:
         return self.block_base(len(self.blocks))
-
-
-def ScalarFieldDefault():
-    return ScalarField("quadratic", 2)
 
 
 @dataclass

@@ -40,11 +40,14 @@ def default_field_from_env(value: str | None) -> dict | None:
     parts = value.split(":")
     if parts[0] == "rational":
         return {"kind": "rational"}
-    if parts[0] == "quadratic" and len(parts) == 2:
-        return {"kind": "quadratic", "d": int(parts[1])}
-    if parts[0] == "float":
-        tol = float(parts[1]) if len(parts) == 2 else 1e-9
-        return {"kind": "float", "tolerance": tol}
+    try:
+        if parts[0] == "quadratic" and len(parts) == 2:
+            return {"kind": "quadratic", "d": int(parts[1])}
+        if parts[0] == "float":
+            tol = float(parts[1]) if len(parts) == 2 else 1e-9
+            return {"kind": "float", "tolerance": tol}
+    except ValueError:
+        pass
     raise InputError("$HHA_DEFAULT_FIELD", f"cannot interpret {value!r}")
 
 

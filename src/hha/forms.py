@@ -319,11 +319,24 @@ def endo_action(matrix, form: Form) -> Form:
     return form.substitute(images)
 
 
-def wedge_all(forms) -> Form:
-    it = iter(forms)
-    out = next(it)
-    for f in it:
-        out = out.wedge(f)
+def leibniz_differential(form: Form, dgen) -> Form:
+    """Extend the generator differentials ``dgen[i]`` to ``form``.
+
+    By the graded Leibniz rule a monomial g^{k_1} ^ ... ^ g^{k_m} maps to the
+    sum over positions of (-1)^pos (prefix) ^ d g^{k_pos} ^ (suffix).
+    """
+    nsym = form.nsym
+    out = Form.zero(nsym, form.degree + 1)
+    for key, c in form.terms.items():
+        for pos, idx in enumerate(key):
+            dg = dgen[idx]
+            if dg.is_zero():
+                continue
+            prefix = Form(nsym, pos, {key[:pos]: C_ONE})
+            suffix_key = key[pos + 1:]
+            suffix = Form(nsym, len(suffix_key), {suffix_key: C_ONE})
+            signed = dg if pos % 2 == 0 else -dg
+            out = out + prefix.wedge(signed).wedge(suffix).scale(c)
     return out
 
 

@@ -17,7 +17,14 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import Form, SkewMatrix, bidegree_project, bidegree_split, pure_bidegree
+from .forms import (
+    Form,
+    SkewMatrix,
+    _merge_keys,
+    bidegree_project,
+    bidegree_split,
+    pure_bidegree,
+)
 from .hypercomplex import Geometry, SpherePoint
 from .scalars import (
     C_I,
@@ -40,10 +47,6 @@ class QRealError(MetricError):
 
 class ConsistencyError(RuntimeError):
     """Two paper-equivalent computations disagreed; indicates a convention bug."""
-
-
-def _factorial(k: int) -> int:
-    return math.factorial(k)
 
 
 # -- the (1,1) <-> (2,0) correspondence --------------------------------------
@@ -202,14 +205,14 @@ def is_power_of_qpositive(geom: Geometry, a: Form) -> bool:
         if not B[r][s].is_zero()
     })
     power_b = fb.wedge_power(n - 1)
-    D = _power_pairing_matrix(geom, power_b.scale(rational(1, _factorial(n - 1))))
+    D = _power_pairing_matrix(geom, power_b.scale(rational(1, math.factorial(n - 1))))
     cand = Form(dim, 2, {
         (r, s): D[r][s] for r in range(N) for s in range(r + 1, N)
         if not D[r][s].is_zero()
     })
     if cand.is_zero():
         return False
-    power_c = cand.wedge_power(n - 1).scale(rational(1, _factorial(n - 1)))
+    power_c = cand.wedge_power(n - 1).scale(rational(1, math.factorial(n - 1)))
     lam = _exact_ratio(power_c, a)
     if lam is None or not lam.is_real() or lam.re.is_zero():
         return False
@@ -294,7 +297,7 @@ class Metric:
             self._h[r][s].is_zero()
             for r in range(self.N) for s in range(self.N) if r != s
         )
-        self._omega_n = omega.wedge_power(self.n)
+        self._omega_powers: dict = {}
         self._omega_plus_bar: Form | None = None
         self._canonical: CanonicalForms | None = None
         self._curvature: CurvatureData | None = None
@@ -311,14 +314,6 @@ class Metric:
         terms = {}
         for i, c in enumerate(coeffs):
             terms[(2 * i, 2 * i + 1)] = ComplexScalar(Scalar._coerce(c))
-        return cls(geometry, Form(geometry.algebra.dim, 2, terms))
-
-    @classmethod
-    def from_skew_entries(cls, geometry: Geometry, entries: dict) -> "Metric":
-        """Entries {(i, j): complex} over 1-based holomorphic indices i < j."""
-        terms = {}
-        for (i, j), c in entries.items():
-            terms[(i - 1, j - 1)] = ComplexScalar._coerce(c)
         return cls(geometry, Form(geometry.algebra.dim, 2, terms))
 
     @classmethod
@@ -362,9 +357,11 @@ class Metric:
         return self.geometry.frame.conjugate(self.omega)
 
     def omega_power(self, k: int) -> Form:
-        if k == self.n:
-            return self._omega_n
-        return self.omega.wedge_power(k)
+        """Omega^k, built on first use and kept."""
+        power = self._omega_powers.get(k)
+        if power is None:
+            power = self._omega_powers[k] = self.omega.wedge_power(k)
+        return power
 
     def volume_coefficient(self) -> Scalar:
         """Coefficient of the volume against the frame top form: |pf|^2."""
@@ -481,9 +478,6 @@ class Metric:
             out = out + Form(dim, dim - a.degree, target_terms)
         return out
 
-    def lefschetz(self, a: Form) -> Form:
-        return self.omega.wedge(a)
-
     def lefschetz_adjoint(self, a: Form, conjugate: bool = False) -> Form:
         """Adjoint of wedging with Omega (or conj(Omega) when ``conjugate``)."""
         N = self.N
@@ -536,7 +530,7 @@ class Metric:
         """n * (xi ^ Omega^{n-1}) / Omega^n as a coefficient ratio."""
         top = tuple(range(self.N))
         num = xi.wedge(self.omega_power(self.n - 1)).coefficient(top)
-        den = self._omega_n.coefficient(top)
+        den = self.omega_power(self.n).coefficient(top)
         return num * den.inverse() * ComplexScalar(rational(self.n))
 
     def trace_omega(self, xi: Form) -> Scalar:
@@ -547,13 +541,6 @@ class Metric:
         if not v.is_real():
             raise ConsistencyError("trace of a q-real form must be real")
         return v.re
-
-    def _trace_ratio_bar(self, xi: Form) -> ComplexScalar:
-        top = tuple(range(self.N, 2 * self.N))
-        ob = self.omega_bar()
-        num = xi.wedge(ob.wedge_power(self.n - 1)).coefficient(top)
-        den = ob.wedge_power(self.n).coefficient(top)
-        return num * den.inverse() * ComplexScalar(rational(self.n))
 
     def trace_omega_i(self, gamma: Form) -> ComplexScalar:
         """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s)."""
@@ -573,9 +560,9 @@ class Metric:
             return self._canonical
         fr = self.geometry.frame
         n, N, dim = self.n, self.N, self.geometry.algebra.dim
-        omega_bar_n = fr.conjugate(self._omega_n)
+        omega_bar_n = fr.conjugate(self.omega_power(n))
         d_obn = fr.del_(omega_bar_n)
-        pf_bar_fact = self.pf.conjugate() * ComplexScalar(rational(_factorial(n)))
+        pf_bar_fact = self.pf.conjugate() * ComplexScalar(rational(math.factorial(n)))
         alpha_terms = {}
         for key, c in d_obn.terms.items():
             r = key[0]
@@ -777,11 +764,7 @@ class Metric:
         t2 = self.norm2(dob.contract(jzbar))
         ddj = fr.del_(fr.del_j(self.omega_bar()))
         contracted = ddj.contract(z).contract(jzbar)
-        obn1 = self.omega_bar().wedge_power(self.n - 1)
-        top_bar = tuple(range(self.N, 2 * self.N))
-        num = contracted.wedge(obn1).coefficient(top_bar)
-        den = self.omega_bar().wedge_power(self.n).coefficient(top_bar)
-        ratio = num * den.inverse() * ComplexScalar(rational(self.n))
+        ratio = self._trace_ratio(fr.conjugate(contracted)).conjugate()
         rhs = ComplexScalar(t1) + ComplexScalar(t2) - ratio
         return lhs, rhs
 
@@ -794,74 +777,17 @@ class Metric:
         fr = self.geometry.frame
         top = tuple(range(self.N))
         lhs = psi.wedge(zeta).wedge(self.omega_power(self.n - 2)) \
-            .coefficient(top) * ComplexScalar(rational(1, _factorial(self.n - 2)))
+            .coefficient(top) * ComplexScalar(rational(1, math.factorial(self.n - 2)))
         jzbar = fr.j_action(fr.conjugate(zeta))
         scal = self._trace_ratio(psi) * self._trace_ratio(zeta) \
             - self.inner_product(psi, jzbar)
-        rhs = scal * self._omega_n.coefficient(top) * ComplexScalar(rational(1, _factorial(self.n)))
+        rhs = scal * self.omega_power(self.n).coefficient(top) * ComplexScalar(rational(1, math.factorial(self.n)))
         return lhs, rhs
 
 
 def _complement_sign(key, comp, dim: int) -> int:
     """Sign of key ^ comp relative to the increasing top monomial."""
-    merged, sign = _merge_sign(key, comp)
+    merged, sign = _merge_keys(key, comp)
     if merged is None or merged != tuple(range(dim)):
         raise ConsistencyError("complement bookkeeping failed")
     return sign
-
-
-def _merge_sign(ka, kb):
-    out = []
-    i = j = 0
-    flips = 0
-    la, lb = len(ka), len(kb)
-    while i < la and j < lb:
-        if ka[i] == kb[j]:
-            return None, 0
-        if ka[i] < kb[j]:
-            out.append(ka[i])
-            i += 1
-        else:
-            out.append(kb[j])
-            j += 1
-            flips += la - i
-    out.extend(ka[i:])
-    out.extend(kb[j:])
-    return tuple(out), (-1 if flips & 1 else 1)
-
-
-# -- spec-level function aliases -------------------------------------------------
-
-
-def canonical_forms(d, H, m: Metric) -> CanonicalForms:
-    return m.canonical_forms()
-
-
-def curvature(d, H, m: Metric) -> CurvatureData:
-    return m.curvature()
-
-
-def form_inner_product(a: Form, b: Form, m: Metric) -> ComplexScalar:
-    if pure_bidegree(a, m.N) != pure_bidegree(b, m.N):
-        raise MetricError("inner product pairing needs equal bidegree")
-    return m.inner_product(a, b)
-
-
-def hodge_star(m: Metric, a: Form) -> Form:
-    return m.hodge_star(a)
-
-
-def lefschetz(m: Metric, a: Form) -> Form:
-    return m.lefschetz(a)
-
-
-def lefschetz_adjoint(m: Metric, a: Form) -> Form:
-    return m.lefschetz_adjoint(a)
-
-
-def trace_tr_omega(m: Metric, xi: Form) -> Scalar:
-    return m.trace_omega(xi)
-
-
-def omega_for_L(m: Metric, p: SpherePoint) -> Form:
-    return m.omega_for_L(p)

@@ -18,6 +18,7 @@ from .forms import (
     Form,
     bidegree_project,
     bidegree_split,
+    leibniz_differential,
 )
 from .liealg import LieAlgebraData
 from .scalars import (
@@ -44,40 +45,6 @@ class IntegrabilityError(StructureError):
             f"structure {label} is not integrable on (e{i + 1}, e{j + 1}): "
             f"Nijenhuis value {value}"
         )
-
-
-def _smat(entries):
-    return [[Scalar._coerce(x) for x in row] for row in entries]
-
-
-def _mat_mul_s(a, b):
-    n = len(a)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(n):
-                bkj = b[k][j]
-                if not bkj.is_zero():
-                    out[i][j] = out[i][j] + aik * bkj
-    return out
-
-
-def _mat_add_s(*mats):
-    n = len(mats[0])
-    out = [[ZERO] * n for _ in range(n)]
-    for m in mats:
-        for i in range(n):
-            for j in range(n):
-                if not m[i][j].is_zero():
-                    out[i][j] = out[i][j] + m[i][j]
-    return out
-
-
-def _mat_scale_s(c: Scalar, m):
-    return [[c * x for x in row] for row in m]
 
 
 def _is_minus_identity(m) -> bool:
@@ -117,19 +84,20 @@ class HypercomplexStructure:
     """Anticommuting pair (I, J) of complex structures with K = IJ."""
 
     def __init__(self, I, J):
-        self.I = _smat(I)
-        self.J = _smat(J)
+        self.I = [[Scalar._coerce(x) for x in row] for row in I]
+        self.J = [[Scalar._coerce(x) for x in row] for row in J]
         self.dim = len(self.I)
         if self.dim % 4 != 0:
             raise StructureError("dimension must be a multiple of 4")
-        if not _is_minus_identity(_mat_mul_s(self.I, self.I)):
+        if not _is_minus_identity(linalg.mat_mul(self.I, self.I)):
             raise StructureError("I^2 != -Id")
-        if not _is_minus_identity(_mat_mul_s(self.J, self.J)):
+        if not _is_minus_identity(linalg.mat_mul(self.J, self.J)):
             raise StructureError("J^2 != -Id")
-        anti = _mat_add_s(_mat_mul_s(self.I, self.J), _mat_mul_s(self.J, self.I))
+        anti = linalg.mat_add(linalg.mat_mul(self.I, self.J),
+                              linalg.mat_mul(self.J, self.I))
         if any(not x.is_zero() for row in anti for x in row):
             raise StructureError("I and J do not anticommute")
-        self.K = _mat_mul_s(self.I, self.J)
+        self.K = linalg.mat_mul(self.I, self.J)
 
     @classmethod
     def standard(cls, n: int) -> "HypercomplexStructure":
@@ -153,10 +121,10 @@ class HypercomplexStructure:
 
     def combo(self, p: SpherePoint):
         """Matrix of aI + bJ + cK."""
-        return _mat_add_s(
-            _mat_scale_s(p.a, self.I),
-            _mat_scale_s(p.b, self.J),
-            _mat_scale_s(p.c, self.K),
+        return linalg.mat_add(
+            linalg.mat_scale(p.a, self.I),
+            linalg.mat_scale(p.b, self.J),
+            linalg.mat_scale(p.c, self.K),
         )
 
     def rotate_pair(self, p: SpherePoint, q: SpherePoint) -> "HypercomplexStructure":
@@ -164,22 +132,6 @@ class HypercomplexStructure:
         if not p.dot(q).is_zero():
             raise StructureError("sphere points must be orthogonal")
         return HypercomplexStructure(self.combo(p), self.combo(q))
-
-    def apply(self, mat, vec: dict) -> dict:
-        out: dict = {}
-        for j, c in vec.items():
-            if c.is_zero():
-                continue
-            for i in range(self.dim):
-                m = mat[i][j]
-                if m.is_zero():
-                    continue
-                acc = out.get(i, ZERO) + m * c
-                if acc.is_zero():
-                    out.pop(i, None)
-                else:
-                    out[i] = acc
-        return out
 
 
 def standard_structure(n: int) -> HypercomplexStructure:
@@ -405,10 +357,6 @@ class ComplexFrame:
         """Pullback action of J on a complex-frame form."""
         return form.map_indices(self._j_form_map())
 
-    def j_inverse_action(self, form: Form) -> Form:
-        out = self.j_action(form)
-        return -out if form.degree % 2 else out
-
     def i_action(self, form: Form) -> Form:
         """Pullback action of I: multiplies a (p, q) term by i^p (-i)^q."""
         N = self.N
@@ -447,18 +395,6 @@ class ComplexFrame:
         """Dual frame vector Z_r (1-based), or its conjugate."""
         return {(r - 1 + self.N if bar else r - 1): C_ONE}
 
-    def endo_images(self, mat):
-        """Images of the complex covectors under pullback by a real endomorphism."""
-        imgs = []
-        for r in range(2 * self.N):
-            real = self._complex_images[r]
-            pulled = _pullback_real(real, mat, self.dim)
-            imgs.append(self.to_complex(pulled))
-        return imgs
-
-    def endo_action(self, mat, form: Form) -> Form:
-        return form.substitute(self.endo_images(mat))
-
     # -- differentials ---------------------------------------------------------------
 
     def _generator_differentials(self):
@@ -475,45 +411,33 @@ class ComplexFrame:
         """Exterior differential in the complex frame."""
         if form.degree >= self.dim:
             return Form.zero(self.dim, form.degree)
-        dgen = self._generator_differentials()
-        out = Form.zero(self.dim, form.degree + 1)
-        for key, c in form.terms.items():
-            for pos, idx in enumerate(key):
-                dg = dgen[idx]
-                if dg.is_zero():
-                    continue
-                prefix = Form(self.dim, pos, {key[:pos]: C_ONE})
-                suffix_key = key[pos + 1:]
-                suffix = Form(self.dim, len(suffix_key), {suffix_key: C_ONE})
-                signed = dg if pos % 2 == 0 else -dg
-                out = out + prefix.wedge(signed).wedge(suffix).scale(c)
+        return leibniz_differential(form, self._generator_differentials())
+
+    def _d_component(self, form: Form, dp: int, dq: int) -> Form:
+        """The (p+dp, q+dq) component of d, applied per bidegree component."""
+        out = Form.zero(self.dim, min(form.degree + 1, self.dim))
+        for (p, q), part in bidegree_split(form, self.N).items():
+            out = out + bidegree_project(self.d(part), self.N, p + dp, q + dq)
         return out
 
     def del_(self, form: Form) -> Form:
-        """(p, q) -> (p+1, q) component of d, applied per bidegree component."""
-        out = Form.zero(self.dim, min(form.degree + 1, self.dim))
-        for (p, q), part in bidegree_split(form, self.N).items():
-            out = out + bidegree_project(self.d(part), self.N, p + 1, q)
-        return out
+        """(p, q) -> (p+1, q) component of d."""
+        return self._d_component(form, 1, 0)
 
     def delbar(self, form: Form) -> Form:
-        out = Form.zero(self.dim, min(form.degree + 1, self.dim))
-        for (p, q), part in bidegree_split(form, self.N).items():
-            out = out + bidegree_project(self.d(part), self.N, p, q + 1)
-        return out
+        return self._d_component(form, 0, 1)
+
+    def _twisted(self, form: Form, op) -> Form:
+        """J^{-1} op J for a differential ``op``."""
+        out = self.j_action(op(self.j_action(form)))
+        return -out if (form.degree + 1) % 2 else out
 
     def del_j(self, form: Form) -> Form:
         """Twisted differential J^{-1} delbar J, of type (p, q) -> (p+1, q)."""
-        jf = self.j_action(form)
-        db = self.delbar(jf)
-        out = self.j_action(db)
-        return -out if (form.degree + 1) % 2 else out
+        return self._twisted(form, self.delbar)
 
     def delbar_j(self, form: Form) -> Form:
-        jf = self.j_action(form)
-        db = self.del_(jf)
-        out = self.j_action(db)
-        return -out if (form.degree + 1) % 2 else out
+        return self._twisted(form, self.del_)
 
     def is_q_real(self, form: Form) -> bool:
         return self.j_action(self.conjugate(form)) == form
@@ -526,12 +450,6 @@ class ComplexFrame:
 
     def format(self, form: Form) -> str:
         return form.format(self.names())
-
-
-def _pullback_real(form: Form, mat, dim: int) -> Form:
-    """Pullback of a real-coframe form by a real endomorphism."""
-    from .forms import endo_action
-    return endo_action(mat, form)
 
 
 class Geometry:

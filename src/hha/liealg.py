@@ -10,9 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import Form
+from .forms import Form, leibniz_differential
 from .scalars import (
-    C_ONE,
     ComplexScalar,
     Scalar,
     ScalarField,
@@ -333,22 +332,7 @@ class LieAlgebraData:
             return Form.zero(self.dim, form.degree) if form.degree == self.dim \
                 else Form.zero(self.dim, 0)
         dgen = [self.differential_of_generator(k) for k in range(self.dim)]
-        out = Form.zero(self.dim, form.degree + 1)
-        for key, c in form.terms.items():
-            for pos, idx in enumerate(key):
-                dg = dgen[idx]
-                if dg.is_zero():
-                    continue
-                out = out + _insert_differential(self.dim, key, pos, dg).scale(c)
-        return out
-
-
-def _insert_differential(nsym: int, key, pos: int, dg: Form) -> Form:
-    prefix = Form(nsym, pos, {key[:pos]: C_ONE})
-    suffix_key = key[pos + 1:]
-    suffix = Form(nsym, len(suffix_key), {suffix_key: C_ONE})
-    signed = dg if pos % 2 == 0 else -dg
-    return prefix.wedge(signed).wedge(suffix)
+        return leibniz_differential(form, dgen)
 
 
 def _reduce_span(vectors, dim: int):

@@ -12,17 +12,22 @@ def _c(x) -> ComplexScalar:
     return ComplexScalar._coerce(x)
 
 
-def zeros(rows: int, cols: int):
-    return [[C_ZERO for _ in range(cols)] for _ in range(rows)]
-
-
 def identity(n: int):
     return [[C_ONE if i == j else C_ZERO for j in range(n)] for i in range(n)]
 
 
+def _zero_like(m):
+    """The zero of m's entry type, so that Scalar matrices stay Scalar."""
+    for row in m:
+        for x in row:
+            return type(x)._coerce(0)
+    return C_ZERO
+
+
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    zero = _zero_like(a)
+    out = [[zero] * cols for _ in range(rows)]
     for i in range(rows):
         for k in range(inner):
             aik = a[i][k]
@@ -32,6 +37,25 @@ def mat_mul(a, b):
                 if not b[k][j].is_zero():
                     out[i][j] = out[i][j] + aik * b[k][j]
     return out
+
+
+def mat_add(*mats):
+    zero = _zero_like(mats[0])
+    out = [[zero] * len(row) for row in mats[0]]
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, x in enumerate(row):
+                if not x.is_zero():
+                    out[i][j] = out[i][j] + x
+    return out
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(c, m):
+    return [[c * x for x in row] for row in m]
 
 
 def mat_vec(a, v):

@@ -306,7 +306,10 @@ def parse_scalar(text: str) -> Scalar:
     """Parse the canonical scalar grammar, e.g. "1/2+3/4*sqrt(2)"."""
     text = text.strip()
     if text.startswith("float:"):
-        return floating(float(text[len("float:"):]))
+        try:
+            return floating(float(text[len("float:"):]))
+        except ValueError:
+            raise ScalarError(f"cannot parse float scalar {text!r}") from None
     if not text:
         raise ScalarError("empty scalar")
     pos = 0
@@ -319,12 +322,15 @@ def parse_scalar(text: str) -> Scalar:
         if not first and m.group("sign") == "":
             raise ScalarError(f"missing sign between terms in {text!r}")
         sgn = -1 if m.group("sign") == "-" else 1
-        if m.group("rat") is not None:
-            term = Scalar(Fraction(m.group("rat")))
-        elif m.group("d2") is not None:
-            term = root(int(m.group("d2")))
-        else:
-            term = Scalar(_F0, Fraction(m.group("coef")), int(m.group("d1")))
+        try:
+            if m.group("rat") is not None:
+                term = Scalar(Fraction(m.group("rat")))
+            elif m.group("d2") is not None:
+                term = root(int(m.group("d2")))
+            else:
+                term = Scalar(_F0, Fraction(m.group("coef")), int(m.group("d1")))
+        except ZeroDivisionError:
+            raise ScalarError(f"zero denominator in scalar {text!r}") from None
         out = out + (term if sgn > 0 else -term)
         pos = m.end()
         first = False

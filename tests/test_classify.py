@@ -303,3 +303,29 @@ def test_strong_hkt_flag_on_joyce():
     assert rep.flag("hkt") and rep.flag("strong_hkt")
     assert rep.skt == {"I": True, "J": True, "K": True}
     assert rep.einstein_factor == ONE
+
+
+@pytest.mark.parametrize("source", ["qgau8", "random12"])
+def test_classify_builds_each_top_power_once(source, monkeypatch):
+    from hha.catalog import get_example
+    if source == "qgau8":
+        g, m = get_example("qgau8").load()
+    else:
+        g = geom(nil12_qsg())
+        m = random_metric(random.Random(5), g)
+        assert any(s != r + 1 or r % 2 for r, s in m.omega.terms), "diagonal metric"
+    m = Metric(g, m.omega)
+    n = m.n
+    built = []
+    wedge_power = Form.wedge_power
+
+    def counting(self, k):
+        built.append((self, k))
+        return wedge_power(self, k)
+
+    monkeypatch.setattr(Form, "wedge_power", counting)
+    classify_metric(m)
+    monkeypatch.undo()
+    omega_i = m.omega_i()
+    assert built.count((m.omega, n - 1)) == 1
+    assert built.count((omega_i, 2 * n - 1)) == 1

@@ -89,6 +89,21 @@ def test_classify_rotated_pair_keeps_qbal(qbal12_file):
     assert doc["pair"] == "0,1,0;1,0,0"
 
 
+@pytest.mark.parametrize("pair", ["x,0,0;0,1,0", "1/0,0,0;0,1,0",
+                                  "float:x,0,0;0,1,0"])
+def test_classify_bad_pair_is_input_error(qbal12_file, pair):
+    code, _, err = run_cli(["classify", qbal12_file, "--pair", pair])
+    assert code == 2
+    assert "--pair" in err
+
+
+def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch):
+    monkeypatch.setenv("HHA_DEFAULT_FIELD", "quadratic:x")
+    code, _, err = run_cli(["check", qbal12_file])
+    assert code == 2
+    assert "$HHA_DEFAULT_FIELD" in err
+
+
 def test_classify_float_mode(qbal12_file):
     code, out, _ = run_cli(["classify", qbal12_file, "--float", "--format", "json"])
     assert code == 0

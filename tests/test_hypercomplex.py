@@ -52,18 +52,19 @@ def test_standard_structure_relations():
     H = standard_structure(2)
     K = H.K
     # K anticommutes with I and J
-    from hha.hypercomplex import _mat_add_s, _mat_mul_s
+    from hha.linalg import mat_add, mat_mul
     for M in (H.I, H.J):
-        anti = _mat_add_s(_mat_mul_s(K, M), _mat_mul_s(M, K))
+        anti = mat_add(mat_mul(K, M), mat_mul(M, K))
         assert all(x.is_zero() for row in anti for x in row)
 
 
 def test_sphere_combo_squares_to_minus_identity():
     H = standard_structure(1)
     p = SpherePoint(rational(3, 5), rational(4, 5), 0)
-    from hha.hypercomplex import _is_minus_identity, _mat_mul_s
+    from hha.hypercomplex import _is_minus_identity
+    from hha.linalg import mat_mul
     L = H.combo(p)
-    assert _is_minus_identity(_mat_mul_s(L, L))
+    assert _is_minus_identity(mat_mul(L, L))
 
 
 def test_sphere_point_validation():

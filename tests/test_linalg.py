@@ -105,3 +105,16 @@ def test_hermitian_inertia_random_congruence_invariant():
 def test_hermitian_definiteness_positive():
     g = [[c(2), c(0, 1)], [c(0, -1), c(2)]]
     assert linalg.hermitian_definiteness(g) == "positive"
+
+
+def test_matrix_helpers_keep_the_entry_type():
+    # structure matrices hold Scalar entries, which exported files print as such
+    from hha.scalars import ONE, ZERO, Scalar
+    a = [[ONE, ZERO], [rational(1, 2), ZERO]]
+    products = (linalg.mat_mul(a, a), linalg.mat_add(a, a), linalg.mat_sub(a, a),
+                linalg.mat_scale(ONE, a))
+    for m in products:
+        assert all(type(x) is Scalar for row in m for x in row)
+    assert linalg.mat_mul(a, a) == [[ONE, ZERO], [rational(1, 2), ZERO]]
+    z = [[c(1, 1), C_ZERO], [C_ZERO, C_ONE]]
+    assert all(type(x) is ComplexScalar for row in linalg.mat_mul(z, z) for x in row)
