@@ -9,6 +9,17 @@ The balanced, Gauduchon and q-Gauduchon characterisations live in one place,
 ``_characterisation_routes``, which both ``classify_metric`` and
 ``equivalence_audit`` read; the hyperkaehler and q-balanced audits are checked
 inline in ``classify_metric``.
+
+SKT for L in {I, J, K} is dd^c_L omega_L = 0 (Bismut 1989).  ``classify_metric``
+decides all three in the base frame.  For I, omega_I is of type (1,1), so the
+condition is del delbar omega_I = 0.  For J and K it reuses d omega_J and
+d omega_K from the hyperkaehler audit (omega_J = Omega + conj(Omega),
+omega_K = -i(Omega - conj(Omega))): the frame's ``j_action`` and ``i_action``
+are the pullbacks J* and I*, K* = J* I*, and omega_L is L-invariant, so
+dd^c_L omega_L = -d(L* d omega_L).  The rotated-frame route
+(``Geometry.rotated`` and ``Metric.in_rotated_frame``, where the same condition
+reads del delbar omega_I of the rotated metric) serves ``--pair`` and is the
+oracle the tests compare against.
 """
 from __future__ import annotations
 
@@ -16,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
-from .forms import Form, pure_bidegree
+from .forms import Form, bidegree_project, pure_bidegree
 from .hermitian import (
     ConsistencyError,
     Metric,
@@ -24,7 +35,7 @@ from .hermitian import (
     QRealError,
     qpositivity_verdict,
 )
-from .hypercomplex import Geometry, SpherePoint
+from .hypercomplex import Geometry
 from .scalars import (
     C_ONE,
     C_ZERO,
@@ -202,7 +213,8 @@ def _characterisation_routes(m: Metric):
     conj(Omega^n)) = 0 and theta = 0.  Gauduchon: del delbar(omega_I^{2n-1}) =
     0, s^Ch - s^Bis - 2|alpha + beta|^2 = 0 and del del_J(Omega^{n-1} ^
     conj(Omega^n)) = 0.  q-Gauduchon: del del_J(Omega^{n-1}) = 0 and
-    s^Bis + 2|beta|^2 = 0.  omega_I^{2n-1} and the mixed power are built once.
+    s^Bis + 2|beta|^2 = 0.  omega_I^{2n-1} is read from the Gram cofactors
+    and differentiated once; the mixed power is built once.
 
     Returns the per-flag tuples of booleans, one per route, and the residual
     string each flag reports.
@@ -211,18 +223,21 @@ def _characterisation_routes(m: Metric):
     cf = m.canonical_forms()
     n = m.n
     power = m.omega_power(n - 1)
-    top_i = m.omega_i().wedge_power(2 * n - 1)
+    top_i = m.omega_i_top_minus_one()
+    d_top_i = fr.d(top_i)
+    # top_i has bidegree (N-1, N-1), so delbar(top_i) is the (N-1, N) part of d
+    delbar_top_i = bidegree_project(d_top_i, m.N, m.N - 1, m.N)
     mixed = power.wedge(fr.conjugate(m.omega_power(n)))
     gauduchon_scalar = _gauduchon_scalar_residual(m)
     ddj_power = fr.del_(fr.del_j(power))
     values = {
         "gauduchon": (
-            fr.del_(fr.delbar(top_i)).is_zero(),
+            fr.del_(delbar_top_i).is_zero(),
             gauduchon_scalar.is_zero(),
             fr.del_(fr.del_j(mixed)).is_zero(),
         ),
         "balanced": (
-            fr.d(top_i).is_zero(),
+            d_top_i.is_zero(),
             (cf.alpha + cf.beta).is_zero(),
             fr.del_(mixed).is_zero(),
             cf.theta.is_zero(),
@@ -285,14 +300,15 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
         if len(set(routes[name])) != 1:
             raise ConsistencyError(message)
 
-    strong_hkt = hkt and fr.del_(fr.del_j(m.omega_bar())).is_zero()
+    ddj_omega_bar = fr.del_(fr.del_j(m.omega_bar()))
+    strong_hkt = hkt and ddj_omega_bar.is_zero()
 
     flags = {
         "hyperkaehler": FlagResult(hyperkaehler, _residual(d_omega, fr)),
         "hkt": FlagResult(hkt, _residual(del_omega, fr)),
         "strong_hkt": FlagResult(
             strong_hkt,
-            "" if strong_hkt else _residual(fr.del_(fr.del_j(m.omega_bar())), fr) or _residual(del_omega, fr),
+            "" if strong_hkt else _residual(ddj_omega_bar, fr) or _residual(del_omega, fr),
         ),
         "q_balanced": FlagResult(q_balanced, _residual(del_power, fr)),
         "q_strongly_gauduchon": FlagResult(
@@ -310,14 +326,10 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
 
     skt = {}
     if skt_structures:
+        # dd^c_L omega_L = -d(L* d omega_L) with K* = J* I*; see the module docstring
         skt["I"] = fr.del_(fr.delbar(omega_i)).is_zero()
-        for label, (p, q) in (
-            ("J", (SpherePoint(0, 1, 0), SpherePoint(0, 0, 1))),
-            ("K", (SpherePoint(0, 0, 1), SpherePoint(1, 0, 0))),
-        ):
-            rot = geom.rotated(p, q)
-            m_rot = m.in_rotated_frame(rot)
-            skt[label] = rot.frame.del_(rot.frame.delbar(m_rot.omega_i())).is_zero()
+        skt["J"] = fr.d(fr.j_action(d_oj)).is_zero()
+        skt["K"] = fr.d(fr.j_action(fr.i_action(d_ok))).is_zero()
 
     lam, lam_res = einstein_factor(m)
     sl = sl_and_class_check(m)

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success or expectations met; 1 verdict mismatch or rejected
-certificate; 2 input or precondition error.  JSON output is byte-stable for
-identical input.
+certificate; 2 input or precondition error; 3 internal fault (a failed
+consistency audit or any other error that bad input cannot cause).  JSON
+output is byte-stable for identical input.
 """
 from __future__ import annotations
 
@@ -44,18 +45,20 @@ from .documents import (
 from .forms import Form
 from .hermitian import MetricError, QRealError
 from .hypercomplex import IntegrabilityError, SpherePoint, StructureError
-from .liealg import JacobiError
+from .liealg import AlgebraError, JacobiError
 from .scalars import ComplexScalar, ScalarError, parse_scalar
 
 
-INPUT_FAULTS = (InputError, JacobiError, IntegrabilityError, StructureError,
-                MetricError, QRealError, ConstructionError, ValueError,
-                OSError)
+INPUT_FAULTS = (InputError, JacobiError, AlgebraError, IntegrabilityError,
+                StructureError, MetricError, QRealError, ConstructionError)
 
 
 def _load_file(path: str, float_mode: bool = False):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(path, f"cannot read the file: {exc}") from None
     default = default_field_from_env(os.environ.get("HHA_DEFAULT_FIELD"))
     doc = parse_input(text, default_field=default)
     if float_mode:
@@ -76,6 +79,13 @@ def _parse_sphere_point(text: str) -> SpherePoint:
         raise InputError("--pair", str(exc)) from exc
 
 
+def _parse_indices(option: str, text: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(option, f"expected comma-separated integers, got {text!r}") from None
+
+
 _WITNESS_TERM = re.compile(
     r"(?P<sign>[+-]?)\s*(?:\((?P<paren>[^()]*(?:\([^()]*\)[^()]*)*)\)\s*\*\s*)?"
     r"(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?(?P<imag>i\s*\*\s*)?z(?P<idx>\d+)\s*"
@@ -94,7 +104,10 @@ def parse_witness(expr: str, geom) -> Form:
         if not m or m.end() == pos:
             raise InputError("--witness", f"cannot parse {expr!r} at offset {pos}")
         coeff_text = m.group("paren") or m.group("coef") or "1"
-        c = ComplexScalar(parse_scalar(coeff_text))
+        try:
+            c = ComplexScalar(parse_scalar(coeff_text))
+        except ScalarError as exc:
+            raise InputError("--witness", str(exc)) from None
         if m.group("imag"):
             c = c.times_i()
         if m.group("sign") == "-":
@@ -191,7 +204,9 @@ def cmd_construct(args) -> int:
         if args.rep == "zero":
             rho = QuaternionicRep.zero(gbase.algebra, args.k)
         else:
-            indices = tuple(int(x) - 1 for x in args.su2.split(","))
+            indices = tuple(i - 1 for i in _parse_indices("--su2", args.su2))
+            if len(indices) != 3:
+                raise InputError("--su2", "expected three indices")
             rho = sp1_spin_rep(gbase.algebra, su2_indices=indices)
         res = barberis_fino(gbase, mbase, rho)
         geom, metric, report = res.geometry, res.metric, res.output_report
@@ -202,7 +217,7 @@ def cmd_construct(args) -> int:
         if args.su3:
             data = joyce_su3_data()
         elif args.blocks:
-            ds = [int(x) for x in args.blocks.split(",")]
+            ds = _parse_indices("--blocks", args.blocks)
             if any(d != 0 for d in ds):
                 raise InputError(
                     "--blocks",
@@ -219,8 +234,11 @@ def cmd_construct(args) -> int:
               f"einstein factor {res.einstein_factor}")
     if args.out:
         data = geometry_to_input(args.name or "constructed", geom, metric)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            raise InputError("--out", f"cannot write the file: {exc}") from None
         print(f"wrote {args.out}")
     _emit_report(report, None, geom, args.format)
     return 0
@@ -328,6 +346,14 @@ def main(argv=None) -> int:
     except INPUT_FAULTS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # not caused by the input: report it apart from input errors, with
+        # the traceback that locates the fault (imported here, off the
+        # start-up path of every run)
+        import traceback
+        print(f"error: internal fault ({type(exc).__name__}): {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

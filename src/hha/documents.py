@@ -19,6 +19,7 @@ from .liealg import LieAlgebraData
 from .scalars import (
     ComplexScalar,
     Scalar,
+    ScalarError,
     ScalarField,
     parse_scalar,
     scalar_str,
@@ -81,6 +82,13 @@ def _parse_scalar_at(text, location) -> Scalar:
     try:
         return parse_scalar(text)
     except Exception as exc:
+        raise InputError(location, str(exc)) from None
+
+
+def _field_scalar_at(field: ScalarField, text, location) -> Scalar:
+    try:
+        return field.coerce(_parse_scalar_at(text, location))
+    except ScalarError as exc:
         raise InputError(location, str(exc)) from None
 
 
@@ -214,8 +222,11 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
-        _expect(isinstance(entries, list) and len(entries) == N,
-                "$.metric.entries", f"needs a {N}x{N} matrix")
+        _expect(isinstance(entries, list) and len(entries) == N
+                and all(isinstance(row, list) and len(row) == N
+                        and all(isinstance(e, list) and len(e) == 2 for e in row)
+                        for row in entries),
+                "$.metric.entries", f"needs a {N}x{N} matrix of [re, im] pairs")
 
     return InputDocument(
         name=name,
@@ -247,9 +258,9 @@ def build_geometry(doc: InputDocument) -> Geometry:
     if doc.hypercomplex == "standard":
         structure = HypercomplexStructure.standard(doc.dimension // 4)
     else:
-        I = [[field.coerce(_parse_scalar_at(x, "$.hypercomplex.I"))
+        I = [[_field_scalar_at(field, x, "$.hypercomplex.I")
               for x in row] for row in doc.hypercomplex["I"]]
-        J = [[field.coerce(_parse_scalar_at(x, "$.hypercomplex.J"))
+        J = [[_field_scalar_at(field, x, "$.hypercomplex.J")
               for x in row] for row in doc.hypercomplex["J"]]
         structure = HypercomplexStructure(I, J)
     return Geometry(algebra, structure)
@@ -261,8 +272,8 @@ def build_metric(doc: InputDocument, geom: Geometry) -> Metric:
     if mtype == "diagonal_unitary":
         return Metric.unitary(geom)
     if mtype == "diagonal":
-        entries = [doc.field.coerce(_parse_scalar_at(e, "$.metric.entries"))
-                   for e in m["entries"]]
+        entries = [_field_scalar_at(doc.field, e, f"$.metric.entries[{t}]")
+                   for t, e in enumerate(m["entries"])]
         return Metric.diagonal(geom, entries)
     if mtype == "omega":
         terms = {}

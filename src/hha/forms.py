@@ -478,14 +478,14 @@ def pfaffian(matrix) -> ComplexScalar:
         v = work[0][2:]
         w = work[1][2:]
         ainv = a.inverse()
-        nxt = []
-        for r in range(2, k):
-            row = []
-            vr, wr = v[r - 2], w[r - 2]
-            for s in range(2, k):
-                upd = (vr * w[s - 2] - wr * v[s - 2]) * ainv
-                row.append(work[r][s] - upd)
-            nxt.append(row)
+        # the Schur update of entry (r, s) vanishes unless row r and column s
+        # meet the pivot pair: skip the indices where v and w are both zero
+        live = [s for s in range(k - 2) if not (v[s].is_zero() and w[s].is_zero())]
+        nxt = [row[2:] for row in work[2:]]
+        for r in live:
+            vr, wr, row = v[r], w[r], nxt[r]
+            for s in live:
+                row[s] = row[s] - (vr * w[s] - wr * v[s]) * ainv
         work = nxt
     result = result * work[0][1]
     return result if sign > 0 else -result

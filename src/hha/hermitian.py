@@ -382,6 +382,28 @@ class Metric:
                     terms[(r, N + s)] = g.times_i()
         return Form(self.geometry.algebra.dim, 2, terms)
 
+    def omega_i_top_minus_one(self) -> Form:
+        """omega_I^{N-1} (N = 2n) read from the cofactors of the Gram matrix.
+
+        With omega_I = i sum G[r][s] z^r ^ conj(z^s), the coefficient on
+        z^{[N] minus r} ^ conj(z)^{[N] minus s} is (-1)^{r+s+(N-1)(N-2)/2}
+        (N-1)! i^{N-1} det(G) (G^-1)_{sr}: the (N-1)-minors of iG times the
+        sign of gathering the holomorphic factors in front.
+        """
+        N = self.N
+        # i^{N-1} (-1)^{(N-1)(N-2)/2} = i: for N = 2n both signs are (-1)^{n-1}
+        scale = ComplexScalar(self.det_g * rational(math.factorial(N - 1))).times_i()
+        hol = [tuple(k for k in range(N) if k != r) for r in range(N)]
+        anti = [tuple(N + k for k in range(N) if k != s) for s in range(N)]
+        terms = {}
+        for r in range(N):
+            for s in range(N):
+                c = self._g_inv[s][r]
+                if not c.is_zero():
+                    c = c * scale
+                    terms[hol[r] + anti[s]] = -c if (r + s) % 2 else c
+        return Form(self.geometry.algebra.dim, 2 * N - 2, terms)
+
     def gram_real(self):
         """Riemannian Gram matrix on the adapted real basis u_a."""
         fr = self.geometry.frame

@@ -317,6 +317,7 @@ def test_classify_builds_each_top_power_once(source, monkeypatch):
     m = Metric(g, m.omega)
     n = m.n
     built = []
+    rebuilt_frames = []
     wedge_power = Form.wedge_power
 
     def counting(self, k):
@@ -324,8 +325,76 @@ def test_classify_builds_each_top_power_once(source, monkeypatch):
         return wedge_power(self, k)
 
     monkeypatch.setattr(Form, "wedge_power", counting)
+    monkeypatch.setattr(Geometry, "rotated",
+                        lambda *a, **k: rebuilt_frames.append("rotated"))
+    monkeypatch.setattr(Metric, "in_rotated_frame",
+                        lambda *a, **k: rebuilt_frames.append("in_rotated_frame"))
     classify_metric(m)
     monkeypatch.undo()
     omega_i = m.omega_i()
     assert built.count((m.omega, n - 1)) == 1
-    assert built.count((omega_i, 2 * n - 1)) == 1
+    assert omega_i not in [f for f, _ in built]
+    assert rebuilt_frames == []
+
+
+# -- oracles for the closed forms: catalog entries up to dimension 16, random
+# non-diagonal metrics, and one metric in a frame rotated by a pair that mixes
+# J and K
+
+
+def _catalog_up_to_16():
+    from hha.catalog import entry_names, get_example
+    # entries without input data are constructed, of dimension 4 or 8
+    return [name for name in entry_names()
+            if (get_example(name).input_data or {"dimension": 0})["dimension"] <= 16]
+
+
+def _oracle_metric(case):
+    from hha.catalog import get_example
+    kind, _, name = case.partition(":")
+    if kind == "catalog":
+        return get_example(name).load()[1]
+    if kind == "random":
+        # n >= 2: in quaternionic dimension one every metric is diagonal
+        m = random_metric(random.Random(len(name)), get_example(name).load()[0])
+        assert not m._h_diagonal, "diagonal metric"
+        return m
+    g = geom(nil12_qsg())
+    rot = g.rotated(SpherePoint(0, rational(3, 5), rational(4, 5)),
+                    SpherePoint(0, rational(-4, 5), rational(3, 5)))
+    return random_metric(random.Random(7), g).in_rotated_frame(rot)
+
+
+ORACLE_CASES = (
+    [f"catalog:{name}" for name in _catalog_up_to_16()]
+    + [f"random:{name}" for name in ("qgau8", "joyce_su2xsu2", "qsg12", "qbal12")]
+    + ["rotated:qsg12"]
+)
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_skt_of_j_and_k_matches_the_rotated_frame(case):
+    """d(L* d omega_L) = -2i del delbar omega_L, the latter in L's own frame."""
+    m = _oracle_metric(case)
+    g, fr = m.geometry, m.geometry.frame
+    minus_2i = ComplexScalar(ZERO, rational(-2))
+    omega_j = m.omega + m.omega_bar()
+    omega_k = (m.omega - m.omega_bar()) * ComplexScalar(ZERO, -ONE)
+    skt = classify_metric(m, with_obstruction=False).skt
+    for label, pair, base_frame in (
+        ("J", (SpherePoint(0, 1, 0), SpherePoint(0, 0, 1)),
+         fr.d(fr.j_action(fr.d(omega_j)))),
+        ("K", (SpherePoint(0, 0, 1), SpherePoint(1, 0, 0)),
+         fr.d(fr.j_action(fr.i_action(fr.d(omega_k))))),
+    ):
+        rot = g.rotated(*pair)
+        rf = rot.frame
+        rotated = rf.del_(rf.delbar(m.in_rotated_frame(rot).omega_i()))
+        assert fr.to_real(base_frame) == rf.to_real(rotated).scale(minus_2i), label
+        assert skt[label] == rotated.is_zero(), label
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_omega_i_top_minus_one_matches_the_wedge_power(case):
+    m = _oracle_metric(case)
+    assert m.omega_i_top_minus_one() == m.omega_i().wedge_power(m.N - 1)

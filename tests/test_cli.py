@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from hha.cli import main
+from hha.hermitian import ConsistencyError
 
 
 def run_cli(args):
@@ -102,6 +103,50 @@ def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch):
     code, _, err = run_cli(["check", qbal12_file])
     assert code == 2
     assert "$HHA_DEFAULT_FIELD" in err
+
+
+@pytest.mark.parametrize("fault", [
+    ConsistencyError("balanced characterisations disagree"),
+    ValueError("forms live over different frames"),
+])
+def test_internal_fault_exits_3(qbal12_file, monkeypatch, fault):
+    import hha.cli
+
+    def faulty(*_args, **_kwargs):
+        raise fault
+
+    monkeypatch.setattr(hha.cli, "classify_metric", faulty)
+    code, _, err = run_cli(["classify", qbal12_file])
+    assert code == 3
+    assert err.startswith(f"error: internal fault ({type(fault).__name__}): {fault}")
+
+
+def test_missing_file_is_input_error(tmp_path):
+    path = str(tmp_path / "missing.json")
+    code, _, err = run_cli(["classify", path])
+    assert code == 2
+    assert path in err
+
+
+@pytest.mark.parametrize("args, metric, location", [
+    (["construct", "joyce", "--blocks", "a"], None, "--blocks"),
+    (["construct", "bf", "FILE", "--rep", "spin", "--su2", "1,2"], None, "--su2"),
+    (["certify-qbal", "FILE", "--witness", "(1/0)*z1"], None, "--witness"),
+    (["classify", "FILE"], {"type": "diagonal", "entries": ["sqrt(2)", "1", "1"]},
+     "$.metric.entries[0]"),
+    (["classify", "FILE"], {"type": "gram", "entries": [["1"]] * 6},
+     "$.metric.entries"),
+])
+def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
+    if metric is not None:
+        with open(qbal12_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["metric"] = metric
+        with open(qbal12_file, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    code, _, err = run_cli([qbal12_file if a == "FILE" else a for a in args])
+    assert code == 2
+    assert location in err
 
 
 def test_classify_float_mode(qbal12_file):

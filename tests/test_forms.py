@@ -240,6 +240,33 @@ def test_pfaffian_squared_is_determinant():
         assert pf * pf == cofactor_det(full)
 
 
+def sparse_skew(rng, size, extra):
+    """2x2 skew blocks on the diagonal plus ``extra`` random off-block entries."""
+    sm = SkewMatrix(size)
+    for i in range(0, size, 2):
+        sm.entries[(i, i + 1)] = ComplexScalar(rational(rng.randint(1, 5), rng.randint(1, 3)))
+    for _ in range(extra):
+        i, j = sorted(rng.sample(range(size), 2))
+        c = rand_coeff(rng)
+        if not c.is_zero():
+            sm.entries[(i, j)] = c
+    return sm
+
+
+def test_pfaffian_of_sparse_matrices_matches_oracles():
+    rng = random.Random(37)
+    matrices = [sparse_skew(rng, size, extra).full()
+                for size in (4, 6, 8) for extra in (0, 1, 2, 3) for _ in range(2)]
+    # the first pivot (0, 1) is zero, so the elimination swaps in column 2
+    a, b, c = (ComplexScalar(rational(x)) for x in (2, 3, 5))
+    matrices.append(SkewMatrix(4, {(0, 2): a, (1, 3): b, (0, 3): c}).full())
+    for full in matrices:
+        pf = pfaffian(full)
+        assert pf == matching_pfaffian(full)
+        assert pf * pf == cofactor_det(full)
+    assert pfaffian(matrices[-1]) == -(a * b)
+
+
 def test_pfaffian_zero_row():
     sm = SkewMatrix(4, {(2, 3): C_ONE})
     assert sm.pfaffian().is_zero()
