@@ -12,6 +12,7 @@ formula); any disagreement raises, acting as a built-in convention audit.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -290,17 +291,29 @@ class Metric:
         if self.pf * self.pf.conjugate() != det_g:
             raise ConsistencyError("|pf|^2 != det of the Hermitian matrix")
         self.det_g = det_g.re
-        self._g_inv = linalg.inverse(self.gram)
-        # Hermitian product of holomorphic covectors: <z^r, z^s> = (G^-1)_{sr}
-        self._h = [[self._g_inv[s][r] for s in range(self.N)] for r in range(self.N)]
-        self._h_diagonal = all(
-            self._h[r][s].is_zero()
-            for r in range(self.N) for s in range(self.N) if r != s
-        )
         self._omega_powers: dict = {}
         self._omega_plus_bar: Form | None = None
         self._canonical: CanonicalForms | None = None
         self._curvature: CurvatureData | None = None
+
+    # G^-1 and the covector product are computed on first use: many metrics
+    # (the family checks, the search) are built only for their flags.
+
+    @functools.cached_property
+    def _g_inv(self):
+        return linalg.inverse(self.gram)
+
+    @functools.cached_property
+    def _h(self):
+        """Hermitian product of holomorphic covectors: <z^r, z^s> = (G^-1)_{sr}."""
+        return [[self._g_inv[s][r] for s in range(self.N)] for r in range(self.N)]
+
+    @functools.cached_property
+    def _h_diagonal(self) -> bool:
+        return all(
+            self._h[r][s].is_zero()
+            for r in range(self.N) for s in range(self.N) if r != s
+        )
 
     # -- constructors ----------------------------------------------------------
 

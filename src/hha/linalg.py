@@ -88,12 +88,18 @@ def _row_echelon(m):
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        inv = prow[c].inverse()
+        # the pivot row is often sparse: scale and subtract only its nonzeros
+        support = [j for j in range(cols) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
         for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [m[i][j] - f * m[r][j] for j in range(cols)]
+            row = m[i]
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -143,13 +149,19 @@ def det(a) -> ComplexScalar:
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             out = -out
-        out = out * m[c][c]
-        inv = m[c][c].inverse()
+        prow = m[c]
+        out = out * prow[c]
+        inv = prow[c].inverse()
+        # columns up to c are never read again; the rest change only where
+        # the pivot row is nonzero
+        support = [j for j in range(c + 1, n) if not prow[j].is_zero()]
         for i in range(c + 1, n):
-            if m[i][c].is_zero():
+            row = m[i]
+            if row[c].is_zero():
                 continue
-            f = m[i][c] * inv
-            m[i] = [m[i][j] - f * m[c][j] for j in range(n)]
+            f = row[c] * inv
+            for j in support:
+                row[j] = row[j] - f * prow[j]
     return out
 
 

@@ -1,10 +1,31 @@
 """Exact scalar arithmetic over Q and real quadratic extensions Q(sqrt(D)).
 
 A :class:`Scalar` is ``a + b*sqrt(d)`` with ``a, b`` rational and ``d`` a
-square-free integer >= 2, stored in canonical form (``b == 0`` collapses to a
-plain rational with ``d == 0``).  Every exact scalar has a decidable sign
-under the real embedding ``sqrt(d) > 0``.  A float backend (``d == -1``)
-exists purely as a cross-check; its comparisons go through a tolerance.
+square-free integer >= 2, stored in canonical form: ``b == 0`` if and only if
+``d == 0``, a plain rational.  Every exact scalar has a decidable sign under
+the real embedding ``sqrt(d) > 0``.  A float backend (``d == -1``) exists
+purely as a cross-check; its comparisons go through a tolerance.
+
+Fast lanes.  Almost every scalar the classifier touches is rational, and
+most complex scalars are real, so the arithmetic takes shortcuts keyed only
+on its operands:
+
+* the rational lane: when both operands have ``d == 0``, ``+``, ``*`` and
+  ``==`` (and ``inverse``, unary ``-`` and ``is_zero`` on one rational) do
+  a single ``Fraction`` operation instead of the ``a + b*sqrt(d)`` formula;
+* a rational times a quadratic scalar drops the two products with ``b == 0``;
+* the real lane: a :class:`ComplexScalar` factor whose imaginary part is an
+  exact zero skips the products that vanish in ``*``, ``abs2`` and
+  ``inverse``.
+
+A lane only ever skips an operation whose result is known to be zero; every
+``Scalar`` sum, product and inverse it does perform still goes through
+``Scalar.__add__``, ``__mul__`` or ``inverse``.  Results of closed arithmetic
+are built by :func:`_exact`, which skips coercion and the radicand check and
+keeps the canonical form, so ``b == 0`` if and only if ``d == 0`` holds for
+every exact result.  Float operands and mixed radicands take the general
+path: a float promotes the result to float, and two different radicands
+raise :class:`FieldMismatchError`.
 """
 from __future__ import annotations
 
@@ -75,9 +96,12 @@ class Scalar:
         return self.d == 0
 
     def is_zero(self, tol: float = FLOAT_TOLERANCE) -> bool:
-        if self.is_float:
+        d = self.d
+        if d == 0:
+            return not self.a
+        if d == FLOAT_KIND:
             return abs(self.a) <= tol
-        return self.a == 0 and self.b == 0
+        return False  # canonical form: d >= 2 carries b != 0
 
     def sign(self, tol: float = FLOAT_TOLERANCE) -> int:
         """Exact sign under the embedding sqrt(d) > 0 (tolerance in float mode)."""
@@ -133,17 +157,21 @@ class Scalar:
 
     def __add__(self, other):
         other = self._coerce(other)
+        if self.d == 0 and other.d == 0:
+            return _exact(self.a + other.a)
         d = self._join(other)
         if d == FLOAT_KIND:
             return Scalar(self.to_float() + other.to_float(), d=FLOAT_KIND)
-        return Scalar(self.a + other.a, self.b + other.b, d)
+        return _exact(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.d == 0:
+            return _exact(-self.a)
         if self.is_float:
             return Scalar(-self.a, d=FLOAT_KIND)
-        return Scalar(-self.a, -self.b, self.d)
+        return _exact(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -153,26 +181,34 @@ class Scalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
+        if self.d == 0:
+            if other.d == 0:
+                return _exact(self.a * other.a)
+            if other.d != FLOAT_KIND:
+                # rational * (a + b sqrt(d)): the products with b == 0 vanish
+                return _exact(self.a * other.a, self.a * other.b, other.d)
+        elif other.d == 0 and self.d != FLOAT_KIND:
+            return _exact(self.a * other.a, self.b * other.a, self.d)
         d = self._join(other)
         if d == FLOAT_KIND:
             return Scalar(self.to_float() * other.to_float(), d=FLOAT_KIND)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return Scalar(a, b, d)
+        return _exact(a, b, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
+        if self.d == 0:
+            if not self.a:
+                raise ZeroDivisionError("scalar division by zero")
+            return _exact(_F1 / self.a)
         if self.is_float:
             return Scalar(1.0 / self.a, d=FLOAT_KIND)
-        if self.b == 0:
-            if self.a == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            return Scalar(1 / self.a)
         norm = self.a * self.a - self.b * self.b * self.d
         if norm == 0:
             raise ZeroDivisionError("scalar division by zero")
-        return Scalar(self.a / norm, -self.b / norm, self.d)
+        return _exact(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -194,9 +230,9 @@ class Scalar:
 
     def galois_conjugate(self) -> "Scalar":
         """a + b*sqrt(d)  ->  a - b*sqrt(d)."""
-        if self.is_float:
+        if self.d <= 0:
             return self
-        return Scalar(self.a, -self.b, self.d)
+        return _exact(self.a, -self.b, self.d)
 
     # -- comparisons -----------------------------------------------------
 
@@ -205,6 +241,8 @@ class Scalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
+        if self.d == 0 and other.d == 0:
+            return self.a == other.a
         if self.is_float or other.is_float:
             return abs(self.to_float() - other.to_float()) <= FLOAT_TOLERANCE
         try:
@@ -227,9 +265,7 @@ class Scalar:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        if self.is_float:
-            return hash(self.a)
-        if self.b == 0:
+        if self.d <= 0:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
@@ -243,6 +279,27 @@ class Scalar:
 
     def __str__(self):
         return scalar_str(self)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _exact(a: Fraction, b: Fraction = _F0, d: int = 0) -> Scalar:
+    """``a + b*sqrt(d)`` from closed arithmetic on valid exact operands.
+
+    ``d`` is 0 or a radicand an operand already carried, so coercion and the
+    square-free check are skipped; ``b == 0`` collapses to ``d == 0``.
+    """
+    s = _new(Scalar)
+    _set(s, "a", a)
+    if b is _F0 or not b:
+        _set(s, "b", _F0)
+        _set(s, "d", 0)
+    else:
+        _set(s, "b", b)
+        _set(s, "d", d)
+    return s
 
 
 ZERO = Scalar(0)
@@ -362,23 +419,26 @@ class ComplexScalar:
         return self.im.is_zero()
 
     def conjugate(self) -> "ComplexScalar":
-        return ComplexScalar(self.re, -self.im)
+        return _complex(self.re, -self.im)
 
     def abs2(self) -> Scalar:
         """|z|^2, a non-negative exact scalar."""
-        return self.re * self.re + self.im * self.im
+        im = self.im
+        if im.d == 0 and not im.a:
+            return self.re * self.re
+        return self.re * self.re + im * im
 
     def times_i(self) -> "ComplexScalar":
-        return ComplexScalar(-self.im, self.re)
+        return _complex(-self.im, self.re)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return ComplexScalar(self.re + other.re, self.im + other.im)
+        return _complex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ComplexScalar(-self.re, -self.im)
+        return _complex(-self.re, -self.im)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -388,10 +448,18 @@ class ComplexScalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return ComplexScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        re, im, ore, oim = self.re, self.im, other.re, other.im
+        # the real lane; a float part keeps the four products, so that it
+        # still promotes every part of the result to float
+        if re.d != FLOAT_KIND and ore.d != FLOAT_KIND:
+            if im.d == 0 and not im.a:
+                if oim.d == 0 and not oim.a:
+                    return _complex(re * ore, im)
+                if oim.d != FLOAT_KIND:
+                    return _complex(re * ore, re * oim)
+            elif oim.d == 0 and not oim.a and im.d != FLOAT_KIND:
+                return _complex(re * ore, im * ore)
+        return _complex(re * ore - im * oim, re * oim + im * ore)
 
     __rmul__ = __mul__
 
@@ -400,7 +468,10 @@ class ComplexScalar:
         if n.is_zero():
             raise ZeroDivisionError("complex scalar division by zero")
         ninv = n.inverse()
-        return ComplexScalar(self.re * ninv, -self.im * ninv)
+        im = self.im
+        if im.d == 0 and not im.a and ninv.d != FLOAT_KIND:
+            return _complex(self.re * ninv, im)
+        return _complex(self.re * ninv, -im * ninv)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -423,6 +494,14 @@ class ComplexScalar:
 
     def __repr__(self):
         return complex_str(self)
+
+
+def _complex(re: Scalar, im: Scalar) -> ComplexScalar:
+    """A complex scalar from two parts that are already ``Scalar``s."""
+    z = _new(ComplexScalar)
+    _set(z, "re", re)
+    _set(z, "im", im)
+    return z
 
 
 C_ZERO = ComplexScalar(ZERO)

@@ -337,6 +337,29 @@ def test_classify_builds_each_top_power_once(source, monkeypatch):
     assert rebuilt_frames == []
 
 
+def test_family_check_never_inverts_the_gram_matrix(monkeypatch):
+    from hha import linalg
+    from hha.catalog import get_example
+    g, _ = get_example("qgau8").load()
+    inverted = []
+    inverse = linalg.inverse
+
+    def counting(a):
+        inverted.append(len(a))
+        return inverse(a)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    assert qgau_family_symbolic_check(g)
+    assert inverted == []
+    # G^-1 is computed on first use, once per metric
+    m = Metric.diagonal(g, [ONE, rational(2)])
+    assert inverted == []
+    assert m._h_diagonal and m._h[-1][-1] == ComplexScalar(rational(1, 2))
+    assert inverted == [m.N]
+    monkeypatch.undo()
+    assert linalg.inverse is inverse
+
+
 # -- oracles for the closed forms: catalog entries up to dimension 16, random
 # non-diagonal metrics, and one metric in a frame rotated by a pair that mixes
 # J and K

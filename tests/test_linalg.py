@@ -1,9 +1,10 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from hha import linalg
-from hha.scalars import C_ONE, C_ZERO, ComplexScalar, rational
+from hha.scalars import C_ONE, C_ZERO, ComplexScalar, Scalar, ZERO, rational
 
 
 def c(re, im=0):
@@ -118,3 +119,78 @@ def test_matrix_helpers_keep_the_entry_type():
     assert linalg.mat_mul(a, a) == [[ONE, ZERO], [rational(1, 2), ZERO]]
     z = [[c(1, 1), C_ZERO], [C_ZERO, C_ONE]]
     assert all(type(x) is ComplexScalar for row in linalg.mat_mul(z, z) for x in row)
+
+
+# -- an independent oracle: sympy's exact domain matrices over Q(i) and
+# Q(sqrt 2, i), on random sparse and dense matrices, singular ones included
+
+
+def _random_entry(rng, d, density):
+    if rng.random() >= density:
+        return C_ZERO
+
+    def part():
+        a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if d else 0
+        return Scalar(a, b, d)
+
+    return ComplexScalar(part(), part() if rng.random() < 0.5 else ZERO)
+
+
+def _random_exact_matrix(rng, rows, cols, d, density, singular):
+    a = [[_random_entry(rng, d, density) for _ in range(cols)] for _ in range(rows)]
+    if singular:
+        # one row a combination of two others (a multiple of one when rows == 2)
+        i, j, k = rng.sample(range(rows), 3) if rows > 2 else (0, 0, 1)
+        f = _random_entry(rng, d, 1.0)
+        a[k] = [f * x + (y if i != j else C_ZERO) for x, y in zip(a[i], a[j])]
+    return a
+
+
+@pytest.mark.parametrize("d", [0, 2])
+@pytest.mark.parametrize("density", [0.3, 1.0])
+def test_linalg_matches_sympy(d, density):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    field = sympy.QQ.algebraic_field(*([sympy.sqrt(d)] if d else []), sympy.I)
+    # convert the generators once; entries are built by field arithmetic
+    root_d = field.from_sympy(sympy.sqrt(d)) if d else field.zero
+    unit_i = field.from_sympy(sympy.I)
+
+    def to_field(z):
+        def part(s):
+            return field.convert(s.a) + field.convert(s.b) * root_d
+        return part(z.re) + unit_i * part(z.im)
+
+    def domain_matrix(m):
+        return DomainMatrix([[to_field(x) for x in row] for row in m],
+                            (len(m), len(m[0])), field)
+
+    rng = random.Random(10 * d + int(10 * density))
+    seen_singular = seen_regular = 0
+    for n in range(2, 9):
+        for singular in (False, True):
+            a = _random_exact_matrix(rng, n, n, d, density, singular)
+            ref = domain_matrix(a)
+            det = ref.det()
+            assert to_field(linalg.det(a)) == det
+            assert linalg.rank(a) == ref.rank()
+            b = [_random_entry(rng, d, 1.0) for _ in range(n)]
+            ref_b = domain_matrix([[x] for x in b])
+            x = linalg.solve(a, b)
+            if det == field.zero:
+                seen_singular += 1
+                with pytest.raises(linalg.SingularMatrixError):
+                    linalg.inverse(a)
+                consistent = ref.hstack(ref_b).rank() == ref.rank()
+                assert (x is not None) == consistent
+                if consistent:
+                    assert ref.matmul(domain_matrix([[v] for v in x])) == ref_b
+            else:
+                seen_regular += 1
+                assert domain_matrix(linalg.inverse(a)) == ref.inv()
+                assert domain_matrix([[v] for v in x]) == ref.lu_solve(ref_b)
+            wide = _random_exact_matrix(rng, n, n + 2, d, density, singular)
+            assert linalg.rank(wide) == domain_matrix(wide).rank()
+    assert seen_singular >= 7 and seen_regular >= 1

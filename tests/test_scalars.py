@@ -171,3 +171,160 @@ def test_scalar_field_membership():
     assert not r.contains(root(2))
     f = ScalarField("float")
     assert f.coerce(root(2)).is_float
+
+
+# -- the fast lanes against the full a + b*sqrt(d) and four-product formulas
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from hha.scalars import ScalarError  # noqa: E402
+
+_lanes = settings(max_examples=200, deadline=None, database=None)
+_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+
+
+def _scalars(d):
+    """Scalars of Q(sqrt(d)) (Q for d == 0); b == 0 gives a rational."""
+    if d == 0:
+        return st.builds(Scalar, _fractions)
+    return st.builds(lambda a, b: Scalar(a, b, d), _fractions,
+                     st.one_of(st.just(Fraction(0)), _fractions))
+
+
+@st.composite
+def _pairs(draw):
+    """Two scalars of one field: independent, cancelling in the sum to a
+    rational, or conjugate up to a rational factor (a rational product)."""
+    d = draw(st.sampled_from((0, 2, 5)))
+    x = draw(_scalars(d))
+    kind = draw(st.sampled_from(("free", "sum", "product")))
+    if kind == "free":
+        return x, draw(_scalars(d))
+    r = draw(_fractions)
+    if kind == "sum":
+        return x, Scalar(r - x.a, -x.b, x.d)
+    return x, Scalar(r * x.a, -r * x.b, x.d)
+
+
+def _parts(s):
+    return s.a, s.b, s.d
+
+
+def _canonical(a, b, d):
+    return (a, b, d) if b else (a, Fraction(0), 0)
+
+
+def _full_sum(x, y):
+    return _canonical(x.a + y.a, x.b + y.b, x.d or y.d)
+
+
+def _full_product(x, y):
+    d = x.d or y.d
+    return _canonical(x.a * y.a + x.b * y.b * d, x.a * y.b + x.b * y.a, d)
+
+
+def _check_canonical(s):
+    assert type(s.a) is Fraction and type(s.b) is Fraction
+    assert (s.b == 0) == (s.d == 0)
+
+
+@_lanes
+@given(_pairs())
+def test_lanes_match_the_full_formula(pair):
+    x, y = pair
+    for got, want in ((x + y, _full_sum(x, y)),
+                      (x - y, _full_sum(x, Scalar(-y.a, -y.b, y.d))),
+                      (-x, _canonical(-x.a, -x.b, x.d)),
+                      (x * y, _full_product(x, y))):
+        _check_canonical(got)
+        assert _parts(got) == want
+    assert (x == y) == (_parts(x) == _parts(y))
+    assert (x * y).is_zero() == (x.is_zero() or y.is_zero())
+    norm = x.a * x.a - x.b * x.b * x.d
+    if norm == 0:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    else:
+        inv = x.inverse()
+        _check_canonical(inv)
+        assert _parts(inv) == _canonical(x.a / norm, -x.b / norm, x.d)
+
+
+@_lanes
+@given(_pairs())
+def test_equal_values_hash_equal(pair):
+    x, y = pair
+    for u, v in (((x + y) - y, x), (x * y, y * x), (x - x, ZERO), (x + ZERO, x),
+                 (x * ONE, x), (Scalar(x.a, x.b, x.d), x)):
+        assert u == v
+        assert hash(u) == hash(v)
+
+
+def _complexes(d):
+    parts = _scalars(d)
+    return st.builds(ComplexScalar, parts, st.one_of(st.just(ZERO), parts))
+
+
+@st.composite
+def _complex_pairs(draw):
+    d = draw(st.sampled_from((0, 2, 5)))
+    return draw(_complexes(d)), draw(_complexes(d))
+
+
+@_lanes
+@given(_complex_pairs())
+def test_complex_lanes_match_four_products(pair):
+    z, w = pair
+    prod = z * w
+    assert prod.re == z.re * w.re - z.im * w.im
+    assert prod.im == z.re * w.im + z.im * w.re
+    assert z.abs2() == z.re * z.re + z.im * z.im
+    if z.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            z.inverse()
+    else:
+        n = z.re * z.re + z.im * z.im
+        inv = z.inverse()
+        assert inv.re == z.re / n and inv.im == -z.im / n
+        assert z * inv == ComplexScalar(ONE)
+    for part in (prod.re, prod.im, z.abs2(), z.conjugate().im, (-z).im, z.times_i().re):
+        _check_canonical(part)
+
+
+@_lanes
+@given(_scalars(2), st.floats(min_value=-1e6, max_value=1e6))
+def test_float_operands_still_promote(x, f):
+    y = floating(f)
+    for s in (x + y, y + x, x * y, y * x, x - y):
+        assert s.is_float
+    z = ComplexScalar(y)
+    assert (ComplexScalar(x) * z).re.is_float
+    assert (z * ComplexScalar(x, x)).im.is_float
+    assert (z * z).im.is_float and z.abs2().is_float
+    if abs(f) > 1e-3:
+        assert z.inverse().im.is_float
+
+
+@pytest.mark.parametrize("x, y", [
+    (root(2), root(3)),
+    (quadratic(1, 1, 2), quadratic(1, -1, 3)),
+    (rational(1, 2) + root(2), rational(3) * root(3)),
+])
+def test_mixed_radicands_still_raise(x, y):
+    for op in (lambda: x + y, lambda: x * y, lambda: y * x, lambda: x - y):
+        with pytest.raises(FieldMismatchError):
+            op()
+    with pytest.raises(FieldMismatchError):
+        ComplexScalar(x) * ComplexScalar(y)
+    assert x != y
+
+
+def test_zero_and_radicand_checks_remain_at_the_public_constructor():
+    with pytest.raises(ZeroDivisionError):
+        ZERO.inverse()
+    with pytest.raises(ZeroDivisionError):
+        ComplexScalar(ZERO).inverse()
+    with pytest.raises(ScalarError):
+        Scalar(0, 1, 4)
+    with pytest.raises(ScalarError):
+        Scalar(0, 1)
