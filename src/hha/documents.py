@@ -26,6 +26,12 @@ from .scalars import (
 )
 
 
+# Inputs above this real dimension are refused before any work: the dense
+# dim x dim matrices and the exterior algebra of the frame grow too fast (an
+# abelian input takes seconds at 48 and did not finish in minutes at 96).
+MAX_DIMENSION = 48
+
+
 class InputError(ValueError):
     """Schema or parse failure, with a location path."""
 
@@ -85,6 +91,14 @@ def _parse_scalar_at(text, location) -> Scalar:
         raise InputError(location, str(exc)) from None
 
 
+def _field_member_at(field: ScalarField, text, location) -> Scalar:
+    """Parse a scalar and check that it lies in the declared field."""
+    s = _parse_scalar_at(text, location)
+    _expect(field.contains(s), location,
+            f"coefficient {text!r} is outside the declared scalar field")
+    return s
+
+
 def _field_scalar_at(field: ScalarField, text, location) -> Scalar:
     try:
         return field.coerce(_parse_scalar_at(text, location))
@@ -108,6 +122,8 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     _expect(isinstance(dim, int), "$.dimension", "dimension must be an integer")
     _expect(dim > 0 and dim % 4 == 0, "$.dimension",
             "dimension must be a positive multiple of 4")
+    _expect(dim <= MAX_DIMENSION, "$.dimension",
+            f"dimension {dim} is above the supported maximum of {MAX_DIMENSION}")
 
     fld_raw = raw.get("scalar_field", {"kind": "rational"})
     _expect(isinstance(fld_raw, dict), "$.scalar_field", "must be an object")
@@ -149,10 +165,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         "indices must be integers")
                 _expect(1 <= i < j <= dim, tloc,
                         f"indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
-                s = _parse_scalar_at(c, tloc)
-                _expect(field.contains(s) or field.kind == "float", tloc,
-                        f"coefficient {c!r} is outside the declared scalar field")
-                out.append((i, j, s))
+                out.append((i, j, _field_member_at(field, c, tloc)))
             parsed_eqs[k] = out
     else:
         _expect(isinstance(brackets, list), "$.brackets", "must be a list")
@@ -175,7 +188,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 k, c = pair
                 _expect(isinstance(k, int) and 1 <= k <= dim, ploc,
                         "target index out of range")
-                comp_out.append((k, _parse_scalar_at(c, ploc)))
+                comp_out.append((k, _field_member_at(field, c, ploc)))
             parsed_brackets.append((i, j, comp_out))
 
     hc = raw.get("hypercomplex", "standard")
@@ -202,7 +215,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
         _expect(isinstance(entries, list) and len(entries) == dim // 4,
                 "$.metric.entries", f"needs {dim // 4} diagonal entries")
         for t, e in enumerate(entries):
-            s = _parse_scalar_at(e, f"$.metric.entries[{t}]")
+            s = _field_member_at(field, e, f"$.metric.entries[{t}]")
             _expect(s.sign() > 0, f"$.metric.entries[{t}]",
                     "diagonal entries must be positive")
     if mtype == "omega":
@@ -217,8 +230,8 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             _expect(isinstance(i, int) and isinstance(j, int)
                     and 1 <= i < j <= dim // 2, loc,
                     "indices must satisfy 1 <= i < j <= 2n")
-            _parse_scalar_at(term[2], loc)
-            _parse_scalar_at(term[3], loc)
+            _field_member_at(field, term[2], loc)
+            _field_member_at(field, term[3], loc)
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
@@ -227,6 +240,10 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         and all(isinstance(e, list) and len(e) == 2 for e in row)
                         for row in entries),
                 "$.metric.entries", f"needs a {N}x{N} matrix of [re, im] pairs")
+        for r, row in enumerate(entries):
+            for t, (re, im) in enumerate(row):
+                _field_member_at(field, re, f"$.metric.entries[{r}][{t}]")
+                _field_member_at(field, im, f"$.metric.entries[{r}][{t}]")
 
     return InputDocument(
         name=name,

@@ -412,7 +412,8 @@ class SkewMatrix:
             return C_ZERO
         if i < j:
             return self.entries.get((i, j), C_ZERO)
-        return -self.entries.get((j, i), C_ZERO)
+        c = self.entries.get((j, i))
+        return C_ZERO if c is None else -c
 
     def full(self):
         return [[self[i, j] for j in range(self.size)] for i in range(self.size)]

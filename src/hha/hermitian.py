@@ -1,10 +1,18 @@
 """Hyperhermitian metrics and their derived tensors.
 
 A metric is the q-real, q-positive (2,0)-form ``Omega``.  From it the module
-derives the Hermitian frame matrix, Pfaffian, inner products on forms, the
-Hodge star, the Lefschetz operator and its adjoint, the canonical 1-forms
-``alpha`` (from the top antiholomorphic power) and ``beta`` (from the
-(n-1)-st power), Lee form, Ricci forms and both scalar curvatures.
+derives the Hermitian frame matrix G (a signed read of the coefficients of
+``Omega``), Pfaffian, inner products on forms, the Hodge star, the Lefschetz
+operator and its adjoint, the canonical 1-forms ``alpha`` (from the top
+antiholomorphic power) and ``beta`` (from the (n-1)-st power), Lee form,
+Ricci forms and both scalar curvatures.
+
+Inner products, the star and the Lefschetz adjoint share one pairing: a form
+``b`` is raised to ``b#`` by conjugating its coefficients and substituting
+z^j -> sum_i (G^-1)_{ji} z^i (conjugated on the antiholomorphic block), and
+<a, b> = sum_I a_I (b#)_I.  The adjoint of wedging with ``L`` contracts by
+the raised ``L#``.  The form omega_L of L = aI + bJ + cK is linear in L:
+a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
 ``alpha`` and ``beta`` are always computed along two independent routes
 (coefficient division against the relevant power, and the Lefschetz-adjoint
@@ -23,10 +31,9 @@ from .forms import (
     SkewMatrix,
     _merge_keys,
     bidegree_project,
-    bidegree_split,
     pure_bidegree,
 )
-from .hypercomplex import Geometry, SpherePoint
+from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint
 from .scalars import (
     C_I,
     C_ONE,
@@ -63,21 +70,6 @@ def _i_vector(geom: Geometry, vec: dict) -> dict:
 
 def _k_vector(geom: Geometry, vec: dict) -> dict:
     return _i_vector(geom, geom.frame.j_vector(vec))
-
-
-def two_form_from_pairs(geom: Geometry, fn) -> Form:
-    """Assemble a 2-form from a bilinear evaluation callback on frame vectors."""
-    N = geom.N
-    dim = geom.algebra.dim
-    fr = geom.frame
-    terms = {}
-    for r in range(2 * N):
-        for s in range(r + 1, 2 * N):
-            c = fn(fr.frame_vector(r + 1) if r < N else fr.frame_vector(r - N + 1, bar=True),
-                   fr.frame_vector(s + 1) if s < N else fr.frame_vector(s - N + 1, bar=True))
-            if not c.is_zero():
-                terms[(r, s)] = c
-    return Form(dim, 2, terms)
 
 
 def phi(geom: Geometry, gamma: Form) -> Form:
@@ -142,18 +134,16 @@ def phi_inverse(geom: Geometry, sigma: Form) -> Form:
 
 
 def hermitian_matrix_of(geom: Geometry, sigma: Form):
-    """Hermitian matrix M[r][s] = sigma(Z_r, J conj(Z_s)) of a q-real (2,0)-form."""
-    fr = geom.frame
+    """Hermitian matrix M[r][s] = sigma(Z_r, J conj(Z_s)) of a q-real (2,0)-form.
+
+    J conj(Z_s) is Z_{s+1} for even s and -Z_{s-1} for odd s (0-based), so
+    each entry is a signed read of the skew matrix A of sigma:
+    M[r][s] = A[r][s+1] for even s and -A[r][s-1] = A[s-1][r] for odd s.
+    """
     N = geom.N
-    out = []
-    for r in range(N):
-        zr = fr.frame_vector(r + 1)
-        row = []
-        for s in range(N):
-            w = fr.j_vector(fr.frame_vector(s + 1, bar=True))
-            row.append(sigma.evaluate([zr, w]))
-        out.append(row)
-    return out
+    A = SkewMatrix.from_form(sigma, N)
+    return [[A[r, s + 1] if s % 2 == 0 else A[s - 1, r] for s in range(N)]
+            for r in range(N)]
 
 
 def qpositivity_verdict(geom: Geometry, form: Form) -> str:
@@ -292,11 +282,10 @@ class Metric:
             raise ConsistencyError("|pf|^2 != det of the Hermitian matrix")
         self.det_g = det_g.re
         self._omega_powers: dict = {}
-        self._omega_plus_bar: Form | None = None
         self._canonical: CanonicalForms | None = None
         self._curvature: CurvatureData | None = None
 
-    # G^-1 and the covector product are computed on first use: many metrics
+    # G^-1 and the raise images are computed on first use: many metrics
     # (the family checks, the search) are built only for their flags.
 
     @functools.cached_property
@@ -304,16 +293,18 @@ class Metric:
         return linalg.inverse(self.gram)
 
     @functools.cached_property
-    def _h(self):
-        """Hermitian product of holomorphic covectors: <z^r, z^s> = (G^-1)_{sr}."""
-        return [[self._g_inv[s][r] for s in range(self.N)] for r in range(self.N)]
+    def _raise(self) -> list:
+        """Images of the frame covectors under h = G^-1, block by block:
+        z^j -> sum_i (G^-1)_{ji} z^i, conj(z^j) -> sum_i conj((G^-1)_{ji}) conj(z^i)."""
+        N, dim = self.N, self.geometry.algebra.dim
+        rows = [{i: c for i, c in enumerate(row) if not c.is_zero()} for row in self._g_inv]
+        return ([Form(dim, 1, {(i,): c for i, c in row.items()}) for row in rows]
+                + [Form(dim, 1, {(N + i,): c.conjugate() for i, c in row.items()})
+                   for row in rows])
 
-    @functools.cached_property
-    def _h_diagonal(self) -> bool:
-        return all(
-            self._h[r][s].is_zero()
-            for r in range(self.N) for s in range(self.N) if r != s
-        )
+    def _sharp(self, a: Form) -> Form:
+        """a with conjugated coefficients and raised indices: <b, a> = sum_I b_I (a#)_I."""
+        return a.map_coefficients(ComplexScalar.conjugate).substitute(self._raise)
 
     # -- constructors ----------------------------------------------------------
 
@@ -436,44 +427,18 @@ class Metric:
             return {r: C_ONE, self.N + r: C_ONE}
         return {r: C_I, self.N + r: -C_I}
 
-    def metric_on_vectors(self, v: dict, w: dict) -> ComplexScalar:
-        """Bilinear extension of g on frame-coordinate vectors."""
-        fr = self.geometry.frame
-        if self._omega_plus_bar is None:
-            self._omega_plus_bar = self.omega + self.omega_bar()
-        return -(self._omega_plus_bar.evaluate([fr.j_vector(v), w]))
-
     # -- inner products and the star ------------------------------------------------
 
-    def _h_entry(self, i: int, j: int) -> ComplexScalar:
-        N = self.N
-        if i < N and j < N:
-            return self._h[i][j]
-        if i >= N and j >= N:
-            return self._h[i - N][j - N].conjugate()
-        return C_ZERO
-
     def inner_product(self, a: Form, b: Form) -> ComplexScalar:
-        """Hermitian inner product; determinant extension of the frame product."""
+        """Hermitian inner product sum_I a_I (b#)_I: linear in a, conjugate-linear in b."""
         if a.degree != b.degree:
             raise MetricError("inner product needs forms of equal degree")
+        b_sharp = self._sharp(b).terms
         total = C_ZERO
-        if self._h_diagonal:
-            for key, ca in a.terms.items():
-                cb = b.terms.get(key)
-                if cb is None:
-                    continue
-                w = C_ONE
-                for i in key:
-                    w = w * self._h_entry(i, i)
-                total = total + ca * cb.conjugate() * w
-            return total
-        for ka, ca in a.terms.items():
-            for kb, cb in b.terms.items():
-                minor = [[self._h_entry(i, j) for j in kb] for i in ka]
-                dt = linalg.det(minor) if ka else C_ONE
-                if not dt.is_zero():
-                    total = total + ca * cb.conjugate() * dt
+        for key, c in a.terms.items():
+            cb = b_sharp.get(key)
+            if cb is not None:
+                total = total + c * cb
         return total
 
     def norm2(self, a: Form) -> Scalar:
@@ -483,66 +448,31 @@ class Metric:
         return v.re
 
     def hodge_star(self, a: Form) -> Form:
-        """Hodge star defined by psi ^ star(a) = <psi, a> vol; conjugate-linear."""
+        """Hodge star defined by psi ^ star(a) = <psi, a> vol; conjugate-linear:
+        star(a) = det G sum_I (a#)_I sign(I, I^c) z^{I^c}."""
         dim = self.geometry.algebra.dim
-        N = self.N
-        out = Form.zero(dim, dim - a.degree)
         vol = ComplexScalar(self.det_g)
-        parts = bidegree_split(a, N)
-        for (p, q), part in parts.items():
-            target_terms: dict = {}
-            for hol in itertools.combinations(range(N), p):
-                for anti in itertools.combinations(range(N, 2 * N), q):
-                    key = hol + anti
-                    psi = Form.monomial(dim, key)
-                    pairing = self.inner_product(psi, part)
-                    if pairing.is_zero():
-                        continue
-                    comp_h = tuple(i for i in range(N) if i not in hol)
-                    comp_a = tuple(i for i in range(N, 2 * N) if i not in anti)
-                    comp = comp_h + comp_a
-                    sign = _complement_sign(key, comp, dim)
-                    c = pairing * vol
-                    if sign < 0:
-                        c = -c
-                    acc = target_terms.get(comp, C_ZERO) + c
-                    if acc.is_zero():
-                        target_terms.pop(comp, None)
-                    else:
-                        target_terms[comp] = acc
-            out = out + Form(dim, dim - a.degree, target_terms)
-        return out
+        terms = {}
+        for key, c in self._sharp(a).terms.items():
+            comp = tuple(i for i in range(dim) if i not in key)
+            _, sign = _merge_keys(key, comp)
+            c = c * vol
+            terms[comp] = c if sign > 0 else -c
+        return Form(dim, dim - a.degree, terms)
 
     def lefschetz_adjoint(self, a: Form, conjugate: bool = False) -> Form:
-        """Adjoint of wedging with Omega (or conj(Omega) when ``conjugate``)."""
-        N = self.N
-        dim = self.geometry.algebra.dim
+        """Adjoint of wedging with L = Omega (or conj(Omega) when ``conjugate``).
+
+        Contracting by e_k is the coefficient-wise transpose of wedging by z^k
+        on the left, so <a, L ^ b> = <sum_{k<l} (L#)_{kl} iota_l iota_k a, b>.
+        """
         L = self.omega_bar() if conjugate else self.omega
-        pq = pure_bidegree(a, N)
-        if pq is None:
-            out = Form.zero(dim, max(a.degree - 2, 0))
-            for part in bidegree_split(a, N).values():
-                out = out + self.lefschetz_adjoint(part, conjugate)
-            return out
-        p, q = pq
-        tp, tq = (p, q - 2) if conjugate else (p - 2, q)
-        if tp < 0 or tq < 0:
-            return Form.zero(dim, max(a.degree - 2, 0))
-        basis = []
-        for hol in itertools.combinations(range(N), tp):
-            for anti in itertools.combinations(range(N, 2 * N), tq):
-                basis.append(Form.monomial(dim, hol + anti))
-        if not basis:
-            return Form.zero(dim, a.degree - 2)
-        # <Lambda a, b_n> = <a, L b_n> with Lambda a = sum_m c_m b_m
-        mat = [[self.inner_product(bm, bn) for bm in basis] for bn in basis]
-        rhs = [self.inner_product(a, L.wedge(bn)) for bn in basis]
-        sol = linalg.solve(mat, rhs)
-        if sol is None:
-            raise ConsistencyError("Lefschetz adjoint solve failed")
-        out = Form.zero(dim, a.degree - 2)
-        for c, bm in zip(sol, basis):
-            out = out + bm.scale(c)
+        rows: dict = {}
+        for (k, l), c in self._sharp(L).terms.items():
+            rows.setdefault(k, {})[l] = c
+        out = Form.zero(self.geometry.algebra.dim, max(a.degree - 2, 0))
+        for k, row in rows.items():
+            out = out + a.contract({k: C_ONE}).contract(row)
         return out
 
     def lefschetz_power_bijective(self, p: int) -> bool:
@@ -680,98 +610,21 @@ class Metric:
     # -- structures in the sphere --------------------------------------------------
 
     def omega_for_L(self, p: SpherePoint) -> Form:
-        """The (1,1)-form of g for the structure L = a I + b J + c K, as a 2-form
-        in the frame of the base pair."""
-        L = self.geometry.structure.combo(p)
-        cols = self._structure_columns(L)
-
-        def fn(v, w):
-            (k, _c), = v.items()
-            return self.metric_on_vectors(cols[k], w)
-
-        return two_form_from_pairs(self.geometry, fn)
-
-    def _structure_columns(self, mat):
-        """Frame-coordinate columns of a real endomorphism (one conversion per
-        basis vector instead of one per evaluation pair)."""
-        cols = []
-        for k in range(2 * self.N):
-            cols.append(self._matrix_on_frame_vector(mat, {k: C_ONE}))
-        return cols
-
-    def _matrix_on_frame_vector(self, mat, v: dict) -> dict:
-        dim = self.geometry.algebra.dim
-        real = self._frame_vec_to_real(v)
-        img = [C_ZERO] * dim
-        for j in range(dim):
-            cj = real[j]
-            if cj.is_zero():
-                continue
-            for i in range(dim):
-                m = mat[i][j]
-                if not m.is_zero():
-                    img[i] = img[i] + ComplexScalar(m) * cj
-        return self._real_vec_to_frame(img)
-
-    def _frame_vec_to_real(self, v: dict):
-        fr = self.geometry.frame
-        dim = self.geometry.algebra.dim
-        out = [C_ZERO] * dim
-        half = ComplexScalar(rational(1, 2))
-        for k, c in v.items():
-            r = k if k < self.N else k - self.N
-            sign_i = -C_I if k < self.N else C_I
-            # Z_r = (u_{2r} - i u_{2r+1})/2 over the adapted basis
-            u_even = fr.basis[2 * r]
-            u_odd = fr.basis[2 * r + 1]
-            for i in range(dim):
-                ue, uo = u_even[i], u_odd[i]
-                if not ue.is_zero():
-                    out[i] = out[i] + c * half * ComplexScalar(ue)
-                if not uo.is_zero():
-                    out[i] = out[i] + c * half * sign_i * ComplexScalar(uo)
-        return out
-
-    def _real_vec_to_frame(self, dense) -> dict:
-        fr = self.geometry.frame
-        dim = self.geometry.algebra.dim
-        out: dict = {}
-        # u-coordinates of the dense vector: P^{-1} . dense
-        ucoords = [C_ZERO] * dim
-        for a in range(dim):
-            acc = C_ZERO
-            for i in range(dim):
-                if not dense[i].is_zero():
-                    acc = acc + fr._P_inv[a][i] * dense[i]
-            ucoords[a] = acc
-        for r in range(self.N):
-            ce, co = ucoords[2 * r], ucoords[2 * r + 1]
-            hol = ce + co.times_i()
-            anti = ce - co.times_i()
-            if not hol.is_zero():
-                out[r] = hol
-            if not anti.is_zero():
-                out[self.N + r] = anti
-        return out
+        """The (1,1)-form of g for the structure L = a I + b J + c K, in the frame
+        of the base pair: a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega)."""
+        ob = self.omega_bar()
+        return (self.omega_i().scale(p.a) + (self.omega + ob).scale(p.b)
+                + (self.omega - ob).scale(ComplexScalar(ZERO, -p.c)))
 
     def in_rotated_frame(self, rotated: Geometry) -> "Metric":
-        """Express the same Riemannian metric in a rotated pair's frame."""
+        """Express the same Riemannian metric in a rotated pair's frame:
+        Omega' = (omega_{J'} + i omega_{K'})/2, moved through the real coframe."""
+        base = self.geometry.structure
         H = rotated.structure
-        fr = self.geometry.frame
-        j_cols = self._structure_columns(H.J)
-        k_cols = self._structure_columns(H.K)
-        half = ComplexScalar(rational(1, 2))
-
-        def omega_rot(v, w):
-            # (omega_{J'} + i omega_{K'})/2 on original-frame vectors
-            (k, _c), = v.items()
-            return (self.metric_on_vectors(j_cols[k], w)
-                    + self.metric_on_vectors(k_cols[k], w).times_i()) * half
-
-        form_old_frame = two_form_from_pairs(self.geometry, omega_rot)
-        real = fr.to_real(form_old_frame)
-        new_form = rotated.frame.to_complex(real)
-        return Metric(rotated, new_form)
+        omega_j, omega_k = (self.omega_for_L(_sphere_point(base, L)) for L in (H.J, H.K))
+        omega_old_frame = (omega_j + omega_k.scale(C_I)).scale(rational(1, 2))
+        real = self.geometry.frame.to_real(omega_old_frame)
+        return Metric(rotated, rotated.frame.to_complex(real))
 
     # -- identities -------------------------------------------------------------------
 
@@ -820,9 +673,19 @@ class Metric:
         return lhs, rhs
 
 
-def _complement_sign(key, comp, dim: int) -> int:
-    """Sign of key ^ comp relative to the increasing top monomial."""
-    merged, sign = _merge_keys(key, comp)
-    if merged is None or merged != tuple(range(dim)):
-        raise ConsistencyError("complement bookkeeping failed")
-    return sign
+def _sphere_point(H: HypercomplexStructure, L) -> SpherePoint:
+    """The point (a, b, c) with L = a I + b J + c K, read as a = -tr(L I)/dim
+    and likewise for J and K."""
+    dim = H.dim
+    coords = []
+    for M in (H.I, H.J, H.K):
+        tr = ZERO
+        for i in range(dim):
+            for j in range(dim):
+                if not (L[i][j].is_zero() or M[j][i].is_zero()):
+                    tr = tr + L[i][j] * M[j][i]
+        coords.append(tr * rational(-1, dim))
+    p = SpherePoint(*coords)
+    if H.combo(p) != L:
+        raise MetricError("structure is not in the sphere of the base pair")
+    return p

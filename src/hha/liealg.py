@@ -134,22 +134,20 @@ class LieAlgebraData:
     def bracket(self, u: dict, v: dict) -> dict:
         """Bracket of two sparse vectors (index -> Scalar)."""
         out: dict = {}
-        for (i, j), comps in self.brackets.items():
-            ui, uj = u.get(i), u.get(j)
-            vi, vj = v.get(i), v.get(j)
-            coeff = ZERO
-            if ui is not None and vj is not None:
-                coeff = coeff + ui * vj
-            if uj is not None and vi is not None:
-                coeff = coeff - uj * vi
-            if coeff.is_zero():
-                continue
-            for k, c in comps.items():
-                acc = out.get(k, ZERO) + coeff * c
-                if acc.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
+        for i, ui in u.items():
+            for j, vj in v.items():
+                comps = self.brackets.get((i, j) if i < j else (j, i))
+                if comps is None:
+                    continue
+                coeff = ui * vj if i < j else -(ui * vj)
+                if coeff.is_zero():
+                    continue
+                for k, c in comps.items():
+                    acc = out.get(k, ZERO) + coeff * c
+                    if acc.is_zero():
+                        out.pop(k, None)
+                    else:
+                        out[k] = acc
         return out
 
     def ad_matrix(self, vec: dict):

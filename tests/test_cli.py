@@ -149,6 +149,72 @@ def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location)
     assert location in err
 
 
+def _unitary_terms(**edit):
+    terms = [[1, 2, "1", "0"], [3, 4, "1", "0"], [5, 6, "1", "0"]]
+    for index, value in edit.items():
+        terms[int(index[1:])][2] = value
+    return terms
+
+
+def _identity_gram(r, s, entry):
+    gram = [[["1", "0"] if i == j else ["0", "0"] for j in range(6)] for i in range(6)]
+    gram[r][s] = entry
+    return gram
+
+
+@pytest.mark.parametrize("data, location", [
+    ({"brackets": [[1, 2, [[3, "sqrt(2)"]]]]}, "$.brackets[0][2][0]"),
+    ({"brackets": [[1, 2, [[3, "float:2"]]]]}, "$.brackets[0][2][0]"),
+    ({"structure_equations": {"3": [[1, 2, "float:2"]]}}, "$.structure_equations.3[0]"),
+    ({"metric": {"type": "omega", "terms": _unitary_terms(t0="sqrt(2)")}},
+     "$.metric.terms[0]"),
+    ({"metric": {"type": "omega", "terms": _unitary_terms(t2="float:2")}},
+     "$.metric.terms[2]"),
+    ({"metric": {"type": "gram", "entries": _identity_gram(0, 1, ["sqrt(3)", "0"])}},
+     "$.metric.entries[0][1]"),
+    ({"metric": {"type": "gram", "entries": _identity_gram(4, 4, ["float:1", "0"])}},
+     "$.metric.entries[4][4]"),
+])
+def test_scalar_outside_the_field_is_input_error(qbal12_file, data, location):
+    with open(qbal12_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if "brackets" in data:
+        doc = {"name": "bad", "dimension": 4}
+    doc.update(data)
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, _, err = run_cli(["classify", qbal12_file, "--format", "json"])
+    assert code == 2, err
+    assert location in err and "outside the declared scalar field" in err
+
+
+def test_unitary_omega_and_gram_in_the_field_classify(qbal12_file):
+    with open(qbal12_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    _, expected, _ = run_cli(["classify", qbal12_file, "--format", "json"])
+    for metric in ({"type": "omega", "terms": _unitary_terms()},
+                   {"type": "gram", "entries": _identity_gram(0, 0, ["1", "0"])}):
+        doc["metric"] = metric
+        with open(qbal12_file, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, _ = run_cli(["classify", qbal12_file, "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["flags"] == json.loads(expected)["flags"]
+
+
+def test_dimension_above_the_cap_is_refused_at_once(tmp_path):
+    from hha.documents import MAX_DIMENSION, parse_input
+    assert MAX_DIMENSION >= 28   # the glued algebra of construct an
+    parse_input(json.dumps({"dimension": MAX_DIMENSION, "structure_equations": {}}))
+    for dim in (MAX_DIMENSION + 4, 400000):
+        path = tmp_path / f"big{dim}.json"
+        path.write_text(json.dumps({"name": "big", "dimension": dim,
+                                    "structure_equations": {}}))
+        code, _, err = run_cli(["check", str(path)])
+        assert code == 2
+        assert "$.dimension" in err and str(MAX_DIMENSION) in err
+
+
 def test_classify_float_mode(qbal12_file):
     code, out, _ = run_cli(["classify", qbal12_file, "--float", "--format", "json"])
     assert code == 0
