@@ -31,9 +31,6 @@ from .liealg import (  # noqa: F401
     JacobiError,
     LieAlgebraData,
     algebra_invariants,
-    ce_differential,
-    killing_form,
-    validate_algebra,
 )
 from .hypercomplex import (  # noqa: F401
     ComplexFrame,
@@ -42,9 +39,6 @@ from .hypercomplex import (  # noqa: F401
     IntegrabilityError,
     SpherePoint,
     is_abelian,
-    rotate_pair,
-    split_differentials,
-    standard_structure,
     validate_hypercomplex,
 )
 from .hermitian import (  # noqa: F401

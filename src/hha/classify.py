@@ -411,8 +411,8 @@ def qbal_nonexistence_certificate(geom: Geometry, psi: Form):
     Accepts iff sigma = del(psi) is a nonzero, q-real, q-semipositive
     (2,0)-form.  Acceptance proves no invariant quaternionic balanced metric
     exists: such a sigma has strictly positive trace against every q-positive
-    form, while the pairing of a del-exact form with a del-closed power
-    vanishes on a unimodular algebra.
+    form, while its pairing with a del-closed power vanishes on a unimodular
+    algebra whose structure is SL(n,H).
     """
     fr = geom.frame
     sigma = fr.del_(psi)
@@ -429,13 +429,21 @@ def qbal_nonexistence_certificate(geom: Geometry, psi: Form):
         return CertificateRejection(
             "pairing argument needs a unimodular algebra", sigma
         )
+    if not fr.delbar(Form.monomial(geom.algebra.dim, range(geom.N))).is_zero():
+        return CertificateRejection(
+            "pairing argument needs an SL(n,H) structure: delbar of the "
+            "invariant (N,0)-form does not vanish", sigma
+        )
     transcript = [
         f"sigma = del(psi) = {fr.format(sigma)}",
         f"sigma is q-real and {verdict} (exact Hermitian inertia)",
         "for q-positive Omega: trace_Omega(sigma) > 0, so "
         "sigma ^ Omega^{n-1} is a positive multiple of Omega^n",
-        "unimodularity: invariant exact top forms vanish, so a del-exact "
-        "sigma pairs to zero against any del-closed Omega^{n-1}",
+        "SL(n,H): delbar of the invariant (N,0)-form vanishes, so "
+        "del conj(Omega^n) = 0 and sigma ^ Omega^{n-1} ^ conj(Omega^n) = "
+        "d(psi ^ Omega^{n-1} ^ conj(Omega^n)) for any del-closed Omega^{n-1}",
+        "unimodularity: invariant exact top forms vanish, so that pairing "
+        "is zero",
         "hence no invariant quaternionic balanced metric exists",
     ]
     return Certificate(kind="qbal_nonexistence", witness=psi, sigma=sigma,

@@ -67,6 +67,10 @@ class InputDocument:
     brackets: list | None
     hypercomplex: object
     metric: dict
+    # the metric's scalars as parsed and field-checked by parse_input: None
+    # (diagonal_unitary), diagonal entries, {(i, j): coefficient} of Omega
+    # (0-based), or the Gram matrix
+    metric_values: object
     raw: dict
 
     def canonical_json(self) -> str:
@@ -210,18 +214,22 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     _expect(mtype in ("diagonal_unitary", "diagonal", "omega", "gram"),
             "$.metric.type",
             "must be one of diagonal_unitary, diagonal, omega, gram")
+    values = None
     if mtype == "diagonal":
         entries = metric.get("entries")
         _expect(isinstance(entries, list) and len(entries) == dim // 4,
                 "$.metric.entries", f"needs {dim // 4} diagonal entries")
+        values = []
         for t, e in enumerate(entries):
             s = _field_member_at(field, e, f"$.metric.entries[{t}]")
             _expect(s.sign() > 0, f"$.metric.entries[{t}]",
                     "diagonal entries must be positive")
+            values.append(field.coerce(s))
     if mtype == "omega":
         terms = metric.get("terms")
         _expect(isinstance(terms, list), "$.metric.terms",
                 "must be a list of [i, j, re, im]")
+        values = {}
         for t, term in enumerate(terms):
             loc = f"$.metric.terms[{t}]"
             _expect(isinstance(term, list) and len(term) == 4, loc,
@@ -230,8 +238,8 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             _expect(isinstance(i, int) and isinstance(j, int)
                     and 1 <= i < j <= dim // 2, loc,
                     "indices must satisfy 1 <= i < j <= 2n")
-            _field_member_at(field, term[2], loc)
-            _field_member_at(field, term[3], loc)
+            values[(i - 1, j - 1)] = ComplexScalar(_field_member_at(field, term[2], loc),
+                                                   _field_member_at(field, term[3], loc))
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
@@ -240,10 +248,9 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         and all(isinstance(e, list) and len(e) == 2 for e in row)
                         for row in entries),
                 "$.metric.entries", f"needs a {N}x{N} matrix of [re, im] pairs")
-        for r, row in enumerate(entries):
-            for t, (re, im) in enumerate(row):
-                _field_member_at(field, re, f"$.metric.entries[{r}][{t}]")
-                _field_member_at(field, im, f"$.metric.entries[{r}][{t}]")
+        values = [[ComplexScalar(_field_member_at(field, re, f"$.metric.entries[{r}][{t}]"),
+                                 _field_member_at(field, im, f"$.metric.entries[{r}][{t}]"))
+                   for t, (re, im) in enumerate(row)] for r, row in enumerate(entries)]
 
     return InputDocument(
         name=name,
@@ -253,6 +260,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
         brackets=parsed_brackets,
         hypercomplex=hc,
         metric=metric,
+        metric_values=values,
         raw=raw,
     )
 
@@ -284,25 +292,14 @@ def build_geometry(doc: InputDocument) -> Geometry:
 
 
 def build_metric(doc: InputDocument, geom: Geometry) -> Metric:
-    m = doc.metric
-    mtype = m.get("type")
+    mtype = doc.metric.get("type")
     if mtype == "diagonal_unitary":
         return Metric.unitary(geom)
     if mtype == "diagonal":
-        entries = [_field_scalar_at(doc.field, e, f"$.metric.entries[{t}]")
-                   for t, e in enumerate(m["entries"])]
-        return Metric.diagonal(geom, entries)
+        return Metric.diagonal(geom, doc.metric_values)
     if mtype == "omega":
-        terms = {}
-        for (i, j, re, im) in m["terms"]:
-            c = ComplexScalar(_parse_scalar_at(re, "$.metric.terms"),
-                              _parse_scalar_at(im, "$.metric.terms"))
-            terms[(i - 1, j - 1)] = c
-        return Metric(geom, Form(doc.dimension, 2, terms))
-    gram = [[ComplexScalar(_parse_scalar_at(re, "$.metric.entries"),
-                           _parse_scalar_at(im, "$.metric.entries"))
-             for (re, im) in row] for row in m["entries"]]
-    return Metric.from_hermitian_matrix(geom, gram)
+        return Metric(geom, Form(doc.dimension, 2, doc.metric_values))
+    return Metric.from_hermitian_matrix(geom, doc.metric_values)
 
 
 def load_document(doc: InputDocument):

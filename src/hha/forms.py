@@ -319,25 +319,33 @@ def endo_action(matrix, form: Form) -> Form:
     return form.substitute(images)
 
 
-def leibniz_differential(form: Form, dgen) -> Form:
-    """Extend the generator differentials ``dgen[i]`` to ``form``.
+def leibniz_differential(form: Form, table) -> Form:
+    """Apply the degree-one graded derivation with generator 2-forms ``table``.
 
-    By the graded Leibniz rule a monomial g^{k_1} ^ ... ^ g^{k_m} maps to the
-    sum over positions of (-1)^pos (prefix) ^ d g^{k_pos} ^ (suffix).
+    A monomial g^{k_1} ^ ... ^ g^{k_m} maps to the sum over positions of
+    (-1)^pos (prefix) ^ table[k_pos] ^ (suffix); an even-degree entry commutes
+    with the prefix, so each term is (-1)^pos table[k_pos] ^ (the monomial
+    without position pos).  A top-degree form maps to zero.
     """
     nsym = form.nsym
-    out = Form.zero(nsym, form.degree + 1)
+    if form.degree >= nsym:
+        return Form.zero(nsym, form.degree)
+    out: dict = {}
     for key, c in form.terms.items():
         for pos, idx in enumerate(key):
-            dg = dgen[idx]
-            if dg.is_zero():
-                continue
-            prefix = Form(nsym, pos, {key[:pos]: C_ONE})
-            suffix_key = key[pos + 1:]
-            suffix = Form(nsym, len(suffix_key), {suffix_key: C_ONE})
-            signed = dg if pos % 2 == 0 else -dg
-            out = out + prefix.wedge(signed).wedge(suffix).scale(c)
-    return out
+            rest = key[:pos] + key[pos + 1:]
+            for tkey, tc in table[idx].terms.items():
+                merged, sign = _merge_keys(tkey, rest)
+                if merged is None:
+                    continue
+                term = tc * c if (sign > 0) == (pos % 2 == 0) else -(tc * c)
+                acc = out.get(merged)
+                s = term if acc is None else acc + term
+                if s.is_zero():
+                    out.pop(merged, None)
+                else:
+                    out[merged] = s
+    return Form(nsym, form.degree + 1, out)
 
 
 # -- bidegree bookkeeping with respect to a complex frame -------------------

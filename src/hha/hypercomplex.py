@@ -10,16 +10,21 @@ Each validated structure gets a deterministic adapted frame: a real basis
 the original basis, with holomorphic covectors ``z^r = u^{2r-1} + i u^{2r}``.
 In this frame ``J z^{2i-1} = -conj(z^{2i})`` always holds, so the index
 bookkeeping of the standard block convention applies verbatim.
+
+d, del, delbar, del_J = J^{-1} delbar J and delbar_J = J^{-1} del J are
+graded derivations of degree one, so each is fixed by one table of its values
+on the 2N frame generators, applied by ``forms.leibniz_differential``.  As I
+is integrable (``Geometry`` checks it), d z^k has no (0,2) part, so del and
+delbar of a generator of type (p, q) are the (p+1, q) and (p, q+1) parts of
+its d.  The pullback J* is a signed permutation of the generators and an
+algebra automorphism, so J^{-1} D J is a derivation when D is one.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from . import linalg
-from .forms import (
-    Form,
-    bidegree_project,
-    bidegree_split,
-    leibniz_differential,
-)
+from .forms import Form, bidegree_project, leibniz_differential
 from .liealg import LieAlgebraData
 from .scalars import (
     C_ONE,
@@ -134,14 +139,6 @@ class HypercomplexStructure:
         return HypercomplexStructure(self.combo(p), self.combo(q))
 
 
-def standard_structure(n: int) -> HypercomplexStructure:
-    return HypercomplexStructure.standard(n)
-
-
-def rotate_pair(H: HypercomplexStructure, p: SpherePoint, q: SpherePoint):
-    return H.rotate_pair(p, q)
-
-
 def _apply_matrix(mat, vec: dict) -> dict:
     out: dict = {}
     for j, c in vec.items():
@@ -221,6 +218,13 @@ class ComplexFrame:
     Frame covector indices: 0..N-1 are holomorphic (z^1..z^N), N..2N-1 their
     conjugates, with N = dim/2; pairs (z^{2i-1}, z^{2i}) span a quaternionic
     block, J z^{2i-1} = -conj(z^{2i}).
+
+    Each differential is one ``leibniz_differential`` call on a generator
+    table built once per frame.  Sign convention: J^{-1} = (-1)^k J on
+    k-forms, so for J g^k = s g^j the del_J table holds
+    del_J g^k = s J(delbar g^j), delbar g^j being a 2-form (likewise
+    delbar_J with del).  The tables raise ``StructureError`` if I is not
+    integrable.
     """
 
     def __init__(self, d: LieAlgebraData, H: HypercomplexStructure):
@@ -235,7 +239,6 @@ class ComplexFrame:
         self._P_inv = linalg.inverse(Pc)
         self._real_images = self._build_real_to_complex_images()
         self._complex_images = self._build_complex_to_real_images()
-        self._dgen: list | None = None
 
     # -- frame construction ---------------------------------------------------
 
@@ -397,47 +400,47 @@ class ComplexFrame:
 
     # -- differentials ---------------------------------------------------------------
 
-    def _generator_differentials(self):
-        if self._dgen is None:
-            dgen = []
-            for r in range(2 * self.N):
-                real = self._complex_images[r]
-                dreal = self.algebra.ce_differential(real)
-                dgen.append(self.to_complex(dreal))
-            self._dgen = dgen
-        return self._dgen
+    @cached_property
+    def _d_table(self) -> list:
+        """d of each frame generator: the CE differential of its real image."""
+        return [self.to_complex(self.algebra.ce_differential(real))
+                for real in self._complex_images]
+
+    @cached_property
+    def _tables(self) -> dict:
+        """Generator tables of del, delbar, del_J and delbar_J."""
+        N = self.N
+        tables: dict = {"del": [], "delbar": []}
+        for k, dg in enumerate(self._d_table):
+            p = 1 if k < N else 0
+            tables["del"].append(bidegree_project(dg, N, p + 1, 1 - p))
+            tables["delbar"].append(bidegree_project(dg, N, p, 2 - p))
+            if tables["del"][k] + tables["delbar"][k] != dg:
+                raise StructureError(f"I is not integrable: d z^{k % N + 1} has a (0,2) part")
+        jmap = sorted(self._j_form_map().items())
+        for name, inner in (("del_j", "delbar"), ("delbar_j", "del")):
+            tables[name] = [self.j_action(tables[inner][j]) * s for _, (j, s) in jmap]
+        return tables
 
     def d(self, form: Form) -> Form:
         """Exterior differential in the complex frame."""
-        if form.degree >= self.dim:
-            return Form.zero(self.dim, form.degree)
-        return leibniz_differential(form, self._generator_differentials())
-
-    def _d_component(self, form: Form, dp: int, dq: int) -> Form:
-        """The (p+dp, q+dq) component of d, applied per bidegree component."""
-        out = Form.zero(self.dim, min(form.degree + 1, self.dim))
-        for (p, q), part in bidegree_split(form, self.N).items():
-            out = out + bidegree_project(self.d(part), self.N, p + dp, q + dq)
-        return out
+        return leibniz_differential(form, self._d_table)
 
     def del_(self, form: Form) -> Form:
         """(p, q) -> (p+1, q) component of d."""
-        return self._d_component(form, 1, 0)
+        return leibniz_differential(form, self._tables["del"])
 
     def delbar(self, form: Form) -> Form:
-        return self._d_component(form, 0, 1)
-
-    def _twisted(self, form: Form, op) -> Form:
-        """J^{-1} op J for a differential ``op``."""
-        out = self.j_action(op(self.j_action(form)))
-        return -out if (form.degree + 1) % 2 else out
+        """(p, q) -> (p, q+1) component of d."""
+        return leibniz_differential(form, self._tables["delbar"])
 
     def del_j(self, form: Form) -> Form:
         """Twisted differential J^{-1} delbar J, of type (p, q) -> (p+1, q)."""
-        return self._twisted(form, self.delbar)
+        return leibniz_differential(form, self._tables["del_j"])
 
     def delbar_j(self, form: Form) -> Form:
-        return self._twisted(form, self.del_)
+        """Twisted differential J^{-1} del J, of type (p, q) -> (p, q+1)."""
+        return leibniz_differential(form, self._tables["delbar_j"])
 
     def is_q_real(self, form: Form) -> bool:
         return self.j_action(self.conjugate(form)) == form
@@ -494,13 +497,3 @@ class Geometry:
         idx = sorted([h - 1 for h in hol] + [self.N + b - 1 for b in bar])
         return Form.monomial(self.algebra.dim, idx, coeff)
 
-
-def split_differentials(d: LieAlgebraData, H: HypercomplexStructure, form: Form) -> dict:
-    """The four split differentials of a complex-frame invariant form."""
-    frame = ComplexFrame(d, H)
-    return {
-        "del": frame.del_(form),
-        "delbar": frame.delbar(form),
-        "del_j": frame.del_j(form),
-        "delbar_j": frame.delbar_j(form),
-    }

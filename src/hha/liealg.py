@@ -8,6 +8,7 @@ under the determinant evaluation convention for wedges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .forms import Form, leibniz_differential
@@ -313,24 +314,20 @@ class LieAlgebraData:
 
     # -- invariant differential -----------------------------------------------
 
-    def differential_of_generator(self, k: int) -> Form:
-        """d e^k as a real-frame 2-form."""
-        terms = {}
+    @cached_property
+    def _d_table(self) -> list:
+        """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j; brackets never change after init."""
+        terms: list = [{} for _ in range(self.dim)]
         for (i, j), comps in self.brackets.items():
-            c = comps.get(k)
-            if c is not None:
-                terms[(i, j)] = ComplexScalar(-c)
-        return Form(self.dim, 2, terms)
+            for k, c in comps.items():
+                terms[k][(i, j)] = ComplexScalar(-c)
+        return [Form(self.dim, 2, t) for t in terms]
 
     def ce_differential(self, form: Form) -> Form:
         """Chevalley-Eilenberg differential of a real-frame invariant form."""
         if form.nsym != self.dim:
             raise AlgebraError("form does not live over this algebra's coframe")
-        if form.degree >= self.dim:
-            return Form.zero(self.dim, form.degree) if form.degree == self.dim \
-                else Form.zero(self.dim, 0)
-        dgen = [self.differential_of_generator(k) for k in range(self.dim)]
-        return leibniz_differential(form, dgen)
+        return leibniz_differential(form, self._d_table)
 
 
 def _reduce_span(vectors, dim: int):
@@ -345,18 +342,6 @@ def _reduce_span(vectors, dim: int):
         vec = {i: red[r][i].re for i in range(dim) if not red[r][i].is_zero()}
         out.append(vec)
     return out
-
-
-def validate_algebra(d: LieAlgebraData) -> AlgebraProfile:
-    return d.validate()
-
-
-def killing_form(d: LieAlgebraData):
-    return d.killing_form()
-
-
-def ce_differential(d: LieAlgebraData, form: Form) -> Form:
-    return d.ce_differential(form)
 
 
 def algebra_invariants(d: LieAlgebraData) -> dict:

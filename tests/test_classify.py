@@ -24,6 +24,7 @@ from hha.classify import (
     sl_and_class_check,
     solve_exactness,
 )
+from hha.catalog import get_example
 from hha.forms import Form
 from hha.hermitian import Metric
 from hha.hypercomplex import Geometry, SpherePoint
@@ -196,6 +197,25 @@ def test_qbal_certificate_accepted_qsg12():
     assert isinstance(cert, Certificate)
     assert cert.sigma == g.monomial((1, 2))
     assert len(cert.transcript) >= 3
+
+
+@pytest.mark.parametrize("entry, index, sign, reason", [
+    ("joyce_su3", 2, -1, "SL(n,H)"),
+    ("joyce_su3", 2, 1, "negative"),
+    ("joyce_su2xsu2", 2, -1, "SL(n,H)"),
+    ("joyce_su2xsu2", 4, -1, "SL(n,H)"),
+    ("joyce_su2xsu2", 2, 1, "seminegative"),
+    ("joyce_su2xsu2", 4, 1, "seminegative"),
+])
+def test_qbal_certificate_rejected_off_sl_n_h(entry, index, sign, reason):
+    # -z2 (and -z4) give a q-semipositive del(psi) on these unimodular Joyce
+    # algebras, but their structures are not SL(n,H) and the unitary metric is
+    # q-balanced, so the pairing argument must not accept
+    g, m = get_example(entry).load()
+    rej = qbal_nonexistence_certificate(g, g.zeta(index) * rational(sign))
+    assert isinstance(rej, CertificateRejection)
+    assert reason in rej.reason
+    assert classify_metric(m, with_obstruction=False).flag("q_balanced")
 
 
 def test_qbal_certificate_rejections():

@@ -252,6 +252,26 @@ def test_certify_qbal(tmp_path):
     assert "REJECTED" in out
 
 
+@pytest.mark.parametrize("entry, witness", [
+    ("joyce_su3", "(-1)*z2"),
+    ("joyce_su3", "z2"),
+    ("joyce_su2xsu2", "(-1)*z2"),
+    ("joyce_su2xsu2", "(-1)*z4"),
+    ("joyce_su2xsu2", "z2"),
+    ("joyce_su2xsu2", "z4"),
+])
+def test_certify_qbal_rejects_off_sl_n_h(tmp_path, entry, witness):
+    _, out, _ = run_cli(["catalog", "export", entry])
+    path = tmp_path / f"{entry}.json"
+    path.write_text(out)
+    code, out, _ = run_cli(["certify-qbal", str(path), "--witness", witness])
+    assert code == 1
+    assert "REJECTED" in out
+    code, out, _ = run_cli(["classify", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["flags"]["q_balanced"]["value"] is True
+
+
 def test_search_cli(tmp_path):
     code, out, _ = run_cli(["catalog", "export", "qgau8"])
     path = tmp_path / "qgau8.json"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hha import documents
 from hha.documents import (
     InputError,
     default_field_from_env,
@@ -15,6 +16,7 @@ from hha.classify import classify_metric
 from hha.hermitian import Metric
 from hha.hypercomplex import Geometry
 from hha.liealg import LieAlgebraData
+from hha.scalars import rational
 
 
 def minimal(dim=4, **over):
@@ -33,6 +35,22 @@ def test_parse_minimal():
     geom, metric = load_document(doc)
     assert geom.algebra.dim == 4
     assert metric.pf.is_real()
+
+
+@pytest.mark.parametrize("metric", [
+    {"type": "diagonal", "entries": ["3/2"]},
+    {"type": "omega", "terms": [[1, 2, "3/2", "0"]]},
+    {"type": "gram", "entries": [[["3/2", "0"], ["0", "0"]], [["0", "0"], ["3/2", "0"]]]},
+])
+def test_metric_scalars_are_parsed_once(metric, monkeypatch):
+    doc = parse_input(json.dumps(minimal(metric=metric)))
+
+    def refuse(text):
+        raise AssertionError(f"{text!r} parsed a second time")
+
+    monkeypatch.setattr(documents, "parse_scalar", refuse)
+    geom, m = load_document(doc)
+    assert m.omega == Metric.diagonal(geom, [rational(3, 2)]).omega
 
 
 def test_dimension_must_be_multiple_of_four():

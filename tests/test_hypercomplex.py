@@ -13,9 +13,6 @@ from hha.hypercomplex import (
     SpherePoint,
     StructureError,
     is_abelian,
-    rotate_pair,
-    split_differentials,
-    standard_structure,
     validate_hypercomplex,
 )
 from hha.liealg import LieAlgebraData
@@ -49,7 +46,7 @@ def rand_complex_form(rng, geo, degree, nterms=3):
 
 
 def test_standard_structure_relations():
-    H = standard_structure(2)
+    H = HypercomplexStructure.standard(2)
     K = H.K
     # K anticommutes with I and J
     from hha.linalg import mat_add, mat_mul
@@ -59,7 +56,7 @@ def test_standard_structure_relations():
 
 
 def test_sphere_combo_squares_to_minus_identity():
-    H = standard_structure(1)
+    H = HypercomplexStructure.standard(1)
     p = SpherePoint(rational(3, 5), rational(4, 5), 0)
     from hha.hypercomplex import _is_minus_identity
     from hha.linalg import mat_mul
@@ -74,10 +71,10 @@ def test_sphere_point_validation():
 
 
 def test_rotate_pair_requires_orthogonality():
-    H = standard_structure(1)
+    H = HypercomplexStructure.standard(1)
     with pytest.raises(StructureError):
-        rotate_pair(H, SpherePoint(1, 0, 0), SpherePoint(1, 0, 0))
-    rotated = rotate_pair(H, SpherePoint(0, 0, 1), SpherePoint(1, 0, 0))
+        H.rotate_pair(SpherePoint(1, 0, 0), SpherePoint(1, 0, 0))
+    rotated = H.rotate_pair(SpherePoint(0, 0, 1), SpherePoint(1, 0, 0))
     assert rotated.I == H.K and rotated.J == H.I
 
 
@@ -105,30 +102,41 @@ def test_j_squared_on_two_forms_is_identity():
 
 
 def test_validate_hypercomplex_abelian_and_nilpotent():
-    validate_hypercomplex(LieAlgebraData.abelian(8), standard_structure(2))
-    validate_hypercomplex(nil12_qbal(), standard_structure(3))
-    validate_hypercomplex(nil12_qsg(), standard_structure(3))
+    validate_hypercomplex(LieAlgebraData.abelian(8), HypercomplexStructure.standard(2))
+    validate_hypercomplex(nil12_qbal(), HypercomplexStructure.standard(3))
+    validate_hypercomplex(nil12_qsg(), HypercomplexStructure.standard(3))
 
 
 def test_validate_hypercomplex_rejects_nonintegrable():
     # Heisenberg + R: J fails the Nijenhuis condition on (e1, e2)
     alg = LieAlgebraData(4, {(0, 1): {2: ONE}})
     with pytest.raises(IntegrabilityError) as exc:
-        validate_hypercomplex(alg, standard_structure(1))
+        validate_hypercomplex(alg, HypercomplexStructure.standard(1))
     assert exc.value.pair == (1, 2)
     assert "J" in str(exc.value)
 
 
+def test_split_differentials_need_an_integrable_i():
+    # the same Heisenberg + R algebra with I and J swapped: I is not integrable,
+    # so d z^k has a (0,2) part and del, delbar are not derivations
+    alg = LieAlgebraData(4, {(0, 1): {2: ONE}})
+    H = HypercomplexStructure.standard(1)
+    fr = ComplexFrame(alg, HypercomplexStructure(H.J, H.I))
+    assert fr.d(Form.monomial(4, (0,))).coefficient((2, 3)) == ComplexScalar(ZERO, rational(-1, 4))
+    with pytest.raises(StructureError, match="not integrable"):
+        fr.del_(Form.monomial(4, (0,)))
+
+
 def test_is_abelian():
-    assert is_abelian(LieAlgebraData.abelian(8), standard_structure(2))
-    assert not is_abelian(nil12_qbal(), standard_structure(3))
-    assert not is_abelian(nil12_qsg(), standard_structure(3))
+    assert is_abelian(LieAlgebraData.abelian(8), HypercomplexStructure.standard(2))
+    assert not is_abelian(nil12_qbal(), HypercomplexStructure.standard(3))
+    assert not is_abelian(nil12_qsg(), HypercomplexStructure.standard(3))
 
 
 def test_is_abelian_invariant_under_rotation():
     alg = nil12_qsg()
-    H = standard_structure(3)
-    rot = rotate_pair(H, SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
+    H = HypercomplexStructure.standard(3)
+    rot = H.rotate_pair(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
     assert is_abelian(alg, H) == is_abelian(alg, rot)
 
 
@@ -194,16 +202,13 @@ def test_structure_equations_qsg12():
 
 
 def test_split_differentials_qsg12():
-    alg = nil12_qsg()
-    H = standard_structure(3)
-    g = Geometry(alg, H)
-    parts5 = split_differentials(alg, H, g.zeta(5))
-    assert parts5["del"] == g.zeta(1).wedge(g.zeta(2)) * HALF
-    assert parts5["del_j"] == g.zeta(3).wedge(g.zeta(4)) * (-HALF)
-    parts6 = split_differentials(alg, H, g.zeta(6))
-    assert parts6["del"] == g.zeta(3).wedge(g.zeta(4)) * HALF
-    assert parts6["del_j"] == g.zeta(1).wedge(g.zeta(2)) * HALF
-    assert split_differentials(alg, H, Form.constant(12, C_ONE))["del"].is_zero()
+    g = geom(nil12_qsg())
+    fr = g.frame
+    assert fr.del_(g.zeta(5)) == g.zeta(1).wedge(g.zeta(2)) * HALF
+    assert fr.del_j(g.zeta(5)) == g.zeta(3).wedge(g.zeta(4)) * (-HALF)
+    assert fr.del_(g.zeta(6)) == g.zeta(3).wedge(g.zeta(4)) * HALF
+    assert fr.del_j(g.zeta(6)) == g.zeta(1).wedge(g.zeta(2)) * HALF
+    assert fr.del_(Form.constant(12, C_ONE)).is_zero()
 
 
 def test_split_recomposes_total_differential():
@@ -211,9 +216,7 @@ def test_split_recomposes_total_differential():
     rng = random.Random(20)
     for _ in range(5):
         f = rand_complex_form(rng, g, 2)
-        parts = split_differentials(g.algebra, g.structure, f)
-        total = parts["del"] + parts["delbar"]
-        assert total == g.frame.d(f)
+        assert g.frame.del_(f) + g.frame.delbar(f) == g.frame.d(f)
 
 
 def test_differential_identities_on_random_forms():

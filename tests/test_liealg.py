@@ -17,15 +17,12 @@ from hha.liealg import (
     JacobiError,
     LieAlgebraData,
     algebra_invariants,
-    ce_differential,
-    killing_form,
-    validate_algebra,
 )
 from hha.scalars import C_ONE, ComplexScalar, ONE, ZERO, rational
 
 
 def test_abelian_profile():
-    prof = validate_algebra(LieAlgebraData.abelian(4))
+    prof = LieAlgebraData.abelian(4).validate()
     assert prof.nilpotent and prof.nilpotency_step == 1
     assert prof.center_dim == 4
     assert prof.derived_dim == 0
@@ -34,7 +31,7 @@ def test_abelian_profile():
 
 
 def test_nil12_profile_two_step():
-    prof = validate_algebra(nil12_qbal())
+    prof = nil12_qbal().validate()
     assert prof.nilpotent and prof.nilpotency_step == 2
     assert prof.solvable and prof.unimodular
     assert prof.derived_dim == 4
@@ -51,7 +48,7 @@ def test_jacobi_violation_names_triple():
 
 
 def test_su2_killing_form():
-    b = killing_form(su2_block_algebra())
+    b = su2_block_algebra().killing_form()
     # oracle: trace of ad(e_i) ad(e_j) computed directly from the brackets
     alg = su2_block_algebra()
     for i in range(4):
@@ -71,7 +68,7 @@ def test_su2_killing_form():
 
 def test_nilpotent_killing_degenerate():
     heis = LieAlgebraData(4, {(0, 1): {2: ONE}})
-    b = killing_form(heis)
+    b = heis.killing_form()
     assert all(x == ZERO for row in b for x in row)
 
 
@@ -81,7 +78,7 @@ def test_semisimple_flag():
         (2, 0): {1: rational(2)},
         (1, 2): {0: rational(2)},
     })
-    prof = validate_algebra(su2)
+    prof = su2.validate()
     assert prof.semisimple
     assert prof.center_dim == 0
     assert prof.derived_dim == 3
@@ -89,7 +86,7 @@ def test_semisimple_flag():
 
 
 def test_solvable_not_nilpotent():
-    prof = validate_algebra(solv_rank1())
+    prof = solv_rank1().validate()
     assert prof.solvable and not prof.nilpotent
     assert not prof.unimodular
 
@@ -168,7 +165,7 @@ def test_in_derived_subalgebra():
 
 def test_unimodularity_of_catalog_nilpotents():
     for alg in (nil12_qbal(), nil12_qsg(), nil_qgau(2), nil_qgau(3)):
-        assert validate_algebra(alg).unimodular
+        assert alg.validate().unimodular
 
 
 def test_ce_differential_squares_to_zero_all_degrees_dim4():
