@@ -25,7 +25,7 @@ from functools import cached_property
 
 from . import linalg
 from .forms import Form, bidegree_project, leibniz_differential
-from .liealg import LieAlgebraData
+from .liealg import LieAlgebraData, add_scaled
 from .scalars import (
     C_ONE,
     C_ZERO,
@@ -52,14 +52,18 @@ class IntegrabilityError(StructureError):
         )
 
 
-def _is_minus_identity(m) -> bool:
-    n = len(m)
-    for i in range(n):
-        for j in range(n):
-            want = Scalar._coerce(-1) if i == j else ZERO
-            if m[i][j] != want:
-                return False
-    return True
+def _columns(mat) -> list:
+    """Sparse columns of a square matrix: ``_columns(L)[j]`` is L e_j as a dict."""
+    return [{r: row[j] for r, row in enumerate(mat) if not row[j].is_zero()}
+            for j in range(len(mat))]
+
+
+def _apply(cols: list, vec: dict) -> dict:
+    """L v for L given by its sparse columns."""
+    out: dict = {}
+    for j, c in vec.items():
+        add_scaled(out, c, cols[j])
+    return out
 
 
 class SpherePoint:
@@ -94,15 +98,18 @@ class HypercomplexStructure:
         self.dim = len(self.I)
         if self.dim % 4 != 0:
             raise StructureError("dimension must be a multiple of 4")
-        if not _is_minus_identity(linalg.mat_mul(self.I, self.I)):
+        cols_i, cols_j = _columns(self.I), _columns(self.J)
+        minus_id = [{k: -ONE} for k in range(self.dim)]
+        if [_apply(cols_i, c) for c in cols_i] != minus_id:
             raise StructureError("I^2 != -Id")
-        if not _is_minus_identity(linalg.mat_mul(self.J, self.J)):
+        if [_apply(cols_j, c) for c in cols_j] != minus_id:
             raise StructureError("J^2 != -Id")
-        anti = linalg.mat_add(linalg.mat_mul(self.I, self.J),
-                              linalg.mat_mul(self.J, self.I))
-        if any(not x.is_zero() for row in anti for x in row):
+        cols_k = [_apply(cols_i, c) for c in cols_j]
+        if [_apply(cols_j, c) for c in cols_i] != [{k: -x for k, x in c.items()} for c in cols_k]:
             raise StructureError("I and J do not anticommute")
-        self.K = linalg.mat_mul(self.I, self.J)
+        self.K = [[c.get(r, ZERO) for c in cols_k] for r in range(self.dim)]
+        # I e_j, J e_j and K e_j as sparse dicts, read by every check on the structure
+        self.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
 
     @classmethod
     def standard(cls, n: int) -> "HypercomplexStructure":
@@ -139,28 +146,10 @@ class HypercomplexStructure:
         return HypercomplexStructure(self.combo(p), self.combo(q))
 
 
-def _apply_matrix(mat, vec: dict) -> dict:
-    out: dict = {}
-    for j, c in vec.items():
-        if c.is_zero():
-            continue
-        for i in range(len(mat)):
-            m = mat[i][j]
-            if m.is_zero():
-                continue
-            acc = out.get(i, ZERO) + m * c
-            if acc.is_zero():
-                out.pop(i, None)
-            else:
-                out[i] = acc
-    return out
-
-
-def _nijenhuis(d: LieAlgebraData, mat, i: int, j: int) -> dict:
+def _nijenhuis(d: LieAlgebraData, cols: list, i: int, j: int) -> dict:
     """N_L(e_i, e_j) = [Le_i, Le_j] - L[Le_i, e_j] - L[e_i, Le_j] - [e_i, e_j]."""
     ei, ej = {i: ONE}, {j: ONE}
-    Lei = {r: mat[r][i] for r in range(len(mat)) if not mat[r][i].is_zero()}
-    Lej = {r: mat[r][j] for r in range(len(mat)) if not mat[r][j].is_zero()}
+    Lei, Lej = cols[i], cols[j]
     out: dict = {}
 
     def acc(vec, sign=1):
@@ -172,8 +161,8 @@ def _nijenhuis(d: LieAlgebraData, mat, i: int, j: int) -> dict:
                 out[k] = v
 
     acc(d.bracket(Lei, Lej))
-    acc(_apply_matrix(mat, d.bracket(Lei, ej)), -1)
-    acc(_apply_matrix(mat, d.bracket(ei, Lej)), -1)
+    acc(_apply(cols, d.bracket(Lei, ej)), -1)
+    acc(_apply(cols, d.bracket(ei, Lej)), -1)
     acc(d.bracket(ei, ej), -1)
     return out
 
@@ -188,10 +177,10 @@ def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
     if H.dim != d.dim:
         raise StructureError("structure dimension does not match the algebra")
     checked = {}
-    for label, mat in (("I", H.I), ("J", H.J), ("K", H.K)):
+    for label, cols in H.columns.items():
         for i in range(d.dim):
             for j in range(i + 1, d.dim):
-                res = _nijenhuis(d, mat, i, j)
+                res = _nijenhuis(d, cols, i, j)
                 if res:
                     raise IntegrabilityError(label, i, j, res)
         checked[label] = "integrable"
@@ -200,14 +189,11 @@ def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
 
 def is_abelian(d: LieAlgebraData, H: HypercomplexStructure) -> bool:
     """True iff [LX, LY] = [X, Y] for L in {I, J} on all basis pairs."""
-    for mat in (H.I, H.J):
+    for label in ("I", "J"):
+        cols = H.columns[label]
         for i in range(d.dim):
-            Lei = {r: mat[r][i] for r in range(d.dim) if not mat[r][i].is_zero()}
             for j in range(i + 1, d.dim):
-                Lej = {r: mat[r][j] for r in range(d.dim) if not mat[r][j].is_zero()}
-                lhs = d.bracket(Lei, Lej)
-                rhs = d.bracket_basis(i, j)
-                if lhs != rhs:
+                if d.bracket(cols[i], cols[j]) != d.bracket_basis(i, j):
                     return False
     return True
 
@@ -244,35 +230,31 @@ class ComplexFrame:
 
     def _build_adapted_basis(self):
         dim = self.dim
-        H = self.structure
-        rows: list = []  # row-echelon accumulator over ComplexScalar
+        cols = self.structure.columns
+        rows: list = []  # (pivot, row): row[pivot] == 1, zero at every earlier pivot
         chosen: list = []
 
-        def try_add(vec_dense):
-            row = [ComplexScalar(x) for x in vec_dense]
+        def try_add(vec: dict) -> bool:
+            row = dict(vec)
             for piv, r in rows:
-                if not row[piv].is_zero():
-                    f = row[piv]
-                    row = [row[c] - f * r[c] for c in range(dim)]
-            for c in range(dim):
-                if not row[c].is_zero():
-                    inv = row[c].inverse()
-                    rows.append((c, [x * inv for x in row]))
-                    return True
-            return False
+                f = row.get(piv)
+                if f is not None:
+                    add_scaled(row, -f, r)
+            if not row:
+                return False
+            piv = min(row)
+            inv = row[piv].inverse()
+            rows.append((piv, {k: c * inv for k, c in row.items()}))
+            return True
 
         for i in range(dim):
-            cand = [ZERO] * dim
-            cand[i] = ONE
-            if not try_add(cand):
+            block = [{i: ONE}] + [cols[label][i] for label in ("I", "J", "K")]
+            if not try_add(block[0]):
                 continue
-            block = [cand]
-            for mat in (H.I, H.J, H.K):
-                img = [mat[r][i] for r in range(dim)]
-                block.append(img)
+            for img in block[1:]:
                 if not try_add(img):
                     raise StructureError("quaternionic block failed to extend the span")
-            chosen.extend(block)
+            chosen.extend([vec.get(r, ZERO) for r in range(dim)] for vec in block)
             if len(chosen) == dim:
                 break
         if len(chosen) != dim:

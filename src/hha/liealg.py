@@ -4,10 +4,23 @@ Brackets are stored sparsely as ``[e_i, e_j] = sum_k c[k] e_k`` for ``i < j``
 (0-based).  Structure equations follow the dual convention
 ``d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j``, matching ``dxi(X, Y) = -xi([X, Y])``
 under the determinant evaluation convention for wedges.
+
+Loading an algebra checks the Jacobi identity once, exactly.  Every other
+structure fact is an :class:`AlgebraProfile` field computed from the nonzero
+brackets on first read; no dense ad(e_i) matrix is built:
+
+* the Killing form is B_ij = sum_{k,l} c_{ik}^l c_{jl}^k, summed over the
+  nonzero columns [e_i, e_k] only;
+* v is central iff sum_j v_j c_{ij}^k = 0 for all i, k, a system with one
+  row per nonzero (i, k), so at most twice as many rows as nonzero
+  structure constants instead of dim^2;
+* spans (the derived algebra, the lower central and derived series, the
+  centre's equations) are reduced to the reduced row echelon basis of
+  sparse rows, which is unique, so no basis depends on the order in which
+  its vectors were found.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
@@ -36,15 +49,78 @@ class AlgebraError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class AlgebraProfile:
-    nilpotent: bool
-    nilpotency_step: int | None
-    solvable: bool
-    unimodular: bool
-    center_dim: int
-    derived_dim: int
-    semisimple: bool
+    """Structure facts of a Jacobi-checked algebra, each computed on first read.
+
+    Classification reads only ``nilpotent`` (no invariant HKT metric on a
+    nilpotent algebra with a non-abelian structure; the gluing construction)
+    and ``unimodular`` (the q-balanced pairing certificate).  ``hha check``
+    also reads ``nilpotency_step`` and ``solvable``; ``semisimple`` is read by
+    the catalog's "semisimple" expectation; ``center_dim`` and
+    ``derived_dim`` by no command.  Each field is a cached property:
+
+    * ``nilpotent``, ``nilpotency_step``: the lower central series
+      g > [g, g] > [g, [g, g]] > ... reaches 0, after that many steps;
+    * ``solvable``: the derived series reaches 0;
+    * ``unimodular``: tr ad(e_i) = sum_j c_{ij}^j vanishes for every i;
+    * ``center_dim``, ``derived_dim``: the dimensions of the centre and of
+      [g, g];
+    * ``semisimple``: the Killing form is nondegenerate (Cartan's criterion).
+    """
+
+    def __init__(self, algebra: "LieAlgebraData"):
+        self._algebra = algebra
+
+    @cached_property
+    def nilpotency_step(self) -> int | None:
+        alg = self._algebra
+        basis = [{i: ONE} for i in range(alg.dim)]
+        lcs, step = alg._derived, 1
+        while lcs:
+            nxt = alg._span_of_brackets(basis, lcs)
+            if len(nxt) == len(lcs):
+                return None
+            lcs, step = nxt, step + 1
+        return step
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.nilpotency_step is not None
+
+    @cached_property
+    def solvable(self) -> bool:
+        alg = self._algebra
+        ds = alg._derived
+        while ds:
+            nxt = alg._span_of_brackets(ds, ds)
+            if len(nxt) == len(ds):
+                return False
+            ds = nxt
+        return True
+
+    @cached_property
+    def unimodular(self) -> bool:
+        trace: dict = {}
+        for (i, j), comps in self._algebra.brackets.items():
+            # c_{ij}^j enters tr ad(e_i), and c_{ji}^i = -c_{ij}^i enters tr ad(e_j)
+            if j in comps:
+                trace[i] = trace.get(i, ZERO) + comps[j]
+            if i in comps:
+                trace[j] = trace.get(j, ZERO) - comps[i]
+        return all(t.is_zero() for t in trace.values())
+
+    @cached_property
+    def center_dim(self) -> int:
+        return len(self._algebra.center_basis())
+
+    @cached_property
+    def derived_dim(self) -> int:
+        return len(self._algebra._derived)
+
+    @cached_property
+    def semisimple(self) -> bool:
+        kmat = [[ComplexScalar(x) for x in row] for row in self._algebra.killing_form()]
+        return not linalg.det(kmat).is_zero()
 
 
 class LieAlgebraData:
@@ -151,19 +227,19 @@ class LieAlgebraData:
                         out[k] = acc
         return out
 
-    def ad_matrix(self, vec: dict):
-        """Matrix of ad(v) acting on the algebra, columns = images of e_j."""
-        n = self.dim
-        cols = []
-        for j in range(n):
-            img = self.bracket(vec, {j: ONE})
-            cols.append(img)
-        return [[cols[j].get(i, ZERO) for j in range(n)] for i in range(n)]
+    @cached_property
+    def _ad_columns(self) -> list:
+        """``_ad_columns[i][k]`` is [e_i, e_k] as a sparse dict; nonzero columns only."""
+        cols: list = [{} for _ in range(self.dim)]
+        for (i, j), comps in self.brackets.items():
+            cols[i][j] = comps
+            cols[j][i] = {k: -c for k, c in comps.items()}
+        return cols
 
     # -- validation and structure theory --------------------------------------
 
     def validate(self) -> AlgebraProfile:
-        """Check Jacobi exactly and compute the structure profile."""
+        """Check Jacobi exactly, once; the profile computes each field on first read."""
         if self._profile is not None:
             return self._profile
         n = self.dim
@@ -180,7 +256,7 @@ class LieAlgebraData:
                 res = self._jacobiator(*triple)
                 if res:
                     raise JacobiError(*triple, res)
-        self._profile = self._compute_profile()
+        self._profile = AlgebraProfile(self)
         return self._profile
 
     def _jacobiator(self, i: int, j: int, k: int) -> dict:
@@ -196,114 +272,67 @@ class LieAlgebraData:
                     total[idx] = acc
         return total
 
-    def _compute_profile(self) -> AlgebraProfile:
-        n = self.dim
-        basis = [{i: ONE} for i in range(n)]
-        derived = self._span_of_brackets(basis, basis)
-        # lower central series
-        lcs = derived
-        step = 1
-        nilpotent = False
-        while True:
-            if not lcs:
-                nilpotent = True
-                break
-            nxt = self._span_of_brackets(basis, lcs)
-            if len(nxt) == len(lcs):
-                break
-            lcs = nxt
-            step += 1
-        # derived series
-        ds = derived
-        solvable = False
-        while True:
-            if not ds:
-                solvable = True
-                break
-            nxt = self._span_of_brackets(ds, ds)
-            if len(nxt) == len(ds):
-                break
-            ds = nxt
-        unimodular = all(
-            self._trace_ad(i).is_zero() for i in range(n)
-        )
-        killing = self.killing_form()
-        kmat = [[ComplexScalar(x) for x in row] for row in killing]
-        semisimple = not linalg.det(kmat).is_zero()
-        return AlgebraProfile(
-            nilpotent=nilpotent,
-            nilpotency_step=step if nilpotent else None,
-            solvable=solvable,
-            unimodular=unimodular,
-            center_dim=len(self.center_basis()),
-            derived_dim=len(derived),
-            semisimple=semisimple,
-        )
+    def _span_of_brackets(self, us, vs) -> list:
+        return list(_echelon(self.bracket(u, v) for u in us for v in vs).values())
 
-    def _trace_ad(self, i: int) -> Scalar:
-        total = ZERO
-        for j in range(self.dim):
-            total = total + self.bracket_basis(i, j).get(j, ZERO)
-        return total
-
-    def _span_of_brackets(self, us, vs):
-        vectors = []
-        for u in us:
-            for v in vs:
-                w = self.bracket(u, v)
-                if w:
-                    vectors.append(w)
-        return _reduce_span(vectors, self.dim)
+    @cached_property
+    def _derived(self) -> list:
+        """Reduced row echelon basis of [g, g], in pivot order; brackets never change after init."""
+        return list(_echelon(self.brackets.values()).values())
 
     def derived_basis(self):
-        basis = [{i: ONE} for i in range(self.dim)]
-        return self._span_of_brackets(basis, basis)
+        """Basis of [g, g] in reduced row echelon form, as sparse vectors."""
+        return [dict(v) for v in self._derived]
 
     def center_basis(self):
-        """Basis of the center as sparse vectors."""
-        n = self.dim
+        """Basis of the centre as sparse vectors.
+
+        v is central iff sum_j v_j c_{ij}^k = 0 for all i, k: one equation per
+        nonzero (i, k).  The basis is the kernel read off the reduced row
+        echelon form of those equations, one vector per free column.
+        """
         rows = []
-        for j in range(n):
-            adj = self.ad_matrix({j: ONE})
-            for r in range(n):
-                rows.append([ComplexScalar(adj[r][c]) for c in range(n)])
-        if not rows:
-            return [{i: ONE} for i in range(n)]
-        kernel = linalg.nullspace(rows)
+        for cols in self._ad_columns:
+            by_target: dict = {}
+            for j, col in cols.items():
+                for k, c in col.items():
+                    by_target.setdefault(k, {})[j] = c
+            rows.extend(by_target.values())
+        echelon = _echelon(rows)
         out = []
-        for v in kernel:
-            vec = {i: v[i].re for i in range(n) if not v[i].is_zero()}
-            out.append(vec)
+        for free in range(self.dim):
+            if free in echelon:
+                continue
+            vec = {free: ONE}
+            for p, row in echelon.items():
+                if free in row:
+                    vec[p] = -row[free]
+            out.append(dict(sorted(vec.items())))
         return out
 
     def killing_form(self):
-        """B(e_i, e_j) = trace(ad e_i . ad e_j)."""
-        n = self.dim
-        ads = [self.ad_matrix({i: ONE}) for i in range(n)]
+        """B(e_i, e_j) = tr(ad e_i ad e_j) = sum_{k,l} c_{ik}^l c_{jl}^k."""
+        n, ad = self.dim, self._ad_columns
         out = [[ZERO] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
+                adj = ad[j]
                 tr = ZERO
-                for r in range(n):
-                    for s in range(n):
-                        a = ads[i][r][s]
-                        if a.is_zero():
-                            continue
-                        b = ads[j][s][r]
-                        if not b.is_zero():
-                            tr = tr + a * b
-                out[i][j] = tr
-                out[j][i] = tr
+                for k, col in ad[i].items():
+                    for l, c in col.items():
+                        x = adj.get(l, {}).get(k)
+                        if x is not None:
+                            tr = tr + c * x
+                out[i][j] = out[j][i] = tr
         return out
 
     def in_derived_subalgebra(self, vec: dict) -> bool:
-        derived = self.derived_basis()
-        rows = [[ComplexScalar(b.get(i, ZERO)) for i in range(self.dim)] for b in derived]
-        target = [ComplexScalar(vec.get(i, ZERO)) for i in range(self.dim)]
-        if not rows:
-            return all(x.is_zero() for x in target)
-        sol = linalg.solve(linalg.transpose(rows), target)
-        return sol is not None
+        v = {k: c for k, c in vec.items() if not c.is_zero()}
+        for row in self._derived:  # the first key of an echelon row is its pivot
+            f = v.get(next(iter(row)))
+            if f is not None:
+                add_scaled(v, -f, row)
+        return not v
 
     def has_rational_structure_constants(self) -> bool:
         return all(
@@ -330,18 +359,42 @@ class LieAlgebraData:
         return leibniz_differential(form, self._d_table)
 
 
-def _reduce_span(vectors, dim: int):
-    """Row-reduce sparse Scalar vectors; returns an independent subset (dense rows)."""
-    if not vectors:
-        return []
-    rows = [[ComplexScalar(v.get(i, ZERO)) for i in range(dim)] for v in vectors]
-    red = [row[:] for row in rows]
-    pivots = linalg._row_echelon(red)
-    out = []
-    for r, _ in enumerate(pivots):
-        vec = {i: red[r][i].re for i in range(dim) if not red[r][i].is_zero()}
-        out.append(vec)
-    return out
+def add_scaled(acc: dict, f, vec: dict) -> None:
+    """acc += f * vec on sparse vectors, dropping entries that cancel."""
+    for k, c in vec.items():
+        x = acc.get(k, ZERO) + f * c
+        if x.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = x
+
+
+def _echelon(vectors) -> dict:
+    """Reduced row echelon basis of the span of sparse Scalar vectors.
+
+    Maps each pivot to its row, which is 1 at the pivot, 0 at every other
+    pivot and has no key below the pivot.  The reduced row echelon basis of
+    a span is unique, so it does not depend on the order of ``vectors``.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        v = {k: c for k, c in vec.items() if not c.is_zero()}
+        for p, row in rows.items():
+            f = v.get(p)
+            if f is not None:
+                add_scaled(v, -f, row)
+        if not v:
+            continue
+        p = min(v)
+        inv = v[p].inverse()
+        v = {k: c * inv for k, c in v.items()}
+        for row in rows.values():
+            f = row.get(p)
+            if f is not None:
+                add_scaled(row, -f, v)
+        rows[p] = v
+    return {p: dict(sorted(rows[p].items())) for p in sorted(rows)}
+
 
 
 def algebra_invariants(d: LieAlgebraData) -> dict:

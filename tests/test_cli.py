@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import hha
 from hha.cli import main
 from hha.hermitian import ConsistencyError
 
@@ -321,9 +323,14 @@ def test_construct_bf_spin(tmp_path):
 
 
 def test_entry_point_runs_as_subprocess(qbal12_file):
+    # the child does not inherit this process's sys.path: put the directory
+    # holding the imported hha package on its PYTHONPATH
+    src = os.path.dirname(os.path.dirname(hha.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "hha.cli", "classify", qbal12_file],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "q_balanced" in result.stdout

@@ -58,10 +58,21 @@ def test_standard_structure_relations():
 def test_sphere_combo_squares_to_minus_identity():
     H = HypercomplexStructure.standard(1)
     p = SpherePoint(rational(3, 5), rational(4, 5), 0)
-    from hha.hypercomplex import _is_minus_identity
     from hha.linalg import mat_mul
     L = H.combo(p)
-    assert _is_minus_identity(mat_mul(L, L))
+    assert mat_mul(L, L) == [[-ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+
+
+def test_structure_relations_name_the_failing_relation():
+    H = HypercomplexStructure.standard(1)
+    ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
+    twice_j = [[x * rational(2) for x in row] for row in H.J]
+    for I, J, message in ((ident, H.J, "I^2 != -Id"),
+                          (H.I, twice_j, "J^2 != -Id"),
+                          (H.I, H.I, "I and J do not anticommute")):
+        with pytest.raises(StructureError) as exc:
+            HypercomplexStructure(I, J)
+        assert str(exc.value) == message
 
 
 def test_sphere_point_validation():

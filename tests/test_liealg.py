@@ -19,6 +19,7 @@ from hha.liealg import (
     algebra_invariants,
 )
 from hha.scalars import C_ONE, ComplexScalar, ONE, ZERO, rational
+from test_liealg_oracles import ad_matrix
 
 
 def test_abelian_profile():
@@ -53,8 +54,8 @@ def test_su2_killing_form():
     alg = su2_block_algebra()
     for i in range(4):
         for j in range(4):
-            adi = alg.ad_matrix({i: ONE})
-            adj = alg.ad_matrix({j: ONE})
+            adi = ad_matrix(alg, {i: ONE})
+            adj = ad_matrix(alg, {j: ONE})
             tr = ZERO
             for r in range(4):
                 for s in range(4):
