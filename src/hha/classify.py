@@ -24,6 +24,7 @@ oracle the tests compare against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -214,7 +215,8 @@ def _characterisation_routes(m: Metric):
     0, s^Ch - s^Bis - 2|alpha + beta|^2 = 0 and del del_J(Omega^{n-1} ^
     conj(Omega^n)) = 0.  q-Gauduchon: del del_J(Omega^{n-1}) = 0 and
     s^Bis + 2|beta|^2 = 0.  omega_I^{2n-1} is read from the Gram cofactors
-    and differentiated once; the mixed power is built once.
+    and differentiated once; the mixed power is a relabelling of Omega^{n-1}
+    (``Metric.mixed_power``).
 
     Returns the per-flag tuples of booleans, one per route, and the residual
     string each flag reports.
@@ -227,7 +229,7 @@ def _characterisation_routes(m: Metric):
     d_top_i = fr.d(top_i)
     # top_i has bidegree (N-1, N-1), so delbar(top_i) is the (N-1, N) part of d
     delbar_top_i = bidegree_project(d_top_i, m.N, m.N - 1, m.N)
-    mixed = power.wedge(fr.conjugate(m.omega_power(n)))
+    mixed = m.mixed_power()
     gauduchon_scalar = _gauduchon_scalar_residual(m)
     ddj_power = fr.del_(fr.del_j(power))
     values = {
@@ -454,13 +456,9 @@ def qbal_nonexistence_certificate(geom: Geometry, psi: Form):
 
 
 def _height_grid(height: int):
-    vals = []
-    for p in range(1, height + 1):
-        for q in range(1, height + 1):
-            f = rational(p, q)
-            if f not in vals:
-                vals.append(f)
-    return vals
+    """The distinct p/q with 1 <= p, q <= height, in order of first appearance."""
+    return list(dict.fromkeys(rational(p, q) for p in range(1, height + 1)
+                              for q in range(1, height + 1)))
 
 
 PREDICATES = {
@@ -516,22 +514,21 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
         base = [ONE] * n
         offs = [rational(1, 2), rational(-1, 2), ONE, -ONE]
         N = geom.N
-        for r in range(N):
-            for s in range(r + 1, N):
-                for off in offs:
-                    if tested >= budget:
-                        exhausted = False
-                        break
-                    tested += 1
-                    seed = Form.monomial(geom.algebra.dim, (r, s), ComplexScalar(off))
-                    sym = seed + geom.frame.j_action(geom.frame.conjugate(seed))
-                    omega = Metric.diagonal(geom, base).omega + sym
-                    try:
-                        m = Metric(geom, omega)
-                    except (MetricError, QRealError):
-                        continue
-                    if check(m):
-                        return SearchResult(m, tested, False, family, pred_name)
+        points = ((r, s, off) for r in range(N) for s in range(r + 1, N) for off in offs)
+        for r, s, off in points:
+            if tested >= budget:
+                exhausted = False
+                break
+            tested += 1
+            seed = Form.monomial(geom.algebra.dim, (r, s), ComplexScalar(off))
+            sym = seed + geom.frame.j_action(geom.frame.conjugate(seed))
+            omega = Metric.diagonal(geom, base).omega + sym
+            try:
+                m = Metric(geom, omega)
+            except (MetricError, QRealError):
+                continue
+            if check(m):
+                return SearchResult(m, tested, False, family, pred_name)
     return SearchResult(None, tested, exhausted, family, pred_name)
 
 
@@ -577,7 +574,9 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     sufficient certificate, since the complex span contains the real one -
     and additionally exhausts a diagonal grid plus random q-real samples.
     The polarisation enumeration grows as binom(dim + n - 2, n - 1), so the
-    certificate is limited to small quaternionic dimension.
+    certificate is limited to small quaternionic dimension.  The samples
+    are diagonal metrics, whose del(Omega^{n-1}) is a combination of the
+    fixed forms of :func:`_diagonal_power_derivatives`; no metric is built.
     """
     import random as _random
     fr = geom.frame
@@ -623,9 +622,9 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     all_fail = True
     nonvanishing = True
     count = 0
+    derivatives = _diagonal_power_derivatives(geom)
     for combo in itertools.product((ONE, rational(2), rational(1, 2)), repeat=n):
-        m = Metric.diagonal(geom, list(combo))
-        dp = fr.del_(m.omega_power(n - 1))
+        dp = _diagonal_power_derivative(derivatives, combo)
         if dp.is_zero():
             nonvanishing = False
         w, _ = solve_exactness(geom, "del_j", dp, (2 * n - 2, 0))
@@ -636,8 +635,7 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
             break
     for _ in range(samples):
         diag = [rational(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)]
-        m = Metric.diagonal(geom, diag)
-        dp = fr.del_(m.omega_power(n - 1))
+        dp = _diagonal_power_derivative(derivatives, diag)
         if dp.is_zero():
             nonvanishing = False
         w, _ = solve_exactness(geom, "del_j", dp, (2 * n - 2, 0))
@@ -652,32 +650,48 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     )
 
 
-def qgau_family_symbolic_check(geom: Geometry) -> bool:
-    """Multilinear-interpolation proof of the diagonal-family derivative formula.
+def _diagonal_power_derivatives(geom: Geometry) -> list:
+    """del(sigma_hat_k) for k < n, the polarised pieces of del(Omega^{n-1}).
 
-    For the graded family with del z^{2n} the only nonclosed holomorphic
-    generator, del(Omega^{n-1}) of a diagonal metric diag(t_1..t_n) equals
-    -((n-1)!/2) (sum_{k<n} prod_{i != k} t_i) z^1...z^{2n-1}; both sides are
-    multilinear in t, so agreement on {1,2}^n points proves the identity.
-    The right side is minus a sum of products of positive entries, hence
-    nonzero on every q-positive diagonal metric.
+    A diagonal metric diag(t_0..t_{n-1}) is Omega(t) = sum_k t_k sigma_k with
+    sigma_k = z^{2k} ^ z^{2k+1} (``Metric.diagonal``).  The sigma_k are even
+    and square to zero, so Omega(t)^{n-1} = (n-1)! sum_k (prod_{i != k} t_i)
+    sigma_hat_k, where sigma_hat_k = wedge_{i != k} sigma_i is the single
+    monomial on the indices outside the k-th block.
     """
-    import math as _math
-    fr = geom.frame
-    n, N, dim = geom.n, geom.N, geom.algebra.dim
-    target_key = tuple(range(2 * n - 1))
-    for point in itertools.product((ONE, rational(2)), repeat=n):
-        m = Metric.diagonal(geom, list(point))
-        dp = fr.del_(m.omega_power(n - 1))
-        expected_coeff = ZERO
-        for k in range(n - 1):
-            prod = ONE
-            for i in range(n):
-                if i != k:
-                    prod = prod * point[i]
-            expected_coeff = expected_coeff + prod
-        expected_coeff = expected_coeff * rational(-_math.factorial(n - 1), 2)
-        expect = Form.monomial(dim, target_key, ComplexScalar(expected_coeff))
-        if dp != expect:
-            return False
-    return True
+    N, dim = geom.N, geom.algebra.dim
+    return [geom.frame.del_(Form.monomial(dim, [j for j in range(N) if j // 2 != k]))
+            for k in range(geom.n)]
+
+
+def _diagonal_power_derivative(derivatives: list, t) -> Form:
+    """del(Omega(t)^{n-1}) of diag(t), from :func:`_diagonal_power_derivatives`."""
+    n = len(derivatives)
+    out = Form.zero(derivatives[0].nsym, derivatives[0].degree)
+    for k, dsig in enumerate(derivatives):
+        prod = rational(math.factorial(n - 1))
+        for i in range(n):
+            if i != k:
+                prod = prod * t[i]
+        out = out + dsig.scale(prod)
+    return out
+
+
+def qgau_family_symbolic_check(geom: Geometry) -> bool:
+    """Polarised proof of the diagonal-family derivative formula.
+
+    For the graded family with del z^{2n-1} the only nonclosed holomorphic
+    generator (0-based), del(Omega^{n-1}) of a diagonal metric
+    diag(t_0..t_{n-1}) equals -((n-1)!/2) (sum_{k<n-1} prod_{i != k} t_i)
+    z^0...z^{2n-2}.  By :func:`_diagonal_power_derivatives` the left side is
+    (n-1)! sum_k (prod_{i != k} t_i) del(sigma_hat_k), and the products
+    prod_{i != k} t_i are linearly independent polynomials, so the identity
+    holds for every t exactly when del(sigma_hat_k) = -(1/2) z^0...z^{2n-2}
+    for k < n-1 and del(sigma_hat_{n-1}) = 0.  The right side is minus a sum
+    of products of positive entries, hence nonzero on every q-positive
+    diagonal metric.
+    """
+    n, dim = geom.n, geom.algebra.dim
+    half = Form.monomial(dim, range(2 * n - 1), ComplexScalar(rational(-1, 2)))
+    return all(dsig == half if k < n - 1 else dsig.is_zero()
+               for k, dsig in enumerate(_diagonal_power_derivatives(geom)))

@@ -262,6 +262,8 @@ def cmd_search(args) -> int:
     if args.predicate not in PREDICATES:
         raise InputError("--predicate",
                          f"unknown predicate; choose from {sorted(PREDICATES)}")
+    if args.height < 1:
+        raise InputError("--height", f"expected a positive integer, got {args.height}")
     res = search_metrics(geom, args.predicate, family=args.family,
                          height=args.height, budget=args.budget)
     if res.witness is not None:

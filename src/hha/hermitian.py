@@ -7,6 +7,11 @@ operator and its adjoint, the canonical 1-forms ``alpha`` (from the top
 antiholomorphic power) and ``beta`` (from the (n-1)-st power), Lee form,
 Ricci forms and both scalar curvatures.
 
+Powers of ``Omega`` are read, never multiplied out: Omega^n is n! Pf times the
+top monomial, Omega^{n-1} is (n-1)! Pf times a signed read of A^-1 (A the
+skew matrix of ``Omega``, whose inverse is a signed read of G^-1), and any
+other Omega^k is k! times the sub-Pfaffians of A on the 2k-subsets.
+
 Inner products, the star and the Lefschetz adjoint share one pairing: a form
 ``b`` is raised to ``b#`` by conjugating its coefficients and substituting
 z^j -> sum_i (G^-1)_{ji} z^i (conjugated on the antiholomorphic block), and
@@ -31,6 +36,8 @@ from .forms import (
     SkewMatrix,
     _merge_keys,
     bidegree_project,
+    cofactor_power,
+    pfaffian,
     pure_bidegree,
 )
 from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint
@@ -187,23 +194,23 @@ def is_power_of_qpositive(geom: Geometry, a: Form) -> bool:
     if pure_bidegree(a, N) != (2 * n - 2, 0):
         raise MetricError("power decision expects a (2n-2,0)-form")
     B = _power_pairing_matrix(geom, a)
-    if linalg.det(B).is_zero():
+    pf_b = pfaffian(B)
+    if pf_b.is_zero():  # Pf(B)^2 = det(B)
         return False
-    # Pfaffian-adjugate style inversion: apply the same pairing to the form
-    # built from B; the result is proportional to any (n-1)-st root of a.
-    fb = Form(dim, 2, {
-        (r, s): B[r][s] for r in range(N) for s in range(r + 1, N)
-        if not B[r][s].is_zero()
-    })
-    power_b = fb.wedge_power(n - 1)
-    D = _power_pairing_matrix(geom, power_b.scale(rational(1, math.factorial(n - 1))))
+    # Pfaffian-adjugate style inversion: apply the same pairing to the
+    # (n-1)-st divided power of the form built from B; the result is
+    # proportional to any (n-1)-st root of a.  B is invertible, so that
+    # power is the read Pf(B) B^-1 of forms.cofactor_power
+    power_b = cofactor_power(pf_b, linalg.inverse(B), dim)
+    D = _power_pairing_matrix(geom, power_b)
     cand = Form(dim, 2, {
         (r, s): D[r][s] for r in range(N) for s in range(r + 1, N)
         if not D[r][s].is_zero()
     })
     if cand.is_zero():
         return False
-    power_c = cand.wedge_power(n - 1).scale(rational(1, math.factorial(n - 1)))
+    # cand may be singular: sum the sub-Pfaffians
+    power_c = SkewMatrix.from_form(cand, N).divided_power(n - 1, dim)
     lam = _exact_ratio(power_c, a)
     if lam is None or not lam.is_real() or lam.re.is_zero():
         return False
@@ -361,11 +368,44 @@ class Metric:
         return self.geometry.frame.conjugate(self.omega)
 
     def omega_power(self, k: int) -> Form:
-        """Omega^k, built on first use and kept."""
+        """Omega^k, read from the Pfaffian data on first use and kept.
+
+        Omega^n is the one monomial n! Pf z^{[N]}.  For n >= 2, Omega^{n-1}
+        is (n-1)! times :func:`forms.cofactor_power` of Pf and A^-1: the
+        coefficient on z^{[N] minus {r, s}} is (n-1)! (-1)^{r+s} Pf (A^-1)[r][s].
+        A = G P for the signed permutation P of :meth:`from_hermitian_matrix`
+        (A[r][t] = G[r][t-1] for odd t, -G[r][t+1] for even t), so
+        A^-1 = P^T G^-1: row t of A^-1 is row t-1 of G^-1 for odd t and minus
+        row t+1 for even t.  Any other power, Omega^0 = 1 included, is k!
+        times the sub-Pfaffians of :meth:`forms.SkewMatrix.divided_power`.
+        """
+        if k < 0:
+            raise ValueError("negative wedge power")
         power = self._omega_powers.get(k)
         if power is None:
-            power = self._omega_powers[k] = self.omega.wedge_power(k)
+            n, dim = self.n, self.geometry.algebra.dim
+            fact = ComplexScalar(rational(math.factorial(k)))
+            if k == n:
+                power = Form.monomial(dim, tuple(range(self.N)), self.pf * fact)
+            elif k == n - 1 and k > 0:
+                g_inv = self._g_inv
+                a_inv = [g_inv[t - 1] if t % 2 else [-c for c in g_inv[t + 1]]
+                         for t in range(self.N)]
+                power = cofactor_power(self.pf, a_inv, dim).scale(fact)
+            else:
+                power = self.skew.divided_power(k, dim).scale(fact)
+            self._omega_powers[k] = power
         return power
+
+    def mixed_power(self) -> Form:
+        """Omega^{n-1} ^ conj(Omega^n).  conj(Omega^n) is the one monomial
+        n! Pf z^{[N, 2N)} (Pf is real), whose indices follow every index of
+        Omega^{n-1}: each key gains that block, with sign +1."""
+        top_bar = tuple(range(self.N, 2 * self.N))
+        c = self.omega_power(self.n).coefficient(tuple(range(self.N))).conjugate()
+        power = self.omega_power(self.n - 1)
+        return Form(power.nsym, power.degree + self.N,
+                    {key + top_bar: v * c for key, v in power.terms.items()})
 
     def volume_coefficient(self) -> Scalar:
         """Coefficient of the volume against the frame top form: |pf|^2."""

@@ -243,6 +243,23 @@ def test_search_exhausts_qsg_on_family():
     assert res.witness is None and res.exhausted
 
 
+def test_height_grid_keeps_the_order_of_first_appearance():
+    from hha.classify import _height_grid
+    for height in range(1, 8):
+        seen = []
+        for p in range(1, height + 1):
+            for q in range(1, height + 1):
+                if rational(p, q) not in seen:
+                    seen.append(rational(p, q))
+        assert _height_grid(height) == seen
+
+
+def test_search_budget_ends_the_full_family():
+    g = geom(nil12_qsg())
+    res = search_metrics(g, "q_balanced", family="full", height=1, budget=3)
+    assert res.witness is None and not res.exhausted and res.tested == 3
+
+
 def test_search_exhausts_qbal_on_qsg12():
     g = geom(nil12_qsg())
     res = search_metrics(g, "q_balanced", family="full", height=2, budget=40)
@@ -335,7 +352,6 @@ def test_classify_builds_each_top_power_once(source, monkeypatch):
         m = random_metric(random.Random(5), g)
         assert any(s != r + 1 or r % 2 for r, s in m.omega.terms), "diagonal metric"
     m = Metric(g, m.omega)
-    n = m.n
     built = []
     rebuilt_frames = []
     wedge_power = Form.wedge_power
@@ -351,9 +367,8 @@ def test_classify_builds_each_top_power_once(source, monkeypatch):
                         lambda *a, **k: rebuilt_frames.append("in_rotated_frame"))
     classify_metric(m)
     monkeypatch.undo()
-    omega_i = m.omega_i()
-    assert built.count((m.omega, n - 1)) == 1
-    assert omega_i not in [f for f, _ in built]
+    # every power of Omega is read from Pfaffian data, none multiplied out
+    assert built == []
     assert rebuilt_frames == []
 
 

@@ -138,6 +138,9 @@ def test_missing_file_is_input_error(tmp_path):
      "$.metric.entries[0]"),
     (["classify", "FILE"], {"type": "gram", "entries": [["1"]] * 6},
      "$.metric.entries"),
+    (["search", "FILE", "--predicate", "hkt", "--height", "0"], None, "--height"),
+    (["search", "FILE", "--predicate", "hkt", "--height", "-2",
+      "--family", "full"], None, "--height"),
 ])
 def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
     if metric is not None:
@@ -284,6 +287,20 @@ def test_search_cli(tmp_path):
     ])
     assert code == 0
     assert "no witness" in out
+
+
+def test_search_large_height_stops_at_the_budget(tmp_path):
+    # the height grid is built in O(height^2), and the budget ends the
+    # search before the off-diagonal points of the full family
+    code, out, _ = run_cli(["catalog", "export", "qgau8"])
+    path = tmp_path / "qgau8.json"
+    path.write_text(out)
+    code, out, _ = run_cli([
+        "search", str(path), "--predicate", "q_strongly_gauduchon",
+        "--height", "400", "--budget", "1", "--family", "full",
+    ])
+    assert code == 0
+    assert out == "no witness (budget reached; 1 metrics tested)\n"
 
 
 def test_construct_joyce():
