@@ -243,8 +243,9 @@ def _catalog_data():
                 "einstein_factor": "0",
                 "sl": {"alpha_zero": True},
                 "structure_equations": golden,
-                # the polarisation certificate is exponential in n; the
-                # interpolation formula covers the whole diagonal family
+                # checked on the small entries only, to keep the catalog run
+                # short; the interpolation formula covers the whole
+                # diagonal family at every n
                 "qsg_family_obstruction": n <= 3,
                 "qgau_family_formula": True,
                 "class_obstruction": {"c1": "0", "gamma_sign": -1},

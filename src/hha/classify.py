@@ -38,8 +38,6 @@ from .hermitian import (
 )
 from .hypercomplex import Geometry
 from .scalars import (
-    C_ONE,
-    C_ZERO,
     ComplexScalar,
     ONE,
     Scalar,
@@ -122,7 +120,13 @@ def solve_exactness(geom: Geometry, operator: str, target: Form,
     """Exact solve ``op(x) = target`` over the invariant complex.
 
     ``operator`` is one of "del", "del_j", "del_del_j".  Returns the witness
-    form or None together with rank data: (witness, info).
+    form or None together with rank data: (witness, info).  One elimination
+    answers both.  Each monomial k gives the equation
+    sum_j x_j op(m_j)_k = target_k over the source monomials m_j, with the
+    target in column ``len(basis_keys)``: the system is consistent exactly
+    when that column is not a pivot, and the rank of op is the number of
+    the other pivots.  The witness (free variables zero) is verified by
+    applying op.
     """
     fr = geom.frame
     ops = {
@@ -138,23 +142,19 @@ def solve_exactness(geom: Geometry, operator: str, target: Form,
         for hol in itertools.combinations(range(N), p)
         for anti in itertools.combinations(range(N, 2 * N), q)
     ]
-    images = [op(Form.monomial(dim, key)) for key in basis_keys]
-    row_keys = sorted({k for img in images for k in img.terms} | set(target.terms))
-    index = {k: i for i, k in enumerate(row_keys)}
-    if not row_keys:
-        return Form.zero(dim, p + q), {"rank": 0, "consistent": True}
-    mat = [[C_ZERO] * len(basis_keys) for _ in row_keys]
-    for j, img in enumerate(images):
-        for k, c in img.terms.items():
-            mat[index[k]][j] = c
-    rhs = [C_ZERO] * len(row_keys)
+    rhs = len(basis_keys)
+    equations: dict = {}
+    for j, key in enumerate(basis_keys):
+        for k, c in op(Form.monomial(dim, key)).terms.items():
+            equations.setdefault(k, {})[j] = c
     for k, c in target.terms.items():
-        rhs[index[k]] = c
-    sol = linalg.solve(mat, rhs)
-    info = {"rank": linalg.rank(mat), "consistent": sol is not None}
-    if sol is None:
+        equations.setdefault(k, {})[rhs] = c
+    rows = linalg.echelon(equations.values())
+    consistent = rhs not in rows
+    info = {"rank": len(rows) - (not consistent), "consistent": consistent}
+    if not consistent:
         return None, info
-    terms = {basis_keys[j]: c for j, c in enumerate(sol) if not c.is_zero()}
+    terms = {basis_keys[j]: row[rhs] for j, row in rows.items() if rhs in row}
     witness = Form(dim, p + q, terms)
     if op(witness) != target:
         raise ConsistencyError("exactness witness failed verification")
@@ -535,34 +535,12 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
 # -- family-level certificates ------------------------------------------------------
 
 
-def q_real_basis(geom: Geometry):
-    """Spanning set of the real space of q-real (2,0)-forms.
-
-    Symmetrises both real and imaginary unit coefficients of every monomial;
-    the set spans (duplicates are harmless to span computations).
-    """
-    N, dim = geom.N, geom.algebra.dim
-    fr = geom.frame
-    out = []
-    for r in range(N):
-        for s in range(r + 1, N):
-            for coeff in (C_ONE, ComplexScalar(ZERO, ONE)):
-                seed = Form.monomial(dim, (r, s), coeff)
-                cand = seed + fr.j_action(fr.conjugate(seed))
-                if not cand.is_zero():
-                    out.append(cand)
-    return out
-
-
 @dataclass
 class FamilyExactnessReport:
     image_intersection_trivial: bool
     samples_all_fail: bool
     sample_count: int
     nonvanishing_on_samples: bool
-
-
-MAX_POLARIZATION_N = 3
 
 
 def family_qsg_obstruction(geom: Geometry, samples: int = 6,
@@ -573,49 +551,29 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     Omega meets the image of the twisted differential only in zero - a
     sufficient certificate, since the complex span contains the real one -
     and additionally exhausts a diagonal grid plus random q-real samples.
-    The polarisation enumeration grows as binom(dim + n - 2, n - 1), so the
-    certificate is limited to small quaternionic dimension.  The samples
-    are diagonal metrics, whose del(Omega^{n-1}) is a combination of the
-    fixed forms of :func:`_diagonal_power_derivatives`; no metric is built.
+
+    The span has a closed form.  The q-real (2,0)-forms are the fixed set of
+    the antilinear involution J o conj of the (2,0)-forms, so their complex
+    span is every (2,0)-form.  By polarisation, the complex span of
+    Omega^{n-1} over q-real Omega is spanned by the products of n-1
+    (2,0)-forms, and that is every (2n-2,0)-form, since each monomial is a
+    product of the z^{ab}.  So the span of del(Omega^{n-1}) is spanned by
+    del of the binom(N, 2n-2) holomorphic monomials, and the image of del_J
+    on (2n-2,0)-forms by del_J of the same monomials; the certificate
+    compares three ranks.  The samples are diagonal metrics, whose
+    del(Omega^{n-1}) is a combination of the fixed forms of
+    :func:`_diagonal_power_derivatives`; no metric is built.
     """
     import random as _random
     fr = geom.frame
     n, N, dim = geom.n, geom.N, geom.algebra.dim
-    if n > MAX_POLARIZATION_N:
-        raise ValueError(
-            f"family certificate implemented for n <= {MAX_POLARIZATION_N}; "
-            "use the diagonal-family interpolation and grid exhaustion instead"
-        )
-    basis = q_real_basis(geom)
-    # span of del(Omega^{n-1}) by polarisation: del(m_1 ^ ... ^ m_{n-1})
-    span_forms = []
-    for combo in itertools.combinations_with_replacement(range(len(basis)), n - 1):
-        prod = Form.constant(dim, C_ONE)
-        for i in combo:
-            prod = prod.wedge(basis[i])
-        df = fr.del_(prod)
-        if not df.is_zero():
-            span_forms.append(df)
-    # image of del_J on (2n-2, 0)
-    image_forms = []
-    for key in itertools.combinations(range(N), 2 * n - 2):
-        img = fr.del_j(Form.monomial(dim, key))
-        if not img.is_zero():
-            image_forms.append(img)
-    all_keys = sorted({k for f in span_forms + image_forms for k in f.terms})
-    index = {k: i for i, k in enumerate(all_keys)}
-
-    def row(f):
-        v = [C_ZERO] * len(all_keys)
-        for k, c in f.terms.items():
-            v[index[k]] = c
-        return v
-
-    span_rows = [row(f) for f in span_forms]
-    image_rows = [row(f) for f in image_forms]
-    r_span = linalg.rank(span_rows) if span_rows else 0
-    r_image = linalg.rank(image_rows) if image_rows else 0
-    r_union = linalg.rank(span_rows + image_rows) if span_rows or image_rows else 0
+    monomials = [Form.monomial(dim, key)
+                 for key in itertools.combinations(range(N), 2 * n - 2)]
+    span_rows = [fr.del_(f).terms for f in monomials]
+    image_rows = [fr.del_j(f).terms for f in monomials]
+    r_span = len(linalg.echelon(span_rows))
+    r_image = len(linalg.echelon(image_rows))
+    r_union = len(linalg.echelon(span_rows + image_rows))
     trivial = r_union == r_span + r_image
 
     rng = _random.Random(seed)

@@ -48,19 +48,14 @@ def exact_inv_sqrt(m: int) -> Scalar:
 
 
 def embed_complex_form(form: Form, n_src: int, n_dst: int, hol_offset: int) -> Form:
-    """Re-index a complex-frame form into a larger frame."""
-    mapping = {}
-    for k in range(2 * n_src):
-        if k < n_src:
-            mapping[k] = (k + hol_offset, 1)
-        else:
-            mapping[k] = (k - n_src + n_dst + hol_offset, 1)
-    out = Form(2 * n_dst, form.degree,
-               {})
-    terms = {}
-    for key, c in form.terms.items():
-        new_key = tuple(sorted(mapping[i][0] for i in key))
-        terms[new_key] = c
+    """Re-index a complex-frame form into a larger frame.
+
+    z^k goes to z^{k + hol_offset} and conj(z^k) to conj(z^{k + hol_offset});
+    the index map increases, so every key stays sorted.
+    """
+    index = [k + hol_offset if k < n_src else k - n_src + n_dst + hol_offset
+             for k in range(2 * n_src)]
+    terms = {tuple(index[i] for i in key): c for key, c in form.terms.items()}
     return Form(2 * n_dst, form.degree, terms)
 
 

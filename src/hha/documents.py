@@ -85,8 +85,13 @@ def _expect(cond, location, message):
         raise InputError(location, message)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not, although bool is an int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_scalar_at(text, location) -> Scalar:
-    if isinstance(text, int):
+    if _is_int(text):
         return Scalar._coerce(text)
     _expect(isinstance(text, str), location, f"expected a scalar string, got {text!r}")
     try:
@@ -123,7 +128,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     name = raw.get("name", "unnamed")
     _expect(isinstance(name, str), "$.name", "name must be a string")
     dim = raw.get("dimension")
-    _expect(isinstance(dim, int), "$.dimension", "dimension must be an integer")
+    _expect(_is_int(dim), "$.dimension", "dimension must be an integer")
     _expect(dim > 0 and dim % 4 == 0, "$.dimension",
             "dimension must be a positive multiple of 4")
     _expect(dim <= MAX_DIMENSION, "$.dimension",
@@ -165,7 +170,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 _expect(isinstance(term, list) and len(term) == 3, tloc,
                         "term must be [i, j, coeff]")
                 i, j, c = term
-                _expect(isinstance(i, int) and isinstance(j, int), tloc,
+                _expect(_is_int(i) and _is_int(j), tloc,
                         "indices must be integers")
                 _expect(1 <= i < j <= dim, tloc,
                         f"indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
@@ -179,7 +184,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             _expect(isinstance(item, list) and len(item) == 3, loc,
                     "entry must be [i, j, [[k, coeff], ...]]")
             i, j, comps = item
-            _expect(isinstance(i, int) and isinstance(j, int), loc,
+            _expect(_is_int(i) and _is_int(j), loc,
                     "indices must be integers")
             _expect(1 <= i <= dim and 1 <= j <= dim and i != j, loc,
                     "indices out of range")
@@ -190,7 +195,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 _expect(isinstance(pair, list) and len(pair) == 2, ploc,
                         "component must be [k, coeff]")
                 k, c = pair
-                _expect(isinstance(k, int) and 1 <= k <= dim, ploc,
+                _expect(_is_int(k) and 1 <= k <= dim, ploc,
                         "target index out of range")
                 comp_out.append((k, _field_member_at(field, c, ploc)))
             parsed_brackets.append((i, j, comp_out))
@@ -235,7 +240,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             _expect(isinstance(term, list) and len(term) == 4, loc,
                     "term must be [i, j, re, im]")
             i, j = term[0], term[1]
-            _expect(isinstance(i, int) and isinstance(j, int)
+            _expect(_is_int(i) and _is_int(j)
                     and 1 <= i < j <= dim // 2, loc,
                     "indices must satisfy 1 <= i < j <= 2n")
             values[(i - 1, j - 1)] = ComplexScalar(_field_member_at(field, term[2], loc),

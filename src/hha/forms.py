@@ -167,9 +167,6 @@ class Form:
                     out[merged] = s
         return Form(self.nsym, deg, out)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
     def wedge_power(self, k: int) -> "Form":
         if k < 0:
             raise ValueError("negative wedge power")

@@ -520,14 +520,10 @@ class Metric:
         N, dim, n = self.N, self.geometry.algebra.dim, self.n
         power = self.omega_power(n - p)
         source = list(itertools.combinations(range(N), p))
-        target = list(itertools.combinations(range(N), 2 * n - p))
-        index = {key: i for i, key in enumerate(target)}
-        mat = [[C_ZERO] * len(source) for _ in range(len(target))]
-        for j, key in enumerate(source):
-            img = power.wedge(Form.monomial(dim, key))
-            for k, c in img.terms.items():
-                mat[index[k]][j] = c
-        return len(source) == len(target) and not linalg.det(mat).is_zero()
+        if len(source) != math.comb(N, 2 * n - p):
+            return False
+        images = (power.wedge(Form.monomial(dim, key)).terms for key in source)
+        return len(linalg.echelon(images)) == len(source)
 
     # -- traces --------------------------------------------------------------------
 
@@ -593,24 +589,24 @@ class Metric:
         return self._canonical
 
     def _solve_beta(self) -> Form:
+        """beta with beta ^ Omega^{n-1} = del Omega^{n-1}, by one elimination.
+
+        Each (2n-1,0) monomial gives one equation in the coefficients of
+        beta on z^1..z^N, with the target in column N.
+        """
         fr = self.geometry.frame
         n, N, dim = self.n, self.N, self.geometry.algebra.dim
         power = self.omega_power(n - 1)
-        target = fr.del_(power)
-        rows_keys = list(itertools.combinations(range(N), 2 * n - 1))
-        index = {k: i for i, k in enumerate(rows_keys)}
-        mat = [[C_ZERO] * N for _ in rows_keys]
+        equations: dict = {}
         for r in range(N):
-            img = Form.monomial(dim, (r,)).wedge(power)
-            for k, c in img.terms.items():
-                mat[index[k]][r] = c
-        rhs = [C_ZERO] * len(rows_keys)
-        for k, c in target.terms.items():
-            rhs[index[k]] = c
-        sol = linalg.solve(mat, rhs)
-        if sol is None:
+            for k, c in Form.monomial(dim, (r,)).wedge(power).terms.items():
+                equations.setdefault(k, {})[r] = c
+        for k, c in fr.del_(power).terms.items():
+            equations.setdefault(k, {})[N] = c
+        rows = linalg.echelon(equations.values())
+        if N in rows:
             raise ConsistencyError("beta solve failed; hard Lefschetz violated")
-        terms = {(r,): c for r, c in enumerate(sol) if not c.is_zero()}
+        terms = {(r,): row[N] for r, row in rows.items() if N in row}
         return Form(dim, 1, terms)
 
     def curvature(self) -> CurvatureData:

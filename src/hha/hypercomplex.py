@@ -25,7 +25,8 @@ from functools import cached_property
 
 from . import linalg
 from .forms import Form, bidegree_project, leibniz_differential
-from .liealg import LieAlgebraData, add_scaled
+from .liealg import LieAlgebraData
+from .linalg import add_scaled, echelon_add
 from .scalars import (
     C_ONE,
     C_ZERO,
@@ -205,6 +206,11 @@ class ComplexFrame:
     conjugates, with N = dim/2; pairs (z^{2i-1}, z^{2i}) span a quaternionic
     block, J z^{2i-1} = -conj(z^{2i}).
 
+    The adapted basis keeps a candidate when ``linalg.echelon_add`` finds it
+    outside the span of the vectors already chosen, and the frame inverse
+    is ``linalg.inverse``, which eliminates only the nonzeros of the frame
+    matrix (for the standard structure, the identity).
+
     Each differential is one ``leibniz_differential`` call on a generator
     table built once per frame.  Sign convention: J^{-1} = (-1)^k J on
     k-forms, so for J g^k = s g^j the del_J table holds
@@ -231,28 +237,15 @@ class ComplexFrame:
     def _build_adapted_basis(self):
         dim = self.dim
         cols = self.structure.columns
-        rows: list = []  # (pivot, row): row[pivot] == 1, zero at every earlier pivot
+        rows: dict = {}  # the reduced row echelon basis of the chosen vectors
         chosen: list = []
-
-        def try_add(vec: dict) -> bool:
-            row = dict(vec)
-            for piv, r in rows:
-                f = row.get(piv)
-                if f is not None:
-                    add_scaled(row, -f, r)
-            if not row:
-                return False
-            piv = min(row)
-            inv = row[piv].inverse()
-            rows.append((piv, {k: c * inv for k, c in row.items()}))
-            return True
 
         for i in range(dim):
             block = [{i: ONE}] + [cols[label][i] for label in ("I", "J", "K")]
-            if not try_add(block[0]):
+            if echelon_add(rows, block[0]) is None:
                 continue
             for img in block[1:]:
-                if not try_add(img):
+                if echelon_add(rows, img) is None:
                     raise StructureError("quaternionic block failed to extend the span")
             chosen.extend([vec.get(r, ZERO) for r in range(dim)] for vec in block)
             if len(chosen) == dim:

@@ -15,9 +15,9 @@ brackets on first read; no dense ad(e_i) matrix is built:
   row per nonzero (i, k), so at most twice as many rows as nonzero
   structure constants instead of dim^2;
 * spans (the derived algebra, the lower central and derived series, the
-  centre's equations) are reduced to the reduced row echelon basis of
-  sparse rows, which is unique, so no basis depends on the order in which
-  its vectors were found.
+  centre's equations) are reduced by ``linalg.echelon`` to the reduced row
+  echelon basis of sparse rows, which is unique, so no basis depends on the
+  order in which its vectors were found.
 """
 from __future__ import annotations
 
@@ -273,12 +273,12 @@ class LieAlgebraData:
         return total
 
     def _span_of_brackets(self, us, vs) -> list:
-        return list(_echelon(self.bracket(u, v) for u in us for v in vs).values())
+        return list(linalg.echelon(self.bracket(u, v) for u in us for v in vs).values())
 
     @cached_property
     def _derived(self) -> list:
         """Reduced row echelon basis of [g, g], in pivot order; brackets never change after init."""
-        return list(_echelon(self.brackets.values()).values())
+        return list(linalg.echelon(self.brackets.values()).values())
 
     def derived_basis(self):
         """Basis of [g, g] in reduced row echelon form, as sparse vectors."""
@@ -298,7 +298,7 @@ class LieAlgebraData:
                 for k, c in col.items():
                     by_target.setdefault(k, {})[j] = c
             rows.extend(by_target.values())
-        echelon = _echelon(rows)
+        echelon = linalg.echelon(rows)
         out = []
         for free in range(self.dim):
             if free in echelon:
@@ -327,12 +327,8 @@ class LieAlgebraData:
         return out
 
     def in_derived_subalgebra(self, vec: dict) -> bool:
-        v = {k: c for k, c in vec.items() if not c.is_zero()}
-        for row in self._derived:  # the first key of an echelon row is its pivot
-            f = v.get(next(iter(row)))
-            if f is not None:
-                add_scaled(v, -f, row)
-        return not v
+        rows = linalg.echelon(self._derived)  # a copy: a new vector updates its rows
+        return linalg.echelon_add(rows, vec) is None
 
     def has_rational_structure_constants(self) -> bool:
         return all(
@@ -357,44 +353,6 @@ class LieAlgebraData:
         if form.nsym != self.dim:
             raise AlgebraError("form does not live over this algebra's coframe")
         return leibniz_differential(form, self._d_table)
-
-
-def add_scaled(acc: dict, f, vec: dict) -> None:
-    """acc += f * vec on sparse vectors, dropping entries that cancel."""
-    for k, c in vec.items():
-        x = acc.get(k, ZERO) + f * c
-        if x.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = x
-
-
-def _echelon(vectors) -> dict:
-    """Reduced row echelon basis of the span of sparse Scalar vectors.
-
-    Maps each pivot to its row, which is 1 at the pivot, 0 at every other
-    pivot and has no key below the pivot.  The reduced row echelon basis of
-    a span is unique, so it does not depend on the order of ``vectors``.
-    """
-    rows: dict = {}
-    for vec in vectors:
-        v = {k: c for k, c in vec.items() if not c.is_zero()}
-        for p, row in rows.items():
-            f = v.get(p)
-            if f is not None:
-                add_scaled(v, -f, row)
-        if not v:
-            continue
-        p = min(v)
-        inv = v[p].inverse()
-        v = {k: c * inv for k, c in v.items()}
-        for row in rows.values():
-            f = row.get(p)
-            if f is not None:
-                add_scaled(row, -f, v)
-        rows[p] = v
-    return {p: dict(sorted(rows[p].items())) for p in sorted(rows)}
-
 
 
 def algebra_invariants(d: LieAlgebraData) -> dict:

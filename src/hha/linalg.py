@@ -1,4 +1,15 @@
-"""Exact dense linear algebra over complex scalars (small matrices only)."""
+"""Exact linear algebra over complex scalars, with one elimination kernel.
+
+Every row reduction of ``hha`` apart from ``det``, ``hermitian_inertia``
+and ``forms.pfaffian`` is :func:`echelon_add`: it adds one sparse row (a
+dict from column to scalar) to a reduced row echelon basis and touches
+only nonzeros.  Callers
+that hold forms pass ``form.terms`` as rows directly.  ``solve``,
+``inverse``, ``rank`` and ``nullspace`` read :func:`echelon` on the
+nonzeros of their dense input; ``det`` and ``hermitian_inertia`` are
+forward elimination with a pivot product and symmetric pivoting, and the
+small dense matrix helpers stay dense.
+"""
 from __future__ import annotations
 
 from .scalars import C_ONE, C_ZERO, ComplexScalar
@@ -73,65 +84,85 @@ def conj_transpose(a):
     return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a[0]))]
 
 
-def _row_echelon(m):
-    """In-place reduced row echelon; returns pivot column list."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if not m[i][c].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        prow = m[r]
-        inv = prow[c].inverse()
-        # the pivot row is often sparse: scale and subtract only its nonzeros
-        support = [j for j in range(cols) if not prow[j].is_zero()]
-        for j in support:
-            prow[j] = prow[j] * inv
-        for i in range(rows):
-            row = m[i]
-            if i != r and not row[c].is_zero():
-                f = row[c]
-                for j in support:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+def add_scaled(acc: dict, f, vec: dict) -> None:
+    """acc += f * vec on sparse vectors, dropping entries that cancel."""
+    for k, c in vec.items():
+        x = acc.get(k)
+        x = f * c if x is None else x + f * c
+        if x.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = x
+
+
+def echelon_add(rows: dict, vec: dict):
+    """Add ``vec`` to the reduced row echelon basis ``rows``, in place.
+
+    ``rows`` maps each pivot to its row, which is 1 at the pivot, 0 at every
+    other pivot and has no key below the pivot.  Returns the new pivot, or
+    None when ``vec`` is already in the span.
+    """
+    v = {k: c for k, c in vec.items() if not c.is_zero()}
+    for p, row in rows.items():
+        f = v.get(p)
+        if f is not None:
+            add_scaled(v, -f, row)
+    if not v:
+        return None
+    p = min(v)
+    inv = v[p].inverse()
+    v = {k: c * inv for k, c in v.items()}
+    for row in rows.values():
+        f = row.get(p)
+        if f is not None:
+            add_scaled(row, -f, v)
+    rows[p] = v
+    return p
+
+
+def echelon(vectors) -> dict:
+    """Reduced row echelon basis of the span of sparse vectors, by pivot.
+
+    The reduced row echelon basis of a span is unique, so it depends neither
+    on the order of ``vectors`` nor on their number; keys only need an order
+    (column indices or monomial tuples).  Pivots and row keys come sorted.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        echelon_add(rows, vec)
+    return {p: dict(sorted(rows[p].items())) for p in sorted(rows)}
+
+
+def _nonzeros(row) -> dict:
+    """The nonzero entries of a dense row as a sparse row."""
+    return {j: y for j, x in enumerate(row) if not (y := _c(x)).is_zero()}
 
 
 def solve(a, b):
     """Solve A x = b exactly; returns None when inconsistent.
 
     A is m x n (m equations), b length m.  With multiple solutions an
-    arbitrary member (free variables zero) is returned.
+    arbitrary member (free variables zero) is returned.  Column n of the
+    augmented rows is b, so the system is inconsistent exactly when n is a
+    pivot.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    aug = [[_c(a[i][j]) for j in range(n)] + [_c(b[i])] for i in range(m)]
-    pivots = _row_echelon(aug)
-    if n in pivots:
+    n = len(a[0]) if a else 0
+    rows = echelon(_nonzeros([*row, rhs]) for row, rhs in zip(a, b))
+    if n in rows:
         return None
     x = [C_ZERO] * n
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][n]
+    for p, row in rows.items():
+        x[p] = row.get(n, C_ZERO)
     return x
 
 
 def inverse(a):
+    """A^-1 from the reduced rows of [A | 1], columns n...2n-1 holding 1."""
     n = len(a)
-    aug = [[_c(a[i][j]) for j in range(n)] + identity(n)[i] for i in range(n)]
-    pivots = _row_echelon(aug)
-    if pivots != list(range(n)):
+    rows = echelon({**_nonzeros(row), n + i: C_ONE} for i, row in enumerate(a))
+    if list(rows) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in aug]
+    return [[row.get(n + j, C_ZERO) for j in range(n)] for row in rows.values()]
 
 
 def det(a) -> ComplexScalar:
@@ -166,23 +197,22 @@ def det(a) -> ComplexScalar:
 
 
 def rank(a) -> int:
-    m = [[_c(x) for x in row] for row in a]
-    return len(_row_echelon(m)) if m else 0
+    return len(echelon(_nonzeros(row) for row in a))
 
 
 def nullspace(a):
-    """Basis of the right kernel of A."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    red = [[_c(x) for x in row] for row in a]
-    pivots = _row_echelon(red)
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of the right kernel of A, one vector per free column."""
+    n = len(a[0]) if a else 0
+    rows = echelon(_nonzeros(row) for row in a)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in rows:
+            continue
         v = [C_ZERO] * n
         v[fc] = C_ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for p, row in rows.items():
+            if fc in row:
+                v[p] = -row[fc]
         basis.append(v)
     return basis
 

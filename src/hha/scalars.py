@@ -304,7 +304,6 @@ def _exact(a: Fraction, b: Fraction = _F0, d: int = 0) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-TWO = Scalar(2)
 HALF = Scalar(Fraction(1, 2))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from hha.classify import (
     sl_and_class_check,
     solve_exactness,
 )
+from hha import linalg
 from hha.catalog import get_example
 from hha.forms import Form
 from hha.hermitian import Metric
@@ -461,3 +463,64 @@ def test_skt_of_j_and_k_matches_the_rotated_frame(case):
 def test_omega_i_top_minus_one_matches_the_wedge_power(case):
     m = _oracle_metric(case)
     assert m.omega_i_top_minus_one() == m.omega_i().wedge_power(m.N - 1)
+
+
+# -- the polarisation span of family_qsg_obstruction ------------------------------
+
+
+def wedge_polarisation_span(g):
+    """Rows of del(m_1 ^ ... ^ m_{n-1}) over a spanning set of the q-real
+    (2,0)-forms: both unit coefficients of every monomial, symmetrised by
+    J o conj, wedged multiset by multiset.  The oracle of the closed form."""
+    fr, n, N, dim = g.frame, g.n, g.N, g.algebra.dim
+    basis = []
+    for r in range(N):
+        for s in range(r + 1, N):
+            for coeff in (C_ONE, ComplexScalar(ZERO, ONE)):
+                seed = Form.monomial(dim, (r, s), coeff)
+                cand = seed + fr.j_action(fr.conjugate(seed))
+                if not cand.is_zero():
+                    basis.append(cand)
+    rows = []
+    for combo in itertools.combinations_with_replacement(basis, n - 1):
+        prod = Form.constant(dim, C_ONE)
+        for form in combo:
+            prod = prod.wedge(form)
+        rows.append(fr.del_(prod).terms)
+    return rows
+
+
+POLARISATION_ENTRIES = ("abelian8", "abelian12", "joyce_su2xsu2", "joyce_su3",
+                        "qbal12", "qgau8", "qgau12", "qsg12")
+PAIRS = (None, (SpherePoint(0, 1, 0), SpherePoint(1, 0, 0)),
+         (SpherePoint(0, 0, 1), SpherePoint(0, 1, 0)))
+
+
+@pytest.mark.parametrize("pair", range(len(PAIRS)))
+@pytest.mark.parametrize("name", POLARISATION_ENTRIES)
+def test_polarisation_span_is_del_of_the_holomorphic_monomials(name, pair):
+    g, _ = get_example(name).load()
+    if PAIRS[pair] is not None:
+        g = g.rotated(*PAIRS[pair])
+    fr, n, N, dim = g.frame, g.n, g.N, g.algebra.dim
+    monomials = [Form.monomial(dim, key)
+                 for key in itertools.combinations(range(N), 2 * n - 2)]
+    closed = [fr.del_(f).terms for f in monomials]
+    wedged = wedge_polarisation_span(g)
+    r_closed = len(linalg.echelon(closed))
+    assert len(linalg.echelon(wedged)) == r_closed
+    assert len(linalg.echelon(closed + wedged)) == r_closed
+    image = [fr.del_j(f).terms for f in monomials]
+    trivial = (len(linalg.echelon(wedged + image))
+               == len(linalg.echelon(wedged)) + len(linalg.echelon(image)))
+    report = family_qsg_obstruction(g, samples=1)
+    assert report.image_intersection_trivial == trivial
+
+
+@pytest.mark.parametrize("name", ["qgau16", "qgau20", "qgau24"])
+def test_family_qsg_obstruction_certifies_large_qgau(name):
+    g, _ = get_example(name).load()
+    rep = family_qsg_obstruction(g, samples=4)
+    assert rep.image_intersection_trivial
+    assert rep.samples_all_fail
+    assert rep.nonvanishing_on_samples

@@ -141,12 +141,22 @@ def test_missing_file_is_input_error(tmp_path):
     (["search", "FILE", "--predicate", "hkt", "--height", "0"], None, "--height"),
     (["search", "FILE", "--predicate", "hkt", "--height", "-2",
       "--family", "full"], None, "--height"),
+    # JSON true is not the integer 1: not as an index, a coefficient or an entry
+    (["check", "FILE"], {"structure_equations": {"10": [[True, 5, "1"]]}},
+     "$.structure_equations.10[0]"),
+    (["check", "FILE"], {"structure_equations": {"10": [[1, 6, True]]}},
+     "$.structure_equations.10[0]"),
+    (["check", "FILE"], {"type": "diagonal", "entries": [True, "1", "1"]},
+     "$.metric.entries[0]"),
 ])
 def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
     if metric is not None:
         with open(qbal12_file, encoding="utf-8") as fh:
             data = json.load(fh)
-        data["metric"] = metric
+        if "type" in metric:
+            data["metric"] = metric
+        else:  # other top-level fields to replace
+            data.update(metric)
         with open(qbal12_file, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
     code, _, err = run_cli([qbal12_file if a == "FILE" else a for a in args])

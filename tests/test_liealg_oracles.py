@@ -83,11 +83,45 @@ def dense_center_basis(alg):
             for v in linalg.nullspace(rows)]
 
 
+def _row_echelon(m):
+    """In-place reduced row echelon; returns pivot column list."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if not m[i][c].is_zero():
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow = m[r]
+        inv = prow[c].inverse()
+        # the pivot row is often sparse: scale and subtract only its nonzeros
+        support = [j for j in range(cols) if not prow[j].is_zero()]
+        for j in support:
+            prow[j] = prow[j] * inv
+        for i in range(rows):
+            row = m[i]
+            if i != r and not row[c].is_zero():
+                f = row[c]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
 def dense_reduce_span(vectors, dim):
     rows = [[ComplexScalar(v.get(i, ZERO)) for i in range(dim)] for v in vectors]
     if not rows:
         return []
-    pivots = linalg._row_echelon(rows)
+    pivots = _row_echelon(rows)
     return [{i: rows[r][i].re for i in range(dim) if not rows[r][i].is_zero()}
             for r in range(len(pivots))]
 
