@@ -46,7 +46,7 @@ from .forms import Form
 from .hermitian import MetricError, QRealError
 from .hypercomplex import IntegrabilityError, SpherePoint, StructureError
 from .liealg import AlgebraError, JacobiError
-from .scalars import ComplexScalar, ScalarError, parse_scalar
+from .scalars import FLOAT_TOLERANCE, ComplexScalar, ScalarError, parse_scalar
 
 
 INPUT_FAULTS = (InputError, JacobiError, AlgebraError, IntegrabilityError,
@@ -63,7 +63,7 @@ def _load_file(path: str, float_mode: bool = False):
     doc = parse_input(text, default_field=default)
     if float_mode:
         raw = dict(doc.raw)
-        raw["scalar_field"] = {"kind": "float", "tolerance": 1e-9}
+        raw["scalar_field"] = {"kind": "float", "tolerance": FLOAT_TOLERANCE}
         doc = parse_input(json.dumps(raw))
     geom, metric = load_document(doc)
     return doc, geom, metric
@@ -191,7 +191,17 @@ def cmd_catalog(args) -> int:
     return 1 if failed else 0
 
 
+# input files each construction reads
+CONSTRUCT_INPUTS = {"an": 2, "bf": 1, "joyce": 0}
+
+
 def cmd_construct(args) -> int:
+    count = CONSTRUCT_INPUTS[args.kind]
+    if len(args.inputs) != count:
+        raise InputError(f"construct {args.kind}",
+                         f"expected {count} input file(s), got {len(args.inputs)}")
+    if args.k < 1:
+        raise InputError("--k", f"expected a positive integer, got {args.k}")
     if args.kind == "an":
         _, ga, ma = _load_file(args.inputs[0])
         _, gb, mb = _load_file(args.inputs[1])

@@ -18,6 +18,7 @@ from .hypercomplex import Geometry, HypercomplexStructure
 from .liealg import LieAlgebraData
 from .scalars import (
     ComplexScalar,
+    FLOAT_TOLERANCE,
     Scalar,
     ScalarError,
     ScalarField,
@@ -26,9 +27,10 @@ from .scalars import (
 )
 
 
-# Inputs above this real dimension are refused before any work: the dense
-# dim x dim matrices and the exterior algebra of the frame grow too fast (an
-# abelian input takes seconds at 48 and did not finish in minutes at 96).
+# Inputs above this real dimension are refused before any work.  A k-form of
+# the frame can hold C(dim, k) terms, so the cost of the exterior calculus on
+# a general input is bounded only through the dimension; every input the
+# repository builds is below the cap (the largest, from construct an, is 28).
 MAX_DIMENSION = 48
 
 
@@ -41,18 +43,17 @@ class InputError(ValueError):
 
 
 def default_field_from_env(value: str | None) -> dict | None:
-    """Interpret HHA_DEFAULT_FIELD: "rational", "quadratic:D", "float[:tol]"."""
+    """Interpret HHA_DEFAULT_FIELD: "rational", "quadratic:D" or "float"."""
     if not value:
         return None
     parts = value.split(":")
-    if parts[0] == "rational":
+    if value == "rational":
         return {"kind": "rational"}
+    if value == "float":
+        return {"kind": "float", "tolerance": FLOAT_TOLERANCE}
     try:
         if parts[0] == "quadratic" and len(parts) == 2:
             return {"kind": "quadratic", "d": int(parts[1])}
-        if parts[0] == "float":
-            tol = float(parts[1]) if len(parts) == 2 else 1e-9
-            return {"kind": "float", "tolerance": tol}
     except ValueError:
         pass
     raise InputError("$HHA_DEFAULT_FIELD", f"cannot interpret {value!r}")
@@ -137,11 +138,14 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     fld_raw = raw.get("scalar_field", {"kind": "rational"})
     _expect(isinstance(fld_raw, dict), "$.scalar_field", "must be an object")
     kind = fld_raw.get("kind", "rational")
+    if kind == "float":
+        tol = fld_raw.get("tolerance", FLOAT_TOLERANCE)
+        _expect(tol == FLOAT_TOLERANCE, "$.scalar_field.tolerance",
+                f"the float backend compares with the fixed tolerance "
+                f"{FLOAT_TOLERANCE}, got {tol!r}")
     try:
         if kind == "quadratic":
             field = ScalarField("quadratic", int(fld_raw.get("d", 0)))
-        elif kind == "float":
-            field = ScalarField("float", tolerance=float(fld_raw.get("tolerance", 1e-9)))
         else:
             field = ScalarField(kind)
     except Exception as exc:
@@ -348,7 +352,7 @@ def _scalar_field_json(field: ScalarField):
     if field.kind == "quadratic":
         return {"kind": "quadratic", "d": field.d}
     if field.kind == "float":
-        return {"kind": "float", "tolerance": field.tolerance}
+        return {"kind": "float", "tolerance": FLOAT_TOLERANCE}
     return {"kind": "rational"}
 
 

@@ -26,10 +26,9 @@ from functools import cached_property
 from . import linalg
 from .forms import Form, bidegree_project, leibniz_differential
 from .liealg import LieAlgebraData
-from .linalg import add_scaled, echelon_add
+from .linalg import add_scaled, echelon, echelon_add
 from .scalars import (
     C_ONE,
-    C_ZERO,
     ComplexScalar,
     HALF,
     ONE,
@@ -207,9 +206,13 @@ class ComplexFrame:
     block, J z^{2i-1} = -conj(z^{2i}).
 
     The adapted basis keeps a candidate when ``linalg.echelon_add`` finds it
-    outside the span of the vectors already chosen, and the frame inverse
-    is ``linalg.inverse``, which eliminates only the nonzeros of the frame
-    matrix (for the standard structure, the identity).
+    outside the span of the vectors already chosen; ``basis`` holds the
+    chosen u_a as sparse columns.  No frame inverse is formed: one real
+    ``linalg.echelon`` of the sparse rows [P | 1], P having the columns u_a,
+    gives the coframe u^a, and both image tables (z^r in the real coframe,
+    e^i in the complex one) are read off the nonzeros of the coframe rows
+    and of the rows of P.  For the standard structure P is the identity and
+    each row costs one pivot.
 
     Each differential is one ``leibniz_differential`` call on a generator
     table built once per frame.  Sign convention: J^{-1} = (-1)^k J on
@@ -222,15 +225,34 @@ class ComplexFrame:
     def __init__(self, d: LieAlgebraData, H: HypercomplexStructure):
         self.algebra = d
         self.structure = H
-        self.dim = d.dim
-        self.N = d.dim // 2
-        self.basis = self._build_adapted_basis()  # columns: u_a over e-basis
-        P = [[self.basis[a][i] for a in range(self.dim)] for i in range(self.dim)]
-        self._P = P
-        Pc = [[ComplexScalar(x) for x in row] for row in P]
-        self._P_inv = linalg.inverse(Pc)
-        self._real_images = self._build_real_to_complex_images()
-        self._complex_images = self._build_complex_to_real_images()
+        self.dim = dim = d.dim
+        self.N = N = dim // 2
+        self.basis = self._build_adapted_basis()  # u_a as sparse columns over the e-basis
+        # P has the columns u_a; [P | 1] reduces to [1 | P^-1], whose row a is u^a
+        P: list = [{} for _ in range(dim)]
+        for a, u in enumerate(self.basis):
+            for i, x in u.items():
+                P[i][a] = x
+        rows = echelon({**row, dim + i: ONE} for i, row in enumerate(P))
+        if list(rows) != list(range(dim)):
+            raise StructureError("the adapted basis is singular")
+        coframe = [{k - dim: x for k, x in row.items() if k >= dim} for row in rows.values()]
+        # z^r = u^{2r} + i u^{2r+1} (0-based), and its conjugate, in the real coframe
+        hol = [Form(dim, 1, {(i,): ComplexScalar(re.get(i, ZERO), im.get(i, ZERO))
+                             for i in sorted(re.keys() | im.keys())})
+               for re, im in zip(coframe[0::2], coframe[1::2])]
+        self._complex_images = hol + [
+            Form(dim, 1, {k: c.conjugate() for k, c in z.terms.items()}) for z in hol]
+        # e^i = sum_a P[i][a] u^a = sum_r h z^r + conj(h) conj(z^r),
+        # h = P[i][2r]/2 - i P[i][2r+1]/2
+        self._real_images = []
+        for row in P:
+            terms: dict = {}
+            for r in sorted({a // 2 for a in row}):
+                h = ComplexScalar(HALF * row.get(2 * r, ZERO), -HALF * row.get(2 * r + 1, ZERO))
+                terms[(r,)] = h
+                terms[(N + r,)] = h.conjugate()
+            self._real_images.append(Form(dim, 1, terms))
 
     # -- frame construction ---------------------------------------------------
 
@@ -247,60 +269,12 @@ class ComplexFrame:
             for img in block[1:]:
                 if echelon_add(rows, img) is None:
                     raise StructureError("quaternionic block failed to extend the span")
-            chosen.extend([vec.get(r, ZERO) for r in range(dim)] for vec in block)
+            chosen.extend(dict(vec) for vec in block)
             if len(chosen) == dim:
                 break
         if len(chosen) != dim:
             raise StructureError("could not build an adapted basis")
         return chosen
-
-    def _build_real_to_complex_images(self):
-        """e^i expressed in the complex frame covectors."""
-        dim, N = self.dim, self.N
-        images = []
-        half = ComplexScalar(HALF)
-        half_i = ComplexScalar(ZERO, HALF)
-        for i in range(dim):
-            terms: dict = {}
-            for a in range(dim):
-                coeff = self._P[i][a]
-                if coeff.is_zero():
-                    continue
-                r = a // 2
-                hol, bar = (r,), (N + r,)
-                if a % 2 == 0:
-                    # u^{2r} = (z^{r+1} + conj)/2
-                    for key, base in ((hol, half), (bar, half)):
-                        c = base * coeff
-                        acc = terms.get(key, C_ZERO) + c
-                        terms[key] = acc
-                else:
-                    # u^{2r+1} = -i (z^{r+1} - conj)/2
-                    for key, base in ((hol, -half_i), (bar, half_i)):
-                        c = base * coeff
-                        acc = terms.get(key, C_ZERO) + c
-                        terms[key] = acc
-            terms = {k: v for k, v in terms.items() if not v.is_zero()}
-            images.append(Form(dim, 1, terms))
-        return images
-
-    def _build_complex_to_real_images(self):
-        """z^r and conj(z^r) expressed in the real coframe."""
-        dim, N = self.dim, self.N
-        out = []
-        for r in range(N):
-            terms: dict = {}
-            for i in range(dim):
-                c = self._P_inv[2 * r][i] + self._P_inv[2 * r + 1][i].times_i()
-                if not c.is_zero():
-                    terms[(i,)] = c
-            out.append(Form(dim, 1, terms))
-        for r in range(N):
-            conj_terms = {
-                k: v.conjugate() for k, v in out[r].terms.items()
-            }
-            out.append(Form(dim, 1, conj_terms))
-        return out
 
     # -- conversions ------------------------------------------------------------
 

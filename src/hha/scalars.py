@@ -95,18 +95,18 @@ class Scalar:
     def is_rational(self) -> bool:
         return self.d == 0
 
-    def is_zero(self, tol: float = FLOAT_TOLERANCE) -> bool:
+    def is_zero(self) -> bool:
         d = self.d
         if d == 0:
             return not self.a
         if d == FLOAT_KIND:
-            return abs(self.a) <= tol
+            return abs(self.a) <= FLOAT_TOLERANCE
         return False  # canonical form: d >= 2 carries b != 0
 
-    def sign(self, tol: float = FLOAT_TOLERANCE) -> int:
+    def sign(self) -> int:
         """Exact sign under the embedding sqrt(d) > 0 (tolerance in float mode)."""
         if self.is_float:
-            if abs(self.a) <= tol:
+            if abs(self.a) <= FLOAT_TOLERANCE:
                 return 0
             return 1 if self.a > 0 else -1
         a, b = self.a, self.b
@@ -156,7 +156,10 @@ class Scalar:
         raise TypeError(f"cannot interpret {x!r} as a scalar")
 
     def __add__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented  # a ComplexScalar operand takes the mixed sum
         if self.d == 0 and other.d == 0:
             return _exact(self.a + other.a)
         d = self._join(other)
@@ -180,7 +183,10 @@ class Scalar:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented  # a ComplexScalar operand takes the mixed product
         if self.d == 0:
             if other.d == 0:
                 return _exact(self.a * other.a)
@@ -529,18 +535,20 @@ def parse_complex(text: str) -> ComplexScalar:
 
 
 class ScalarField:
-    """Declared ground field of a data set: rational, quadratic, or float."""
+    """Declared ground field of a data set: rational, quadratic, or float.
 
-    __slots__ = ("kind", "d", "tolerance")
+    The float field compares with the fixed ``FLOAT_TOLERANCE``.
+    """
 
-    def __init__(self, kind: str = "rational", d: int = 0, tolerance: float = FLOAT_TOLERANCE):
+    __slots__ = ("kind", "d")
+
+    def __init__(self, kind: str = "rational", d: int = 0):
         if kind not in ("rational", "quadratic", "float"):
             raise ScalarError(f"unknown scalar field kind {kind!r}")
         if kind == "quadratic" and not _is_squarefree(d):
             raise ScalarError(f"quadratic field needs square-free d >= 2, got {d}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "d", d if kind == "quadratic" else 0)
-        object.__setattr__(self, "tolerance", tolerance)
 
     def __setattr__(self, *_):
         raise AttributeError("ScalarField is immutable")
@@ -575,10 +583,10 @@ class ScalarField:
         if self.kind == "quadratic":
             return f"ScalarField(quadratic, sqrt({self.d}))"
         if self.kind == "float":
-            return f"ScalarField(float, tol={self.tolerance})"
+            return f"ScalarField(float, tol={FLOAT_TOLERANCE})"
         return "ScalarField(rational)"
 
 
-def sign_of(s: Scalar, tol: float = FLOAT_TOLERANCE) -> int:
+def sign_of(s: Scalar) -> int:
     """Sign of an exact scalar; float scalars route through the tolerance."""
-    return s.sign(tol)
+    return s.sign()

@@ -107,6 +107,35 @@ def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch):
     assert "$HHA_DEFAULT_FIELD" in err
 
 
+@pytest.mark.parametrize("tolerance, code", [(0.5, 2), (1e-9, 0)])
+def test_declared_float_tolerance_is_fixed(qbal12_file, tolerance, code):
+    # a tolerance the float backend would not apply is refused, not echoed
+    with open(qbal12_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["scalar_field"] = {"kind": "float", "tolerance": tolerance}
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    result, _, err = run_cli(["classify", qbal12_file, "--format", "json"])
+    assert result == code
+    assert ("$.scalar_field.tolerance" in err) == bool(code)
+
+
+@pytest.mark.parametrize("value, code", [("float:0.5", 2), ("float:1e-9", 2), ("float", 0)])
+def test_default_field_env_takes_no_tolerance(qbal12_file, monkeypatch, value, code):
+    with open(qbal12_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["scalar_field"]
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("HHA_DEFAULT_FIELD", value)
+    result, out, err = run_cli(["check", qbal12_file])
+    assert result == code
+    if code:
+        assert "$HHA_DEFAULT_FIELD" in err
+    else:
+        assert "ScalarField(float, tol=1e-09)" in out
+
+
 @pytest.mark.parametrize("fault", [
     ConsistencyError("balanced characterisations disagree"),
     ValueError("forms live over different frames"),
@@ -361,3 +390,18 @@ def test_entry_point_runs_as_subprocess(qbal12_file):
     )
     assert result.returncode == 0
     assert "q_balanced" in result.stdout
+
+
+@pytest.mark.parametrize("args, location", [
+    (["construct", "an", "FILE"], "construct an"),
+    (["construct", "an", "FILE", "FILE", "FILE"], "construct an"),
+    (["construct", "bf"], "construct bf"),
+    (["construct", "joyce", "FILE", "--su3"], "construct joyce"),
+    (["construct", "bf", "FILE", "--k", "-1"], "--k"),
+    (["construct", "bf", "FILE", "--k", "0"], "--k"),
+])
+def test_construct_bad_inputs_are_input_errors(qbal12_file, args, location):
+    code, out, err = run_cli([qbal12_file if a == "FILE" else a for a in args])
+    assert code == 2
+    assert err.startswith(f"error: {location}: ")
+    assert out == ""

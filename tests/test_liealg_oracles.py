@@ -10,10 +10,14 @@ their sparse columns.  The oracles below are the dense routes:
 - the centre as the nullspace of the dim^2 x dim stack of ad matrices;
 - the eager profile, with dense row reduction of spans;
 - the Nijenhuis check applying L as a dense matrix;
-- the adapted basis reduced as dense rows of complex scalars.
+- the adapted basis reduced as dense rows of complex scalars;
+- both frame image tables by dense dim x dim loops over the frame matrix P
+  and its inverse.
 
 They are compared over every catalog algebra and over random direct sums
-and central gluings of catalog entries, some in a rotated frame.
+and central gluings of catalog entries, some in a rotated frame.  Every
+elimination here is the dense ``_row_echelon``, so none of the oracles reads
+``linalg.echelon_add``, the kernel behind the sparse routes.
 """
 import functools
 import hashlib
@@ -28,6 +32,7 @@ from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
 from hha.cli import main
 from hha.constructions import arroyo_nicolini, direct_sum
+from hha.forms import Form
 from hha.hypercomplex import (
     HypercomplexStructure,
     IntegrabilityError,
@@ -37,7 +42,7 @@ from hha.hypercomplex import (
     validate_hypercomplex,
 )
 from hha.liealg import LieAlgebraData
-from hha.scalars import ComplexScalar, ONE, ZERO, rational
+from hha.scalars import C_ONE, C_ZERO, ComplexScalar, HALF, ONE, ZERO, rational
 
 _constructions = settings(max_examples=20, deadline=None, database=None)
 
@@ -74,13 +79,22 @@ def dense_killing_form(alg):
 
 
 def dense_center_basis(alg):
+    """The nullspace of the stacked ad matrices, one vector per free column."""
     n = alg.dim
     rows = []
     for j in range(n):
         adj = ad_matrix(alg, {j: ONE})
         rows.extend([ComplexScalar(x) for x in row] for row in adj)
-    return [{i: v[i].re for i in range(n) if not v[i].is_zero()}
-            for v in linalg.nullspace(rows)]
+    pivots = _row_echelon(rows)
+    basis = []
+    for fc in range(n):
+        if fc not in pivots:
+            v = {fc: ONE}
+            for r, p in enumerate(pivots):
+                if not rows[r][fc].is_zero():
+                    v[p] = -rows[r][fc].re
+            basis.append(v)
+    return basis
 
 
 def _row_echelon(m):
@@ -115,6 +129,15 @@ def _row_echelon(m):
         if r == rows:
             break
     return pivots
+
+
+def dense_inverse(a):
+    """A^-1 from the dense reduced rows of [A | 1]."""
+    n = len(a)
+    m = [[ComplexScalar._coerce(x) for x in row] + [C_ONE if j == i else C_ZERO for j in range(n)]
+         for i, row in enumerate(a)]
+    assert _row_echelon(m) == list(range(n)), "singular matrix"
+    return [row[n:] for row in m]
 
 
 def dense_reduce_span(vectors, dim):
@@ -177,8 +200,10 @@ def dense_in_derived(derived, vec, dim):
     target = [ComplexScalar(vec.get(i, ZERO)) for i in range(dim)]
     if not derived:
         return all(x.is_zero() for x in target)
-    rows = [[ComplexScalar(b.get(i, ZERO)) for i in range(dim)] for b in derived]
-    return linalg.solve(linalg.transpose(rows), target) is not None
+    # column k of the system is derived[k]; it is consistent iff b is no pivot
+    system = [[ComplexScalar(b.get(i, ZERO)) for b in derived] + [target[i]]
+              for i in range(dim)]
+    return len(derived) not in _row_echelon(system)
 
 
 def apply_matrix(mat, vec):
@@ -266,6 +291,34 @@ def dense_adapted_basis(H):
     return chosen
 
 
+def dense_frame_images(H):
+    """(e^i in the complex frame, z^r and conj(z^r) in the real coframe), by
+    dense dim x dim loops over P, whose columns are the adapted basis, and P^-1."""
+    dim, N = H.dim, H.dim // 2
+    basis = dense_adapted_basis(H)
+    P = [[basis[a][i] for a in range(dim)] for i in range(dim)]
+    P_inv = dense_inverse(P)
+    real_images = []
+    for i in range(dim):
+        terms = {}
+        for a in range(dim):
+            coeff = ComplexScalar(P[i][a])
+            if coeff.is_zero():
+                continue
+            # u^{2r} = (z^{r+1} + conj)/2 and u^{2r+1} = -i (z^{r+1} - conj)/2
+            r = a // 2
+            base = ComplexScalar(HALF) if a % 2 == 0 else ComplexScalar(ZERO, -HALF)
+            for key, c in (((r,), base), ((N + r,), base.conjugate())):
+                terms[key] = terms.get(key, C_ZERO) + c * coeff
+        real_images.append(Form(dim, 1, {k: v for k, v in terms.items() if not v.is_zero()}))
+    hol = []
+    for r in range(N):
+        coeffs = [P_inv[2 * r][i] + P_inv[2 * r + 1][i].times_i() for i in range(dim)]
+        hol.append(Form(dim, 1, {(i,): c for i, c in enumerate(coeffs) if not c.is_zero()}))
+    conj = [Form(dim, 1, {k: c.conjugate() for k, c in z.terms.items()}) for z in hol]
+    return real_images, hol + conj
+
+
 # -- comparisons -------------------------------------------------------------------
 
 
@@ -288,7 +341,14 @@ def assert_matches_oracles(geom):
     assert dense_nijenhuis_failure(alg, H) is None
     assert validate_hypercomplex(alg, H)["nijenhuis"] == dict.fromkeys("IJK", "integrable")
     assert is_abelian(alg, H) == dense_is_abelian(alg, H)
-    assert geom.frame.basis == dense_adapted_basis(H)
+    fr, dim = geom.frame, alg.dim
+    assert [[u.get(i, ZERO) for i in range(dim)] for u in fr.basis] == dense_adapted_basis(H)
+    assert (fr._real_images, fr._complex_images) == dense_frame_images(H)
+    for k in range(dim):
+        # e^k for the real coframe, then z^k (conj(z^{k-N}) from k = N) for the frame
+        gen = Form.monomial(dim, (k,))
+        assert fr.to_real(fr.to_complex(gen)) == gen
+        assert fr.to_complex(fr.to_real(gen)) == gen
 
 
 @pytest.mark.parametrize("name", entry_names())

@@ -20,6 +20,7 @@ from hha.liealg import LieAlgebraData
 from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, ONE, ZERO, rational, root
 from test_classify import ORACLE_CASES, _oracle_metric
 from test_hermitian import random_q_real
+from test_liealg_oracles import _row_echelon, dense_inverse
 
 
 class GenericRoutes:
@@ -29,7 +30,7 @@ class GenericRoutes:
         self.m = m
         self.N = m.N
         self.dim = m.geometry.algebra.dim
-        self.g_inv = linalg.inverse(m.gram)
+        self.g_inv = dense_inverse(m.gram)
 
     def covector_product(self, i, j):
         """<z^i, z^j> = (G^-1)_{ji}, conjugated on the antiholomorphic block."""
@@ -63,10 +64,12 @@ class GenericRoutes:
                      for anti in itertools.combinations(range(N, 2 * N), tq)]
             mat = [[self.inner_product(bm, bn) for bm in basis] for bn in basis]
             rhs = [self.inner_product(part, L.wedge(bn)) for bn in basis]
-            sol = linalg.solve(mat, rhs)
-            assert sol is not None
-            for c, bm in zip(sol, basis):
-                out = out + bm.scale(c)
+            # the reduced rows of [mat | rhs]; the Gram matrix of the basis is
+            # invertible, so every column of mat is a pivot
+            system = [[*row, c] for row, c in zip(mat, rhs)]
+            assert _row_echelon(system) == list(range(len(basis)))
+            for row, bm in zip(system, basis):
+                out = out + bm.scale(row[-1])
         return out
 
     def hodge_star(self, a):
@@ -92,8 +95,8 @@ class GenericRoutes:
         evaluated on the adapted basis, moved to the complex frame."""
         geom, dim = self.m.geometry, self.dim
         fr = geom.frame
-        P = [[ComplexScalar(fr.basis[a][i]) for a in range(dim)] for i in range(dim)]
-        P_inv = linalg.inverse(P)
+        P = [[ComplexScalar(fr.basis[a].get(i, ZERO)) for a in range(dim)] for i in range(dim)]
+        P_inv = dense_inverse(P)
         g_e = linalg.mat_mul(linalg.transpose(P_inv),
                              linalg.mat_mul(self.m.gram_real(), P_inv))
         L = [[ComplexScalar(x) for x in row] for row in geom.structure.combo(p)]

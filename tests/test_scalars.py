@@ -152,6 +152,15 @@ def test_complex_arithmetic():
     assert z.times_i() == i * z
 
 
+def test_scalar_defers_to_a_complex_operand():
+    # a sparse row may mix Scalar and ComplexScalar values
+    s, z = quadratic(1, 2, 2), ComplexScalar(rational(1, 3), rational(-2))
+    assert s * z == z * s == ComplexScalar(s * z.re, s * z.im)
+    assert s + z == z + s == ComplexScalar(s + z.re, z.im)
+    with pytest.raises(TypeError):
+        s * "x"
+
+
 def test_complex_str_round_trip():
     cases = [
         ComplexScalar(rational(1)),
