@@ -8,8 +8,6 @@ evaluates to 1 on its own dual frame vectors.
 """
 from __future__ import annotations
 
-import itertools
-
 from .scalars import C_ONE, C_ZERO, ComplexScalar
 
 Key = tuple
@@ -438,30 +436,8 @@ class SkewMatrix:
             entries[(i, j)] = c
         return cls(size, entries)
 
-    def to_form(self, nsym: int) -> Form:
-        terms = {key: c for key, c in self.entries.items()}
-        return Form(nsym, 2, dict(terms))
-
     def pfaffian(self) -> ComplexScalar:
         return pfaffian(self.full())
-
-    def divided_power(self, k: int, nsym: int) -> Form:
-        """Omega^k / k! of Omega = sum_{i<j} A[i][j] z^i ^ z^j, over ``nsym`` symbols.
-
-        Expanding the k-fold wedge, a 2k-subset S of indices collects one
-        term per ordered perfect matching of S into pairs, each signed by the
-        permutation that sorts it: k! Pf(A_S) in all.  So
-        Omega^k / k! = sum_{|S| = 2k} Pf(A_S) z^S, with Omega^0 = 1.
-        """
-        if k < 0:
-            raise ValueError("negative wedge power")
-        full = self.full()
-        terms = {}
-        for key in itertools.combinations(range(self.size), 2 * k):
-            c = pfaffian([[full[i][j] for j in key] for i in key])
-            if not c.is_zero():
-                terms[key] = c
-        return Form(nsym, 2 * k, terms)
 
     def __eq__(self, other):
         return (
@@ -474,13 +450,15 @@ class SkewMatrix:
 def cofactor_power(pf: ComplexScalar, inverse, nsym: int) -> Form:
     """Omega^{m-1} / (m-1)! of a nondegenerate Omega = sum_{r<s} A[r][s] z^r ^ z^s.
 
-    ``pf`` is Pf(A) and ``inverse`` the full matrix A^-1, of size 2m.  By
-    :meth:`SkewMatrix.divided_power` the coefficient on z^{[2m] minus {r, s}}
-    is the complementary Pfaffian Pf(A_{rs}^c).  Expanding Pf(A) along row r
-    gives the coefficient of the variable A[r][s] (r < s) in Pf(A) as
-    (-1)^{r+s-1} Pf(A_{rs}^c), 0-based; Jacobi's formula
-    d Pf = (1/2) Pf tr(A^-1 dA), with dA[r][s] = -dA[s][r], gives it as
-    -Pf(A) (A^-1)[r][s].  Hence Pf(A_{rs}^c) = (-1)^{r+s} Pf(A) (A^-1)[r][s]:
+    ``pf`` is Pf(A) and ``inverse`` the full matrix A^-1, of size 2m.
+    Expanding the (m-1)-fold wedge, a (2m-2)-subset S of indices collects one
+    term per ordered perfect matching of S into pairs, each signed by the
+    permutation that sorts it: (m-1)! Pf(A_S) in all.  So the coefficient on
+    z^{[2m] minus {r, s}} is the complementary Pfaffian Pf(A_{rs}^c).
+    Expanding Pf(A) along row r gives the coefficient of the variable
+    A[r][s] (r < s) in Pf(A) as (-1)^{r+s-1} Pf(A_{rs}^c), 0-based;
+    Jacobi's formula d Pf = (1/2) Pf tr(A^-1 dA), with dA[r][s] = -dA[s][r],
+    gives it as -Pf(A) (A^-1)[r][s].  Hence Pf(A_{rs}^c) = (-1)^{r+s} Pf(A) (A^-1)[r][s]:
     minus where r + s is odd.
     """
     size = len(inverse)

@@ -2,17 +2,18 @@
 
 A metric is the q-real, q-positive (2,0)-form ``Omega``.  From it the module
 derives the Hermitian frame matrix G (a signed read of the coefficients of
-``Omega``), Pfaffian, inner products on forms, the Hodge star, the Lefschetz
-operator and its adjoint, the canonical 1-forms ``alpha`` (from the top
-antiholomorphic power) and ``beta`` (from the (n-1)-st power), Lee form,
-Ricci forms and both scalar curvatures.
+``Omega``), Pfaffian, inner products on forms, the adjoint of the Lefschetz
+operator, the canonical 1-forms ``alpha`` (from the top antiholomorphic
+power) and ``beta`` (from the (n-1)-st power), Lee form, Ricci forms and
+both scalar curvatures.
 
 Powers of ``Omega`` are read, never multiplied out: Omega^n is n! Pf times the
-top monomial, Omega^{n-1} is (n-1)! Pf times a signed read of A^-1 (A the
-skew matrix of ``Omega``, whose inverse is a signed read of G^-1), and any
-other Omega^k is k! times the sub-Pfaffians of A on the 2k-subsets.
+top monomial and Omega^{n-1} is (n-1)! Pf times a signed read of A^-1 (A the
+skew matrix of ``Omega``, whose inverse is a signed read of G^-1); no other
+power is needed.  The cone of (n-1)-st powers of q-positive forms is, read
+linearly, the q-positive cone itself (:func:`is_power_of_qpositive`).
 
-Inner products, the star and the Lefschetz adjoint share one pairing: a form
+Inner products and the Lefschetz adjoint share one pairing: a form
 ``b`` is raised to ``b#`` by conjugating its coefficients and substituting
 z^j -> sum_i (G^-1)_{ji} z^i (conjugated on the antiholomorphic block), and
 <a, b> = sum_I a_I (b#)_I.  The adjoint of wedging with ``L`` contracts by
@@ -26,7 +27,6 @@ formula); any disagreement raises, acting as a built-in convention audit.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,10 +34,8 @@ from . import linalg
 from .forms import (
     Form,
     SkewMatrix,
-    _merge_keys,
     bidegree_project,
     cofactor_power,
-    pfaffian,
     pure_bidegree,
 )
 from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint
@@ -166,73 +164,61 @@ def qpositivity_verdict(geom: Geometry, form: Form) -> str:
     return linalg.hermitian_definiteness(hermitian_matrix_of(geom, form))
 
 
-def _power_pairing_matrix(geom: Geometry, a: Form):
-    """Skew matrix B[r][s] = top coefficient of a ^ z^r ^ z^s."""
-    N = geom.N
-    dim = geom.algebra.dim
-    top = tuple(range(N))
-    B = [[C_ZERO] * N for _ in range(N)]
-    for r in range(N):
-        for s in range(r + 1, N):
-            mono = Form.monomial(dim, (r, s))
-            c = a.wedge(mono).coefficient(top)
-            B[r][s] = c
-            B[s][r] = -c
-    return B
-
-
 def is_power_of_qpositive(geom: Geometry, a: Form) -> bool:
-    """Decide whether a q-real (2n-2,0)-form is the (n-1)-st power of a
-    q-positive (2,0)-form, divided by (n-1)!."""
-    n = geom.n
-    N = geom.N
-    dim = geom.algebra.dim
+    """Decide whether a q-real (2n-2,0)-form is Omega^{n-1}/(n-1)! for a
+    q-positive (2,0)-form Omega, by one inertia read when n >= 2.
+
+    The read.  Pairing ``a`` with the (2,0) monomials against the top one,
+    a ^ z^r ^ z^s = B[r][s] z^{[N]}, fills a skew matrix B; moving z^r and
+    z^s past the N - 2 indices of z^{[N] minus {r, s}} gives, 0-based,
+    B[r][s] = (-1)^{r+s+1} a_{[N] minus {r, s}} for r < s.  So a -> B is a
+    linear bijection onto skew matrices, read from the coefficients alone.
+    Let sigma_B = sum_{r<s} B[r][s] z^r ^ z^s, with Hermitian read M_B.
+
+    Lemma: ``a`` is such a power exactly when sigma_B is q-positive.
+
+    * q-reality.  tau = J conj sends z^{2i} -> -z^{2i+1}, z^{2i+1} -> z^{2i},
+      conjugating coefficients: it permutes the frame monomials of every
+      degree up to sign and fixes z^{[N]}.  Applying it to a ^ z^r ^ z^s, a
+      q-real ``a`` has B[pi(rs)] e(rs) = conj B[rs] where
+      tau z^r ^ z^s = e(rs) z^{pi(rs)}, hence tau sigma_B = sigma_B (e^2 = 1).
+      A read that is not q-real therefore breaks a frame convention.
+    * Signs.  M = A P^T for the skew matrix A of a (2,0)-form, with P the
+      real signed permutation of :meth:`Metric.from_hermitian_matrix`
+      (A = G P, P^T = P^-1 = -P); q-real means M is Hermitian.  Since
+      det P = 1, Pf(A)^2 = det G; on the convex q-positive cone Pf is thus
+      real and nonzero, and it is 1 at the unitary form: Pf(A) > 0.
+    * Powers read positive.  For a = Omega^{n-1}/(n-1)! with Omega
+      q-positive, :func:`forms.cofactor_power` gives
+      a_{[N] minus {r, s}} = (-1)^{r+s} Pf(A) (A^-1)[r][s], so
+      B = -Pf(A) A^-1 and M_B = -Pf(A) P^T G^-1 P^T = Pf(A) P^T G^-1 P:
+      a congruence of G^-1 times Pf(A) > 0, positive definite.  The sign is
+      exactly +1, for either parity of n - 1.
+    * Positive reads are powers.  Let M_B be positive definite, so sigma_B
+      is q-positive and Pf(B) > 0.  Take the real root p = Pf(B)^{1/(n-1)} > 0
+      and A = -p B^-1.  Then M_A = -p P^T M_B^-1 P^T = p P^T M_B^-1 P is
+      positive definite, so Omega_A is q-positive.  Pf(X^T B X) = det X Pf B
+      at X = B^-1 gives Pf(B^-1) = (-1)^n / Pf(B), so
+      Pf(A) = (-p)^n Pf(B^-1) = p^n / Pf(B) = p and the power of Omega_A has
+      the read -Pf(A) A^-1 = B; a -> B is injective, so it is ``a``.
+
+    For n = 1, ``a`` is a constant and the decision is its sign.
+    """
+    n, N = geom.n, geom.N
     if not geom.frame.is_q_real(a):
         raise QRealError("form is not q-real")
     if n == 1:
         return qpositivity_verdict(geom, a) == "positive"
     if pure_bidegree(a, N) != (2 * n - 2, 0):
         raise MetricError("power decision expects a (2n-2,0)-form")
-    B = _power_pairing_matrix(geom, a)
-    pf_b = pfaffian(B)
-    if pf_b.is_zero():  # Pf(B)^2 = det(B)
-        return False
-    # Pfaffian-adjugate style inversion: apply the same pairing to the
-    # (n-1)-st divided power of the form built from B; the result is
-    # proportional to any (n-1)-st root of a.  B is invertible, so that
-    # power is the read Pf(B) B^-1 of forms.cofactor_power
-    power_b = cofactor_power(pf_b, linalg.inverse(B), dim)
-    D = _power_pairing_matrix(geom, power_b)
-    cand = Form(dim, 2, {
-        (r, s): D[r][s] for r in range(N) for s in range(r + 1, N)
-        if not D[r][s].is_zero()
-    })
-    if cand.is_zero():
-        return False
-    # cand may be singular: sum the sub-Pfaffians
-    power_c = SkewMatrix.from_form(cand, N).divided_power(n - 1, dim)
-    lam = _exact_ratio(power_c, a)
-    if lam is None or not lam.is_real() or lam.re.is_zero():
-        return False
-    # the root scale c satisfies c^{n-1} = 1/lam; a positive lam admits a
-    # positive c, a negative lam only an odd-power negative c
+    terms = {}
+    for key, c in a.terms.items():
+        r, s = sorted(set(range(N)).difference(key))
+        terms[(r, s)] = c if (r + s) % 2 else -c
     try:
-        if lam.re.sign() > 0:
-            return qpositivity_verdict(geom, cand) == "positive"
-        if (n - 1) % 2 == 1:
-            return qpositivity_verdict(geom, -cand) == "positive"
-        return False
+        return qpositivity_verdict(geom, Form(a.nsym, 2, terms)) == "positive"
     except QRealError:
-        return False
-
-
-def _exact_ratio(f: Form, g: Form):
-    """lambda with f = lambda * g exactly, or None."""
-    if g.is_zero():
-        return None
-    key, c = next(iter(g.terms.items()))
-    lam = f.coefficient(key) / c
-    return lam if f == g.scale(lam) else None
+        raise ConsistencyError("the pairing read of a q-real form is not q-real") from None
 
 
 def is_qpositive(geom: Geometry, form: Form) -> bool:
@@ -368,7 +354,8 @@ class Metric:
         return self.geometry.frame.conjugate(self.omega)
 
     def omega_power(self, k: int) -> Form:
-        """Omega^k, read from the Pfaffian data on first use and kept.
+        """Omega^k for k = n - 1 or n, read from the Pfaffian data on first use
+        and kept.
 
         Omega^n is the one monomial n! Pf z^{[N]}.  For n >= 2, Omega^{n-1}
         is (n-1)! times :func:`forms.cofactor_power` of Pf and A^-1: the
@@ -376,24 +363,24 @@ class Metric:
         A = G P for the signed permutation P of :meth:`from_hermitian_matrix`
         (A[r][t] = G[r][t-1] for odd t, -G[r][t+1] for even t), so
         A^-1 = P^T G^-1: row t of A^-1 is row t-1 of G^-1 for odd t and minus
-        row t+1 for even t.  Any other power, Omega^0 = 1 included, is k!
-        times the sub-Pfaffians of :meth:`forms.SkewMatrix.divided_power`.
+        row t+1 for even t.  At n = 1, Omega^0 is the constant 1.
         """
-        if k < 0:
-            raise ValueError("negative wedge power")
+        n = self.n
+        if k not in (n - 1, n):
+            raise ValueError(f"Omega^{k}: only the powers {n - 1} and {n} are read")
         power = self._omega_powers.get(k)
         if power is None:
-            n, dim = self.n, self.geometry.algebra.dim
+            dim = self.geometry.algebra.dim
             fact = ComplexScalar(rational(math.factorial(k)))
             if k == n:
                 power = Form.monomial(dim, tuple(range(self.N)), self.pf * fact)
-            elif k == n - 1 and k > 0:
+            elif k == 0:
+                power = Form.constant(dim, C_ONE)
+            else:
                 g_inv = self._g_inv
                 a_inv = [g_inv[t - 1] if t % 2 else [-c for c in g_inv[t + 1]]
                          for t in range(self.N)]
                 power = cofactor_power(self.pf, a_inv, dim).scale(fact)
-            else:
-                power = self.skew.divided_power(k, dim).scale(fact)
             self._omega_powers[k] = power
         return power
 
@@ -410,10 +397,6 @@ class Metric:
     def volume_coefficient(self) -> Scalar:
         """Coefficient of the volume against the frame top form: |pf|^2."""
         return self.det_g
-
-    def volume_form(self) -> Form:
-        dim = self.geometry.algebra.dim
-        return Form.monomial(dim, tuple(range(dim)), ComplexScalar(self.det_g))
 
     def omega_i(self) -> Form:
         """The real (1,1)-form of the metric for the frame's first structure."""
@@ -448,26 +431,7 @@ class Metric:
                     terms[hol[r] + anti[s]] = -c if (r + s) % 2 else c
         return Form(self.geometry.algebra.dim, 2 * N - 2, terms)
 
-    def gram_real(self):
-        """Riemannian Gram matrix on the adapted real basis u_a."""
-        fr = self.geometry.frame
-        dim = self.geometry.algebra.dim
-        opob = self.omega + self.omega_bar()
-
-        def g_eval(v, w):
-            return -(opob.evaluate([fr.j_vector(v), w]))
-
-        coords = [self._real_basis_frame_coords(a) for a in range(dim)]
-        return [[g_eval(coords[a], coords[b]) for b in range(dim)] for a in range(dim)]
-
-    def _real_basis_frame_coords(self, a: int) -> dict:
-        """Frame coordinates of the adapted real basis vector u_a."""
-        r = a // 2
-        if a % 2 == 0:
-            return {r: C_ONE, self.N + r: C_ONE}
-        return {r: C_I, self.N + r: -C_I}
-
-    # -- inner products and the star ------------------------------------------------
+    # -- inner products ---------------------------------------------------------------
 
     def inner_product(self, a: Form, b: Form) -> ComplexScalar:
         """Hermitian inner product sum_I a_I (b#)_I: linear in a, conjugate-linear in b."""
@@ -487,19 +451,6 @@ class Metric:
             raise ConsistencyError("squared norm has an imaginary part")
         return v.re
 
-    def hodge_star(self, a: Form) -> Form:
-        """Hodge star defined by psi ^ star(a) = <psi, a> vol; conjugate-linear:
-        star(a) = det G sum_I (a#)_I sign(I, I^c) z^{I^c}."""
-        dim = self.geometry.algebra.dim
-        vol = ComplexScalar(self.det_g)
-        terms = {}
-        for key, c in self._sharp(a).terms.items():
-            comp = tuple(i for i in range(dim) if i not in key)
-            _, sign = _merge_keys(key, comp)
-            c = c * vol
-            terms[comp] = c if sign > 0 else -c
-        return Form(dim, dim - a.degree, terms)
-
     def lefschetz_adjoint(self, a: Form, conjugate: bool = False) -> Form:
         """Adjoint of wedging with L = Omega (or conj(Omega) when ``conjugate``).
 
@@ -515,16 +466,6 @@ class Metric:
             out = out + a.contract({k: C_ONE}).contract(row)
         return out
 
-    def lefschetz_power_bijective(self, p: int) -> bool:
-        """Check L^{n-p}: (p,0)-forms -> (2n-p,0)-forms is invertible."""
-        N, dim, n = self.N, self.geometry.algebra.dim, self.n
-        power = self.omega_power(n - p)
-        source = list(itertools.combinations(range(N), p))
-        if len(source) != math.comb(N, 2 * n - p):
-            return False
-        images = (power.wedge(Form.monomial(dim, key)).terms for key in source)
-        return len(linalg.echelon(images)) == len(source)
-
     # -- traces --------------------------------------------------------------------
 
     def _trace_ratio(self, xi: Form) -> ComplexScalar:
@@ -533,15 +474,6 @@ class Metric:
         num = xi.wedge(self.omega_power(self.n - 1)).coefficient(top)
         den = self.omega_power(self.n).coefficient(top)
         return num * den.inverse() * ComplexScalar(rational(self.n))
-
-    def trace_omega(self, xi: Form) -> Scalar:
-        """Trace of a q-real (2,0)-form against Omega; exact real scalar."""
-        if not self.geometry.frame.is_q_real(xi):
-            raise QRealError("trace requires a q-real form")
-        v = self._trace_ratio(xi)
-        if not v.is_real():
-            raise ConsistencyError("trace of a q-real form must be real")
-        return v.re
 
     def trace_omega_i(self, gamma: Form) -> ComplexScalar:
         """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s)."""
@@ -661,52 +593,6 @@ class Metric:
         omega_old_frame = (omega_j + omega_k.scale(C_I)).scale(rational(1, 2))
         real = self.geometry.frame.to_real(omega_old_frame)
         return Metric(rotated, rotated.frame.to_complex(real))
-
-    # -- identities -------------------------------------------------------------------
-
-    def strong_torsion_scalar_identity(self) -> Scalar:
-        """(1/2) s^Ch + g(del del_J conj(Omega), Omega ^ conj(Omega)) - |del conj(Omega)|^2."""
-        fr = self.geometry.frame
-        cur = self.curvature()
-        ob = self.omega_bar()
-        ddj = fr.del_(fr.del_j(ob))
-        pairing = self.inner_product(ddj, self.omega.wedge(ob))
-        if not pairing.is_real():
-            raise ConsistencyError("mixed pairing has an imaginary part")
-        half_sch = cur.s_ch / 2
-        return half_sch + pairing.re - self.norm2(fr.del_(ob))
-
-    def pointwise_torsion_identity(self, z: dict):
-        """Both sides of the contraction identity for a (1,0) vector Z."""
-        fr = self.geometry.frame
-        cf = self.canonical_forms()
-        dja = fr.del_j(cf.alpha)
-        jzbar = fr.j_vector(fr.conj_vector(z))
-        lhs = dja.evaluate([z, jzbar])
-        dob = fr.del_(self.omega_bar())
-        t1 = self.norm2(dob.contract(z))
-        t2 = self.norm2(dob.contract(jzbar))
-        ddj = fr.del_(fr.del_j(self.omega_bar()))
-        contracted = ddj.contract(z).contract(jzbar)
-        ratio = self._trace_ratio(fr.conjugate(contracted)).conjugate()
-        rhs = ComplexScalar(t1) + ComplexScalar(t2) - ratio
-        return lhs, rhs
-
-    def product_trace_identity(self, psi: Form, zeta: Form):
-        """Both sides of
-        psi ^ zeta ^ Omega^{n-2}/(n-2)! = (tr(psi) tr(zeta) - g(psi, J conj zeta)) Omega^n/n!.
-        """
-        if self.n < 2:
-            raise MetricError("identity needs quaternionic dimension >= 2")
-        fr = self.geometry.frame
-        top = tuple(range(self.N))
-        lhs = psi.wedge(zeta).wedge(self.omega_power(self.n - 2)) \
-            .coefficient(top) * ComplexScalar(rational(1, math.factorial(self.n - 2)))
-        jzbar = fr.j_action(fr.conjugate(zeta))
-        scal = self._trace_ratio(psi) * self._trace_ratio(zeta) \
-            - self.inner_product(psi, jzbar)
-        rhs = scal * self.omega_power(self.n).coefficient(top) * ComplexScalar(rational(1, math.factorial(self.n)))
-        return lhs, rhs
 
 
 def _sphere_point(H: HypercomplexStructure, L) -> SpherePoint:

@@ -69,19 +69,8 @@ def mat_scale(c, m):
     return [[c * x for x in row] for row in m]
 
 
-def mat_vec(a, v):
-    return [
-        sum((a[i][j] * v[j] for j in range(len(v)) if not a[i][j].is_zero()), C_ZERO)
-        for i in range(len(a))
-    ]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def conj_transpose(a):
-    return [[a[j][i].conjugate() for j in range(len(a))] for i in range(len(a[0]))]
 
 
 def add_scaled(acc: dict, f, vec: dict) -> None:

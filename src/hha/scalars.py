@@ -177,10 +177,18 @@ class Scalar:
         return _exact(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented  # a ComplexScalar operand takes the mixed difference
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other + (-self)
 
     def __mul__(self, other):
         try:
@@ -217,7 +225,11 @@ class Scalar:
         return _exact(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented  # a ComplexScalar operand takes the mixed quotient
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
@@ -233,12 +245,6 @@ class Scalar:
             base = base * base
             k >>= 1
         return out
-
-    def galois_conjugate(self) -> "Scalar":
-        """a + b*sqrt(d)  ->  a - b*sqrt(d)."""
-        if self.d <= 0:
-            return self
-        return _exact(self.a, -self.b, self.d)
 
     # -- comparisons -----------------------------------------------------
 
@@ -324,11 +330,6 @@ def quadratic(a, b, d: int) -> Scalar:
 def root(d: int) -> Scalar:
     """sqrt(d) for a square-free integer d >= 2."""
     return Scalar(_F0, _F1, d)
-
-
-def inv_root(d: int) -> Scalar:
-    """1/sqrt(d) = sqrt(d)/d."""
-    return Scalar(_F0, Fraction(1, d), d)
 
 
 def floating(x: float) -> Scalar:
@@ -521,17 +522,6 @@ def complex_str(z: ComplexScalar) -> str:
     if z.re.is_zero():
         return f"i*({scalar_str(z.im)})"
     return f"({scalar_str(z.re)})+i*({scalar_str(z.im)})"
-
-
-def parse_complex(text: str) -> ComplexScalar:
-    """Parse the canonical complex grammar produced by :func:`complex_str`."""
-    text = text.strip()
-    if text.startswith("(") and ")+i*(" in text and text.endswith(")"):
-        left, right = text.split(")+i*(", 1)
-        return ComplexScalar(parse_scalar(left[1:]), parse_scalar(right[:-1]))
-    if text.startswith("i*(") and text.endswith(")"):
-        return ComplexScalar(ZERO, parse_scalar(text[3:-1]))
-    return ComplexScalar(parse_scalar(text))
 
 
 class ScalarField:

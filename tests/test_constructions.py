@@ -21,7 +21,8 @@ from hha.forms import Form
 from hha.hermitian import Metric, hermitian_matrix_of, qpositivity_verdict
 from hha.hypercomplex import Geometry
 from hha.liealg import LieAlgebraData
-from hha.scalars import ONE, ScalarField, ZERO, inv_root, rational, root
+from hha.scalars import ONE, ScalarField, ZERO, rational, root
+from metric_identities import gram_real
 
 
 def geom(alg):
@@ -30,7 +31,7 @@ def geom(alg):
 
 def test_exact_inv_sqrt():
     assert exact_inv_sqrt(4) == rational(1, 2)
-    assert exact_inv_sqrt(2) == inv_root(2)
+    assert exact_inv_sqrt(2) == root(2).inverse()
     assert exact_inv_sqrt(8) * exact_inv_sqrt(8) == rational(1, 8)
     assert exact_inv_sqrt(6) * exact_inv_sqrt(6) == rational(1, 6)
 
@@ -187,7 +188,7 @@ def test_joyce_su2_build():
     res = joyce_build(joyce_su2_tori(1))
     assert res.geometry.algebra.dim == 4
     assert res.einstein_factor == ONE
-    assert res.mus == [inv_root(2)]
+    assert res.mus == [root(2).inverse()]
     rep = classify_metric(res.metric, with_obstruction=False)
     assert rep.flag("strong_hkt")
     assert not rep.sl_flags["alpha_zero"]
@@ -243,7 +244,7 @@ def test_joyce_torsion_three_form_symmetry():
     # bi-invariant torsion: T(X,Y,Z) = g([X,Y],Z) totally antisymmetric, d-closed
     res = joyce_build(joyce_su2_tori(2))
     alg, m = res.geometry.algebra, res.metric
-    gram = m.gram_real()
+    gram = gram_real(m)
     dim = alg.dim
 
     def torsion(i, j, t):

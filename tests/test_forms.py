@@ -282,7 +282,7 @@ def test_pfaffian_matches_form_power():
     rng = random.Random(29)
     for n in (2, 3):
         sm = rand_skew(rng, 2 * n)
-        form = sm.to_form(2 * n)
+        form = Form(2 * n, 2, dict(sm.entries))
         power = form.wedge_power(n)
         coeff = power.coefficient(tuple(range(2 * n)))
         factorial = 1
@@ -294,7 +294,7 @@ def test_pfaffian_matches_form_power():
 def test_skew_matrix_form_round_trip():
     rng = random.Random(31)
     sm = rand_skew(rng, 6)
-    assert SkewMatrix.from_form(sm.to_form(12), 6) == sm
+    assert SkewMatrix.from_form(Form(12, 2, dict(sm.entries)), 6) == sm
 
 
 def test_endo_action_on_real_frame():

@@ -4,11 +4,21 @@ from fractions import Fraction
 import pytest
 
 from hha import linalg
+from hha.forms import pfaffian
 from hha.scalars import C_ONE, C_ZERO, ComplexScalar, Scalar, ZERO, rational
 
 
 def c(re, im=0):
     return ComplexScalar(rational(re), rational(im))
+
+
+def apply(a, x):
+    """The matrix-vector product A x."""
+    return [row[0] for row in linalg.mat_mul(a, [[v] for v in x])]
+
+
+def conj_transpose(a):
+    return [[x.conjugate() for x in col] for col in zip(*a)]
 
 
 def rand_matrix(rng, rows, cols):
@@ -19,7 +29,7 @@ def test_solve_exact():
     a = [[c(2), c(1)], [c(1), c(3)]]
     b = [c(5), c(10)]
     x = linalg.solve(a, b)
-    assert linalg.mat_vec(a, x) == b
+    assert apply(a, x) == b
 
 
 def test_solve_inconsistent_returns_none():
@@ -32,7 +42,7 @@ def test_solve_underdetermined_is_consistent():
     a = [[c(1), c(1)]]
     b = [c(3)]
     x = linalg.solve(a, b)
-    assert linalg.mat_vec(a, x) == b
+    assert apply(a, x) == b
 
 
 def test_inverse_round_trip():
@@ -63,7 +73,7 @@ def test_nullspace():
     basis = linalg.nullspace(a)
     assert len(basis) == 2
     for v in basis:
-        assert all(x.is_zero() for x in linalg.mat_vec(a, v))
+        assert all(x.is_zero() for x in apply(a, v))
 
 
 def test_rank():
@@ -96,7 +106,7 @@ def test_hermitian_inertia_random_congruence_invariant():
         b = rand_matrix(rng, 4, 4)
         if linalg.det(b).is_zero():
             continue
-        g = linalg.mat_mul(linalg.conj_transpose(b), linalg.mat_mul(d, b))
+        g = linalg.mat_mul(conj_transpose(b), linalg.mat_mul(d, b))
         pos = sum(1 for x in d_entries if x > 0)
         neg = sum(1 for x in d_entries if x < 0)
         zero = sum(1 for x in d_entries if x == 0)
@@ -122,7 +132,11 @@ def test_matrix_helpers_keep_the_entry_type():
 
 
 # -- an independent oracle: sympy's exact domain matrices over Q(i) and
-# Q(sqrt 2, i), on random sparse and dense matrices, singular ones included
+# Q(sqrt 2, i), on random sparse and dense matrices, singular ones included.
+# The inertia of a Hermitian matrix is read from its characteristic
+# polynomial, whose roots are all real: Descartes' rule of signs then counts
+# them exactly.  The Pfaffian is checked by Pf^2 = det, which fixes it up to
+# sign; test_forms checks the sign against the top wedge power.
 
 
 def _random_entry(rng, d, density):
@@ -145,6 +159,34 @@ def _random_exact_matrix(rng, rows, cols, d, density, singular):
         f = _random_entry(rng, d, 1.0)
         a[k] = [f * x + (y if i != j else C_ZERO) for x, y in zip(a[i], a[j])]
     return a
+
+
+def _congruent(m, a, skew):
+    """M^T A M for a skew A, M^* A M otherwise: symmetric type is kept, and a
+    singular M makes the result singular."""
+    left = linalg.transpose(m) if skew else conj_transpose(m)
+    return linalg.mat_mul(left, linalg.mat_mul(a, m))
+
+
+def _sign_changes(signs):
+    signs = [x for x in signs if x]
+    return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
+
+
+def _descartes_inertia(sympy, field, matrix):
+    """(n_pos, n_neg, n_zero) from the characteristic polynomial."""
+    coeffs = matrix.charpoly()  # det(x - H), leading coefficient first
+    n = len(coeffs) - 1
+    signs = []
+    for c in coeffs:
+        e = field.to_sympy(c)
+        assert sympy.im(e) == 0
+        signs.append(int(sympy.sign(e)))
+    zero = next(k for k, x in enumerate(reversed(signs)) if x)
+    pos = _sign_changes(signs)
+    neg = _sign_changes([x if (n - k) % 2 == 0 else -x for k, x in enumerate(signs)])
+    assert pos + neg + zero == n
+    return pos, neg, zero
 
 
 @pytest.mark.parametrize("d", [0, 2])
@@ -194,3 +236,24 @@ def test_linalg_matches_sympy(d, density):
             wide = _random_exact_matrix(rng, n, n + 2, d, density, singular)
             assert linalg.rank(wide) == domain_matrix(wide).rank()
     assert seen_singular >= 7 and seen_regular >= 1
+    # Hermitian and skew parts of random matrices, made singular by a
+    # singular congruence
+    rng = random.Random(10 * d + int(10 * density) + 1)
+    seen_zero = seen_indefinite = seen_pf_zero = 0
+    for n in range(2, 9):
+        for singular in (False, True):
+            a = _random_exact_matrix(rng, n, n, d, density, False)
+            h = linalg.mat_add(a, conj_transpose(a))
+            skew = linalg.mat_sub(a, linalg.transpose(a))
+            if singular:
+                m = _random_exact_matrix(rng, n, n, d, density, True)
+                h, skew = _congruent(m, h, skew=False), _congruent(m, skew, skew=True)
+            inertia = linalg.hermitian_inertia(h)
+            assert inertia == _descartes_inertia(sympy, field, domain_matrix(h))
+            seen_zero += inertia[2] > 0
+            seen_indefinite += inertia[0] > 0 and inertia[1] > 0
+            if n % 2 == 0:
+                pf = to_field(pfaffian(skew))
+                assert pf * pf == domain_matrix(skew).det()
+                seen_pf_zero += pf == field.zero
+    assert seen_zero >= 7 and seen_indefinite >= 7 and seen_pf_zero >= 4

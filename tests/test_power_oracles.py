@@ -1,13 +1,14 @@
 """Closed forms of the powers of Omega against repeated wedges.
 
-Classification reads every power of Omega from Pfaffian data instead of
-multiplying it out: Omega^k / k! is the sum of the sub-Pfaffians Pf(A_S)
-z^S, Omega^n is one monomial, Omega^{n-1} is Pf times a signed read of A^-1,
-and the mixed power Omega^{n-1} ^ conj(Omega^n) is a relabelling.  The
-diagonal-family checks polarise Omega^{n-1} into n fixed monomials.  The
-oracles are ``Form.wedge_power`` and, for the family formula, the 2^n-point
-multilinear interpolation over built metrics that the polarised check
-replaced.
+Classification reads the powers of Omega it needs from Pfaffian data instead
+of multiplying them out: Omega^n is one monomial, Omega^{n-1} is Pf times a
+signed read of A^-1, and the mixed power Omega^{n-1} ^ conj(Omega^n) is a
+relabelling.  The diagonal-family checks polarise Omega^{n-1} into n fixed
+monomials, and the cone of (n-1)-st powers of q-positive forms is decided by
+one inertia read.  The oracles are ``Form.wedge_power``, for the family
+formula the 2^n-point multilinear interpolation over built metrics that the
+polarised check replaced, and for the power cone the root-extraction route
+that the inertia read replaced.
 """
 import itertools
 import math
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from test_hermitian import random_metric
 from test_liealg_oracles import _glue_indices, _loaded
 
-from hha import catalog, linalg
+from hha import catalog, forms, hermitian, linalg
 from hha.classify import (
     _diagonal_power_derivative,
     _diagonal_power_derivatives,
@@ -27,10 +28,15 @@ from hha.classify import (
     qgau_family_symbolic_check,
 )
 from hha.constructions import arroyo_nicolini, direct_sum
-from hha.forms import Form, SkewMatrix, cofactor_power
-from hha.hermitian import Metric
+from hha.forms import Form, SkewMatrix, cofactor_power, pfaffian
+from hha.hermitian import (
+    Metric,
+    QRealError,
+    is_power_of_qpositive,
+    qpositivity_verdict,
+)
 from hha.hypercomplex import SpherePoint
-from hha.scalars import ComplexScalar, ONE, Scalar, ZERO, rational
+from hha.scalars import C_ZERO, ComplexScalar, ONE, Scalar, ZERO, rational
 
 _powers = settings(max_examples=20, deadline=None, database=None)
 
@@ -87,27 +93,16 @@ def _skew_matrices(draw):
 
 @_powers
 @given(_skew_matrices())
-def test_divided_powers_match_the_wedge_powers(skew):
+def test_pfaffian_and_cofactor_power_match_the_wedges(skew):
     size = skew.size
-    omega = skew.to_form(size)
-    power = Form.constant(size, ONE)  # omega.wedge_power(k), one wedge at a time
-    for k in range(size // 2 + 1):
-        if k:
-            power = power.wedge(omega)
-        fact = ComplexScalar(rational(math.factorial(k)))
-        assert skew.divided_power(k, size).scale(fact) == power
     pf = skew.pfaffian()
     det = linalg.det(skew.full())
     assert pf * pf == det
     if not det.is_zero():
         m = size // 2
+        omega = Form(size, 2, dict(skew.entries))
         expect = omega.wedge_power(m - 1).scale(rational(1, math.factorial(m - 1)))
         assert cofactor_power(pf, linalg.inverse(skew.full()), size) == expect
-
-
-def test_divided_power_rejects_a_negative_exponent():
-    with pytest.raises(ValueError):
-        SkewMatrix(2, {(0, 1): ONE}).divided_power(-1, 2)
 
 
 # -- metrics on constructed geometries -------------------------------------------
@@ -120,7 +115,7 @@ _NILPOTENT = ("abelian4", "abelian8", "qgau8")
 
 def assert_powers_match_the_wedges(m: Metric):
     n, fr = m.n, m.geometry.frame
-    for k in range(n + 1):
+    for k in (n - 1, n):
         assert m.omega_power(k) == m.omega.wedge_power(k), k
     mixed = m.omega.wedge_power(n - 1).wedge(fr.conjugate(m.omega.wedge_power(n)))
     assert m.mixed_power() == mixed
@@ -148,6 +143,142 @@ def test_metric_powers_match_the_wedges_on_catalog_metrics(name):
     g, m = _loaded(name)
     assert_powers_match_the_wedges(m)
     assert_powers_match_the_wedges(random_metric(random.Random(len(name)), g))
+
+
+@pytest.mark.parametrize("name", ["abelian4", "joyce_su2", "qgau8", "qsg12", "qgau16"])
+def test_omega_power_reads_only_the_top_two_exponents(name):
+    _, m = _loaded(name)
+    n = m.n
+    for k in range(-1, n + 3):
+        if k in (n - 1, n):
+            assert m.omega_power(k) == m.omega.wedge_power(k)
+        else:
+            with pytest.raises(ValueError):
+                m.omega_power(k)
+
+
+# -- the power cone ------------------------------------------------------------------
+
+
+def wedge_pairing_matrix(geom, a):
+    """B[r][s] = top coefficient of a ^ z^r ^ z^s, one wedge per pair."""
+    N, dim = geom.N, geom.algebra.dim
+    top = tuple(range(N))
+    B = [[C_ZERO] * N for _ in range(N)]
+    for r in range(N):
+        for s in range(r + 1, N):
+            c = a.wedge(Form.monomial(dim, (r, s))).coefficient(top)
+            B[r][s], B[s][r] = c, -c
+    return B
+
+
+def wedge_route_is_power(geom, a) -> bool:
+    """The root-extraction decision that the inertia read replaced, for n >= 2.
+
+    Invert the pairing Pfaffian-adjugate style: the pairing of the (n-1)-st
+    divided power of the form of B is proportional to any (n-1)-st root of
+    ``a``.  Raise that candidate to the (n-1)-st power by repeated wedges and
+    look for an exact real ratio lambda to ``a``.  A root scale c has
+    c^{n-1} = 1/lambda: a positive lambda admits a positive c, a negative one
+    only a negative c with n - 1 odd.
+    """
+    n, N, dim = geom.n, geom.N, geom.algebra.dim
+    B = wedge_pairing_matrix(geom, a)
+    pf_b = pfaffian(B)
+    if pf_b.is_zero():
+        return False
+    D = wedge_pairing_matrix(geom, cofactor_power(pf_b, linalg.inverse(B), dim))
+    cand = Form(dim, 2, {(r, s): D[r][s] for r in range(N) for s in range(r + 1, N)
+                         if not D[r][s].is_zero()})
+    if cand.is_zero():
+        return False
+    power = cand.wedge_power(n - 1).scale(rational(1, math.factorial(n - 1)))
+    key, c = next(iter(a.terms.items()))
+    lam = power.coefficient(key) / c
+    if power != a.scale(lam) or not lam.is_real() or lam.re.is_zero():
+        return False
+    try:
+        if lam.re.sign() > 0:
+            return qpositivity_verdict(geom, cand) == "positive"
+        return (n - 1) % 2 == 1 and qpositivity_verdict(geom, -cand) == "positive"
+    except QRealError:
+        return False
+
+
+def power_by_wedges(omega, n):
+    """Omega^{n-1}/(n-1)! by repeated wedges."""
+    return omega.wedge_power(n - 1).scale(rational(1, math.factorial(n - 1)))
+
+
+def random_q_real_power_form(rng, geom, terms=3):
+    """A random q-real (2n-2,0)-form sigma + J conj(sigma); J conj is an
+    involution in even degree."""
+    fr, dim = geom.frame, geom.algebra.dim
+    keys = list(itertools.combinations(range(geom.N), 2 * geom.n - 2))
+    sigma = Form.zero(dim, 2 * geom.n - 2)
+    for _ in range(terms):
+        c = ComplexScalar(rational(rng.randint(-3, 3), rng.randint(1, 3)),
+                          rational(rng.randint(-3, 3), rng.randint(1, 3)))
+        sigma = sigma + Form.monomial(dim, rng.choice(keys), c)
+    return sigma + fr.j_action(fr.conjugate(sigma))
+
+
+# n = 2, 3, 4: the negative multiples cover n - 1 odd and even
+_POWER_GEOMETRIES = ("abelian8", "abelian12", "abelian16", "qsg12", "qbal12")
+
+
+@settings(max_examples=8, deadline=None, database=None)
+@given(st.sampled_from(_POWER_GEOMETRIES), st.integers(0, 10 ** 6),
+       st.sampled_from((rational(1, 64), ONE, rational(16))))
+def test_inertia_read_matches_the_wedge_route(name, seed, noise):
+    g, _ = _loaded(name)
+    n = g.n
+    rng = random.Random(seed)
+    first, second = (random_metric(rng, g) for _ in range(2))
+    power, other = (m.omega_power(n - 1).scale(rational(1, math.factorial(n - 1)))
+                    for m in (first, second))
+    assert power == power_by_wedges(first.omega, n)
+    # Omega with one quaternionic block dropped: q-real, semipositive, degenerate
+    block = 2 * rng.randrange(n)
+    degenerate = Form(g.algebra.dim, 2, {k: c for k, c in first.omega.terms.items()
+                                         if not set(k) & {block, block + 1}})
+    cases = [  # label, form, the verdict when the lemma fixes it
+        ("power", power, True),
+        ("negative", power.scale(rational(-rng.randint(1, 3), rng.randint(1, 3))), False),
+        ("sum", power + other, True),
+        ("degenerate", power_by_wedges(degenerate, n), False),
+        ("noisy", power + random_q_real_power_form(rng, g).scale(noise), None),
+        ("difference", power - other, None),
+    ]
+    for label, a, known in cases:
+        verdict = is_power_of_qpositive(g, a)
+        assert verdict == wedge_route_is_power(g, a), (name, label)
+        assert known is None or verdict == known, (name, label)
+
+
+def test_power_decision_is_one_inertia_read(monkeypatch):
+    g, _ = _loaded("qsg12")
+    m = random_metric(random.Random(3), g)
+    power = m.omega_power(g.n - 1).scale(rational(1, math.factorial(g.n - 1)))
+    calls = []
+    definiteness = linalg.hermitian_definiteness
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return definiteness(matrix)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the power decision multiplied or inverted")
+
+    monkeypatch.setattr(forms, "pfaffian", refuse)
+    monkeypatch.setattr(hermitian, "pfaffian", refuse, raising=False)
+    monkeypatch.setattr(SkewMatrix, "pfaffian", refuse)
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(Form, "wedge", refuse)
+    monkeypatch.setattr(Form, "wedge_power", refuse)
+    monkeypatch.setattr(linalg, "hermitian_definiteness", counting)
+    assert is_power_of_qpositive(g, power)
+    assert calls == [g.N]
 
 
 # -- the diagonal family -----------------------------------------------------------
