@@ -20,10 +20,8 @@ from .scalars import (  # noqa: F401
 from .forms import (  # noqa: F401
     DegreeOverflowError,
     Form,
-    SkewMatrix,
     bidegree_split,
     endo_action,
-    pfaffian,
     wedge,
 )
 from .liealg import (  # noqa: F401

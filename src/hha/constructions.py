@@ -85,6 +85,17 @@ def _merge_fields(*fields):
     return ScalarField("rational")
 
 
+def _block_brackets(*algebras) -> dict:
+    """Brackets of the direct sum of ``algebras``: each algebra's brackets, in
+    their key order, with every index shifted past the algebras before it."""
+    brackets, shift = {}, 0
+    for alg in algebras:
+        for (i, j), comps in alg.brackets.items():
+            brackets[(shift + i, shift + j)] = {shift + k: c for k, c in comps.items()}
+        shift += alg.dim
+    return brackets
+
+
 @dataclass
 class DirectSumResult:
     geometry: Geometry
@@ -99,11 +110,7 @@ def direct_sum(geom_a: Geometry, metric_a: Metric,
                geom_b: Geometry, metric_b: Metric) -> DirectSumResult:
     """Block sum of two hyperhermitian algebras with Omega = Omega_1 + Omega_2."""
     da, db = geom_a.algebra.dim, geom_b.algebra.dim
-    brackets = {}
-    for (i, j), comps in geom_a.algebra.brackets.items():
-        brackets[(i, j)] = dict(comps)
-    for (i, j), comps in geom_b.algebra.brackets.items():
-        brackets[(da + i, da + j)] = {da + k: c for k, c in comps.items()}
+    brackets = _block_brackets(geom_a.algebra, geom_b.algebra)
     algebra = LieAlgebraData(
         da + db, brackets,
         field=_merge_fields(geom_a.algebra.field, geom_b.algebra.field),
@@ -165,11 +172,7 @@ def arroyo_nicolini(geom_a: Geometry, metric_a: Metric, e1_index: int,
             raise ConstructionError("gluing requires nilpotent inputs")
     da, db = geom_a.algebra.dim, geom_b.algebra.dim
     dim = da + db + 4
-    brackets = {}
-    for (i, j), comps in geom_a.algebra.brackets.items():
-        brackets[(i, j)] = dict(comps)
-    for (i, j), comps in geom_b.algebra.brackets.items():
-        brackets[(da + i, da + j)] = {da + k: c for k, c in comps.items()}
+    brackets = _block_brackets(geom_a.algebra, geom_b.algebra)
     X, Y, Z, W = dim - 4, dim - 3, dim - 2, dim - 1
     target = {e1_index - 1: ONE, da + e2_index - 1: ONE}
     brackets[(X, Y)] = dict(target)
@@ -363,9 +366,7 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
         raise ConstructionError("representation is attached to a different algebra")
     d0, k = base.dim, rho.k
     dim = d0 + 4 * k
-    brackets = {}
-    for (i, j), comps in base.brackets.items():
-        brackets[(i, j)] = dict(comps)
+    brackets = _block_brackets(base)
     for idx, mat in rho.images.items():
         for a in range(4 * k):
             col = {b: mat[b][a] for b in range(4 * k) if not mat[b][a].is_zero()}

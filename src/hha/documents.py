@@ -29,8 +29,12 @@ from .scalars import (
 
 # Inputs above this real dimension are refused before any work.  A k-form of
 # the frame can hold C(dim, k) terms, so the cost of the exterior calculus on
-# a general input is bounded only through the dimension; every input the
-# repository builds is below the cap (the largest, from construct an, is 28).
+# a general input is bounded only through the dimension.  The slowest input
+# measured at the cap, a fully coupled Gram metric over Q(sqrt 5) on the
+# 48-dimensional q-Gauduchon algebra, loads and classifies in about 6 s
+# (2-core x86-64, Python 3.11); at dimension 64 it takes about 16 s.  Every
+# input the repository builds is below the cap (the largest, from construct
+# an, is 28).
 MAX_DIMENSION = 48
 
 

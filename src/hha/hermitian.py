@@ -7,17 +7,22 @@ operator, the canonical 1-forms ``alpha`` (from the top antiholomorphic
 power) and ``beta`` (from the (n-1)-st power), Lee form, Ricci forms and
 both scalar curvatures.
 
+The skew matrix A of ``Omega`` is A[r][t] = s(t) G[r][P(t)] for the one
+index map (P, s) = :func:`hypercomplex.j_index`.  Every matrix fact of a
+metric comes from one Hermitian elimination of G (positivity, Pf, det G) or
+is a signed read of G^-1 through that map (A^-1 and the raised Omega).
+
 Powers of ``Omega`` are read, never multiplied out: Omega^n is n! Pf times the
 top monomial and Omega^{n-1} is (n-1)! Pf times a signed read of A^-1 (A the
 skew matrix of ``Omega``, whose inverse is a signed read of G^-1); no other
 power is needed.  The cone of (n-1)-st powers of q-positive forms is, read
 linearly, the q-positive cone itself (:func:`is_power_of_qpositive`).
 
-Inner products and the Lefschetz adjoint share one pairing: a form
-``b`` is raised to ``b#`` by conjugating its coefficients and substituting
-z^j -> sum_i (G^-1)_{ji} z^i (conjugated on the antiholomorphic block), and
-<a, b> = sum_I a_I (b#)_I.  The adjoint of wedging with ``L`` contracts by
-the raised ``L#``.  The form omega_L of L = aI + bJ + cK is linear in L:
+Inner products pair by raising: a form ``b`` is raised to ``b#`` by
+conjugating its coefficients and substituting z^j -> sum_i (G^-1)_{ji} z^i
+(conjugated on the antiholomorphic block), and <a, b> = sum_I a_I (b#)_I.
+The adjoint of wedging with ``L`` contracts by the raised ``L#``, read
+directly from G^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
 a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
 ``alpha`` and ``beta`` are always computed along two independent routes
@@ -28,17 +33,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import (
-    Form,
-    SkewMatrix,
-    bidegree_project,
-    cofactor_power,
-    pure_bidegree,
-)
-from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint
+from .forms import Form, bidegree_project, cofactor_power, pure_bidegree
+from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint, j_index
 from .scalars import (
     C_I,
     C_ONE,
@@ -141,14 +141,20 @@ def phi_inverse(geom: Geometry, sigma: Form) -> Form:
 def hermitian_matrix_of(geom: Geometry, sigma: Form):
     """Hermitian matrix M[r][s] = sigma(Z_r, J conj(Z_s)) of a q-real (2,0)-form.
 
-    J conj(Z_s) is Z_{s+1} for even s and -Z_{s-1} for odd s (0-based), so
-    each entry is a signed read of the skew matrix A of sigma:
-    M[r][s] = A[r][s+1] for even s and -A[r][s-1] = A[s-1][r] for odd s.
+    With (P, s) = :func:`hypercomplex.j_index`, J conj(Z_t) = -s(t) Z_{P(t)},
+    so each entry is a signed read of the skew matrix A of sigma,
+    M[r][P(t)] = s(t) A[r][t]: a term c z^r ^ z^t (r < t) fills
+    M[r][P(t)] = s(t) c and M[t][P(r)] = -s(r) c.
     """
     N = geom.N
-    A = SkewMatrix.from_form(sigma, N)
-    return [[A[r, s + 1] if s % 2 == 0 else A[s - 1, r] for s in range(N)]
-            for r in range(N)]
+    M = [[C_ZERO] * N for _ in range(N)]
+    for (r, t), c in sigma.terms.items():
+        if t >= N:
+            raise ValueError("form has components outside the holomorphic block")
+        (pr, sr), (pt, st) = j_index(r), j_index(t)
+        M[r][pt] = c if st > 0 else -c
+        M[t][pr] = -c if sr > 0 else c
+    return M
 
 
 def qpositivity_verdict(geom: Geometry, form: Form) -> str:
@@ -184,7 +190,7 @@ def is_power_of_qpositive(geom: Geometry, a: Form) -> bool:
       tau z^r ^ z^s = e(rs) z^{pi(rs)}, hence tau sigma_B = sigma_B (e^2 = 1).
       A read that is not q-real therefore breaks a frame convention.
     * Signs.  M = A P^T for the skew matrix A of a (2,0)-form, with P the
-      real signed permutation of :meth:`Metric.from_hermitian_matrix`
+      real signed permutation of :func:`hypercomplex.j_index`
       (A = G P, P^T = P^-1 = -P); q-real means M is Hermitian.  Since
       det P = 1, Pf(A)^2 = det G; on the convex q-positive cone Pf is thus
       real and nonzero, and it is 1 at the unitary form: Pf(A) > 0.
@@ -251,7 +257,28 @@ class CurvatureData:
 
 
 class Metric:
-    """The q-real q-positive (2,0)-form of an invariant hyperhermitian metric."""
+    """The q-real q-positive (2,0)-form of an invariant hyperhermitian metric.
+
+    Construction makes one elimination, :func:`linalg.hermitian_pivots` of
+    the Hermitian read G, and reads positivity, Pf and det G off its pivots.
+
+    * Positivity.  The pivots' signs are the inertia of G, so Omega is
+      q-positive exactly when every pivot is positive; a positive definite G
+      is then eliminated in natural order (Sylvester's criterion).
+    * Pivots pair up.  q-reality makes G commute with the antilinear J conj:
+      it is the complex form of a quaternionic Hermitian matrix, with 2x2
+      blocks [[a, b], [-conj b, conj a]] and diagonal blocks d 1, d real.
+      A diagonal block has pivots d and d - 0 = d, and eliminating it leaves
+      the Schur complement C - B (d 1)^-1 B^*, a sum of products of
+      quaternionic matrices, so again quaternionic Hermitian.  By induction
+      pivot 2i+1 equals pivot 2i; a broken pair is a ``ConsistencyError``.
+    * Pf and det.  A = G P for the signed permutation P of
+      :func:`hypercomplex.j_index`, and det P = 1, so
+      Pf(A)^2 = det G = prod of the pivots = (prod of pivots 2i)^2.  On the
+      convex q-positive cone Pf(A) is real, nonzero, and 1 at the unitary
+      form, so Pf(A) > 0 (see :func:`is_power_of_qpositive`); the positive
+      pivots give Pf(A) = prod_i pivot 2i and det G = Pf(A)^2.
+    """
 
     def __init__(self, geometry: Geometry, omega: Form):
         self.geometry = geometry
@@ -264,16 +291,15 @@ class Metric:
             raise QRealError("metric form must be q-real")
         self.omega = omega
         self.gram = hermitian_matrix_of(geometry, omega)
-        if linalg.hermitian_definiteness(self.gram) != "positive":
+        pivots = linalg.hermitian_pivots(self.gram)
+        if any(p.sign() <= 0 for p in pivots):
             raise MetricError("metric form is not q-positive")
-        self.skew = SkewMatrix.from_form(omega, self.N)
-        self.pf = self.skew.pfaffian()
-        if not self.pf.is_real():
-            raise ConsistencyError("Pfaffian of a q-real metric must be real")
-        det_g = linalg.det(self.gram)
-        if self.pf * self.pf.conjugate() != det_g:
-            raise ConsistencyError("|pf|^2 != det of the Hermitian matrix")
-        self.det_g = det_g.re
+        if pivots[1::2] != pivots[0::2]:
+            raise ConsistencyError("the pivots of a quaternionic Hermitian matrix "
+                                   "do not come in equal pairs")
+        pf = functools.reduce(operator.mul, pivots[0::2])
+        self.pf = ComplexScalar(pf)
+        self.det_g = pf * pf
         self._omega_powers: dict = {}
         self._canonical: CanonicalForms | None = None
         self._curvature: CurvatureData | None = None
@@ -317,15 +343,15 @@ class Metric:
     def from_hermitian_matrix(cls, geometry: Geometry, gram) -> "Metric":
         """Rebuild the (2,0)-form from g_{r sbar}; inverse of ``.gram``.
 
-        Uses G[r][s] = Omega(Z_r, J conj(Z_s)) with J conj(Z_{2i-1}) = Z_{2i},
-        so the full skew matrix is A[r][t] = G[r][t-1] (t odd, 0-based) and
-        A[r][t] = -G[r][t+1] (t even).  Skew-symmetry of the result is exactly
-        the hyperhermitian compatibility of the input and is verified.
+        Uses G[r][s] = Omega(Z_r, J conj(Z_s)), so the full skew matrix is
+        A[r][t] = s(t) G[r][P(t)] with (P, s) = :func:`hypercomplex.j_index`.
+        Skew-symmetry of the result is exactly the hyperhermitian
+        compatibility of the input and is verified.
         """
         N = geometry.N
         g = [[ComplexScalar._coerce(x) for x in row] for row in gram]
-        full = [[(g[r][t - 1] if t % 2 else -g[r][t + 1]) for t in range(N)]
-                for r in range(N)]
+        index = [j_index(t) for t in range(N)]
+        full = [[row[p] if s > 0 else -row[p] for p, s in index] for row in g]
         for r in range(N):
             if not full[r][r].is_zero():
                 raise MetricError("matrix is not hyperhermitian-compatible")
@@ -360,10 +386,9 @@ class Metric:
         Omega^n is the one monomial n! Pf z^{[N]}.  For n >= 2, Omega^{n-1}
         is (n-1)! times :func:`forms.cofactor_power` of Pf and A^-1: the
         coefficient on z^{[N] minus {r, s}} is (n-1)! (-1)^{r+s} Pf (A^-1)[r][s].
-        A = G P for the signed permutation P of :meth:`from_hermitian_matrix`
-        (A[r][t] = G[r][t-1] for odd t, -G[r][t+1] for even t), so
-        A^-1 = P^T G^-1: row t of A^-1 is row t-1 of G^-1 for odd t and minus
-        row t+1 for even t.  At n = 1, Omega^0 is the constant 1.
+        A = G P for the signed permutation P of :func:`hypercomplex.j_index`
+        (A[r][t] = s(t) G[r][P(t)]), so A^-1 = P^T G^-1: row t of A^-1 is
+        s(t) times row P(t) of G^-1.  At n = 1, Omega^0 is the constant 1.
         """
         n = self.n
         if k not in (n - 1, n):
@@ -378,8 +403,8 @@ class Metric:
                 power = Form.constant(dim, C_ONE)
             else:
                 g_inv = self._g_inv
-                a_inv = [g_inv[t - 1] if t % 2 else [-c for c in g_inv[t + 1]]
-                         for t in range(self.N)]
+                a_inv = [g_inv[p] if s > 0 else [-c for c in g_inv[p]]
+                         for p, s in map(j_index, range(self.N))]
                 power = cofactor_power(self.pf, a_inv, dim).scale(fact)
             self._omega_powers[k] = power
         return power
@@ -456,14 +481,28 @@ class Metric:
 
         Contracting by e_k is the coefficient-wise transpose of wedging by z^k
         on the left, so <a, L ^ b> = <sum_{k<l} (L#)_{kl} iota_l iota_k a, b>.
+
+        L# is read from H = G^-1: raising conj(A) gives H^T conj(A) H = P H,
+        as A = G P (P real, :func:`hypercomplex.j_index`) and
+        H^T conj(G) = conj(H G) = 1.  P H is skew, so
+        (Omega#)_{kl} = s(l) H[P(l)][k] for k < l, and conj(Omega) raises to
+        the conjugates on the barred pairs (N + k, N + l).
         """
-        L = self.omega_bar() if conjugate else self.omega
-        rows: dict = {}
-        for (k, l), c in self._sharp(L).terms.items():
-            rows.setdefault(k, {})[l] = c
+        N, h = self.N, self._g_inv
+        shift = N if conjugate else 0
+        index = [j_index(l) for l in range(N)]
         out = Form.zero(self.geometry.algebra.dim, max(a.degree - 2, 0))
-        for k, row in rows.items():
-            out = out + a.contract({k: C_ONE}).contract(row)
+        for k in range(N):
+            row = {}
+            for l in range(k + 1, N):
+                p, s = index[l]
+                c = h[p][k]
+                if c.is_zero():
+                    continue
+                c = c if s > 0 else -c
+                row[shift + l] = c.conjugate() if conjugate else c
+            if row:
+                out = out + a.contract({shift + k: C_ONE}).contract(row)
         return out
 
     # -- traces --------------------------------------------------------------------

@@ -198,6 +198,16 @@ def is_abelian(d: LieAlgebraData, H: HypercomplexStructure) -> bool:
     return True
 
 
+def j_index(h: int) -> tuple:
+    """(P(h), s(h)) with J z^h = s(h) conj(z^{P(h)}), h a 0-based holomorphic index.
+
+    P swaps 2i and 2i+1, and s is -1 on even and +1 on odd indices.  The same
+    signed permutation reads the skew matrix A of a (2,0)-form off its
+    Hermitian matrix G: A[r][t] = s(t) G[r][P(t)].
+    """
+    return (h + 1, -1) if h % 2 == 0 else (h - 1, 1)
+
+
 class ComplexFrame:
     """Adapted frame for a hypercomplex structure over a fixed algebra.
 
@@ -297,12 +307,9 @@ class ComplexFrame:
         N = self.N
         mapping = {}
         for h in range(N):
-            if h % 2 == 0:
-                mapping[h] = (N + h + 1, -1)      # J z^{2i-1} = -conj(z^{2i})
-                mapping[N + h] = (h + 1, -1)      # J conj(z^{2i-1}) = -z^{2i}
-            else:
-                mapping[h] = (N + h - 1, 1)       # J z^{2i} = conj(z^{2i-1})
-                mapping[N + h] = (h - 1, 1)
+            p, s = j_index(h)
+            mapping[h] = (N + p, s)               # J z^h = s conj(z^p)
+            mapping[N + h] = (p, s)               # J conj(z^h) = s z^p
         return mapping
 
     def j_action(self, form: Form) -> Form:
@@ -331,13 +338,8 @@ class ComplexFrame:
         N = self.N
         out: dict = {}
         for k, c in vec.items():
-            if k < N:
-                h = k
-                tgt, sgn = (N + h + 1, 1) if h % 2 == 0 else (N + h - 1, -1)
-            else:
-                h = k - N
-                tgt, sgn = (h + 1, 1) if h % 2 == 0 else (h - 1, -1)
-            out[tgt] = c if sgn > 0 else -c
+            p, s = j_index(k % N)           # J Z_h = -s conj(Z_p), J conj(Z_h) = -s Z_p
+            out[p if k >= N else N + p] = -c if s > 0 else c
         return out
 
     def conj_vector(self, vec: dict) -> dict:

@@ -1,18 +1,19 @@
 """Exact linear algebra over complex scalars, with one elimination kernel.
 
-Every row reduction of ``hha`` apart from ``det``, ``hermitian_inertia``
-and ``forms.pfaffian`` is :func:`echelon_add`: it adds one sparse row (a
+Every row reduction of ``hha`` apart from ``det`` and
+``hermitian_pivots`` is :func:`echelon_add`: it adds one sparse row (a
 dict from column to scalar) to a reduced row echelon basis and touches
-only nonzeros.  Callers
-that hold forms pass ``form.terms`` as rows directly.  ``solve``,
-``inverse``, ``rank`` and ``nullspace`` read :func:`echelon` on the
-nonzeros of their dense input; ``det`` and ``hermitian_inertia`` are
-forward elimination with a pivot product and symmetric pivoting, and the
-small dense matrix helpers stay dense.
+only nonzeros.  Callers that hold forms pass ``form.terms`` as rows
+directly.  ``solve``, ``inverse``, ``rank`` and ``nullspace`` read
+:func:`echelon` on the nonzeros of their dense input.  ``det`` is forward
+elimination with a pivot product; :func:`hermitian_pivots` is the one
+symmetric elimination of a Hermitian matrix, whose pivots give its
+definiteness here and the Pfaffian, determinant and positivity of a metric
+in ``hermitian``.  The small dense matrix helpers stay dense.
 """
 from __future__ import annotations
 
-from .scalars import C_ONE, C_ZERO, ComplexScalar
+from .scalars import C_ONE, C_ZERO, ONE, ZERO, ComplexScalar
 
 
 class SingularMatrixError(ArithmeticError):
@@ -206,73 +207,69 @@ def nullspace(a):
     return basis
 
 
-def hermitian_inertia(g):
-    """Exact inertia (n_pos, n_neg, n_zero) of a Hermitian matrix.
+def hermitian_pivots(g) -> list:
+    """The real pivots of a symmetric Schur elimination of a Hermitian matrix.
 
-    Uses Schur-complement pivoting; 2x2 hyperbolic blocks handle the case of
-    a vanishing diagonal.  The input is not modified.
+    Each step takes the first remaining nonzero diagonal entry as a pivot, so
+    a positive definite matrix (Sylvester's criterion) is eliminated in
+    natural order.  When every remaining diagonal entry vanishes, a nonzero
+    entry x makes a hyperbolic 2x2 block [[0, x], [conj x, 0]], recorded as
+    the pair (1, -|x|^2); when the rest vanishes too it contributes zeros.
+    Each pivot block is congruent to its pivots, so their signs are the
+    inertia (Sylvester's law), and a symmetric permutation keeps the
+    determinant, so their product is det g.  The input is not modified.
     """
     n = len(g)
     m = [[_c(g[i][j]) for j in range(n)] for i in range(n)]
     active = list(range(n))
-    pos = neg = zero = 0
+    pivots = []
     while active:
-        piv = None
-        for i in active:
-            if not m[i][i].is_zero():
-                piv = i
-                break
+        piv = next((i for i in active if not m[i][i].is_zero()), None)
         if piv is not None:
             p = m[piv][piv]
             if not p.is_real():
                 raise ValueError("matrix is not Hermitian")
-            if p.re.sign() > 0:
-                pos += 1
-            else:
-                neg += 1
+            pivots.append(p.re)
             active.remove(piv)
             inv = p.inverse()
+            prow = m[piv]
+            # entry (r, s) changes only where the pivot row and column meet it
+            support = [s for s in active if not prow[s].is_zero()]
             for r in active:
                 mrp = m[r][piv]
                 if mrp.is_zero():
                     continue
-                for s in active:
-                    m[r][s] = m[r][s] - mrp * inv * m[piv][s]
+                f, row = mrp * inv, m[r]
+                for s in support:
+                    row[s] = row[s] - f * prow[s]
             continue
-        # all active diagonal entries vanish
-        pair = None
-        for i in active:
-            for j in active:
-                if i < j and not m[i][j].is_zero():
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i in active for j in active
+                     if i < j and not m[i][j].is_zero()), None)
         if pair is None:
-            zero += len(active)
+            pivots.extend([ZERO] * len(active))
             break
         i, j = pair
-        # 2x2 block [[0, x], [conj(x), 0]] contributes one of each sign
-        pos += 1
-        neg += 1
+        x = m[i][j]
+        pivots.extend((ONE, -x.abs2()))
         active.remove(i)
         active.remove(j)
-        x = m[i][j]
         xinv = x.inverse()
         xbinv = x.conjugate().inverse()
         for r in active:
             ri, rj = m[r][i], m[r][j]
             if ri.is_zero() and rj.is_zero():
                 continue
+            fi, fj = ri * xbinv, rj * xinv
             for s in active:
-                upd = ri * xbinv * m[j][s] + rj * xinv * m[i][s]
-                m[r][s] = m[r][s] - upd
-    return pos, neg, zero
+                m[r][s] = m[r][s] - (fi * m[j][s] + fj * m[i][s])
+    return pivots
 
 
 def hermitian_definiteness(g) -> str:
-    """One of: positive, semipositive, negative, seminegative, indefinite, zero."""
-    pos, neg, zero = hermitian_inertia(g)
+    """One of: positive, semipositive, negative, seminegative, indefinite,
+    zero; read off the signs of :func:`hermitian_pivots`."""
+    signs = [p.sign() for p in hermitian_pivots(g)]
+    pos, neg, zero = signs.count(1), signs.count(-1), signs.count(0)
     if pos and neg:
         return "indefinite"
     if pos:

@@ -6,11 +6,10 @@ import pytest
 from hha.forms import (
     DegreeOverflowError,
     Form,
-    SkewMatrix,
     bidegree_split,
-    pfaffian,
     pure_bidegree,
 )
+from pfaffian_oracle import SkewMatrix, pfaffian
 from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, rational
 
 

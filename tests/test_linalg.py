@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from hha import linalg
-from hha.forms import pfaffian
 from hha.scalars import C_ONE, C_ZERO, ComplexScalar, Scalar, ZERO, rational
+from pfaffian_oracle import pfaffian
 
 
 def c(re, im=0):
@@ -81,20 +81,40 @@ def test_rank():
     assert linalg.rank([[c(1), c(0)], [c(0), c(1)]]) == 2
 
 
+def inertia(g):
+    """(n_pos, n_neg, n_zero) counted from the signs of the pivots."""
+    signs = [p.sign() for p in linalg.hermitian_pivots(g)]
+    assert len(signs) == len(g)
+    return signs.count(1), signs.count(-1), signs.count(0)
+
+
+def pivot_product(g):
+    out = ComplexScalar(rational(1))
+    for p in linalg.hermitian_pivots(g):
+        out = out * p
+    return out
+
+
 def test_hermitian_inertia_diagonal():
     g = [[c(2), c(0)], [c(0), c(-3)]]
-    assert linalg.hermitian_inertia(g) == (1, 1, 0)
+    assert linalg.hermitian_pivots(g) == [rational(2), rational(-3)]
+    assert inertia(g) == (1, 1, 0)
 
 
 def test_hermitian_inertia_psd_rank_deficient():
     g = [[c(1), c(0), c(0)], [c(0), c(1), c(0)], [c(0), c(0), c(0)]]
+    assert inertia(g) == (2, 0, 1)
     assert linalg.hermitian_definiteness(g) == "semipositive"
 
 
 def test_hermitian_inertia_hyperbolic_block():
     g = [[c(0), c(1)], [c(1), c(0)]]
-    assert linalg.hermitian_inertia(g) == (1, 1, 0)
+    assert inertia(g) == (1, 1, 0)
     assert linalg.hermitian_definiteness(g) == "indefinite"
+    # the block [[0, x], [conj x, 0]] gives the pair (1, -|x|^2)
+    x = c(1, 2)
+    assert linalg.hermitian_pivots([[c(0), x], [x.conjugate(), c(0)]]) == [rational(1),
+                                                                          rational(-5)]
 
 
 def test_hermitian_inertia_random_congruence_invariant():
@@ -110,7 +130,8 @@ def test_hermitian_inertia_random_congruence_invariant():
         pos = sum(1 for x in d_entries if x > 0)
         neg = sum(1 for x in d_entries if x < 0)
         zero = sum(1 for x in d_entries if x == 0)
-        assert linalg.hermitian_inertia(g) == (pos, neg, zero)
+        assert inertia(g) == (pos, neg, zero)
+        assert pivot_product(g) == linalg.det(g)
 
 
 def test_hermitian_definiteness_positive():
@@ -135,8 +156,9 @@ def test_matrix_helpers_keep_the_entry_type():
 # Q(sqrt 2, i), on random sparse and dense matrices, singular ones included.
 # The inertia of a Hermitian matrix is read from its characteristic
 # polynomial, whose roots are all real: Descartes' rule of signs then counts
-# them exactly.  The Pfaffian is checked by Pf^2 = det, which fixes it up to
-# sign; test_forms checks the sign against the top wedge power.
+# them exactly, and the signs of the pivots must agree; their product must be
+# the determinant.  The oracle Pfaffian is checked by Pf^2 = det, which fixes
+# it up to sign; test_forms checks the sign against the top wedge power.
 
 
 def _random_entry(rng, d, density):
@@ -173,9 +195,9 @@ def _sign_changes(signs):
     return sum(1 for x, y in zip(signs, signs[1:]) if x != y)
 
 
-def _descartes_inertia(sympy, field, matrix):
-    """(n_pos, n_neg, n_zero) from the characteristic polynomial."""
-    coeffs = matrix.charpoly()  # det(x - H), leading coefficient first
+def _descartes_inertia(sympy, field, coeffs):
+    """(n_pos, n_neg, n_zero) from the characteristic polynomial det(x - H),
+    leading coefficient first."""
     n = len(coeffs) - 1
     signs = []
     for c in coeffs:
@@ -248,10 +270,13 @@ def test_linalg_matches_sympy(d, density):
             if singular:
                 m = _random_exact_matrix(rng, n, n, d, density, True)
                 h, skew = _congruent(m, h, skew=False), _congruent(m, skew, skew=True)
-            inertia = linalg.hermitian_inertia(h)
-            assert inertia == _descartes_inertia(sympy, field, domain_matrix(h))
-            seen_zero += inertia[2] > 0
-            seen_indefinite += inertia[0] > 0 and inertia[1] > 0
+            signs = inertia(h)
+            coeffs = domain_matrix(h).charpoly()
+            assert signs == _descartes_inertia(sympy, field, coeffs)
+            # det(x - H) at x = 0 is (-1)^n det H
+            assert to_field(pivot_product(h)) == (-1) ** n * coeffs[-1]
+            seen_zero += signs[2] > 0
+            seen_indefinite += signs[0] > 0 and signs[1] > 0
             if n % 2 == 0:
                 pf = to_field(pfaffian(skew))
                 assert pf * pf == domain_matrix(skew).det()
