@@ -9,8 +9,8 @@ from hha.forms import (
     bidegree_split,
     pure_bidegree,
 )
-from pfaffian_oracle import SkewMatrix, pfaffian
 from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, rational
+from pfaffian_oracle import SkewMatrix, pfaffian
 
 
 def mono(nsym, idx, c=C_ONE):

@@ -113,8 +113,8 @@ def test_hermitian_inertia_hyperbolic_block():
     assert linalg.hermitian_definiteness(g) == "indefinite"
     # the block [[0, x], [conj x, 0]] gives the pair (1, -|x|^2)
     x = c(1, 2)
-    assert linalg.hermitian_pivots([[c(0), x], [x.conjugate(), c(0)]]) == [rational(1),
-                                                                          rational(-5)]
+    block = [[c(0), x], [x.conjugate(), c(0)]]
+    assert linalg.hermitian_pivots(block) == [rational(1), rational(-5)]
 
 
 def test_hermitian_inertia_random_congruence_invariant():
