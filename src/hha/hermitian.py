@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 from . import linalg
@@ -297,7 +296,7 @@ class Metric:
         if pivots[1::2] != pivots[0::2]:
             raise ConsistencyError("the pivots of a quaternionic Hermitian matrix "
                                    "do not come in equal pairs")
-        pf = functools.reduce(operator.mul, pivots[0::2])
+        pf = math.prod(pivots[0::2])
         self.pf = ComplexScalar(pf)
         self.det_g = pf * pf
         self._omega_powers: dict = {}
