@@ -22,7 +22,7 @@ from .documents import InputDocument, load_document, parse_input
 from .forms import Form
 from .hermitian import qpositivity_verdict
 from .hypercomplex import Geometry
-from .scalars import parse_scalar, rational, scalar_str
+from .scalars import C_I, C_ONE, parse_scalar, rational, scalar_str
 
 
 class UnknownEntryError(KeyError):
@@ -79,17 +79,20 @@ def _entry_input(name, dim, eqs, metric=None, fld=None):
     return doc
 
 
-# -- printed complex structure equations, as ordered wedge words -----------------
-# each term: (coefficient string, [("z" | "zb", index), ...])
+# -- printed forms, as ordered wedge words ----------------------------------------
+# each structure-equation term: (coefficient string, [("z" | "zb", index), ...]);
+# each alpha term: (coefficient string, "i" or "", word)
 
 
-def _expected_equation(geom: Geometry, terms):
-    total = Form.zero(geom.algebra.dim, 2)
-    for coeff, word in terms:
-        prod = Form.constant(geom.algebra.dim, 1)
+def _wedge_words(geom: Geometry, degree: int, terms) -> Form:
+    """The sum of c * (the ordered wedge of the word) over (c, word) pairs."""
+    dim = geom.algebra.dim
+    total = Form.zero(dim, degree)
+    for c, word in terms:
+        prod = Form.constant(dim, c)
         for kind, idx in word:
             prod = prod.wedge(geom.zeta(idx) if kind == "z" else geom.zeta_bar(idx))
-        total = total + prod.scale(parse_scalar(coeff))
+        total = total + prod
     return total
 
 
@@ -401,7 +404,7 @@ def check_entry(entry: CatalogEntry) -> EntryOutcome:
 
     if "structure_equations" in exp:
         for idx, terms in exp["structure_equations"].items():
-            expect = _expected_equation(geom, terms)
+            expect = _wedge_words(geom, 2, ((parse_scalar(c), word) for c, word in terms))
             got = geom.frame.d(geom.zeta(idx))
             checks.append(CheckResult(
                 f"d z{idx} matches the printed equation", got == expect,
@@ -434,16 +437,8 @@ def check_entry(entry: CatalogEntry) -> EntryOutcome:
             "" if lam == want else f"got {lam}"))
 
     if "alpha" in exp:
-        from .scalars import ComplexScalar
-        expect = Form.zero(geom.algebra.dim, 1)
-        for coeff, imag, word in exp["alpha"]:
-            c = ComplexScalar(parse_scalar(coeff))
-            if imag == "i":
-                c = c.times_i()
-            prod = Form.constant(geom.algebra.dim, c)
-            for kind, idx in word:
-                prod = prod.wedge(geom.zeta(idx) if kind == "z" else geom.zeta_bar(idx))
-            expect = expect + prod
+        expect = _wedge_words(geom, 1, (((C_I if imag == "i" else C_ONE) * parse_scalar(c), word)
+                                        for c, imag, word in exp["alpha"]))
         got = metric.canonical_forms().alpha
         checks.append(CheckResult(
             "alpha matches the printed value", got == expect,

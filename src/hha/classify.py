@@ -461,16 +461,9 @@ def _height_grid(height: int):
                               for q in range(1, height + 1)))
 
 
-PREDICATES = {
-    "hkt": lambda rep: rep.flag("hkt"),
-    "strong_hkt": lambda rep: rep.flag("strong_hkt"),
-    "hyperkaehler": lambda rep: rep.flag("hyperkaehler"),
-    "q_balanced": lambda rep: rep.flag("q_balanced"),
-    "q_strongly_gauduchon": lambda rep: rep.flag("q_strongly_gauduchon"),
-    "q_gauduchon": lambda rep: rep.flag("q_gauduchon"),
-    "balanced": lambda rep: rep.flag("balanced"),
-    "gauduchon": lambda rep: rep.flag("gauduchon"),
-}
+# the flags a search can look for by name
+PREDICATES = ("hkt", "strong_hkt", "hyperkaehler", "q_balanced", "q_strongly_gauduchon",
+              "q_gauduchon", "balanced", "gauduchon")
 
 
 @dataclass
@@ -488,11 +481,12 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
 
     Diagonal family: positive rationals of bounded height on the diagonal.
     Full family adds a single q-real off-diagonal perturbation per point.
-    The predicate may be a name from PREDICATES or a callable on reports.
+    The predicate may be a flag name from PREDICATES or a callable on reports.
     """
-    pred_name = predicate if isinstance(predicate, str) else getattr(
-        predicate, "__name__", "custom")
-    pred = PREDICATES[predicate] if isinstance(predicate, str) else predicate
+    named = isinstance(predicate, str)
+    if named and predicate not in PREDICATES:
+        raise KeyError(predicate)
+    pred_name = predicate if named else getattr(predicate, "__name__", "custom")
     n = geom.n
     vals = _height_grid(height)
     tested = 0
@@ -500,7 +494,7 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
 
     def check(m: Metric):
         rep = classify_metric(m, with_obstruction=False, skt_structures=False)
-        return pred(rep)
+        return rep.flag(predicate) if named else predicate(rep)
 
     for combo in itertools.product(vals, repeat=n):
         if tested >= budget:
@@ -511,7 +505,7 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
         if check(m):
             return SearchResult(m, tested, False, family, pred_name)
     if family == "full":
-        base = [ONE] * n
+        unitary = Metric.unitary(geom).omega
         offs = [rational(1, 2), rational(-1, 2), ONE, -ONE]
         N = geom.N
         points = ((r, s, off) for r in range(N) for s in range(r + 1, N) for off in offs)
@@ -522,9 +516,8 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
             tested += 1
             seed = Form.monomial(geom.algebra.dim, (r, s), ComplexScalar(off))
             sym = seed + geom.frame.j_action(geom.frame.conjugate(seed))
-            omega = Metric.diagonal(geom, base).omega + sym
             try:
-                m = Metric(geom, omega)
+                m = Metric(geom, unitary + sym)
             except (MetricError, QRealError):
                 continue
             if check(m):
@@ -577,22 +570,14 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     trivial = r_union == r_span + r_image
 
     rng = _random.Random(seed)
+    grid = itertools.product((ONE, rational(2), rational(1, 2)), repeat=n)
+    drawn = ([rational(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)]
+             for _ in range(samples))
     all_fail = True
     nonvanishing = True
     count = 0
     derivatives = _diagonal_power_derivatives(geom)
-    for combo in itertools.product((ONE, rational(2), rational(1, 2)), repeat=n):
-        dp = _diagonal_power_derivative(derivatives, combo)
-        if dp.is_zero():
-            nonvanishing = False
-        w, _ = solve_exactness(geom, "del_j", dp, (2 * n - 2, 0))
-        if w is not None:
-            all_fail = False
-        count += 1
-        if count >= samples:
-            break
-    for _ in range(samples):
-        diag = [rational(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)]
+    for diag in itertools.chain(itertools.islice(grid, samples), drawn):
         dp = _diagonal_power_derivative(derivatives, diag)
         if dp.is_zero():
             nonvanishing = False

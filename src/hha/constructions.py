@@ -9,9 +9,10 @@ the constructions also verify the structural identities they promise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import linalg
-from .classify import classify_metric
+from .classify import classify_metric, einstein_factor
 from .forms import Form
 from .hermitian import ConsistencyError, Metric
 from .hypercomplex import Geometry, HypercomplexStructure
@@ -43,7 +44,6 @@ def exact_inv_sqrt(m: int) -> Scalar:
         k += 1
     if d == 1:
         return rational(1, s)
-    from fractions import Fraction
     return Scalar(Fraction(0), Fraction(1, s * d), d)
 
 
@@ -530,8 +530,7 @@ def joyce_build(data: JoyceData) -> JoyceResult:
             )
         lam = ONE
     else:
-        from .classify import einstein_factor as _ef
-        lam, _res = _ef(metric)
+        lam, _res = einstein_factor(metric)
         if lam is None:
             raise ConsistencyError("overridden weights yield a non-Einstein metric")
     return JoyceResult(geometry=geom, metric=metric, einstein_factor=lam, mus=mus)
@@ -603,7 +602,7 @@ def joyce_su3_data() -> JoyceData:
     close the 8-dimensional compact simple algebra over Q(sqrt(3)).
     """
     h = rational(1, 2)
-    r32 = Scalar._coerce(0) + exact_inv_sqrt(3) * rational(3, 2)  # sqrt(3)/2
+    r32 = exact_inv_sqrt(3) * rational(3, 2)  # sqrt(3)/2
     extra = {
         (0, 4): {7: r32},
         (0, 5): {6: -r32},

@@ -4,7 +4,10 @@ A :class:`Form` of degree k over ``nsym`` frame covectors stores a map from
 strictly increasing index tuples to nonzero complex coefficients.  The
 evaluation convention carries no 1/k! factors:
 ``(a^1 ^ ... ^ a^k)(X_1, ..., X_k) = det(a^i(X_j))``, so a basis monomial
-evaluates to 1 on its own dual frame vectors.
+evaluates to 1 on its own dual frame vectors, and the coefficient on a key is
+the value on those vectors.  The package reads values off coefficients that
+way; the evaluator itself, with the frame vectors and the action of I, J, K
+on them, lives with the tests (``tests/frame_evaluation.py``).
 """
 from __future__ import annotations
 
@@ -201,15 +204,6 @@ class Form:
                 else:
                     out[newkey] = s
         return Form(self.nsym, self.degree - 1, out)
-
-    def evaluate(self, vectors) -> ComplexScalar:
-        """Evaluate the form on a list of vectors (multilinear, alternating)."""
-        if len(vectors) != self.degree:
-            raise ValueError("number of vectors must equal the degree")
-        cur = self
-        for v in vectors:
-            cur = cur.contract(v)
-        return cur.coefficient(())
 
     def substitute(self, images) -> "Form":
         """Apply an algebra endomorphism sending generator i to images[i]."""

@@ -10,7 +10,9 @@ both scalar curvatures.
 The skew matrix A of ``Omega`` is A[r][t] = s(t) G[r][P(t)] for the one
 index map (P, s) = :func:`hypercomplex.j_index`.  Every matrix fact of a
 metric comes from one Hermitian elimination of G (positivity, Pf, det G) or
-is a signed read of G^-1 through that map (A^-1 and the raised Omega).
+is a signed read of G^-1 through that map (A^-1 and the raised Omega).  The
+division routes of ``alpha`` and ``beta`` and the trace against Omega are
+reads against A and A^-1, and phi, phi^-1 are signed reads of coefficients.
 
 Powers of ``Omega`` are read, never multiplied out: Omega^n is n! Pf times the
 top monomial and Omega^{n-1} is (n-1)! Pf times a signed read of A^-1 (A the
@@ -26,8 +28,9 @@ directly from G^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
 a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
 ``alpha`` and ``beta`` are always computed along two independent routes
-(coefficient division against the relevant power, and the Lefschetz-adjoint
-formula); any disagreement raises, acting as a built-in convention audit.
+(coefficient division against the relevant power, read against A and A^-1,
+and the Lefschetz-adjoint formula, read from G^-1); any disagreement raises,
+acting as a built-in convention audit.
 """
 from __future__ import annotations
 
@@ -64,75 +67,48 @@ class ConsistencyError(RuntimeError):
 # -- the (1,1) <-> (2,0) correspondence --------------------------------------
 
 
-def _i_vector(geom: Geometry, vec: dict) -> dict:
-    N = geom.N
-    return {
-        k: (c.times_i() if k < N else -c.times_i())
-        for k, c in vec.items()
-    }
-
-
-def _k_vector(geom: Geometry, vec: dict) -> dict:
-    return _i_vector(geom, geom.frame.j_vector(vec))
-
-
 def phi(geom: Geometry, gamma: Form) -> Form:
-    """The pointwise bijection (1,1)-forms -> (2,0)-forms.
-
-    ``phi(gamma)(X, Y) = (i gamma(JX, Y) - gamma(KX, Y)) / 2``.
+    """The pointwise bijection (1,1)-forms -> (2,0)-forms,
+    ``phi(gamma)(X, Y) = (i gamma(JX, Y) - gamma(KX, Y)) / 2``, read off the
+    coefficients.  With (P, s) = :func:`hypercomplex.j_index`,
+    J Z_r = -s(r) conj(Z_{P(r)}) and K Z_r = I J Z_r = i s(r) conj(Z_{P(r)}),
+    and gamma(conj(Z_p), Z_t) = -gamma_{t, N+p}, so
+    phi(gamma)_{rt} = i s(r) gamma_{t, N+P(r)} for r < t: the term on
+    (t, N+b) lands on (P(b), t) when P(b) < t, one key each.
     """
     if pure_bidegree(gamma, geom.N) != (1, 1) and not gamma.is_zero():
         raise MetricError("phi expects a (1,1)-form")
-    fr = geom.frame
     N = geom.N
     terms = {}
-    for r in range(N):
-        for s in range(r + 1, N):
-            zr, zs = fr.frame_vector(r + 1), fr.frame_vector(s + 1)
-            val = gamma.evaluate([fr.j_vector(zr), zs]).times_i() \
-                - gamma.evaluate([_k_vector(geom, zr), zs])
-            val = val * ComplexScalar(rational(1, 2))
-            if not val.is_zero():
-                terms[(r, s)] = val
+    for (t, bar_b), c in gamma.terms.items():
+        r = j_index(bar_b - N)[0]
+        if r < t:
+            c = c.times_i()
+            terms[(r, t)] = c if j_index(r)[1] > 0 else -c
     return Form(gamma.nsym, 2, terms)
 
 
 def phi_inverse(geom: Geometry, sigma: Form) -> Form:
-    """Inverse of :func:`phi`, extended complex-linearly via q-real parts."""
+    """Inverse of :func:`phi`, complex-linear, onto the (1,1)-forms that J negates.
+
+    A term c z^r ^ z^t (r < t) maps to -i s(r) c on z^t ^ conj(z^{P(r)}) plus
+    i s(t) c on z^r ^ conj(z^{P(t)}).  J swaps these two monomials with the
+    sign s(r) s(t) (J z^h = s(h) conj(z^{P(h)}), s(P(h)) = -s(h)), so the sum
+    is J-odd; :func:`phi` reads i s(r) (-i s(r) c) = c back from the first
+    and skips the second, whose key it would send to (t, r).  Distinct terms
+    write distinct keys.
+    """
     if pure_bidegree(sigma, geom.N) != (2, 0) and not sigma.is_zero():
         raise MetricError("phi_inverse expects a (2,0)-form")
-    fr = geom.frame
-    jbar = fr.j_action(fr.conjugate(sigma))
-    half = ComplexScalar(rational(1, 2))
-    s1 = (sigma + jbar) * half
-    s2 = (sigma - jbar) * (-C_I * half)
-
-    def real_part_inverse(s: Form) -> Form:
-        total = s + fr.conjugate(s)
-        N = geom.N
-        terms = {}
-        for r in range(N):
-            zr = fr.frame_vector(r + 1)
-            jizr = fr.j_vector(_i_vector(geom, zr))
-            for s_ in range(N):
-                zsb = fr.frame_vector(s_ + 1, bar=True)
-                val = -total.evaluate([jizr, zsb])
-                if not val.is_zero():
-                    terms[(r, N + s_)] = val
-        # sanity: the reconstruction has no (2,0) or (0,2) piece
-        for r in range(N):
-            for s_ in range(r + 1, N):
-                chk = -total.evaluate([fr.j_vector(_i_vector(geom, fr.frame_vector(r + 1))),
-                                       fr.frame_vector(s_ + 1)])
-                if not chk.is_zero():
-                    raise ConsistencyError("phi_inverse produced a (2,0) component")
-        return Form(sigma.nsym, 2, terms)
-
-    g1 = real_part_inverse(s1)
-    g2 = real_part_inverse(s2)
-    out = g1 + g2 * C_I
-    back = phi(geom, out) if not out.is_zero() else Form.zero(sigma.nsym, 2)
-    if back != sigma:
+    N = geom.N
+    terms = {}
+    for (r, t), c in sigma.terms.items():
+        (pr, sr), (pt, st) = j_index(r), j_index(t)
+        c = c.times_i()
+        terms[(t, N + pr)] = -c if sr > 0 else c
+        terms[(r, N + pt)] = c if st > 0 else -c
+    out = Form(sigma.nsym, 2, terms)
+    if phi(geom, out) != sigma:
         raise ConsistencyError("phi(phi_inverse(sigma)) != sigma")
     return out
 
@@ -507,11 +483,22 @@ class Metric:
     # -- traces --------------------------------------------------------------------
 
     def _trace_ratio(self, xi: Form) -> ComplexScalar:
-        """n * (xi ^ Omega^{n-1}) / Omega^n as a coefficient ratio."""
-        top = tuple(range(self.N))
-        num = xi.wedge(self.omega_power(self.n - 1)).coefficient(top)
-        den = self.omega_power(self.n).coefficient(top)
-        return num * den.inverse() * ComplexScalar(rational(self.n))
+        """n (xi ^ Omega^{n-1}) / Omega^n of a 2-form, read against A^-1.
+
+        Only the (2,0) part of xi reaches z^{[N]}.  By :func:`forms.cofactor_power`
+        z^r ^ z^s ^ Omega^{n-1} (r < s) keeps (n-1)! (-1)^{r+s} Pf (A^-1)[r][s]
+        on z^{[N] minus {r, s}}, and sorting costs (-1)^{r+s-1}.  Against
+        Omega^n = n! Pf z^{[N]} the ratio is -sum_{r<s<N} xi_{rs} (A^-1)[r][s],
+        with (A^-1)[r][s] = s(r) (G^-1)[P(r)][s] (:meth:`omega_power`).
+        """
+        N, h = self.N, self._g_inv
+        total = C_ZERO
+        for (r, s), c in xi.terms.items():
+            if s < N:
+                p, sign = j_index(r)
+                c = c * h[p][s]
+                total = total + c if sign > 0 else total - c
+        return -total
 
     def trace_omega_i(self, gamma: Form) -> ComplexScalar:
         """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s)."""
@@ -544,7 +531,7 @@ class Metric:
         alpha_lef = self.lefschetz_adjoint(fr.del_(self.omega_bar()), conjugate=True)
         if alpha_div != alpha_lef:
             raise ConsistencyError("alpha mismatch between division and adjoint routes")
-        beta_div = self._solve_beta()
+        beta_div = self._beta_division()
         beta_lef = self.lefschetz_adjoint(fr.del_(self.omega))
         if beta_div != beta_lef:
             raise ConsistencyError("beta mismatch between division and adjoint routes")
@@ -558,26 +545,32 @@ class Metric:
         self._canonical = CanonicalForms(alpha=alpha, beta=beta, eta=eta, theta=theta)
         return self._canonical
 
-    def _solve_beta(self) -> Form:
-        """beta with beta ^ Omega^{n-1} = del Omega^{n-1}, by one elimination.
+    def _beta_division(self) -> Form:
+        """beta with beta ^ Omega^{n-1} = del Omega^{n-1}, read against A.
 
-        Each (2n-1,0) monomial gives one equation in the coefficients of
-        beta on z^1..z^N, with the target in column N.
+        By :func:`forms.cofactor_power`, z^r ^ Omega^{n-1} keeps the terms on
+        z^{[N] minus {r, s}}; moving z^r into place leaves
+        (n-1)! Pf (-1)^s (A^-1)[r][s] on z^{[N] minus {s}}, for s < r as for
+        s > r.  So if c_s is the coefficient of del Omega^{n-1} on
+        z^{[N] minus {s}}, beta A^-1 is the row (-1)^s c_s / ((n-1)! Pf), and
+        A[s][r] = s(r) G[s][P(r)] gives
+        beta_r = sum_s (-1)^s c_s s(r) G[s][P(r)] / ((n-1)! Pf).  Hard
+        Lefschetz makes beta -> beta ^ Omega^{n-1} an isomorphism of the
+        (1,0)- onto the (2n-1,0)-forms, so this is the one solution.
         """
-        fr = self.geometry.frame
-        n, N, dim = self.n, self.N, self.geometry.algebra.dim
-        power = self.omega_power(n - 1)
-        equations: dict = {}
-        for r in range(N):
-            for k, c in Form.monomial(dim, (r,)).wedge(power).terms.items():
-                equations.setdefault(k, {})[r] = c
-        for k, c in fr.del_(power).terms.items():
-            equations.setdefault(k, {})[N] = c
-        rows = linalg.echelon(equations.values())
-        if N in rows:
-            raise ConsistencyError("beta solve failed; hard Lefschetz violated")
-        terms = {(r,): row[N] for r, row in rows.items() if N in row}
-        return Form(dim, 1, terms)
+        n, N = self.n, self.N
+        target = self.geometry.frame.del_(self.omega_power(n - 1))
+        coeffs = [C_ZERO] * N
+        for key, c in target.terms.items():
+            s = N * (N - 1) // 2 - sum(key)   # the one index missing from key
+            c = c if s % 2 == 0 else -c
+            for p, g in enumerate(self.gram[s]):
+                if not g.is_zero():
+                    r, sign = j_index(p)   # P(r) = p and s(r) = -s(p)
+                    coeffs[r] = coeffs[r] - c * g if sign > 0 else coeffs[r] + c * g
+        scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
+        return Form(self.geometry.algebra.dim, 1,
+                    {(r,): c * scale for r, c in enumerate(coeffs) if not c.is_zero()})
 
     def curvature(self) -> CurvatureData:
         if self._curvature is not None:

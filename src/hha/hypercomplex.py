@@ -333,22 +333,6 @@ class ComplexFrame:
             out[key] = c
         return Form(form.nsym, form.degree, out)
 
-    def j_vector(self, vec: dict) -> dict:
-        """J acting on a tangent vector in dual-frame coordinates."""
-        N = self.N
-        out: dict = {}
-        for k, c in vec.items():
-            p, s = j_index(k % N)           # J Z_h = -s conj(Z_p), J conj(Z_h) = -s Z_p
-            out[p if k >= N else N + p] = -c if s > 0 else c
-        return out
-
-    def conj_vector(self, vec: dict) -> dict:
-        return {self.conj_index(k): c.conjugate() for k, c in vec.items()}
-
-    def frame_vector(self, r: int, bar: bool = False) -> dict:
-        """Dual frame vector Z_r (1-based), or its conjugate."""
-        return {(r - 1 + self.N if bar else r - 1): C_ONE}
-
     # -- differentials ---------------------------------------------------------------
 
     @cached_property

@@ -10,6 +10,7 @@ multiplied out with ``Form.wedge_power``.
 import itertools
 import math
 
+from frame_evaluation import conj_vector, evaluate, j_vector
 from hha import linalg
 from hha.forms import Form, _merge_keys
 from hha.hermitian import ConsistencyError, MetricError, QRealError
@@ -31,7 +32,7 @@ def gram_real(m):
     opob = m.omega + m.omega_bar()
     coords = [{a // 2: C_ONE, N + a // 2: C_ONE} if a % 2 == 0
               else {a // 2: C_I, N + a // 2: -C_I} for a in range(dim)]
-    return [[-(opob.evaluate([fr.j_vector(v), w])) for w in coords] for v in coords]
+    return [[-evaluate(opob, [j_vector(fr, v), w]) for w in coords] for v in coords]
 
 
 def hodge_star(m, a: Form) -> Form:
@@ -87,8 +88,8 @@ def pointwise_torsion_identity(m, z: dict):
     fr = m.geometry.frame
     cf = m.canonical_forms()
     dja = fr.del_j(cf.alpha)
-    jzbar = fr.j_vector(fr.conj_vector(z))
-    lhs = dja.evaluate([z, jzbar])
+    jzbar = j_vector(fr, conj_vector(fr, z))
+    lhs = evaluate(dja, [z, jzbar])
     dob = fr.del_(m.omega_bar())
     t1 = m.norm2(dob.contract(z))
     t2 = m.norm2(dob.contract(jzbar))

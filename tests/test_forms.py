@@ -10,6 +10,7 @@ from hha.forms import (
     pure_bidegree,
 )
 from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, rational
+from frame_evaluation import evaluate
 from pfaffian_oracle import SkewMatrix, pfaffian
 
 
@@ -135,10 +136,10 @@ def test_evaluate_determinant_convention():
     f = mono(4, (0, 1))
     z0 = {0: C_ONE}
     z1 = {1: C_ONE}
-    assert f.evaluate([z0, z1]) == C_ONE
-    assert f.evaluate([z1, z0]) == -C_ONE
+    assert evaluate(f, [z0, z1]) == C_ONE
+    assert evaluate(f, [z1, z0]) == -C_ONE
     mixed = {0: C_ONE, 1: C_I}
-    assert f.evaluate([mixed, z1]) == C_ONE
+    assert evaluate(f, [mixed, z1]) == C_ONE
 
 
 def test_bidegree_split_exhaustive_idempotent():

@@ -12,6 +12,7 @@ from conftest import (
     solv_rank1,
     solv_third,
 )
+from frame_evaluation import evaluate, frame_vector
 from hha.forms import Form, bidegree_project, pure_bidegree
 from hha.hermitian import (
     ConsistencyError,
@@ -347,7 +348,7 @@ def test_trace_adapted_frame_formula():
     # adapted-frame oracle: sum of xi(Z_{2i-1}, Z_{2i})
     fr = g.frame
     total = sum(
-        (xi.evaluate([fr.frame_vector(2 * i + 1), fr.frame_vector(2 * i + 2)])
+        (evaluate(xi, [frame_vector(fr, 2 * i + 1), frame_vector(fr, 2 * i + 2)])
          for i in range(g.n)),
         ComplexScalar(ZERO),
     )
@@ -570,7 +571,7 @@ def test_pointwise_torsion_identity():
         g = geom(alg)
         m = random_metric(rng, g, diagonal=(g.algebra.dim > 8))
         for r in range(g.N):
-            z = g.frame.frame_vector(r + 1)
+            z = frame_vector(g.frame, r + 1)
             lhs, rhs = pointwise_torsion_identity(m, z)
             assert lhs == rhs
         z = {0: C_ONE, g.N - 1: ComplexScalar(rational(2), rational(1))}

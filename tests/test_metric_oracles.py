@@ -1,10 +1,13 @@
 """The generic routes that ``Metric`` replaced by closed forms, kept as oracles.
 
-``Metric`` pairs forms by raising indices with h = G^-1 and reads omega_L
-linearly in L.  Here the older routes recompute the same tensors: the
-determinant-minor inner product, the Gram-matrix solve for the Lefschetz
-adjoint, the Hodge star monomial by monomial, the Gram matrix and omega_L
-by evaluating forms on vectors, and the bracket by a scan of the whole table.
+``Metric`` pairs forms by raising indices with h = G^-1, reads omega_L
+linearly in L, and reads beta, the trace against Omega and phi, phi^-1 off
+G, G^-1 and ``j_index``.  Here the older routes recompute the same tensors:
+the determinant-minor inner product, the Gram-matrix solve for the Lefschetz
+adjoint, the Hodge star monomial by monomial, beta by eliminating the
+wedges z^r ^ Omega^{n-1}, the trace as a ratio of wedged top coefficients,
+the Gram matrix, omega_L, phi and phi^-1 by evaluating forms on vectors, and
+the bracket by a scan of the whole table.
 """
 import functools
 import itertools
@@ -12,9 +15,10 @@ import random
 
 import pytest
 
+from frame_evaluation import evaluate, frame_vector, i_vector, j_vector, k_vector
 from hha import linalg
 from hha.forms import Form, bidegree_split
-from hha.hermitian import Metric, MetricError, hermitian_matrix_of
+from hha.hermitian import ConsistencyError, Metric, MetricError, hermitian_matrix_of
 from hha.hypercomplex import Geometry, HypercomplexStructure, SpherePoint, StructureError
 from hha.liealg import LieAlgebraData
 from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, ONE, ZERO, rational, root
@@ -73,6 +77,30 @@ class GenericRoutes:
                 out = out + bm.scale(row[-1])
         return out
 
+    def solved_beta(self):
+        """beta ^ Omega^{n-1} = del Omega^{n-1} by one elimination: each (2n-1,0)
+        monomial gives one equation in the coefficients of beta, with the
+        target in column N."""
+        m, N, dim = self.m, self.N, self.dim
+        power = m.omega_power(m.n - 1)
+        equations = {}
+        for r in range(N):
+            for k, c in Form.monomial(dim, (r,)).wedge(power).terms.items():
+                equations.setdefault(k, {})[r] = c
+        for k, c in m.geometry.frame.del_(power).terms.items():
+            equations.setdefault(k, {})[N] = c
+        rows = linalg.echelon(equations.values())
+        if N in rows:
+            raise ConsistencyError("beta solve failed; hard Lefschetz violated")
+        return Form(dim, 1, {(r,): row[N] for r, row in rows.items() if N in row})
+
+    def trace_ratio(self, xi):
+        """n (xi ^ Omega^{n-1}) / Omega^n as a ratio of top coefficients."""
+        m, top = self.m, tuple(range(self.N))
+        num = xi.wedge(m.omega_power(m.n - 1)).coefficient(top)
+        den = m.omega_power(m.n).coefficient(top)
+        return num * den.inverse() * ComplexScalar(rational(m.n))
+
     def hodge_star(self, a):
         """psi ^ star(a) = <psi, a> vol, one monomial psi at a time."""
         N, dim = self.N, self.dim
@@ -110,9 +138,50 @@ class GenericRoutes:
 def evaluated_gram(geom, sigma):
     """sigma(Z_r, J conj(Z_s)) by evaluating the form on the two vectors."""
     fr = geom.frame
-    return [[sigma.evaluate([fr.frame_vector(r + 1),
-                             fr.j_vector(fr.frame_vector(s + 1, bar=True))])
+    return [[evaluate(sigma, [frame_vector(fr, r + 1),
+                              j_vector(fr, frame_vector(fr, s + 1, bar=True))])
              for s in range(geom.N)] for r in range(geom.N)]
+
+
+def evaluated_phi(geom, gamma):
+    """phi(gamma)(Z_r, Z_s) = (i gamma(J Z_r, Z_s) - gamma(K Z_r, Z_s)) / 2, r < s."""
+    fr, N = geom.frame, geom.N
+    terms = {}
+    for r in range(N):
+        for s in range(r + 1, N):
+            zr, zs = frame_vector(fr, r + 1), frame_vector(fr, s + 1)
+            val = evaluate(gamma, [j_vector(fr, zr), zs]).times_i() \
+                - evaluate(gamma, [k_vector(fr, zr), zs])
+            val = val * ComplexScalar(rational(1, 2))
+            if not val.is_zero():
+                terms[(r, s)] = val
+    return Form(gamma.nsym, 2, terms)
+
+
+def evaluated_phi_inverse(geom, sigma):
+    """phi^-1 through q-real parts: sigma = s1 + i s2 with s1, s2 q-real, and
+    gamma(Z_r, conj Z_s) = -(s + conj s)(J I Z_r, conj Z_s) for q-real s."""
+    fr, N = geom.frame, geom.N
+    jbar = fr.j_action(fr.conjugate(sigma))
+    half = ComplexScalar(rational(1, 2))
+    s1 = (sigma + jbar) * half
+    s2 = (sigma - jbar) * (-C_I * half)
+
+    def real_part_inverse(s):
+        total = s + fr.conjugate(s)
+        terms = {}
+        for r in range(N):
+            jizr = j_vector(fr, i_vector(fr, frame_vector(fr, r + 1)))
+            for t in range(N):
+                val = -evaluate(total, [jizr, frame_vector(fr, t + 1, bar=True)])
+                if not val.is_zero():
+                    terms[(r, N + t)] = val
+            # the reconstruction has no (2,0) or (0,2) piece
+            for t in range(r + 1, N):
+                assert evaluate(total, [jizr, frame_vector(fr, t + 1)]).is_zero()
+        return Form(sigma.nsym, 2, terms)
+
+    return real_part_inverse(s1) + real_part_inverse(s2) * C_I
 
 
 def scanned_bracket(alg, u, v):

@@ -1,11 +1,14 @@
-"""One Hermitian elimination per metric, and the raised Omega read from G^-1.
+"""One Hermitian elimination per metric, and everything else read off G and G^-1.
 
 ``Metric`` reads positivity, Pf and det G off the pivots of one symmetric
-elimination of its Hermitian matrix G, and the Lefschetz adjoint reads the
-raised Omega as a signed read of G^-1.  The oracles are the skew Pfaffian of
-``pfaffian_oracle``, ``linalg.det`` and the Gram-matrix solve of
-``test_metric_oracles``.
+elimination of its Hermitian matrix G.  The Lefschetz adjoint reads the
+raised Omega as a signed read of G^-1; beta's division route, the trace
+against Omega and phi, phi^-1 are signed reads of G, G^-1 and ``j_index``.
+The oracles are the skew Pfaffian of ``pfaffian_oracle``, ``linalg.det``,
+and the Gram-matrix solve, the beta elimination, the wedged trace ratio and
+the evaluated phi, phi^-1 of ``test_metric_oracles``.
 """
+import functools
 from fractions import Fraction
 
 import pytest
@@ -13,14 +16,21 @@ from hypothesis import given, settings, strategies as st
 
 import pfaffian_oracle
 from pfaffian_oracle import SkewMatrix
-from test_metric_oracles import GenericRoutes, _metric
+from conftest import nil12_qbal, nil12_qsg, nil_qgau, solv_aff_c, solv_rank1
+from test_hermitian import joyce_su2_algebra
+from test_metric_oracles import (
+    GenericRoutes,
+    _metric,
+    evaluated_phi,
+    evaluated_phi_inverse,
+)
 
 from hha import linalg
-from hha.forms import Form
-from hha.hermitian import Metric
+from hha.forms import Form, bidegree_project
+from hha.hermitian import Metric, phi, phi_inverse
 from hha.hypercomplex import Geometry
 from hha.liealg import LieAlgebraData
-from hha.scalars import ComplexScalar, Scalar
+from hha.scalars import C_I, ComplexScalar, Scalar
 
 
 def block_gram(diagonal, blocks):
@@ -55,14 +65,14 @@ def _component(draw, d):
 
 
 @st.composite
-def coupled_grams(draw):
+def coupled_grams(draw, fields=(0, 2, 5)):
     """A positive quaternionic Hermitian Gram matrix with every pair of blocks
-    coupled, over Q, Q(sqrt 2) or Q(sqrt 5).  Each real diagonal entry exceeds
-    the bounds of its row (3 > sqrt 5), so G is strictly diagonally dominant
-    and positive.
+    coupled, over Q or Q(sqrt d) for d in ``fields`` (0 is Q).  Each real
+    diagonal entry exceeds the bounds of its row (3 > sqrt 5), so G is
+    strictly diagonally dominant and positive.
     """
     n = draw(st.integers(1, 4))
-    d = draw(st.sampled_from((0, 2, 5)))
+    d = draw(st.sampled_from(fields))
     blocks, bound = {}, [0] * n
     for p in range(n):
         for q in range(p + 1, n):
@@ -141,3 +151,69 @@ def test_lefschetz_adjoint_is_a_read_of_the_inverse(case, monkeypatch):
     monkeypatch.undo()
     old = GenericRoutes(m)
     assert read == [old.lefschetz_adjoint(a, conjugate) for a, conjugate in inputs]
+
+
+# Algebras over Q or Q(sqrt 2) whose del Omega^{n-1} does not vanish for every
+# metric, by quaternionic dimension n.
+READ_ALGEBRAS = {
+    1: (solv_aff_c, solv_rank1, joyce_su2_algebra),
+    2: (lambda: nil_qgau(2),),
+    3: (nil12_qsg, nil12_qbal),
+    4: (lambda: nil_qgau(4),),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _read_geometry(n, k):
+    builders = READ_ALGEBRAS[n]
+    return Geometry.standard(builders[k % len(builders)]())
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(coupled_grams(fields=(0, 2)), st.integers(0, 1))
+def test_beta_trace_and_phi_reads_match_the_old_routes(gram, k):
+    g = _read_geometry(len(gram) // 2, k)
+    m = Metric.from_hermitian_matrix(g, gram)
+    old = GenericRoutes(m)
+    N = g.N
+    assert m.canonical_forms().beta == old.solved_beta()
+    cur = m.curvature()
+    # sigma is not q-real: the trace and phi^-1 are complex-linear
+    sigma = m.omega + Form.monomial(g.algebra.dim, (0, N - 1), C_I)
+    for xi in (cur.del_j_alpha, cur.del_j_beta, m.omega, sigma):
+        assert m._trace_ratio(xi) == old.trace_ratio(xi)
+    omega_i = m.omega_i()
+    for gamma in (omega_i, bidegree_project(cur.ric_ch, N, 1, 1) + omega_i.scale(C_I)):
+        assert phi(g, gamma) == evaluated_phi(g, gamma)
+    for s in (m.omega, sigma):
+        assert phi_inverse(g, s) == evaluated_phi_inverse(g, s)
+    assert phi_inverse(g, m.omega) == omega_i
+
+
+@pytest.mark.parametrize("case", ["random:qgau8", "random:qsg12", "random:qbal12",
+                                  "rotated:qsg12", "sqrt2:joyce_su2xsu2"])
+def test_metric_reads_make_no_wedge_and_one_elimination(case, monkeypatch):
+    base = _metric(case)
+    g = base.geometry
+    g.frame._tables   # built lazily by substitution, which wedges
+    m = Metric(g, base.omega)
+    calls = []
+    echelon = linalg.echelon
+
+    def counting(rows):
+        calls.append(1)
+        return echelon(rows)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a metric read made a wedge")
+
+    monkeypatch.setattr(Form, "wedge", refuse)
+    monkeypatch.setattr(linalg, "echelon", counting)
+    cf = m.canonical_forms()
+    cur = m.curvature()
+    forward = phi(g, m.omega_i())
+    back = phi_inverse(g, m.omega)
+    monkeypatch.undo()
+    assert len(calls) == 1   # G^-1, by linalg.inverse
+    assert not cf.beta.is_zero() or not cur.del_j_alpha.is_zero()
+    assert forward == m.omega and back == m.omega_i()
