@@ -8,6 +8,7 @@ output is byte-stable for identical input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -285,7 +286,9 @@ def cmd_search(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (main may run many times in one)."""
     parser = argparse.ArgumentParser(
         prog="hha",
         description="exact invariant exterior calculus and special-metric "

@@ -1,31 +1,47 @@
 """Exact scalar arithmetic over Q and real quadratic extensions Q(sqrt(D)).
 
-A :class:`Scalar` is ``a + b*sqrt(d)`` with ``a, b`` rational and ``d`` a
-square-free integer >= 2, stored in canonical form: ``b == 0`` if and only if
-``d == 0``, a plain rational.  Every exact scalar has a decidable sign under
-the real embedding ``sqrt(d) > 0``.  A float backend (``d == -1``) exists
-purely as a cross-check; its comparisons go through a tolerance.
+Representation.  A :class:`Scalar` stores four fields ``(p, q, r, d)`` and
+stands for ``(p + q*sqrt(d)) / r``, where ``p``, ``q`` and ``r`` are ints and
+``d`` is 0 (a rational) or a square-free radicand >= 2.  Every exact scalar
+is in canonical form:
 
-Fast lanes.  Almost every scalar the classifier touches is rational, and
-most complex scalars are real, so the arithmetic takes shortcuts keyed only
-on its operands:
+* ``r > 0`` and ``gcd(p, q, r) == 1``;
+* ``q == 0`` if and only if ``d == 0``.
 
-* the rational lane: when both operands have ``d == 0``, ``+``, ``*`` and
-  ``==`` (and ``inverse``, unary ``-`` and ``is_zero`` on one rational) do
-  a single ``Fraction`` operation instead of the ``a + b*sqrt(d)`` formula;
-* a rational times a quadratic scalar drops the two products with ``b == 0``;
-* the real lane: a :class:`ComplexScalar` factor whose imaginary part is an
-  exact zero skips the products that vanish in ``*``, ``abs2`` and
-  ``inverse``.
+The form is unique, so ``==`` compares four ints, and a rational hashes as
+``Fraction(p, r)`` does.  Every exact scalar has a decidable sign under the
+real embedding ``sqrt(d) > 0``: when ``p`` and ``q`` differ in sign it
+compares the ints ``p*p`` and ``q*q*d``.  The rational parts of
+``a + b*sqrt(d)`` are the read-only ``Fraction`` properties ``a == p/r`` and
+``b == q/r``, for formatting and tests; no arithmetic goes through
+``Fraction``.  A float backend (``d == -1``, the float in ``p``, ``q == 0``,
+``r == 1``) exists purely as a cross-check; its comparisons go through a
+tolerance.
 
-A lane only ever skips an operation whose result is known to be zero; every
-``Scalar`` sum, product and inverse it does perform still goes through
-``Scalar.__add__``, ``__mul__`` or ``inverse``.  Results of closed arithmetic
-are built by :func:`_exact`, which skips coercion and the radicand check and
-keeps the canonical form, so ``b == 0`` if and only if ``d == 0`` holds for
-every exact result.  Float operands and mixed radicands take the general
-path: a float promotes the result to float, and two different radicands
-raise :class:`FieldMismatchError`.
+Integer lanes.  ``+``, ``*`` and ``inverse`` form the result's numerators and
+denominator in ints and divide out at most one gcd of the result:
+
+* a sum over coprime denominators is already canonical, and over
+  denominators with ``g = gcd(r1, r2) > 1`` only ``gcd(p, q, g)`` can divide
+  out, as in ``Fraction``'s sum;
+* a product is ``(p1*p2 + q1*q2*d) + (p1*q2 + q1*p2)*sqrt(d)`` over
+  ``r1*r2``, reduced by one gcd;
+* no gcd is taken when the unreduced denominator is 1;
+* the inverse is ``r*(p - q*sqrt(d)) / (p*p - q*q*d)``, with the sign of the
+  norm moved into the numerator.
+
+Almost every scalar the classifier touches is rational, and most complex
+scalars are real.  The real lane: a :class:`ComplexScalar` factor whose
+imaginary part is an exact zero (``d == 0`` and ``p == 0``) skips the
+products that vanish in ``*``, ``abs2`` and ``inverse``.  A lane only ever
+skips an operation whose result is known to be zero; every ``Scalar`` sum,
+product and inverse it does perform still goes through ``Scalar.__add__``,
+``__mul__`` or ``inverse``.  Float operands and mixed radicands take the
+general path: a float promotes the result to float, and two different
+radicands raise :class:`FieldMismatchError`.
+
+A scalar is immutable: only the constructors in this module set its four
+fields, through the slot descriptors.
 """
 from __future__ import annotations
 
@@ -38,6 +54,7 @@ FLOAT_TOLERANCE = 1e-9
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_gcd = math.gcd
 
 
 class ScalarError(ArithmeticError):
@@ -59,33 +76,50 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or anything Fraction reads."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
 class Scalar:
     """Immutable element of Q, Q(sqrt(d)), or the float cross-check backend."""
 
-    __slots__ = ("a", "b", "d")
+    __slots__ = ("p", "q", "r", "d")
 
-    def __init__(self, a, b=_F0, d: int = 0):
+    def __init__(self, a, b=0, d: int = 0):
         if d == FLOAT_KIND:
-            object.__setattr__(self, "a", float(a))
-            object.__setattr__(self, "b", _F0)
-            object.__setattr__(self, "d", FLOAT_KIND)
+            _assign(self, float(a), 0, 1, FLOAT_KIND)
             return
-        a = a if isinstance(a, Fraction) else Fraction(a)
-        b = b if isinstance(b, Fraction) else Fraction(b)
-        if b == 0:
-            d = 0
-        elif d == 0:
+        an, ad = _ratio(a)
+        bn, bd = _ratio(b)
+        if not bn:
+            _assign(self, an, 0, ad, 0)
+            return
+        if d == 0:
             raise ScalarError("irrational part requires a radicand")
-        elif not _is_squarefree(d):
+        if not _is_squarefree(d):
             raise ScalarError(f"radicand {d} must be square-free and >= 2")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+        # over r = lcm(ad, bd) the fields are coprime, since a and b are in
+        # lowest terms
+        r = ad * bd // _gcd(ad, bd)
+        _assign(self, an * (r // ad), bn * (r // bd), r, d)
 
     def __setattr__(self, *_):
         raise AttributeError("Scalar is immutable")
 
     # -- predicates ------------------------------------------------------
+
+    @property
+    def a(self):
+        """The rational part ``p/r`` (the float itself in float mode)."""
+        return self.p if self.d == FLOAT_KIND else Fraction(self.p, self.r)
+
+    @property
+    def b(self) -> Fraction:
+        """The coefficient ``q/r`` of ``sqrt(d)``."""
+        return Fraction(self.q, self.r) if self.q else _F0
 
     @property
     def is_float(self) -> bool:
@@ -98,32 +132,30 @@ class Scalar:
     def is_zero(self) -> bool:
         d = self.d
         if d == 0:
-            return not self.a
+            return not self.p
         if d == FLOAT_KIND:
-            return abs(self.a) <= FLOAT_TOLERANCE
-        return False  # canonical form: d >= 2 carries b != 0
+            return abs(self.p) <= FLOAT_TOLERANCE
+        return False  # canonical form: d >= 2 carries q != 0
 
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(d) > 0 (tolerance in float mode)."""
-        if self.is_float:
-            if abs(self.a) <= FLOAT_TOLERANCE:
+        p, q = self.p, self.q
+        if self.d == FLOAT_KIND:
+            if abs(p) <= FLOAT_TOLERANCE:
                 return 0
-            return 1 if self.a > 0 else -1
-        a, b = self.a, self.b
-        if b == 0:
-            return 0 if a == 0 else (1 if a > 0 else -1)
-        if a == 0:
-            return 1 if b > 0 else -1
-        sa = 1 if a > 0 else -1
-        sb = 1 if b > 0 else -1
-        if sa == sb:
-            return sa
-        # opposite signs: compare a^2 against b^2 d by rational arithmetic
-        lhs = a * a
-        rhs = b * b * self.d
+            return 1 if p > 0 else -1
+        sp = (p > 0) - (p < 0)
+        sq = (q > 0) - (q < 0)
+        if sp == sq or not sq:
+            return sp
+        if not sp:
+            return sq
+        # opposite signs: compare p^2 against q^2 d
+        lhs = p * p
+        rhs = q * q * self.d
         if lhs == rhs:
             return 0
-        return sa if lhs > rhs else sb
+        return sp if lhs > rhs else sq
 
     # -- arithmetic ------------------------------------------------------
 
@@ -138,11 +170,11 @@ class Scalar:
         raise FieldMismatchError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
 
     def to_float(self) -> float:
-        if self.is_float:
-            return self.a
-        x = float(self.a)
-        if self.b:
-            x += float(self.b) * math.sqrt(self.d)
+        if self.d == FLOAT_KIND:
+            return self.p
+        x = self.p / self.r
+        if self.q:
+            x += self.q / self.r * math.sqrt(self.d)
         return x
 
     @staticmethod
@@ -150,31 +182,37 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return Scalar(x)
+            return _make(x.numerator, 0, x.denominator, 0)
         if isinstance(x, float):
-            return Scalar(x, d=FLOAT_KIND)
+            return _make(x, 0, 1, FLOAT_KIND)
         raise TypeError(f"cannot interpret {x!r} as a scalar")
 
     def __add__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented  # a ComplexScalar operand takes the mixed sum
-        if self.d == 0 and other.d == 0:
-            return _exact(self.a + other.a)
-        d = self._join(other)
+        if type(other) is not Scalar:
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented  # a ComplexScalar operand takes the mixed sum
+        d = self.d if self.d == other.d else self._join(other)
         if d == FLOAT_KIND:
-            return Scalar(self.to_float() + other.to_float(), d=FLOAT_KIND)
-        return _exact(self.a + other.a, self.b + other.b, d)
+            return _make(self.to_float() + other.to_float(), 0, 1, FLOAT_KIND)
+        p1, q1, r1, p2, q2, r2 = self.p, self.q, self.r, other.p, other.q, other.r
+        if r1 == r2:
+            return _reduced(p1 + p2, q1 + q2, r1, d)
+        g = 1 if r1 == 1 or r2 == 1 else _gcd(r1, r2)
+        if g == 1:
+            q = q1 * r2 + q2 * r1
+            return _make(p1 * r2 + p2 * r1, q, r1 * r2, d if q else 0)
+        s, t = r1 // g, r2 // g
+        p, q = p1 * t + p2 * s, q1 * t + q2 * s
+        g = _gcd(p, q, g)
+        q //= g
+        return _make(p // g, q, s * r2 // g, d if q else 0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.d == 0:
-            return _exact(-self.a)
-        if self.is_float:
-            return Scalar(-self.a, d=FLOAT_KIND)
-        return _exact(-self.a, -self.b, self.d)
+        return _make(-self.p, -self.q, self.r, self.d)
 
     def __sub__(self, other):
         try:
@@ -191,38 +229,34 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented  # a ComplexScalar operand takes the mixed product
-        if self.d == 0:
-            if other.d == 0:
-                return _exact(self.a * other.a)
-            if other.d != FLOAT_KIND:
-                # rational * (a + b sqrt(d)): the products with b == 0 vanish
-                return _exact(self.a * other.a, self.a * other.b, other.d)
-        elif other.d == 0 and self.d != FLOAT_KIND:
-            return _exact(self.a * other.a, self.b * other.a, self.d)
-        d = self._join(other)
+        if type(other) is not Scalar:
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented  # a ComplexScalar operand takes the mixed product
+        d = self.d if self.d == other.d else self._join(other)
         if d == FLOAT_KIND:
-            return Scalar(self.to_float() * other.to_float(), d=FLOAT_KIND)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return _exact(a, b, d)
+            return _make(self.to_float() * other.to_float(), 0, 1, FLOAT_KIND)
+        p1, q1, r1, p2, q2, r2 = self.p, self.q, self.r, other.p, other.q, other.r
+        return _reduced(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.d == 0:
-            if not self.a:
+        p, r, d = self.p, self.r, self.d
+        if d == 0:
+            if not p:
                 raise ZeroDivisionError("scalar division by zero")
-            return _exact(_F1 / self.a)
-        if self.is_float:
-            return Scalar(1.0 / self.a, d=FLOAT_KIND)
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("scalar division by zero")
-        return _exact(self.a / norm, -self.b / norm, self.d)
+            return _make(r, 0, p, 0) if p > 0 else _make(-r, 0, -p, 0)
+        if d == FLOAT_KIND:
+            return _make(1.0 / p, 0, 1, FLOAT_KIND)
+        # r / (p + q sqrt(d)) = r (p - q sqrt(d)) / (p^2 - q^2 d), and the
+        # norm is never 0 because sqrt(d) is irrational
+        q = self.q
+        norm = p * p - q * q * d
+        if norm < 0:
+            return _reduced(-r * p, r * q, -norm, d)
+        return _reduced(r * p, -r * q, norm, d)
 
     def __truediv__(self, other):
         try:
@@ -249,20 +283,17 @@ class Scalar:
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        if self.d == 0 and other.d == 0:
-            return self.a == other.a
-        if self.is_float or other.is_float:
+        if type(other) is not Scalar:
+            try:
+                other = self._coerce(other)
+            except TypeError:
+                return NotImplemented
+        if self.d == FLOAT_KIND or other.d == FLOAT_KIND:
             return abs(self.to_float() - other.to_float()) <= FLOAT_TOLERANCE
-        try:
-            d = self._join(other)
-        except FieldMismatchError:
-            return False
-        del d
-        return self.a == other.a and self.b == other.b
+        # canonical form: equal values have equal fields, and scalars of two
+        # different quadratic fields are never equal
+        return (self.p == other.p and self.q == other.q and self.r == other.r
+                and self.d == other.d)
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -279,7 +310,7 @@ class Scalar:
     def __hash__(self):
         if self.d <= 0:
             return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.p, self.q, self.r, self.d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -295,23 +326,38 @@ class Scalar:
 
 _new = object.__new__
 _set = object.__setattr__
+_set_p = Scalar.p.__set__
+_set_q = Scalar.q.__set__
+_set_r = Scalar.r.__set__
+_set_d = Scalar.d.__set__
 
 
-def _exact(a: Fraction, b: Fraction = _F0, d: int = 0) -> Scalar:
-    """``a + b*sqrt(d)`` from closed arithmetic on valid exact operands.
-
-    ``d`` is 0 or a radicand an operand already carried, so coercion and the
-    square-free check are skipped; ``b == 0`` collapses to ``d == 0``.
-    """
-    s = _new(Scalar)
-    _set(s, "a", a)
-    if b is _F0 or not b:
-        _set(s, "b", _F0)
-        _set(s, "d", 0)
-    else:
-        _set(s, "b", b)
-        _set(s, "d", d)
+def _assign(s: Scalar, p, q: int, r: int, d: int) -> Scalar:
+    """Set the fields of ``s``; the caller has made them canonical."""
+    _set_p(s, p)
+    _set_q(s, q)
+    _set_r(s, r)
+    _set_d(s, d)
     return s
+
+
+def _make(p, q: int, r: int, d: int) -> Scalar:
+    """A new scalar with these canonical fields.
+
+    ``d`` is 0, ``FLOAT_KIND`` or a radicand an operand already carried, so
+    coercion and the square-free check are skipped.
+    """
+    return _assign(_new(Scalar), p, q, r, d)
+
+
+def _reduced(p: int, q: int, r: int, d: int) -> Scalar:
+    """``(p + q*sqrt(d)) / r`` for ints with ``r > 0``, in canonical form:
+    one gcd unless ``r == 1``, and ``q == 0`` collapses to a rational."""
+    if r != 1:
+        g = _gcd(p, q, r)
+        if g != 1:
+            p, q, r = p // g, q // g, r // g
+    return _make(p, q, r, d if q else 0)
 
 
 ZERO = Scalar(0)
@@ -339,16 +385,16 @@ def floating(x: float) -> Scalar:
 def scalar_str(s: Scalar) -> str:
     """Canonical string form: "3/4", "sqrt(2)", "1/2-3/4*sqrt(5)", "float:1.5"."""
     if s.is_float:
-        return f"float:{s.a!r}"
-    if s.b == 0:
+        return f"float:{s.p!r}"
+    if not s.q:
         return str(s.a)
-    if s.b == 1:
+    if s.q == s.r:
         radical = f"sqrt({s.d})"
-    elif s.b == -1:
+    elif s.q == -s.r:
         radical = f"-sqrt({s.d})"
     else:
         radical = f"{s.b}*sqrt({s.d})"
-    if s.a == 0:
+    if not s.p:
         return radical
     if radical.startswith("-"):
         return f"{s.a}{radical}"
@@ -385,16 +431,16 @@ def parse_scalar(text: str) -> Scalar:
         if not first and m.group("sign") == "":
             raise ScalarError(f"missing sign between terms in {text!r}")
         sgn = -1 if m.group("sign") == "-" else 1
+        num, _, den = (m.group("rat") or m.group("coef") or "1").partition("/")
         try:
-            if m.group("rat") is not None:
-                term = Scalar(Fraction(m.group("rat")))
-            elif m.group("d2") is not None:
-                term = root(int(m.group("d2")))
-            else:
-                term = Scalar(_F0, Fraction(m.group("coef")), int(m.group("d1")))
+            c = Fraction(sgn * int(num), int(den or 1))
         except ZeroDivisionError:
             raise ScalarError(f"zero denominator in scalar {text!r}") from None
-        out = out + (term if sgn > 0 else -term)
+        if m.group("rat") is not None:
+            term = Scalar(c)
+        else:
+            term = Scalar(0, c, int(m.group("d1") or m.group("d2")))
+        out = out + term
         pos = m.end()
         first = False
     return out
@@ -430,7 +476,7 @@ class ComplexScalar:
     def abs2(self) -> Scalar:
         """|z|^2, a non-negative exact scalar."""
         im = self.im
-        if im.d == 0 and not im.a:
+        if im.d == 0 and not im.p:
             return self.re * self.re
         return self.re * self.re + im * im
 
@@ -458,12 +504,12 @@ class ComplexScalar:
         # the real lane; a float part keeps the four products, so that it
         # still promotes every part of the result to float
         if re.d != FLOAT_KIND and ore.d != FLOAT_KIND:
-            if im.d == 0 and not im.a:
-                if oim.d == 0 and not oim.a:
+            if im.d == 0 and not im.p:
+                if oim.d == 0 and not oim.p:
                     return _complex(re * ore, im)
                 if oim.d != FLOAT_KIND:
                     return _complex(re * ore, re * oim)
-            elif oim.d == 0 and not oim.a and im.d != FLOAT_KIND:
+            elif oim.d == 0 and not oim.p and im.d != FLOAT_KIND:
                 return _complex(re * ore, im * ore)
         return _complex(re * ore - im * oim, re * oim + im * ore)
 
@@ -475,7 +521,7 @@ class ComplexScalar:
             raise ZeroDivisionError("complex scalar division by zero")
         ninv = n.inverse()
         im = self.im
-        if im.d == 0 and not im.a and ninv.d != FLOAT_KIND:
+        if im.d == 0 and not im.p and ninv.d != FLOAT_KIND:
             return _complex(self.re * ninv, im)
         return _complex(self.re * ninv, -im * ninv)
 

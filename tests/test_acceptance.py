@@ -6,17 +6,12 @@ bound is the wall-clock budget of the full catalog run.
 import random
 import time
 
-import pytest
-
-from hha.catalog import check_entry, entry_names, get_example, run_report
+from hha.catalog import entry_names, get_example, run_report
 from hha.classify import (
-    Certificate,
     classify_metric,
     einstein_factor,
     equivalence_audit,
     family_qsg_obstruction,
-    qbal_nonexistence_certificate,
-    qgau_family_symbolic_check,
 )
 from hha.constructions import (
     arroyo_nicolini,
@@ -26,7 +21,7 @@ from hha.constructions import (
     sp1_spin_rep,
 )
 from hha.forms import bidegree_project
-from hha.hermitian import Metric, qpositivity_verdict
+from hha.hermitian import qpositivity_verdict
 from hha.hypercomplex import SpherePoint
 from hha.scalars import ComplexScalar, ONE, ZERO, rational
 from metric_identities import (

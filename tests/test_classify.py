@@ -35,10 +35,8 @@ from hha.scalars import (
     C_ONE,
     ComplexScalar,
     ONE,
-    ScalarField,
     ZERO,
     rational,
-    root,
 )
 from test_hermitian import joyce_su2_algebra, random_metric
 

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import nil12_qbal, nil12_qsg, nil_qgau
+from conftest import nil12_qbal, nil12_qsg
 from hha.classify import classify_metric, einstein_factor
 from hha.constructions import (
     ConstructionError,
@@ -18,7 +18,7 @@ from hha.constructions import (
     sp1_spin_rep,
 )
 from hha.forms import Form
-from hha.hermitian import Metric, hermitian_matrix_of, qpositivity_verdict
+from hha.hermitian import Metric, qpositivity_verdict
 from hha.hypercomplex import Geometry
 from hha.liealg import LieAlgebraData
 from hha.scalars import ONE, ScalarField, ZERO, rational, root

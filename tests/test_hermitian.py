@@ -7,19 +7,16 @@ import pytest
 from conftest import (
     nil12_qbal,
     nil12_qsg,
-    nil_qgau,
     solv_aff_c,
     solv_rank1,
     solv_third,
 )
 from frame_evaluation import evaluate, frame_vector
-from hha.forms import Form, bidegree_project, pure_bidegree
+from hha.forms import Form, pure_bidegree
 from hha.hermitian import (
-    ConsistencyError,
     Metric,
     MetricError,
     QRealError,
-    hermitian_matrix_of,
     is_power_of_qpositive,
     is_qpositive,
     phi,
@@ -33,7 +30,6 @@ from hha.scalars import (
     C_ONE,
     ComplexScalar,
     ONE,
-    Scalar,
     ScalarField,
     ZERO,
     rational,

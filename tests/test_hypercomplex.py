@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import nil12_qbal, nil12_qsg, solv_rank1, su2_block_algebra
-from hha.forms import Form, pure_bidegree
+from conftest import nil12_qbal, nil12_qsg
+from hha.forms import Form
 from hha.hypercomplex import (
     ComplexFrame,
     Geometry,

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from conftest import (
-    algebra_from_equations,
     nil12_qbal,
     nil12_qsg,
     nil_qgau,
@@ -13,7 +12,6 @@ from conftest import (
 )
 from hha.forms import Form
 from hha.liealg import (
-    AlgebraError,
     JacobiError,
     LieAlgebraData,
     algebra_invariants,
