@@ -25,7 +25,6 @@ from .forms import (  # noqa: F401
     wedge,
 )
 from .liealg import (  # noqa: F401
-    AlgebraProfile,
     JacobiError,
     LieAlgebraData,
     algebra_invariants,

@@ -36,6 +36,7 @@ from .constructions import (
 from .documents import (
     InputError,
     default_field_from_env,
+    float_document,
     geometry_to_input,
     load_document,
     parse_input,
@@ -47,7 +48,7 @@ from .forms import Form
 from .hermitian import MetricError, QRealError
 from .hypercomplex import IntegrabilityError, SpherePoint, StructureError
 from .liealg import AlgebraError, JacobiError
-from .scalars import FLOAT_TOLERANCE, ComplexScalar, ScalarError, parse_scalar
+from .scalars import ComplexScalar, ScalarError, parse_scalar
 
 
 INPUT_FAULTS = (InputError, JacobiError, AlgebraError, IntegrabilityError,
@@ -63,9 +64,7 @@ def _load_file(path: str, float_mode: bool = False):
     default = default_field_from_env(os.environ.get("HHA_DEFAULT_FIELD"))
     doc = parse_input(text, default_field=default)
     if float_mode:
-        raw = dict(doc.raw)
-        raw["scalar_field"] = {"kind": "float", "tolerance": FLOAT_TOLERANCE}
-        doc = parse_input(json.dumps(raw))
+        doc = float_document(doc)
     geom, metric = load_document(doc)
     return doc, geom, metric
 
@@ -131,11 +130,11 @@ def _emit_report(report, doc, geom, fmt: str, pair: str = "standard"):
 
 def cmd_check(args) -> int:
     doc, geom, metric = _load_file(args.file)
-    profile = geom.algebra.validate()
+    alg = geom.algebra
     print(f"{doc.name}: valid input")
-    print(f"  dimension {geom.algebra.dim} (n = {geom.n}), field {geom.algebra.field!r}")
-    print(f"  nilpotent: {profile.nilpotent} (step {profile.nilpotency_step}), "
-          f"solvable: {profile.solvable}, unimodular: {profile.unimodular}")
+    print(f"  dimension {alg.dim} (n = {geom.n}), field {alg.field!r}")
+    print(f"  nilpotent: {alg.nilpotent} (step {alg.nilpotency_step}), "
+          f"solvable: {alg.solvable}, unimodular: {alg.unimodular}")
     print(f"  structure integrable, metric q-real and q-positive; "
           f"pf = {metric.pf}")
     return 0

@@ -11,6 +11,7 @@ on them, lives with the tests (``tests/frame_evaluation.py``).
 """
 from __future__ import annotations
 
+from .linalg import add_term
 from .scalars import C_ONE, C_ZERO, ComplexScalar
 
 Key = tuple
@@ -104,12 +105,7 @@ class Form:
             raise ValueError("cannot add forms of different degree")
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            acc = terms.get(k)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            add_term(terms, k, c)
         return Form(self.nsym, self.degree, terms)
 
     def __neg__(self) -> "Form":
@@ -158,14 +154,7 @@ class Form:
                 if merged is None:
                     continue
                 c = ca * cb
-                if sign < 0:
-                    c = -c
-                acc = out.get(merged)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(merged, None)
-                else:
-                    out[merged] = s
+                add_term(out, merged, c if sign > 0 else -c)
         return Form(self.nsym, deg, out)
 
     def wedge_power(self, k: int) -> "Form":
@@ -176,33 +165,24 @@ class Form:
             out = out.wedge(self)
         return out
 
-    def contract(self, vector) -> "Form":
+    def contract(self, vector: dict) -> "Form":
         """Interior product with a vector given by dual-frame coefficients.
 
-        ``vector`` maps frame indices to complex coefficients (dict or seq).
+        ``vector`` maps frame indices to complex coefficients.
         """
         if self.degree == 0:
             return Form.zero(self.nsym, 0)
-        get = vector.get if isinstance(vector, dict) else lambda i, _=None: _seq_get(vector, i)
         out: dict = {}
         for key, c in self.terms.items():
             for pos, idx in enumerate(key):
-                v = get(idx, None) if isinstance(vector, dict) else get(idx)
+                v = vector.get(idx)
                 if v is None:
                     continue
                 v = _as_coeff(v)
                 if v.is_zero():
                     continue
-                newkey = key[:pos] + key[pos + 1:]
                 term = v * c
-                if pos & 1:
-                    term = -term
-                acc = out.get(newkey)
-                s = term if acc is None else acc + term
-                if s.is_zero():
-                    out.pop(newkey, None)
-                else:
-                    out[newkey] = s
+                add_term(out, key[:pos] + key[pos + 1:], -term if pos & 1 else term)
         return Form(self.nsym, self.degree - 1, out)
 
     def substitute(self, images) -> "Form":
@@ -231,14 +211,7 @@ class Form:
             if perm_sign == 0:
                 continue
             sign *= perm_sign
-            cc = c if sign > 0 else -c
-            k = tuple(sorted_idx)
-            acc = out.get(k)
-            s = cc if acc is None else acc + cc
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+            add_term(out, tuple(sorted_idx), c if sign > 0 else -c)
         return Form(self.nsym, self.degree, out)
 
     def map_coefficients(self, fn) -> "Form":
@@ -265,10 +238,6 @@ class Form:
 
     def __repr__(self):
         return f"Form[deg {self.degree}: {self.format()}]"
-
-
-def _seq_get(seq, i):
-    return seq[i] if 0 <= i < len(seq) else None
 
 
 def _sort_sign(idx: list):
@@ -329,13 +298,8 @@ def leibniz_differential(form: Form, table) -> Form:
                 merged, sign = _merge_keys(tkey, rest)
                 if merged is None:
                     continue
-                term = tc * c if (sign > 0) == (pos % 2 == 0) else -(tc * c)
-                acc = out.get(merged)
-                s = term if acc is None else acc + term
-                if s.is_zero():
-                    out.pop(merged, None)
-                else:
-                    out[merged] = s
+                term = tc * c
+                add_term(out, merged, term if (sign > 0) == (pos % 2 == 0) else -term)
     return Form(nsym, form.degree + 1, out)
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from . import linalg
 from .forms import Form, bidegree_project, leibniz_differential
 from .liealg import LieAlgebraData
-from .linalg import add_scaled, echelon, echelon_add
+from .linalg import add_scaled, add_term, echelon, echelon_add
 from .scalars import (
     C_ONE,
     ComplexScalar,
@@ -150,20 +150,11 @@ def _nijenhuis(d: LieAlgebraData, cols: list, i: int, j: int) -> dict:
     """N_L(e_i, e_j) = [Le_i, Le_j] - L[Le_i, e_j] - L[e_i, Le_j] - [e_i, e_j]."""
     ei, ej = {i: ONE}, {j: ONE}
     Lei, Lej = cols[i], cols[j]
-    out: dict = {}
-
-    def acc(vec, sign=1):
+    out = d.bracket(Lei, Lej)
+    for vec in (_apply(cols, d.bracket(Lei, ej)), _apply(cols, d.bracket(ei, Lej)),
+                d.bracket(ei, ej)):
         for k, c in vec.items():
-            v = out.get(k, ZERO) + (c if sign > 0 else -c)
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-
-    acc(d.bracket(Lei, Lej))
-    acc(_apply(cols, d.bracket(Lei, ej)), -1)
-    acc(_apply(cols, d.bracket(ei, Lej)), -1)
-    acc(d.bracket(ei, ej), -1)
+            add_term(out, k, -c)
     return out
 
 
@@ -395,7 +386,6 @@ class Geometry:
 
     def __init__(self, algebra: LieAlgebraData, structure: HypercomplexStructure,
                  check_integrability: bool = True):
-        algebra.validate()
         if check_integrability:
             validate_hypercomplex(algebra, structure)
         self.algebra = algebra
@@ -408,14 +398,10 @@ class Geometry:
     def standard(cls, algebra: LieAlgebraData, **kw) -> "Geometry":
         return cls(algebra, HypercomplexStructure.standard(algebra.dim // 4), **kw)
 
-    def rotated(self, p: SpherePoint, q: SpherePoint,
-                check_integrability: bool = False) -> "Geometry":
+    def rotated(self, p: SpherePoint, q: SpherePoint) -> "Geometry":
         """Geometry for the rotated pair; integrability holds automatically."""
-        return Geometry(
-            self.algebra,
-            self.structure.rotate_pair(p, q),
-            check_integrability=check_integrability,
-        )
+        return Geometry(self.algebra, self.structure.rotate_pair(p, q),
+                        check_integrability=False)
 
     def is_abelian(self) -> bool:
         return is_abelian(self.algebra, self.structure)

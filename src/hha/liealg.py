@@ -5,9 +5,29 @@ Brackets are stored sparsely as ``[e_i, e_j] = sum_k c[k] e_k`` for ``i < j``
 ``d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j``, matching ``dxi(X, Y) = -xi([X, Y])``
 under the determinant evaluation convention for wedges.
 
-Loading an algebra checks the Jacobi identity once, exactly.  Every other
-structure fact is an :class:`AlgebraProfile` field computed from the nonzero
-brackets on first read; no dense ad(e_i) matrix is built:
+Loading an algebra checks the Jacobi identity once, exactly, as d^2 = 0 on
+the generators: with dxi(X, Y) = -xi([X, Y]), the Leibniz kernel gives
+d^2 xi(X, Y, Z) = xi([[X, Y], Z] + [[Y, Z], X] + [[Z, X], Y]), so the
+coefficient of e^i ^ e^j ^ e^l in d^2 e^m is the m-th component of the
+Jacobiator of (e_i, e_j, e_l).
+
+Every other structure fact is a cached property of the algebra, computed
+from the nonzero brackets on first read; no dense ad(e_i) matrix is built.
+Classification reads ``nilpotent`` (no invariant HKT metric on a nilpotent
+algebra with a non-abelian structure; the gluing construction) and
+``unimodular`` (the q-balanced pairing certificate); ``hha check`` also
+reads ``nilpotency_step`` and ``solvable``, and the catalog's "semisimple"
+expectation ``semisimple``:
+
+* ``nilpotent``, ``nilpotency_step``: the lower central series
+  g > [g, g] > [g, [g, g]] > ... reaches 0, after that many steps;
+* ``solvable``: the derived series reaches 0;
+* ``unimodular``: tr ad(e_i) = sum_j c_{ij}^j vanishes for every i;
+* ``center_dim``, ``derived_dim``: the dimensions of the centre and of
+  [g, g];
+* ``semisimple``: the Killing form is nondegenerate (Cartan's criterion).
+
+The reads touch only nonzeros:
 
 * the Killing form is B_ij = sum_{k,l} c_{ik}^l c_{jl}^k, summed over the
   nonzero columns [e_i, e_k] only;
@@ -49,85 +69,10 @@ class AlgebraError(ValueError):
     pass
 
 
-class AlgebraProfile:
-    """Structure facts of a Jacobi-checked algebra, each computed on first read.
-
-    Classification reads only ``nilpotent`` (no invariant HKT metric on a
-    nilpotent algebra with a non-abelian structure; the gluing construction)
-    and ``unimodular`` (the q-balanced pairing certificate).  ``hha check``
-    also reads ``nilpotency_step`` and ``solvable``; ``semisimple`` is read by
-    the catalog's "semisimple" expectation; ``center_dim`` and
-    ``derived_dim`` by no command.  Each field is a cached property:
-
-    * ``nilpotent``, ``nilpotency_step``: the lower central series
-      g > [g, g] > [g, [g, g]] > ... reaches 0, after that many steps;
-    * ``solvable``: the derived series reaches 0;
-    * ``unimodular``: tr ad(e_i) = sum_j c_{ij}^j vanishes for every i;
-    * ``center_dim``, ``derived_dim``: the dimensions of the centre and of
-      [g, g];
-    * ``semisimple``: the Killing form is nondegenerate (Cartan's criterion).
-    """
-
-    def __init__(self, algebra: "LieAlgebraData"):
-        self._algebra = algebra
-
-    @cached_property
-    def nilpotency_step(self) -> int | None:
-        alg = self._algebra
-        basis = [{i: ONE} for i in range(alg.dim)]
-        lcs, step = alg._derived, 1
-        while lcs:
-            nxt = alg._span_of_brackets(basis, lcs)
-            if len(nxt) == len(lcs):
-                return None
-            lcs, step = nxt, step + 1
-        return step
-
-    @property
-    def nilpotent(self) -> bool:
-        return self.nilpotency_step is not None
-
-    @cached_property
-    def solvable(self) -> bool:
-        alg = self._algebra
-        ds = alg._derived
-        while ds:
-            nxt = alg._span_of_brackets(ds, ds)
-            if len(nxt) == len(ds):
-                return False
-            ds = nxt
-        return True
-
-    @cached_property
-    def unimodular(self) -> bool:
-        trace: dict = {}
-        for (i, j), comps in self._algebra.brackets.items():
-            # c_{ij}^j enters tr ad(e_i), and c_{ji}^i = -c_{ij}^i enters tr ad(e_j)
-            if j in comps:
-                trace[i] = trace.get(i, ZERO) + comps[j]
-            if i in comps:
-                trace[j] = trace.get(j, ZERO) - comps[i]
-        return all(t.is_zero() for t in trace.values())
-
-    @cached_property
-    def center_dim(self) -> int:
-        return len(self._algebra.center_basis())
-
-    @cached_property
-    def derived_dim(self) -> int:
-        return len(self._algebra._derived)
-
-    @cached_property
-    def semisimple(self) -> bool:
-        kmat = [[ComplexScalar(x) for x in row] for row in self._algebra.killing_form()]
-        return not linalg.det(kmat).is_zero()
-
-
 class LieAlgebraData:
     """Finite model of an invariant geometry: basis, brackets, ground field."""
 
-    def __init__(self, dim: int, brackets: dict, field: ScalarField | None = None,
-                 validate: bool = True):
+    def __init__(self, dim: int, brackets: dict, field: ScalarField | None = None):
         if dim <= 0:
             raise AlgebraError("dimension must be positive")
         self.dim = dim
@@ -150,16 +95,10 @@ class LieAlgebraData:
                     c = -c
                 if c.is_zero():
                     continue
-                dest = table.setdefault((i, j), {})
-                acc = dest.get(k, ZERO) + c
-                if acc.is_zero():
-                    dest.pop(k, None)
-                else:
-                    dest[k] = acc
+                linalg.add_term(table.setdefault((i, j), {}), k, c)
         self.brackets = {ij: comps for ij, comps in table.items() if comps}
-        self._profile: AlgebraProfile | None = None
-        if validate:
-            self.validate()
+        self._jacobi_checked = False
+        self.validate()
 
     # -- constructors ------------------------------------------------------
 
@@ -169,8 +108,7 @@ class LieAlgebraData:
 
     @classmethod
     def from_structure_equations(cls, dim: int, equations: dict,
-                                 field: ScalarField | None = None,
-                                 validate: bool = True) -> "LieAlgebraData":
+                                 field: ScalarField | None = None) -> "LieAlgebraData":
         """Build from ``d e^k = sum_{i<j} m^k_{ij} e^i ^ e^j`` data.
 
         ``equations`` maps k to a list of (i, j, coefficient) with i < j,
@@ -184,9 +122,8 @@ class LieAlgebraData:
                 m = Scalar._coerce(m)
                 if m.is_zero():
                     continue
-                brackets.setdefault((i, j), {}).setdefault(k, ZERO)
-                brackets[(i, j)][k] = brackets[(i, j)][k] - m
-        return cls(dim, brackets, field, validate=validate)
+                linalg.add_term(brackets.setdefault((i, j), {}), k, -m)
+        return cls(dim, brackets, field)
 
     def structure_equations(self) -> dict:
         """Inverse of :meth:`from_structure_equations`."""
@@ -217,14 +154,8 @@ class LieAlgebraData:
                 if comps is None:
                     continue
                 coeff = ui * vj if i < j else -(ui * vj)
-                if coeff.is_zero():
-                    continue
-                for k, c in comps.items():
-                    acc = out.get(k, ZERO) + coeff * c
-                    if acc.is_zero():
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
+                if not coeff.is_zero():
+                    linalg.add_scaled(out, coeff, comps)
         return out
 
     @cached_property
@@ -238,39 +169,24 @@ class LieAlgebraData:
 
     # -- validation and structure theory --------------------------------------
 
-    def validate(self) -> AlgebraProfile:
-        """Check Jacobi exactly, once; the profile computes each field on first read."""
-        if self._profile is not None:
-            return self._profile
-        n = self.dim
-        pairs = sorted(self.brackets)
-        seen = set()
-        for a in range(n):
-            for (i, j) in pairs:
-                if a == i or a == j:
-                    continue
-                triple = tuple(sorted((a, i, j)))
-                if triple in seen:
-                    continue
-                seen.add(triple)
-                res = self._jacobiator(*triple)
-                if res:
-                    raise JacobiError(*triple, res)
-        self._profile = AlgebraProfile(self)
-        return self._profile
+    def validate(self) -> "LieAlgebraData":
+        """Check Jacobi exactly, once, as d^2 e^k = 0 for every k; returns self.
 
-    def _jacobiator(self, i: int, j: int, k: int) -> dict:
-        ei, ej, ek = ({i: ONE}, {j: ONE}, {k: ONE})
-        total: dict = {}
-        for u, v, w in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
-            term = self.bracket(self.bracket(u, v), w)
-            for idx, c in term.items():
-                acc = total.get(idx, ZERO) + c
-                if acc.is_zero():
-                    total.pop(idx, None)
-                else:
-                    total[idx] = acc
-        return total
+        A key (i, j, l) of d^2 e^m is a failing triple, and its coefficient is
+        the m-th component of the Jacobiator; the smallest one is reported.
+        """
+        if self._jacobi_checked:
+            return self
+        failing: dict = {}
+        # an abelian algebra has nothing to check (and in dimension 1 no 2-forms)
+        for m, dek in enumerate(self._d_table if self.brackets else ()):
+            for key, c in leibniz_differential(dek, self._d_table).terms.items():
+                failing.setdefault(key, {})[m] = c.re
+        if failing:
+            triple = min(failing)
+            raise JacobiError(*triple, failing[triple])
+        self._jacobi_checked = True
+        return self
 
     def _span_of_brackets(self, us, vs) -> list:
         return list(linalg.echelon(self.bracket(u, v) for u in us for v in vs).values())
@@ -326,6 +242,55 @@ class LieAlgebraData:
                 out[i][j] = out[j][i] = tr
         return out
 
+    @cached_property
+    def nilpotency_step(self) -> int | None:
+        basis = [{i: ONE} for i in range(self.dim)]
+        lcs, step = self._derived, 1
+        while lcs:
+            nxt = self._span_of_brackets(basis, lcs)
+            if len(nxt) == len(lcs):
+                return None
+            lcs, step = nxt, step + 1
+        return step
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.nilpotency_step is not None
+
+    @cached_property
+    def solvable(self) -> bool:
+        ds = self._derived
+        while ds:
+            nxt = self._span_of_brackets(ds, ds)
+            if len(nxt) == len(ds):
+                return False
+            ds = nxt
+        return True
+
+    @cached_property
+    def unimodular(self) -> bool:
+        trace: dict = {}
+        for (i, j), comps in self.brackets.items():
+            # c_{ij}^j enters tr ad(e_i), and c_{ji}^i = -c_{ij}^i enters tr ad(e_j)
+            if j in comps:
+                trace[i] = trace.get(i, ZERO) + comps[j]
+            if i in comps:
+                trace[j] = trace.get(j, ZERO) - comps[i]
+        return all(t.is_zero() for t in trace.values())
+
+    @cached_property
+    def center_dim(self) -> int:
+        return len(self.center_basis())
+
+    @cached_property
+    def derived_dim(self) -> int:
+        return len(self._derived)
+
+    @cached_property
+    def semisimple(self) -> bool:
+        kmat = [[ComplexScalar(x) for x in row] for row in self.killing_form()]
+        return not linalg.det(kmat).is_zero()
+
     def in_derived_subalgebra(self, vec: dict) -> bool:
         rows = linalg.echelon(self._derived)  # a copy: a new vector updates its rows
         return linalg.echelon_add(rows, vec) is None
@@ -357,7 +322,6 @@ class LieAlgebraData:
 
 def algebra_invariants(d: LieAlgebraData) -> dict:
     """Center and derived bases plus a lattice-admissibility hint."""
-    d.validate()
     return {
         "center": d.center_basis(),
         "derived": d.derived_basis(),

@@ -10,6 +10,11 @@ elimination with a pivot product; :func:`hermitian_pivots` is the one
 symmetric elimination of a Hermitian matrix, whose pivots give its
 definiteness here and the Pfaffian, determinant and positivity of a metric
 in ``hermitian``.  The small dense matrix helpers stay dense.
+
+:func:`add_term` is the one cancellation rule of the package: every sparse
+sum (rows here, form coefficients in ``forms``, brackets in ``liealg``,
+Nijenhuis values in ``hypercomplex``) adds a term through it and so stores
+no key whose coefficient is an exact zero.
 """
 from __future__ import annotations
 
@@ -74,15 +79,26 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def add_term(acc: dict, key, c) -> None:
+    """acc[key] += c on a sparse dict, storing no key whose sum is an exact zero.
+
+    A new key goes after the keys already present, and a key that stays
+    nonzero keeps its place, so sums keep insertion order.
+    """
+    x = acc.get(key)
+    if x is not None:
+        c = x + c
+    if c.is_zero():
+        if x is not None:
+            del acc[key]
+    else:
+        acc[key] = c
+
+
 def add_scaled(acc: dict, f, vec: dict) -> None:
-    """acc += f * vec on sparse vectors, dropping entries that cancel."""
+    """acc += f * vec on sparse vectors."""
     for k, c in vec.items():
-        x = acc.get(k)
-        x = f * c if x is None else x + f * c
-        if x.is_zero():
-            acc.pop(k, None)
-        else:
-            acc[k] = x
+        add_term(acc, k, f * c)
 
 
 def echelon_add(rows: dict, vec: dict):

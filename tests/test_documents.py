@@ -3,9 +3,11 @@ import json
 import pytest
 
 from hha import documents
+from hha.catalog import get_example
 from hha.documents import (
     InputError,
     default_field_from_env,
+    float_document,
     geometry_to_input,
     load_document,
     parse_input,
@@ -14,9 +16,9 @@ from hha.documents import (
 )
 from hha.classify import classify_metric
 from hha.hermitian import Metric
-from hha.hypercomplex import Geometry
+from hha.hypercomplex import Geometry, IntegrabilityError
 from hha.liealg import LieAlgebraData
-from hha.scalars import rational
+from hha.scalars import FLOAT_TOLERANCE, rational, scalar_str
 
 
 def minimal(dim=4, **over):
@@ -95,6 +97,56 @@ def test_brackets_representation():
     }))
     geom, _ = load_document(doc)
     assert geom.algebra.bracket_basis(0, 1) == {1: rational(-1)}
+
+
+@pytest.mark.parametrize("brackets", [
+    [[1, 2, [[3, "1"]]], [1, 2, [[3, "1"]]]],
+    [[1, 2, [[3, "1"], [3, "1"]]]],
+    [[1, 2, [[3, "1"]]], [2, 1, [[3, "-1"]]]],
+])
+def test_repeated_bracket_terms_are_summed(brackets):
+    # [e1, e2] = 2 e3 in each form, and d e^3 = -2 e^1 ^ e^2 in its
+    # structure-equation twin; the standard structure is not integrable on
+    # it, so both fail with the same Nijenhuis value
+    twin = minimal(structure_equations={"3": [[1, 2, "-1"], [1, 2, "-1"]]})
+    with pytest.raises(IntegrabilityError) as expected:
+        load_document(parse_input(json.dumps(twin)))
+    assert "{2: -2}" in str(expected.value)
+    doc = minimal(brackets=brackets)
+    del doc["structure_equations"]
+    with pytest.raises(IntegrabilityError) as exc:
+        load_document(parse_input(json.dumps(doc)))
+    assert str(exc.value) == str(expected.value)
+
+
+def test_halved_terms_load_the_catalog_brackets():
+    # every term of qsg12 given twice with half its coefficient, in both forms
+    geom, metric = get_example("qsg12").load()
+    alg, half = geom.algebra, rational(1, 2)
+    data = geometry_to_input("qsg12", geom, metric)
+    eqs = {str(k + 1): [[i + 1, j + 1, scalar_str(c * half)] for (i, j, c) in terms for _ in "ab"]
+           for k, terms in alg.structure_equations().items()}
+    brackets = [[i + 1, j + 1, [[k + 1, scalar_str(c * half)] for k, c in comps.items()]]
+                for (i, j), comps in alg.brackets.items() for _ in "ab"]
+    from_brackets = {key: v for key, v in data.items() if key != "structure_equations"}
+    for doc in (dict(data, structure_equations=eqs), dict(from_brackets, brackets=brackets)):
+        assert load_document(parse_input(json.dumps(doc)))[0].algebra.brackets == alg.brackets
+
+
+@pytest.mark.parametrize("metric", [
+    {"type": "diagonal_unitary"},
+    {"type": "diagonal", "entries": ["3/2", "1/3"]},
+    {"type": "omega", "terms": [[1, 2, "3/2", "0"], [3, 4, "1/3", "0"]]},
+    {"type": "gram", "entries": [[[s if r == t else "0", "0"] for t in range(4)]
+                                 for r, s in enumerate(["3/2", "3/2", "1/3", "1/3"])]},
+])
+def test_float_document_matches_a_parse_over_the_float_field(metric):
+    data = minimal(dim=8, metric=metric, structure_equations={"5": [[1, 2, "1/3"]]},
+                   scalar_field={"kind": "rational"})
+    redeclared = dict(data, scalar_field={"kind": "float", "tolerance": FLOAT_TOLERANCE})
+    doc = float_document(parse_input(json.dumps(data)))
+    assert doc == parse_input(json.dumps(redeclared))
+    assert doc.sha256() == parse_input(json.dumps(redeclared)).sha256()
 
 
 def test_metric_variants(tmp_path):

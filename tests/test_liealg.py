@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from conftest import (
     solv_rank1,
     su2_block_algebra,
 )
+from hha.catalog import get_example
 from hha.forms import Form
 from hha.liealg import (
     JacobiError,
@@ -173,3 +176,19 @@ def test_ce_differential_squares_to_zero_all_degrees_dim4():
         for key in itertools.combinations(range(4), deg):
             f = Form.monomial(4, key)
             assert alg.ce_differential(alg.ce_differential(f)).is_zero()
+
+
+def test_loaded_algebra_is_freed_by_reference_counting():
+    # the structure facts live on the algebra, so reading them leaves no
+    # reference cycle for the cyclic collector to break
+    gc.disable()
+    try:
+        geom, metric = get_example("qsg12").load()
+        alg = geom.algebra
+        assert (alg.nilpotent, alg.nilpotency_step, alg.solvable, alg.unimodular,
+                alg.center_dim, alg.derived_dim, alg.semisimple) == (True, 2, True, True, 6, 4, False)
+        ref = weakref.ref(alg)
+        del geom, metric, alg
+        assert ref() is None
+    finally:
+        gc.enable()

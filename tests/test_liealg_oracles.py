@@ -6,6 +6,8 @@ nonzero (i, k), the profile fields are computed on first read, and the
 Nijenhuis check, ``is_abelian`` and the adapted basis apply I, J and K by
 their sparse columns.  The oracles below are the dense routes:
 
+- the Jacobi check as the loop over triples of nested brackets that the
+  d^2 = 0 check replaced;
 - the Killing form as tr(ad e_i ad e_j) of dense ad matrices;
 - the centre as the nullspace of the dim^2 x dim stack of ad matrices;
 - the eager profile, with dense row reduction of spans;
@@ -22,6 +24,7 @@ elimination here is the dense ``_row_echelon``, so none of the oracles reads
 import functools
 import hashlib
 import io
+import itertools
 from contextlib import redirect_stdout
 
 import pytest
@@ -41,7 +44,7 @@ from hha.hypercomplex import (
     is_abelian,
     validate_hypercomplex,
 )
-from hha.liealg import LieAlgebraData
+from hha.liealg import JacobiError, LieAlgebraData
 from hha.scalars import C_ONE, C_ZERO, ComplexScalar, HALF, ONE, ZERO, rational
 
 _constructions = settings(max_examples=20, deadline=None, database=None)
@@ -53,6 +56,34 @@ def _loaded(name):
 
 
 # -- oracles ---------------------------------------------------------------------
+
+
+def table_bracket(table, u, v):
+    """[u, v] of sparse vectors under a table {(i, j): {k: c}}, i < j."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            if i != j:
+                sign, comps = (ONE, table.get((i, j), {})) if i < j else (-ONE, table.get((j, i), {}))
+                for k, c in comps.items():
+                    out[k] = out.get(k, ZERO) + sign * a * b * c
+    return out
+
+
+def jacobi_failures(table, dim):
+    """{(i, j, k): Jacobiator in index order} over the triples i < j < k where it is
+    nonzero: [[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] by nested brackets."""
+    out = {}
+    for i, j, k in itertools.combinations(range(dim), 3):
+        ei, ej, ek = {i: ONE}, {j: ONE}, {k: ONE}
+        total = {}
+        for u, v, w in ((ei, ej, ek), (ej, ek, ei), (ek, ei, ej)):
+            for m, c in table_bracket(table, table_bracket(table, u, v), w).items():
+                total[m] = total.get(m, ZERO) + c
+        residual = {m: c for m, c in sorted(total.items()) if not c.is_zero()}
+        if residual:
+            out[(i, j, k)] = residual
+    return out
 
 
 def ad_matrix(alg, vec):
@@ -366,6 +397,42 @@ def test_sparse_routes_match_dense_oracles_on_catalog(name):
 ])
 def test_sparse_profile_matches_dense_oracle_on_small_algebras(brackets):
     assert_algebra_matches_oracles(LieAlgebraData(3, brackets))
+
+
+@st.composite
+def bracket_tables(draw):
+    """(dim, table) over Q, dim 3..8: random sparse brackets, most failing Jacobi,
+    or two-step nilpotent ones (brackets of the first generators land among the
+    last, which bracket with nothing), which satisfy it."""
+    dim = draw(st.integers(min_value=3, max_value=8))
+    if draw(st.booleans()):
+        split = draw(st.integers(min_value=2, max_value=dim - 1))
+        pairs, targets = list(itertools.combinations(range(split), 2)), range(split, dim)
+    else:
+        pairs, targets = list(itertools.combinations(range(dim), 2)), range(dim)
+    coeff = st.builds(rational, st.integers(-3, 3), st.integers(1, 2))
+    table = {}
+    for ij, k, c in draw(st.lists(st.tuples(st.sampled_from(pairs), st.sampled_from(targets),
+                                            coeff), max_size=6)):
+        if not c.is_zero():
+            table.setdefault(ij, {})[k] = c
+    return dim, table
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=bracket_tables())
+def test_jacobi_check_matches_the_triple_loop_oracle(case):
+    dim, table = case
+    failures = jacobi_failures(table, dim)
+    if not failures:
+        LieAlgebraData(dim, table)
+        return
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebraData(dim, table)
+    # the smallest failing triple, with its Jacobiator as the residual
+    triple = min(failures)
+    assert exc.value.triple == tuple(t + 1 for t in triple)
+    assert str(exc.value) == str(JacobiError(*triple, failures[triple]))
 
 
 _SUMMANDS = ("abelian4", "abelian8", "joyce_su2", "qbal12", "qgau8", "qsg12",
