@@ -492,7 +492,7 @@ def check_entry(entry: CatalogEntry) -> EntryOutcome:
 
     if exp.get("semisimple"):
         checks.append(CheckResult(
-            "algebra is semisimple", geom.algebra.validate().semisimple))
+            "algebra is semisimple", geom.algebra.semisimple))
 
     if "class_obstruction" in exp and report.obstruction is not None:
         want = exp["class_obstruction"]

@@ -340,7 +340,7 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     if with_obstruction and routes["gauduchon"][0]:
         obstruction = conformal_class_obstruction(m)
 
-    if geom.algebra.validate().nilpotent and not geom.is_abelian():
+    if geom.algebra.nilpotent and not geom.is_abelian():
         notes.append(
             "nilpotent with non-abelian structure: no invariant HKT metric exists"
         )
@@ -427,7 +427,7 @@ def qbal_nonexistence_certificate(geom: Geometry, psi: Form):
     verdict = qpositivity_verdict(geom, sigma)
     if verdict not in ("positive", "semipositive"):
         return CertificateRejection(f"del(psi) is {verdict}", sigma)
-    if not geom.algebra.validate().unimodular:
+    if not geom.algebra.unimodular:
         return CertificateRejection(
             "pairing argument needs a unimodular algebra", sigma
         )

@@ -36,7 +36,6 @@ from .constructions import (
 from .documents import (
     InputError,
     default_field_from_env,
-    float_document,
     geometry_to_input,
     load_document,
     parse_input,
@@ -48,7 +47,7 @@ from .forms import Form
 from .hermitian import MetricError, QRealError
 from .hypercomplex import IntegrabilityError, SpherePoint, StructureError
 from .liealg import AlgebraError, JacobiError
-from .scalars import ComplexScalar, ScalarError, parse_scalar
+from .scalars import FLOAT_TOLERANCE, ComplexScalar, ScalarError, parse_scalar
 
 
 INPUT_FAULTS = (InputError, JacobiError, AlgebraError, IntegrabilityError,
@@ -64,7 +63,9 @@ def _load_file(path: str, float_mode: bool = False):
     default = default_field_from_env(os.environ.get("HHA_DEFAULT_FIELD"))
     doc = parse_input(text, default_field=default)
     if float_mode:
-        doc = float_document(doc)
+        raw = dict(doc.raw)
+        raw["scalar_field"] = {"kind": "float", "tolerance": FLOAT_TOLERANCE}
+        doc = parse_input(json.dumps(raw))
     geom, metric = load_document(doc)
     return doc, geom, metric
 

@@ -168,7 +168,7 @@ def arroyo_nicolini(geom_a: Geometry, metric_a: Metric, e1_index: int,
             raise ConstructionError(f"e{idx} is not central")
         if alg.in_derived_subalgebra(vec):
             raise ConstructionError(f"e{idx} lies in the derived subalgebra")
-        if not alg.validate().nilpotent:
+        if not alg.nilpotent:
             raise ConstructionError("gluing requires nilpotent inputs")
     da, db = geom_a.algebra.dim, geom_b.algebra.dim
     dim = da + db + 4

@@ -6,9 +6,9 @@ are 1-based on the wire, matching the usual coframe labels e^1..e^{4n}.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+from dataclasses import dataclass
 
 from . import __version__
 from .classify import ClassificationReport, ObstructionReport
@@ -64,7 +64,7 @@ def default_field_from_env(value: str | None) -> dict | None:
     raise InputError("$HHA_DEFAULT_FIELD", f"cannot interpret {value!r}")
 
 
-@dataclasses.dataclass
+@dataclass
 class InputDocument:
     name: str
     dimension: int
@@ -277,23 +277,6 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
         metric_values=values,
         raw=raw,
     )
-
-
-def float_document(doc: InputDocument) -> InputDocument:
-    """A parsed document re-declared over the float field, for ``--float``.
-
-    ``raw`` names the float field, so the input hash is that of the
-    re-declared document.  Diagonal entries are coerced as ``parse_input``
-    coerces them, Omega and Gram entries stay as parsed, and the brackets and
-    structure matrices are coerced when the geometry is built.
-    """
-    raw = dict(doc.raw)
-    raw["scalar_field"] = {"kind": "float", "tolerance": FLOAT_TOLERANCE}
-    field = ScalarField("float")
-    values = doc.metric_values
-    if doc.metric.get("type") == "diagonal":
-        values = [field.coerce(v) for v in values]
-    return dataclasses.replace(doc, field=field, metric_values=values, raw=raw)
 
 
 def build_geometry(doc: InputDocument) -> Geometry:

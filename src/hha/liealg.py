@@ -97,7 +97,6 @@ class LieAlgebraData:
                     continue
                 linalg.add_term(table.setdefault((i, j), {}), k, c)
         self.brackets = {ij: comps for ij, comps in table.items() if comps}
-        self._jacobi_checked = False
         self.validate()
 
     # -- constructors ------------------------------------------------------
@@ -170,13 +169,13 @@ class LieAlgebraData:
     # -- validation and structure theory --------------------------------------
 
     def validate(self) -> "LieAlgebraData":
-        """Check Jacobi exactly, once, as d^2 e^k = 0 for every k; returns self.
+        """Check Jacobi exactly as d^2 e^k = 0 for every k; returns self.
+
+        The constructor calls it, so every algebra is checked once, on load.
 
         A key (i, j, l) of d^2 e^m is a failing triple, and its coefficient is
         the m-th component of the Jacobiator; the smallest one is reported.
         """
-        if self._jacobi_checked:
-            return self
         failing: dict = {}
         # an abelian algebra has nothing to check (and in dimension 1 no 2-forms)
         for m, dek in enumerate(self._d_table if self.brackets else ()):
@@ -185,7 +184,6 @@ class LieAlgebraData:
         if failing:
             triple = min(failing)
             raise JacobiError(*triple, failing[triple])
-        self._jacobi_checked = True
         return self
 
     def _span_of_brackets(self, us, vs) -> list:

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 import hha
-from hha import cli
 from hha.cli import main
 from hha.hermitian import ConsistencyError
 
@@ -265,15 +264,6 @@ def test_classify_float_mode(qbal12_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["flags"]["q_balanced"]["value"] is True
-
-
-def test_float_mode_parses_the_document_once(qbal12_file, monkeypatch):
-    calls = []
-    parse_input = cli.parse_input
-    monkeypatch.setattr(cli, "parse_input", lambda *a, **k: calls.append(a) or parse_input(*a, **k))
-    code, _, _ = run_cli(["classify", qbal12_file, "--float", "--format", "json"])
-    assert code == 0
-    assert len(calls) == 1
 
 
 def test_catalog_list():

@@ -7,7 +7,6 @@ from hha.catalog import get_example
 from hha.documents import (
     InputError,
     default_field_from_env,
-    float_document,
     geometry_to_input,
     load_document,
     parse_input,
@@ -18,7 +17,7 @@ from hha.classify import classify_metric
 from hha.hermitian import Metric
 from hha.hypercomplex import Geometry, IntegrabilityError
 from hha.liealg import LieAlgebraData
-from hha.scalars import FLOAT_TOLERANCE, rational, scalar_str
+from hha.scalars import rational, scalar_str
 
 
 def minimal(dim=4, **over):
@@ -131,22 +130,6 @@ def test_halved_terms_load_the_catalog_brackets():
     from_brackets = {key: v for key, v in data.items() if key != "structure_equations"}
     for doc in (dict(data, structure_equations=eqs), dict(from_brackets, brackets=brackets)):
         assert load_document(parse_input(json.dumps(doc)))[0].algebra.brackets == alg.brackets
-
-
-@pytest.mark.parametrize("metric", [
-    {"type": "diagonal_unitary"},
-    {"type": "diagonal", "entries": ["3/2", "1/3"]},
-    {"type": "omega", "terms": [[1, 2, "3/2", "0"], [3, 4, "1/3", "0"]]},
-    {"type": "gram", "entries": [[[s if r == t else "0", "0"] for t in range(4)]
-                                 for r, s in enumerate(["3/2", "3/2", "1/3", "1/3"])]},
-])
-def test_float_document_matches_a_parse_over_the_float_field(metric):
-    data = minimal(dim=8, metric=metric, structure_equations={"5": [[1, 2, "1/3"]]},
-                   scalar_field={"kind": "rational"})
-    redeclared = dict(data, scalar_field={"kind": "float", "tolerance": FLOAT_TOLERANCE})
-    doc = float_document(parse_input(json.dumps(data)))
-    assert doc == parse_input(json.dumps(redeclared))
-    assert doc.sha256() == parse_input(json.dumps(redeclared)).sha256()
 
 
 def test_metric_variants(tmp_path):
