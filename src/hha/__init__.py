@@ -21,7 +21,6 @@ from .forms import (  # noqa: F401
     DegreeOverflowError,
     Form,
     bidegree_split,
-    endo_action,
     wedge,
 )
 from .liealg import (  # noqa: F401

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .forms import Form, bidegree_project, pure_bidegree
+from .forms import Form, bidegree_project, mask, pure_bidegree
 from .hermitian import (
     ConsistencyError,
     Metric,
@@ -38,6 +38,7 @@ from .hermitian import (
 )
 from .hypercomplex import Geometry
 from .scalars import (
+    C_ZERO,
     ComplexScalar,
     ONE,
     Scalar,
@@ -123,7 +124,7 @@ def solve_exactness(geom: Geometry, operator: str, target: Form,
     form or None together with rank data: (witness, info).  One elimination
     answers both.  Each monomial k gives the equation
     sum_j x_j op(m_j)_k = target_k over the source monomials m_j, with the
-    target in column ``len(basis_keys)``: the system is consistent exactly
+    target in column ``len(basis)``: the system is consistent exactly
     when that column is not a pivot, and the rank of op is the number of
     the other pivots.  The witness (free variables zero) is verified by
     applying op.
@@ -137,15 +138,15 @@ def solve_exactness(geom: Geometry, operator: str, target: Form,
     op = ops[operator]
     p, q = source_bidegree
     N, dim = geom.N, geom.algebra.dim
-    basis_keys = [
+    basis = [
         hol + anti
         for hol in itertools.combinations(range(N), p)
         for anti in itertools.combinations(range(N, 2 * N), q)
     ]
-    rhs = len(basis_keys)
+    rhs = len(basis)
     equations: dict = {}
-    for j, key in enumerate(basis_keys):
-        for k, c in op(Form.monomial(dim, key)).terms.items():
+    for j, idx in enumerate(basis):
+        for k, c in op(Form.monomial(dim, idx)).terms.items():
             equations.setdefault(k, {})[j] = c
     for k, c in target.terms.items():
         equations.setdefault(k, {})[rhs] = c
@@ -154,7 +155,7 @@ def solve_exactness(geom: Geometry, operator: str, target: Form,
     info = {"rank": len(rows) - (not consistent), "consistent": consistent}
     if not consistent:
         return None, info
-    terms = {basis_keys[j]: row[rhs] for j, row in rows.items() if rhs in row}
+    terms = {mask(basis[j]): row[rhs] for j, row in rows.items() if rhs in row}
     witness = Form(dim, p + q, terms)
     if op(witness) != target:
         raise ConsistencyError("exactness witness failed verification")
@@ -169,7 +170,7 @@ def einstein_factor(m: Metric):
         lam = ZERO
     else:
         key, c = next(iter(m.omega.terms.items()))
-        ratio = dja.coefficient(key) / c
+        ratio = dja.terms.get(key, C_ZERO) / c
         if not ratio.is_real() or dja != m.omega.scale(ratio):
             return None, dja - m.omega
         lam = ratio.re

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .classify import classify_metric, einstein_factor
-from .forms import Form
+from .forms import Form, indices, mask
 from .hermitian import ConsistencyError, Metric
 from .hypercomplex import Geometry, HypercomplexStructure
 from .liealg import LieAlgebraData
@@ -55,7 +55,7 @@ def embed_complex_form(form: Form, n_src: int, n_dst: int, hol_offset: int) -> F
     """
     index = [k + hol_offset if k < n_src else k - n_src + n_dst + hol_offset
              for k in range(2 * n_src)]
-    terms = {tuple(index[i] for i in key): c for key, c in form.terms.items()}
+    terms = {mask(index[i] for i in indices(key)): c for key, c in form.terms.items()}
     return Form(2 * n_dst, form.degree, terms)
 
 
@@ -222,9 +222,9 @@ def indecomposability_hint(geom: Geometry, metric: Metric):
     def frame_slots(blocks):
         return [2 * b + t for b in blocks for t in range(2)]
 
-    for mask in range(1, 1 << n):
-        left = sorted(b for b in range(n) if mask & (1 << b))
-        right = sorted(b for b in range(n) if not mask & (1 << b))
+    for subset in range(1, 1 << n):
+        left = sorted(b for b in range(n) if subset & (1 << b))
+        right = sorted(b for b in range(n) if not subset & (1 << b))
         if 0 not in left or not right:
             continue
         ls, rs = real_slots(left), real_slots(right)
@@ -378,7 +378,7 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
     ])
     geom = Geometry(algebra, structure)
     n_dst, n0 = geom.N, geom_base.N
-    new_terms = {(n0 + 2 * i, n0 + 2 * i + 1): C_ONE for i in range(k)}
+    new_terms = {mask((n0 + 2 * i, n0 + 2 * i + 1)): C_ONE for i in range(k)}
     omega = embed_complex_form(metric_base.omega, n0, n_dst, 0) + \
         Form(2 * n_dst, 2, new_terms)
     metric = Metric(geom, omega)

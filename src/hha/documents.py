@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import ClassificationReport, ObstructionReport
-from .forms import Form
+from .forms import Form, indices, mask
 from .hermitian import Metric
 from .hypercomplex import Geometry, HypercomplexStructure
 from .liealg import LieAlgebraData
@@ -32,8 +32,8 @@ from .scalars import (
 # the frame can hold C(dim, k) terms, so the cost of the exterior calculus on
 # a general input is bounded only through the dimension.  The slowest input
 # measured at the cap, a fully coupled Gram metric over Q(sqrt 5) on the
-# 48-dimensional q-Gauduchon algebra, loads and classifies in about 6 s
-# (2-core x86-64, Python 3.11); at dimension 64 it takes about 16 s.  Every
+# 48-dimensional q-Gauduchon algebra, loads and classifies in about 0.7 s
+# (2-core x86-64, Python 3.11); at dimension 64 it takes about 1.8 s.  Every
 # input the repository builds is below the cap (the largest, from construct
 # an, is 28).
 MAX_DIMENSION = 48
@@ -172,6 +172,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             except ValueError:
                 raise InputError(loc, "generator label must be an integer") from None
             _expect(1 <= k <= dim, loc, f"generator index {k} out of range")
+            _expect(k not in parsed_eqs, loc, f"another label already names generator {k}")
             _expect(isinstance(terms, list), loc, "must be a list of [i, j, coeff]")
             out = []
             for t, term in enumerate(terms):
@@ -312,7 +313,8 @@ def build_metric(doc: InputDocument, geom: Geometry) -> Metric:
     if mtype == "diagonal":
         return Metric.diagonal(geom, doc.metric_values)
     if mtype == "omega":
-        return Metric(geom, Form(doc.dimension, 2, doc.metric_values))
+        terms = {mask(ij): c for ij, c in doc.metric_values.items()}
+        return Metric(geom, Form(doc.dimension, 2, terms))
     return Metric.from_hermitian_matrix(geom, doc.metric_values)
 
 
@@ -338,7 +340,7 @@ def geometry_to_input(name: str, geom: Geometry, metric: Metric) -> dict:
         }
     terms = [
         [i + 1, j + 1, scalar_str(c.re), scalar_str(c.im)]
-        for (i, j), c in sorted(metric.omega.terms.items())
+        for (i, j), c in sorted((indices(key), c) for key, c in metric.omega.terms.items())
     ]
     return {
         "name": name,

@@ -1,8 +1,15 @@
 """Sparse complex exterior algebra over a fixed frame of covectors.
 
 A :class:`Form` of degree k over ``nsym`` frame covectors stores a map from
-strictly increasing index tuples to nonzero complex coefficients.  The
-evaluation convention carries no 1/k! factors:
+monomial keys to nonzero complex coefficients.  A key is an int whose bit i
+stands for covector i: g^{i_1} ^ ... ^ g^{i_k} has the key
+2^{i_1} + ... + 2^{i_k}.  Two monomials share a covector exactly when
+``a & b`` is nonzero, they merge as ``a | b``, and dropping covector i is
+``key ^ (1 << i)``.  This module alone knows the format: elsewhere keys are
+made by :func:`mask` and read by :func:`indices`, and
+:meth:`Form.monomial` and :meth:`Form.coefficient` take index sequences.
+
+The evaluation convention carries no 1/k! factors:
 ``(a^1 ^ ... ^ a^k)(X_1, ..., X_k) = det(a^i(X_j))``, so a basis monomial
 evaluates to 1 on its own dual frame vectors, and the coefficient on a key is
 the value on those vectors.  The package reads values off coefficients that
@@ -14,8 +21,6 @@ from __future__ import annotations
 from .linalg import add_term
 from .scalars import C_ONE, C_ZERO, ComplexScalar
 
-Key = tuple
-
 
 class DegreeOverflowError(ValueError):
     """Wedge product would exceed the top degree of the frame."""
@@ -25,30 +30,37 @@ def _as_coeff(c) -> ComplexScalar:
     return ComplexScalar._coerce(c)
 
 
-def _merge_keys(ka: Key, kb: Key):
-    """Merge two sorted index tuples; returns (merged, sign) or (None, 0)."""
-    if not ka:
-        return kb, 1
-    if not kb:
-        return ka, 1
+def mask(idx) -> int:
+    """The key of the monomial on the distinct indices ``idx``."""
+    key = 0
+    for i in idx:
+        key |= 1 << i
+    return key
+
+
+def indices(key: int) -> tuple:
+    """The increasing indices of the monomial with key ``key``."""
     out = []
-    i = j = 0
-    flips = 0
-    la, lb = len(ka), len(kb)
-    while i < la and j < lb:
-        x, y = ka[i], kb[j]
-        if x == y:
-            return None, 0
-        if x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-            flips += la - i
-    out.extend(ka[i:])
-    out.extend(kb[j:])
-    return tuple(out), (-1 if flips & 1 else 1)
+    while key:
+        low = key & -key
+        out.append(low.bit_length() - 1)
+        key ^= low
+    return tuple(out)
+
+
+def _odd_above(key: int) -> int:
+    """The positions with an odd number of bits of ``key`` above them.
+
+    Sorting the monomial ``a`` followed by a disjoint monomial ``b`` swaps
+    each bit of ``a`` past every bit of ``b`` below it, so its sign is the
+    parity of ``(b & _odd_above(a)).bit_count()``.
+    """
+    out = 0
+    while key:
+        low = key & -key
+        out ^= low - 1
+        key ^= low
+    return out
 
 
 class Form:
@@ -77,7 +89,7 @@ class Form:
         if idx and (idx[0] < 0 or idx[-1] >= nsym):
             raise ValueError(f"indices {idx} out of range")
         c = _as_coeff(coeff)
-        return cls(nsym, len(idx), {idx: c} if not c.is_zero() else {})
+        return cls(nsym, len(idx), {mask(idx): c} if not c.is_zero() else {})
 
     @classmethod
     def constant(cls, nsym: int, coeff) -> "Form":
@@ -89,7 +101,12 @@ class Form:
         return not self.terms
 
     def coefficient(self, indices) -> ComplexScalar:
-        return self.terms.get(tuple(indices), C_ZERO)
+        """The coefficient on the monomial of ``indices``; zero unless they
+        strictly increase, as no key stands for any other sequence."""
+        idx = tuple(indices)
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            return C_ZERO
+        return self.terms.get(mask(idx), C_ZERO)
 
     def _check_mate(self, other: "Form"):
         if self.nsym != other.nsym:
@@ -149,12 +166,12 @@ class Form:
             )
         out: dict = {}
         for ka, ca in self.terms.items():
+            odd = _odd_above(ka)
             for kb, cb in other.terms.items():
-                merged, sign = _merge_keys(ka, kb)
-                if merged is None:
+                if ka & kb:
                     continue
                 c = ca * cb
-                add_term(out, merged, c if sign > 0 else -c)
+                add_term(out, ka | kb, -c if (kb & odd).bit_count() & 1 else c)
         return Form(self.nsym, deg, out)
 
     def wedge_power(self, k: int) -> "Form":
@@ -174,7 +191,7 @@ class Form:
             return Form.zero(self.nsym, 0)
         out: dict = {}
         for key, c in self.terms.items():
-            for pos, idx in enumerate(key):
+            for pos, idx in enumerate(indices(key)):
                 v = vector.get(idx)
                 if v is None:
                     continue
@@ -182,7 +199,7 @@ class Form:
                 if v.is_zero():
                     continue
                 term = v * c
-                add_term(out, key[:pos] + key[pos + 1:], -term if pos & 1 else term)
+                add_term(out, key ^ (1 << idx), -term if pos & 1 else term)
         return Form(self.nsym, self.degree - 1, out)
 
     def substitute(self, images) -> "Form":
@@ -190,7 +207,7 @@ class Form:
         out = Form.zero(self.nsym, self.degree)
         for key, c in self.terms.items():
             prod = Form.constant(self.nsym, c)
-            for idx in key:
+            for idx in indices(key):
                 prod = prod.wedge(images[idx])
                 if prod.is_zero():
                     break
@@ -202,16 +219,17 @@ class Form:
         """Signed generator permutation: ``mapping[i] = (new_index, sign)``."""
         out: dict = {}
         for key, c in self.terms.items():
-            imgs = [mapping[i] for i in key]
-            sign = 1
-            for _, s in imgs:
-                sign *= s
-            idx = [i for i, _ in imgs]
-            perm_sign, sorted_idx = _sort_sign(idx)
-            if perm_sign == 0:
-                continue
-            sign *= perm_sign
-            add_term(out, tuple(sorted_idx), c if sign > 0 else -c)
+            image, flips = 0, 0
+            for i in indices(key):
+                j, s = mapping[i]
+                bit = 1 << j
+                if image & bit:
+                    break
+                # a flip per image already placed above j, and one for a minus sign
+                flips += (image >> j).bit_count() + (s < 0)
+                image |= bit
+            else:
+                add_term(out, image, -c if flips & 1 else c)
         return Form(self.nsym, self.degree, out)
 
     def map_coefficients(self, fn) -> "Form":
@@ -230,9 +248,9 @@ class Form:
         if names is None:
             names = [f"g{i + 1}" for i in range(self.nsym)]
         parts = []
-        for key in sorted(self.terms):
+        for key in sorted(self.terms, key=indices):
             c = self.terms[key]
-            mono = "^".join(names[i] for i in key) if key else "1"
+            mono = "^".join(names[i] for i in indices(key)) if key else "1"
             parts.append(f"({c})*{mono}" if key else f"({c})")
         return " + ".join(parts)
 
@@ -240,43 +258,8 @@ class Form:
         return f"Form[deg {self.degree}: {self.format()}]"
 
 
-def _sort_sign(idx: list):
-    """Parity sort of a small index list; sign 0 when indices repeat."""
-    sign = 1
-    a = list(idx)
-    n = len(a)
-    for i in range(1, n):
-        j = i
-        while j > 0 and a[j - 1] > a[j]:
-            a[j - 1], a[j] = a[j], a[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(n - 1):
-        if a[i] == a[i + 1]:
-            return 0, a
-    return sign, a
-
-
 def wedge(a: Form, b: Form) -> Form:
     return a.wedge(b)
-
-
-def endo_action(matrix, form: Form) -> Form:
-    """Pullback of a frame-coordinate form by an endomorphism.
-
-    ``matrix`` acts on vectors (columns are images of the frame vectors);
-    the induced action on a k-form evaluates the form on transformed
-    arguments, i.e. each covector g^i maps to sum_j matrix[i][j] g^j.
-    """
-    images = []
-    for i in range(form.nsym):
-        terms = {}
-        for j in range(form.nsym):
-            c = _as_coeff(matrix[i][j])
-            if not c.is_zero():
-                terms[(j,)] = c
-        images.append(Form(form.nsym, 1, terms))
-    return form.substitute(images)
 
 
 def leibniz_differential(form: Form, table) -> Form:
@@ -292,14 +275,14 @@ def leibniz_differential(form: Form, table) -> Form:
         return Form.zero(nsym, form.degree)
     out: dict = {}
     for key, c in form.terms.items():
-        for pos, idx in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
+        for pos, idx in enumerate(indices(key)):
+            rest = key ^ (1 << idx)
             for tkey, tc in table[idx].terms.items():
-                merged, sign = _merge_keys(tkey, rest)
-                if merged is None:
+                if tkey & rest:
                     continue
                 term = tc * c
-                add_term(out, merged, term if (sign > 0) == (pos % 2 == 0) else -term)
+                flips = pos + (rest & _odd_above(tkey)).bit_count()
+                add_term(out, tkey | rest, -term if flips & 1 else term)
     return Form(nsym, form.degree + 1, out)
 
 
@@ -309,12 +292,9 @@ def leibniz_differential(form: Form, table) -> Form:
 # indices N..2N-1 their conjugates, N = 2n.
 
 
-def bidegree_of_key(key: Key, half: int):
-    p = 0
-    for i in key:
-        if i < half:
-            p += 1
-    return p, len(key) - p
+def bidegree_of_key(key: int, half: int):
+    p = (key & ((1 << half) - 1)).bit_count()
+    return p, key.bit_count() - p
 
 
 def bidegree_split(form: Form, half: int) -> dict:
@@ -365,7 +345,7 @@ def cofactor_power(pf: ComplexScalar, inverse, nsym: int) -> Form:
     minus where r + s is odd.
     """
     size = len(inverse)
-    full = tuple(range(size))
+    full = (1 << size) - 1
     terms = {}
     for r in range(size):
         row = inverse[r]
@@ -373,5 +353,5 @@ def cofactor_power(pf: ComplexScalar, inverse, nsym: int) -> Form:
             c = row[s]
             if not c.is_zero():
                 c = c * pf
-                terms[full[:r] + full[r + 1:s] + full[s + 1:]] = -c if (r + s) % 2 else c
+                terms[full ^ (1 << r) ^ (1 << s)] = -c if (r + s) % 2 else c
     return Form(nsym, size - 2, terms)

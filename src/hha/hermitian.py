@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import Form, bidegree_project, cofactor_power, pure_bidegree
+from .forms import Form, bidegree_project, cofactor_power, indices, mask, pure_bidegree
 from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint, j_index
 from .scalars import (
     C_I,
@@ -80,11 +80,12 @@ def phi(geom: Geometry, gamma: Form) -> Form:
         raise MetricError("phi expects a (1,1)-form")
     N = geom.N
     terms = {}
-    for (t, bar_b), c in gamma.terms.items():
+    for key, c in gamma.terms.items():
+        t, bar_b = indices(key)
         r = j_index(bar_b - N)[0]
         if r < t:
             c = c.times_i()
-            terms[(r, t)] = c if j_index(r)[1] > 0 else -c
+            terms[mask((r, t))] = c if j_index(r)[1] > 0 else -c
     return Form(gamma.nsym, 2, terms)
 
 
@@ -102,11 +103,12 @@ def phi_inverse(geom: Geometry, sigma: Form) -> Form:
         raise MetricError("phi_inverse expects a (2,0)-form")
     N = geom.N
     terms = {}
-    for (r, t), c in sigma.terms.items():
+    for key, c in sigma.terms.items():
+        r, t = indices(key)
         (pr, sr), (pt, st) = j_index(r), j_index(t)
         c = c.times_i()
-        terms[(t, N + pr)] = -c if sr > 0 else c
-        terms[(r, N + pt)] = c if st > 0 else -c
+        terms[mask((t, N + pr))] = -c if sr > 0 else c
+        terms[mask((r, N + pt))] = c if st > 0 else -c
     out = Form(sigma.nsym, 2, terms)
     if phi(geom, out) != sigma:
         raise ConsistencyError("phi(phi_inverse(sigma)) != sigma")
@@ -123,7 +125,8 @@ def hermitian_matrix_of(geom: Geometry, sigma: Form):
     """
     N = geom.N
     M = [[C_ZERO] * N for _ in range(N)]
-    for (r, t), c in sigma.terms.items():
+    for key, c in sigma.terms.items():
+        r, t = indices(key)
         if t >= N:
             raise ValueError("form has components outside the holomorphic block")
         (pr, sr), (pt, st) = j_index(r), j_index(t)
@@ -194,8 +197,8 @@ def is_power_of_qpositive(geom: Geometry, a: Form) -> bool:
         raise MetricError("power decision expects a (2n-2,0)-form")
     terms = {}
     for key, c in a.terms.items():
-        r, s = sorted(set(range(N)).difference(key))
-        terms[(r, s)] = c if (r + s) % 2 else -c
+        r, s = sorted(set(range(N)).difference(indices(key)))
+        terms[mask((r, s))] = c if (r + s) % 2 else -c
     try:
         return qpositivity_verdict(geom, Form(a.nsym, 2, terms)) == "positive"
     except QRealError:
@@ -292,8 +295,8 @@ class Metric:
         z^j -> sum_i (G^-1)_{ji} z^i, conj(z^j) -> sum_i conj((G^-1)_{ji}) conj(z^i)."""
         N, dim = self.N, self.geometry.algebra.dim
         rows = [{i: c for i, c in enumerate(row) if not c.is_zero()} for row in self._g_inv]
-        return ([Form(dim, 1, {(i,): c for i, c in row.items()}) for row in rows]
-                + [Form(dim, 1, {(N + i,): c.conjugate() for i, c in row.items()})
+        return ([Form(dim, 1, {mask((i,)): c for i, c in row.items()}) for row in rows]
+                + [Form(dim, 1, {mask((N + i,)): c.conjugate() for i, c in row.items()})
                    for row in rows])
 
     def _sharp(self, a: Form) -> Form:
@@ -304,14 +307,14 @@ class Metric:
 
     @classmethod
     def unitary(cls, geometry: Geometry) -> "Metric":
-        terms = {(2 * i, 2 * i + 1): C_ONE for i in range(geometry.n)}
+        terms = {mask((2 * i, 2 * i + 1)): C_ONE for i in range(geometry.n)}
         return cls(geometry, Form(geometry.algebra.dim, 2, terms))
 
     @classmethod
     def diagonal(cls, geometry: Geometry, coeffs) -> "Metric":
         terms = {}
         for i, c in enumerate(coeffs):
-            terms[(2 * i, 2 * i + 1)] = ComplexScalar(Scalar._coerce(c))
+            terms[mask((2 * i, 2 * i + 1))] = ComplexScalar(Scalar._coerce(c))
         return cls(geometry, Form(geometry.algebra.dim, 2, terms))
 
     @classmethod
@@ -334,7 +337,7 @@ class Metric:
                 if full[r][t] != -full[t][r]:
                     raise MetricError("matrix is not hyperhermitian-compatible")
         terms = {
-            (r, t): full[r][t]
+            mask((r, t)): full[r][t]
             for r in range(N) for t in range(r + 1, N)
             if not full[r][t].is_zero()
         }
@@ -388,11 +391,9 @@ class Metric:
         """Omega^{n-1} ^ conj(Omega^n).  conj(Omega^n) is the one monomial
         n! Pf z^{[N, 2N)} (Pf is real), whose indices follow every index of
         Omega^{n-1}: each key gains that block, with sign +1."""
-        top_bar = tuple(range(self.N, 2 * self.N))
-        c = self.omega_power(self.n).coefficient(tuple(range(self.N))).conjugate()
-        power = self.omega_power(self.n - 1)
-        return Form(power.nsym, power.degree + self.N,
-                    {key + top_bar: v * c for key, v in power.terms.items()})
+        c = self.omega_power(self.n).coefficient(range(self.N)).conjugate()
+        top_bar = Form.monomial(self.geometry.algebra.dim, range(self.N, 2 * self.N), c)
+        return self.omega_power(self.n - 1).wedge(top_bar)
 
     def volume_coefficient(self) -> Scalar:
         """Coefficient of the volume against the frame top form: |pf|^2."""
@@ -406,7 +407,7 @@ class Metric:
             for s in range(N):
                 g = self.gram[r][s]
                 if not g.is_zero():
-                    terms[(r, N + s)] = g.times_i()
+                    terms[mask((r, N + s))] = g.times_i()
         return Form(self.geometry.algebra.dim, 2, terms)
 
     def omega_i_top_minus_one(self) -> Form:
@@ -428,7 +429,7 @@ class Metric:
                 c = self._g_inv[s][r]
                 if not c.is_zero():
                     c = c * scale
-                    terms[hol[r] + anti[s]] = -c if (r + s) % 2 else c
+                    terms[mask(hol[r] + anti[s])] = -c if (r + s) % 2 else c
         return Form(self.geometry.algebra.dim, 2 * N - 2, terms)
 
     # -- inner products ---------------------------------------------------------------
@@ -493,7 +494,8 @@ class Metric:
         """
         N, h = self.N, self._g_inv
         total = C_ZERO
-        for (r, s), c in xi.terms.items():
+        for key, c in xi.terms.items():
+            r, s = indices(key)
             if s < N:
                 p, sign = j_index(r)
                 c = c * h[p][s]
@@ -505,7 +507,7 @@ class Metric:
         N = self.N
         total = C_ZERO
         for key, c in gamma.terms.items():
-            i, j = key
+            i, j = indices(key)
             if i < N <= j:
                 r, s = i, j - N
                 total = total + self._g_inv[s][r] * c
@@ -523,10 +525,10 @@ class Metric:
         pf_bar_fact = self.pf.conjugate() * ComplexScalar(rational(math.factorial(n)))
         alpha_terms = {}
         for key, c in d_obn.terms.items():
-            r = key[0]
+            r = indices(key)[0]
             if r >= N:
                 raise ConsistencyError("unexpected key in the top-power derivative")
-            alpha_terms[(r,)] = c * pf_bar_fact.inverse()
+            alpha_terms[mask((r,))] = c * pf_bar_fact.inverse()
         alpha_div = Form(dim, 1, alpha_terms)
         alpha_lef = self.lefschetz_adjoint(fr.del_(self.omega_bar()), conjugate=True)
         if alpha_div != alpha_lef:
@@ -562,7 +564,7 @@ class Metric:
         target = self.geometry.frame.del_(self.omega_power(n - 1))
         coeffs = [C_ZERO] * N
         for key, c in target.terms.items():
-            s = N * (N - 1) // 2 - sum(key)   # the one index missing from key
+            s = N * (N - 1) // 2 - sum(indices(key))   # the one index missing from key
             c = c if s % 2 == 0 else -c
             for p, g in enumerate(self.gram[s]):
                 if not g.is_zero():
@@ -570,7 +572,7 @@ class Metric:
                     coeffs[r] = coeffs[r] - c * g if sign > 0 else coeffs[r] + c * g
         scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
         return Form(self.geometry.algebra.dim, 1,
-                    {(r,): c * scale for r, c in enumerate(coeffs) if not c.is_zero()})
+                    {mask((r,)): c * scale for r, c in enumerate(coeffs) if not c.is_zero()})
 
     def curvature(self) -> CurvatureData:
         if self._curvature is not None:

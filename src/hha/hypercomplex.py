@@ -24,8 +24,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .forms import Form, bidegree_project, leibniz_differential
-from .liealg import LieAlgebraData
+from .forms import Form, bidegree_of_key, bidegree_project, leibniz_differential, mask
+from .liealg import LieAlgebraData, wire_vector
 from .linalg import add_scaled, add_term, echelon, echelon_add
 from .scalars import (
     C_ONE,
@@ -48,7 +48,7 @@ class IntegrabilityError(StructureError):
         self.pair = (i + 1, j + 1)
         super().__init__(
             f"structure {label} is not integrable on (e{i + 1}, e{j + 1}): "
-            f"Nijenhuis value {value}"
+            f"Nijenhuis value {wire_vector(value)}"
         )
 
 
@@ -239,7 +239,7 @@ class ComplexFrame:
             raise StructureError("the adapted basis is singular")
         coframe = [{k - dim: x for k, x in row.items() if k >= dim} for row in rows.values()]
         # z^r = u^{2r} + i u^{2r+1} (0-based), and its conjugate, in the real coframe
-        hol = [Form(dim, 1, {(i,): ComplexScalar(re.get(i, ZERO), im.get(i, ZERO))
+        hol = [Form(dim, 1, {mask((i,)): ComplexScalar(re.get(i, ZERO), im.get(i, ZERO))
                              for i in sorted(re.keys() | im.keys())})
                for re, im in zip(coframe[0::2], coframe[1::2])]
         self._complex_images = hol + [
@@ -251,8 +251,8 @@ class ComplexFrame:
             terms: dict = {}
             for r in sorted({a // 2 for a in row}):
                 h = ComplexScalar(HALF * row.get(2 * r, ZERO), -HALF * row.get(2 * r + 1, ZERO))
-                terms[(r,)] = h
-                terms[(N + r,)] = h.conjugate()
+                terms[mask((r,))] = h
+                terms[mask((N + r,))] = h.conjugate()
             self._real_images.append(Form(dim, 1, terms))
 
     # -- frame construction ---------------------------------------------------
@@ -312,8 +312,7 @@ class ComplexFrame:
         N = self.N
         out: dict = {}
         for key, c in form.terms.items():
-            p = sum(1 for k in key if k < N)
-            q = len(key) - p
+            p, q = bidegree_of_key(key, N)
             e = (p - q) % 4
             if e == 1:
                 c = c.times_i()

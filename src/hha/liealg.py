@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .forms import Form, leibniz_differential
+from .forms import Form, indices, leibniz_differential, mask
 from .scalars import (
     ComplexScalar,
     Scalar,
@@ -54,6 +54,11 @@ from .scalars import (
 )
 
 
+def wire_vector(vec: dict) -> str:
+    """A sparse vector with its 1-based wire labels, in increasing order: ``{e3: -2}``."""
+    return "{" + ", ".join(f"e{k + 1}: {c}" for k, c in sorted(vec.items())) + "}"
+
+
 class JacobiError(ValueError):
     """Raised when the Jacobi identity fails; carries the violating triple."""
 
@@ -61,7 +66,7 @@ class JacobiError(ValueError):
         self.triple = (i + 1, j + 1, k + 1)
         super().__init__(
             f"Jacobi identity fails on (e{i + 1}, e{j + 1}, e{k + 1}): "
-            f"residual {residual}"
+            f"residual {wire_vector(residual)}"
         )
 
 
@@ -182,8 +187,8 @@ class LieAlgebraData:
             for key, c in leibniz_differential(dek, self._d_table).terms.items():
                 failing.setdefault(key, {})[m] = c.re
         if failing:
-            triple = min(failing)
-            raise JacobiError(*triple, failing[triple])
+            key = min(failing, key=indices)
+            raise JacobiError(*indices(key), failing[key])
         return self
 
     def _span_of_brackets(self, us, vs) -> list:
@@ -308,7 +313,7 @@ class LieAlgebraData:
         terms: list = [{} for _ in range(self.dim)]
         for (i, j), comps in self.brackets.items():
             for k, c in comps.items():
-                terms[k][(i, j)] = ComplexScalar(-c)
+                terms[k][mask((i, j))] = ComplexScalar(-c)
         return [Form(self.dim, 2, t) for t in terms]
 
     def ce_differential(self, form: Form) -> Form:

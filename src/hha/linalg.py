@@ -4,12 +4,12 @@ Every row reduction of ``hha`` apart from ``det`` and
 ``hermitian_pivots`` is :func:`echelon_add`: it adds one sparse row (a
 dict from column to scalar) to a reduced row echelon basis and touches
 only nonzeros.  Callers that hold forms pass ``form.terms`` as rows
-directly.  ``solve``, ``inverse``, ``rank`` and ``nullspace`` read
-:func:`echelon` on the nonzeros of their dense input.  ``det`` is forward
-elimination with a pivot product; :func:`hermitian_pivots` is the one
-symmetric elimination of a Hermitian matrix, whose pivots give its
-definiteness here and the Pfaffian, determinant and positivity of a metric
-in ``hermitian``.  The small dense matrix helpers stay dense.
+directly.  ``solve``, ``inverse`` and ``rank`` read :func:`echelon` on
+the nonzeros of their dense input.  ``det`` is forward elimination with a
+pivot product; :func:`hermitian_pivots` is the one symmetric elimination
+of a Hermitian matrix, whose pivots give its definiteness here and the
+Pfaffian, determinant and positivity of a metric in ``hermitian``.  The
+small dense matrix helpers stay dense.
 
 :func:`add_term` is the one cancellation rule of the package: every sparse
 sum (rows here, form coefficients in ``forms``, brackets in ``liealg``,
@@ -131,7 +131,7 @@ def echelon(vectors) -> dict:
 
     The reduced row echelon basis of a span is unique, so it depends neither
     on the order of ``vectors`` nor on their number; keys only need an order
-    (column indices or monomial tuples).  Pivots and row keys come sorted.
+    (column indices or monomial keys).  Pivots and row keys come sorted.
     """
     rows: dict = {}
     for vec in vectors:
@@ -204,23 +204,6 @@ def det(a) -> ComplexScalar:
 
 def rank(a) -> int:
     return len(echelon(_nonzeros(row) for row in a))
-
-
-def nullspace(a):
-    """Basis of the right kernel of A, one vector per free column."""
-    n = len(a[0]) if a else 0
-    rows = echelon(_nonzeros(row) for row in a)
-    basis = []
-    for fc in range(n):
-        if fc in rows:
-            continue
-        v = [C_ZERO] * n
-        v[fc] = C_ONE
-        for p, row in rows.items():
-            if fc in row:
-                v[p] = -row[fc]
-        basis.append(v)
-    return basis
 
 
 def hermitian_pivots(g) -> list:

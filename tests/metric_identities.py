@@ -12,9 +12,10 @@ import math
 
 from frame_evaluation import conj_vector, evaluate, j_vector
 from hha import linalg
-from hha.forms import Form, _merge_keys
+from hha.forms import Form, indices, mask
 from hha.hermitian import ConsistencyError, MetricError, QRealError
 from hha.scalars import C_I, C_ONE, ComplexScalar, rational
+from tuple_keys import merge_keys
 
 
 def volume_form(m) -> Form:
@@ -42,10 +43,11 @@ def hodge_star(m, a: Form) -> Form:
     vol = ComplexScalar(m.det_g)
     terms = {}
     for key, c in m._sharp(a).terms.items():
-        comp = tuple(i for i in range(dim) if i not in key)
-        _, sign = _merge_keys(key, comp)
+        idx = indices(key)
+        comp = tuple(i for i in range(dim) if i not in idx)
+        _, sign = merge_keys(idx, comp)
         c = c * vol
-        terms[comp] = c if sign > 0 else -c
+        terms[mask(comp)] = c if sign > 0 else -c
     return Form(dim, dim - a.degree, terms)
 
 

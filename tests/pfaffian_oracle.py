@@ -5,7 +5,7 @@ equal pair of the Hermitian elimination of G.  The skew Schur elimination it
 replaced, with the strictly-upper-triangular matrix type it ran on, checks
 that read here and the closed forms of ``forms.cofactor_power``.
 """
-from hha.forms import Form, _as_coeff
+from hha.forms import Form, _as_coeff, indices
 from hha.scalars import C_ONE, C_ZERO, ComplexScalar
 
 
@@ -47,7 +47,8 @@ class SkewMatrix:
         if form.degree != 2:
             raise ValueError("skew matrix needs a 2-form")
         entries = {}
-        for (i, j), c in form.terms.items():
+        for key, c in form.terms.items():
+            i, j = indices(key)
             if j >= size:
                 raise ValueError("form has components outside the holomorphic block")
             entries[(i, j)] = c

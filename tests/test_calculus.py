@@ -25,9 +25,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hha import forms, hypercomplex
 from hha.catalog import get_example
-from hha.forms import Form, bidegree_project, bidegree_split
+from hha.forms import Form, bidegree_project, bidegree_split, indices
 from hha.hypercomplex import ComplexFrame
-from hha.scalars import C_ONE, ComplexScalar, Scalar
+from hha.scalars import ComplexScalar, Scalar
 
 ENTRIES = ("qsg12", "joyce_su2xsu2", "solv_aff_c")
 OPERATORS = ("d", "del_", "delbar", "del_j", "delbar_j")
@@ -50,9 +50,10 @@ def wedge_leibniz(form, table):
         return Form.zero(nsym, form.degree)
     out = Form.zero(nsym, form.degree + 1)
     for key, c in form.terms.items():
-        for pos, idx in enumerate(key):
-            prefix = Form(nsym, pos, {key[:pos]: C_ONE})
-            suffix = Form(nsym, len(key) - pos - 1, {key[pos + 1:]: C_ONE})
+        idx_list = indices(key)
+        for pos, idx in enumerate(idx_list):
+            prefix = Form.monomial(nsym, idx_list[:pos])
+            suffix = Form.monomial(nsym, idx_list[pos + 1:])
             signed = table[idx] if pos % 2 == 0 else -table[idx]
             out = out + prefix.wedge(signed).wedge(suffix).scale(c)
     return out

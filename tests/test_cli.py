@@ -177,6 +177,11 @@ def test_missing_file_is_input_error(tmp_path):
      "$.structure_equations.10[0]"),
     (["check", "FILE"], {"type": "diagonal", "entries": [True, "1", "1"]},
      "$.metric.entries[0]"),
+    # two labels of one generator are refused, not merged or overwritten
+    (["check", "FILE"], {"structure_equations": {"3": [[1, 2, "-1"]], "03": [[1, 2, "-1"]]}},
+     "$.structure_equations.03"),
+    (["check", "FILE"], {"structure_equations": {"+3": [[1, 2, "-1"]], "3": [[1, 2, "-1"]]}},
+     "$.structure_equations.3"),
 ])
 def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
     if metric is not None:

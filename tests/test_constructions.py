@@ -17,7 +17,7 @@ from hha.constructions import (
     joyce_su3_data,
     sp1_spin_rep,
 )
-from hha.forms import Form
+from hha.forms import Form, mask
 from hha.hermitian import Metric, qpositivity_verdict
 from hha.hypercomplex import Geometry
 from hha.liealg import LieAlgebraData
@@ -265,7 +265,7 @@ def test_joyce_torsion_three_form_symmetry():
                 assert torsion(j, i, t) == -val
                 assert torsion(i, t, j) == -val
                 if not val.is_zero():
-                    terms[(i, j, t)] = val
+                    terms[mask((i, j, t))] = val
     tform = Form(dim, 3, terms)
     assert alg.ce_differential(tform).is_zero()
 

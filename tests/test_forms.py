@@ -7,6 +7,7 @@ from hha.forms import (
     DegreeOverflowError,
     Form,
     bidegree_split,
+    mask,
     pure_bidegree,
 )
 from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, rational
@@ -282,7 +283,7 @@ def test_pfaffian_matches_form_power():
     rng = random.Random(29)
     for n in (2, 3):
         sm = rand_skew(rng, 2 * n)
-        form = Form(2 * n, 2, dict(sm.entries))
+        form = Form(2 * n, 2, {mask(ij): c for ij, c in sm.entries.items()})
         power = form.wedge_power(n)
         coeff = power.coefficient(tuple(range(2 * n)))
         factorial = 1
@@ -294,13 +295,30 @@ def test_pfaffian_matches_form_power():
 def test_skew_matrix_form_round_trip():
     rng = random.Random(31)
     sm = rand_skew(rng, 6)
-    assert SkewMatrix.from_form(Form(12, 2, dict(sm.entries)), 6) == sm
+    form = Form(12, 2, {mask(ij): c for ij, c in sm.entries.items()})
+    assert SkewMatrix.from_form(form, 6) == sm
+
+
+def endo_action(matrix, form: Form) -> Form:
+    """Pullback of a frame-coordinate form by an endomorphism.
+
+    ``matrix`` acts on vectors (columns are images of the frame vectors);
+    the induced action on a k-form evaluates the form on transformed
+    arguments, i.e. each covector g^i maps to sum_j matrix[i][j] g^j.
+    """
+    images = []
+    for i in range(form.nsym):
+        image = Form.zero(form.nsym, 1)
+        for j in range(form.nsym):
+            c = ComplexScalar._coerce(matrix[i][j])
+            if not c.is_zero():
+                image = image + Form.monomial(form.nsym, (j,), c)
+        images.append(image)
+    return form.substitute(images)
 
 
 def test_endo_action_on_real_frame():
-    from hha.forms import endo_action
     from hha.hypercomplex import HypercomplexStructure
-    from hha.scalars import C_I
     H = HypercomplexStructure.standard(1)
     # I acts on the complexified coframe with the expected eigenvalue
     z1_real = mono(4, (0,)) + mono(4, (1,), C_I)

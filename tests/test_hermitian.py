@@ -12,7 +12,7 @@ from conftest import (
     solv_third,
 )
 from frame_evaluation import evaluate, frame_vector
-from hha.forms import Form, pure_bidegree
+from hha.forms import Form, mask, pure_bidegree
 from hha.hermitian import (
     Metric,
     MetricError,
@@ -64,7 +64,8 @@ def random_q_real(rng, g, positive=False, diagonal=False, height=4):
     dim, N = g.algebra.dim, g.N
     if diagonal:
         terms = {
-            (2 * i, 2 * i + 1): ComplexScalar(rational(rng.randint(1, height), rng.randint(1, 2)))
+            mask((2 * i, 2 * i + 1)): ComplexScalar(rational(rng.randint(1, height),
+                                                             rng.randint(1, 2)))
             for i in range(g.n)
         }
         return Form(dim, 2, terms)
@@ -77,7 +78,7 @@ def random_q_real(rng, g, positive=False, diagonal=False, height=4):
     sym = seed + g.frame.j_action(g.frame.conjugate(seed))
     if not positive:
         return sym
-    std = Form(dim, 2, {(2 * i, 2 * i + 1): C_ONE for i in range(g.n)})
+    std = Form(dim, 2, {mask((2 * i, 2 * i + 1)): C_ONE for i in range(g.n)})
     t = 1
     while True:
         cand = sym + std.scale(rational(t))

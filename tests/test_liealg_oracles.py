@@ -35,7 +35,7 @@ from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
 from hha.cli import main
 from hha.constructions import arroyo_nicolini, direct_sum
-from hha.forms import Form
+from hha.forms import Form, mask
 from hha.hypercomplex import (
     HypercomplexStructure,
     IntegrabilityError,
@@ -339,13 +339,13 @@ def dense_frame_images(H):
             # u^{2r} = (z^{r+1} + conj)/2 and u^{2r+1} = -i (z^{r+1} - conj)/2
             r = a // 2
             base = ComplexScalar(HALF) if a % 2 == 0 else ComplexScalar(ZERO, -HALF)
-            for key, c in (((r,), base), ((N + r,), base.conjugate())):
+            for key, c in ((mask((r,)), base), (mask((N + r,)), base.conjugate())):
                 terms[key] = terms.get(key, C_ZERO) + c * coeff
         real_images.append(Form(dim, 1, {k: v for k, v in terms.items() if not v.is_zero()}))
     hol = []
     for r in range(N):
         coeffs = [P_inv[2 * r][i] + P_inv[2 * r + 1][i].times_i() for i in range(dim)]
-        hol.append(Form(dim, 1, {(i,): c for i, c in enumerate(coeffs) if not c.is_zero()}))
+        hol.append(Form(dim, 1, {mask((i,)): c for i, c in enumerate(coeffs) if not c.is_zero()}))
     conj = [Form(dim, 1, {k: c.conjugate() for k, c in z.terms.items()}) for z in hol]
     return real_images, hol + conj
 
@@ -433,6 +433,19 @@ def test_jacobi_check_matches_the_triple_loop_oracle(case):
     triple = min(failures)
     assert exc.value.triple == tuple(t + 1 for t in triple)
     assert str(exc.value) == str(JacobiError(*triple, failures[triple]))
+
+
+def test_jacobi_error_names_the_smallest_triple_in_index_order():
+    # [e2, e6] = e3, [e1, e3] = e5, [e4, e5] = e5 fails Jacobi on (e1, e2, e6)
+    # and (e1, e3, e4) only; as monomial keys the second is the smaller
+    table = {(1, 5): {2: ONE}, (0, 2): {4: ONE}, (3, 4): {4: ONE}}
+    failures = jacobi_failures(table, 6)
+    assert sorted(failures) == [(0, 1, 5), (0, 2, 3)]
+    assert mask((0, 2, 3)) < mask((0, 1, 5))
+    with pytest.raises(JacobiError) as exc:
+        LieAlgebraData(6, table)
+    assert exc.value.triple == (1, 2, 6)
+    assert str(exc.value) == str(JacobiError(0, 1, 5, failures[(0, 1, 5)]))
 
 
 _SUMMANDS = ("abelian4", "abelian8", "joyce_su2", "qbal12", "qgau8", "qsg12",

@@ -17,7 +17,7 @@ import pytest
 
 from frame_evaluation import evaluate, frame_vector, i_vector, j_vector, k_vector
 from hha import linalg
-from hha.forms import Form, bidegree_split
+from hha.forms import Form, bidegree_split, indices, mask
 from hha.hermitian import ConsistencyError, Metric, MetricError, hermitian_matrix_of
 from hha.hypercomplex import Geometry, HypercomplexStructure, SpherePoint, StructureError
 from hha.liealg import LieAlgebraData
@@ -51,7 +51,7 @@ class GenericRoutes:
         total = C_ZERO
         for ka, ca in a.terms.items():
             for kb, cb in b.terms.items():
-                minor = [[self.covector_product(i, j) for j in kb] for i in ka]
+                minor = [[self.covector_product(i, j) for j in indices(kb)] for i in indices(ka)]
                 total = total + ca * cb.conjugate() * (linalg.det(minor) if ka else C_ONE)
         return total
 
@@ -92,7 +92,7 @@ class GenericRoutes:
         rows = linalg.echelon(equations.values())
         if N in rows:
             raise ConsistencyError("beta solve failed; hard Lefschetz violated")
-        return Form(dim, 1, {(r,): row[N] for r, row in rows.items() if N in row})
+        return Form(dim, 1, {mask((r,)): row[N] for r, row in rows.items() if N in row})
 
     def trace_ratio(self, xi):
         """n (xi ^ Omega^{n-1}) / Omega^n as a ratio of top coefficients."""
@@ -130,8 +130,8 @@ class GenericRoutes:
                              linalg.mat_mul(gram_real(self.m), P_inv))
         L = [[ComplexScalar(x) for x in row] for row in geom.structure.combo(p)]
         w = linalg.mat_mul(linalg.transpose(L), g_e)
-        real = Form(dim, 2, {(i, j): w[i][j] for i in range(dim) for j in range(i + 1, dim)
-                             if not w[i][j].is_zero()})
+        real = Form(dim, 2, {mask((i, j)): w[i][j] for i in range(dim)
+                             for j in range(i + 1, dim) if not w[i][j].is_zero()})
         return fr.to_complex(real)
 
 
@@ -154,7 +154,7 @@ def evaluated_phi(geom, gamma):
                 - evaluate(gamma, [k_vector(fr, zr), zs])
             val = val * ComplexScalar(rational(1, 2))
             if not val.is_zero():
-                terms[(r, s)] = val
+                terms[mask((r, s))] = val
     return Form(gamma.nsym, 2, terms)
 
 
@@ -175,7 +175,7 @@ def evaluated_phi_inverse(geom, sigma):
             for t in range(N):
                 val = -evaluate(total, [jizr, frame_vector(fr, t + 1, bar=True)])
                 if not val.is_zero():
-                    terms[(r, N + t)] = val
+                    terms[mask((r, N + t))] = val
             # the reconstruction has no (2,0) or (0,2) piece
             for t in range(r + 1, N):
                 assert evaluate(total, [jizr, frame_vector(fr, t + 1)]).is_zero()
@@ -199,7 +199,7 @@ def _sqrt2_metric():
     from hha.catalog import get_example
     rng = random.Random(11)
     g = get_example("joyce_su2xsu2").load()[0]
-    std = Form(g.algebra.dim, 2, {(2 * i, 2 * i + 1): C_ONE for i in range(g.n)})
+    std = Form(g.algebra.dim, 2, {mask((2 * i, 2 * i + 1)): C_ONE for i in range(g.n)})
     sym = random_q_real(rng, g).scale(root(2)) + random_q_real(rng, g)
     t = 1
     while True:
@@ -221,7 +221,7 @@ def _random_form(rng, dim, degree, terms=4):
     """A random form whose monomials mix holomorphic and antiholomorphic indices."""
     out = {}
     for _ in range(terms):
-        key = tuple(sorted(rng.sample(range(dim), degree)))
+        key = mask(rng.sample(range(dim), degree))
         out[key] = ComplexScalar(rational(rng.randint(-3, 3), rng.randint(1, 3)),
                                  rational(rng.randint(-3, 3), rng.randint(1, 3)))
     return Form(dim, degree, {k: c for k, c in out.items() if not c.is_zero()})
