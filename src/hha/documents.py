@@ -125,7 +125,9 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     """Validate and parse an input document from JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # besides JSONDecodeError: integer literals over the int conversion
+        # limit (ValueError) and nesting deeper than the recursion limit
         raise InputError("$", f"invalid JSON: {exc}") from None
     _expect(isinstance(raw, dict), "$", "document must be an object")
     if default_field is not None and "scalar_field" not in raw:

@@ -185,21 +185,25 @@ class Form:
     def contract(self, vector: dict) -> "Form":
         """Interior product with a vector given by dual-frame coefficients.
 
-        ``vector`` maps frame indices to complex coefficients.
+        ``vector`` maps frame indices to complex coefficients.  Only the
+        indices a key shares with the vector are decoded, so a term whose key
+        misses the vector costs one ``&``.
         """
         if self.degree == 0:
             return Form.zero(self.nsym, 0)
+        vec: dict = {}
+        for idx, v in vector.items():
+            v = _as_coeff(v)
+            if not v.is_zero():
+                vec[idx] = v
+        support = mask(vec)
         out: dict = {}
         for key, c in self.terms.items():
-            for pos, idx in enumerate(indices(key)):
-                v = vector.get(idx)
-                if v is None:
-                    continue
-                v = _as_coeff(v)
-                if v.is_zero():
-                    continue
-                term = v * c
-                add_term(out, key ^ (1 << idx), -term if pos & 1 else term)
+            for idx in indices(key & support):
+                bit = 1 << idx
+                term = vec[idx] * c
+                # the sign is (-1)^(number of indices of the key below idx)
+                add_term(out, key ^ bit, -term if (key & (bit - 1)).bit_count() & 1 else term)
         return Form(self.nsym, self.degree - 1, out)
 
     def substitute(self, images) -> "Form":

@@ -5,9 +5,10 @@ A structure is a pair of anticommuting complex-structure endomorphisms
 real basis; the action on a k-form is pullback,
 ``(L eta)(X_1, ..., X_k) = eta(L X_1, ..., L X_k)``.
 
-Each validated structure gets a deterministic adapted frame: a real basis
+Each structure has a deterministic adapted basis
 ``u_1, u_2, ... `` assembled in quadruples ``(v, Iv, Jv, Kv)`` greedily over
-the original basis, with holomorphic covectors ``z^r = u^{2r-1} + i u^{2r}``.
+the original basis; the integrability check takes its half bases from it, and
+the adapted frame its holomorphic covectors ``z^r = u^{2r-1} + i u^{2r}``.
 In this frame ``J z^{2i-1} = -conj(z^{2i})`` always holds, so the index
 bookkeeping of the standard block convention applies verbatim.
 
@@ -16,8 +17,10 @@ graded derivations of degree one, so each is fixed by one table of its values
 on the 2N frame generators, applied by ``forms.leibniz_differential``.  As I
 is integrable (``Geometry`` checks it), d z^k has no (0,2) part, so del and
 delbar of a generator of type (p, q) are the (p+1, q) and (p, q+1) parts of
-its d.  The pullback J* is a signed permutation of the generators and an
-algebra automorphism, so J^{-1} D J is a derivation when D is one.
+its d.  d is a real operator, so d conj(z^r) = conj(d z^r) and only the N
+holomorphic generators are differentiated.  The pullback J* is a signed
+permutation of the generators and an algebra automorphism, so J^{-1} D J is
+a derivation when D is one.
 """
 from __future__ import annotations
 
@@ -111,6 +114,27 @@ class HypercomplexStructure:
         # I e_j, J e_j and K e_j as sparse dicts, read by every check on the structure
         self.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
 
+    @cached_property
+    def adapted_basis(self) -> list:
+        """Real basis in quadruples (v, Iv, Jv, Kv), as sparse columns over the
+        e-basis: v runs greedily over the e_i outside the span so far, and
+        ``linalg.echelon_add`` decides membership."""
+        rows: dict = {}  # the reduced row echelon basis of the chosen vectors
+        chosen: list = []
+        for i in range(self.dim):
+            block = [{i: ONE}] + [self.columns[label][i] for label in ("I", "J", "K")]
+            if echelon_add(rows, block[0]) is None:
+                continue
+            for img in block[1:]:
+                if echelon_add(rows, img) is None:
+                    raise StructureError("quaternionic block failed to extend the span")
+            chosen.extend(dict(vec) for vec in block)
+            if len(chosen) == self.dim:
+                break
+        if len(chosen) != self.dim:
+            raise StructureError("could not build an adapted basis")
+        return chosen
+
     @classmethod
     def standard(cls, n: int) -> "HypercomplexStructure":
         """The block convention: per quadruple (e1, e2, e3, e4),
@@ -146,16 +170,19 @@ class HypercomplexStructure:
         return HypercomplexStructure(self.combo(p), self.combo(q))
 
 
-def _nijenhuis(d: LieAlgebraData, cols: list, i: int, j: int) -> dict:
-    """N_L(e_i, e_j) = [Le_i, Le_j] - L[Le_i, e_j] - L[e_i, Le_j] - [e_i, e_j]."""
-    ei, ej = {i: ONE}, {j: ONE}
-    Lei, Lej = cols[i], cols[j]
-    out = d.bracket(Lei, Lej)
-    for vec in (_apply(cols, d.bracket(Lei, ej)), _apply(cols, d.bracket(ei, Lej)),
-                d.bracket(ei, ej)):
+def _nijenhuis(d: LieAlgebraData, cols: list, x: dict, Lx: dict, y: dict, Ly: dict) -> dict:
+    """N_L(x, y) = [Lx, Ly] - L[Lx, y] - L[x, Ly] - [x, y], given Lx and Ly."""
+    out = d.bracket(Lx, Ly)
+    for vec in (_apply(cols, d.bracket(Lx, y)), _apply(cols, d.bracket(x, Ly)),
+                d.bracket(x, y)):
         for k, c in vec.items():
             add_term(out, k, -c)
     return out
+
+
+# positions in each adapted block (v, Iv, Jv, Kv) of a half basis S for L:
+# S and LS = {Iv, Kv}, {Jv, -Kv}, {Kv, Jv} together span the block
+_HALF_BASIS = {"I": (0, 2), "J": (0, 1), "K": (0, 1)}
 
 
 def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
@@ -163,17 +190,33 @@ def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
 
     Vanishing of the Nijenhuis tensor for two anticommuting structures
     suffices for the whole sphere; K is checked anyway as a third sample.
+
+    Each N_L is evaluated on a half basis only.  Expanding with L^2 = -1,
+    N_L(LX, Y) = -[X, LY] + L[X, Y] - L[LX, LY] - [LX, Y] = -L N_L(X, Y), and
+    by skew symmetry N_L(X, LY) = -L N_L(X, Y) too.  So if S is a set with
+    S and LS together a basis and N_L vanishes on all pairs from S, it
+    vanishes on (s, Lt) and (Ls, Lt) = -L N_L(s, Lt) as well, hence
+    everywhere by bilinearity; the converse is clear.  In a block
+    (v, Iv, Jv, Kv) of the adapted basis, S = {v, Jv} serves I (IJv = Kv),
+    and S = {v, Iv} serves J (JIv = -Kv) and K (KIv = Jv).  Only when a
+    half-basis pair fails are the basis pairs scanned, in order, so that the
+    ``IntegrabilityError`` names the first failing pair (e_i, e_j).
     Returns a small certificate dict.
     """
     if H.dim != d.dim:
         raise StructureError("structure dimension does not match the algebra")
+    basis = H.adapted_basis
     checked = {}
     for label, cols in H.columns.items():
-        for i in range(d.dim):
-            for j in range(i + 1, d.dim):
-                res = _nijenhuis(d, cols, i, j)
-                if res:
-                    raise IntegrabilityError(label, i, j, res)
+        half = [basis[b + p] for b in range(0, d.dim, 4) for p in _HALF_BASIS[label]]
+        images = [_apply(cols, x) for x in half]
+        if any(_nijenhuis(d, cols, half[a], images[a], half[b], images[b])
+               for a in range(len(half)) for b in range(a + 1, len(half))):
+            for i in range(d.dim):
+                for j in range(i + 1, d.dim):
+                    res = _nijenhuis(d, cols, {i: ONE}, cols[i], {j: ONE}, cols[j])
+                    if res:
+                        raise IntegrabilityError(label, i, j, res)
         checked[label] = "integrable"
     return {"relations": "ok", "nijenhuis": checked}
 
@@ -206,21 +249,21 @@ class ComplexFrame:
     conjugates, with N = dim/2; pairs (z^{2i-1}, z^{2i}) span a quaternionic
     block, J z^{2i-1} = -conj(z^{2i}).
 
-    The adapted basis keeps a candidate when ``linalg.echelon_add`` finds it
-    outside the span of the vectors already chosen; ``basis`` holds the
-    chosen u_a as sparse columns.  No frame inverse is formed: one real
-    ``linalg.echelon`` of the sparse rows [P | 1], P having the columns u_a,
-    gives the coframe u^a, and both image tables (z^r in the real coframe,
-    e^i in the complex one) are read off the nonzeros of the coframe rows
-    and of the rows of P.  For the standard structure P is the identity and
-    each row costs one pivot.
+    ``basis`` is the structure's ``adapted_basis``, the u_a as sparse
+    columns.  No frame inverse is formed: one real ``linalg.echelon`` of the
+    sparse rows [P | 1], P having the columns u_a, gives the coframe u^a,
+    and both image tables (z^r in the real coframe, e^i in the complex one)
+    are read off the nonzeros of the coframe rows and of the rows of P.  For
+    the standard structure P is the identity and each row costs one pivot.
 
     Each differential is one ``leibniz_differential`` call on a generator
-    table built once per frame.  Sign convention: J^{-1} = (-1)^k J on
-    k-forms, so for J g^k = s g^j the del_J table holds
-    del_J g^k = s J(delbar g^j), delbar g^j being a 2-form (likewise
-    delbar_J with del).  The tables raise ``StructureError`` if I is not
-    integrable.
+    table built once per frame.  The CE differential and ``to_complex`` are
+    real (they commute with conjugation), so the d table differentiates the
+    N holomorphic generators and sets d conj(z^r) = conj(d z^r).  Sign
+    convention: J^{-1} = (-1)^k J on k-forms, so for J g^k = s g^j the del_J
+    table holds del_J g^k = s J(delbar g^j), delbar g^j being a 2-form
+    (likewise delbar_J with del).  The tables raise ``StructureError`` if I
+    is not integrable.
     """
 
     def __init__(self, d: LieAlgebraData, H: HypercomplexStructure):
@@ -228,7 +271,7 @@ class ComplexFrame:
         self.structure = H
         self.dim = dim = d.dim
         self.N = N = dim // 2
-        self.basis = self._build_adapted_basis()  # u_a as sparse columns over the e-basis
+        self.basis = H.adapted_basis  # u_a as sparse columns over the e-basis
         # P has the columns u_a; [P | 1] reduces to [1 | P^-1], whose row a is u^a
         P: list = [{} for _ in range(dim)]
         for a, u in enumerate(self.basis):
@@ -255,28 +298,6 @@ class ComplexFrame:
                 terms[mask((N + r,))] = h.conjugate()
             self._real_images.append(Form(dim, 1, terms))
 
-    # -- frame construction ---------------------------------------------------
-
-    def _build_adapted_basis(self):
-        dim = self.dim
-        cols = self.structure.columns
-        rows: dict = {}  # the reduced row echelon basis of the chosen vectors
-        chosen: list = []
-
-        for i in range(dim):
-            block = [{i: ONE}] + [cols[label][i] for label in ("I", "J", "K")]
-            if echelon_add(rows, block[0]) is None:
-                continue
-            for img in block[1:]:
-                if echelon_add(rows, img) is None:
-                    raise StructureError("quaternionic block failed to extend the span")
-            chosen.extend(dict(vec) for vec in block)
-            if len(chosen) == dim:
-                break
-        if len(chosen) != dim:
-            raise StructureError("could not build an adapted basis")
-        return chosen
-
     # -- conversions ------------------------------------------------------------
 
     def to_complex(self, form: Form) -> Form:
@@ -294,7 +315,8 @@ class ComplexFrame:
         mapping = {k: (self.conj_index(k), 1) for k in range(self.dim)}
         return form.map_coefficients(lambda c: c.conjugate()).map_indices(mapping)
 
-    def _j_form_map(self):
+    @cached_property
+    def _j_form_map(self) -> dict:
         N = self.N
         mapping = {}
         for h in range(N):
@@ -305,7 +327,7 @@ class ComplexFrame:
 
     def j_action(self, form: Form) -> Form:
         """Pullback action of J on a complex-frame form."""
-        return form.map_indices(self._j_form_map())
+        return form.map_indices(self._j_form_map)
 
     def i_action(self, form: Form) -> Form:
         """Pullback action of I: multiplies a (p, q) term by i^p (-i)^q."""
@@ -327,9 +349,11 @@ class ComplexFrame:
 
     @cached_property
     def _d_table(self) -> list:
-        """d of each frame generator: the CE differential of its real image."""
-        return [self.to_complex(self.algebra.ce_differential(real))
-                for real in self._complex_images]
+        """d of each frame generator: the CE differential of the real image of
+        z^r, and d conj(z^r) = conj(d z^r) as d is a real operator."""
+        hol = [self.to_complex(self.algebra.ce_differential(real))
+               for real in self._complex_images[:self.N]]
+        return hol + [self.conjugate(dz) for dz in hol]
 
     @cached_property
     def _tables(self) -> dict:
@@ -342,9 +366,10 @@ class ComplexFrame:
             tables["delbar"].append(bidegree_project(dg, N, p, 2 - p))
             if tables["del"][k] + tables["delbar"][k] != dg:
                 raise StructureError(f"I is not integrable: d z^{k % N + 1} has a (0,2) part")
-        jmap = sorted(self._j_form_map().items())
+        jmap = sorted(self._j_form_map.items())
         for name, inner in (("del_j", "delbar"), ("delbar_j", "del")):
-            tables[name] = [self.j_action(tables[inner][j]) * s for _, (j, s) in jmap]
+            tables[name] = [self.j_action(tables[inner][j]) if s > 0
+                            else -self.j_action(tables[inner][j]) for _, (j, s) in jmap]
         return tables
 
     def d(self, form: Form) -> Form:
