@@ -32,8 +32,8 @@ from .scalars import (
 # the frame can hold C(dim, k) terms, so the cost of the exterior calculus on
 # a general input is bounded only through the dimension.  The slowest input
 # measured at the cap, a fully coupled Gram metric over Q(sqrt 5) on the
-# 48-dimensional q-Gauduchon algebra, loads and classifies in about 0.7 s
-# (2-core x86-64, Python 3.11); at dimension 64 it takes about 1.8 s.  Every
+# 48-dimensional q-Gauduchon algebra, loads and classifies in about 0.9 s
+# (2-core x86-64, Python 3.11); at dimension 64 it takes about 2.1 s.  Every
 # input the repository builds is below the cap (the largest, from construct
 # an, is 28).
 MAX_DIMENSION = 48

@@ -15,11 +15,24 @@ evaluates to 1 on its own dual frame vectors, and the coefficient on a key is
 the value on those vectors.  The package reads values off coefficients that
 way; the evaluator itself, with the frame vectors and the action of I, J, K
 on them, lives with the tests (``tests/frame_evaluation.py``).
+
+Every differential (d, del, delbar, del_J, delbar_J, Chevalley-Eilenberg) is
+one :func:`leibniz_differential` call with a :class:`DerivationTable`, which
+its owner compiles once: when its coefficients are exact over one field, the
+table also holds them as int numerators over one common denominator
+(``scalars.complex_ints``).  The kernel then writes the form's coefficients
+the same way, runs its loop on ints with the signs folded in, and builds each
+output coefficient once, over the product of the two denominators
+(``scalars.complex_from_ints``).  This makes no scalar object per term, and
+the result is the same exact value.  The loop over scalar objects stays for
+what the ints cannot stand for: a float coefficient under ``--float``, whose
+sums must keep their rounding, and a form whose radicand differs from the
+table's, which still raises ``FieldMismatchError``.
 """
 from __future__ import annotations
 
 from .linalg import add_term
-from .scalars import C_ONE, C_ZERO, ComplexScalar
+from .scalars import C_ONE, C_ZERO, ComplexScalar, complex_from_ints, complex_ints
 
 
 class DegreeOverflowError(ValueError):
@@ -208,16 +221,16 @@ class Form:
 
     def substitute(self, images) -> "Form":
         """Apply an algebra endomorphism sending generator i to images[i]."""
-        out = Form.zero(self.nsym, self.degree)
+        out: dict = {}
         for key, c in self.terms.items():
             prod = Form.constant(self.nsym, c)
             for idx in indices(key):
                 prod = prod.wedge(images[idx])
                 if prod.is_zero():
                     break
-            if not prod.is_zero():
-                out = out + prod
-        return out
+            for k, v in prod.terms.items():
+                add_term(out, k, v)
+        return Form(self.nsym, self.degree, out)
 
     def map_indices(self, mapping) -> "Form":
         """Signed generator permutation: ``mapping[i] = (new_index, sign)``."""
@@ -266,17 +279,65 @@ def wedge(a: Form, b: Form) -> Form:
     return a.wedge(b)
 
 
-def leibniz_differential(form: Form, table) -> Form:
+class DerivationTable:
+    """The generator 2-forms of one degree-one derivation, compiled once.
+
+    ``forms[k]`` is the image of generator k.  When every coefficient is
+    exact over one field, ``lane`` is ``(d, den, entries)``: ``entries[k]``
+    lists a tuple ``(key, _odd_above(key), a, b, c, e)`` per term of
+    ``forms[k]``, in its order, standing for the coefficient
+    ((a + b*sqrt(d)) + i*(c + e*sqrt(d))) / den.  Otherwise ``lane`` is None.
+    """
+
+    __slots__ = ("forms", "lane")
+
+    def __init__(self, forms):
+        self.forms = tuple(forms)
+        self.lane = None
+        compiled = complex_ints([c for f in self.forms for c in f.terms.values()])
+        if compiled is not None:
+            d, den, ints = compiled
+            ints = iter(ints)
+            self.lane = (d, den, [[(key, _odd_above(key), *next(ints)) for key in f.terms]
+                                  for f in self.forms])
+
+    def __len__(self):
+        return len(self.forms)
+
+    def __getitem__(self, k):
+        return self.forms[k]
+
+    def __iter__(self):
+        return iter(self.forms)
+
+
+def leibniz_differential(form: Form, table: DerivationTable) -> Form:
     """Apply the degree-one graded derivation with generator 2-forms ``table``.
 
     A monomial g^{k_1} ^ ... ^ g^{k_m} maps to the sum over positions of
     (-1)^pos (prefix) ^ table[k_pos] ^ (suffix); an even-degree entry commutes
     with the prefix, so each term is (-1)^pos table[k_pos] ^ (the monomial
     without position pos).  A top-degree form maps to zero.
+
+    The integer lane runs when the table is compiled and the form is exact
+    over the table's field; otherwise the scalar objects are multiplied.
     """
     nsym = form.nsym
     if form.degree >= nsym:
         return Form.zero(nsym, form.degree)
+    if table.lane is not None:
+        d, den, entries = table.lane
+        own = complex_ints(form.terms.values())
+        if own is not None and (not own[0] or not d or own[0] == d):
+            d, den = d or own[0], den * own[1]
+            acc = _int_lane(form.terms, own[2], entries, d)
+            return Form(nsym, form.degree + 1, {k: complex_from_ints(*ints, den, d)
+                                                for k, ints in acc.items()})
+    return Form(nsym, form.degree + 1, _object_route(form, table.forms))
+
+
+def _object_route(form: Form, table) -> dict:
+    """The derivation's terms, multiplying the scalar objects."""
     out: dict = {}
     for key, c in form.terms.items():
         for pos, idx in enumerate(indices(key)):
@@ -287,7 +348,50 @@ def leibniz_differential(form: Form, table) -> Form:
                 term = tc * c
                 flips = pos + (rest & _odd_above(tkey)).bit_count()
                 add_term(out, tkey | rest, -term if flips & 1 else term)
-    return Form(nsym, form.degree + 1, out)
+    return out
+
+
+def _int_lane(terms, ints, entries, d: int) -> dict:
+    """The object route's loop on numerators: (a, b, c, e) per key, standing
+    for (a + b*sqrt(d)) + i*(c + e*sqrt(d)) over the two denominators.
+
+    The sign is folded into the form's ints, and a key whose sum is an exact
+    zero is dropped as ``add_term`` drops it, so the keys come out in the
+    same order.  Over Q (d = 0) every b and e is zero.
+    """
+    acc: dict = {}
+    for key, (p, q, s, u) in zip(terms, ints):
+        even, odd = (p, q, s, u), (-p, -q, -s, -u)
+        bits = key
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            rest = key ^ low
+            for tkey, todd, a, b, c, e in entries[low.bit_length() - 1]:
+                if tkey & rest:
+                    continue
+                p, q, s, u = odd if (rest & todd).bit_count() & 1 else even
+                # (a + b r + i(c + e r)) (p + q r + i(s + u r)), r = sqrt(d)
+                rr, ri = a * p - c * s, a * q - c * u
+                ir, ii = a * s + c * p, a * u + c * q
+                if b or e:
+                    rr += (b * q - e * u) * d
+                    ri += b * p - e * s
+                    ir += (b * u + e * q) * d
+                    ii += b * s + e * p
+                k = tkey | rest
+                old = acc.get(k)
+                if old is not None:
+                    rr += old[0]
+                    ri += old[1]
+                    ir += old[2]
+                    ii += old[3]
+                    if not (rr or ri or ir or ii):
+                        del acc[k]
+                        continue
+                acc[k] = (rr, ri, ir, ii)
+            even, odd = odd, even   # (-1)^pos
+    return acc
 
 
 # -- bidegree bookkeeping with respect to a complex frame -------------------

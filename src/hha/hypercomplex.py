@@ -27,7 +27,14 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .forms import Form, bidegree_of_key, bidegree_project, leibniz_differential, mask
+from .forms import (
+    DerivationTable,
+    Form,
+    bidegree_of_key,
+    bidegree_project,
+    leibniz_differential,
+    mask,
+)
 from .liealg import LieAlgebraData, wire_vector
 from .linalg import add_scaled, add_term, echelon, echelon_add
 from .scalars import (
@@ -257,7 +264,8 @@ class ComplexFrame:
     the standard structure P is the identity and each row costs one pivot.
 
     Each differential is one ``leibniz_differential`` call on a generator
-    table built once per frame.  The CE differential and ``to_complex`` are
+    table built and compiled (``forms.DerivationTable``) once per frame, on
+    first use.  The CE differential and ``to_complex`` are
     real (they commute with conjugation), so the d table differentiates the
     N holomorphic generators and sets d conj(z^r) = conj(d z^r).  Sign
     convention: J^{-1} = (-1)^k J on k-forms, so for J g^k = s g^j the del_J
@@ -348,16 +356,16 @@ class ComplexFrame:
     # -- differentials ---------------------------------------------------------------
 
     @cached_property
-    def _d_table(self) -> list:
+    def _d_table(self) -> DerivationTable:
         """d of each frame generator: the CE differential of the real image of
         z^r, and d conj(z^r) = conj(d z^r) as d is a real operator."""
         hol = [self.to_complex(self.algebra.ce_differential(real))
                for real in self._complex_images[:self.N]]
-        return hol + [self.conjugate(dz) for dz in hol]
+        return DerivationTable(hol + [self.conjugate(dz) for dz in hol])
 
     @cached_property
     def _tables(self) -> dict:
-        """Generator tables of del, delbar, del_J and delbar_J."""
+        """Compiled generator tables of del, delbar, del_J and delbar_J."""
         N = self.N
         tables: dict = {"del": [], "delbar": []}
         for k, dg in enumerate(self._d_table):
@@ -370,7 +378,7 @@ class ComplexFrame:
         for name, inner in (("del_j", "delbar"), ("delbar_j", "del")):
             tables[name] = [self.j_action(tables[inner][j]) if s > 0
                             else -self.j_action(tables[inner][j]) for _, (j, s) in jmap]
-        return tables
+        return {name: DerivationTable(forms) for name, forms in tables.items()}
 
     def d(self, form: Form) -> Form:
         """Exterior differential in the complex frame."""

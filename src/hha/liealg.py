@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from . import linalg
-from .forms import Form, indices, leibniz_differential, mask
+from .forms import DerivationTable, Form, indices, leibniz_differential, mask
 from .scalars import (
     ComplexScalar,
     Scalar,
@@ -308,13 +308,13 @@ class LieAlgebraData:
     # -- invariant differential -----------------------------------------------
 
     @cached_property
-    def _d_table(self) -> list:
+    def _d_table(self) -> DerivationTable:
         """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j; brackets never change after init."""
         terms: list = [{} for _ in range(self.dim)]
         for (i, j), comps in self.brackets.items():
             for k, c in comps.items():
                 terms[k][mask((i, j))] = ComplexScalar(-c)
-        return [Form(self.dim, 2, t) for t in terms]
+        return DerivationTable(Form(self.dim, 2, t) for t in terms)
 
     def ce_differential(self, form: Form) -> Form:
         """Chevalley-Eilenberg differential of a real-frame invariant form."""

@@ -30,6 +30,13 @@ denominator in ints and divide out at most one gcd of the result:
 * the inverse is ``r*(p - q*sqrt(d)) / (p*p - q*q*d)``, with the sign of the
   norm moved into the numerator.
 
+Sums of many products can run on ints outside this module without reading
+the four fields: :func:`complex_ints` writes exact complex scalars as int
+numerators over one common denominator (None for a float or two radicands),
+and :func:`complex_from_ints` turns four numerators over a denominator back
+into a canonical complex scalar, with one gcd per nonzero part.
+``forms.leibniz_differential`` runs every exact differential this way.
+
 Almost every scalar the classifier touches is rational, and most complex
 scalars are real.  The real lane: a :class:`ComplexScalar` factor whose
 imaginary part is an exact zero (``d == 0`` and ``p == 0``) skips the
@@ -65,15 +72,37 @@ class FieldMismatchError(ScalarError):
     """Two scalars live in different quadratic extensions."""
 
 
+# The largest radicand accepted, so that deciding square-freeness, which
+# trial-divides up to the cube root, takes at most about 10**6 steps.
+MAX_RADICAND = 10**18
+
+
 def _is_squarefree(d: int) -> bool:
+    """Whether ``d >= 2`` has no square factor.
+
+    Trial division takes out every prime k with k**3 <= m, m the cofactor
+    left so far.  Each prime of what remains is above its cube root, so it
+    has at most two prime factors, and it has a square factor exactly when
+    it is the square of a prime.
+    """
     if d < 2:
         return False
-    k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    m, k = d, 2
+    while k * k * k <= m:
+        if m % k == 0:
+            m //= k
+            if m % k == 0:
+                return False
+        k += 1 if k == 2 else 2
+    root = math.isqrt(m)
+    return m == 1 or root * root != m
+
+
+def _check_radicand(d: int) -> None:
+    if d > MAX_RADICAND:
+        raise ScalarError(f"radicand {d} is above the supported maximum of 10**18")
+    if not _is_squarefree(d):
+        raise ScalarError(f"radicand {d} must be square-free and >= 2")
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -99,8 +128,7 @@ class Scalar:
             return
         if d == 0:
             raise ScalarError("irrational part requires a radicand")
-        if not _is_squarefree(d):
-            raise ScalarError(f"radicand {d} must be square-free and >= 2")
+        _check_radicand(d)
         # over r = lcm(ad, bd) the fields are coprime, since a and b are in
         # lowest terms
         r = ad * bd // _gcd(ad, bd)
@@ -561,6 +589,39 @@ C_ONE = ComplexScalar(ONE)
 C_I = ComplexScalar(ZERO, ONE)
 
 
+def complex_ints(values):
+    """Exact complex scalars as ints over one common denominator.
+
+    Returns ``(d, den, ints)`` with ``ints[k] == (a, b, c, e)`` such that
+    ``values[k] == ((a + b*sqrt(d)) + i*(c + e*sqrt(d))) / den``, where
+    ``den`` is the lcm of the denominators and ``d`` the one radicand that
+    occurs (0 if none does); None if a value is a float or two radicands
+    occur.  ``values`` is read twice, so it is a sequence or a dict view.
+    """
+    d, den = 0, 1
+    for z in values:
+        for s in (z.re, z.im):
+            if s.d and s.d != d:
+                if s.d == FLOAT_KIND or d:
+                    return None
+                d = s.d
+            if den % s.r:
+                den = math.lcm(den, s.r)
+    ints = []
+    for z in values:
+        re, im = z.re, z.im
+        m, n = den // re.r, den // im.r
+        ints.append((re.p * m, re.q * m, im.p * n, im.q * n))
+    return d, den, ints
+
+
+def complex_from_ints(a: int, b: int, c: int, e: int, den: int, d: int) -> ComplexScalar:
+    """``((a + b*sqrt(d)) + i*(c + e*sqrt(d))) / den`` for ``den > 0``, one
+    gcd per nonzero part."""
+    return _complex(_reduced(a, b, den, d) if a or b else ZERO,
+                    _reduced(c, e, den, d) if c or e else ZERO)
+
+
 def complex_str(z: ComplexScalar) -> str:
     """Canonical "re" / "i*(im)" / "(re)+i*(im)" string."""
     if z.im.is_zero():
@@ -581,8 +642,8 @@ class ScalarField:
     def __init__(self, kind: str = "rational", d: int = 0):
         if kind not in ("rational", "quadratic", "float"):
             raise ScalarError(f"unknown scalar field kind {kind!r}")
-        if kind == "quadratic" and not _is_squarefree(d):
-            raise ScalarError(f"quadratic field needs square-free d >= 2, got {d}")
+        if kind == "quadratic":
+            _check_radicand(d)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "d", d if kind == "quadratic" else 0)
 

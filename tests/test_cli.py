@@ -410,3 +410,19 @@ def test_construct_bad_inputs_are_input_errors(qbal12_file, args, location):
     assert code == 2
     assert err.startswith(f"error: {location}: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("data, location", [
+    ({"structure_equations": {"10": [[1, 6, "sqrt(1000000000000000003)"]]}},
+     "$.structure_equations.10[0]"),
+    ({"scalar_field": {"kind": "quadratic", "d": 10**18 + 3}}, "$.scalar_field"),
+])
+def test_a_radicand_above_the_bound_is_input_error(qbal12_file, data, location):
+    with open(qbal12_file, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc.update(data)
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, _, err = run_cli(["check", qbal12_file])
+    assert code == 2
+    assert location in err and "above the supported maximum" in err

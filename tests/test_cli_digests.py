@@ -1,6 +1,7 @@
-"""``hha classify --format json`` on every catalog export, exact and ``--float``,
-in the standard frame and the rotated pair, reproduces the report digests
-recorded in ``tests/data/cli_digests.json`` (re-pin with
+"""``hha classify --format json`` on every catalog export and on the seed-pinned
+``dense`` and ``quadratic`` bench inputs, exact and ``--float``, in the
+standard frame and the rotated pair, reproduces the report digests recorded
+in ``tests/data/cli_digests.json`` (re-pin with
 ``tests/record_cli_digests.py``)."""
 import json
 

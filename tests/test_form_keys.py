@@ -5,7 +5,8 @@ insertion order, because the float backend sums in that order.
 """
 from hypothesis import given, settings, strategies as st
 
-from hha.forms import Form, indices, leibniz_differential, mask
+from hha import forms
+from hha.forms import DerivationTable, Form, indices, leibniz_differential, mask
 from hha.scalars import C_ONE, ComplexScalar, rational
 import tuple_keys
 
@@ -99,4 +100,9 @@ def test_leibniz_differential_matches_the_tuple_route(data):
              for _ in range(nsym)]
     want = tuple_keys.leibniz_differential(
         tuple_keys.tuple_terms(f), [tuple_keys.tuple_terms(t) for t in table])
-    assert _items(tuple_keys.tuple_terms(leibniz_differential(f, table))) == _items(want)
+    # the integer lane of a compiled table, and the scalar-object route
+    compiled = DerivationTable(table)
+    assert compiled.lane is not None
+    assert _items(tuple_keys.tuple_terms(leibniz_differential(f, compiled))) == _items(want)
+    assert _items(tuple_keys.tuple_terms(
+        Form(nsym, f.degree + 1, forms._object_route(f, table)))) == _items(want)

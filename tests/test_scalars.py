@@ -1,13 +1,16 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from hha.scalars import (
+    MAX_RADICAND,
     ComplexScalar,
     FieldMismatchError,
     Scalar,
+    ScalarError,
     ScalarField,
     ZERO,
     ONE,
@@ -19,6 +22,7 @@ from hha.scalars import (
     root,
     scalar_str,
     sign_of,
+    _is_squarefree,
 )
 
 
@@ -192,8 +196,6 @@ def test_scalar_field_membership():
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hha.scalars import ScalarError  # noqa: E402
-
 _lanes = settings(max_examples=200, deadline=None, database=None)
 _fractions = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
@@ -343,3 +345,47 @@ def test_zero_and_radicand_checks_remain_at_the_public_constructor():
         Scalar(0, 1, 4)
     with pytest.raises(ScalarError):
         Scalar(0, 1)
+
+
+# -- radicands ---------------------------------------------------------------------
+
+
+def _squarefree_by_trial_division(d: int) -> bool:
+    """The square-free test as it was: every k with k * k <= d."""
+    if d < 2:
+        return False
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def test_squarefree_test_agrees_with_trial_division():
+    assert all(_is_squarefree(d) == _squarefree_by_trial_division(d)
+               for d in range(-2, 20000))
+
+
+def test_a_square_of_a_large_prime_is_refused():
+    d = 2 * 1000003 ** 2
+    assert not _is_squarefree(d)
+    assert _is_squarefree(2 * 1000003)
+    with pytest.raises(ScalarError, match="square-free"):
+        Scalar(0, 1, d)
+    with pytest.raises(ScalarError, match="square-free"):
+        ScalarField("quadratic", d)
+
+
+def test_a_fifteen_digit_prime_is_decided_at_once():
+    start = time.perf_counter()
+    assert _is_squarefree(100000000000031)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_radicands_above_the_bound_are_refused():
+    assert MAX_RADICAND == 10**18
+    for make in (lambda d: Scalar(0, 1, d), lambda d: ScalarField("quadratic", d),
+                 lambda d: parse_scalar(f"1+sqrt({d})")):
+        with pytest.raises(ScalarError, match="above the supported maximum"):
+            make(MAX_RADICAND + 1)
