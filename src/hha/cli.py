@@ -47,7 +47,7 @@ from .forms import Form
 from .hermitian import MetricError, QRealError
 from .hypercomplex import IntegrabilityError, SpherePoint, StructureError
 from .liealg import AlgebraError, JacobiError
-from .scalars import FLOAT_TOLERANCE, ComplexScalar, ScalarError, parse_scalar
+from .scalars import FLOAT_TOLERANCE, ComplexScalar, ScalarError, ScalarField, parse_scalar
 
 
 INPUT_FAULTS = (InputError, JacobiError, AlgebraError, IntegrabilityError,
@@ -78,6 +78,22 @@ def _parse_sphere_point(text: str) -> SpherePoint:
         return SpherePoint(*(parse_scalar(p) for p in parts))
     except ScalarError as exc:
         raise InputError("--pair", str(exc)) from exc
+
+
+def _check_pair_field(field: ScalarField, p: SpherePoint, q: SpherePoint) -> None:
+    """Refuse a pair that does not lie in one field with the document: over
+    Q(sqrt(d)) its components lie in it, and over Q they share one radicand.
+    The float field takes every pair."""
+    if field.kind == "float":
+        return
+    d = field.d
+    for s in (p.a, p.b, p.c, q.a, q.b, q.c):
+        if s.d and s.d != d:
+            if d:
+                where = ("the document's field" if field.d
+                         else "the field of the components before it")
+                raise InputError("--pair", f"component {s} does not lie in Q(sqrt({d})), {where}")
+            d = s.d
 
 
 def _parse_indices(option: str, text: str) -> list:
@@ -150,6 +166,7 @@ def cmd_classify(args) -> int:
             raise InputError("--pair", "expected 'a,b,c;a,b,c'")
         p = _parse_sphere_point(halves[0])
         q = _parse_sphere_point(halves[1])
+        _check_pair_field(doc.field, p, q)
         rotated = geom.rotated(p, q)
         metric = metric.in_rotated_frame(rotated)
         geom = rotated

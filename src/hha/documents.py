@@ -145,16 +145,18 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     fld_raw = raw.get("scalar_field", {"kind": "rational"})
     _expect(isinstance(fld_raw, dict), "$.scalar_field", "must be an object")
     kind = fld_raw.get("kind", "rational")
+    radicand = 0
     if kind == "float":
         tol = fld_raw.get("tolerance", FLOAT_TOLERANCE)
         _expect(tol == FLOAT_TOLERANCE, "$.scalar_field.tolerance",
                 f"the float backend compares with the fixed tolerance "
                 f"{FLOAT_TOLERANCE}, got {tol!r}")
+    elif kind == "quadratic":
+        radicand = fld_raw.get("d", 0)
+        _expect(_is_int(radicand), "$.scalar_field.d",
+                f"radicand must be an integer, got {radicand!r}")
     try:
-        if kind == "quadratic":
-            field = ScalarField("quadratic", int(fld_raw.get("d", 0)))
-        else:
-            field = ScalarField(kind)
+        field = ScalarField(kind, radicand)
     except Exception as exc:
         raise InputError("$.scalar_field", str(exc)) from None
 

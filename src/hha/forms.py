@@ -28,6 +28,13 @@ the result is the same exact value.  The loop over scalar objects stays for
 what the ints cannot stand for: a float coefficient under ``--float``, whose
 sums must keep their rounding, and a form whose radicand differs from the
 table's, which still raises ``FieldMismatchError``.
+
+A table can also be made from its ints alone
+(:meth:`DerivationTable.from_ints`); it then builds its ``Form``s lazily, on
+first read, as only the object route and the tests read them.  A complex
+frame builds its tables that way, with :func:`leibniz_ints` and
+:func:`substitute_ints`, the kernel's loop and ``Form.substitute`` on
+numerators.
 """
 from __future__ import annotations
 
@@ -236,17 +243,9 @@ class Form:
         """Signed generator permutation: ``mapping[i] = (new_index, sign)``."""
         out: dict = {}
         for key, c in self.terms.items():
-            image, flips = 0, 0
-            for i in indices(key):
-                j, s = mapping[i]
-                bit = 1 << j
-                if image & bit:
-                    break
-                # a flip per image already placed above j, and one for a minus sign
-                flips += (image >> j).bit_count() + (s < 0)
-                image |= bit
-            else:
-                add_term(out, image, -c if flips & 1 else c)
+            image = map_key(key, mapping)
+            if image is not None:
+                add_term(out, image[0], -c if image[1] else c)
         return Form(self.nsym, self.degree, out)
 
     def map_coefficients(self, fn) -> "Form":
@@ -279,6 +278,24 @@ def wedge(a: Form, b: Form) -> Form:
     return a.wedge(b)
 
 
+def map_key(key: int, mapping):
+    """The monomial ``key`` under the generator map ``mapping[i] = (j, sign)``:
+    ``(image key, odd)``, the term's sign flipping when ``odd``, or None when
+    two generators land on one."""
+    image, flips = 0, 0
+    while key:
+        low = key & -key
+        key ^= low
+        j, s = mapping[low.bit_length() - 1]
+        bit = 1 << j
+        if image & bit:
+            return None
+        # a flip per image already placed above j, and one for a minus sign
+        flips += (image >> j).bit_count() + (s < 0)
+        image |= bit
+    return image, flips & 1
+
+
 class DerivationTable:
     """The generator 2-forms of one degree-one derivation, compiled once.
 
@@ -287,22 +304,50 @@ class DerivationTable:
     lists a tuple ``(key, _odd_above(key), a, b, c, e)`` per term of
     ``forms[k]``, in its order, standing for the coefficient
     ((a + b*sqrt(d)) + i*(c + e*sqrt(d))) / den.  Otherwise ``lane`` is None.
+
+    A table made by :meth:`from_ints` has only the lane at first; ``forms``
+    is built from it on first read.
     """
 
-    __slots__ = ("forms", "lane")
+    __slots__ = ("nsym", "lane", "_forms")
 
     def __init__(self, forms):
-        self.forms = tuple(forms)
+        self._forms = tuple(forms)
+        self.nsym = self._forms[0].nsym if self._forms else 0
         self.lane = None
-        compiled = complex_ints([c for f in self.forms for c in f.terms.values()])
+        compiled = complex_ints([c for f in self._forms for c in f.terms.values()])
         if compiled is not None:
             d, den, ints = compiled
             ints = iter(ints)
             self.lane = (d, den, [[(key, _odd_above(key), *next(ints)) for key in f.terms]
-                                  for f in self.forms])
+                                  for f in self._forms])
+
+    @classmethod
+    def from_ints(cls, nsym: int, d: int, den: int, rows) -> "DerivationTable":
+        """The table whose generator k has the terms ``rows[k]``, a dict from
+        keys to numerators (a, b, c, e) over ``den``, in order.  ``d`` is
+        dropped when no sqrt(d) part occurs, as ``complex_ints`` finds it."""
+        table = cls.__new__(cls)
+        table.nsym, table._forms = nsym, None
+        if d and not any(x[1] or x[3] for row in rows for x in row.values()):
+            d = 0
+        # _odd_above of a key of two bits lo < hi is hi - lo, the bits from lo up
+        table.lane = (d, den, [[(key, key - ((key & -key) << 1), *x) for key, x in row.items()]
+                               for row in rows])
+        return table
+
+    @property
+    def forms(self) -> tuple:
+        if self._forms is None:
+            d, den, entries = self.lane
+            self._forms = tuple(
+                Form(self.nsym, 2, {key: complex_from_ints(a, b, c, e, den, d)
+                                    for key, _, a, b, c, e in row})
+                for row in entries)
+        return self._forms
 
     def __len__(self):
-        return len(self.forms)
+        return len(self.lane[2]) if self._forms is None else len(self._forms)
 
     def __getitem__(self, k):
         return self.forms[k]
@@ -330,7 +375,7 @@ def leibniz_differential(form: Form, table: DerivationTable) -> Form:
         own = complex_ints(form.terms.values())
         if own is not None and (not own[0] or not d or own[0] == d):
             d, den = d or own[0], den * own[1]
-            acc = _int_lane(form.terms, own[2], entries, d)
+            acc = leibniz_ints(form.terms, own[2], entries, d)
             return Form(nsym, form.degree + 1, {k: complex_from_ints(*ints, den, d)
                                                 for k, ints in acc.items()})
     return Form(nsym, form.degree + 1, _object_route(form, table.forms))
@@ -351,9 +396,11 @@ def _object_route(form: Form, table) -> dict:
     return out
 
 
-def _int_lane(terms, ints, entries, d: int) -> dict:
-    """The object route's loop on numerators: (a, b, c, e) per key, standing
-    for (a + b*sqrt(d)) + i*(c + e*sqrt(d)) over the two denominators.
+def leibniz_ints(terms, ints, entries, d: int) -> dict:
+    """The object route's loop on numerators: the form's keys ``terms`` with
+    their ``ints`` and a table lane's ``entries`` give (a, b, c, e) per key,
+    standing for (a + b*sqrt(d)) + i*(c + e*sqrt(d)) over the product of the
+    two denominators.
 
     The sign is folded into the form's ints, and a key whose sum is an exact
     zero is dropped as ``add_term`` drops it, so the keys come out in the
@@ -392,6 +439,72 @@ def _int_lane(terms, ints, entries, d: int) -> dict:
                 acc[k] = (rr, ri, ir, ii)
             even, odd = odd, even   # (-1)^pos
     return acc
+
+
+def _mul_ints(x, y, d: int) -> tuple:
+    """(a + b r + i(c + e r)) (p + q r + i(s + u r)) on numerators, r = sqrt(d):
+    the product ``leibniz_ints`` inlines."""
+    a, b, c, e = x
+    p, q, s, u = y
+    return (a * p - c * s + (b * q - e * u) * d, a * q + b * p - c * u - e * s,
+            a * s + c * p + (b * u + e * q) * d, a * u + c * q + b * s + e * p)
+
+
+def _add_ints(acc: dict, key: int, x: tuple) -> None:
+    """``add_term`` on numerators: acc[key] += x, storing no key whose sum is zero."""
+    old = acc.get(key)
+    if old is not None:
+        x = (old[0] + x[0], old[1] + x[1], old[2] + x[2], old[3] + x[3])
+    if any(x):
+        acc[key] = x
+    elif old is not None:
+        del acc[key]
+
+
+def substitute_ints(forms, images, d: int) -> list:
+    """``Form.substitute`` on numerators, for forms of one degree k >= 1.
+
+    ``forms`` lists dicts from keys to (a, b, c, e) over one denominator, in
+    each form's order, and ``images[i]`` lists ``(key, a, b, c, e)`` of the
+    image of generator i over another; each result is over the first
+    denominator times the k-th power of the second.  ``substitute`` wedges a
+    term's coefficient v with the images of the term's indices in turn, so
+    its product is v times the wedge of those images, and as v is not zero a
+    key of the product cancels exactly where it cancels in the wedge alone.
+    So the wedge is made once per monomial, and v times it is added in
+    ``substitute``'s order: the keys come out in the same order.
+    """
+    wedges: dict = {}
+    out = []
+    for form in forms:
+        acc: dict = {}
+        for key, v in form.items():
+            terms = wedges.get(key)
+            if terms is None:
+                terms = wedges[key] = _wedge_images(key, images, d)
+            for k, x in terms.items():
+                _add_ints(acc, k, _mul_ints(v, x, d))
+        out.append(acc)
+    return out
+
+
+def _wedge_images(key: int, images, d: int) -> dict:
+    """The wedge of the images of the indices of ``key``, in ``Form.wedge``'s order."""
+    first, *rest = indices(key)
+    prod = {kb: tuple(x) for kb, *x in images[first]}
+    for i in rest:
+        nxt: dict = {}
+        for ka, x in prod.items():
+            odd = _odd_above(ka)
+            for kb, *y in images[i]:
+                if not ka & kb:
+                    x_y = _mul_ints(x, y, d)
+                    _add_ints(nxt, ka | kb, tuple(-v for v in x_y)
+                              if (kb & odd).bit_count() & 1 else x_y)
+        prod = nxt
+        if not prod:
+            break
+    return prod
 
 
 # -- bidegree bookkeeping with respect to a complex frame -------------------

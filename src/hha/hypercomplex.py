@@ -21,6 +21,15 @@ its d.  d is a real operator, so d conj(z^r) = conj(d z^r) and only the N
 holomorphic generators are differentiated.  The pullback J* is a signed
 permutation of the generators and an algebra automorphism, so J^{-1} D J is
 a derivation when D is one.
+
+The five tables are compiled once per frame from the algebra's structure
+constants: d z^r is read off the int lane of the algebra's d table and the
+ints of the frame's two image tables (``scalars.complex_ints``), and the
+other tables are splits and signed permutations of its keys, so no ``Form``
+arithmetic runs.  The ``Form`` route (``to_complex`` of the CE differential)
+remains only for what the ints cannot stand for: float coefficients, and a
+frame whose radicand differs from the algebra's, which raises
+``FieldMismatchError``.
 """
 from __future__ import annotations
 
@@ -31,9 +40,11 @@ from .forms import (
     DerivationTable,
     Form,
     bidegree_of_key,
-    bidegree_project,
     leibniz_differential,
+    leibniz_ints,
+    map_key,
     mask,
+    substitute_ints,
 )
 from .liealg import LieAlgebraData, wire_vector
 from .linalg import add_scaled, add_term, echelon, echelon_add
@@ -44,6 +55,7 @@ from .scalars import (
     ONE,
     Scalar,
     ZERO,
+    complex_ints,
 )
 
 
@@ -239,6 +251,10 @@ def is_abelian(d: LieAlgebraData, H: HypercomplexStructure) -> bool:
     return True
 
 
+def _neg_ints(x: tuple) -> tuple:
+    return tuple(-v for v in x)
+
+
 def j_index(h: int) -> tuple:
     """(P(h), s(h)) with J z^h = s(h) conj(z^{P(h)}), h a 0-based holomorphic index.
 
@@ -264,14 +280,18 @@ class ComplexFrame:
     the standard structure P is the identity and each row costs one pivot.
 
     Each differential is one ``leibniz_differential`` call on a generator
-    table built and compiled (``forms.DerivationTable``) once per frame, on
-    first use.  The CE differential and ``to_complex`` are
-    real (they commute with conjugation), so the d table differentiates the
-    N holomorphic generators and sets d conj(z^r) = conj(d z^r).  Sign
-    convention: J^{-1} = (-1)^k J on k-forms, so for J g^k = s g^j the del_J
-    table holds del_J g^k = s J(delbar g^j), delbar g^j being a 2-form
-    (likewise delbar_J with del).  The tables raise ``StructureError`` if I
-    is not integrable.
+    table (``forms.DerivationTable``) built once per frame, on first use.
+    When the algebra and both image tables are exact over one field, the
+    tables are built on int numerators and made from their lanes, their
+    ``Form``s only on first read; otherwise (floats, or two radicands, which
+    raise ``FieldMismatchError``) on ``Form``s.  The CE differential and
+    ``to_complex`` are real (they commute with conjugation), so the d table
+    differentiates the N holomorphic generators and sets
+    d conj(z^r) = conj(d z^r).  Sign convention: J^{-1} = (-1)^k J on
+    k-forms, so for J g^k = s g^j the del_J table holds
+    del_J g^k = s J(delbar g^j), delbar g^j being a 2-form (likewise
+    delbar_J with del).  The tables raise ``StructureError`` if I is not
+    integrable.
     """
 
     def __init__(self, d: LieAlgebraData, H: HypercomplexStructure):
@@ -319,9 +339,12 @@ class ComplexFrame:
     def conj_index(self, k: int) -> int:
         return k + self.N if k < self.N else k - self.N
 
+    @cached_property
+    def _conj_map(self) -> dict:
+        return {k: (self.conj_index(k), 1) for k in range(self.dim)}
+
     def conjugate(self, form: Form) -> Form:
-        mapping = {k: (self.conj_index(k), 1) for k in range(self.dim)}
-        return form.map_coefficients(lambda c: c.conjugate()).map_indices(mapping)
+        return form.map_coefficients(lambda c: c.conjugate()).map_indices(self._conj_map)
 
     @cached_property
     def _j_form_map(self) -> dict:
@@ -357,28 +380,91 @@ class ComplexFrame:
 
     @cached_property
     def _d_table(self) -> DerivationTable:
-        """d of each frame generator: the CE differential of the real image of
-        z^r, and d conj(z^r) = conj(d z^r) as d is a real operator."""
+        """d of each frame generator, from the algebra's structure constants.
+
+        On ints when the algebra's table and both image tables are exact
+        over one field; otherwise (a float, or two radicands, which raise
+        ``FieldMismatchError``) as ``to_complex`` of the CE differential of
+        the real image of z^r, with d conj(z^r) = conj(d z^r)."""
+        rows = self._d_rows()
+        if rows is not None:
+            return DerivationTable.from_ints(self.dim, *rows)
         hol = [self.to_complex(self.algebra.ce_differential(real))
                for real in self._complex_images[:self.N]]
         return DerivationTable(hol + [self.conjugate(dz) for dz in hol])
 
+    def _d_rows(self):
+        """``(d, den, rows)`` of the d table on numerators, or None.
+
+        z^r = sum_i W[r][i] e^i, so d z^r is first the real 2-form
+        sum_i W[r][i] d e^i, summed as ``ce_differential`` sums it, and then
+        each e^j is replaced by its image, as ``to_complex`` does; the keys
+        come out in the order of that route.  d conj(z^r) = conj(d z^r)
+        swaps the two halves of each key and negates the imaginary parts."""
+        algebra = self.algebra._d_table.lane
+        hol = self._complex_images[:self.N]
+        z_ints = complex_ints([c for z in hol for c in z.terms.values()])
+        e_ints = complex_ints([c for e in self._real_images for c in e.terms.values()])
+        if algebra is None or z_ints is None or e_ints is None:
+            return None
+        fields = {algebra[0], z_ints[0], e_ints[0]} - {0}
+        if len(fields) > 1:
+            return None
+        d = max(fields, default=0)
+        ints = iter(z_ints[2])
+        real = [leibniz_ints(z.terms, [next(ints) for _ in z.terms], algebra[2], d)
+                for z in hol]
+        ints = iter(e_ints[2])
+        images = [[(key, *next(ints)) for key in e.terms] for e in self._real_images]
+        rows = substitute_ints(real, images, d)
+        for dz in rows[:self.N]:
+            bar: dict = {}
+            for key, (a, b, c, e) in dz.items():
+                image, odd = map_key(key, self._conj_map)
+                bar[image] = (-a, -b, c, e) if odd else (a, b, -c, -e)
+            rows.append(bar)
+        return d, algebra[1] * z_ints[1] * e_ints[1] ** 2, rows
+
     @cached_property
     def _tables(self) -> dict:
-        """Compiled generator tables of del, delbar, del_J and delbar_J."""
-        N = self.N
+        """Compiled generator tables of del, delbar, del_J and delbar_J.
+
+        Each is read off the d table's terms: a split by the holomorphic
+        degree of the key, and for the twisted ones the signed permutation
+        J of the keys.  On the d table's numerators when it has them, else
+        on its scalar objects."""
+        N, table = self.N, self._d_table
+        if table.lane is None:
+            rows, neg = [dg.terms for dg in table], ComplexScalar.__neg__
+        else:
+            d, den, entries = table.lane
+            rows, neg = [{t[0]: t[2:] for t in row} for row in entries], _neg_ints
         tables: dict = {"del": [], "delbar": []}
-        for k, dg in enumerate(self._d_table):
+        for k, row in enumerate(rows):
             p = 1 if k < N else 0
-            tables["del"].append(bidegree_project(dg, N, p + 1, 1 - p))
-            tables["delbar"].append(bidegree_project(dg, N, p, 2 - p))
-            if tables["del"][k] + tables["delbar"][k] != dg:
-                raise StructureError(f"I is not integrable: d z^{k % N + 1} has a (0,2) part")
-        jmap = sorted(self._j_form_map.items())
+            parts: dict = {p + 1: {}, p: {}}
+            for key, x in row.items():
+                part = parts.get(bidegree_of_key(key, N)[0])
+                if part is None:
+                    raise StructureError(f"I is not integrable: d z^{k % N + 1} has a (0,2) part")
+                part[key] = x
+            tables["del"].append(parts[p + 1])
+            tables["delbar"].append(parts[p])
+        jmap = self._j_form_map
         for name, inner in (("del_j", "delbar"), ("delbar_j", "del")):
-            tables[name] = [self.j_action(tables[inner][j]) if s > 0
-                            else -self.j_action(tables[inner][j]) for _, (j, s) in jmap]
-        return {name: DerivationTable(forms) for name, forms in tables.items()}
+            tables[name] = []
+            for k in range(self.dim):
+                j, s = jmap[k]
+                twisted: dict = {}
+                for key, x in tables[inner][j].items():
+                    image, odd = map_key(key, jmap)
+                    twisted[image] = neg(x) if odd ^ (s < 0) else x
+                tables[name].append(twisted)
+        if table.lane is None:
+            return {name: DerivationTable(Form(self.dim, 2, row) for row in rows)
+                    for name, rows in tables.items()}
+        return {name: DerivationTable.from_ints(self.dim, d, den, rows)
+                for name, rows in tables.items()}
 
     def d(self, form: Form) -> Form:
         """Exterior differential in the complex frame."""

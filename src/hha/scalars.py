@@ -440,7 +440,13 @@ _TERM_RE = re.compile(
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical scalar grammar, e.g. "1/2+3/4*sqrt(2)"."""
+    """Parse the canonical scalar grammar, e.g. "1/2+3/4*sqrt(2)".
+
+    The terms are summed as ints: the rational part and the sqrt(d) part as
+    numerators over one common denominator, made canonical once at the end.
+    As in a ``Scalar`` sum, a sqrt(d) term joins the sum only while the
+    sqrt part so far is zero or has the same radicand.
+    """
     text = text.strip()
     if text.startswith("float:"):
         try:
@@ -450,28 +456,41 @@ def parse_scalar(text: str) -> Scalar:
     if not text:
         raise ScalarError("empty scalar")
     pos = 0
-    out = ZERO
-    first = True
+    p, q, r, d = 0, 0, 1, 0   # (p + q*sqrt(d)) / r so far
     while pos < len(text):
         m = _TERM_RE.match(text, pos)
         if not m:
             raise ScalarError(f"cannot parse scalar {text!r} at offset {pos}")
-        if not first and m.group("sign") == "":
+        if pos and m.group("sign") == "":
             raise ScalarError(f"missing sign between terms in {text!r}")
-        sgn = -1 if m.group("sign") == "-" else 1
-        num, _, den = (m.group("rat") or m.group("coef") or "1").partition("/")
-        try:
-            c = Fraction(sgn * int(num), int(den or 1))
-        except ZeroDivisionError:
-            raise ScalarError(f"zero denominator in scalar {text!r}") from None
-        if m.group("rat") is not None:
-            term = Scalar(c)
-        else:
-            term = Scalar(0, c, int(m.group("d1") or m.group("d2")))
-        out = out + term
+        rat = m.group("rat")
+        num, _, den = (rat or m.group("coef") or "1").partition("/")
+        num, den = int(num), int(den or 1)
+        if not den:
+            raise ScalarError(f"zero denominator in scalar {text!r}")
+        if rat is None:
+            radicand = int(m.group("d1") or m.group("d2"))
+        if m.group("sign") == "-":
+            num = -num
         pos = m.end()
-        first = False
-    return out
+        if not num:
+            continue
+        if rat is None:
+            if not radicand:
+                raise ScalarError("irrational part requires a radicand")
+            _check_radicand(radicand)
+            if q and radicand != d:
+                raise FieldMismatchError(f"cannot mix sqrt({d}) with sqrt({radicand})")
+            d = radicand
+        if r % den:
+            g = den // _gcd(r, den)
+            p, q, r = p * g, q * g, r * g
+        num *= r // den
+        if rat is None:
+            q += num
+        else:
+            p += num
+    return _reduced(p, q, r, d)
 
 
 class ComplexScalar:

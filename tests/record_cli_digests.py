@@ -8,8 +8,13 @@ Writes ``tests/data/cli_digests.json``: for each built-in entry, and for each
 input that ``bench/inputs.write_inputs`` writes for the two workloads at
 ``oracle.DEFAULT_SEED`` (keyed ``<workload>/<input name>``), the digest of its
 classify report in four modes (exact, ``--float``, the rotated pair
-``0,1,0;1,0,0``, and both).  Re-pin only on a commit whose reports are known
-to be right: ``test_cli_digests.py`` fails on any report whose bytes differ.
+``0,1,0;1,0,0``, and both).  The catalog exports over Q and Q(sqrt(2)), 20
+of the 21, add a fifth, ``pair_sqrt2``: the pair
+``1/2*sqrt(2),1/2*sqrt(2),0;0,0,1``, whose frame lies in Q(sqrt(2)), over a
+rational algebra for most of them (``joyce_su3``, over Q(sqrt(3)), refuses
+that pair; ``test_cli.py`` pins the refusal).  Re-pin only on a commit whose
+reports are known to be right: ``test_cli_digests.py`` fails on any report
+whose bytes differ.
 """
 import hashlib
 import io
@@ -32,6 +37,9 @@ MODES = {
     "pair": ["--pair", PAIR],
     "float_pair": ["--float", "--pair", PAIR],
 }
+PAIR_SQRT2 = "1/2*sqrt(2),1/2*sqrt(2),0;0,0,1"
+# a rotation out of Q, for the documents whose field holds sqrt(2)
+SQRT2_MODES = {**MODES, "pair_sqrt2": ["--pair", PAIR_SQRT2]}
 
 
 def _cli(args) -> str:
@@ -43,12 +51,12 @@ def _cli(args) -> str:
     return out.getvalue()
 
 
-def _mode_digests(path) -> dict:
+def _mode_digests(path, modes=MODES) -> dict:
     return {
         mode: hashlib.sha256(
             _cli(["classify", str(path), "--format", "json", *flags]).encode()
         ).hexdigest()
-        for mode, flags in MODES.items()
+        for mode, flags in modes.items()
     }
 
 
@@ -75,8 +83,10 @@ def cli_digests(directory) -> dict:
     digests = {}
     for name in entry_names():
         path = Path(directory) / f"{name}.json"
-        path.write_text(_cli(["catalog", "export", name]))
-        digests[name] = _mode_digests(path)
+        export = _cli(["catalog", "export", name])
+        path.write_text(export)
+        field = json.loads(export)["scalar_field"]
+        digests[name] = _mode_digests(path, SQRT2_MODES if field.get("d", 2) == 2 else MODES)
     for name, path in bench_inputs(directory).items():
         digests[name] = _mode_digests(path)
     return digests
@@ -87,7 +97,8 @@ def record():
         digests = cli_digests(directory)
     DIGESTS_PATH.parent.mkdir(exist_ok=True)
     DIGESTS_PATH.write_text(json.dumps(digests, sort_keys=True, indent=1) + "\n")
-    print(f"{len(digests)} inputs x {len(MODES)} modes -> {DIGESTS_PATH.name}")
+    print(f"{len(digests)} inputs, {sum(map(len, digests.values()))} digests "
+          f"-> {DIGESTS_PATH.name}")
 
 
 if __name__ == "__main__":

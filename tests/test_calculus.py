@@ -212,8 +212,8 @@ def test_each_operator_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(hypercomplex, "leibniz_differential",
                         counting("kernel", hypercomplex.leibniz_differential))
-    monkeypatch.setattr(hypercomplex, "bidegree_project",
-                        counting("project", hypercomplex.bidegree_project))
+    monkeypatch.setattr(forms, "bidegree_project",
+                        counting("project", forms.bidegree_project))
     for cls_attr in ("d", "j_action"):
         monkeypatch.setattr(ComplexFrame, cls_attr,
                             counting(cls_attr, getattr(ComplexFrame, cls_attr)))

@@ -100,6 +100,39 @@ def test_classify_bad_pair_is_input_error(qbal12_file, pair):
     assert "--pair" in err
 
 
+def _with_field(path, field):
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["scalar_field"] = field
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+
+
+SQRT2_PAIR = "1/2*sqrt(2),1/2*sqrt(2),0;0,0,1"
+
+
+@pytest.mark.parametrize("field, pair", [
+    ({"kind": "quadratic", "d": 5}, SQRT2_PAIR),
+    ({"kind": "quadratic", "d": 3}, SQRT2_PAIR),
+    # over Q the pair may leave Q, but for one quadratic field only
+    ({"kind": "rational"}, "1/2*sqrt(2),1/2*sqrt(2),0;1/3*sqrt(3),-1/3*sqrt(3),1/3*sqrt(3)"),
+])
+def test_a_pair_outside_the_documents_field_is_input_error(qbal12_file, field, pair):
+    _with_field(qbal12_file, field)
+    code, out, err = run_cli(["classify", qbal12_file, "--pair", pair])
+    assert code == 2, err
+    assert err.startswith("error: --pair: component ") and out == ""
+
+
+def test_the_float_field_and_the_documents_own_field_take_the_pair(qbal12_file):
+    _with_field(qbal12_file, {"kind": "quadratic", "d": 5})
+    code, out, err = run_cli(["classify", qbal12_file, "--pair", SQRT2_PAIR, "--float"])
+    assert code == 0, err
+    code, _, err = run_cli(["classify", qbal12_file, "--pair",
+                            "1/5*sqrt(5),2/5*sqrt(5),0;0,0,1"])
+    assert code == 0, err
+
+
 def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch):
     monkeypatch.setenv("HHA_DEFAULT_FIELD", "quadratic:x")
     code, _, err = run_cli(["check", qbal12_file])
@@ -182,6 +215,10 @@ def test_missing_file_is_input_error(tmp_path):
      "$.structure_equations.03"),
     (["check", "FILE"], {"structure_equations": {"+3": [[1, 2, "-1"]], "3": [[1, 2, "-1"]]}},
      "$.structure_equations.3"),
+    # a radicand is a JSON integer, neither truncated nor read from a string
+    (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": 2.9}}, "$.scalar_field.d"),
+    (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": "5"}}, "$.scalar_field.d"),
+    (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": True}}, "$.scalar_field.d"),
 ])
 def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
     if metric is not None:

@@ -1,34 +1,43 @@
-"""Building a geometry against the routes the half-basis and conjugation
-shortcuts replaced.
+"""Building a geometry against the routes the half-basis, conjugation and
+integer shortcuts replaced.
 
 ``validate_hypercomplex`` evaluates each Nijenhuis tensor N_L on pairs from a
 half basis S (S and LS together a basis) and scans the basis pairs only when
-one of them fails; ``ComplexFrame._d_table`` computes d z^r for the N
-holomorphic generators and takes d conj(z^r) = conj(d z^r).  The oracles are
-the routes they replaced:
+one of them fails.  ``ComplexFrame._d_table`` and ``_tables`` build the five
+generator tables of d, del, delbar, del_J and delbar_J on int numerators,
+read off the algebra's structure constants and the frame's image ints.  The
+oracles are the routes they replaced:
 
 - the scan of N_L over all basis pairs (e_i, e_j), i < j, for I, J and K in
   turn, stopping at the first nonzero value;
 - d of every one of the 2N frame generators as ``to_complex`` of the CE
   differential of its real image, and the split tables built from it with
-  ``Form.scale(+-1)``.
+  ``Form.scale(+-1)``;
+- the object route on ``Form``s: ``to_complex`` of the CE differential for
+  the N holomorphic generators, ``conjugate`` for the barred ones,
+  ``bidegree_project`` for the split and ``j_action`` for the twist.
 
 The new routes must accept and reject the same structures, naming the same
-label, pair and value, and give the same generator tables.  The barred
-half of the d table holds the same terms as the direct route but not always
-in the same insertion order, because the direct route's order comes from
-cancellations inside the substitution; the holomorphic half is computed the
-same way on both routes and is compared in order.
+label, pair and value, and give the same generator tables.  Against the
+object route the five tables agree in keys, values and insertion order.
+Against the direct route the barred half of the d table holds the same terms
+but not always in the same insertion order, because the direct route's
+order comes from cancellations inside the substitution; the holomorphic half
+is compared in order.
 """
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hha.catalog import entry_names, get_example
-from hha.forms import bidegree_project
+from hha.classify import classify_metric
+from hha.documents import geometry_to_input, load_document, parse_input
+from hha.forms import Form, bidegree_project
 from hha.hypercomplex import (
+    ComplexFrame,
     Geometry,
     HypercomplexStructure,
     IntegrabilityError,
@@ -38,7 +47,7 @@ from hha.hypercomplex import (
 )
 from hha.liealg import LieAlgebraData
 from hha.linalg import add_scaled, add_term
-from hha.scalars import ONE, rational
+from hha.scalars import HALF, ONE, FieldMismatchError, ScalarField, rational, root
 
 _PAIRS = (
     None,
@@ -95,6 +104,37 @@ def direct_tables(frame):
     return tables
 
 
+TABLES = ("d", "del", "delbar", "del_j", "delbar_j")
+
+
+def object_tables(frame):
+    """The five tables on ``Form``s: d z^r = to_complex(CE d of its real image),
+    d conj(z^r) = conj(d z^r), the bidegree split and the J twist."""
+    N = frame.N
+    hol = [frame.to_complex(frame.algebra.ce_differential(real))
+           for real in frame._complex_images[:N]]
+    tables = {"d": hol + [frame.conjugate(dz) for dz in hol], "del": [], "delbar": []}
+    for k, dg in enumerate(tables["d"]):
+        p = 1 if k < N else 0
+        tables["del"].append(bidegree_project(dg, N, p + 1, 1 - p))
+        tables["delbar"].append(bidegree_project(dg, N, p, 2 - p))
+        if tables["del"][k] + tables["delbar"][k] != dg:
+            raise StructureError(f"I is not integrable: d z^{k % N + 1} has a (0,2) part")
+    jmap = sorted(frame._j_form_map.items())
+    for name, inner in (("del_j", "delbar"), ("delbar_j", "del")):
+        tables[name] = [frame.j_action(tables[inner][j]) if s > 0
+                        else -frame.j_action(tables[inner][j]) for _, (j, s) in jmap]
+    return tables
+
+
+def frame_tables(frame):
+    return {"d": frame._d_table, **frame._tables}
+
+
+def _ordered(forms):
+    return [list(f.terms.items()) for f in forms]
+
+
 # -- comparisons -----------------------------------------------------------------
 
 
@@ -127,6 +167,23 @@ def assert_tables_match_direct_route(alg, H):
     assert {name: list(t) for name, t in frame._tables.items()} == expected
 
 
+def assert_tables_match_object_route(alg, H):
+    """All five tables equal the object route's in keys, values and order, or
+    both routes raise the same error; returns the frame's tables, or None."""
+    frame = Geometry(alg, H, check_integrability=False).frame
+    try:
+        expected = object_tables(Geometry(alg, H, check_integrability=False).frame)
+    except (StructureError, FieldMismatchError) as exc:
+        with pytest.raises(type(exc)) as got:
+            frame_tables(frame)
+        assert str(got.value) == str(exc)
+        return None
+    got = frame_tables(frame)
+    for name in TABLES:
+        assert _ordered(got[name]) == _ordered(expected[name]), name
+    return got
+
+
 def _structures(H):
     """The structure, its rotations by ``_PAIRS``, and the pair with I and J swapped."""
     yield H
@@ -146,6 +203,7 @@ def test_catalog_geometries_match_the_oracles(name):
     for H in _structures(HypercomplexStructure.standard(alg.dim // 4)):
         assert_validation_matches_full_scan(alg, H)
         assert_tables_match_direct_route(alg, H)
+        assert_tables_match_object_route(alg, H)
 
 
 @st.composite
@@ -193,6 +251,7 @@ def test_random_geometries_match_the_oracles(case, which):
         assert full_scan_failure(alg, H) is None
     assert_validation_matches_full_scan(alg, H)
     assert_tables_match_direct_route(alg, H)
+    assert_tables_match_object_route(alg, H)
 
 
 def test_a_failing_half_basis_pair_reports_the_first_basis_pair():
@@ -206,3 +265,91 @@ def test_a_failing_half_basis_pair_reports_the_first_basis_pair():
         validate_hypercomplex(alg, H)
     assert exc.value.pair == (1, 3)
     assert str(exc.value) == "structure I is not integrable on (e1, e3): Nijenhuis value {e5: -1}"
+
+
+# -- the integer tables --------------------------------------------------------------
+
+# a rotation out of Q: the frame's images lie in Q(sqrt(2))
+SQRT2_PAIR = (SpherePoint(HALF * root(2), HALF * root(2), 0), SpherePoint(0, 0, 1))
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_a_sqrt2_rotation_matches_the_object_route(name):
+    """Over Q and Q(sqrt(2)) the tables are built on ints in Q(sqrt(2)) (some
+    of them, qsg12 among them, keep a sqrt(2) part); joyce_su3, over
+    Q(sqrt(3)), raises ``FieldMismatchError`` on both routes."""
+    alg = _catalog_algebra(name)
+    H = HypercomplexStructure.standard(alg.dim // 4).rotate_pair(*SQRT2_PAIR)
+    tables = assert_tables_match_object_route(alg, H)
+    assert (tables is None) == (alg.field.d == 3)
+    assert tables is None or all(tables[t].lane is not None for t in TABLES)
+
+
+def test_exact_classification_builds_its_tables_without_form_arithmetic(monkeypatch):
+    """No ``Form.substitute`` or ``Form.wedge`` runs while a frame builds its
+    tables in an exact classification of any catalog entry."""
+    building, builds, calls = [], [], []
+
+    def build(fn):
+        def wrapper(frame):
+            building.append(fn)
+            builds.append(fn)
+            try:
+                return fn(frame)
+            finally:
+                building.pop()
+        return wrapper
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if building:
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in ("_d_table", "_tables"):
+        prop = ComplexFrame.__dict__[attr]
+        monkeypatch.setattr(prop, "func", build(prop.func))
+    for attr in ("substitute", "wedge"):
+        monkeypatch.setattr(Form, attr, counting(attr, getattr(Form, attr)))
+    for name in entry_names():
+        builds.clear()
+        classify_metric(get_example(name).load()[1])
+        assert builds and calls == [], name
+
+
+def _float_geometry(name):
+    """The catalog entry's geometry under ``--float``: every coefficient a float."""
+    data = geometry_to_input(name, *get_example(name).load())
+    data["scalar_field"] = {"kind": "float"}
+    return load_document(parse_input(json.dumps(data)))[0]
+
+
+@pytest.mark.parametrize("name", ["qsg12", "joyce_su2xsu2"])
+def test_a_float_geometry_builds_its_tables_on_forms(name, monkeypatch):
+    frame = _float_geometry(name).frame
+    expected = object_tables(_float_geometry(name).frame)
+    substitutions = []
+    substitute = Form.substitute
+
+    def counting(form, images):
+        substitutions.append(form)
+        return substitute(form, images)
+
+    monkeypatch.setattr(Form, "substitute", counting)
+    got = frame_tables(frame)
+    assert len(substitutions) == frame.N
+    for table in TABLES:
+        assert got[table].lane is None, table
+        assert _ordered(got[table]) == _ordered(expected[table]), table
+
+
+def test_a_sqrt5_algebra_in_a_sqrt2_frame_still_raises():
+    # d e^3 = -sqrt(5) e^1 ^ e^2: the structure constants lie in Q(sqrt(5))
+    alg = LieAlgebraData(4, {(0, 1): {2: root(5)}}, ScalarField("quadratic", 5))
+    H = HypercomplexStructure.standard(1).rotate_pair(*SQRT2_PAIR)
+    frame = Geometry(alg, H, check_integrability=False).frame
+    with pytest.raises(FieldMismatchError, match="cannot mix"):
+        frame._d_table
+    with pytest.raises(FieldMismatchError, match="cannot mix"):
+        frame._tables
