@@ -76,7 +76,7 @@ def _parse_sphere_point(text: str) -> SpherePoint:
         raise InputError("--pair", "sphere point needs three components")
     try:
         return SpherePoint(*(parse_scalar(p) for p in parts))
-    except ScalarError as exc:
+    except (ScalarError, StructureError) as exc:   # a bad scalar, or off the unit sphere
         raise InputError("--pair", str(exc)) from exc
 
 
@@ -167,6 +167,8 @@ def cmd_classify(args) -> int:
         p = _parse_sphere_point(halves[0])
         q = _parse_sphere_point(halves[1])
         _check_pair_field(doc.field, p, q)
+        if not p.dot(q).is_zero():
+            raise InputError("--pair", "sphere points must be orthogonal")
         rotated = geom.rotated(p, q)
         metric = metric.in_rotated_frame(rotated)
         geom = rotated

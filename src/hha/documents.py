@@ -32,11 +32,13 @@ from .scalars import (
 # the frame can hold C(dim, k) terms, so the cost of the exterior calculus on
 # a general input is bounded only through the dimension.  The slowest input
 # measured at the cap, a fully coupled Gram metric over Q(sqrt 5) on the
-# 48-dimensional q-Gauduchon algebra, loads and classifies in about 0.9 s
-# (2-core x86-64, Python 3.11); at dimension 64 it takes about 2.1 s.  Every
-# input the repository builds is below the cap (the largest, from construct
-# an, is 28).
-MAX_DIMENSION = 48
+# 80-dimensional q-Gauduchon algebra (``nil_qgau(20)`` of the tests, real
+# parts in [-3, 3], sqrt(5) parts in [-1, 1], diagonal 13n), loads and
+# classifies in 0.8-1.2 s in-process, and ``hha classify`` on it takes
+# 0.9-1.4 s (2-core x86-64 shared with other work, Python 3.11); at
+# dimension 96 the same input takes 1.5-1.7 s in-process.  Every input the
+# repository builds is below the cap (the largest, from construct an, is 28).
+MAX_DIMENSION = 80
 
 
 class InputError(ValueError):
@@ -73,7 +75,8 @@ class InputDocument:
     brackets: list | None
     hypercomplex: object
     metric: dict
-    # the metric's scalars as parsed and field-checked by parse_input: None
+    # the metric's scalars as parse_input parsed, field-checked and coerced
+    # into the declared field (to floats in the float field): None
     # (diagonal_unitary), diagonal entries, {(i, j): coefficient} of Omega
     # (0-based), or the Gram matrix
     metric_values: object
@@ -257,8 +260,9 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             _expect(_is_int(i) and _is_int(j)
                     and 1 <= i < j <= dim // 2, loc,
                     "indices must satisfy 1 <= i < j <= 2n")
-            values[(i - 1, j - 1)] = ComplexScalar(_field_member_at(field, term[2], loc),
-                                                   _field_member_at(field, term[3], loc))
+            values[(i - 1, j - 1)] = ComplexScalar(
+                field.coerce(_field_member_at(field, term[2], loc)),
+                field.coerce(_field_member_at(field, term[3], loc)))
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
@@ -267,8 +271,8 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         and all(isinstance(e, list) and len(e) == 2 for e in row)
                         for row in entries),
                 "$.metric.entries", f"needs a {N}x{N} matrix of [re, im] pairs")
-        values = [[ComplexScalar(_field_member_at(field, re, f"$.metric.entries[{r}][{t}]"),
-                                 _field_member_at(field, im, f"$.metric.entries[{r}][{t}]"))
+        values = [[ComplexScalar(*(field.coerce(_field_member_at(
+                       field, x, f"$.metric.entries[{r}][{t}]")) for x in (re, im)))
                    for t, (re, im) in enumerate(row)] for r, row in enumerate(entries)]
 
     return InputDocument(

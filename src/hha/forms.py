@@ -34,12 +34,23 @@ A table can also be made from its ints alone
 first read, as only the object route and the tests read them.  A complex
 frame builds its tables that way, with :func:`leibniz_ints` and
 :func:`substitute_ints`, the kernel's loop and ``Form.substitute`` on
-numerators.
+numerators.  A metric's reads of G^-1 use :func:`substitute_ints`,
+:func:`contract_ints` and :func:`cofactor_ints`, ``Form.contract`` and
+:func:`cofactor_power` on numerators, so that no other module touches a
+key's bits.
 """
 from __future__ import annotations
 
-from .linalg import add_term
-from .scalars import C_ONE, C_ZERO, ComplexScalar, complex_from_ints, complex_ints
+from .linalg import add_ints, add_term
+from .scalars import (
+    C_ONE,
+    C_ZERO,
+    ComplexScalar,
+    complex_from_ints,
+    complex_ints,
+    mul_ints,
+    neg_ints,
+)
 
 
 class DegreeOverflowError(ValueError):
@@ -441,24 +452,18 @@ def leibniz_ints(terms, ints, entries, d: int) -> dict:
     return acc
 
 
-def _mul_ints(x, y, d: int) -> tuple:
-    """(a + b r + i(c + e r)) (p + q r + i(s + u r)) on numerators, r = sqrt(d):
-    the product ``leibniz_ints`` inlines."""
-    a, b, c, e = x
-    p, q, s, u = y
-    return (a * p - c * s + (b * q - e * u) * d, a * q + b * p - c * u - e * s,
-            a * s + c * p + (b * u + e * q) * d, a * u + c * q + b * s + e * p)
-
-
-def _add_ints(acc: dict, key: int, x: tuple) -> None:
-    """``add_term`` on numerators: acc[key] += x, storing no key whose sum is zero."""
-    old = acc.get(key)
-    if old is not None:
-        x = (old[0] + x[0], old[1] + x[1], old[2] + x[2], old[3] + x[3])
-    if any(x):
-        acc[key] = x
-    elif old is not None:
-        del acc[key]
+def contract_ints(terms: dict, vector: dict, d: int) -> dict:
+    """:meth:`Form.contract` on numerators: ``terms`` maps keys and ``vector``
+    indices to nonzero (a, b, c, e), each over its own denominator; the
+    result is over their product, with the keys in ``contract``'s order."""
+    support = mask(vector)
+    out: dict = {}
+    for key, x in terms.items():
+        for idx in indices(key & support):
+            bit = 1 << idx
+            y = mul_ints(vector[idx], x, d)
+            add_ints(out, key ^ bit, neg_ints(y) if (key & (bit - 1)).bit_count() & 1 else y)
+    return out
 
 
 def substitute_ints(forms, images, d: int) -> list:
@@ -483,7 +488,7 @@ def substitute_ints(forms, images, d: int) -> list:
             if terms is None:
                 terms = wedges[key] = _wedge_images(key, images, d)
             for k, x in terms.items():
-                _add_ints(acc, k, _mul_ints(v, x, d))
+                add_ints(acc, k, mul_ints(v, x, d))
         out.append(acc)
     return out
 
@@ -498,9 +503,8 @@ def _wedge_images(key: int, images, d: int) -> dict:
             odd = _odd_above(ka)
             for kb, *y in images[i]:
                 if not ka & kb:
-                    x_y = _mul_ints(x, y, d)
-                    _add_ints(nxt, ka | kb, tuple(-v for v in x_y)
-                              if (kb & odd).bit_count() & 1 else x_y)
+                    x_y = mul_ints(x, y, d)
+                    add_ints(nxt, ka | kb, neg_ints(x_y) if (kb & odd).bit_count() & 1 else x_y)
         prod = nxt
         if not prod:
             break
@@ -576,3 +580,21 @@ def cofactor_power(pf: ComplexScalar, inverse, nsym: int) -> Form:
                 c = c * pf
                 terms[full ^ (1 << r) ^ (1 << s)] = -c if (r + s) % 2 else c
     return Form(nsym, size - 2, terms)
+
+
+def cofactor_ints(scale, inverse, d: int) -> dict:
+    """:func:`cofactor_power` on numerators, times ``scale``: ``inverse[r]``
+    maps s to the nonzero numerators of A^-1[r][s], and ``scale`` stands for
+    Pf(A) times any factor, over another denominator.  Returns the
+    coefficients by key, over the product, in ``cofactor_power``'s order."""
+    size = len(inverse)
+    full = (1 << size) - 1
+    terms = {}
+    for r in range(size):
+        row = inverse[r]
+        for s in range(r + 1, size):
+            x = row.get(s)
+            if x is not None:
+                x = mul_ints(x, scale, d)
+                terms[full ^ (1 << r) ^ (1 << s)] = neg_ints(x) if (r + s) % 2 else x
+    return terms

@@ -27,6 +27,17 @@ The adjoint of wedging with ``L`` contracts by the raised ``L#``, read
 directly from G^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
 a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
+Reads on numerators.  An exact metric holds G and G^-1 as int numerators
+over one denominator each (``Metric._gram_ints`` and ``Metric._g_inv_ints``,
+the inverse by one ``linalg.inverse_ints``), and every read of them
+(Omega^{n-1}, omega_I^{N-1}, the Lefschetz adjoint, both traces, the inner
+product through ``forms.substitute_ints``, and the division route of
+``beta``) sums products of numerators and builds each coefficient of its
+result once, with ``scalars.complex_from_ints``.  The reads on scalar
+objects stay for what the ints cannot hold: a float metric under
+``--float``, and a form whose radicand differs from the metric's, which
+still raises ``FieldMismatchError``.
+
 ``alpha`` and ``beta`` are always computed along two independent routes
 (coefficient division against the relevant power, read against A and A^-1,
 and the Lefschetz-adjoint formula, read from G^-1); any disagreement raises,
@@ -39,8 +50,19 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .forms import Form, bidegree_project, cofactor_power, indices, mask, pure_bidegree
+from .forms import (
+    Form,
+    bidegree_project,
+    cofactor_ints,
+    cofactor_power,
+    contract_ints,
+    indices,
+    mask,
+    pure_bidegree,
+    substitute_ints,
+)
 from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint, j_index
+from .linalg import add_ints
 from .scalars import (
     C_I,
     C_ONE,
@@ -48,7 +70,12 @@ from .scalars import (
     ComplexScalar,
     Scalar,
     ZERO,
+    complex_from_ints,
+    complex_ints,
+    mul_ints,
+    neg_ints,
     rational,
+    sum_ints,
 )
 
 
@@ -286,8 +313,34 @@ class Metric:
     # (the family checks, the search) are built only for their flags.
 
     @functools.cached_property
+    def _gram_ints(self):
+        """G on numerators, ``(d, den, rows)`` with G[r][s] = rows[r][s] / den
+        (:func:`linalg.matrix_ints`), or None when G has a float entry."""
+        return linalg.matrix_ints(self.gram)
+
+    @functools.cached_property
+    def _g_inv_ints(self):
+        """G^-1 on numerators, ``(d, den, rows)`` as :attr:`_gram_ints`, by
+        one :func:`linalg.inverse_ints`; None when G has a float entry."""
+        lane = self._gram_ints
+        if lane is None:
+            return None
+        d, den, rows = lane
+        return (d, *linalg.inverse_ints(d, den, rows))
+
+    @functools.cached_property
     def _g_inv(self):
+        """G^-1 as scalar objects, read only by the object routes."""
         return linalg.inverse(self.gram)
+
+    @functools.cached_property
+    def _raise_ints(self) -> list:
+        """:attr:`_raise` on numerators over the denominator of G^-1, as
+        ``forms.substitute_ints`` takes its images."""
+        N = self.N
+        rows = [sorted(row.items()) for row in self._g_inv_ints[2]]
+        return ([[(mask((i,)), *x) for i, x in row] for row in rows]
+                + [[(mask((N + i,)), a, b, -c, -e) for i, (a, b, c, e) in row] for row in rows])
 
     @functools.cached_property
     def _raise(self) -> list:
@@ -379,6 +432,14 @@ class Metric:
                 power = Form.monomial(dim, tuple(range(self.N)), self.pf * fact)
             elif k == 0:
                 power = Form.constant(dim, C_ONE)
+            elif self._g_inv_ints is not None:
+                d, den, h = self._g_inv_ints
+                sd, sden, (x,) = complex_ints([self.pf * fact])
+                d, den = d or sd, den * sden
+                a_inv = [h[p] if s > 0 else {t: neg_ints(y) for t, y in h[p].items()}
+                         for p, s in map(j_index, range(self.N))]
+                power = Form(dim, self.N - 2, {key: complex_from_ints(*y, den, d) for key, y
+                                               in cofactor_ints(x, a_inv, d).items()})
             else:
                 g_inv = self._g_inv
                 a_inv = [g_inv[p] if s > 0 else [-c for c in g_inv[p]]
@@ -424,6 +485,19 @@ class Metric:
         hol = [tuple(k for k in range(N) if k != r) for r in range(N)]
         anti = [tuple(N + k for k in range(N) if k != s) for s in range(N)]
         terms = {}
+        lane = self._g_inv_ints
+        if lane is not None:
+            d, den, h = lane
+            sd, sden, (x,) = complex_ints([scale])
+            d, den = d or sd, den * sden
+            for r in range(N):
+                for s in range(N):
+                    y = h[s].get(r)
+                    if y is not None:
+                        y = mul_ints(y, x, d)
+                        terms[mask(hol[r] + anti[s])] = complex_from_ints(
+                            *(neg_ints(y) if (r + s) % 2 else y), den, d)
+            return Form(self.geometry.algebra.dim, 2 * N - 2, terms)
         for r in range(N):
             for s in range(N):
                 c = self._g_inv[s][r]
@@ -438,6 +512,16 @@ class Metric:
         """Hermitian inner product sum_I a_I (b#)_I: linear in a, conjugate-linear in b."""
         if a.degree != b.degree:
             raise MetricError("inner product needs forms of equal degree")
+        values = [*a.terms.values(), *b.terms.values()]
+        joined = _joined(self._g_inv_ints, values)
+        if joined is not None:
+            d, den, ints = joined
+            split = len(a.terms)
+            conj = {key: (x[0], x[1], -x[2], -x[3]) for key, x in zip(b.terms, ints[split:])}
+            b_sharp = (substitute_ints([conj], self._raise_ints, d)[0] if b.degree else conj)
+            total = sum_ints(mul_ints(x, b_sharp[key], d)
+                             for key, x in zip(a.terms, ints[:split]) if key in b_sharp)
+            return complex_from_ints(*total, den * den * self._g_inv_ints[1] ** b.degree, d)
         b_sharp = self._sharp(b).terms
         total = C_ZERO
         for key, c in a.terms.items():
@@ -464,9 +548,13 @@ class Metric:
         (Omega#)_{kl} = s(l) H[P(l)][k] for k < l, and conj(Omega) raises to
         the conjugates on the barred pairs (N + k, N + l).
         """
-        N, h = self.N, self._g_inv
+        N = self.N
         shift = N if conjugate else 0
         index = [j_index(l) for l in range(N)]
+        joined = _joined(self._g_inv_ints, a.terms.values())
+        if joined is not None:
+            return self._lefschetz_ints(a, joined, shift, index)
+        h = self._g_inv
         out = Form.zero(self.geometry.algebra.dim, max(a.degree - 2, 0))
         for k in range(N):
             row = {}
@@ -481,6 +569,30 @@ class Metric:
                 out = out + a.contract({shift + k: C_ONE}).contract(row)
         return out
 
+    def _lefschetz_ints(self, a: Form, joined, shift: int, index) -> Form:
+        """:meth:`lefschetz_adjoint` on numerators: the same two contractions
+        per k (``forms.contract_ints``), summed in the same order, so the keys
+        come out in that order."""
+        d, den, ints = joined
+        _, hden, h = self._g_inv_ints
+        terms = dict(zip(a.terms, ints))
+        out: dict = {}
+        for k in range(self.N):
+            row = {}
+            for l in range(k + 1, self.N):
+                p, s = index[l]
+                x = h[p].get(k)
+                if x is not None:
+                    x = x if s > 0 else neg_ints(x)
+                    row[shift + l] = (x[0], x[1], -x[2], -x[3]) if shift else x
+            if row:
+                first = contract_ints(terms, {shift + k: (1, 0, 0, 0)}, d)
+                for key, y in contract_ints(first, row, d).items():
+                    add_ints(out, key, y)
+        den *= hden
+        return Form(self.geometry.algebra.dim, max(a.degree - 2, 0),
+                    {key: complex_from_ints(*x, den, d) for key, x in out.items()})
+
     # -- traces --------------------------------------------------------------------
 
     def _trace_ratio(self, xi: Form) -> ComplexScalar:
@@ -492,7 +604,22 @@ class Metric:
         Omega^n = n! Pf z^{[N]} the ratio is -sum_{r<s<N} xi_{rs} (A^-1)[r][s],
         with (A^-1)[r][s] = s(r) (G^-1)[P(r)][s] (:meth:`omega_power`).
         """
-        N, h = self.N, self._g_inv
+        N = self.N
+        joined = _joined(self._g_inv_ints, xi.terms.values())
+        if joined is not None:
+            d, den, ints = joined
+            _, hden, h = self._g_inv_ints
+            terms = []
+            for key, x in zip(xi.terms, ints):
+                r, s = indices(key)
+                if s < N:
+                    p, sign = j_index(r)
+                    y = h[p].get(s)
+                    if y is not None:
+                        y = mul_ints(x, y, d)
+                        terms.append(neg_ints(y) if sign > 0 else y)
+            return complex_from_ints(*sum_ints(terms), den * hden, d)
+        h = self._g_inv
         total = C_ZERO
         for key, c in xi.terms.items():
             r, s = indices(key)
@@ -505,6 +632,19 @@ class Metric:
     def trace_omega_i(self, gamma: Form) -> ComplexScalar:
         """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s)."""
         N = self.N
+        joined = _joined(self._g_inv_ints, gamma.terms.values())
+        if joined is not None:
+            d, den, ints = joined
+            _, hden, h = self._g_inv_ints
+            terms = []
+            for key, x in zip(gamma.terms, ints):
+                i, j = indices(key)
+                y = h[j - N].get(i) if i < N <= j else None
+                if y is not None:
+                    terms.append(mul_ints(y, x, d))
+            re, re_d, im, im_d = sum_ints(terms)
+            # -i (re + i im) = im - i re
+            return complex_from_ints(im, im_d, -re, -re_d, den * hden, d)
         total = C_ZERO
         for key, c in gamma.terms.items():
             i, j = indices(key)
@@ -562,6 +702,24 @@ class Metric:
         """
         n, N = self.n, self.N
         target = self.geometry.frame.del_(self.omega_power(n - 1))
+        scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
+        joined = _joined(self._gram_ints, [*target.terms.values(), scale])
+        if joined is not None:
+            d, den, ints = joined
+            _, gden, g = self._gram_ints
+            terms = [[] for _ in range(N)]
+            for key, x in zip(target.terms, ints):
+                s = N * (N - 1) // 2 - sum(indices(key))
+                x = neg_ints(x) if s % 2 else x
+                for p, y in g[s].items():
+                    r, sign = j_index(p)
+                    y = mul_ints(x, y, d)
+                    terms[r].append(neg_ints(y) if sign > 0 else y)
+            coeffs = [sum_ints(ys) for ys in terms]
+            x, den = ints[-1], den * den * gden
+            return Form(self.geometry.algebra.dim, 1,
+                        {mask((r,)): complex_from_ints(*mul_ints(c, x, d), den, d)
+                         for r, c in enumerate(coeffs) if any(c)})
         coeffs = [C_ZERO] * N
         for key, c in target.terms.items():
             s = N * (N - 1) // 2 - sum(indices(key))   # the one index missing from key
@@ -570,7 +728,6 @@ class Metric:
                 if not g.is_zero():
                     r, sign = j_index(p)   # P(r) = p and s(r) = -s(p)
                     coeffs[r] = coeffs[r] - c * g if sign > 0 else coeffs[r] + c * g
-        scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
         return Form(self.geometry.algebra.dim, 1,
                     {mask((r,)): c * scale for r, c in enumerate(coeffs) if not c.is_zero()})
 
@@ -626,6 +783,19 @@ class Metric:
         omega_old_frame = (omega_j + omega_k.scale(C_I)).scale(rational(1, 2))
         real = self.geometry.frame.to_real(omega_old_frame)
         return Metric(rotated, rotated.frame.to_complex(real))
+
+
+def _joined(lane, values):
+    """``(d, den, ints)`` of the exact complex scalars ``values`` over one
+    denominator, with d the radicand they share with the matrix ``lane``;
+    None when the lane or a value is a float, or when two radicands occur,
+    for the object route to promote or raise ``FieldMismatchError``."""
+    if lane is None:
+        return None
+    own = complex_ints(values)
+    if own is None or (own[0] and lane[0] and own[0] != lane[0]):
+        return None
+    return lane[0] or own[0], own[1], own[2]
 
 
 def _sphere_point(H: HypercomplexStructure, L) -> SpherePoint:

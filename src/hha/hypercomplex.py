@@ -56,6 +56,7 @@ from .scalars import (
     Scalar,
     ZERO,
     complex_ints,
+    neg_ints,
 )
 
 
@@ -251,10 +252,6 @@ def is_abelian(d: LieAlgebraData, H: HypercomplexStructure) -> bool:
     return True
 
 
-def _neg_ints(x: tuple) -> tuple:
-    return tuple(-v for v in x)
-
-
 def j_index(h: int) -> tuple:
     """(P(h), s(h)) with J z^h = s(h) conj(z^{P(h)}), h a 0-based holomorphic index.
 
@@ -438,7 +435,7 @@ class ComplexFrame:
             rows, neg = [dg.terms for dg in table], ComplexScalar.__neg__
         else:
             d, den, entries = table.lane
-            rows, neg = [{t[0]: t[2:] for t in row} for row in entries], _neg_ints
+            rows, neg = [{t[0]: t[2:] for t in row} for row in entries], neg_ints
         tables: dict = {"del": [], "delbar": []}
         for k, row in enumerate(rows):
             p = 1 if k < N else 0

@@ -1,15 +1,24 @@
 """Exact linear algebra over complex scalars, with one elimination kernel.
 
-Every row reduction of ``hha`` apart from ``det`` and
+Every row reduction of scalar objects in ``hha`` apart from ``det`` and
 ``hermitian_pivots`` is :func:`echelon_add`: it adds one sparse row (a
 dict from column to scalar) to a reduced row echelon basis and touches
 only nonzeros.  Callers that hold forms pass ``form.terms`` as rows
-directly.  ``solve``, ``inverse`` and ``rank`` read :func:`echelon` on
-the nonzeros of their dense input.  ``det`` is forward elimination with a
-pivot product; :func:`hermitian_pivots` is the one symmetric elimination
-of a Hermitian matrix, whose pivots give its definiteness here and the
-Pfaffian, determinant and positivity of a metric in ``hermitian``.  The
-small dense matrix helpers stay dense.
+directly.  ``solve`` and ``rank`` read :func:`echelon` on the nonzeros of
+their dense input.  ``det`` is forward elimination with a pivot product;
+:func:`hermitian_pivots` is the one symmetric elimination of a Hermitian
+matrix, whose pivots give its definiteness here and the Pfaffian,
+determinant and positivity of a metric in ``hermitian``.  The small dense
+matrix helpers stay dense.
+
+Exact matrices over one field are eliminated on integers.  Their entries
+are numerators (a, b, c, e) over one denominator, standing for
+((a + b sqrt(d)) + i (c + e sqrt(d))) / den (``scalars.complex_ints``).
+:func:`inverse_ints` is Gauss-Jordan on such rows with one denominator per
+row, and ``inverse`` and ``hermitian_pivots`` run on it, or on the same
+row operations, whenever :func:`matrix_ints` can write their input.  The scalar-object code stays only for a float entry, whose sums
+must keep their rounding, and for two radicands, which raise
+``FieldMismatchError``.
 
 :func:`add_term` is the one cancellation rule of the package: every sparse
 sum (rows here, form coefficients in ``forms``, brackets in ``liealg``,
@@ -18,7 +27,19 @@ no key whose coefficient is an exact zero.
 """
 from __future__ import annotations
 
-from .scalars import C_ONE, C_ZERO, ONE, ZERO, ComplexScalar
+import math
+
+from .scalars import (
+    C_ONE,
+    C_ZERO,
+    ONE,
+    ZERO,
+    ComplexScalar,
+    complex_from_ints,
+    complex_ints,
+    mul_ints,
+    neg_ints,
+)
 
 
 class SingularMatrixError(ArithmeticError):
@@ -95,6 +116,17 @@ def add_term(acc: dict, key, c) -> None:
         acc[key] = c
 
 
+def add_ints(acc: dict, key, x: tuple) -> None:
+    """:func:`add_term` on numerators (a, b, c, e) over a common denominator."""
+    old = acc.get(key)
+    if old is not None:
+        x = (old[0] + x[0], old[1] + x[1], old[2] + x[2], old[3] + x[3])
+    if any(x):
+        acc[key] = x
+    elif old is not None:
+        del acc[key]
+
+
 def add_scaled(acc: dict, f, vec: dict) -> None:
     """acc += f * vec on sparse vectors."""
     for k, c in vec.items():
@@ -162,13 +194,122 @@ def solve(a, b):
     return x
 
 
+def matrix_ints(a):
+    """``(d, den, rows)``: the matrix ``a`` as numerators over one denominator
+    (``scalars.complex_ints``), ``rows[i]`` a dict from column to the nonzero
+    numerators of row i; None when an entry is a float or two radicands occur."""
+    rows = [_nonzeros(row) for row in a]
+    lane = complex_ints([x for row in rows for x in row.values()])
+    if lane is None:
+        return None
+    d, den, ints = lane
+    ints = iter(ints)
+    return d, den, [{j: next(ints) for j in row} for row in rows]
+
+
 def inverse(a):
-    """A^-1 from the reduced rows of [A | 1], columns n...2n-1 holding 1."""
+    """A^-1: :func:`inverse_ints` when every entry is exact over one field,
+    else the reduced rows of [A | 1], columns n...2n-1 holding 1."""
+    lane = matrix_ints(a)
+    if lane is None:
+        return _inverse_objects(a)
+    d, den, rows = lane
+    den, rows = inverse_ints(d, den, rows)
+    return [[complex_from_ints(*row[j], den, d) if j in row else C_ZERO for j in range(len(a))]
+            for row in rows]
+
+
+def _inverse_objects(a):
+    """A^-1 from the reduced rows of [A | 1] over scalar objects: the route of
+    a float entry, or of two radicands, which raise ``FieldMismatchError``."""
     n = len(a)
     rows = echelon({**_nonzeros(row), n + i: C_ONE} for i, row in enumerate(a))
     if list(rows) != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [[row.get(n + j, C_ZERO) for j in range(n)] for row in rows.values()]
+
+
+def inverse_ints(d: int, den: int, rows) -> tuple:
+    """The inverse of A = rows / den, for rows of numerators (a, b, c, e) over
+    the one denominator ``den`` (``scalars.complex_ints``), in Z[sqrt(d)][i].
+
+    Each row, and each row of the result, is a dict from column to nonzero
+    numerators.  Returns ``(den', inv)`` with A^-1 = inv / den'.
+
+    This is Gauss-Jordan on the rows of [rows | den 1] = den [A | 1], whose
+    reduced form is [1 | A^-1], added one at a time as :func:`echelon_add`
+    adds them.  Each row is numerators over its own denominator, made
+    primitive by one gcd per update.  A new row is reduced by every pivot row
+    at once, as the pivot rows vanish at each other's pivots, and divided by
+    its pivot x through the conjugates of x, whose product with x is the norm
+    of x, a nonzero integer.  The reduced form is unique, so this is the
+    value :func:`_inverse_objects` computes.
+    """
+    n = len(rows)
+    one = (den, 0, 0, 0)
+    pivots: dict = {}     # pivot -> (numerators, denominator), 1 at the pivot
+    for i, row in enumerate(rows):
+        vec = {**row, n + i: one}
+        vec, _ = _subtract(vec, 1, [(vec[q], *pivots[q]) for q in vec if q in pivots], d)
+        p = min(vec)
+        if p >= n:
+            raise SingularMatrixError("matrix is singular")
+        vec, r = _unit_row(vec, vec[p], 1, d)
+        for q, (other, s) in pivots.items():
+            f = other.get(p)
+            if f is not None:
+                pivots[q] = _subtract(other, s, [(f, vec, r)], d)
+        pivots[p] = (vec, r)
+    common = math.lcm(*(r for _, r in pivots.values()))
+    inv = []
+    for p in range(n):
+        vec, r = pivots[p]
+        m = common // r
+        inv.append({j - n: (a * m, b * m, c * m, e * m)
+                    for j, (a, b, c, e) in vec.items() if j >= n})
+    return common, inv
+
+
+def _subtract(vec: dict, r: int, hits, d: int) -> tuple:
+    """vec / r minus (f / r) (row / s) for each (f, row, s) in ``hits``, as
+    numerators over r times the lcm of the s, made primitive."""
+    if not hits:
+        return vec, r
+    big = math.lcm(*(s for _, _, s in hits))
+    out = {j: (a * big, b * big, c * big, e * big) for j, (a, b, c, e) in vec.items()}
+    for f, row, s in hits:
+        m = big // s
+        f = (f[0] * m, f[1] * m, f[2] * m, f[3] * m)
+        for j, y in row.items():
+            add_ints(out, j, neg_ints(mul_ints(f, y, d)))
+    return _primitive(out, r * big)
+
+
+def _primitive(vec: dict, r: int) -> tuple:
+    """vec / r with the gcd of every numerator and r divided out."""
+    g = math.gcd(r, *(v for x in vec.values() for v in x))
+    if g == 1:
+        return vec, r
+    return {j: (a // g, b // g, c // g, e // g) for j, (a, b, c, e) in vec.items()}, r // g
+
+
+def _pivot_inverse(x: tuple, d: int) -> tuple:
+    """(w, norm) with x w = norm, a positive integer, for nonzero x in
+    Z[sqrt(d)][i]: w is the product of the conjugates of x under
+    i -> -i and sqrt(d) -> -sqrt(d), or of those that move x."""
+    a, b, c, e = x
+    if not (b or c or e):
+        w, norm = (1, 0, 0, 0), a
+    elif not (c or e):          # a + b sqrt(d)
+        w, norm = (a, -b, 0, 0), a * a - d * b * b
+    elif not (b or e):          # a + i c
+        w, norm = (a, 0, -c, 0), a * a + c * c
+    else:                       # |x|^2 = u + v sqrt(d), of positive norm
+        u, v = a * a + d * (b * b + e * e) + c * c, 2 * (a * b + c * e)
+        w, norm = mul_ints((a, b, -c, -e), (u, -v, 0, 0), d), u * u - d * v * v
+    if norm < 0:
+        w, norm = neg_ints(w), -norm
+    return w, norm
 
 
 def det(a) -> ComplexScalar:
@@ -217,7 +358,70 @@ def hermitian_pivots(g) -> list:
     Each pivot block is congruent to its pivots, so their signs are the
     inertia (Sylvester's law), and a symmetric permutation keeps the
     determinant, so their product is det g.  The input is not modified.
+
+    When every entry is exact over one field, the elimination runs on
+    numerators as :func:`inverse_ints` does, with the same steps and so the
+    same pivots; otherwise on the scalar objects.
     """
+    lane = matrix_ints(g)
+    if lane is None:
+        return _hermitian_pivots_objects(g)
+    d, den, rows = lane
+    # active row r: its nonzero entries in the active columns, over its denominator
+    rows = [(row, den) for row in rows]
+    active = list(range(len(g)))
+    pivots = []
+    while active:
+        piv = next((i for i in active if i in rows[i][0]), None)
+        if piv is not None:
+            prow, s = rows[piv]
+            x = prow[piv]
+            if x[2] or x[3]:
+                raise ValueError("matrix is not Hermitian")
+            pivots.append(complex_from_ints(*x, s, d).re)
+            active.remove(piv)
+            del prow[piv]
+            eliminate = [(piv, prow, x, 1)]
+        else:
+            pair = next(((i, j) for i in active for j in active
+                         if i < j and j in rows[i][0]), None)
+            if pair is None:
+                pivots.extend([ZERO] * len(active))
+                break
+            i, j = pair
+            (irow, s), (jrow, t) = rows[i], rows[j]
+            x = irow[j]
+            pivots.extend((ONE, -complex_from_ints(*x, s, d).abs2()))
+            active.remove(i)
+            active.remove(j)
+            for row in (irow, jrow):
+                row.pop(i, None)
+                row.pop(j, None)
+            # m[r] -= m[r][i] m[j] / conj(x) + m[r][j] m[i] / x
+            eliminate = [(i, jrow, (x[0] * t, x[1] * t, -x[2] * t, -x[3] * t), s),
+                         (j, irow, x, 1)]
+        # (column c, row, y, scale): rows with an entry f at c lose f row scale / y
+        touched = [r for r in active if any(c in rows[r][0] for c, *_ in eliminate)]
+        if touched:
+            units = [(c, _unit_row(row, y, scale, d)) for c, row, y, scale in eliminate]
+            for r in touched:
+                row, t = rows[r]
+                rows[r] = _subtract(row, t, [(row.pop(c), *unit) for c, unit in units if c in row],
+                                    d)
+    return pivots
+
+
+def _unit_row(row: dict, x: tuple, scale: int, d: int) -> tuple:
+    """(numerators, denominator) of the row ``row`` times ``scale`` / x."""
+    w, norm = _pivot_inverse(x, d)
+    if scale != 1:
+        w = (w[0] * scale, w[1] * scale, w[2] * scale, w[3] * scale)
+    return _primitive({j: mul_ints(y, w, d) for j, y in row.items()}, norm)
+
+
+def _hermitian_pivots_objects(g) -> list:
+    """:func:`hermitian_pivots` on scalar objects: the route of a float entry,
+    or of two radicands, which raise ``FieldMismatchError``."""
     n = len(g)
     m = [[_c(g[i][j]) for j in range(n)] for i in range(n)]
     active = list(range(n))

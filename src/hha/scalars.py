@@ -34,8 +34,12 @@ Sums of many products can run on ints outside this module without reading
 the four fields: :func:`complex_ints` writes exact complex scalars as int
 numerators over one common denominator (None for a float or two radicands),
 and :func:`complex_from_ints` turns four numerators over a denominator back
-into a canonical complex scalar, with one gcd per nonzero part.
-``forms.leibniz_differential`` runs every exact differential this way.
+into a canonical complex scalar, with one gcd per nonzero part;
+:func:`mul_ints`, :func:`neg_ints` and :func:`sum_ints` do the arithmetic
+of such numerators.
+``forms.leibniz_differential`` runs every exact differential this way,
+``linalg.inverse_ints`` inverts a matrix and ``hermitian.Metric`` reads G
+and its inverse.
 
 Almost every scalar the classifier touches is rational, and most complex
 scalars are real.  The real lane: a :class:`ComplexScalar` factor whose
@@ -639,6 +643,32 @@ def complex_from_ints(a: int, b: int, c: int, e: int, den: int, d: int) -> Compl
     gcd per nonzero part."""
     return _complex(_reduced(a, b, den, d) if a or b else ZERO,
                     _reduced(c, e, den, d) if c or e else ZERO)
+
+
+def mul_ints(x, y, d: int) -> tuple:
+    """(a + b r + i(c + e r)) (p + q r + i(s + u r)) on numerators, r = sqrt(d)."""
+    a, b, c, e = x
+    p, q, s, u = y
+    if b or e or q or u:
+        return (a * p - c * s + (b * q - e * u) * d, a * q + b * p - c * u - e * s,
+                a * s + c * p + (b * u + e * q) * d, a * u + c * q + b * s + e * p)
+    return a * p - c * s, 0, a * s + c * p, 0
+
+
+def neg_ints(x) -> tuple:
+    """The numerators of -x."""
+    return -x[0], -x[1], -x[2], -x[3]
+
+
+def sum_ints(xs) -> tuple:
+    """The sum of numerators (a, b, c, e) over one denominator."""
+    a = b = c = e = 0
+    for x in xs:
+        a += x[0]
+        b += x[1]
+        c += x[2]
+        e += x[3]
+    return a, b, c, e
 
 
 def complex_str(z: ComplexScalar) -> str:

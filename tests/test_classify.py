@@ -378,13 +378,17 @@ def test_family_check_never_inverts_the_gram_matrix(monkeypatch):
     from hha.catalog import get_example
     g, _ = get_example("qgau8").load()
     inverted = []
-    inverse = linalg.inverse
+    inverse_ints = linalg.inverse_ints
 
-    def counting(a):
-        inverted.append(len(a))
-        return inverse(a)
+    def counting(d, den, rows):
+        inverted.append(len(rows))
+        return inverse_ints(d, den, rows)
 
-    monkeypatch.setattr(linalg, "inverse", counting)
+    def refuse(a):
+        raise AssertionError("an exact G^-1 was inverted on scalar objects")
+
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(linalg, "inverse_ints", counting)
     assert qgau_family_symbolic_check(g)
     assert inverted == []
     # G^-1 is computed on first use, once per metric
@@ -397,7 +401,7 @@ def test_family_check_never_inverts_the_gram_matrix(monkeypatch):
          for s in range(m.N)] for r in range(m.N)]
     assert inverted == [m.N]
     monkeypatch.undo()
-    assert linalg.inverse is inverse
+    assert linalg.inverse_ints is inverse_ints
 
 
 # -- oracles for the closed forms: catalog entries up to dimension 16, random

@@ -7,6 +7,7 @@ import pytest
 
 import hha
 from hha.cli import main
+from hha.documents import geometry_to_input, load_document, parse_input
 from hha.hermitian import ConsistencyError
 
 
@@ -100,6 +101,18 @@ def test_classify_bad_pair_is_input_error(qbal12_file, pair):
     assert "--pair" in err
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("1,1,0;0,0,1", "(1, 1, 0) is not a unit vector"),
+    ("0,0,1;1/5*sqrt(5),1/5*sqrt(5),0",
+     "(1/5*sqrt(5), 1/5*sqrt(5), 0) is not a unit vector"),
+    ("1,0,0;1,0,0", "sphere points must be orthogonal"),
+])
+def test_a_pair_off_the_sphere_or_not_orthogonal_is_an_input_error_at_pair(
+        qbal12_file, pair, message):
+    code, out, err = run_cli(["classify", qbal12_file, "--pair", pair])
+    assert (code, out, err) == (2, "", f"error: --pair: {message}\n")
+
+
 def _with_field(path, field):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -131,6 +144,47 @@ def test_the_float_field_and_the_documents_own_field_take_the_pair(qbal12_file):
     code, _, err = run_cli(["classify", qbal12_file, "--pair",
                             "1/5*sqrt(5),2/5*sqrt(5),0;0,0,1"])
     assert code == 0, err
+
+
+def _sqrt5_metric_file(tmp_path, mtype):
+    """An abelian 8-dimensional document over Q(sqrt(5)) whose coupled metric
+    has sqrt(5) entries, given as a Gram matrix or as its (2,0)-form.  The
+    quaternionic blocks are [[a, b], [-conj b, conj a]] above the diagonal,
+    with a = sqrt(5) + i and b = 1, and 7 + sqrt(5) on the diagonal."""
+    code, out, _ = run_cli(["catalog", "export", "abelian8"])
+    assert code == 0
+    data = json.loads(out)
+    data["scalar_field"] = {"kind": "quadratic", "d": 5}
+    d, z = ["7+sqrt(5)", "0"], ["0", "0"]
+    a, a_bar, b, minus_b = ["sqrt(5)", "1"], ["sqrt(5)", "-1"], ["1", "0"], ["-1", "0"]
+    data["metric"] = {"type": "gram", "entries": [
+        [d, z, a, b], [z, d, minus_b, a_bar], [a_bar, minus_b, d, z], [b, a, z, d]]}
+    if mtype == "omega":
+        geom, metric = load_document(parse_input(json.dumps(data)))
+        data = {**geometry_to_input("sqrt5_omega", geom, metric),
+                "scalar_field": data["scalar_field"]}
+        assert any("sqrt(5)" in str(term) for term in data["metric"]["terms"])
+    path = tmp_path / f"sqrt5_{mtype}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("mtype", ["gram", "omega"])
+def test_float_mode_coerces_omega_and_gram_entries(tmp_path, mtype):
+    # under --float the metric is a float metric, so a pair over Q(sqrt(2))
+    # meets no sqrt(5) in it
+    path = _sqrt5_metric_file(tmp_path, mtype)
+    code, out, err = run_cli(["classify", path, "--format", "json"])
+    assert code == 0, err
+    code, out, err = run_cli(["classify", path, "--float", "--pair", SQRT2_PAIR])
+    assert code == 0, err
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["scalar_field"] = {"kind": "float", "tolerance": 1e-9}
+    values = parse_input(json.dumps(raw)).metric_values
+    scalars = ([c for row in values for c in row] if mtype == "gram"
+               else list(values.values()))
+    assert scalars and all(c.re.is_float and c.im.is_float for c in scalars)
 
 
 def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch):
@@ -299,6 +353,16 @@ def test_dimension_above_the_cap_is_refused_at_once(tmp_path):
         code, _, err = run_cli(["check", str(path)])
         assert code == 2
         assert "$.dimension" in err and str(MAX_DIMENSION) in err
+
+
+def test_an_input_at_the_cap_classifies(tmp_path):
+    from hha.documents import MAX_DIMENSION
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"name": "cap", "dimension": MAX_DIMENSION,
+                                "structure_equations": {}}))
+    code, out, err = run_cli(["classify", str(path), "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["flags"]["hyperkaehler"]["value"] is True
 
 
 def test_classify_float_mode(qbal12_file):
