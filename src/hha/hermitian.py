@@ -264,8 +264,10 @@ class CurvatureData:
 class Metric:
     """The q-real q-positive (2,0)-form of an invariant hyperhermitian metric.
 
-    Construction makes one elimination, :func:`linalg.hermitian_pivots` of
-    the Hermitian read G, and reads positivity, Pf and det G off its pivots.
+    Construction makes one elimination of the Hermitian read G,
+    :func:`linalg.hermitian_pivots_ints` on its numerators when G is exact
+    (:func:`linalg.hermitian_pivots` when it has a float entry), and reads
+    positivity, Pf and det G off its pivots.
 
     * Positivity.  The pivots' signs are the inertia of G, so Omega is
       q-positive exactly when every pivot is positive; a positive definite G
@@ -296,7 +298,11 @@ class Metric:
             raise QRealError("metric form must be q-real")
         self.omega = omega
         self.gram = hermitian_matrix_of(geometry, omega)
-        pivots = linalg.hermitian_pivots(self.gram)
+        # G on numerators, (d, den, rows) with G[r][s] = rows[r][s] / den
+        # (linalg.matrix_ints), or None when G has a float entry
+        self._gram_ints = linalg.matrix_ints(self.gram)
+        pivots = (linalg.hermitian_pivots(self.gram) if self._gram_ints is None
+                  else linalg.hermitian_pivots_ints(*self._gram_ints))
         if any(p.sign() <= 0 for p in pivots):
             raise MetricError("metric form is not q-positive")
         if pivots[1::2] != pivots[0::2]:
@@ -311,12 +317,6 @@ class Metric:
 
     # G^-1 and the raise images are computed on first use: many metrics
     # (the family checks, the search) are built only for their flags.
-
-    @functools.cached_property
-    def _gram_ints(self):
-        """G on numerators, ``(d, den, rows)`` with G[r][s] = rows[r][s] / den
-        (:func:`linalg.matrix_ints`), or None when G has a float entry."""
-        return linalg.matrix_ints(self.gram)
 
     @functools.cached_property
     def _g_inv_ints(self):

@@ -4,21 +4,22 @@ Every row reduction of scalar objects in ``hha`` apart from ``det`` and
 ``hermitian_pivots`` is :func:`echelon_add`: it adds one sparse row (a
 dict from column to scalar) to a reduced row echelon basis and touches
 only nonzeros.  Callers that hold forms pass ``form.terms`` as rows
-directly.  ``solve`` and ``rank`` read :func:`echelon` on the nonzeros of
-their dense input.  ``det`` is forward elimination with a pivot product;
-:func:`hermitian_pivots` is the one symmetric elimination of a Hermitian
-matrix, whose pivots give its definiteness here and the Pfaffian,
-determinant and positivity of a metric in ``hermitian``.  The small dense
-matrix helpers stay dense.
+directly.  ``solve``, ``inverse`` and ``rank`` read :func:`echelon` on
+the nonzeros of their dense input.  ``det`` is forward elimination with a
+pivot product; :func:`hermitian_pivots` is the one symmetric elimination
+of a Hermitian matrix, whose pivots give its definiteness here and the
+Pfaffian, determinant and positivity of a metric in ``hermitian``.  The
+small dense matrix helpers stay dense.
 
-Exact matrices over one field are eliminated on integers.  Their entries
-are numerators (a, b, c, e) over one denominator, standing for
+The exact Gram matrix of a metric is eliminated on integers.
+:func:`matrix_ints` writes a matrix exact over one field as numerators
+(a, b, c, e) over one denominator, standing for
 ((a + b sqrt(d)) + i (c + e sqrt(d))) / den (``scalars.complex_ints``).
 :func:`inverse_ints` is Gauss-Jordan on such rows with one denominator per
-row, and ``inverse`` and ``hermitian_pivots`` run on it, or on the same
-row operations, whenever :func:`matrix_ints` can write their input.  The scalar-object code stays only for a float entry, whose sums
-must keep their rounding, and for two radicands, which raise
-``FieldMismatchError``.
+row, and :func:`hermitian_pivots_ints` is the symmetric elimination by the
+same row operations.  ``hermitian.Metric`` calls them directly; the
+scalar-object ``inverse`` and ``hermitian_pivots`` stay for a float entry,
+whose sums must keep their rounding, and for every other caller.
 
 :func:`add_term` is the one cancellation rule of the package: every sparse
 sum (rows here, form coefficients in ``forms``, brackets in ``liealg``,
@@ -208,20 +209,7 @@ def matrix_ints(a):
 
 
 def inverse(a):
-    """A^-1: :func:`inverse_ints` when every entry is exact over one field,
-    else the reduced rows of [A | 1], columns n...2n-1 holding 1."""
-    lane = matrix_ints(a)
-    if lane is None:
-        return _inverse_objects(a)
-    d, den, rows = lane
-    den, rows = inverse_ints(d, den, rows)
-    return [[complex_from_ints(*row[j], den, d) if j in row else C_ZERO for j in range(len(a))]
-            for row in rows]
-
-
-def _inverse_objects(a):
-    """A^-1 from the reduced rows of [A | 1] over scalar objects: the route of
-    a float entry, or of two radicands, which raise ``FieldMismatchError``."""
+    """A^-1 from the reduced rows of [A | 1], columns n...2n-1 holding 1."""
     n = len(a)
     rows = echelon({**_nonzeros(row), n + i: C_ONE} for i, row in enumerate(a))
     if list(rows) != list(range(n)):
@@ -243,7 +231,7 @@ def inverse_ints(d: int, den: int, rows) -> tuple:
     at once, as the pivot rows vanish at each other's pivots, and divided by
     its pivot x through the conjugates of x, whose product with x is the norm
     of x, a nonzero integer.  The reduced form is unique, so this is the
-    value :func:`_inverse_objects` computes.
+    value :func:`inverse` computes.
     """
     n = len(rows)
     one = (den, 0, 0, 0)
@@ -358,18 +346,62 @@ def hermitian_pivots(g) -> list:
     Each pivot block is congruent to its pivots, so their signs are the
     inertia (Sylvester's law), and a symmetric permutation keeps the
     determinant, so their product is det g.  The input is not modified.
-
-    When every entry is exact over one field, the elimination runs on
-    numerators as :func:`inverse_ints` does, with the same steps and so the
-    same pivots; otherwise on the scalar objects.
     """
-    lane = matrix_ints(g)
-    if lane is None:
-        return _hermitian_pivots_objects(g)
-    d, den, rows = lane
+    n = len(g)
+    m = [[_c(g[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    pivots = []
+    while active:
+        piv = next((i for i in active if not m[i][i].is_zero()), None)
+        if piv is not None:
+            p = m[piv][piv]
+            if not p.is_real():
+                raise ValueError("matrix is not Hermitian")
+            pivots.append(p.re)
+            active.remove(piv)
+            inv = p.inverse()
+            prow = m[piv]
+            # entry (r, s) changes only where the pivot row and column meet it
+            support = [s for s in active if not prow[s].is_zero()]
+            for r in active:
+                mrp = m[r][piv]
+                if mrp.is_zero():
+                    continue
+                f, row = mrp * inv, m[r]
+                for s in support:
+                    row[s] = row[s] - f * prow[s]
+            continue
+        pair = next(((i, j) for i in active for j in active
+                     if i < j and not m[i][j].is_zero()), None)
+        if pair is None:
+            pivots.extend([ZERO] * len(active))
+            break
+        i, j = pair
+        x = m[i][j]
+        pivots.extend((ONE, -x.abs2()))
+        active.remove(i)
+        active.remove(j)
+        xinv = x.inverse()
+        xbinv = x.conjugate().inverse()
+        for r in active:
+            ri, rj = m[r][i], m[r][j]
+            if ri.is_zero() and rj.is_zero():
+                continue
+            fi, fj = ri * xbinv, rj * xinv
+            for s in active:
+                m[r][s] = m[r][s] - (fi * m[j][s] + fj * m[i][s])
+    return pivots
+
+
+def hermitian_pivots_ints(d: int, den: int, rows) -> list:
+    """:func:`hermitian_pivots` of the Hermitian matrix rows / den, given as
+    :func:`matrix_ints` writes it, on numerators as :func:`inverse_ints`
+    eliminates: the same steps, and so the same pivots.  ``rows`` is not
+    modified.
+    """
     # active row r: its nonzero entries in the active columns, over its denominator
-    rows = [(row, den) for row in rows]
-    active = list(range(len(g)))
+    rows = [(dict(row), den) for row in rows]
+    active = list(range(len(rows)))
     pivots = []
     while active:
         piv = next((i for i in active if i in rows[i][0]), None)
@@ -417,55 +449,6 @@ def _unit_row(row: dict, x: tuple, scale: int, d: int) -> tuple:
     if scale != 1:
         w = (w[0] * scale, w[1] * scale, w[2] * scale, w[3] * scale)
     return _primitive({j: mul_ints(y, w, d) for j, y in row.items()}, norm)
-
-
-def _hermitian_pivots_objects(g) -> list:
-    """:func:`hermitian_pivots` on scalar objects: the route of a float entry,
-    or of two radicands, which raise ``FieldMismatchError``."""
-    n = len(g)
-    m = [[_c(g[i][j]) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    pivots = []
-    while active:
-        piv = next((i for i in active if not m[i][i].is_zero()), None)
-        if piv is not None:
-            p = m[piv][piv]
-            if not p.is_real():
-                raise ValueError("matrix is not Hermitian")
-            pivots.append(p.re)
-            active.remove(piv)
-            inv = p.inverse()
-            prow = m[piv]
-            # entry (r, s) changes only where the pivot row and column meet it
-            support = [s for s in active if not prow[s].is_zero()]
-            for r in active:
-                mrp = m[r][piv]
-                if mrp.is_zero():
-                    continue
-                f, row = mrp * inv, m[r]
-                for s in support:
-                    row[s] = row[s] - f * prow[s]
-            continue
-        pair = next(((i, j) for i in active for j in active
-                     if i < j and not m[i][j].is_zero()), None)
-        if pair is None:
-            pivots.extend([ZERO] * len(active))
-            break
-        i, j = pair
-        x = m[i][j]
-        pivots.extend((ONE, -x.abs2()))
-        active.remove(i)
-        active.remove(j)
-        xinv = x.inverse()
-        xbinv = x.conjugate().inverse()
-        for r in active:
-            ri, rj = m[r][i], m[r][j]
-            if ri.is_zero() and rj.is_zero():
-                continue
-            fi, fj = ri * xbinv, rj * xinv
-            for s in active:
-                m[r][s] = m[r][s] - (fi * m[j][s] + fj * m[i][s])
-    return pivots
 
 
 def hermitian_definiteness(g) -> str:

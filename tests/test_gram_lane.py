@@ -110,23 +110,29 @@ def _items(form: Form):
 @given(gram_matrices())
 def test_the_integer_inverse_is_the_object_inverse(gram):
     N = len(gram)
-    expect = linalg._inverse_objects(gram)
-    assert linalg.inverse(gram) == expect
+    expect = linalg.inverse(gram)
     assert linalg.mat_mul(gram, expect) == linalg.identity(N)
     d, den, ints = Metric.from_hermitian_matrix(_geometry(N // 2), gram)._g_inv_ints
-    assert [[ComplexScalar(Scalar(Fraction(a, den), Fraction(b, den), d),
+    assert _matrix(d, den, ints) == expect
+    assert _matrix(d, *linalg.inverse_ints(*linalg.matrix_ints(gram))) == expect
+
+
+def _matrix(d, den, ints):
+    """The scalar matrix of rows of numerators over ``den``."""
+    return [[ComplexScalar(Scalar(Fraction(a, den), Fraction(b, den), d),
                            Scalar(Fraction(c, den), Fraction(e, den), d))
-             for a, b, c, e in (row.get(j, (0, 0, 0, 0)) for j in range(N))]
-            for row in ints] == expect
+             for a, b, c, e in (row.get(j, (0, 0, 0, 0)) for j in range(len(ints)))]
+            for row in ints]
 
 
 def test_a_singular_matrix_still_raises():
     c = lambda x: ComplexScalar(Scalar(x))   # noqa: E731
     with pytest.raises(linalg.SingularMatrixError):
-        linalg.inverse([[c(1), c(2)], [c(2), c(4)]])
+        linalg.inverse_ints(*linalg.matrix_ints([[c(1), c(2)], [c(2), c(4)]]))
     # a zero diagonal is not singular: the rows are taken in pivot order
     skew = [[c(0), c(1)], [c(-1), c(0)]]
-    assert linalg.inverse(skew) == [[c(0), c(-1)], [c(1), c(0)]]
+    assert (_matrix(0, *linalg.inverse_ints(*linalg.matrix_ints(skew)))
+            == [[c(0), c(-1)], [c(1), c(0)]])
 
 
 @st.composite
@@ -153,7 +159,10 @@ def hermitian_matrices(draw):
 @settings(max_examples=60, deadline=None, database=None)
 @given(hermitian_matrices())
 def test_the_integer_pivots_are_the_object_pivots(m):
-    assert linalg.hermitian_pivots(m) == linalg._hermitian_pivots_objects(m)
+    lane = linalg.matrix_ints(m)
+    rows = [dict(row) for row in lane[2]]
+    assert linalg.hermitian_pivots_ints(*lane) == linalg.hermitian_pivots(m)
+    assert lane[2] == rows   # the input rows are not modified
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -204,11 +213,13 @@ def test_contract_ints_is_form_contract(seed, degree, d):
 @pytest.fixture()
 def object_routes(monkeypatch):
     """Counts of the object routes taken: an object G^-1 (``Metric._g_inv``
-    or ``linalg._inverse_objects``) and a reader whose lane was refused."""
-    counts = {"g_inv": 0, "inverse_objects": 0, "refused": 0, "lane": 0}
+    or ``linalg.inverse``), object pivots (``linalg.hermitian_pivots``) and a
+    reader whose lane was refused."""
+    counts = {"g_inv": 0, "inverse_objects": 0, "pivots_objects": 0, "refused": 0, "lane": 0}
     g_inv = Metric._g_inv.func
     joined = hermitian._joined
-    inverse_objects = linalg._inverse_objects
+    inverse_objects = linalg.inverse
+    pivots_objects = linalg.hermitian_pivots
 
     def counted_g_inv(self):
         counts["g_inv"] += 1
@@ -226,9 +237,14 @@ def object_routes(monkeypatch):
         counts["inverse_objects"] += 1
         return inverse_objects(a)
 
+    def counted_pivots(g):
+        counts["pivots_objects"] += 1
+        return pivots_objects(g)
+
     monkeypatch.setattr(Metric, "_g_inv", counted_property)
     monkeypatch.setattr(hermitian, "_joined", counted_joined)
-    monkeypatch.setattr(linalg, "_inverse_objects", counted_inverse)
+    monkeypatch.setattr(linalg, "inverse", counted_inverse)
+    monkeypatch.setattr(linalg, "hermitian_pivots", counted_pivots)
     return counts
 
 
@@ -237,14 +253,15 @@ def test_exact_classification_takes_no_object_route(object_routes):
     for _, metric in loaded:
         classify_metric(metric)
     assert object_routes["lane"] > 0
-    assert object_routes == {"g_inv": 0, "inverse_objects": 0, "refused": 0,
-                             "lane": object_routes["lane"]}
+    assert object_routes == {"g_inv": 0, "inverse_objects": 0, "pivots_objects": 0,
+                             "refused": 0, "lane": object_routes["lane"]}
 
 
 def test_a_float_metric_takes_the_object_route(object_routes):
     g = _geometry(2)
     exact = Metric.diagonal(g, [Scalar(Fraction(3, 2)), Scalar(5)])
     m = Metric.diagonal(g, [floating(1.5), floating(5.0)])
+    assert object_routes["pivots_objects"] == 1
     assert m._gram_ints is None and m._g_inv_ints is None
     z = [g.zeta(r + 1) for r in range(m.N)]
     assert ([[m.inner_product(a, b) for b in z] for a in z]

@@ -118,6 +118,12 @@ def test_metric_construction_is_one_pivot_elimination(monkeypatch):
         calls.append(len(matrix))
         return pivots(matrix)
 
+    pivots_ints = linalg.hermitian_pivots_ints
+
+    def counting_ints(d, den, rows):
+        calls.append(len(rows))
+        return pivots_ints(d, den, rows)
+
     def refuse(*args, **kwargs):
         raise AssertionError("metric construction made a second elimination")
 
@@ -126,6 +132,7 @@ def test_metric_construction_is_one_pivot_elimination(monkeypatch):
     monkeypatch.setattr(pfaffian_oracle, "pfaffian", refuse)
     monkeypatch.setattr(SkewMatrix, "pfaffian", refuse)
     monkeypatch.setattr(linalg, "hermitian_pivots", counting)
+    monkeypatch.setattr(linalg, "hermitian_pivots_ints", counting_ints)
     m = Metric.from_hermitian_matrix(geom, gram)
     monkeypatch.undo()
     assert calls == [4]
