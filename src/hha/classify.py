@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .forms import Form, bidegree_project, mask, pure_bidegree
+from .forms import Form, bidegree_project, indices, mask, pure_bidegree
 from .hermitian import (
     ConsistencyError,
     Metric,
@@ -107,13 +107,13 @@ _CHAIN = ["hyperkaehler", "hkt", "q_balanced", "q_strongly_gauduchon", "q_gauduc
 
 
 def _residual(form: Form, frame, limit: int = 4) -> str:
-    if form.is_zero():
-        return ""
-    txt = frame.format(form)
-    parts = txt.split(" + ")
-    if len(parts) > limit:
-        txt = " + ".join(parts[:limit]) + f" + ... ({len(parts)} terms)"
-    return txt
+    """``frame.format(form)`` cut after its first ``limit`` terms, with the
+    count of all of them; only the printed terms are formatted."""
+    terms = form.terms
+    if len(terms) <= limit:
+        return frame.format(form) if terms else ""
+    shown = {key: terms[key] for key in sorted(terms, key=indices)[:limit]}
+    return f"{frame.format(Form(form.nsym, form.degree, shown))} + ... ({len(terms)} terms)"
 
 
 def solve_exactness(geom: Geometry, operator: str, target: Form,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import __version__
 from .classify import ClassificationReport, ObstructionReport
 from .forms import Form, indices, mask
-from .hermitian import Metric
+from .hermitian import Metric, MetricError
 from .hypercomplex import Geometry, HypercomplexStructure
 from .liealg import LieAlgebraData
 from .linalg import add_term
@@ -109,11 +109,20 @@ def _parse_scalar_at(text, location) -> Scalar:
         raise InputError(location, str(exc)) from None
 
 
-def _field_member_at(field: ScalarField, text, location) -> Scalar:
-    """Parse a scalar and check that it lies in the declared field."""
-    s = _parse_scalar_at(text, location)
-    _expect(field.contains(s), location,
-            f"coefficient {text!r} is outside the declared scalar field")
+def _field_member_at(field: ScalarField, text, location, parsed: dict) -> Scalar:
+    """Parse a scalar and check that it lies in the declared field.
+
+    ``parsed`` maps each scalar string already parsed and checked in this
+    document to its value, so a repeated text is parsed once.  It holds
+    successes only: a bad text fails at its first location.
+    """
+    s = parsed.get(text) if isinstance(text, str) else None
+    if s is None:
+        s = _parse_scalar_at(text, location)
+        _expect(field.contains(s), location,
+                f"coefficient {text!r} is outside the declared scalar field")
+        if isinstance(text, str):
+            parsed[text] = s
     return s
 
 
@@ -125,7 +134,12 @@ def _field_scalar_at(field: ScalarField, text, location) -> Scalar:
 
 
 def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
-    """Validate and parse an input document from JSON text."""
+    """Validate and parse an input document from JSON text.
+
+    Every scalar is checked at its own location, but each distinct scalar
+    string is parsed once per call: the parsed values are kept in a dict
+    local to the call (see :func:`_field_member_at`).
+    """
     try:
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -163,6 +177,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     except Exception as exc:
         raise InputError("$.scalar_field", str(exc)) from None
 
+    parsed: dict = {}   # scalar text -> its field-checked value
     eqs = raw.get("structure_equations")
     brackets = raw.get("brackets")
     _expect((eqs is None) != (brackets is None), "$",
@@ -191,7 +206,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         "indices must be integers")
                 _expect(1 <= i < j <= dim, tloc,
                         f"indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
-                out.append((i, j, _field_member_at(field, c, tloc)))
+                out.append((i, j, _field_member_at(field, c, tloc, parsed)))
             parsed_eqs[k] = out
     else:
         _expect(isinstance(brackets, list), "$.brackets", "must be a list")
@@ -214,7 +229,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 k, c = pair
                 _expect(_is_int(k) and 1 <= k <= dim, ploc,
                         "target index out of range")
-                comp_out.append((k, _field_member_at(field, c, ploc)))
+                comp_out.append((k, _field_member_at(field, c, ploc, parsed)))
             parsed_brackets.append((i, j, comp_out))
 
     hc = raw.get("hypercomplex", "standard")
@@ -243,7 +258,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 "$.metric.entries", f"needs {dim // 4} diagonal entries")
         values = []
         for t, e in enumerate(entries):
-            s = _field_member_at(field, e, f"$.metric.entries[{t}]")
+            s = _field_member_at(field, e, f"$.metric.entries[{t}]", parsed)
             _expect(s.sign() > 0, f"$.metric.entries[{t}]",
                     "diagonal entries must be positive")
             values.append(field.coerce(s))
@@ -261,8 +276,8 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                     and 1 <= i < j <= dim // 2, loc,
                     "indices must satisfy 1 <= i < j <= 2n")
             values[(i - 1, j - 1)] = ComplexScalar(
-                field.coerce(_field_member_at(field, term[2], loc)),
-                field.coerce(_field_member_at(field, term[3], loc)))
+                field.coerce(_field_member_at(field, term[2], loc, parsed)),
+                field.coerce(_field_member_at(field, term[3], loc, parsed)))
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
@@ -271,9 +286,14 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         and all(isinstance(e, list) and len(e) == 2 for e in row)
                         for row in entries),
                 "$.metric.entries", f"needs a {N}x{N} matrix of [re, im] pairs")
-        values = [[ComplexScalar(*(field.coerce(_field_member_at(
-                       field, x, f"$.metric.entries[{r}][{t}]")) for x in (re, im)))
-                   for t, (re, im) in enumerate(row)] for r, row in enumerate(entries)]
+        values = []
+        for r, row in enumerate(entries):
+            out = []
+            for t, (re, im) in enumerate(row):
+                loc = f"$.metric.entries[{r}][{t}]"
+                out.append(ComplexScalar(field.coerce(_field_member_at(field, re, loc, parsed)),
+                                         field.coerce(_field_member_at(field, im, loc, parsed))))
+            values.append(out)
 
     return InputDocument(
         name=name,
@@ -323,7 +343,13 @@ def build_metric(doc: InputDocument, geom: Geometry) -> Metric:
     if mtype == "omega":
         terms = {mask(ij): c for ij, c in doc.metric_values.items()}
         return Metric(geom, Form(doc.dimension, 2, terms))
-    return Metric.from_hermitian_matrix(geom, doc.metric_values)
+    try:
+        return Metric.from_hermitian_matrix(geom, doc.metric_values)
+    except MetricError as exc:
+        if exc.entry is None:
+            raise
+        r, t = exc.entry
+        raise InputError(f"$.metric.entries[{r}][{t}]", str(exc)) from None
 
 
 def load_document(doc: InputDocument):

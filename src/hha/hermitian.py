@@ -62,7 +62,7 @@ from .forms import (
     substitute_ints,
 )
 from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint, j_index
-from .linalg import add_ints
+from .linalg import add_ints, add_scaled
 from .scalars import (
     C_I,
     C_ONE,
@@ -72,6 +72,7 @@ from .scalars import (
     ZERO,
     complex_from_ints,
     complex_ints,
+    is_negation,
     mul_ints,
     neg_ints,
     rational,
@@ -80,7 +81,12 @@ from .scalars import (
 
 
 class MetricError(ValueError):
-    pass
+    """A metric that cannot be built; ``entry`` is the (row, column) of the
+    input Gram matrix that fails, when one does."""
+
+    def __init__(self, message: str, entry: tuple | None = None):
+        self.entry = entry
+        super().__init__(message)
 
 
 class QRealError(MetricError):
@@ -376,27 +382,45 @@ class Metric:
 
         Uses G[r][s] = Omega(Z_r, J conj(Z_s)), so the full skew matrix is
         A[r][t] = s(t) G[r][P(t)] with (P, s) = :func:`hypercomplex.j_index`.
-        Skew-symmetry of the result is exactly the hyperhermitian
-        compatibility of the input and is verified.
+        Skew-symmetry of A is exactly the hyperhermitian compatibility of the
+        input and is verified on G itself: entry (r, c) and its partner
+        (P(c), P(r)) must satisfy G[r][c] = s(r) s(c) G[P(c)][P(r)], and an
+        entry that is its own partner (c = P(r)) must vanish.  A negated
+        partner is compared by :func:`scalars.is_negation`, so the check
+        forms no negatives.  The rebuilt metric's ``gram`` must then equal
+        the input.  Either failure raises a :class:`MetricError` naming the
+        first failing entry of G in row-major order.
         """
         N = geometry.N
         g = [[ComplexScalar._coerce(x) for x in row] for row in gram]
         index = [j_index(t) for t in range(N)]
-        full = [[row[p] if s > 0 else -row[p] for p, s in index] for row in g]
-        for r in range(N):
-            if not full[r][r].is_zero():
-                raise MetricError("matrix is not hyperhermitian-compatible")
+        for r, row in enumerate(g):
+            pr, sr = index[r]
+            for c, (t, sc) in enumerate(index):
+                # entry (r, c) and its partner (t, P(r)) are checked once,
+                # from the earlier of their rows
+                if t == r:
+                    ok = row[c].is_zero()
+                elif t > r:
+                    x, y = row[c], g[t][pr]
+                    ok = x == y if sr == sc else is_negation(x, y)
+                else:
+                    continue
+                if not ok:
+                    raise MetricError("matrix is not hyperhermitian-compatible", (r, c))
+        terms = {}
+        for r, row in enumerate(g):
             for t in range(r + 1, N):
-                if full[r][t] != -full[t][r]:
-                    raise MetricError("matrix is not hyperhermitian-compatible")
-        terms = {
-            mask((r, t)): full[r][t]
-            for r in range(N) for t in range(r + 1, N)
-            if not full[r][t].is_zero()
-        }
+                pt, st = index[t]
+                x = row[pt]
+                if not x.is_zero():
+                    terms[mask((r, t))] = x if st > 0 else -x
         m = cls(geometry, Form(geometry.algebra.dim, 2, terms))
         if m.gram != g:
-            raise MetricError("matrix is not the Gram matrix of a hyperhermitian metric")
+            entry = next((r, c) for r, row in enumerate(g)
+                         for c, x in enumerate(row) if m.gram[r][c] != x)
+            raise MetricError("matrix is not the Gram matrix of a hyperhermitian metric",
+                              entry)
         return m
 
     def scaled(self, c) -> "Metric":
@@ -779,7 +803,8 @@ class Metric:
         Omega' = (omega_{J'} + i omega_{K'})/2, moved through the real coframe."""
         base = self.geometry.structure
         H = rotated.structure
-        omega_j, omega_k = (self.omega_for_L(_sphere_point(base, L)) for L in (H.J, H.K))
+        omega_j, omega_k = (self.omega_for_L(_sphere_point(base, H.columns[label]))
+                            for label in ("J", "K"))
         omega_old_frame = (omega_j + omega_k.scale(C_I)).scale(rational(1, 2))
         real = self.geometry.frame.to_real(omega_old_frame)
         return Metric(rotated, rotated.frame.to_complex(real))
@@ -798,19 +823,26 @@ def _joined(lane, values):
     return lane[0] or own[0], own[1], own[2]
 
 
-def _sphere_point(H: HypercomplexStructure, L) -> SpherePoint:
-    """The point (a, b, c) with L = a I + b J + c K, read as a = -tr(L I)/dim
-    and likewise for J and K."""
+def _sphere_point(H: HypercomplexStructure, L: list) -> SpherePoint:
+    """The point (a, b, c) with L = a I + b J + c K, for L given by its sparse
+    columns: a = -tr(L I)/dim, and likewise for J and K."""
     dim = H.dim
     coords = []
-    for M in (H.I, H.J, H.K):
+    for label in ("I", "J", "K"):
+        M = H.columns[label]
         tr = ZERO
         for i in range(dim):
-            for j in range(dim):
-                if not (L[i][j].is_zero() or M[j][i].is_zero()):
-                    tr = tr + L[i][j] * M[j][i]
+            # j increasing, as in the dense sum, so that float sums round alike
+            for j in sorted(M[i]):
+                x = L[j].get(i)
+                if x is not None:
+                    tr = tr + x * M[i][j]
         coords.append(tr * rational(-1, dim))
     p = SpherePoint(*coords)
-    if H.combo(p) != L:
-        raise MetricError("structure is not in the sphere of the base pair")
+    for j, col in enumerate(L):
+        image: dict = {}
+        for x, label in zip(coords, ("I", "J", "K")):
+            add_scaled(image, x, H.columns[label][j])
+        if image != col:
+            raise MetricError("structure is not in the sphere of the base pair")
     return p

@@ -113,16 +113,30 @@ class SpherePoint:
 
 
 class HypercomplexStructure:
-    """Anticommuting pair (I, J) of complex structures with K = IJ."""
+    """Anticommuting pair (I, J) of complex structures with K = IJ.
+
+    The state is ``columns``: for L in I, J and K, ``columns[L][j]`` is
+    L e_j as a sparse dict, read by every check on the structure and by the
+    frame.  Construction checks I^2 = J^2 = -1 and IJ = -JI on the columns.
+    The dense matrices ``I``, ``J`` and ``K`` are built from the columns on
+    first read (a structure built from dense matrices keeps the ``I`` and
+    ``J`` it was given).
+    """
 
     def __init__(self, I, J):
-        self.I = [[Scalar._coerce(x) for x in row] for row in I]
-        self.J = [[Scalar._coerce(x) for x in row] for row in J]
-        self.dim = len(self.I)
+        I = [[Scalar._coerce(x) for x in row] for row in I]
+        J = [[Scalar._coerce(x) for x in row] for row in J]
+        self._set_columns(_columns(I), _columns(J))
+        self.I, self.J = I, J
+
+    def _set_columns(self, cols_i: list, cols_j: list) -> None:
+        """Check the relations on the columns of I and J, and keep them with
+        those of K = IJ."""
+        self.dim = len(cols_i)
         if self.dim % 4 != 0:
             raise StructureError("dimension must be a multiple of 4")
-        cols_i, cols_j = _columns(self.I), _columns(self.J)
-        minus_id = [{k: -ONE} for k in range(self.dim)]
+        minus_one = -ONE
+        minus_id = [{k: minus_one} for k in range(self.dim)]
         if [_apply(cols_i, c) for c in cols_i] != minus_id:
             raise StructureError("I^2 != -Id")
         if [_apply(cols_j, c) for c in cols_j] != minus_id:
@@ -130,9 +144,15 @@ class HypercomplexStructure:
         cols_k = [_apply(cols_i, c) for c in cols_j]
         if [_apply(cols_j, c) for c in cols_i] != [{k: -x for k, x in c.items()} for c in cols_k]:
             raise StructureError("I and J do not anticommute")
-        self.K = [[c.get(r, ZERO) for c in cols_k] for r in range(self.dim)]
-        # I e_j, J e_j and K e_j as sparse dicts, read by every check on the structure
         self.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
+
+    def _dense(self, label: str) -> list:
+        cols = self.columns[label]
+        return [[c.get(r, ZERO) for c in cols] for r in range(self.dim)]
+
+    I = cached_property(lambda self: self._dense("I"))
+    J = cached_property(lambda self: self._dense("J"))
+    K = cached_property(lambda self: self._dense("K"))
 
     @cached_property
     def adapted_basis(self) -> list:
@@ -159,21 +179,16 @@ class HypercomplexStructure:
     def standard(cls, n: int) -> "HypercomplexStructure":
         """The block convention: per quadruple (e1, e2, e3, e4),
         I: e1->e2, e2->-e1, e3->e4, e4->-e3 and J: e1->e3, e2->-e4, e3->-e1, e4->e2.
+
+        The columns are written directly and checked as in ``__init__``.
         """
-        dim = 4 * n
-        I = [[ZERO] * dim for _ in range(dim)]
-        J = [[ZERO] * dim for _ in range(dim)]
-        for k in range(n):
-            b = 4 * k
-            I[b + 1][b] = ONE
-            I[b][b + 1] = -ONE
-            I[b + 3][b + 2] = ONE
-            I[b + 2][b + 3] = -ONE
-            J[b + 2][b] = ONE
-            J[b + 3][b + 1] = -ONE
-            J[b][b + 2] = -ONE
-            J[b + 1][b + 3] = ONE
-        return cls(I, J)
+        cols_i, cols_j = [], []
+        for b in range(0, 4 * n, 4):
+            cols_i += [{b + 1: ONE}, {b: -ONE}, {b + 3: ONE}, {b + 2: -ONE}]
+            cols_j += [{b + 2: ONE}, {b + 3: -ONE}, {b: -ONE}, {b + 1: ONE}]
+        H = cls.__new__(cls)
+        H._set_columns(cols_i, cols_j)
+        return H
 
     def combo(self, p: SpherePoint):
         """Matrix of aI + bJ + cK."""

@@ -13,7 +13,7 @@ The form is unique, so ``==`` compares four ints, and a rational hashes as
 real embedding ``sqrt(d) > 0``: when ``p`` and ``q`` differ in sign it
 compares the ints ``p*p`` and ``q*q*d``.  The rational parts of
 ``a + b*sqrt(d)`` are the read-only ``Fraction`` properties ``a == p/r`` and
-``b == q/r``, for formatting and tests; no arithmetic goes through
+``b == q/r``, for hashing and tests; no arithmetic or formatting goes through
 ``Fraction``.  A float backend (``d == -1``, the float in ``p``, ``q == 0``,
 ``r == 1``) exists purely as a cross-check; its comparisons go through a
 tolerance.
@@ -414,23 +414,37 @@ def floating(x: float) -> Scalar:
     return Scalar(x, d=FLOAT_KIND)
 
 
+def _ratio_str(n: int, r: int) -> str:
+    """``str(Fraction(n, r))`` for ``r > 0``, by one gcd."""
+    g = _gcd(n, r)
+    if g != r:
+        return f"{n // g}/{r // g}"
+    return str(n // g)
+
+
 def scalar_str(s: Scalar) -> str:
-    """Canonical string form: "3/4", "sqrt(2)", "1/2-3/4*sqrt(5)", "float:1.5"."""
-    if s.is_float:
-        return f"float:{s.p!r}"
-    if not s.q:
-        return str(s.a)
-    if s.q == s.r:
-        radical = f"sqrt({s.d})"
-    elif s.q == -s.r:
-        radical = f"-sqrt({s.d})"
+    """Canonical string form: "3/4", "sqrt(2)", "1/2-3/4*sqrt(5)", "float:1.5".
+
+    Printed from the ints: the rational part ``p/r`` and the coefficient
+    ``q/r`` of sqrt(d) are each put in lowest terms by one gcd.
+    """
+    p, q, r, d = s.p, s.q, s.r, s.d
+    if d == FLOAT_KIND:
+        return f"float:{p!r}"
+    if not q:
+        # canonical: gcd(p, r) == 1 already
+        return f"{p}/{r}" if r != 1 else str(p)
+    if q == r:
+        radical = f"sqrt({d})"
+    elif q == -r:
+        radical = f"-sqrt({d})"
     else:
-        radical = f"{s.b}*sqrt({s.d})"
-    if not s.p:
+        radical = f"{_ratio_str(q, r)}*sqrt({d})"
+    if not p:
         return radical
-    if radical.startswith("-"):
-        return f"{s.a}{radical}"
-    return f"{s.a}+{radical}"
+    if q < 0:
+        return f"{_ratio_str(p, r)}{radical}"
+    return f"{_ratio_str(p, r)}+{radical}"
 
 
 _TERM_RE = re.compile(
@@ -439,8 +453,22 @@ _TERM_RE = re.compile(
         | sqrt\((?P<d2>\d+)\)
         | (?P<rat>\d+(?:/\d+)?)
     )\s*""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
+
+
+def _parse_float(text: str) -> Scalar:
+    """A "float:x" scalar: ASCII digits only, and finite."""
+    body = text[len("float:"):]
+    try:
+        x = float(body)
+    except ValueError:
+        x = None
+    if x is None or not body.isascii():
+        raise ScalarError(f"cannot parse float scalar {text!r}")
+    if not math.isfinite(x):
+        raise ScalarError(f"float scalar {text!r} is not finite")
+    return floating(x)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -449,14 +477,12 @@ def parse_scalar(text: str) -> Scalar:
     The terms are summed as ints: the rational part and the sqrt(d) part as
     numerators over one common denominator, made canonical once at the end.
     As in a ``Scalar`` sum, a sqrt(d) term joins the sum only while the
-    sqrt part so far is zero or has the same radicand.
+    sqrt part so far is zero or has the same radicand.  Only ASCII digits
+    are read, and a "float:" scalar must be finite.
     """
     text = text.strip()
     if text.startswith("float:"):
-        try:
-            return floating(float(text[len("float:"):]))
-        except ValueError:
-            raise ScalarError(f"cannot parse float scalar {text!r}") from None
+        return _parse_float(text)
     if not text:
         raise ScalarError("empty scalar")
     pos = 0
@@ -610,6 +636,19 @@ def _complex(re: Scalar, im: Scalar) -> ComplexScalar:
 C_ZERO = ComplexScalar(ZERO)
 C_ONE = ComplexScalar(ONE)
 C_I = ComplexScalar(ZERO, ONE)
+
+
+def is_negation(x: ComplexScalar, y: ComplexScalar) -> bool:
+    """``x == -y``, decided without forming ``-y``: exact parts compare their
+    fields with the signs of p and q flipped, a float part through the
+    tolerance."""
+    return _negates(x.re, y.re) and _negates(x.im, y.im)
+
+
+def _negates(x: Scalar, y: Scalar) -> bool:
+    if x.d == FLOAT_KIND or y.d == FLOAT_KIND:
+        return abs(x.to_float() + y.to_float()) <= FLOAT_TOLERANCE
+    return x.p == -y.p and x.q == -y.q and x.r == y.r and x.d == y.d
 
 
 def complex_ints(values):

@@ -246,6 +246,12 @@ def test_missing_file_is_input_error(tmp_path):
     assert path in err
 
 
+def _identity_gram(r, s, entry):
+    gram = [[["1", "0"] if i == j else ["0", "0"] for j in range(6)] for i in range(6)]
+    gram[r][s] = entry
+    return gram
+
+
 @pytest.mark.parametrize("args, metric, location", [
     (["construct", "joyce", "--blocks", "a"], None, "--blocks"),
     (["construct", "bf", "FILE", "--rep", "spin", "--su2", "1,2"], None, "--su2"),
@@ -273,6 +279,30 @@ def test_missing_file_is_input_error(tmp_path):
     (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": 2.9}}, "$.scalar_field.d"),
     (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": "5"}}, "$.scalar_field.d"),
     (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": True}}, "$.scalar_field.d"),
+    # a Gram matrix that is not hyperhermitian-compatible names its first
+    # failing entry in row-major order: G[0][0] against G[1][1], G[0][2]
+    # against G[3][1] (also when G[3][1] is the entry edited), and G[0][1],
+    # which must vanish
+    (["classify", "FILE"], {"type": "gram", "entries": _identity_gram(0, 0, ["-100", "0"])},
+     "$.metric.entries[0][0]"),
+    (["classify", "FILE"], {"type": "gram", "entries": _identity_gram(0, 2, ["1", "0"])},
+     "$.metric.entries[0][2]"),
+    (["classify", "FILE"], {"type": "gram", "entries": _identity_gram(0, 1, ["0", "1"])},
+     "$.metric.entries[0][1]"),
+    (["classify", "FILE"], {"type": "gram", "entries": _identity_gram(3, 1, ["1", "0"])},
+     "$.metric.entries[0][2]"),
+    # digits are ASCII only, and a float scalar is finite
+    (["check", "FILE"], {"structure_equations": {"10": [[1, 6, "\u0661"]]}},
+     "$.structure_equations.10[0]"),
+    (["check", "FILE"], {"type": "diagonal", "entries": ["1", "\uff11", "1"]},
+     "$.metric.entries[1]"),
+    (["classify", "FILE"], {"scalar_field": {"kind": "float"},
+                            "metric": {"type": "gram",
+                                       "entries": _identity_gram(2, 2, ["float:nan", "0"])}},
+     "$.metric.entries[2][2]"),
+    (["classify", "FILE"], {"scalar_field": {"kind": "float"},
+                            "metric": {"type": "diagonal", "entries": ["1", "float:inf", "1"]}},
+     "$.metric.entries[1]"),
 ])
 def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
     if metric is not None:
@@ -294,12 +324,6 @@ def _unitary_terms(**edit):
     for index, value in edit.items():
         terms[int(index[1:])][2] = value
     return terms
-
-
-def _identity_gram(r, s, entry):
-    gram = [[["1", "0"] if i == j else ["0", "0"] for j in range(6)] for i in range(6)]
-    gram[r][s] = entry
-    return gram
 
 
 @pytest.mark.parametrize("data, location", [

@@ -5,9 +5,13 @@ Both must give the same scalar, or raise the same error with the same text,
 on every string: canonical ``scalar_str`` output, sums of random terms
 (mixed radicands, zero coefficients, zero denominators, sqrt(0), sqrt(1) and
 non-square-free radicands among them) and text from the grammar's alphabet.
+Only ASCII digits are read (``_TERM_RE`` is compiled with ``re.ASCII``, and
+the float branch refuses other text), and a float scalar must be finite.
 """
+import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from hha.scalars import (
@@ -27,10 +31,16 @@ def term_by_term(text: str) -> Scalar:
     """The parser before the int sum: one Fraction and one Scalar per term."""
     text = text.strip()
     if text.startswith("float:"):
+        body = text[len("float:"):]
         try:
-            return floating(float(text[len("float:"):]))
+            if not body.isascii():
+                raise ValueError
+            x = float(body)
         except ValueError:
             raise ScalarError(f"cannot parse float scalar {text!r}") from None
+        if not math.isfinite(x):
+            raise ScalarError(f"float scalar {text!r} is not finite")
+        return floating(x)
     if not text:
         raise ScalarError("empty scalar")
     pos = 0
@@ -115,5 +125,18 @@ def test_malformed_and_out_of_field_strings_fail_alike():
                  "sqrt(2)+sqrt(3)", "sqrt(2)-sqrt(2)+sqrt(3)", "0*sqrt(4)", "1+0*sqrt(0)",
                  "1/2*sqrt(1000000000000000003)", "float:x", "float:1.5", "-0", "+3/6",
                  # past the int conversion limit, even under a zero coefficient
-                 "0*sqrt(" + "9" * 5000 + ")"]:
+                 "0*sqrt(" + "9" * 5000 + ")",
+                 # digits are ASCII only, and a float is finite
+                 "\u0663/\u0664", "\uff11", "sqrt(\u0662)", "1/2+\u0663*sqrt(2)",
+                 "float:\u0661.5", "float:nan", "float:inf", "float:-inf", "float:1e400"]:
         assert_same(text)
+
+
+# int() and float() read every Unicode decimal digit, and float() reads nan
+# and inf; the scalar grammar reads neither
+@pytest.mark.parametrize("text", ["\u0663/\u0664", "\uff11", "sqrt(\u0662)", "1/2+\u0663*sqrt(2)",
+                                  "\u0661\u0662*sqrt(2)", "float:\u0661.5", "float:nan",
+                                  "float:-inf", "float:1e400"])
+def test_non_ascii_digits_and_non_finite_floats_are_refused(text):
+    with pytest.raises(ScalarError):
+        parse_scalar(text)
