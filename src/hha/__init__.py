@@ -67,7 +67,6 @@ from .constructions import (  # noqa: F401
     arroyo_nicolini,
     barberis_fino,
     direct_sum,
-    indecomposability_hint,
     joyce_build,
     joyce_su2_tori,
     joyce_su3_data,

@@ -97,15 +97,20 @@ def _check_pair_field(field: ScalarField, p: SpherePoint, q: SpherePoint) -> Non
 
 
 def _parse_indices(option: str, text: str) -> list:
+    """Comma-separated integers of ASCII digits."""
+    parts = [x.strip() for x in text.split(",")]
     try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise InputError(option, f"expected comma-separated integers, got {text!r}") from None
+        if all(x.isascii() and x.isdigit() for x in parts):
+            return [int(x) for x in parts]
+    except ValueError:      # more digits than int() converts
+        pass
+    raise InputError(option, f"expected comma-separated integers, got {text!r}")
 
 
 _WITNESS_TERM = re.compile(
     r"(?P<sign>[+-]?)\s*(?:\((?P<paren>[^()]*(?:\([^()]*\)[^()]*)*)\)\s*\*\s*)?"
-    r"(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?(?P<imag>i\s*\*\s*)?z(?P<idx>\d+)\s*"
+    r"(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?(?P<imag>i\s*\*\s*)?z(?P<idx>\d+)\s*",
+    re.ASCII,
 )
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .classify import classify_metric, einstein_factor
 from .forms import Form, indices, mask
 from .hermitian import ConsistencyError, Metric
 from .hypercomplex import Geometry, HypercomplexStructure
 from .liealg import LieAlgebraData
+from .linalg import _apply, _columns, add_scaled
 from .scalars import (
     C_ONE,
     ONE,
@@ -59,18 +59,19 @@ def embed_complex_form(form: Form, n_src: int, n_dst: int, hol_offset: int) -> F
     return Form(2 * n_dst, form.degree, terms)
 
 
+def _block_sum(maps) -> list:
+    """Sparse columns of the block diagonal sum of linear maps given by theirs."""
+    out, off = [], 0
+    for cols in maps:
+        out += [{off + r: x for r, x in col.items()} for col in cols]
+        off += len(cols)
+    return out
+
+
 def _block_structure(structs) -> HypercomplexStructure:
-    dim = sum(H.dim for H in structs)
-    I = [[ZERO] * dim for _ in range(dim)]
-    J = [[ZERO] * dim for _ in range(dim)]
-    off = 0
-    for H in structs:
-        for i in range(H.dim):
-            for j in range(H.dim):
-                I[off + i][off + j] = H.I[i][j]
-                J[off + i][off + j] = H.J[i][j]
-        off += H.dim
-    return HypercomplexStructure(I, J)
+    return HypercomplexStructure.from_columns(
+        _block_sum(H.columns["I"] for H in structs),
+        _block_sum(H.columns["J"] for H in structs))
 
 
 def _merge_fields(*fields):
@@ -202,145 +203,87 @@ def arroyo_nicolini(geom_a: Geometry, metric_a: Metric, e1_index: int,
 # -- quaternionic representations ----------------------------------------------
 
 
-def indecomposability_hint(geom: Geometry, metric: Metric):
-    """Advisory search for an orthogonal splitting into structure-invariant ideals.
-
-    Tries partitions of the quaternionic frame blocks: a split is reported
-    when brackets never mix the two sides and the Gram matrix is block
-    diagonal across them.  Returns the splitting as a pair of block index
-    tuples, or None when no split exists at this granularity.
-    """
-    n = geom.n
-    if n < 2:
-        return None
-    alg = geom.algebra
-    gram = metric.gram
-
-    def real_slots(blocks):
-        return [4 * b + t for b in blocks for t in range(4)]
-
-    def frame_slots(blocks):
-        return [2 * b + t for b in blocks for t in range(2)]
-
-    for subset in range(1, 1 << n):
-        left = sorted(b for b in range(n) if subset & (1 << b))
-        right = sorted(b for b in range(n) if not subset & (1 << b))
-        if 0 not in left or not right:
-            continue
-        ls, rs = real_slots(left), real_slots(right)
-        if any(alg.bracket_basis(i, j) for i in ls for j in rs):
-            continue
-        if any(k in rs for i in ls for j in ls for k in alg.bracket_basis(i, j)):
-            continue
-        if any(k in ls for i in rs for j in rs for k in alg.bracket_basis(i, j)):
-            continue
-        lf, rf = frame_slots(left), frame_slots(right)
-        if any(not gram[r][s].is_zero() for r in lf for s in rf):
-            continue
-        return tuple(left), tuple(right)
-    return None
+# right multiplication by i, j, k on H = R^4 with basis (1, i, j, k), as
+# sparse columns; the left multiplications are the standard I, J and K
+_RIGHT_MULT = (
+    [{1: ONE}, {0: -ONE}, {3: -ONE}, {2: ONE}],    # q -> q i: 1->i, i->-1, j->-k, k->j
+    [{2: ONE}, {3: ONE}, {0: -ONE}, {1: -ONE}],    # q -> q j: 1->j, i->k, j->-1, k->-i
+    [{3: ONE}, {2: -ONE}, {1: ONE}, {0: -ONE}],    # q -> q k: 1->k, i->-j, j->i, k->-1
+)
 
 
-def _right_mult_matrices():
-    """Right multiplication by i, j, k on H = R^4 with basis (1, i, j, k)."""
-    Ri = [[ZERO] * 4 for _ in range(4)]
-    Rj = [[ZERO] * 4 for _ in range(4)]
-    Rk = [[ZERO] * 4 for _ in range(4)]
-    one = ONE
-
-    def put(mat, img, col, sgn):
-        mat[img][col] = sgn * one
-
-    # q -> q i:  1->i, i->-1, j->-k, k->j
-    put(Ri, 1, 0, ONE), put(Ri, 0, 1, -ONE), put(Ri, 3, 2, -ONE), put(Ri, 2, 3, ONE)
-    # q -> q j:  1->j, i->k, j->-1, k->-i
-    put(Rj, 2, 0, ONE), put(Rj, 3, 1, ONE), put(Rj, 0, 2, -ONE), put(Rj, 1, 3, -ONE)
-    # q -> q k:  1->k, i->-j, j->i, k->-1
-    put(Rk, 3, 0, ONE), put(Rk, 2, 1, -ONE), put(Rk, 1, 2, ONE), put(Rk, 0, 3, -ONE)
-    return Ri, Rj, Rk
-
-
-def left_mult_matrices():
-    """Left multiplication by i, j, k; these are the standard I, J, K blocks."""
-    H = HypercomplexStructure.standard(1)
-    return H.I, H.J, H.K
-
-
-def _block_diag(mat4, k):
-    out = [[ZERO] * (4 * k) for _ in range(4 * k)]
-    for b in range(k):
-        for i in range(4):
-            for j in range(4):
-                out[4 * b + i][4 * b + j] = mat4[i][j]
+def _commutator(a: list, b: list) -> list:
+    """Sparse columns of ab - ba, for a and b given by theirs."""
+    out = []
+    for x, y in zip(a, b):
+        col = _apply(a, y)
+        add_scaled(col, -ONE, _apply(b, x))
+        out.append(col)
     return out
 
 
 class QuaternionicRep:
     """Linear map of the algebra into quaternion-linear endomorphisms of H^k.
 
-    Images are 4k x 4k real matrices that must commute with the left
-    multiplications carrying the hypercomplex structure of the fiber;
-    equivalently they lie in the algebra generated by right multiplications.
+    Each image is kept as the sparse columns of a 4k x 4k real matrix;
+    ``__init__`` takes the dense matrices and :meth:`from_columns` their
+    columns (``linalg._columns``).  Every image must commute with the left
+    multiplications carrying the hypercomplex structure of the fiber, the
+    standard I, J and K; equivalently it lies in the algebra generated by
+    right multiplications.
     """
 
     def __init__(self, algebra: LieAlgebraData, k: int, images: dict):
+        if any(len(mat) != 4 * k for mat in images.values()):
+            raise ConstructionError("representation matrix has wrong size")
+        self._set_images(algebra, k, {idx: _columns(mat) for idx, mat in images.items()})
+
+    @classmethod
+    def from_columns(cls, algebra: LieAlgebraData, k: int, images: dict) -> "QuaternionicRep":
+        """The representation whose images have the sparse columns given."""
+        rep = cls.__new__(cls)
+        rep._set_images(algebra, k, images)
+        return rep
+
+    def _set_images(self, algebra: LieAlgebraData, k: int, images: dict) -> None:
         self.algebra = algebra
         self.k = k
-        self.images = {}
-        dim4k = 4 * k
-        structure_mults = [_block_diag(m, k) for m in left_mult_matrices()]
-        for idx, mat in images.items():
-            mat = [[Scalar._coerce(x) for x in row] for row in mat]
-            if len(mat) != dim4k:
-                raise ConstructionError("representation matrix has wrong size")
-            for L in structure_mults:
-                if _commutator(mat, L) is not None:
-                    raise ConstructionError(
-                        f"image of e{idx + 1} does not commute with the "
-                        "quaternionic structure of the fiber"
-                    )
-            self.images[idx] = mat
+        left = HypercomplexStructure.standard(k).columns.values()
+        for idx, cols in images.items():
+            if any(any(_commutator(cols, L)) for L in left):
+                raise ConstructionError(
+                    f"image of e{idx + 1} does not commute with the "
+                    "quaternionic structure of the fiber"
+                )
+        self.images = images
         self._check_homomorphism()
 
     def _check_homomorphism(self):
         alg = self.algebra
-        zero = [[ZERO] * (4 * self.k) for _ in range(4 * self.k)]
+        zero = [{}] * (4 * self.k)
         for i in range(alg.dim):
             mi = self.images.get(i, zero)
             for j in range(i + 1, alg.dim):
-                mj = self.images.get(j, zero)
-                comm = linalg.mat_sub(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
-                target = [[ZERO] * (4 * self.k) for _ in range(4 * self.k)]
+                comm = _commutator(mi, self.images.get(j, zero))
                 for t, c in alg.bracket_basis(i, j).items():
                     mt = self.images.get(t)
-                    if mt is None:
-                        continue
-                    for r in range(4 * self.k):
-                        for s in range(4 * self.k):
-                            target[r][s] = target[r][s] + c * mt[r][s]
-                if comm != target:
+                    if mt is not None:
+                        for col, image in zip(comm, mt):
+                            add_scaled(col, -c, image)
+                if any(comm):
                     raise ConstructionError(
                         f"representation fails the bracket on (e{i + 1}, e{j + 1})"
                     )
 
     def is_skew(self) -> bool:
         """True when every image is skew-symmetric (compact-type values)."""
-        return all(
-            all(mat[i][j] == -mat[j][i] for i in range(4 * self.k)
-                for j in range(4 * self.k))
-            for mat in self.images.values()
-        )
+        return all(x == -cols[r].get(c, ZERO)
+                   for cols in self.images.values()
+                   for c, col in enumerate(cols) for r, x in col.items())
 
     @classmethod
     def zero(cls, algebra: LieAlgebraData, k: int) -> "QuaternionicRep":
         return cls(algebra, k, {})
-
-
-def _commutator(a, b):
-    c = linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
-    if any(not x.is_zero() for row in c for x in row):
-        return c
-    return None
 
 
 @dataclass
@@ -367,9 +310,8 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
     d0, k = base.dim, rho.k
     dim = d0 + 4 * k
     brackets = _block_brackets(base)
-    for idx, mat in rho.images.items():
-        for a in range(4 * k):
-            col = {b: mat[b][a] for b in range(4 * k) if not mat[b][a].is_zero()}
+    for idx, cols in rho.images.items():
+        for a, col in enumerate(cols):
             if col:
                 brackets[(idx, d0 + a)] = {d0 + b: c for b, c in col.items()}
     algebra = LieAlgebraData(dim, brackets, field=base.field)
@@ -423,13 +365,9 @@ def sp1_spin_rep(algebra: LieAlgebraData, su2_indices=(1, 2, 3),
     if s is None:
         raise ConstructionError("indices do not carry an su(2) block")
     c = scale if scale is not None else -(s / 2)
-    Ri, Rj, Rk = _right_mult_matrices()
-    images = {
-        i1: [[c * x for x in row] for row in Ri],
-        i2: [[c * x for x in row] for row in Rj],
-        i3: [[c * x for x in row] for row in Rk],
-    }
-    return QuaternionicRep(algebra, 1, images)
+    images = {idx: [{r: c * x for r, x in col.items()} for col in R]
+              for idx, R in zip(su2_indices, _RIGHT_MULT)}
+    return QuaternionicRep.from_columns(algebra, 1, images)
 
 
 # -- block builder for compact-type algebras ------------------------------------
@@ -488,7 +426,7 @@ def joyce_build(data: JoyceData) -> JoyceResult:
     brackets: dict = {}
     mus = []
     default_weights = all(b.mu is None for b in data.blocks)
-    H_std = HypercomplexStructure.standard(1)
+    left = HypercomplexStructure.standard(1).columns
     for j, blk in enumerate(data.blocks):
         base = data.block_base(j)
         mu = blk.mu if blk.mu is not None else exact_inv_sqrt(2 * (1 + blk.d))
@@ -500,14 +438,9 @@ def joyce_build(data: JoyceData) -> JoyceResult:
         brackets[(e3, e4)] = {e2: two_mu}
         for q in range(blk.d):
             fb = base + 4 + 4 * q
-            for gen, mat in ((e2, H_std.I), (e3, H_std.J), (e4, H_std.K)):
-                for col in range(4):
-                    comps = {
-                        fb + row: mu * mat[row][col]
-                        for row in range(4)
-                        if not mat[row][col].is_zero()
-                    }
-                    brackets[(gen, fb + col)] = comps
+            for gen, label in ((e2, "I"), (e3, "J"), (e4, "K")):
+                for col, image in enumerate(left[label]):
+                    brackets[(gen, fb + col)] = {fb + r: mu * x for r, x in image.items()}
     for (i, j), comps in data.extra_brackets.items():
         _validate_extra_pair(data, i, j)
         key = (i, j) if i < j else (j, i)

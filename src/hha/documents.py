@@ -23,6 +23,7 @@ from .scalars import (
     Scalar,
     ScalarError,
     ScalarField,
+    ZERO,
     parse_scalar,
     scalar_str,
 )
@@ -53,15 +54,15 @@ def default_field_from_env(value: str | None) -> dict | None:
     """Interpret HHA_DEFAULT_FIELD: "rational", "quadratic:D" or "float"."""
     if not value:
         return None
-    parts = value.split(":")
     if value == "rational":
         return {"kind": "rational"}
     if value == "float":
         return {"kind": "float", "tolerance": FLOAT_TOLERANCE}
+    kind, _, d = value.partition(":")
     try:
-        if parts[0] == "quadratic" and len(parts) == 2:
-            return {"kind": "quadratic", "d": int(parts[1])}
-    except ValueError:
+        if kind == "quadratic" and d.isascii() and d.isdigit():
+            return {"kind": "quadratic", "d": int(d)}
+    except ValueError:      # more digits than int() converts
         pass
     raise InputError("$HHA_DEFAULT_FIELD", f"cannot interpret {value!r}")
 
@@ -345,11 +346,9 @@ def build_metric(doc: InputDocument, geom: Geometry) -> Metric:
         return Metric(geom, Form(doc.dimension, 2, terms))
     try:
         return Metric.from_hermitian_matrix(geom, doc.metric_values)
-    except MetricError as exc:
-        if exc.entry is None:
-            raise
-        r, t = exc.entry
-        raise InputError(f"$.metric.entries[{r}][{t}]", str(exc)) from None
+    except MetricError as exc:   # an entry, or the matrix as a whole (not positive)
+        where = "" if exc.entry is None else "[{}][{}]".format(*exc.entry)
+        raise InputError(f"$.metric.entries{where}", str(exc)) from None
 
 
 def load_document(doc: InputDocument):
@@ -364,14 +363,13 @@ def geometry_to_input(name: str, geom: Geometry, metric: Metric) -> dict:
     eqs = {}
     for k, terms in alg.structure_equations().items():
         eqs[str(k + 1)] = [[i + 1, j + 1, scalar_str(c)] for (i, j, c) in terms]
-    std = HypercomplexStructure.standard(alg.dim // 4)
-    if geom.structure.I == std.I and geom.structure.J == std.J:
+    cols = geom.structure.columns
+    std = HypercomplexStructure.standard(alg.dim // 4).columns
+    if cols["I"] == std["I"] and cols["J"] == std["J"]:
         hc = "standard"
-    else:
-        hc = {
-            "I": [[scalar_str(x) for x in row] for row in geom.structure.I],
-            "J": [[scalar_str(x) for x in row] for row in geom.structure.J],
-        }
+    else:   # the exchange format's dense rows
+        hc = {label: [[scalar_str(c.get(r, ZERO)) for c in cols[label]] for r in range(alg.dim)]
+              for label in ("I", "J")}
     terms = [
         [i + 1, j + 1, scalar_str(c.re), scalar_str(c.im)]
         for (i, j), c in sorted((indices(key), c) for key, c in metric.omega.terms.items())

@@ -72,6 +72,7 @@ from .scalars import (
     ZERO,
     complex_from_ints,
     complex_ints,
+    is_conjugate,
     is_negation,
     mul_ints,
     neg_ints,
@@ -387,9 +388,11 @@ class Metric:
         (P(c), P(r)) must satisfy G[r][c] = s(r) s(c) G[P(c)][P(r)], and an
         entry that is its own partner (c = P(r)) must vanish.  A negated
         partner is compared by :func:`scalars.is_negation`, so the check
-        forms no negatives.  The rebuilt metric's ``gram`` must then equal
-        the input.  Either failure raises a :class:`MetricError` naming the
-        first failing entry of G in row-major order.
+        forms no negatives.  G must then be Hermitian, G[r][c] =
+        conj G[c][r] by :func:`scalars.is_conjugate`, which is q-reality of
+        the rebuilt form, and the rebuilt metric's ``gram`` must equal the
+        input.  Each of these failures raises a :class:`MetricError` naming
+        the first failing entry of G in row-major order.
         """
         N = geometry.N
         g = [[ComplexScalar._coerce(x) for x in row] for row in gram]
@@ -408,6 +411,10 @@ class Metric:
                     continue
                 if not ok:
                     raise MetricError("matrix is not hyperhermitian-compatible", (r, c))
+        for r, row in enumerate(g):
+            for c in range(r, N):
+                if not is_conjugate(row[c], g[c][r]):
+                    raise MetricError("matrix is not Hermitian", (r, c))
         terms = {}
         for r, row in enumerate(g):
             for t in range(r + 1, N):

@@ -1,8 +1,8 @@
 """Hypercomplex structures, adapted complex frames, and split differentials.
 
 A structure is a pair of anticommuting complex-structure endomorphisms
-``(I, J)`` with ``K = IJ``.  Matrices act on column vectors of the algebra's
-real basis; the action on a k-form is pullback,
+``(I, J)`` with ``K = IJ``, each held as its sparse columns over the
+algebra's real basis; the action on a k-form is pullback,
 ``(L eta)(X_1, ..., X_k) = eta(L X_1, ..., L X_k)``.
 
 Each structure has a deterministic adapted basis
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from . import linalg
 from .forms import (
     DerivationTable,
     Form,
@@ -47,7 +46,7 @@ from .forms import (
     substitute_ints,
 )
 from .liealg import LieAlgebraData, wire_vector
-from .linalg import add_scaled, add_term, echelon, echelon_add
+from .linalg import _apply, _columns, add_scaled, add_term, echelon, echelon_add
 from .scalars import (
     C_ONE,
     ComplexScalar,
@@ -73,20 +72,6 @@ class IntegrabilityError(StructureError):
             f"structure {label} is not integrable on (e{i + 1}, e{j + 1}): "
             f"Nijenhuis value {wire_vector(value)}"
         )
-
-
-def _columns(mat) -> list:
-    """Sparse columns of a square matrix: ``_columns(L)[j]`` is L e_j as a dict."""
-    return [{r: row[j] for r, row in enumerate(mat) if not row[j].is_zero()}
-            for j in range(len(mat))]
-
-
-def _apply(cols: list, vec: dict) -> dict:
-    """L v for L given by its sparse columns."""
-    out: dict = {}
-    for j, c in vec.items():
-        add_scaled(out, c, cols[j])
-    return out
 
 
 class SpherePoint:
@@ -116,18 +101,22 @@ class HypercomplexStructure:
     """Anticommuting pair (I, J) of complex structures with K = IJ.
 
     The state is ``columns``: for L in I, J and K, ``columns[L][j]`` is
-    L e_j as a sparse dict, read by every check on the structure and by the
-    frame.  Construction checks I^2 = J^2 = -1 and IJ = -JI on the columns.
-    The dense matrices ``I``, ``J`` and ``K`` are built from the columns on
-    first read (a structure built from dense matrices keeps the ``I`` and
-    ``J`` it was given).
+    L e_j as a sparse dict (``linalg._columns``), read by every check on the
+    structure, by the frame and by the constructions.  ``__init__`` takes
+    the dense matrices I and J of the exchange format, and
+    :meth:`from_columns` their columns; both check I^2 = J^2 = -1 and
+    IJ = -JI on the columns.
     """
 
     def __init__(self, I, J):
-        I = [[Scalar._coerce(x) for x in row] for row in I]
-        J = [[Scalar._coerce(x) for x in row] for row in J]
         self._set_columns(_columns(I), _columns(J))
-        self.I, self.J = I, J
+
+    @classmethod
+    def from_columns(cls, cols_i: list, cols_j: list) -> "HypercomplexStructure":
+        """The structure whose I and J have the sparse columns given."""
+        H = cls.__new__(cls)
+        H._set_columns(cols_i, cols_j)
+        return H
 
     def _set_columns(self, cols_i: list, cols_j: list) -> None:
         """Check the relations on the columns of I and J, and keep them with
@@ -145,14 +134,6 @@ class HypercomplexStructure:
         if [_apply(cols_j, c) for c in cols_i] != [{k: -x for k, x in c.items()} for c in cols_k]:
             raise StructureError("I and J do not anticommute")
         self.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
-
-    def _dense(self, label: str) -> list:
-        cols = self.columns[label]
-        return [[c.get(r, ZERO) for c in cols] for r in range(self.dim)]
-
-    I = cached_property(lambda self: self._dense("I"))
-    J = cached_property(lambda self: self._dense("J"))
-    K = cached_property(lambda self: self._dense("K"))
 
     @cached_property
     def adapted_basis(self) -> list:
@@ -178,31 +159,28 @@ class HypercomplexStructure:
     @classmethod
     def standard(cls, n: int) -> "HypercomplexStructure":
         """The block convention: per quadruple (e1, e2, e3, e4),
-        I: e1->e2, e2->-e1, e3->e4, e4->-e3 and J: e1->e3, e2->-e4, e3->-e1, e4->e2.
-
-        The columns are written directly and checked as in ``__init__``.
-        """
+        I: e1->e2, e2->-e1, e3->e4, e4->-e3 and J: e1->e3, e2->-e4, e3->-e1, e4->e2."""
         cols_i, cols_j = [], []
         for b in range(0, 4 * n, 4):
             cols_i += [{b + 1: ONE}, {b: -ONE}, {b + 3: ONE}, {b + 2: -ONE}]
             cols_j += [{b + 2: ONE}, {b + 3: -ONE}, {b: -ONE}, {b + 1: ONE}]
-        H = cls.__new__(cls)
-        H._set_columns(cols_i, cols_j)
-        return H
+        return cls.from_columns(cols_i, cols_j)
 
-    def combo(self, p: SpherePoint):
-        """Matrix of aI + bJ + cK."""
-        return linalg.mat_add(
-            linalg.mat_scale(p.a, self.I),
-            linalg.mat_scale(p.b, self.J),
-            linalg.mat_scale(p.c, self.K),
-        )
+    def combo(self, p: SpherePoint) -> list:
+        """Sparse columns of aI + bJ + cK, each sorted by row."""
+        out = []
+        for j in range(self.dim):
+            col: dict = {}
+            for label, s in (("I", p.a), ("J", p.b), ("K", p.c)):
+                add_scaled(col, s, self.columns[label][j])
+            out.append(dict(sorted(col.items())))
+        return out
 
     def rotate_pair(self, p: SpherePoint, q: SpherePoint) -> "HypercomplexStructure":
         """New anticommuting pair (p.(I,J,K), q.(I,J,K)); p and q must be orthogonal."""
         if not p.dot(q).is_zero():
             raise StructureError("sphere points must be orthogonal")
-        return HypercomplexStructure(self.combo(p), self.combo(q))
+        return HypercomplexStructure.from_columns(self.combo(p), self.combo(q))
 
 
 def _nijenhuis(d: LieAlgebraData, cols: list, x: dict, Lx: dict, y: dict, Ly: dict) -> dict:

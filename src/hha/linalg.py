@@ -8,8 +8,12 @@ directly.  ``solve``, ``inverse`` and ``rank`` read :func:`echelon` on
 the nonzeros of their dense input.  ``det`` is forward elimination with a
 pivot product; :func:`hermitian_pivots` is the one symmetric elimination
 of a Hermitian matrix, whose pivots give its definiteness here and the
-Pfaffian, determinant and positivity of a metric in ``hermitian``.  The
-small dense matrix helpers stay dense.
+Pfaffian, determinant and positivity of a metric in ``hermitian``.
+
+A real linear map (a structure I, J, K, a sphere point aI + bJ + cK, the
+image of a quaternionic representation) is held as its sparse columns only:
+:func:`_columns` reads them off a dense matrix, the input format, and
+:func:`_apply` applies them to a sparse vector.
 
 The exact Gram matrix of a metric is eliminated on integers.
 :func:`matrix_ints` writes a matrix exact over one field as numerators
@@ -36,6 +40,7 @@ from .scalars import (
     ONE,
     ZERO,
     ComplexScalar,
+    Scalar,
     complex_from_ints,
     complex_ints,
     mul_ints,
@@ -51,54 +56,20 @@ def _c(x) -> ComplexScalar:
     return ComplexScalar._coerce(x)
 
 
-def identity(n: int):
-    return [[C_ONE if i == j else C_ZERO for j in range(n)] for i in range(n)]
+def _columns(mat) -> list:
+    """Sparse columns of a real square matrix: ``_columns(L)[j]`` is L e_j as a
+    dict of ``Scalar`` entries, sorted by row, with no exact (or, for a float,
+    tolerated) zero."""
+    return [{r: x for r, row in enumerate(mat) if not (x := Scalar._coerce(row[j])).is_zero()}
+            for j in range(len(mat))]
 
 
-def _zero_like(m):
-    """The zero of m's entry type, so that Scalar matrices stay Scalar."""
-    for row in m:
-        for x in row:
-            return type(x)._coerce(0)
-    return C_ZERO
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    zero = _zero_like(a)
-    out = [[zero] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(cols):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + aik * b[k][j]
+def _apply(cols: list, vec: dict) -> dict:
+    """L v for L given by its sparse columns."""
+    out: dict = {}
+    for j, c in vec.items():
+        add_scaled(out, c, cols[j])
     return out
-
-
-def mat_add(*mats):
-    zero = _zero_like(mats[0])
-    out = [[zero] * len(row) for row in mats[0]]
-    for m in mats:
-        for i, row in enumerate(m):
-            for j, x in enumerate(row):
-                if not x.is_zero():
-                    out[i][j] = out[i][j] + x
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, m):
-    return [[c * x for x in row] for row in m]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def add_term(acc: dict, key, c) -> None:

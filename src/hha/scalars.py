@@ -645,6 +645,11 @@ def is_negation(x: ComplexScalar, y: ComplexScalar) -> bool:
     return _negates(x.re, y.re) and _negates(x.im, y.im)
 
 
+def is_conjugate(x: ComplexScalar, y: ComplexScalar) -> bool:
+    """``x == y.conjugate()``, decided as :func:`is_negation` is."""
+    return x.re == y.re and _negates(x.im, y.im)
+
+
 def _negates(x: Scalar, y: Scalar) -> bool:
     if x.d == FLOAT_KIND or y.d == FLOAT_KIND:
         return abs(x.to_float() + y.to_float()) <= FLOAT_TOLERANCE

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import nil_qgau
+from dense_matrices import dense
 from test_gram_lane import _geometry, gram_matrices
 
 from hha import documents
@@ -31,6 +32,7 @@ from hha.scalars import (
     Scalar,
     ZERO,
     floating,
+    is_conjugate,
     is_negation,
     scalar_str,
 )
@@ -154,9 +156,9 @@ def test_standard_columns_and_lazy_matrices_match_the_dense_construction(n):
     I, J = dense_standard(n)
     K = dense_product(I, J)
     H = HypercomplexStructure.standard(n)
-    assert not {"I", "J", "K"} & set(vars(H))   # no dense matrix until one is read
+    assert not {"I", "J", "K"} & set(dir(H))   # the columns are the only form
     assert H.columns == {"I": dense_columns(I), "J": dense_columns(J), "K": dense_columns(K)}
-    assert (H.I, H.J, H.K) == (I, J, K)
+    assert tuple(map(dense, H.columns.values())) == (I, J, K)
     assert HypercomplexStructure(I, J).columns == H.columns
 
 
@@ -274,6 +276,13 @@ def first_incompatible_entry(G):
     return min(failing, default=None)
 
 
+def first_non_hermitian_entry(G):
+    """The first entry G[r][c] of G in row-major order with G[r][c] != conj
+    G[c][r], formed with a conjugate per entry, or None."""
+    return next(((r, c) for r, row in enumerate(G) for c, x in enumerate(row)
+                 if x != G[c][r].conjugate()), None)
+
+
 @st.composite
 def perturbed_grams(draw):
     """A positive compatible Gram matrix, and a copy with at most one entry
@@ -294,15 +303,17 @@ def perturbed_grams(draw):
 @given(perturbed_grams())
 def test_the_gram_checks_name_the_entry_the_full_skew_matrix_fails_on(grams):
     G, changed = grams
-    want = first_incompatible_entry(changed)
+    want = first_incompatible_entry(changed) or first_non_hermitian_entry(changed)
     try:
         m = Metric.from_hermitian_matrix(_geometry(len(G) // 2), changed)
     except MetricError as exc:
-        # an entry is named exactly for compatibility; a compatible matrix may
-        # still fail as not q-real (not Hermitian) or not q-positive, but the
-        # unchanged one is a metric
+        # an entry is named for compatibility and then for the Hermitian
+        # symmetry; a compatible Hermitian matrix may still fail as not
+        # q-positive, with no entry, but the unchanged one is a metric
         assert exc.entry == want
         assert changed != G
+        if want is None:
+            assert str(exc) == "metric form is not q-positive"
     else:
         assert want is None
         assert m.gram == changed
@@ -318,8 +329,12 @@ _complex = st.one_of(
 
 
 @_checks
-@given(_complex, _complex, st.sampled_from(("other", "negated", "same", "near")))
+@given(_complex, _complex,
+       st.sampled_from(("other", "negated", "same", "near", "conjugate", "near conjugate")))
 def test_is_negation_is_equality_with_the_negative(x, y, relation):
+    # and is_conjugate is equality with the conjugate
     y = {"other": y, "negated": -x, "same": x,
-         "near": -x + ComplexScalar(floating(1e-12))}[relation]
+         "near": -x + ComplexScalar(floating(1e-12)), "conjugate": x.conjugate(),
+         "near conjugate": x.conjugate() + ComplexScalar(ZERO, floating(1e-12))}[relation]
     assert is_negation(x, y) == (x == -y)
+    assert is_conjugate(x, y) == (x == y.conjugate())

@@ -319,6 +319,60 @@ def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location)
     assert location in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    # not Hermitian, although hyperhermitian-compatible: G[0][0] = G[1][1] = 1 + i
+    (["1", "1"], "$.metric.entries[0][0]: matrix is not Hermitian"),
+    # Hermitian and compatible, but not positive
+    (["-1", "0"], "$.metric.entries: metric form is not q-positive"),
+])
+def test_a_gram_matrix_that_is_no_metric_is_refused_at_its_entries(qbal12_file, entry,
+                                                                   message):
+    gram = _identity_gram(1, 1, entry)
+    gram[0][0] = entry
+    with open(qbal12_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["metric"] = {"type": "gram", "entries": gram}
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, _, err = run_cli(["classify", qbal12_file])
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["quadratic:\u0665", "quadratic:1_1", "quadratic:+5",
+                                   "quadratic: 5"])
+def test_the_default_field_radicand_takes_ascii_digits_only(qbal12_file, monkeypatch, field):
+    with open(qbal12_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["scalar_field"]
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    monkeypatch.setenv("HHA_DEFAULT_FIELD", field)
+    code, _, err = run_cli(["check", qbal12_file])
+    assert code == 2
+    assert err.startswith("error: $HHA_DEFAULT_FIELD: cannot interpret")
+
+
+@pytest.mark.parametrize("args, location", [
+    (["construct", "bf", "JOYCE", "--rep", "spin", "--su2", "\u0662,\u0663,\u0664"], "--su2"),
+    (["construct", "bf", "JOYCE", "--rep", "spin", "--su2", "1_0,2,3"], "--su2"),
+    (["construct", "joyce", "--blocks", "\u0660,\u0660"], "--blocks"),
+    (["construct", "joyce", "--blocks", "0_0"], "--blocks"),
+    (["certify-qbal", "QSG", "--witness", "2*z\u0665"], "--witness"),
+])
+def test_option_integers_take_ascii_digits_only(tmp_path, args, location):
+    files = {}
+    for key, name in (("JOYCE", "joyce_su2"), ("QSG", "qsg12")):
+        if key in args:
+            _, out, _ = run_cli(["catalog", "export", name])
+            files[key] = tmp_path / f"{name}.json"
+            files[key].write_text(out)
+    code, out, err = run_cli([str(files.get(a, a)) for a in args])
+    assert code == 2
+    assert err.startswith(f"error: {location}: ")
+    assert out == ""
+
+
 def _unitary_terms(**edit):
     terms = [[1, 2, "1", "0"], [3, 4, "1", "0"], [5, 6, "1", "0"]]
     for index, value in edit.items():

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import nil12_qbal, nil12_qsg
+from dense_matrices import dense
 from hha.classify import classify_metric, einstein_factor
 from hha.constructions import (
     ConstructionError,
@@ -8,6 +9,7 @@ from hha.constructions import (
     JoyceData,
     JoyceDataError,
     QuaternionicRep,
+    _RIGHT_MULT,
     arroyo_nicolini,
     barberis_fino,
     direct_sum,
@@ -19,7 +21,7 @@ from hha.constructions import (
 )
 from hha.forms import Form, mask
 from hha.hermitian import Metric, qpositivity_verdict
-from hha.hypercomplex import Geometry
+from hha.hypercomplex import Geometry, HypercomplexStructure
 from hha.liealg import LieAlgebraData
 from hha.scalars import ONE, ScalarField, ZERO, rational, root
 from metric_identities import gram_real
@@ -122,23 +124,42 @@ def test_zero_rep_on_abelian_gives_hyperkaehler():
 
 def test_rep_validation_rejects_non_homomorphism():
     alg = LieAlgebraData.abelian(4)
-    from hha.constructions import _right_mult_matrices
-    Ri, Rj, _ = _right_mult_matrices()
-    with pytest.raises(ConstructionError, match="bracket"):
-        QuaternionicRep(alg, 1, {0: Ri, 1: Rj})  # [rho0, rho1] != 0 = rho([e1,e2])
+    Ri, Rj, _ = _RIGHT_MULT
+    # [rho0, rho1] != 0 = rho([e1, e2]), given as dense matrices or as columns
+    with pytest.raises(ConstructionError, match=r"bracket on \(e1, e2\)"):
+        QuaternionicRep(alg, 1, {0: dense(Ri), 1: dense(Rj)})
+    with pytest.raises(ConstructionError, match=r"bracket on \(e1, e2\)"):
+        QuaternionicRep.from_columns(alg, 1, {0: Ri, 1: Rj})
+    # on H^2, right multiplications in the second block alone
+    with pytest.raises(ConstructionError, match=r"bracket on \(e2, e4\)"):
+        QuaternionicRep(alg, 2, {1: dense([{}] * 4 + _shift(Ri, 4)),
+                                 3: dense([{}] * 4 + _shift(Rj, 4))})
+    # one image commutes with itself: a right multiplication and the
+    # identity are representations, skew and not skew
+    rep = QuaternionicRep(alg, 2, {0: dense(Ri + _shift(Ri, 4))})
+    assert rep.images == {0: Ri + _shift(Ri, 4)} and rep.is_skew()
+    ident = [{j: ONE} for j in range(8)]
+    assert not QuaternionicRep.from_columns(alg, 2, {2: ident}).is_skew()
+
+
+def _shift(cols, off):
+    return [{off + r: x for r, x in col.items()} for col in cols]
 
 
 def test_rep_validation_rejects_structure_violation():
     alg = LieAlgebraData.abelian(4)
-    from hha.constructions import left_mult_matrices
-    Li, _, _ = left_mult_matrices()
+    Li = HypercomplexStructure.standard(1).columns["I"]
     # left multiplications rotate the structure sphere instead of commuting
-    with pytest.raises(ConstructionError, match="structure"):
-        QuaternionicRep(alg, 1, {0: Li})
+    with pytest.raises(ConstructionError, match="e1 does not commute with the quaternionic"):
+        QuaternionicRep(alg, 1, {0: dense(Li)})
+    with pytest.raises(ConstructionError, match="e3 does not commute with the quaternionic"):
+        QuaternionicRep.from_columns(alg, 2, {2: [{}] * 4 + _shift(Li, 4)})
     bad = [[ZERO] * 4 for _ in range(4)]
     bad[0][0] = ONE  # diag(1,0,0,0) is not quaternion-linear either
     with pytest.raises(ConstructionError, match="structure"):
         QuaternionicRep(alg, 1, {0: bad})
+    with pytest.raises(ConstructionError, match="wrong size"):
+        QuaternionicRep(alg, 2, {0: bad})
 
 
 def test_bf_on_aff_c_zero_rep_preserves_flags():
@@ -268,17 +289,3 @@ def test_joyce_torsion_three_form_symmetry():
                     terms[mask((i, j, t))] = val
     tform = Form(dim, 3, terms)
     assert alg.ce_differential(tform).is_zero()
-
-
-def test_indecomposability_hint():
-    from hha.constructions import direct_sum, indecomposability_hint
-    # a direct sum splits along its factors
-    g = geom(LieAlgebraData.abelian(4))
-    m = Metric.unitary(g)
-    res = direct_sum(g, m, g, m)
-    hint = indecomposability_hint(res.geometry, res.metric)
-    assert hint == ((0,), (1,))
-    # the central gluing welds the factors through the new block
-    ga = geom(nil12_qbal())
-    glued = arroyo_nicolini(ga, Metric.unitary(ga), 2, ga, Metric.unitary(ga), 2)
-    assert indecomposability_hint(glued.geometry, glued.metric) is None

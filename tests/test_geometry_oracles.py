@@ -189,7 +189,7 @@ def _structures(H):
     yield H
     for pair in _PAIRS[1:]:
         yield H.rotate_pair(*pair)
-    yield HypercomplexStructure(H.J, H.I)
+    yield HypercomplexStructure.from_columns(H.columns["J"], H.columns["I"])
 
 
 @functools.lru_cache(maxsize=None)

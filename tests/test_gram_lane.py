@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import nil_qgau, solv_rank1
+from dense_matrices import identity, mat_mul
 from test_pivot_reads import block_gram
 
 from hha import hermitian, linalg
@@ -111,7 +112,7 @@ def _items(form: Form):
 def test_the_integer_inverse_is_the_object_inverse(gram):
     N = len(gram)
     expect = linalg.inverse(gram)
-    assert linalg.mat_mul(gram, expect) == linalg.identity(N)
+    assert mat_mul(gram, expect) == identity(N)
     d, den, ints = Metric.from_hermitian_matrix(_geometry(N // 2), gram)._g_inv_ints
     assert _matrix(d, den, ints) == expect
     assert _matrix(d, *linalg.inverse_ints(*linalg.matrix_ints(gram))) == expect

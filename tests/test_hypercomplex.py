@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import nil12_qbal, nil12_qsg
+from dense_matrices import dense, mat_add, mat_mul, mat_scale
 from hha.forms import Form
 from hha.hypercomplex import (
     ComplexFrame,
@@ -16,6 +18,7 @@ from hha.hypercomplex import (
     validate_hypercomplex,
 )
 from hha.liealg import LieAlgebraData
+from hha.linalg import _apply
 from hha.scalars import (
     C_I,
     C_ONE,
@@ -47,32 +50,72 @@ def rand_complex_form(rng, geo, degree, nterms=3):
 
 def test_standard_structure_relations():
     H = HypercomplexStructure.standard(2)
-    K = H.K
+    K = dense(H.columns["K"])
     # K anticommutes with I and J
-    from hha.linalg import mat_add, mat_mul
-    for M in (H.I, H.J):
+    for M in (dense(H.columns["I"]), dense(H.columns["J"])):
         anti = mat_add(mat_mul(K, M), mat_mul(M, K))
         assert all(x.is_zero() for row in anti for x in row)
+    assert not {"I", "J", "K"} & set(dir(H))   # the columns are the only form
 
 
 def test_sphere_combo_squares_to_minus_identity():
     H = HypercomplexStructure.standard(1)
     p = SpherePoint(rational(3, 5), rational(4, 5), 0)
-    from hha.linalg import mat_mul
-    L = H.combo(p)
+    L = dense(H.combo(p))
     assert mat_mul(L, L) == [[-ONE if i == j else ZERO for j in range(4)] for i in range(4)]
 
 
+@st.composite
+def orthogonal_points(draw):
+    """Two orthogonal exact points of the unit sphere: the first two rows of
+    the rotation of an integer quaternion (w, x, y, z)."""
+    w, x, y, z = draw(st.tuples(*[st.integers(-3, 3)] * 4).filter(any))
+    n = w * w + x * x + y * y + z * z
+    rows = ((w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)),
+            (2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)))
+    return tuple(SpherePoint(*(rational(t, n) for t in row)) for row in rows)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(orthogonal_points(), st.integers(1, 3), st.booleans())
+def test_combo_and_rotated_columns_match_the_dense_products(pair, n, rotated_first):
+    H = HypercomplexStructure.standard(n)
+    if rotated_first:   # a structure whose columns hold several entries
+        H = H.rotate_pair(SpherePoint(rational(3, 5), rational(4, 5), 0),
+                          SpherePoint(0, 0, 1))
+    p, q = pair
+    cols = H.combo(p)
+    # (aI + bJ + cK)^2 = -1 through linalg's _apply, and each column is sorted
+    assert [_apply(cols, col) for col in cols] == [{j: -ONE} for j in range(4 * n)]
+    assert all(list(col) == sorted(col) for col in cols)
+    I, J = dense(H.columns["I"]), dense(H.columns["J"])
+    K = mat_mul(I, J)
+    assert dense(H.columns["K"]) == K
+
+    def combo(t):
+        return mat_add(mat_scale(t.a, I), mat_scale(t.b, J), mat_scale(t.c, K))
+
+    assert dense(cols) == combo(p)
+    rotated = H.rotate_pair(p, q)
+    assert dense(rotated.columns["I"]) == combo(p)
+    assert dense(rotated.columns["J"]) == combo(q)
+    assert dense(rotated.columns["K"]) == mat_mul(combo(p), combo(q))
+
+
 def test_structure_relations_name_the_failing_relation():
+    # __init__ on dense matrices and from_columns on their columns alike
     H = HypercomplexStructure.standard(1)
-    ident = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
-    twice_j = [[x * rational(2) for x in row] for row in H.J]
-    for I, J, message in ((ident, H.J, "I^2 != -Id"),
-                          (H.I, twice_j, "J^2 != -Id"),
-                          (H.I, H.I, "I and J do not anticommute")):
-        with pytest.raises(StructureError) as exc:
-            HypercomplexStructure(I, J)
-        assert str(exc.value) == message
+    cols_i, cols_j = H.columns["I"], H.columns["J"]
+    ident = [{j: ONE} for j in range(4)]
+    twice_j = [{r: x * rational(2) for r, x in col.items()} for col in cols_j]
+    for I, J, message in ((ident, cols_j, "I^2 != -Id"),
+                          (cols_i, twice_j, "J^2 != -Id"),
+                          (cols_i, cols_i, "I and J do not anticommute")):
+        for build in (lambda: HypercomplexStructure(dense(I), dense(J)),
+                      lambda: HypercomplexStructure.from_columns(I, J)):
+            with pytest.raises(StructureError) as exc:
+                build()
+            assert str(exc.value) == message
 
 
 def test_sphere_point_validation():
@@ -86,7 +129,7 @@ def test_rotate_pair_requires_orthogonality():
     with pytest.raises(StructureError):
         H.rotate_pair(SpherePoint(1, 0, 0), SpherePoint(1, 0, 0))
     rotated = H.rotate_pair(SpherePoint(0, 0, 1), SpherePoint(1, 0, 0))
-    assert rotated.I == H.K and rotated.J == H.I
+    assert rotated.columns["I"] == H.columns["K"] and rotated.columns["J"] == H.columns["I"]
 
 
 def test_j_acts_on_frame_as_block_convention():
@@ -132,7 +175,7 @@ def test_split_differentials_need_an_integrable_i():
     # so d z^k has a (0,2) part and del, delbar are not derivations
     alg = LieAlgebraData(4, {(0, 1): {2: ONE}})
     H = HypercomplexStructure.standard(1)
-    fr = ComplexFrame(alg, HypercomplexStructure(H.J, H.I))
+    fr = ComplexFrame(alg, HypercomplexStructure.from_columns(H.columns["J"], H.columns["I"]))
     assert fr.d(Form.monomial(4, (0,))).coefficient((2, 3)) == ComplexScalar(ZERO, rational(-1, 4))
     with pytest.raises(StructureError, match="not integrable"):
         fr.del_(Form.monomial(4, (0,)))

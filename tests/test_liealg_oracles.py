@@ -30,6 +30,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_matrices import dense
 from hha import linalg
 from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
@@ -254,7 +255,8 @@ def apply_matrix(mat, vec):
 
 def dense_nijenhuis_failure(alg, H):
     """(label, pair, value) of the first pair where N_L does not vanish, or None."""
-    for label, mat in (("I", H.I), ("J", H.J), ("K", H.K)):
+    for label, cols in H.columns.items():
+        mat = dense(cols)
         for i in range(alg.dim):
             Lei = {r: mat[r][i] for r in range(alg.dim) if not mat[r][i].is_zero()}
             for j in range(i + 1, alg.dim):
@@ -278,7 +280,7 @@ def dense_nijenhuis_failure(alg, H):
 
 def dense_is_abelian(alg, H):
     n = alg.dim
-    for mat in (H.I, H.J):
+    for mat in (dense(H.columns["I"]), dense(H.columns["J"])):
         for i in range(n):
             for j in range(i + 1, n):
                 Lei = {r: mat[r][i] for r in range(n) if not mat[r][i].is_zero()}
@@ -311,7 +313,7 @@ def dense_adapted_basis(H):
         if not try_add(cand):
             continue
         block = [cand]
-        for mat in (H.I, H.J, H.K):
+        for mat in map(dense, H.columns.values()):
             img = [mat[r][i] for r in range(dim)]
             block.append(img)
             if not try_add(img):
@@ -490,7 +492,7 @@ def test_nonintegrable_structure_fails_on_the_oracle_pair(swap):
     alg = LieAlgebraData(4, {(0, 1): {2: ONE}})
     H = HypercomplexStructure.standard(1)
     if swap:
-        H = HypercomplexStructure(H.J, H.I)
+        H = HypercomplexStructure.from_columns(H.columns["J"], H.columns["I"])
     label, pair, value = dense_nijenhuis_failure(alg, H)
     with pytest.raises(IntegrabilityError) as exc:
         validate_hypercomplex(alg, H)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dense_matrices import identity, mat_add, mat_mul, mat_sub, transpose
 from hha import linalg
 from hha.scalars import C_ONE, C_ZERO, ComplexScalar, Scalar, ZERO, rational
 from pfaffian_oracle import pfaffian
@@ -14,7 +15,7 @@ def c(re, im=0):
 
 def apply(a, x):
     """The matrix-vector product A x."""
-    return [row[0] for row in linalg.mat_mul(a, [[v] for v in x])]
+    return [row[0] for row in mat_mul(a, [[v] for v in x])]
 
 
 def conj_transpose(a):
@@ -52,7 +53,7 @@ def test_inverse_round_trip():
         if linalg.det(m).is_zero():
             continue
         inv = linalg.inverse(m)
-        assert linalg.mat_mul(m, inv) == linalg.identity(3)
+        assert mat_mul(m, inv) == identity(3)
 
 
 def test_inverse_singular_raises():
@@ -65,7 +66,7 @@ def test_det_multiplicative():
     for _ in range(10):
         a = rand_matrix(rng, 3, 3)
         b = rand_matrix(rng, 3, 3)
-        assert linalg.det(linalg.mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
+        assert linalg.det(mat_mul(a, b)) == linalg.det(a) * linalg.det(b)
 
 
 def nullspace(a):
@@ -143,7 +144,7 @@ def test_hermitian_inertia_random_congruence_invariant():
         b = rand_matrix(rng, 4, 4)
         if linalg.det(b).is_zero():
             continue
-        g = linalg.mat_mul(conj_transpose(b), linalg.mat_mul(d, b))
+        g = mat_mul(conj_transpose(b), mat_mul(d, b))
         pos = sum(1 for x in d_entries if x > 0)
         neg = sum(1 for x in d_entries if x < 0)
         zero = sum(1 for x in d_entries if x == 0)
@@ -157,16 +158,22 @@ def test_hermitian_definiteness_positive():
 
 
 def test_matrix_helpers_keep_the_entry_type():
-    # structure matrices hold Scalar entries, which exported files print as such
-    from hha.scalars import ONE, ZERO, Scalar
+    # structure columns hold Scalar entries, which exported files print as
+    # such; the linear-map helpers keep the entry type and drop zeros
+    from hha.hypercomplex import HypercomplexStructure, SpherePoint
+    from hha.scalars import ONE, Scalar
     a = [[ONE, ZERO], [rational(1, 2), ZERO]]
-    products = (linalg.mat_mul(a, a), linalg.mat_add(a, a), linalg.mat_sub(a, a),
-                linalg.mat_scale(ONE, a))
-    for m in products:
-        assert all(type(x) is Scalar for row in m for x in row)
-    assert linalg.mat_mul(a, a) == [[ONE, ZERO], [rational(1, 2), ZERO]]
-    z = [[c(1, 1), C_ZERO], [C_ZERO, C_ONE]]
-    assert all(type(x) is ComplexScalar for row in linalg.mat_mul(z, z) for x in row)
+    cols = linalg._columns(a)
+    assert cols == [{0: ONE, 1: rational(1, 2)}, {}]
+    assert linalg._columns([[1, 0], [Fraction(1, 2), 0]]) == cols   # entries are coerced
+    assert linalg._apply(cols, {0: ONE, 1: ONE}) == {0: ONE, 1: rational(1, 2)}
+    H = HypercomplexStructure.standard(1)
+    rotated = H.rotate_pair(SpherePoint(rational(3, 5), rational(4, 5), 0), SpherePoint(0, 0, 1))
+    maps = [cols, H.combo(SpherePoint(0, rational(3, 5), rational(-4, 5))),
+            *rotated.columns.values()]
+    assert all(type(x) is Scalar for m in maps for col in m for x in col.values())
+    z = [{0: c(1, 1)}, {1: C_ONE}]
+    assert all(type(x) is ComplexScalar for col in z for x in linalg._apply(z, col).values())
 
 
 # -- an independent oracle: sympy's exact domain matrices over Q(i) and
@@ -203,8 +210,8 @@ def _random_exact_matrix(rng, rows, cols, d, density, singular):
 def _congruent(m, a, skew):
     """M^T A M for a skew A, M^* A M otherwise: symmetric type is kept, and a
     singular M makes the result singular."""
-    left = linalg.transpose(m) if skew else conj_transpose(m)
-    return linalg.mat_mul(left, linalg.mat_mul(a, m))
+    left = transpose(m) if skew else conj_transpose(m)
+    return mat_mul(left, mat_mul(a, m))
 
 
 def _sign_changes(signs):
@@ -282,8 +289,8 @@ def test_linalg_matches_sympy(d, density):
     for n in range(2, 9):
         for singular in (False, True):
             a = _random_exact_matrix(rng, n, n, d, density, False)
-            h = linalg.mat_add(a, conj_transpose(a))
-            skew = linalg.mat_sub(a, linalg.transpose(a))
+            h = mat_add(a, conj_transpose(a))
+            skew = mat_sub(a, transpose(a))
             if singular:
                 m = _random_exact_matrix(rng, n, n, d, density, True)
                 h, skew = _congruent(m, h, skew=False), _congruent(m, skew, skew=True)

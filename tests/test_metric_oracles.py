@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from dense_matrices import dense, mat_mul, transpose
 from frame_evaluation import evaluate, frame_vector, i_vector, j_vector, k_vector
 from hha import linalg
 from hha.forms import Form, bidegree_split, indices, mask
@@ -126,10 +127,9 @@ class GenericRoutes:
         fr = geom.frame
         P = [[ComplexScalar(fr.basis[a].get(i, ZERO)) for a in range(dim)] for i in range(dim)]
         P_inv = dense_inverse(P)
-        g_e = linalg.mat_mul(linalg.transpose(P_inv),
-                             linalg.mat_mul(gram_real(self.m), P_inv))
-        L = [[ComplexScalar(x) for x in row] for row in geom.structure.combo(p)]
-        w = linalg.mat_mul(linalg.transpose(L), g_e)
+        g_e = mat_mul(transpose(P_inv), mat_mul(gram_real(self.m), P_inv))
+        L = [[ComplexScalar(x) for x in row] for row in dense(geom.structure.combo(p))]
+        w = mat_mul(transpose(L), g_e)
         real = Form(dim, 2, {mask((i, j)): w[i][j] for i in range(dim)
                              for j in range(i + 1, dim) if not w[i][j].is_zero()})
         return fr.to_complex(real)
