@@ -220,6 +220,23 @@ def cmd_catalog(args) -> int:
 CONSTRUCT_INPUTS = {"an": 2, "bf": 1, "joyce": 0}
 
 
+def _su2_indices(algebra, text: str) -> tuple:
+    """The 0-based triple (a, b, c) of ``--su2``: three distinct basis
+    indices in 1..dim with an e_c part in [e_a, e_b]."""
+    su2 = _parse_indices("--su2", text)
+    if len(su2) != 3:
+        raise InputError("--su2", "expected three indices")
+    if not all(1 <= i <= algebra.dim for i in su2):
+        raise InputError("--su2", f"indices must lie in 1..{algebra.dim}, got {text!r}")
+    if len(set(su2)) != 3:
+        raise InputError("--su2", f"expected three distinct indices, got {text!r}")
+    a, b, c = su2
+    if c - 1 not in algebra.bracket_basis(a - 1, b - 1):
+        raise InputError("--su2", f"[e{a}, e{b}] has no e{c} part, so the indices "
+                         "do not carry an su(2) block")
+    return a - 1, b - 1, c - 1
+
+
 def cmd_construct(args) -> int:
     count = CONSTRUCT_INPUTS[args.kind]
     if len(args.inputs) != count:
@@ -239,10 +256,8 @@ def cmd_construct(args) -> int:
         if args.rep == "zero":
             rho = QuaternionicRep.zero(gbase.algebra, args.k)
         else:
-            indices = tuple(i - 1 for i in _parse_indices("--su2", args.su2))
-            if len(indices) != 3:
-                raise InputError("--su2", "expected three indices")
-            rho = sp1_spin_rep(gbase.algebra, su2_indices=indices)
+            su2 = _su2_indices(gbase.algebra, args.su2)
+            rho = sp1_spin_rep(gbase.algebra, su2_indices=su2)
         res = barberis_fino(gbase, mbase, rho)
         geom, metric, report = res.geometry, res.metric, res.output_report
         print(f"extended algebra: dimension {geom.algebra.dim}")

@@ -222,6 +222,15 @@ def _commutator(a: list, b: list) -> list:
     return out
 
 
+def _check_image_indices(algebra: LieAlgebraData, images: dict) -> None:
+    """Refuse an image keyed by anything but a 0-based basis index."""
+    for idx in images:
+        if idx not in range(algebra.dim):
+            raise ConstructionError(
+                f"image index {idx!r} is not a basis index 0..{algebra.dim - 1} "
+                "of the algebra")
+
+
 class QuaternionicRep:
     """Linear map of the algebra into quaternion-linear endomorphisms of H^k.
 
@@ -234,13 +243,18 @@ class QuaternionicRep:
     """
 
     def __init__(self, algebra: LieAlgebraData, k: int, images: dict):
-        if any(len(mat) != 4 * k for mat in images.values()):
-            raise ConstructionError("representation matrix has wrong size")
+        _check_image_indices(algebra, images)
+        n = 4 * k
+        for idx, mat in images.items():
+            if len(mat) != n or any(len(row) != n for row in mat):
+                raise ConstructionError(
+                    f"representation matrix of e{idx + 1} has wrong size: expected {n} x {n}")
         self._set_images(algebra, k, {idx: _columns(mat) for idx, mat in images.items()})
 
     @classmethod
     def from_columns(cls, algebra: LieAlgebraData, k: int, images: dict) -> "QuaternionicRep":
         """The representation whose images have the sparse columns given."""
+        _check_image_indices(algebra, images)
         rep = cls.__new__(cls)
         rep._set_images(algebra, k, images)
         return rep

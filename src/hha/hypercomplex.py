@@ -77,18 +77,25 @@ class IntegrabilityError(StructureError):
 class SpherePoint:
     """Exact point (a, b, c) on the unit two-sphere."""
 
-    __slots__ = ("a", "b", "c")
+    __slots__ = ("_a", "_b", "_c")
 
     def __init__(self, a, b, c):
         a, b, c = (Scalar._coerce(x) for x in (a, b, c))
         if a * a + b * b + c * c != ONE:
             raise StructureError(f"({a}, {b}, {c}) is not a unit vector")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._a, self._b, self._c = a, b, c
 
-    def __setattr__(self, *_):
-        raise AttributeError("SpherePoint is immutable")
+    @property
+    def a(self) -> Scalar:
+        return self._a
+
+    @property
+    def b(self) -> Scalar:
+        return self._b
+
+    @property
+    def c(self) -> Scalar:
+        return self._c
 
     def dot(self, other: "SpherePoint") -> Scalar:
         return self.a * other.a + self.b * other.b + self.c * other.c

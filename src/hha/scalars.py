@@ -47,12 +47,20 @@ imaginary part is an exact zero (``d == 0`` and ``p == 0``) skips the
 products that vanish in ``*``, ``abs2`` and ``inverse``.  A lane only ever
 skips an operation whose result is known to be zero; every ``Scalar`` sum,
 product and inverse it does perform still goes through ``Scalar.__add__``,
-``__mul__`` or ``inverse``.  Float operands and mixed radicands take the
-general path: a float promotes the result to float, and two different
-radicands raise :class:`FieldMismatchError`.
+``__mul__`` or ``inverse``.  Inside those, no new object is made where the
+result already exists: ``*`` by an exact +-1 (``d == 0``, ``r == 1``,
+``p == +-1``) returns the other operand or its negation, the same float
+bits as the general path for a float operand, and ``-`` of an exact zero
+returns it (a float zero is still negated, so -0.0 keeps its sign).  Float
+operands and mixed radicands take the general path: a float promotes the
+result to float, and two different radicands raise
+:class:`FieldMismatchError`.
 
-A scalar is immutable: only the constructors in this module set its four
-fields, through the slot descriptors.
+A scalar is immutable.  Its fields live in the slots ``_p, _q, _r, _d``
+(``_re, _im`` for a complex scalar), which only the constructors in this
+module store, as plain attributes; code in this module reads the slots.
+The public ``p, q, r, d`` and ``re, im`` are read-only properties, so
+assigning to them raises ``AttributeError``, as does adding an attribute.
 """
 from __future__ import annotations
 
@@ -119,16 +127,16 @@ def _ratio(x) -> tuple[int, int]:
 class Scalar:
     """Immutable element of Q, Q(sqrt(d)), or the float cross-check backend."""
 
-    __slots__ = ("p", "q", "r", "d")
+    __slots__ = ("_p", "_q", "_r", "_d")
 
     def __init__(self, a, b=0, d: int = 0):
         if d == FLOAT_KIND:
-            _assign(self, float(a), 0, 1, FLOAT_KIND)
+            self._p, self._q, self._r, self._d = float(a), 0, 1, FLOAT_KIND
             return
         an, ad = _ratio(a)
         bn, bd = _ratio(b)
         if not bn:
-            _assign(self, an, 0, ad, 0)
+            self._p, self._q, self._r, self._d = an, 0, ad, 0
             return
         if d == 0:
             raise ScalarError("irrational part requires a radicand")
@@ -136,43 +144,60 @@ class Scalar:
         # over r = lcm(ad, bd) the fields are coprime, since a and b are in
         # lowest terms
         r = ad * bd // _gcd(ad, bd)
-        _assign(self, an * (r // ad), bn * (r // bd), r, d)
+        self._p, self._q, self._r, self._d = an * (r // ad), bn * (r // bd), r, d
 
-    def __setattr__(self, *_):
-        raise AttributeError("Scalar is immutable")
+    @property
+    def p(self):
+        """The numerator of the rational part (the float itself in float mode)."""
+        return self._p
+
+    @property
+    def q(self) -> int:
+        """The numerator of the coefficient of sqrt(d)."""
+        return self._q
+
+    @property
+    def r(self) -> int:
+        """The common denominator, > 0."""
+        return self._r
+
+    @property
+    def d(self) -> int:
+        """The radicand: 0 for a rational, ``FLOAT_KIND`` for a float."""
+        return self._d
 
     # -- predicates ------------------------------------------------------
 
     @property
     def a(self):
         """The rational part ``p/r`` (the float itself in float mode)."""
-        return self.p if self.d == FLOAT_KIND else Fraction(self.p, self.r)
+        return self._p if self._d == FLOAT_KIND else Fraction(self._p, self._r)
 
     @property
     def b(self) -> Fraction:
         """The coefficient ``q/r`` of ``sqrt(d)``."""
-        return Fraction(self.q, self.r) if self.q else _F0
+        return Fraction(self._q, self._r) if self._q else _F0
 
     @property
     def is_float(self) -> bool:
-        return self.d == FLOAT_KIND
+        return self._d == FLOAT_KIND
 
     @property
     def is_rational(self) -> bool:
-        return self.d == 0
+        return self._d == 0
 
     def is_zero(self) -> bool:
-        d = self.d
+        d = self._d
         if d == 0:
-            return not self.p
+            return not self._p
         if d == FLOAT_KIND:
-            return abs(self.p) <= FLOAT_TOLERANCE
+            return abs(self._p) <= FLOAT_TOLERANCE
         return False  # canonical form: d >= 2 carries q != 0
 
     def sign(self) -> int:
         """Exact sign under the embedding sqrt(d) > 0 (tolerance in float mode)."""
-        p, q = self.p, self.q
-        if self.d == FLOAT_KIND:
+        p, q = self._p, self._q
+        if self._d == FLOAT_KIND:
             if abs(p) <= FLOAT_TOLERANCE:
                 return 0
             return 1 if p > 0 else -1
@@ -184,7 +209,7 @@ class Scalar:
             return sq
         # opposite signs: compare p^2 against q^2 d
         lhs = p * p
-        rhs = q * q * self.d
+        rhs = q * q * self._d
         if lhs == rhs:
             return 0
         return sp if lhs > rhs else sq
@@ -193,20 +218,20 @@ class Scalar:
 
     def _join(self, other: "Scalar") -> int:
         """Radicand of the common field, promoting to float if either is float."""
-        if self.d == FLOAT_KIND or other.d == FLOAT_KIND:
+        if self._d == FLOAT_KIND or other._d == FLOAT_KIND:
             return FLOAT_KIND
-        if self.d == 0:
-            return other.d
-        if other.d == 0 or other.d == self.d:
-            return self.d
-        raise FieldMismatchError(f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+        if self._d == 0:
+            return other._d
+        if other._d == 0 or other._d == self._d:
+            return self._d
+        raise FieldMismatchError(f"cannot mix sqrt({self._d}) with sqrt({other._d})")
 
     def to_float(self) -> float:
-        if self.d == FLOAT_KIND:
-            return self.p
-        x = self.p / self.r
-        if self.q:
-            x += self.q / self.r * math.sqrt(self.d)
+        if self._d == FLOAT_KIND:
+            return self._p
+        x = self._p / self._r
+        if self._q:
+            x += self._q / self._r * math.sqrt(self._d)
         return x
 
     @staticmethod
@@ -225,10 +250,10 @@ class Scalar:
                 other = self._coerce(other)
             except TypeError:
                 return NotImplemented  # a ComplexScalar operand takes the mixed sum
-        d = self.d if self.d == other.d else self._join(other)
+        d = self._d if self._d == other._d else self._join(other)
         if d == FLOAT_KIND:
             return _make(self.to_float() + other.to_float(), 0, 1, FLOAT_KIND)
-        p1, q1, r1, p2, q2, r2 = self.p, self.q, self.r, other.p, other.q, other.r
+        p1, q1, r1, p2, q2, r2 = self._p, self._q, self._r, other._p, other._q, other._r
         if r1 == r2:
             return _reduced(p1 + p2, q1 + q2, r1, d)
         g = 1 if r1 == 1 or r2 == 1 else _gcd(r1, r2)
@@ -244,7 +269,9 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.p, -self.q, self.r, self.d)
+        if not self._p and not self._d:
+            return self  # an exact zero; a float zero is negated, so -0.0 keeps its sign
+        return _make(-self._p, -self._q, self._r, self._d)
 
     def __sub__(self, other):
         try:
@@ -266,16 +293,23 @@ class Scalar:
                 other = self._coerce(other)
             except TypeError:
                 return NotImplemented  # a ComplexScalar operand takes the mixed product
-        d = self.d if self.d == other.d else self._join(other)
+        p1, r1, d1, p2, r2, d2 = self._p, self._r, self._d, other._p, other._r, other._d
+        # an exact +-1 factor: the product is the other operand or its
+        # negation, which is what the general path makes, a float included
+        if r1 == 1 and not d1 and (p1 == 1 or p1 == -1):
+            return other if p1 == 1 else -other
+        if r2 == 1 and not d2 and (p2 == 1 or p2 == -1):
+            return self if p2 == 1 else -self
+        d = d1 if d1 == d2 else self._join(other)
         if d == FLOAT_KIND:
             return _make(self.to_float() * other.to_float(), 0, 1, FLOAT_KIND)
-        p1, q1, r1, p2, q2, r2 = self.p, self.q, self.r, other.p, other.q, other.r
+        q1, q2 = self._q, other._q
         return _reduced(p1 * p2 + q1 * q2 * d, p1 * q2 + q1 * p2, r1 * r2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        p, r, d = self.p, self.r, self.d
+        p, r, d = self._p, self._r, self._d
         if d == 0:
             if not p:
                 raise ZeroDivisionError("scalar division by zero")
@@ -284,7 +318,7 @@ class Scalar:
             return _make(1.0 / p, 0, 1, FLOAT_KIND)
         # r / (p + q sqrt(d)) = r (p - q sqrt(d)) / (p^2 - q^2 d), and the
         # norm is never 0 because sqrt(d) is irrational
-        q = self.q
+        q = self._q
         norm = p * p - q * q * d
         if norm < 0:
             return _reduced(-r * p, r * q, -norm, d)
@@ -320,12 +354,12 @@ class Scalar:
                 other = self._coerce(other)
             except TypeError:
                 return NotImplemented
-        if self.d == FLOAT_KIND or other.d == FLOAT_KIND:
+        if self._d == FLOAT_KIND or other._d == FLOAT_KIND:
             return abs(self.to_float() - other.to_float()) <= FLOAT_TOLERANCE
         # canonical form: equal values have equal fields, and scalars of two
         # different quadratic fields are never equal
-        return (self.p == other.p and self.q == other.q and self.r == other.r
-                and self.d == other.d)
+        return (self._p == other._p and self._q == other._q and self._r == other._r
+                and self._d == other._d)
 
     def __lt__(self, other):
         return (self - self._coerce(other)).sign() < 0
@@ -340,9 +374,9 @@ class Scalar:
         return (self - self._coerce(other)).sign() >= 0
 
     def __hash__(self):
-        if self.d <= 0:
+        if self._d <= 0:
             return hash(self.a)
-        return hash((self.p, self.q, self.r, self.d))
+        return hash((self._p, self._q, self._r, self._d))
 
     def __bool__(self):
         return not self.is_zero()
@@ -357,20 +391,6 @@ class Scalar:
 
 
 _new = object.__new__
-_set = object.__setattr__
-_set_p = Scalar.p.__set__
-_set_q = Scalar.q.__set__
-_set_r = Scalar.r.__set__
-_set_d = Scalar.d.__set__
-
-
-def _assign(s: Scalar, p, q: int, r: int, d: int) -> Scalar:
-    """Set the fields of ``s``; the caller has made them canonical."""
-    _set_p(s, p)
-    _set_q(s, q)
-    _set_r(s, r)
-    _set_d(s, d)
-    return s
 
 
 def _make(p, q: int, r: int, d: int) -> Scalar:
@@ -379,7 +399,12 @@ def _make(p, q: int, r: int, d: int) -> Scalar:
     ``d`` is 0, ``FLOAT_KIND`` or a radicand an operand already carried, so
     coercion and the square-free check are skipped.
     """
-    return _assign(_new(Scalar), p, q, r, d)
+    s = _new(Scalar)
+    s._p = p
+    s._q = q
+    s._r = r
+    s._d = d
+    return s
 
 
 def _reduced(p: int, q: int, r: int, d: int) -> Scalar:
@@ -428,7 +453,7 @@ def scalar_str(s: Scalar) -> str:
     Printed from the ints: the rational part ``p/r`` and the coefficient
     ``q/r`` of sqrt(d) are each put in lowest terms by one gcd.
     """
-    p, q, r, d = s.p, s.q, s.r, s.d
+    p, q, r, d = s._p, s._q, s._r, s._d
     if d == FLOAT_KIND:
         return f"float:{p!r}"
     if not q:
@@ -526,14 +551,19 @@ def parse_scalar(text: str) -> Scalar:
 class ComplexScalar:
     """Complex number with exact real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im")
 
     def __init__(self, re, im=ZERO):
-        object.__setattr__(self, "re", Scalar._coerce(re))
-        object.__setattr__(self, "im", Scalar._coerce(im))
+        self._re = Scalar._coerce(re)
+        self._im = Scalar._coerce(im)
 
-    def __setattr__(self, *_):
-        raise AttributeError("ComplexScalar is immutable")
+    @property
+    def re(self) -> Scalar:
+        return self._re
+
+    @property
+    def im(self) -> Scalar:
+        return self._im
 
     @staticmethod
     def _coerce(x) -> "ComplexScalar":
@@ -542,32 +572,32 @@ class ComplexScalar:
         return ComplexScalar(Scalar._coerce(x))
 
     def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
+        return self._re.is_zero() and self._im.is_zero()
 
     def is_real(self) -> bool:
-        return self.im.is_zero()
+        return self._im.is_zero()
 
     def conjugate(self) -> "ComplexScalar":
-        return _complex(self.re, -self.im)
+        return _complex(self._re, -self._im)
 
     def abs2(self) -> Scalar:
         """|z|^2, a non-negative exact scalar."""
-        im = self.im
-        if im.d == 0 and not im.p:
-            return self.re * self.re
-        return self.re * self.re + im * im
+        im = self._im
+        if im._d == 0 and not im._p:
+            return self._re * self._re
+        return self._re * self._re + im * im
 
     def times_i(self) -> "ComplexScalar":
-        return _complex(-self.im, self.re)
+        return _complex(-self._im, self._re)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return _complex(self.re + other.re, self.im + other.im)
+        return _complex(self._re + other._re, self._im + other._im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _complex(-self.re, -self.im)
+        return _complex(-self._re, -self._im)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -577,16 +607,16 @@ class ComplexScalar:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        re, im, ore, oim = self.re, self.im, other.re, other.im
+        re, im, ore, oim = self._re, self._im, other._re, other._im
         # the real lane; a float part keeps the four products, so that it
         # still promotes every part of the result to float
-        if re.d != FLOAT_KIND and ore.d != FLOAT_KIND:
-            if im.d == 0 and not im.p:
-                if oim.d == 0 and not oim.p:
+        if re._d != FLOAT_KIND and ore._d != FLOAT_KIND:
+            if im._d == 0 and not im._p:
+                if oim._d == 0 and not oim._p:
                     return _complex(re * ore, im)
-                if oim.d != FLOAT_KIND:
+                if oim._d != FLOAT_KIND:
                     return _complex(re * ore, re * oim)
-            elif oim.d == 0 and not oim.p and im.d != FLOAT_KIND:
+            elif oim._d == 0 and not oim._p and im._d != FLOAT_KIND:
                 return _complex(re * ore, im * ore)
         return _complex(re * ore - im * oim, re * oim + im * ore)
 
@@ -597,10 +627,10 @@ class ComplexScalar:
         if n.is_zero():
             raise ZeroDivisionError("complex scalar division by zero")
         ninv = n.inverse()
-        im = self.im
-        if im.d == 0 and not im.p and ninv.d != FLOAT_KIND:
-            return _complex(self.re * ninv, im)
-        return _complex(self.re * ninv, -im * ninv)
+        im = self._im
+        if im._d == 0 and not im._p and ninv._d != FLOAT_KIND:
+            return _complex(self._re * ninv, im)
+        return _complex(self._re * ninv, -im * ninv)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -613,10 +643,10 @@ class ComplexScalar:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._re == other._re and self._im == other._im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._re, self._im))
 
     def __bool__(self):
         return not self.is_zero()
@@ -628,8 +658,8 @@ class ComplexScalar:
 def _complex(re: Scalar, im: Scalar) -> ComplexScalar:
     """A complex scalar from two parts that are already ``Scalar``s."""
     z = _new(ComplexScalar)
-    _set(z, "re", re)
-    _set(z, "im", im)
+    z._re = re
+    z._im = im
     return z
 
 
@@ -642,18 +672,18 @@ def is_negation(x: ComplexScalar, y: ComplexScalar) -> bool:
     """``x == -y``, decided without forming ``-y``: exact parts compare their
     fields with the signs of p and q flipped, a float part through the
     tolerance."""
-    return _negates(x.re, y.re) and _negates(x.im, y.im)
+    return _negates(x._re, y._re) and _negates(x._im, y._im)
 
 
 def is_conjugate(x: ComplexScalar, y: ComplexScalar) -> bool:
     """``x == y.conjugate()``, decided as :func:`is_negation` is."""
-    return x.re == y.re and _negates(x.im, y.im)
+    return x._re == y._re and _negates(x._im, y._im)
 
 
 def _negates(x: Scalar, y: Scalar) -> bool:
-    if x.d == FLOAT_KIND or y.d == FLOAT_KIND:
+    if x._d == FLOAT_KIND or y._d == FLOAT_KIND:
         return abs(x.to_float() + y.to_float()) <= FLOAT_TOLERANCE
-    return x.p == -y.p and x.q == -y.q and x.r == y.r and x.d == y.d
+    return x._p == -y._p and x._q == -y._q and x._r == y._r and x._d == y._d
 
 
 def complex_ints(values):
@@ -667,18 +697,18 @@ def complex_ints(values):
     """
     d, den = 0, 1
     for z in values:
-        for s in (z.re, z.im):
-            if s.d and s.d != d:
-                if s.d == FLOAT_KIND or d:
+        for s in (z._re, z._im):
+            if s._d and s._d != d:
+                if s._d == FLOAT_KIND or d:
                     return None
-                d = s.d
-            if den % s.r:
-                den = math.lcm(den, s.r)
+                d = s._d
+            if den % s._r:
+                den = math.lcm(den, s._r)
     ints = []
     for z in values:
-        re, im = z.re, z.im
-        m, n = den // re.r, den // im.r
-        ints.append((re.p * m, re.q * m, im.p * n, im.q * n))
+        re, im = z._re, z._im
+        m, n = den // re._r, den // im._r
+        ints.append((re._p * m, re._q * m, im._p * n, im._q * n))
     return d, den, ints
 
 
@@ -717,11 +747,11 @@ def sum_ints(xs) -> tuple:
 
 def complex_str(z: ComplexScalar) -> str:
     """Canonical "re" / "i*(im)" / "(re)+i*(im)" string."""
-    if z.im.is_zero():
-        return scalar_str(z.re)
-    if z.re.is_zero():
-        return f"i*({scalar_str(z.im)})"
-    return f"({scalar_str(z.re)})+i*({scalar_str(z.im)})"
+    if z._im.is_zero():
+        return scalar_str(z._re)
+    if z._re.is_zero():
+        return f"i*({scalar_str(z._im)})"
+    return f"({scalar_str(z._re)})+i*({scalar_str(z._im)})"
 
 
 class ScalarField:
@@ -730,30 +760,37 @@ class ScalarField:
     The float field compares with the fixed ``FLOAT_TOLERANCE``.
     """
 
-    __slots__ = ("kind", "d")
+    __slots__ = ("_kind", "_d")
 
     def __init__(self, kind: str = "rational", d: int = 0):
         if kind not in ("rational", "quadratic", "float"):
             raise ScalarError(f"unknown scalar field kind {kind!r}")
         if kind == "quadratic":
             _check_radicand(d)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "d", d if kind == "quadratic" else 0)
+        self._kind = kind
+        self._d = d if kind == "quadratic" else 0
 
-    def __setattr__(self, *_):
-        raise AttributeError("ScalarField is immutable")
+    @property
+    def kind(self) -> str:
+        """One of "rational", "quadratic" and "float"."""
+        return self._kind
+
+    @property
+    def d(self) -> int:
+        """The radicand of a quadratic field, else 0."""
+        return self._d
 
     def contains(self, s: Scalar) -> bool:
-        if self.kind == "float":
+        if self._kind == "float":
             return True
         if s.is_float:
             return False
-        if self.kind == "rational":
-            return s.d == 0
-        return s.d in (0, self.d)
+        if self._kind == "rational":
+            return s._d == 0
+        return s._d in (0, self._d)
 
     def coerce(self, s: Scalar) -> Scalar:
-        if self.kind == "float" and not s.is_float:
+        if self._kind == "float" and not s.is_float:
             return floating(s.to_float())
         if not self.contains(s):
             raise FieldMismatchError(f"{s} does not live in {self}")
@@ -762,17 +799,17 @@ class ScalarField:
     def __eq__(self, other):
         return (
             isinstance(other, ScalarField)
-            and self.kind == other.kind
-            and self.d == other.d
+            and self._kind == other._kind
+            and self._d == other._d
         )
 
     def __hash__(self):
-        return hash((self.kind, self.d))
+        return hash((self._kind, self._d))
 
     def __repr__(self):
-        if self.kind == "quadratic":
-            return f"ScalarField(quadratic, sqrt({self.d}))"
-        if self.kind == "float":
+        if self._kind == "quadratic":
+            return f"ScalarField(quadratic, sqrt({self._d}))"
+        if self._kind == "float":
             return f"ScalarField(float, tol={FLOAT_TOLERANCE})"
         return "ScalarField(rational)"
 

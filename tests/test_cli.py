@@ -303,6 +303,12 @@ def _identity_gram(r, s, entry):
     (["classify", "FILE"], {"scalar_field": {"kind": "float"},
                             "metric": {"type": "diagonal", "entries": ["1", "float:inf", "1"]}},
      "$.metric.entries[1]"),
+    # an su(2) triple is three distinct basis indices with [e_a, e_b] having
+    # an e_c part
+    (["construct", "bf", "FILE", "--rep", "spin", "--su2", "0,2,3"], None, "--su2"),
+    (["construct", "bf", "FILE", "--rep", "spin", "--su2", "1,2,13"], None, "--su2"),
+    (["construct", "bf", "FILE", "--rep", "spin", "--su2", "1,1,2"], None, "--su2"),
+    (["construct", "bf", "FILE", "--rep", "spin", "--su2", "2,3,4"], None, "--su2"),
 ])
 def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location):
     if metric is not None:

@@ -162,6 +162,21 @@ def test_rep_validation_rejects_structure_violation():
         QuaternionicRep(alg, 2, {0: bad})
 
 
+def test_rep_validation_rejects_an_index_outside_the_algebra_or_a_non_square_image():
+    alg = LieAlgebraData.abelian(4)
+    Ri = _RIGHT_MULT[0]
+    for idx in (7, 4, -1):
+        message = f"image index {idx} is not a basis index 0..3"
+        with pytest.raises(ConstructionError, match=message):
+            QuaternionicRep(alg, 1, {idx: dense(Ri)})
+        with pytest.raises(ConstructionError, match=message):
+            QuaternionicRep.from_columns(alg, 1, {idx: Ri})
+    # four rows of three entries, and three rows of four
+    for image in ([row[:3] for row in dense(Ri)], dense(Ri)[:3]):
+        with pytest.raises(ConstructionError, match="e2 has wrong size: expected 4 x 4"):
+            QuaternionicRep(alg, 1, {1: image})
+
+
 def test_bf_on_aff_c_zero_rep_preserves_flags():
     from conftest import solv_aff_c
     g = geom(solv_aff_c())

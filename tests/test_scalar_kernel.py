@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from hha.classify import classify_metric
 from hha.documents import load_document, parse_input
-from hha.scalars import ONE, Scalar, floating, quadratic, rational
+from hha.hypercomplex import SpherePoint
+from hha.scalars import (ONE, ZERO, ComplexScalar, Scalar, ScalarField, floating,
+                         quadratic, rational)
 
 INPUTS_PATH = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
 
@@ -110,6 +112,59 @@ def test_float_backend_keeps_the_float_in_p():
     x = floating(1.5)
     assert (x.p, x.q, x.r, x.d) == (1.5, 0, 1, -1)
     assert x.a == 1.5 and (x * rational(2, 3)).p == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("obj, names", [
+    (quadratic(1, 2, 5), ("p", "q", "r", "d")),
+    (ComplexScalar(ONE, rational(1, 2)), ("re", "im")),
+    (ScalarField("quadratic", 2), ("kind", "d")),
+    (SpherePoint(ZERO, ZERO, ONE), ("a", "b", "c")),
+])
+def test_value_objects_are_read_only(obj, names):
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+        with pytest.raises(AttributeError):
+            object.__setattr__(obj, name, 0)
+    assert not hasattr(obj, "__dict__")
+
+
+def general_product(x, y):
+    """The fields of ``x * y`` by the product formula, reduced by one gcd."""
+    if x.d == -1 or y.d == -1:
+        return x.to_float() * y.to_float(), 0, 1, -1
+    d = x.d or y.d
+    p, q, r = x.p * y.p + x.q * y.q * d, x.p * y.q + x.q * y.p, x.r * y.r
+    g = math.gcd(p, q, r)
+    return p // g, q // g, r // g, d if q else 0
+
+
+_floats = st.one_of(st.sampled_from((0.0, -0.0)),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_units = st.sampled_from((1, -1, ONE, -ONE))
+
+
+@_kernel
+@given(st.one_of(scalars(0), scalars(2), scalars(5), _floats.map(floating)), _units)
+def test_a_unit_factor_gives_the_general_product(x, u):
+    want = general_product(x, Scalar._coerce(u))
+    for got in (x * u, u * x):
+        fields = (got.p, got.q, got.r, got.d)
+        if x.is_float:
+            assert fields == want
+            assert math.copysign(1, got.p) == math.copysign(1, want[0])
+        else:
+            check_canonical(got)
+            assert fields == want
+
+
+def test_negating_an_exact_zero_gives_zero_and_a_float_zero_keeps_its_sign():
+    for zero in (ZERO, rational(0), quadratic(0, 0, 2)):
+        assert -zero == ZERO
+        check_canonical(-zero)
+    for x, sign in ((floating(0.0), -1), (floating(-0.0), 1)):
+        assert math.copysign(1, (-x).p) == sign
+        assert math.copysign(1, (x * -ONE).p) == sign
 
 
 def _bench_inputs():
