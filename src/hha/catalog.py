@@ -19,10 +19,11 @@ from .classify import (
 )
 from .constructions import joyce_build, joyce_su2_tori, joyce_su3_data
 from .documents import InputDocument, load_document, parse_input
-from .forms import Form
+from .forms import Form, map_key, mask
 from .hermitian import qpositivity_verdict
 from .hypercomplex import Geometry
-from .scalars import C_I, C_ONE, parse_scalar, rational, scalar_str
+from .linalg import add_term
+from .scalars import C_I, C_ONE, ComplexScalar, parse_scalar, rational, scalar_str
 
 
 class UnknownEntryError(KeyError):
@@ -85,15 +86,17 @@ def _entry_input(name, dim, eqs, metric=None, fld=None):
 
 
 def _wedge_words(geom: Geometry, degree: int, terms) -> Form:
-    """The sum of c * (the ordered wedge of the word) over (c, word) pairs."""
-    dim = geom.algebra.dim
-    total = Form.zero(dim, degree)
+    """The sum of c * (the ordered wedge of the word) over (c, word) pairs, a
+    signed monomial per word: ``forms.map_key`` sends bit p to the p-th letter,
+    counting the letters placed above it, and gives None on a repeat."""
+    N, out = geom.N, {}
     for c, word in terms:
-        prod = Form.constant(dim, c)
-        for kind, idx in word:
-            prod = prod.wedge(geom.zeta(idx) if kind == "z" else geom.zeta_bar(idx))
-        total = total + prod
-    return total
+        letters = [(i - 1 if kind == "z" else N + i - 1, 1) for kind, i in word]
+        signed = map_key(mask(range(len(word))), letters)
+        if signed is not None:
+            c = ComplexScalar._coerce(c)
+            add_term(out, signed[0], -c if signed[1] else c)
+    return Form(geom.algebra.dim, degree, out)
 
 
 _H = "1/2"
@@ -453,8 +456,7 @@ def check_entry(entry: CatalogEntry) -> EntryOutcome:
         detail = ""
         if ok:
             w = report.witnesses["q_strongly_gauduchon"]
-            target = geom.frame.del_(metric.omega_power(metric.n - 1))
-            ok = geom.frame.del_j(w) == target
+            ok = geom.frame.del_j(w) == metric.del_power
             detail = geom.frame.format(w)
         checks.append(CheckResult("stored twisted-exactness witness verifies",
                                   ok, detail))

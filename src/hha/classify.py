@@ -118,35 +118,30 @@ def _residual(form: Form, frame, limit: int = 4) -> str:
 
 def solve_exactness(geom: Geometry, operator: str, target: Form,
                     source_bidegree: tuple):
-    """Exact solve ``op(x) = target`` over the invariant complex.
+    """Exact solve ``op(x) = target`` for op = del or del_J ("del", "del_j")
+    on the (2n-2, 0)-forms, the one system any caller asks for; any other
+    operator or ``source_bidegree`` raises ``ValueError``.
 
-    ``operator`` is one of "del", "del_j", "del_del_j".  Returns the witness
-    form or None together with rank data: (witness, info).  One elimination
-    answers both.  Each monomial k gives the equation
-    sum_j x_j op(m_j)_k = target_k over the source monomials m_j, with the
-    target in column ``len(basis)``: the system is consistent exactly
-    when that column is not a pivot, and the rank of op is the number of
-    the other pivots.  The witness (free variables zero) is verified by
-    applying op.
+    Returns the witness form or None with rank data: (witness, info).  The
+    images op(m_j) of the source monomials are the frame's
+    ``corank_two_images``.  Each monomial k gives the equation
+    sum_j x_j op(m_j)_k = target_k, the target in column ``len(basis)``: one
+    elimination is consistent exactly when that column is not a pivot, and
+    the rank of op is the number of the other pivots.  The witness (free
+    variables zero) is verified by applying op, through the Leibniz kernel.
     """
     fr = geom.frame
-    ops = {
-        "del": fr.del_,
-        "del_j": fr.del_j,
-        "del_del_j": lambda f: fr.del_(fr.del_j(f)),
-    }
-    op = ops[operator]
-    p, q = source_bidegree
-    N, dim = geom.N, geom.algebra.dim
-    basis = [
-        hol + anti
-        for hol in itertools.combinations(range(N), p)
-        for anti in itertools.combinations(range(N, 2 * N), q)
-    ]
+    n, dim = geom.n, geom.algebra.dim
+    ops = {"del": fr.del_, "del_j": fr.del_j}
+    if operator not in ops or tuple(source_bidegree) != (2 * n - 2, 0):
+        raise ValueError(f"solve_exactness solves del or del_j on ({2 * n - 2}, 0)-forms, "
+                         f"not {operator} on {tuple(source_bidegree)}-forms")
+    images = fr.corank_two_images(operator)
+    basis = list(images)
     rhs = len(basis)
     equations: dict = {}
-    for j, idx in enumerate(basis):
-        for k, c in op(Form.monomial(dim, idx)).terms.items():
+    for j, image in enumerate(images.values()):
+        for k, c in image.items():
             equations.setdefault(k, {})[j] = c
     for k, c in target.terms.items():
         equations.setdefault(k, {})[rhs] = c
@@ -155,9 +150,9 @@ def solve_exactness(geom: Geometry, operator: str, target: Form,
     info = {"rank": len(rows) - (not consistent), "consistent": consistent}
     if not consistent:
         return None, info
-    terms = {mask(basis[j]): row[rhs] for j, row in rows.items() if rhs in row}
-    witness = Form(dim, p + q, terms)
-    if op(witness) != target:
+    terms = {basis[j]: row[rhs] for j, row in rows.items() if rhs in row}
+    witness = Form(dim, 2 * n - 2, terms)
+    if ops[operator](witness) != target:
         raise ConsistencyError("exactness witness failed verification")
     return witness, info
 
@@ -188,14 +183,13 @@ def sl_and_class_check(m: Metric) -> dict:
     """Invariant-level holonomy reduction and first-class flags.
 
     At the invariant level del-exact (1,0)-forms vanish, so alpha = 0 is the
-    full special-linear condition, d eta = 0 the restricted one, and
-    del_J alpha = 0 the vanishing of the degree-one obstruction class.
+    full special-linear condition, d eta = 0 (the curvature's ``ric_ob``)
+    the restricted one, and del_J alpha = 0 the vanishing of the degree-one
+    obstruction class.
     """
-    fr = m.geometry.frame
-    cf = m.canonical_forms()
     return {
-        "alpha_zero": cf.alpha.is_zero(),
-        "d_eta_zero": fr.d(cf.eta).is_zero(),
+        "alpha_zero": m.canonical_forms().alpha.is_zero(),
+        "d_eta_zero": m.curvature().ric_ob.is_zero(),
         "del_j_alpha_zero": m.curvature().del_j_alpha.is_zero(),
         "scope": "invariant level: exact invariant potentials are constants",
     }
@@ -278,11 +272,10 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     if hyperkaehler != (d_oj.is_zero() and d_ok.is_zero() and d_omega_i.is_zero()):
         raise ConsistencyError("hyperkaehler audits disagree")
 
-    del_omega = fr.del_(m.omega)
+    del_omega = m.del_omega
     hkt = del_omega.is_zero()
 
-    power = m.omega_power(n - 1)
-    del_power = fr.del_(power)
+    del_power = m.del_power
     q_balanced = del_power.is_zero()
     # audit: q-balanced iff beta = 0 (since beta ^ Omega^{n-1} = del Omega^{n-1})
     if q_balanced != cf.beta.is_zero():
@@ -560,11 +553,9 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     """
     import random as _random
     fr = geom.frame
-    n, N, dim = geom.n, geom.N, geom.algebra.dim
-    monomials = [Form.monomial(dim, key)
-                 for key in itertools.combinations(range(N), 2 * n - 2)]
-    span_rows = [fr.del_(f).terms for f in monomials]
-    image_rows = [fr.del_j(f).terms for f in monomials]
+    n = geom.n
+    span_rows = list(fr.corank_two_images("del").values())
+    image_rows = list(fr.corank_two_images("del_j").values())
     r_span = len(linalg.echelon(span_rows))
     r_image = len(linalg.echelon(image_rows))
     r_union = len(linalg.echelon(span_rows + image_rows))
@@ -604,7 +595,8 @@ def _diagonal_power_derivatives(geom: Geometry) -> list:
     monomial on the indices outside the k-th block.
     """
     N, dim = geom.N, geom.algebra.dim
-    return [geom.frame.del_(Form.monomial(dim, [j for j in range(N) if j // 2 != k]))
+    images = geom.frame.corank_two_images("del")
+    return [Form(dim, N - 1, images[mask([j for j in range(N) if j // 2 != k])])
             for k in range(geom.n)]
 
 

@@ -468,8 +468,7 @@ def joyce_build(data: JoyceData) -> JoyceResult:
     _validate_block_axioms(data, algebra)
     geom = Geometry(algebra, HypercomplexStructure.standard(dim // 4))
     metric = Metric.diagonal(geom, [rational(1, 2)] * (dim // 4))
-    fr = geom.frame
-    dja = fr.del_j(metric.canonical_forms().alpha)
+    dja = metric.curvature().del_j_alpha
     if default_weights:
         if dja != metric.omega:
             raise ConsistencyError(

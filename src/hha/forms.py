@@ -34,12 +34,15 @@ A table can also be made from its ints alone
 first read, as only the object route and the tests read them.  A complex
 frame builds its tables that way, with :func:`leibniz_ints` and
 :func:`substitute_ints`, the kernel's loop and ``Form.substitute`` on
-numerators.  A metric's reads of G^-1 use :func:`substitute_ints`,
-:func:`contract_ints` and :func:`cofactor_ints`, ``Form.contract`` and
-:func:`cofactor_power` on numerators, so that no other module touches a
-key's bits.
+numerators, and reads a table on all the monomials of corank two at once
+with :func:`corank_two_images`.  A metric's reads of G^-1 use
+:func:`substitute_ints`, :func:`contract_ints` and :func:`cofactor_ints`,
+``Form.contract`` and :func:`cofactor_power` on numerators, so that no other
+module touches a key's bits.
 """
 from __future__ import annotations
+
+from itertools import combinations
 
 from .linalg import add_ints, add_term
 from .scalars import (
@@ -450,6 +453,48 @@ def leibniz_ints(terms, ints, entries, d: int) -> dict:
                 acc[k] = (rr, ri, ir, ii)
             even, odd = odd, even   # (-1)^pos
     return acc
+
+
+def corank_two_images(table: DerivationTable, half: int) -> dict:
+    """The derivation ``table`` on each monomial z^{[half] minus {r, s}}, read
+    off its generator 2-forms (on the first ``half`` generators for k < half,
+    as del and del_J are): source key -> the terms of ``leibniz_differential``
+    of the monomial, equal key by key and in order.
+
+    A term c z^a ^ z^b of the image of z^k reaches the source S, k in S, only
+    when {a, b} misses S minus {k}, that is when {a, b} lies in {k, r, s}.  So
+    a term without k reaches the one source {r, s} = {a, b}, landing on
+    z^{[half] minus {k}}, and a term {k, o} the half - 2 sources
+    {r, s} = {o, t}, t outside {k, o}, landing on z^{[half] minus {t}}.  The
+    sign is the kernel's: the position of k in S, plus
+    ``(rest & _odd_above(key)).bit_count()`` for rest = S minus {k}.
+    Generators and terms go in the kernel's order, on the table's lane when
+    it has one (each value built once, as ``leibniz_ints`` sums), else on its
+    ``Form``s times the monomial's coefficient 1, as the object route
+    multiplies, so each image is summed alike, float rounding included.
+    """
+    full, lane = (1 << half) - 1, table.lane
+    images = {mask(idx): {} for idx in combinations(range(half), half - 2)}
+    for k in range(half):
+        bit = 1 << k
+        entries = lane[2][k] if lane else [(key, _odd_above(key), c)
+                                           for key, c in table[k].terms.items()]
+        for key, odd, *x in entries:
+            other = key ^ bit
+            for source in ([full ^ other ^ (1 << t) for t in range(half)
+                            if t != k and not other >> t & 1] if key & bit else [full ^ key]):
+                rest = source ^ bit
+                flip = ((source & (bit - 1)).bit_count() + (rest & odd).bit_count()) & 1
+                if lane:
+                    add_ints(images[source], key | rest, neg_ints(x) if flip else tuple(x))
+                else:   # times the monomial's coefficient, as the kernel multiplies
+                    term = x[0] * C_ONE
+                    add_term(images[source], key | rest, -term if flip else term)
+    if lane:
+        for image in images.values():
+            for key, x in image.items():
+                image[key] = complex_from_ints(*x, lane[1], lane[0])
+    return images
 
 
 def contract_ints(terms: dict, vector: dict, d: int) -> dict:

@@ -359,6 +359,16 @@ class Metric:
                 + [Form(dim, 1, {mask((N + i,)): c.conjugate() for i, c in row.items()})
                    for row in rows])
 
+    @functools.cached_property
+    def del_omega(self) -> Form:
+        """del Omega, formed once: HKT, the adjoint route of beta."""
+        return self.geometry.frame.del_(self.omega)
+
+    @functools.cached_property
+    def del_power(self) -> Form:
+        """del Omega^{n-1}, formed once: q-balanced, q-sG, the division route of beta."""
+        return self.geometry.frame.del_(self.omega_power(self.n - 1))
+
     def _sharp(self, a: Form) -> Form:
         """a with conjugated coefficients and raised indices: <b, a> = sum_I b_I (a#)_I."""
         return a.map_coefficients(ComplexScalar.conjugate).substitute(self._raise)
@@ -705,13 +715,14 @@ class Metric:
         if alpha_div != alpha_lef:
             raise ConsistencyError("alpha mismatch between division and adjoint routes")
         beta_div = self._beta_division()
-        beta_lef = self.lefschetz_adjoint(fr.del_(self.omega))
+        beta_lef = self.lefschetz_adjoint(self.del_omega)
         if beta_div != beta_lef:
             raise ConsistencyError("beta mismatch between division and adjoint routes")
         alpha, beta = alpha_div, beta_div
         if not fr.del_(alpha).is_zero():
             raise ConsistencyError("alpha is not del-closed")
-        if not fr.is_q_real(fr.del_j(alpha)):
+        self._del_j_alpha = fr.del_j(alpha)
+        if not fr.is_q_real(self._del_j_alpha):
             raise ConsistencyError("del_J alpha is not q-real")
         eta = alpha + fr.conjugate(alpha)
         theta = eta + beta + fr.conjugate(beta)
@@ -732,7 +743,7 @@ class Metric:
         (1,0)- onto the (2n-1,0)-forms, so this is the one solution.
         """
         n, N = self.n, self.N
-        target = self.geometry.frame.del_(self.omega_power(n - 1))
+        target = self.del_power
         scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
         joined = _joined(self._gram_ints, [*target.terms.values(), scale])
         if joined is not None:
@@ -767,7 +778,7 @@ class Metric:
             return self._curvature
         fr = self.geometry.frame
         cf = self.canonical_forms()
-        dja = fr.del_j(cf.alpha)
+        dja = self._del_j_alpha   # formed by canonical_forms for its q-real check
         djb = fr.del_j(cf.beta)
         s_ch_c = self._trace_ratio(dja) * ComplexScalar(rational(2))
         if not s_ch_c.is_real():

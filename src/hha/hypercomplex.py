@@ -7,8 +7,8 @@ algebra's real basis; the action on a k-form is pullback,
 
 Each structure has a deterministic adapted basis
 ``u_1, u_2, ... `` assembled in quadruples ``(v, Iv, Jv, Kv)`` greedily over
-the original basis; the integrability check takes its half bases from it, and
-the adapted frame its holomorphic covectors ``z^r = u^{2r-1} + i u^{2r}``.
+the original basis; the adapted frame takes its holomorphic covectors
+``z^r = u^{2r-1} + i u^{2r}`` from it.
 In this frame ``J z^{2i-1} = -conj(z^{2i})`` always holds, so the index
 bookkeeping of the standard block convention applies verbatim.
 
@@ -29,16 +29,20 @@ other tables are splits and signed permutations of its keys, so no ``Form``
 arithmetic runs.  The ``Form`` route (``to_complex`` of the CE differential)
 remains only for what the ints cannot stand for: float coefficients, and a
 frame whose radicand differs from the algebra's, which raises
-``FieldMismatchError``.
+``FieldMismatchError``.  del and del_J of the (N-2, 0) monomials, the systems
+of the q-strongly-Gauduchon test, are read once per frame off their tables.
 """
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 
 from .forms import (
     DerivationTable,
     Form,
     bidegree_of_key,
+    corank_two_images,
+    indices,
     leibniz_differential,
     leibniz_ints,
     map_key,
@@ -46,7 +50,7 @@ from .forms import (
     substitute_ints,
 )
 from .liealg import LieAlgebraData, wire_vector
-from .linalg import _apply, _columns, add_scaled, add_term, echelon, echelon_add
+from .linalg import _apply, _columns, add_ints, add_scaled, add_term, echelon, echelon_add
 from .scalars import (
     C_ONE,
     ComplexScalar,
@@ -55,6 +59,7 @@ from .scalars import (
     Scalar,
     ZERO,
     complex_ints,
+    mul_ints,
     neg_ints,
 )
 
@@ -190,19 +195,65 @@ class HypercomplexStructure:
         return HypercomplexStructure.from_columns(self.combo(p), self.combo(q))
 
 
-def _nijenhuis(d: LieAlgebraData, cols: list, x: dict, Lx: dict, y: dict, Ly: dict) -> dict:
-    """N_L(x, y) = [Lx, Ly] - L[Lx, y] - L[x, Ly] - [x, y], given Lx and Ly."""
-    out = d.bracket(Lx, Ly)
-    for vec in (_apply(cols, d.bracket(Lx, y)), _apply(cols, d.bracket(x, Ly)),
-                d.bracket(x, y)):
+def _nijenhuis(d: LieAlgebraData, cols: list, i: int, j: int) -> dict:
+    """N_L(e_i, e_j) = [Le_i, Le_j] - L[Le_i, e_j] - L[e_i, Le_j] - [e_i, e_j]."""
+    out = d.bracket(cols[i], cols[j])
+    for vec in (_apply(cols, d.bracket(cols[i], {j: ONE})),
+                _apply(cols, d.bracket({i: ONE}, cols[j])), d.bracket_basis(i, j)):
         for k, c in vec.items():
             add_term(out, k, -c)
     return out
 
 
-# positions in each adapted block (v, Iv, Jv, Kv) of a half basis S for L:
-# S and LS = {Iv, Kv}, {Jv, -Kv}, {Kv, Jv} together span the block
-_HALF_BASIS = {"I": (0, 2), "J": (0, 1), "K": (0, 1)}
+def _coframe_integrable(d: LieAlgebraData, columns: dict):
+    """{label: whether N_L = 0} for the structures L of ``columns``, decided
+    on the coframe; None unless the structure constants and L are exact over
+    one field.
+
+    With d theta(X, Y) = -theta([X, Y]), theta(N_L(X, Y)) = d theta(X, Y)
+    - d theta(LX, LY) + d(L*theta)(LX, Y) + d(L*theta)(X, LY), where
+    (L*theta)(X) = theta(LX): the 2-form d theta - L*(d theta) + D_L d(L*theta),
+    D_L the derivation extending L* on 1-forms.  So N_L = 0 exactly when it
+    vanishes for every theta = e^k (Salamon's d(Lambda^{1,0}) in
+    Lambda^{2,0} + Lambda^{1,1}, J. Pure Appl. Algebra 157, 2001, in real
+    form).  Each term w e^i ^ e^j of each d e^m (the algebra's int table) is
+    pushed through the nonzeros of L, L* e^i = sum_a L[i][a] e^a and
+    d(L* e^k) = sum_m L[k][m] d e^m, into ``acc[k, a, b]``, a coefficient of
+    e^a (x) e^b in the k-th 2-form, on numerators over den(d e) den(L)^2.  As
+    e^a ^ e^b = e^a (x) e^b - e^b (x) e^a, a term -x on e^a ^ e^b is kept as
+    x on e^b (x) e^a, and the 2-form vanishes exactly when ``acc`` is
+    symmetric.
+    """
+    lane = d._d_table.lane
+    own = complex_ints([ComplexScalar(x) for cols in columns.values()
+                        for col in cols for x in col.values()])
+    if lane is None or own is None or (lane[0] and own[0] and lane[0] != own[0]):
+        return None
+    rad, scale = lane[0] or own[0], (own[1] ** 2, 0, 0, 0)
+    forms = [[(*indices(key), x) for key, _, *x in row] for row in lane[2]]
+    ints, verdicts = iter(own[2]), {}
+    for label, cols in columns.items():
+        cols_ints = [[(k, next(ints)) for k in col] for col in cols]
+        rows: list = [[] for _ in cols]            # rows[i]: (a, L[i][a])
+        for a, col in enumerate(cols_ints):
+            for i, x in col:
+                rows[i].append((a, x))
+        acc: dict = {}
+        for m, terms in enumerate(forms):
+            for i, j, w in terms:
+                add_ints(acc, (m, i, j), mul_ints(w, scale, rad))      # d e^m
+                for a, x in rows[i]:                                   # -L*(d e^m)
+                    wx = mul_ints(w, x, rad)
+                    for b, y in rows[j]:
+                        add_ints(acc, (m, b, a), mul_ints(wx, y, rad))
+                for k, x in cols_ints[m]:                              # D_L d(L* e^k)
+                    wx = mul_ints(w, x, rad)
+                    for a, y in rows[i]:
+                        add_ints(acc, (k, a, j), mul_ints(wx, y, rad))
+                    for b, y in rows[j]:
+                        add_ints(acc, (k, i, b), mul_ints(wx, y, rad))
+        verdicts[label] = all(acc.get((k, b, a)) == x for (k, a, b), x in acc.items())
+    return verdicts
 
 
 def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
@@ -210,35 +261,22 @@ def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
 
     Vanishing of the Nijenhuis tensor for two anticommuting structures
     suffices for the whole sphere; K is checked anyway as a third sample.
-
-    Each N_L is evaluated on a half basis only.  Expanding with L^2 = -1,
-    N_L(LX, Y) = -[X, LY] + L[X, Y] - L[LX, LY] - [LX, Y] = -L N_L(X, Y), and
-    by skew symmetry N_L(X, LY) = -L N_L(X, Y) too.  So if S is a set with
-    S and LS together a basis and N_L vanishes on all pairs from S, it
-    vanishes on (s, Lt) and (Ls, Lt) = -L N_L(s, Lt) as well, hence
-    everywhere by bilinearity; the converse is clear.  In a block
-    (v, Iv, Jv, Kv) of the adapted basis, S = {v, Jv} serves I (IJv = Kv),
-    and S = {v, Iv} serves J (JIv = -Kv) and K (KIv = Jv).  Only when a
-    half-basis pair fails are the basis pairs scanned, in order, so that the
-    ``IntegrabilityError`` names the first failing pair (e_i, e_j).
+    Each N_L is decided on the coframe (:func:`_coframe_integrable`), for I,
+    J and K in that order; only a label that fails there, or any label when
+    it cannot run, scans the basis pairs in order, so that the
+    ``IntegrabilityError`` names the first failing pair and its value.
     Returns a small certificate dict.
     """
     if H.dim != d.dim:
         raise StructureError("structure dimension does not match the algebra")
-    basis = H.adapted_basis
-    checked = {}
+    verdicts = _coframe_integrable(d, H.columns) or {}
     for label, cols in H.columns.items():
-        half = [basis[b + p] for b in range(0, d.dim, 4) for p in _HALF_BASIS[label]]
-        images = [_apply(cols, x) for x in half]
-        if any(_nijenhuis(d, cols, half[a], images[a], half[b], images[b])
-               for a in range(len(half)) for b in range(a + 1, len(half))):
-            for i in range(d.dim):
-                for j in range(i + 1, d.dim):
-                    res = _nijenhuis(d, cols, {i: ONE}, cols[i], {j: ONE}, cols[j])
-                    if res:
-                        raise IntegrabilityError(label, i, j, res)
-        checked[label] = "integrable"
-    return {"relations": "ok", "nijenhuis": checked}
+        if not verdicts.get(label):
+            for i, j in itertools.combinations(range(d.dim), 2):
+                res = _nijenhuis(d, cols, i, j)
+                if res:
+                    raise IntegrabilityError(label, i, j, res)
+    return {"relations": "ok", "nijenhuis": dict.fromkeys(H.columns, "integrable")}
 
 
 def is_abelian(d: LieAlgebraData, H: HypercomplexStructure) -> bool:
@@ -297,6 +335,7 @@ class ComplexFrame:
         self.dim = dim = d.dim
         self.N = N = dim // 2
         self.basis = H.adapted_basis  # u_a as sparse columns over the e-basis
+        self._corank_two: dict = {}
         # P has the columns u_a; [P | 1] reduces to [1 | P^-1], whose row a is u^a
         P: list = [{} for _ in range(dim)]
         for a, u in enumerate(self.basis):
@@ -482,6 +521,13 @@ class ComplexFrame:
     def delbar_j(self, form: Form) -> Form:
         """Twisted differential J^{-1} del J, of type (p, q) -> (p, q+1)."""
         return leibniz_differential(form, self._tables["delbar_j"])
+
+    def corank_two_images(self, name: str) -> dict:
+        """del (``"del"``) or del_J (``"del_j"``) of every (N-2, 0) monomial,
+        read once per frame off its table (``forms.corank_two_images``)."""
+        if name not in self._corank_two:
+            self._corank_two[name] = corank_two_images(self._tables[name], self.N)
+        return self._corank_two[name]
 
     def is_q_real(self, form: Form) -> bool:
         return self.j_action(self.conjugate(form)) == form

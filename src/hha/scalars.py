@@ -50,8 +50,10 @@ product and inverse it does perform still goes through ``Scalar.__add__``,
 ``__mul__`` or ``inverse``.  Inside those, no new object is made where the
 result already exists: ``*`` by an exact +-1 (``d == 0``, ``r == 1``,
 ``p == +-1``) returns the other operand or its negation, the same float
-bits as the general path for a float operand, and ``-`` of an exact zero
-returns it (a float zero is still negated, so -0.0 keeps its sign).  Float
+bits as the general path for a float operand; beside an exact operand, an
+exact zero is the product and leaves the other operand as the sum; and
+``-`` of an exact zero returns it (a float zero is still negated, so -0.0
+keeps its sign).  Float
 operands and mixed radicands take the general path: a float promotes the
 result to float, and two different radicands raise
 :class:`FieldMismatchError`.
@@ -250,7 +252,13 @@ class Scalar:
                 other = self._coerce(other)
             except TypeError:
                 return NotImplemented  # a ComplexScalar operand takes the mixed sum
-        d = self._d if self._d == other._d else self._join(other)
+        d1, d2 = self._d, other._d
+        # an exact zero beside an exact operand: the sum is that operand
+        if not d1 and not self._p and d2 != FLOAT_KIND:
+            return other
+        if not d2 and not other._p and d1 != FLOAT_KIND:
+            return self
+        d = d1 if d1 == d2 else self._join(other)
         if d == FLOAT_KIND:
             return _make(self.to_float() + other.to_float(), 0, 1, FLOAT_KIND)
         p1, q1, r1, p2, q2, r2 = self._p, self._q, self._r, other._p, other._q, other._r
@@ -294,6 +302,11 @@ class Scalar:
             except TypeError:
                 return NotImplemented  # a ComplexScalar operand takes the mixed product
         p1, r1, d1, p2, r2, d2 = self._p, self._r, self._d, other._p, other._r, other._d
+        # an exact zero beside an exact operand is the product
+        if not d1 and not p1 and d2 != FLOAT_KIND:
+            return self
+        if not d2 and not p2 and d1 != FLOAT_KIND:
+            return other
         # an exact +-1 factor: the product is the other operand or its
         # negation, which is what the general path makes, a float included
         if r1 == 1 and not d1 and (p1 == 1 or p1 == -1):

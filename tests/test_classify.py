@@ -116,6 +116,19 @@ def test_solve_exactness_zero_target():
     assert witness is not None and witness.is_zero()
 
 
+def test_solve_exactness_serves_del_and_del_j_on_the_top_minus_two_forms_only():
+    g = geom(nil12_qsg())
+    m = Metric.unitary(g)
+    target = g.frame.del_(m.omega_power(2))
+    for operator, bidegree in (("del_del_j", (4, 0)), ("delbar", (4, 0)),
+                               ("del_j", (3, 1)), ("del", (2, 0))):
+        with pytest.raises(ValueError, match="solves del or del_j on \\(4, 0\\)-forms"):
+            solve_exactness(g, operator, target, bidegree)
+    # del Omega^2 is del of Omega^2 itself
+    witness, info = solve_exactness(g, "del", target, (4, 0))
+    assert info["consistent"] and g.frame.del_(witness) == target
+
+
 def test_einstein_factors_solvables():
     cases = [
         (solv_aff_c(), ZERO),

@@ -1,24 +1,29 @@
-"""Building a geometry against the routes the half-basis, conjugation and
-integer shortcuts replaced.
+"""Building a geometry against the routes the coframe, conjugation, integer
+and corank-two shortcuts replaced.
 
-``validate_hypercomplex`` evaluates each Nijenhuis tensor N_L on pairs from a
-half basis S (S and LS together a basis) and scans the basis pairs only when
-one of them fails.  ``ComplexFrame._d_table`` and ``_tables`` build the five
+``validate_hypercomplex`` decides each Nijenhuis tensor N_L on the coframe,
+from the structure constants, and scans the basis pairs only for a label
+that fails there.  ``ComplexFrame._d_table`` and ``_tables`` build the five
 generator tables of d, del, delbar, del_J and delbar_J on int numerators,
-read off the algebra's structure constants and the frame's image ints.  The
-oracles are the routes they replaced:
+read off the algebra's structure constants and the frame's image ints, and
+``ComplexFrame.corank_two_images`` reads del and del_J of every (N-2, 0)
+monomial off those tables.  The oracles are the routes they replaced:
 
 - the scan of N_L over all basis pairs (e_i, e_j), i < j, for I, J and K in
-  turn, stopping at the first nonzero value;
+  turn, stopping at the first nonzero value (per label for the coframe
+  verdict);
 - d of every one of the 2N frame generators as ``to_complex`` of the CE
   differential of its real image, and the split tables built from it with
   ``Form.scale(+-1)``;
 - the object route on ``Form``s: ``to_complex`` of the CE differential for
   the N holomorphic generators, ``conjugate`` for the barred ones,
-  ``bidegree_project`` for the split and ``j_action`` for the twist.
+  ``bidegree_project`` for the split and ``j_action`` for the twist;
+- del and del_J applied to each (N-2, 0) monomial by the Leibniz kernel.
 
 The new routes must accept and reject the same structures, naming the same
-label, pair and value, and give the same generator tables.  Against the
+label, pair and value, and give the same generator tables and the same
+images of the (N-2, 0) monomials, key by key and in order (bit for bit on a
+float frame).  Against the
 object route the five tables agree in keys, values and insertion order.
 Against the direct route the barred half of the d table holds the same terms
 but not always in the same insertion order, because the direct route's
@@ -35,7 +40,7 @@ from hypothesis import given, settings, strategies as st
 from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
 from hha.documents import geometry_to_input, load_document, parse_input
-from hha.forms import Form, bidegree_project
+from hha.forms import Form, bidegree_project, indices, mask
 from hha.hypercomplex import (
     ComplexFrame,
     Geometry,
@@ -43,6 +48,7 @@ from hha.hypercomplex import (
     IntegrabilityError,
     SpherePoint,
     StructureError,
+    _coframe_integrable,
     validate_hypercomplex,
 )
 from hha.liealg import LieAlgebraData
@@ -66,20 +72,37 @@ def _apply(cols, vec):
     return out
 
 
+def label_scan_failure(alg, cols):
+    """(i, j, N_L(e_i, e_j)) at the first basis pair, 0-based, where the
+    Nijenhuis tensor of L, given by its columns, does not vanish, or None."""
+    for i, j in itertools.combinations(range(alg.dim), 2):
+        ei, ej, Lei, Lej = {i: ONE}, {j: ONE}, cols[i], cols[j]
+        out = alg.bracket(Lei, Lej)
+        for vec in (_apply(cols, alg.bracket(Lei, ej)), _apply(cols, alg.bracket(ei, Lej)),
+                    alg.bracket(ei, ej)):
+            for k, c in vec.items():
+                add_term(out, k, -c)
+        if out:
+            return i, j, out
+    return None
+
+
 def full_scan_failure(alg, H):
     """(label, i, j, N_L(e_i, e_j)) at the first basis pair, 0-based, where a
     Nijenhuis tensor of I, J or K does not vanish, or None."""
     for label, cols in H.columns.items():
-        for i, j in itertools.combinations(range(alg.dim), 2):
-            ei, ej, Lei, Lej = {i: ONE}, {j: ONE}, cols[i], cols[j]
-            out = alg.bracket(Lei, Lej)
-            for vec in (_apply(cols, alg.bracket(Lei, ej)), _apply(cols, alg.bracket(ei, Lej)),
-                        alg.bracket(ei, ej)):
-                for k, c in vec.items():
-                    add_term(out, k, -c)
-            if out:
-                return label, i, j, out
+        failure = label_scan_failure(alg, cols)
+        if failure is not None:
+            return (label, *failure)
     return None
+
+
+def per_monomial_images(frame, name):
+    """del or del_J of each (N-2, 0) monomial, one Leibniz kernel call each:
+    the system builder ``solve_exactness`` used before the corank-two read."""
+    op = {"del": frame.del_, "del_j": frame.del_j}[name]
+    return {mask(idx): op(Form.monomial(frame.dim, idx)).terms
+            for idx in itertools.combinations(range(frame.N), frame.N - 2)}
 
 
 def direct_d_table(frame):
@@ -254,10 +277,10 @@ def test_random_geometries_match_the_oracles(case, which):
     assert_tables_match_object_route(alg, H)
 
 
-def test_a_failing_half_basis_pair_reports_the_first_basis_pair():
-    # [e1, e3] = e5 on R^8: N_I(e1, e3) = -e5 on the half-basis pair (v, Jv) of
-    # the first block, so the basis scan runs and names (e1, e3), the first
-    # basis pair where N_I does not vanish
+def test_a_label_failing_on_the_coframe_reports_the_first_basis_pair():
+    # [e1, e3] = e5 on R^8: N_I(e1, e3) = -e5, so I fails on the coframe, the
+    # basis scan runs and names (e1, e3), the first basis pair where N_I does
+    # not vanish
     alg = LieAlgebraData(8, {(0, 2): {4: ONE}})
     H = HypercomplexStructure.standard(2)
     assert full_scan_failure(alg, H) == ("I", 0, 2, {4: -ONE})
@@ -353,3 +376,77 @@ def test_a_sqrt5_algebra_in_a_sqrt2_frame_still_raises():
         frame._d_table
     with pytest.raises(FieldMismatchError, match="cannot mix"):
         frame._tables
+
+
+# -- the coframe verdict and the corank-two systems --------------------------------
+
+
+def assert_coframe_matches_the_label_scans(alg, H):
+    """Per label, or None where the scan cannot mix the two fields."""
+    verdicts = _coframe_integrable(alg, H.columns)
+    try:
+        scans = {label: label_scan_failure(alg, cols) is None
+                 for label, cols in H.columns.items()}
+    except FieldMismatchError:
+        assert verdicts is None
+        return
+    assert verdicts == scans
+
+
+def _fields(c):
+    """Every field of a complex scalar, floats by ``repr`` so that -0.0 counts."""
+    return repr([(x.p, x.q, x.r, x.d) for x in (c.re, c.im)])
+
+
+def assert_systems_match_the_oracle(frame):
+    for name in ("del", "del_j"):
+        got, want = frame.corank_two_images(name), per_monomial_images(frame, name)
+        assert list(got) == list(want), name
+        for key, terms in want.items():
+            assert [(k, _fields(c)) for k, c in got[key].items()] == \
+                [(k, _fields(c)) for k, c in terms.items()], (name, indices(key))
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_catalog_systems_and_verdicts_match_the_oracles(name):
+    """On the standard structure, its rotations, the swapped pair and the
+    sqrt(2) rotation (whose tables joyce_su3, over Q(sqrt(3)), cannot build)."""
+    alg = _catalog_algebra(name)
+    standard = HypercomplexStructure.standard(alg.dim // 4)
+    for H in (*_structures(standard), standard.rotate_pair(*SQRT2_PAIR)):
+        assert_coframe_matches_the_label_scans(alg, H)
+        if assert_tables_match_object_route(alg, H) is not None:
+            assert_systems_match_the_oracle(Geometry(alg, H, check_integrability=False).frame)
+
+
+@pytest.mark.parametrize("name", ["qsg12", "joyce_su2xsu2", "qgau16"])
+def test_float_systems_match_the_oracle_bit_for_bit(name):
+    geom = _float_geometry(name)
+    assert geom.frame._tables["del_j"].lane is None
+    assert _coframe_integrable(geom.algebra, geom.structure.columns) is None
+    assert_systems_match_the_oracle(geom.frame)
+
+
+def _sqrt2_table(table):
+    """The bracket table times sqrt(2), over Q(sqrt(2)): the same Nijenhuis
+    zeros, with every structure constant irrational."""
+    return {ij: {k: c * root(2) for k, c in comps.items()} for ij, comps in table.items()}
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(case=two_step_tables(), which=st.integers(min_value=0, max_value=4),
+       irrational=st.booleans())
+def test_random_systems_and_verdicts_match_the_oracles(case, which, irrational):
+    """Each label's coframe verdict is the scan's, with the structure
+    constants in Q or Q(sqrt(2)) and the structure's entries in Q or, for the
+    fifth structure, the sqrt(2) rotation, in Q(sqrt(2))."""
+    dim, table, _ = case
+    if irrational:
+        alg = LieAlgebraData(dim, _sqrt2_table(table), ScalarField("quadratic", 2))
+    else:
+        alg = LieAlgebraData(dim, table)
+    standard = HypercomplexStructure.standard(dim // 4)
+    H = [*_structures(standard), standard.rotate_pair(*SQRT2_PAIR)][which]
+    assert_coframe_matches_the_label_scans(alg, H)
+    if assert_tables_match_object_route(alg, H) is not None:
+        assert_systems_match_the_oracle(Geometry(alg, H, check_integrability=False).frame)

@@ -158,6 +158,39 @@ def test_a_unit_factor_gives_the_general_product(x, u):
             assert fields == want
 
 
+def general_sum(x, y):
+    """The fields of ``x + y`` by the sum formula over the common denominator."""
+    if x.d == -1 or y.d == -1:
+        return x.to_float() + y.to_float(), 0, 1, -1
+    d = x.d or y.d
+    p, q, r = x.p * y.r + y.p * x.r, x.q * y.r + y.q * x.r, x.r * y.r
+    g = math.gcd(p, q, r)
+    return p // g, q // g, r // g, d if q else 0
+
+
+_zeros = st.sampled_from((0, ZERO, rational(0), quadratic(0, 0, 2)))
+
+
+@_kernel
+@given(st.one_of(scalars(0), scalars(2), scalars(5), _floats.map(floating)), _zeros)
+def test_an_exact_zero_operand_gives_the_general_product_and_sum(x, z):
+    zero = Scalar._coerce(z)
+    for got, want in ((x * z, general_product(x, zero)), (z * x, general_product(zero, x)),
+                      (x + z, general_sum(x, zero)), (z + x, general_sum(zero, x))):
+        fields = (got.p, got.q, got.r, got.d)
+        assert fields == want
+        if x.is_float:
+            assert math.copysign(1, got.p) == math.copysign(1, want[0])
+        else:
+            check_canonical(got)
+    if not x.is_float:
+        # no new object: the zero is the product, and the other operand the sum
+        for got in (x * zero, zero * x):
+            assert got is zero or x.is_zero() and got is x
+        for got in (x + zero, zero + x):
+            assert got is x or x.is_zero() and got is zero
+
+
 def test_negating_an_exact_zero_gives_zero_and_a_float_zero_keeps_its_sign():
     for zero in (ZERO, rational(0), quadratic(0, 0, 2)):
         assert -zero == ZERO
