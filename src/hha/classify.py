@@ -109,11 +109,11 @@ _CHAIN = ["hyperkaehler", "hkt", "q_balanced", "q_strongly_gauduchon", "q_gauduc
 def _residual(form: Form, frame, limit: int = 4) -> str:
     """``frame.format(form)`` cut after its first ``limit`` terms, with the
     count of all of them; only the printed terms are formatted."""
-    terms = form.terms
-    if len(terms) <= limit:
-        return frame.format(form) if terms else ""
-    shown = {key: terms[key] for key in sorted(terms, key=indices)[:limit]}
-    return f"{frame.format(Form(form.nsym, form.degree, shown))} + ... ({len(terms)} terms)"
+    keys = form.keys()
+    if len(keys) <= limit:
+        return frame.format(form) if keys else ""
+    shown = form.restrict(sorted(keys, key=indices)[:limit])
+    return f"{frame.format(shown)} + ... ({len(keys)} terms)"
 
 
 def solve_exactness(geom: Geometry, operator: str, target: Form,

@@ -16,29 +16,28 @@ the value on those vectors.  The package reads values off coefficients that
 way; the evaluator itself, with the frame vectors and the action of I, J, K
 on them, lives with the tests (``tests/frame_evaluation.py``).
 
-Every differential (d, del, delbar, del_J, delbar_J, Chevalley-Eilenberg) is
-one :func:`leibniz_differential` call with a :class:`DerivationTable`, which
-its owner compiles once: when its coefficients are exact over one field, the
-table also holds them as int numerators over one common denominator
-(``scalars.complex_ints``).  The kernel then writes the form's coefficients
-the same way, runs its loop on ints with the signs folded in, and builds each
-output coefficient once, over the product of the two denominators
-(``scalars.complex_from_ints``).  This makes no scalar object per term, and
-the result is the same exact value.  The loop over scalar objects stays for
-what the ints cannot stand for: a float coefficient under ``--float``, whose
-sums must keep their rounding, and a form whose radicand differs from the
-table's, which still raises ``FieldMismatchError``.
+Integer numerators.  :func:`numerators` writes an exact form as int
+numerators over one denominator, ``(d, den, {key: (a, b, c, e)})`` for the
+coefficients ((a + b*sqrt(d)) + i*(c + e*sqrt(d))) / den, or gives None for
+a float coefficient or two radicands.  It is the one boundary between
+numerators and scalar objects: every integer kernel
+(:func:`leibniz_differential`, which runs every differential, the metric's
+reads of G^-1, the frame's maps) reads its operands with it and makes its
+result with :meth:`Form.from_numerators`, a :class:`NumeratorForm`, which
+builds its scalar objects (``scalars.complex_from_ints``) only when
+``terms`` is read.
+The loop over scalar objects stays for a float coefficient under
+``--float``, whose sums must keep their rounding, and for a form whose
+radicand differs from the table's, which still raises ``FieldMismatchError``.
 
-A table can also be made from its ints alone
-(:meth:`DerivationTable.from_ints`); it then builds its ``Form``s lazily, on
-first read, as only the object route and the tests read them.  A complex
-frame builds its tables that way, with :func:`leibniz_ints` and
-:func:`substitute_ints`, the kernel's loop and ``Form.substitute`` on
-numerators, and reads a table on all the monomials of corank two at once
-with :func:`corank_two_images`.  A metric's reads of G^-1 use
+A table can also be made from its numerators alone
+(:meth:`DerivationTable.from_ints`).  A complex frame builds its tables that
+way, with :func:`leibniz_ints` and :func:`substitute_ints`, and reads a
+table on all the monomials of corank two at once with
+:func:`corank_two_images`.  A metric's reads of G^-1 use
 :func:`substitute_ints`, :func:`contract_ints` and :func:`cofactor_ints`,
-``Form.contract`` and :func:`cofactor_power` on numerators, so that no other
-module touches a key's bits.
+``Form.substitute``, ``Form.contract`` and :func:`cofactor_power` on
+numerators, so that no other module touches a key's bits.
 """
 from __future__ import annotations
 
@@ -101,6 +100,7 @@ class Form:
     """Invariant differential form with exact complex coefficients."""
 
     __slots__ = ("nsym", "degree", "terms")
+    _num = None   # the numerators a NumeratorForm keeps
 
     def __init__(self, nsym: int, degree: int, terms: dict | None = None):
         if degree < 0 or degree > nsym:
@@ -129,10 +129,26 @@ class Form:
     def constant(cls, nsym: int, coeff) -> "Form":
         return cls.monomial(nsym, (), coeff)
 
+    @staticmethod
+    def from_numerators(nsym: int, degree: int, d: int, den: int, ints: dict) -> "Form":
+        """The form whose :func:`numerators` are ``(d, den, ints)``; no value
+        of ``ints`` is all zeros."""
+        form = object.__new__(NumeratorForm)
+        form.nsym, form.degree, form._num, form._terms = nsym, degree, (d, den, ints), None
+        return form
+
     # -- linear structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def keys(self):
+        return (self.terms if self._num is None else self._num[2]).keys()
+
+    def restrict(self, keys) -> "Form":
+        """The terms on ``keys``, keys of the form, in that order."""
+        terms = self.terms
+        return Form(self.nsym, self.degree, {k: terms[k] for k in keys})
 
     def coefficient(self, indices) -> ComplexScalar:
         """The coefficient on the monomial of ``indices``; zero unless they
@@ -186,7 +202,9 @@ class Form:
         return self.degree == other.degree and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.nsym, self.degree, frozenset(self.terms.items())))
+        # every zero form is equal to every other, whatever its degree
+        terms = self.terms
+        return hash((self.nsym, self.degree if terms else None, frozenset(terms.items())))
 
     # -- multiplicative structure --------------------------------------------
 
@@ -288,6 +306,67 @@ class Form:
         return f"Form[deg {self.degree}: {self.format()}]"
 
 
+class NumeratorForm(Form):
+    """A form made by :meth:`Form.from_numerators`: its numerators are kept,
+    and its ``terms`` are built from them on first read."""
+
+    __slots__ = ("_num", "_terms")
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            d, den, ints = self._num
+            self._terms = {k: complex_from_ints(*x, den, d) for k, x in ints.items()}
+        return self._terms
+
+    def is_zero(self) -> bool:
+        return not self._num[2]
+
+    def remade(self, ints: dict) -> Form:
+        """This form's degree and denominator, with the numerators ``ints``."""
+        return Form.from_numerators(self.nsym, self.degree, self._num[0], self._num[1], ints)
+
+    def restrict(self, keys) -> Form:
+        ints = self._num[2]
+        return self.remade({k: ints[k] for k in keys})
+
+    def __neg__(self) -> Form:
+        return self.remade({k: neg_ints(x) for k, x in self._num[2].items()})
+
+    def map_indices(self, mapping) -> Form:
+        out: dict = {}
+        for key, x in self._num[2].items():
+            image = map_key(key, mapping)
+            if image is not None:
+                add_ints(out, image[0], neg_ints(x) if image[1] else x)
+        return self.remade(out)
+
+    def __eq__(self, other):
+        """Cross-multiplied numerators when ``other`` is a form of the same
+        shape, exact over a field of this one; else as :class:`Form` compares."""
+        if not isinstance(other, Form) or (self.nsym, self.degree) != (other.nsym, other.degree):
+            return Form.__eq__(self, other)
+        (d, m, xs), theirs = self._num, numerators(other)
+        if theirs is None or (d and theirs[0] and d != theirs[0]):
+            return Form.__eq__(self, other)
+        _, n, ys = theirs
+        return xs.keys() == ys.keys() and all(
+            a * n == b * m for key, x in xs.items() for a, b in zip(x, ys[key]))
+
+    __hash__ = Form.__hash__
+
+
+def numerators(form: Form):
+    """``(d, den, {key: (a, b, c, e)})`` of an exact form, in its order: the
+    kept ones of a :class:`NumeratorForm` (read only), else ``complex_ints``
+    of its terms; None for a float coefficient or two radicands."""
+    if form._num is not None:
+        return form._num
+    terms = form.terms
+    own = complex_ints(terms.values())
+    return None if own is None else (own[0], own[1], dict(zip(terms, own[2])))
+
+
 def wedge(a: Form, b: Form) -> Form:
     return a.wedge(b)
 
@@ -355,8 +434,7 @@ class DerivationTable:
         if self._forms is None:
             d, den, entries = self.lane
             self._forms = tuple(
-                Form(self.nsym, 2, {key: complex_from_ints(a, b, c, e, den, d)
-                                    for key, _, a, b, c, e in row})
+                Form.from_numerators(self.nsym, 2, d, den, {key: tuple(x) for key, _, *x in row})
                 for row in entries)
         return self._forms
 
@@ -379,19 +457,19 @@ def leibniz_differential(form: Form, table: DerivationTable) -> Form:
     without position pos).  A top-degree form maps to zero.
 
     The integer lane runs when the table is compiled and the form is exact
-    over the table's field; otherwise the scalar objects are multiplied.
+    over the table's field, and its result keeps its numerators; otherwise
+    the scalar objects are multiplied.
     """
     nsym = form.nsym
     if form.degree >= nsym:
         return Form.zero(nsym, form.degree)
     if table.lane is not None:
         d, den, entries = table.lane
-        own = complex_ints(form.terms.values())
+        own = numerators(form)
         if own is not None and (not own[0] or not d or own[0] == d):
-            d, den = d or own[0], den * own[1]
-            acc = leibniz_ints(form.terms, own[2], entries, d)
-            return Form(nsym, form.degree + 1, {k: complex_from_ints(*ints, den, d)
-                                                for k, ints in acc.items()})
+            d = d or own[0]
+            return Form.from_numerators(nsym, form.degree + 1, d, den * own[1],
+                                        leibniz_ints(own[2], entries, d))
     return Form(nsym, form.degree + 1, _object_route(form, table.forms))
 
 
@@ -410,18 +488,18 @@ def _object_route(form: Form, table) -> dict:
     return out
 
 
-def leibniz_ints(terms, ints, entries, d: int) -> dict:
-    """The object route's loop on numerators: the form's keys ``terms`` with
-    their ``ints`` and a table lane's ``entries`` give (a, b, c, e) per key,
-    standing for (a + b*sqrt(d)) + i*(c + e*sqrt(d)) over the product of the
-    two denominators.
+def leibniz_ints(ints: dict, entries, d: int) -> dict:
+    """The object route's loop on numerators: the form's ``ints`` by key and
+    a table lane's ``entries`` give (a, b, c, e) per key, standing for
+    (a + b*sqrt(d)) + i*(c + e*sqrt(d)) over the product of the two
+    denominators.
 
     The sign is folded into the form's ints, and a key whose sum is an exact
     zero is dropped as ``add_term`` drops it, so the keys come out in the
     same order.  Over Q (d = 0) every b and e is zero.
     """
     acc: dict = {}
-    for key, (p, q, s, u) in zip(terms, ints):
+    for key, (p, q, s, u) in ints.items():
         even, odd = (p, q, s, u), (-p, -q, -s, -u)
         bits = key
         while bits:
@@ -577,18 +655,13 @@ def bidegree_split(form: Form, half: int) -> dict:
 
 
 def bidegree_project(form: Form, half: int, p: int, q: int) -> Form:
-    terms = {
-        key: c
-        for key, c in form.terms.items()
-        if bidegree_of_key(key, half) == (p, q)
-    }
-    return Form(form.nsym, form.degree, terms)
+    return form.restrict([key for key in form.keys() if bidegree_of_key(key, half) == (p, q)])
 
 
 def pure_bidegree(form: Form, half: int):
     """The (p, q) type of a nonzero form of pure bidegree, else None."""
     pq = None
-    for key in form.terms:
+    for key in form.keys():
         cur = bidegree_of_key(key, half)
         if pq is None:
             pq = cur

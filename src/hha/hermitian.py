@@ -29,14 +29,13 @@ a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
 Reads on numerators.  An exact metric holds G and G^-1 as int numerators
 over one denominator each (``Metric._gram_ints`` and ``Metric._g_inv_ints``,
-the inverse by one ``linalg.inverse_ints``), and every read of them
+the inverse by one ``linalg.inverse_ints``).  Every read of them
 (Omega^{n-1}, omega_I^{N-1}, the Lefschetz adjoint, both traces, the inner
-product through ``forms.substitute_ints``, and the division route of
-``beta``) sums products of numerators and builds each coefficient of its
-result once, with ``scalars.complex_from_ints``.  The reads on scalar
-objects stay for what the ints cannot hold: a float metric under
-``--float``, and a form whose radicand differs from the metric's, which
-still raises ``FieldMismatchError``.
+product and the division route of ``beta``) takes its operands'
+``forms.numerators`` and makes its form with ``Form.from_numerators``.  The
+reads on scalar objects stay for a float metric under ``--float``, and for
+a form whose radicand differs from the metric's, which still raises
+``FieldMismatchError``.
 
 ``alpha`` and ``beta`` are always computed along two independent routes
 (coefficient division against the relevant power, read against A and A^-1,
@@ -58,6 +57,7 @@ from .forms import (
     contract_ints,
     indices,
     mask,
+    numerators,
     pure_bidegree,
     substitute_ints,
 )
@@ -301,7 +301,9 @@ class Metric:
         fr = geometry.frame
         if not omega.is_zero() and pure_bidegree(omega, self.N) != (2, 0):
             raise MetricError("metric form must have bidegree (2,0)")
-        if not fr.is_q_real(omega):
+        # q-real: J conj(Omega) = Omega; conj(Omega) is kept for omega_bar
+        self._omega_bar = fr.conjugate(omega)
+        if fr.j_action(self._omega_bar) != omega:
             raise QRealError("metric form must be q-real")
         self.omega = omega
         self.gram = hermitian_matrix_of(geometry, omega)
@@ -449,7 +451,7 @@ class Metric:
     # -- basic derived data -------------------------------------------------------
 
     def omega_bar(self) -> Form:
-        return self.geometry.frame.conjugate(self.omega)
+        return self._omega_bar
 
     def omega_power(self, k: int) -> Form:
         """Omega^k for k = n - 1 or n, read from the Pfaffian data on first use
@@ -479,8 +481,7 @@ class Metric:
                 d, den = d or sd, den * sden
                 a_inv = [h[p] if s > 0 else {t: neg_ints(y) for t, y in h[p].items()}
                          for p, s in map(j_index, range(self.N))]
-                power = Form(dim, self.N - 2, {key: complex_from_ints(*y, den, d) for key, y
-                                               in cofactor_ints(x, a_inv, d).items()})
+                power = Form.from_numerators(dim, self.N - 2, d, den, cofactor_ints(x, a_inv, d))
             else:
                 g_inv = self._g_inv
                 a_inv = [g_inv[p] if s > 0 else [-c for c in g_inv[p]]
@@ -536,9 +537,8 @@ class Metric:
                     y = h[s].get(r)
                     if y is not None:
                         y = mul_ints(y, x, d)
-                        terms[mask(hol[r] + anti[s])] = complex_from_ints(
-                            *(neg_ints(y) if (r + s) % 2 else y), den, d)
-            return Form(self.geometry.algebra.dim, 2 * N - 2, terms)
+                        terms[mask(hol[r] + anti[s])] = neg_ints(y) if (r + s) % 2 else y
+            return Form.from_numerators(self.geometry.algebra.dim, 2 * N - 2, d, den, terms)
         for r in range(N):
             for s in range(N):
                 c = self._g_inv[s][r]
@@ -553,16 +553,14 @@ class Metric:
         """Hermitian inner product sum_I a_I (b#)_I: linear in a, conjugate-linear in b."""
         if a.degree != b.degree:
             raise MetricError("inner product needs forms of equal degree")
-        values = [*a.terms.values(), *b.terms.values()]
-        joined = _joined(self._g_inv_ints, values)
+        joined = _joined(self._g_inv_ints, (a, b))
         if joined is not None:
-            d, den, ints = joined
-            split = len(a.terms)
-            conj = {key: (x[0], x[1], -x[2], -x[3]) for key, x in zip(b.terms, ints[split:])}
+            d, ((aden, a_ints), (bden, b_ints)) = joined
+            conj = {key: (x[0], x[1], -x[2], -x[3]) for key, x in b_ints.items()}
             b_sharp = (substitute_ints([conj], self._raise_ints, d)[0] if b.degree else conj)
             total = sum_ints(mul_ints(x, b_sharp[key], d)
-                             for key, x in zip(a.terms, ints[:split]) if key in b_sharp)
-            return complex_from_ints(*total, den * den * self._g_inv_ints[1] ** b.degree, d)
+                             for key, x in a_ints.items() if key in b_sharp)
+            return complex_from_ints(*total, aden * bden * self._g_inv_ints[1] ** b.degree, d)
         b_sharp = self._sharp(b).terms
         total = C_ZERO
         for key, c in a.terms.items():
@@ -592,7 +590,7 @@ class Metric:
         N = self.N
         shift = N if conjugate else 0
         index = [j_index(l) for l in range(N)]
-        joined = _joined(self._g_inv_ints, a.terms.values())
+        joined = _joined(self._g_inv_ints, (a,))
         if joined is not None:
             return self._lefschetz_ints(a, joined, shift, index)
         h = self._g_inv
@@ -614,9 +612,8 @@ class Metric:
         """:meth:`lefschetz_adjoint` on numerators: the same two contractions
         per k (``forms.contract_ints``), summed in the same order, so the keys
         come out in that order."""
-        d, den, ints = joined
+        d, ((den, terms),) = joined
         _, hden, h = self._g_inv_ints
-        terms = dict(zip(a.terms, ints))
         out: dict = {}
         for k in range(self.N):
             row = {}
@@ -630,9 +627,8 @@ class Metric:
                 first = contract_ints(terms, {shift + k: (1, 0, 0, 0)}, d)
                 for key, y in contract_ints(first, row, d).items():
                     add_ints(out, key, y)
-        den *= hden
-        return Form(self.geometry.algebra.dim, max(a.degree - 2, 0),
-                    {key: complex_from_ints(*x, den, d) for key, x in out.items()})
+        return Form.from_numerators(self.geometry.algebra.dim, max(a.degree - 2, 0), d,
+                                    den * hden, out)
 
     # -- traces --------------------------------------------------------------------
 
@@ -646,12 +642,12 @@ class Metric:
         with (A^-1)[r][s] = s(r) (G^-1)[P(r)][s] (:meth:`omega_power`).
         """
         N = self.N
-        joined = _joined(self._g_inv_ints, xi.terms.values())
+        joined = _joined(self._g_inv_ints, (xi,))
         if joined is not None:
-            d, den, ints = joined
+            d, ((den, ints),) = joined
             _, hden, h = self._g_inv_ints
             terms = []
-            for key, x in zip(xi.terms, ints):
+            for key, x in ints.items():
                 r, s = indices(key)
                 if s < N:
                     p, sign = j_index(r)
@@ -673,12 +669,12 @@ class Metric:
     def trace_omega_i(self, gamma: Form) -> ComplexScalar:
         """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s)."""
         N = self.N
-        joined = _joined(self._g_inv_ints, gamma.terms.values())
+        joined = _joined(self._g_inv_ints, (gamma,))
         if joined is not None:
-            d, den, ints = joined
+            d, ((den, ints),) = joined
             _, hden, h = self._g_inv_ints
             terms = []
-            for key, x in zip(gamma.terms, ints):
+            for key, x in ints.items():
                 i, j = indices(key)
                 y = h[j - N].get(i) if i < N <= j else None
                 if y is not None:
@@ -745,12 +741,12 @@ class Metric:
         n, N = self.n, self.N
         target = self.del_power
         scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
-        joined = _joined(self._gram_ints, [*target.terms.values(), scale])
+        joined = _joined(self._gram_ints, (target,))
         if joined is not None:
-            d, den, ints = joined
+            d, ((den, ints),) = joined
             _, gden, g = self._gram_ints
             terms = [[] for _ in range(N)]
-            for key, x in zip(target.terms, ints):
+            for key, x in ints.items():
                 s = N * (N - 1) // 2 - sum(indices(key))
                 x = neg_ints(x) if s % 2 else x
                 for p, y in g[s].items():
@@ -758,10 +754,10 @@ class Metric:
                     y = mul_ints(x, y, d)
                     terms[r].append(neg_ints(y) if sign > 0 else y)
             coeffs = [sum_ints(ys) for ys in terms]
-            x, den = ints[-1], den * den * gden
-            return Form(self.geometry.algebra.dim, 1,
-                        {mask((r,)): complex_from_ints(*mul_ints(c, x, d), den, d)
-                         for r, c in enumerate(coeffs) if any(c)})
+            _, sden, (x,) = complex_ints([scale])   # in the field of G, as Pf is
+            return Form.from_numerators(self.geometry.algebra.dim, 1, d, den * gden * sden,
+                                        {mask((r,)): mul_ints(c, x, d)
+                                         for r, c in enumerate(coeffs) if any(c)})
         coeffs = [C_ZERO] * N
         for key, c in target.terms.items():
             s = N * (N - 1) // 2 - sum(indices(key))   # the one index missing from key
@@ -828,17 +824,20 @@ class Metric:
         return Metric(rotated, rotated.frame.to_complex(real))
 
 
-def _joined(lane, values):
-    """``(d, den, ints)`` of the exact complex scalars ``values`` over one
-    denominator, with d the radicand they share with the matrix ``lane``;
-    None when the lane or a value is a float, or when two radicands occur,
-    for the object route to promote or raise ``FieldMismatchError``."""
+def _joined(lane, forms):
+    """``(d, [(den, ints) per form])``: the :func:`forms.numerators` of the
+    exact ``forms``, with d the radicand they share with the matrix
+    ``lane``; None when the lane or a form is a float, or when two radicands
+    occur, for the object route to promote or raise ``FieldMismatchError``."""
     if lane is None:
         return None
-    own = complex_ints(values)
-    if own is None or (own[0] and lane[0] and own[0] != lane[0]):
-        return None
-    return lane[0] or own[0], own[1], own[2]
+    d, out = lane[0], []
+    for own in map(numerators, forms):
+        if own is None or (own[0] and d and own[0] != d):
+            return None
+        d = d or own[0]
+        out.append(own[1:])
+    return d, out
 
 
 def _sphere_point(H: HypercomplexStructure, L: list) -> SpherePoint:

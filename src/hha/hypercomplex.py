@@ -40,6 +40,7 @@ from functools import cached_property
 from .forms import (
     DerivationTable,
     Form,
+    NumeratorForm,
     bidegree_of_key,
     corank_two_images,
     indices,
@@ -47,6 +48,7 @@ from .forms import (
     leibniz_ints,
     map_key,
     mask,
+    numerators,
     substitute_ints,
 )
 from .liealg import LieAlgebraData, wire_vector
@@ -280,14 +282,8 @@ def validate_hypercomplex(d: LieAlgebraData, H: HypercomplexStructure) -> dict:
 
 
 def is_abelian(d: LieAlgebraData, H: HypercomplexStructure) -> bool:
-    """True iff [LX, LY] = [X, Y] for L in {I, J} on all basis pairs."""
-    for label in ("I", "J"):
-        cols = H.columns[label]
-        for i in range(d.dim):
-            for j in range(i + 1, d.dim):
-                if d.bracket(cols[i], cols[j]) != d.bracket_basis(i, j):
-                    return False
-    return True
+    """:meth:`ComplexFrame.is_abelian` of the structure's frame."""
+    return ComplexFrame(d, H).is_abelian()
 
 
 def j_index(h: int) -> tuple:
@@ -380,7 +376,17 @@ class ComplexFrame:
         return {k: (self.conj_index(k), 1) for k in range(self.dim)}
 
     def conjugate(self, form: Form) -> Form:
+        if isinstance(form, NumeratorForm):
+            return form.remade(self._conjugate_ints(numerators(form)[2]))
         return form.map_coefficients(lambda c: c.conjugate()).map_indices(self._conj_map)
+
+    def _conjugate_ints(self, ints: dict) -> dict:
+        """:meth:`conjugate` on numerators: c and e negated, the keys mapped."""
+        out = {}
+        for key, (a, b, c, e) in ints.items():
+            image, odd = map_key(key, self._conj_map)
+            out[image] = (-a, -b, c, e) if odd else (a, b, -c, -e)
+        return out
 
     @cached_property
     def _j_form_map(self) -> dict:
@@ -400,16 +406,17 @@ class ComplexFrame:
         """Pullback action of I: multiplies a (p, q) term by i^p (-i)^q."""
         N = self.N
         out: dict = {}
+        # i^(p-q): times i when p - q is odd, then minus when (p - q) % 4 >= 2
+        if isinstance(form, NumeratorForm):
+            for key, (a, b, c, e) in numerators(form)[2].items():
+                p, q = bidegree_of_key(key, N)
+                x = (-c, -e, a, b) if (p - q) & 1 else (a, b, c, e)
+                out[key] = neg_ints(x) if (p - q) & 2 else x
+            return form.remade(out)
         for key, c in form.terms.items():
             p, q = bidegree_of_key(key, N)
-            e = (p - q) % 4
-            if e == 1:
-                c = c.times_i()
-            elif e == 2:
-                c = -c
-            elif e == 3:
-                c = -c.times_i()
-            out[key] = c
+            c = c.times_i() if (p - q) & 1 else c
+            out[key] = -c if (p - q) & 2 else c
         return Form(form.nsym, form.degree, out)
 
     # -- differentials ---------------------------------------------------------------
@@ -448,17 +455,11 @@ class ComplexFrame:
             return None
         d = max(fields, default=0)
         ints = iter(z_ints[2])
-        real = [leibniz_ints(z.terms, [next(ints) for _ in z.terms], algebra[2], d)
-                for z in hol]
+        real = [leibniz_ints({key: next(ints) for key in z.terms}, algebra[2], d) for z in hol]
         ints = iter(e_ints[2])
         images = [[(key, *next(ints)) for key in e.terms] for e in self._real_images]
         rows = substitute_ints(real, images, d)
-        for dz in rows[:self.N]:
-            bar: dict = {}
-            for key, (a, b, c, e) in dz.items():
-                image, odd = map_key(key, self._conj_map)
-                bar[image] = (-a, -b, c, e) if odd else (a, b, -c, -e)
-            rows.append(bar)
+        rows += [self._conjugate_ints(dz) for dz in rows]
         return d, algebra[1] * z_ints[1] * e_ints[1] ** 2, rows
 
     @cached_property
@@ -529,6 +530,14 @@ class ComplexFrame:
             self._corank_two[name] = corank_two_images(self._tables[name], self.N)
         return self._corank_two[name]
 
+    def is_abelian(self) -> bool:
+        """[LX, LY] = [X, Y] for L in {I, J}, that is, as d theta(X, Y) =
+        -theta([X, Y]), I* and J* fix the d table; I* fixes a 2-form exactly
+        when it has type (1,1), as it multiplies a (p, q) term by i^(p-q)."""
+        N, table = self.N, self._d_table
+        return (all(bidegree_of_key(key, N) == (1, 1) for dg in table for key in dg.keys())
+                and all(self.j_action(dg) == dg for dg in table))
+
     def is_q_real(self, form: Form) -> bool:
         return self.j_action(self.conjugate(form)) == form
 
@@ -565,7 +574,7 @@ class Geometry:
                         check_integrability=False)
 
     def is_abelian(self) -> bool:
-        return is_abelian(self.algebra, self.structure)
+        return self.frame.is_abelian()
 
     def zeta(self, r: int) -> Form:
         """Holomorphic frame covector z^r (1-based)."""

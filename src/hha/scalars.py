@@ -30,16 +30,14 @@ denominator in ints and divide out at most one gcd of the result:
 * the inverse is ``r*(p - q*sqrt(d)) / (p*p - q*q*d)``, with the sign of the
   norm moved into the numerator.
 
-Sums of many products can run on ints outside this module without reading
-the four fields: :func:`complex_ints` writes exact complex scalars as int
+Sums of many products run on ints outside this module without reading the
+four fields: :func:`complex_ints` writes exact complex scalars as int
 numerators over one common denominator (None for a float or two radicands),
-and :func:`complex_from_ints` turns four numerators over a denominator back
-into a canonical complex scalar, with one gcd per nonzero part;
-:func:`mul_ints`, :func:`neg_ints` and :func:`sum_ints` do the arithmetic
-of such numerators.
-``forms.leibniz_differential`` runs every exact differential this way,
-``linalg.inverse_ints`` inverts a matrix and ``hermitian.Metric`` reads G
-and its inverse.
+:func:`mul_ints`, :func:`neg_ints` and :func:`sum_ints` do their arithmetic,
+and :func:`complex_from_ints` builds a canonical complex scalar back, one
+gcd per nonzero part.  ``forms`` holds the one boundary between the two: a
+form made by an integer kernel keeps its numerators and builds its scalars
+only when they are read.
 
 Almost every scalar the classifier touches is rational, and most complex
 scalars are real.  The real lane: a :class:`ComplexScalar` factor whose

@@ -10,7 +10,7 @@ from hha.forms import (
     mask,
     pure_bidegree,
 )
-from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, rational
+from hha.scalars import C_I, C_ONE, C_ZERO, ComplexScalar, rational, root
 from frame_evaluation import evaluate
 from pfaffian_oracle import SkewMatrix, pfaffian
 
@@ -141,6 +141,21 @@ def test_evaluate_determinant_convention():
     assert evaluate(f, [z1, z0]) == -C_ONE
     mixed = {0: C_ONE, 1: C_I}
     assert evaluate(f, [mixed, z1]) == C_ONE
+
+
+def test_equal_forms_hash_alike():
+    """Zero forms of any degree are equal, so they hash alike; a form built
+    from numerators hashes like its object-built twin, over Q and Q(sqrt 2)."""
+    assert Form.zero(8, 1) == Form.zero(8, 2)
+    assert hash(Form.zero(8, 1)) == hash(Form.zero(8, 2))
+    assert hash(Form.zero(8, 0)) == hash(Form.from_numerators(8, 3, 0, 1, {}))
+    half_root = ComplexScalar(rational(1, 2) + root(2) * rational(1, 2), rational(-1, 3))
+    for d, coeff, ints in ((0, ComplexScalar(rational(1, 2), rational(-1, 3)), (3, 0, -2, 0)),
+                           (2, half_root, (3, 3, -2, 0))):
+        built = Form.from_numerators(4, 2, d, 6, {mask((0, 3)): ints, mask((1, 2)): (0, 0, 12, 0)})
+        twin = Form(4, 2, {mask((0, 3)): coeff, mask((1, 2)): ComplexScalar(0, 2)})
+        assert built == twin and twin == built and hash(built) == hash(twin)
+        assert len({built, twin, Form.zero(4, 1), Form.zero(4, 3)}) == 2
 
 
 def test_bidegree_split_exhaustive_idempotent():

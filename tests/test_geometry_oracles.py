@@ -18,7 +18,9 @@ monomial off those tables.  The oracles are the routes they replaced:
 - the object route on ``Form``s: ``to_complex`` of the CE differential for
   the N holomorphic generators, ``conjugate`` for the barred ones,
   ``bidegree_project`` for the split and ``j_action`` for the twist;
-- del and del_J applied to each (N-2, 0) monomial by the Leibniz kernel.
+- del and del_J applied to each (N-2, 0) monomial by the Leibniz kernel;
+- for ``is_abelian``, which reads the frame's d table, the bracket of every
+  basis pair under I and J.
 
 The new routes must accept and reject the same structures, naming the same
 label, pair and value, and give the same generator tables and the same
@@ -49,6 +51,7 @@ from hha.hypercomplex import (
     SpherePoint,
     StructureError,
     _coframe_integrable,
+    is_abelian,
     validate_hypercomplex,
 )
 from hha.liealg import LieAlgebraData
@@ -95,6 +98,16 @@ def full_scan_failure(alg, H):
         if failure is not None:
             return (label, *failure)
     return None
+
+
+def abelian_scan(alg, H):
+    """[LX, LY] = [X, Y] for L in {I, J}, bracketing every basis pair."""
+    for label in ("I", "J"):
+        cols = H.columns[label]
+        for i, j in itertools.combinations(range(alg.dim), 2):
+            if alg.bracket(cols[i], cols[j]) != alg.bracket_basis(i, j):
+                return False
+    return True
 
 
 def per_monomial_images(frame, name):
@@ -272,6 +285,7 @@ def test_random_geometries_match_the_oracles(case, which):
     H = list(_structures(HypercomplexStructure.standard(dim // 4)))[which]
     if abelian:
         assert full_scan_failure(alg, H) is None
+        assert is_abelian(alg, H)
     assert_validation_matches_full_scan(alg, H)
     assert_tables_match_direct_route(alg, H)
     assert_tables_match_object_route(alg, H)
@@ -398,6 +412,11 @@ def _fields(c):
     return repr([(x.p, x.q, x.r, x.d) for x in (c.re, c.im)])
 
 
+def assert_abelian_matches_the_scan(alg, H):
+    assert is_abelian(alg, H) == abelian_scan(alg, H)
+    assert Geometry(alg, H, check_integrability=False).is_abelian() == abelian_scan(alg, H)
+
+
 def assert_systems_match_the_oracle(frame):
     for name in ("del", "del_j"):
         got, want = frame.corank_two_images(name), per_monomial_images(frame, name)
@@ -416,6 +435,7 @@ def test_catalog_systems_and_verdicts_match_the_oracles(name):
     for H in (*_structures(standard), standard.rotate_pair(*SQRT2_PAIR)):
         assert_coframe_matches_the_label_scans(alg, H)
         if assert_tables_match_object_route(alg, H) is not None:
+            assert_abelian_matches_the_scan(alg, H)
             assert_systems_match_the_oracle(Geometry(alg, H, check_integrability=False).frame)
 
 
@@ -449,4 +469,5 @@ def test_random_systems_and_verdicts_match_the_oracles(case, which, irrational):
     H = [*_structures(standard), standard.rotate_pair(*SQRT2_PAIR)][which]
     assert_coframe_matches_the_label_scans(alg, H)
     if assert_tables_match_object_route(alg, H) is not None:
+        assert_abelian_matches_the_scan(alg, H)
         assert_systems_match_the_oracle(Geometry(alg, H, check_integrability=False).frame)
