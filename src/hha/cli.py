@@ -247,6 +247,9 @@ def cmd_construct(args) -> int:
     if args.kind == "an":
         _, ga, ma = _load_file(args.inputs[0])
         _, gb, mb = _load_file(args.inputs[1])
+        for option, index, g in (("--e1", args.e1, ga), ("--e2", args.e2, gb)):
+            if not 1 <= index <= g.algebra.dim:
+                raise InputError(option, f"basis index {index} out of range 1..{g.algebra.dim}")
         res = arroyo_nicolini(ga, ma, args.e1, gb, mb, args.e2)
         geom, metric, report = res.geometry, res.metric, res.output_report
         print(f"glued algebra: dimension {geom.algebra.dim}")
@@ -314,6 +317,8 @@ def cmd_search(args) -> int:
                          f"unknown predicate; choose from {sorted(PREDICATES)}")
     if args.height < 1:
         raise InputError("--height", f"expected a positive integer, got {args.height}")
+    if args.budget < 1:
+        raise InputError("--budget", f"expected a positive integer, got {args.budget}")
     res = search_metrics(geom, args.predicate, family=args.family,
                          height=args.height, budget=args.budget)
     if res.witness is not None:

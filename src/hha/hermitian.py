@@ -9,7 +9,7 @@ both scalar curvatures.
 
 The skew matrix A of ``Omega`` is A[r][t] = s(t) G[r][P(t)] for the one
 index map (P, s) = :func:`hypercomplex.j_index`.  Every matrix fact of a
-metric comes from one Hermitian elimination of G (positivity, Pf, det G) or
+metric comes from one elimination of G (positivity, Pf, det G and G^-1) or
 is a signed read of G^-1 through that map (A^-1 and the raised Omega).  The
 division routes of ``alpha`` and ``beta`` and the trace against Omega are
 reads against A and A^-1, and phi, phi^-1 are signed reads of coefficients.
@@ -29,7 +29,8 @@ a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
 Reads on numerators.  An exact metric holds G and G^-1 as int numerators
 over one denominator each (``Metric._gram_ints`` and ``Metric._g_inv_ints``,
-the inverse by one ``linalg.inverse_ints``).  Every read of them
+the inverse by the one ``linalg.inverse_ints`` of construction, whose
+natural-order pivots also decide positivity).  Every read of them
 (Omega^{n-1}, omega_I^{N-1}, the Lefschetz adjoint, both traces, the inner
 product and the division route of ``beta``) takes its operands'
 ``forms.numerators`` and makes its form with ``Form.from_numerators``.  The
@@ -271,14 +272,15 @@ class CurvatureData:
 class Metric:
     """The q-real q-positive (2,0)-form of an invariant hyperhermitian metric.
 
-    Construction makes one elimination of the Hermitian read G,
-    :func:`linalg.hermitian_pivots_ints` on its numerators when G is exact
-    (:func:`linalg.hermitian_pivots` when it has a float entry), and reads
-    positivity, Pf and det G off its pivots.
+    Construction makes one elimination of the Hermitian read G and reads
+    positivity, Pf and det G off its pivots: :func:`linalg.inverse_ints` on
+    numerators, which also gives G^-1, or :func:`linalg.hermitian_pivots`
+    for a float G, whose G^-1 follows on first use.
 
-    * Positivity.  The pivots' signs are the inertia of G, so Omega is
-      q-positive exactly when every pivot is positive; a positive definite G
-      is then eliminated in natural order (Sylvester's criterion).
+    * Positivity.  Omega is q-positive exactly when every pivot is positive:
+      by Sylvester's criterion for the natural-order pivots of inverse_ints
+      (a singular G has none), and as the inertia of G for the object ones.
+      A pivot that is not real is a ``ConsistencyError``: G is Hermitian.
     * Pivots pair up.  q-reality makes G commute with the antilinear J conj:
       it is the complex form of a quaternionic Hermitian matrix, with 2x2
       blocks [[a, b], [-conj b, conj a]] and diagonal blocks d 1, d real.
@@ -307,11 +309,26 @@ class Metric:
             raise QRealError("metric form must be q-real")
         self.omega = omega
         self.gram = hermitian_matrix_of(geometry, omega)
-        # G on numerators, (d, den, rows) with G[r][s] = rows[r][s] / den
+        # G and G^-1 on numerators, (d, den, rows) with G[r][s] = rows[r][s] / den
         # (linalg.matrix_ints), or None when G has a float entry
         self._gram_ints = linalg.matrix_ints(self.gram)
-        pivots = (linalg.hermitian_pivots(self.gram) if self._gram_ints is None
-                  else linalg.hermitian_pivots_ints(*self._gram_ints))
+        if self._gram_ints is None:
+            self._g_inv_ints = None
+            pivots = linalg.hermitian_pivots(self.gram)
+        else:
+            d, den, rows = self._gram_ints
+            try:
+                hden, h, diagonal = linalg.inverse_ints(d, den, rows)
+            except linalg.SingularMatrixError:
+                raise MetricError("metric form is not q-positive") from None
+            self._g_inv_ints = (d, hden, h)
+            pivots = []   # up to the first that is not positive: rows after it are out of order
+            for x in diagonal:
+                if not x.is_real():
+                    raise ConsistencyError("a pivot of the Hermitian matrix G is not real")
+                pivots.append(x.re)
+                if x.re.sign() <= 0:
+                    break
         if any(p.sign() <= 0 for p in pivots):
             raise MetricError("metric form is not q-positive")
         if pivots[1::2] != pivots[0::2]:
@@ -324,18 +341,8 @@ class Metric:
         self._canonical: CanonicalForms | None = None
         self._curvature: CurvatureData | None = None
 
-    # G^-1 and the raise images are computed on first use: many metrics
-    # (the family checks, the search) are built only for their flags.
-
-    @functools.cached_property
-    def _g_inv_ints(self):
-        """G^-1 on numerators, ``(d, den, rows)`` as :attr:`_gram_ints`, by
-        one :func:`linalg.inverse_ints`; None when G has a float entry."""
-        lane = self._gram_ints
-        if lane is None:
-            return None
-        d, den, rows = lane
-        return (d, *linalg.inverse_ints(d, den, rows))
+    # The raise images, and a float G^-1, are computed on first use: many
+    # metrics (the family checks, the search) are built only for their flags.
 
     @functools.cached_property
     def _g_inv(self):

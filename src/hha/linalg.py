@@ -6,24 +6,24 @@ dict from column to scalar) to a reduced row echelon basis and touches
 only nonzeros.  Callers that hold forms pass ``form.terms`` as rows
 directly.  ``solve``, ``inverse`` and ``rank`` read :func:`echelon` on
 the nonzeros of their dense input.  ``det`` is forward elimination with a
-pivot product; :func:`hermitian_pivots` is the one symmetric elimination
-of a Hermitian matrix, whose pivots give its definiteness here and the
-Pfaffian, determinant and positivity of a metric in ``hermitian``.
+pivot product; :func:`hermitian_pivots` is the symmetric elimination of a
+Hermitian matrix, whose pivots give its definiteness here and the Pfaffian,
+determinant and positivity of a float metric in ``hermitian``.
 
 A real linear map (a structure I, J, K, a sphere point aI + bJ + cK, the
 image of a quaternionic representation) is held as its sparse columns only:
 :func:`_columns` reads them off a dense matrix, the input format, and
 :func:`_apply` applies them to a sparse vector.
 
-The exact Gram matrix of a metric is eliminated on integers.
+The exact Gram matrix of a metric is eliminated once, on integers.
 :func:`matrix_ints` writes a matrix exact over one field as numerators
 (a, b, c, e) over one denominator, standing for
 ((a + b sqrt(d)) + i (c + e sqrt(d))) / den (``scalars.complex_ints``).
 :func:`inverse_ints` is Gauss-Jordan on such rows with one denominator per
-row, and :func:`hermitian_pivots_ints` is the symmetric elimination by the
-same row operations.  ``hermitian.Metric`` calls them directly; the
-scalar-object ``inverse`` and ``hermitian_pivots`` stay for a float entry,
-whose sums must keep their rounding, and for every other caller.
+row; ``hermitian.Metric`` reads positivity (Sylvester's criterion), Pf and
+det G off its natural-order pivots.  The scalar-object ``inverse`` and
+``hermitian_pivots`` stay for a float entry, whose sums must keep their
+rounding, and for every other caller.
 
 :func:`add_term` is the one cancellation rule of the package: every sparse
 sum (rows here, form coefficients in ``forms``, brackets in ``liealg``,
@@ -193,7 +193,10 @@ def inverse_ints(d: int, den: int, rows) -> tuple:
     the one denominator ``den`` (``scalars.complex_ints``), in Z[sqrt(d)][i].
 
     Each row, and each row of the result, is a dict from column to nonzero
-    numerators.  Returns ``(den', inv)`` with A^-1 = inv / den'.
+    numerators.  Returns ``(den', inv, pivots)`` with A^-1 = inv / den' and
+    ``pivots[i]`` the entry of row i at column i once the earlier pivot rows
+    have reduced it: D_{i+1} / D_i for the leading principal minors D_k of A
+    up to the first that vanishes, where it is 0.
 
     This is Gauss-Jordan on the rows of [rows | den 1] = den [A | 1], whose
     reduced form is [1 | A^-1], added one at a time as :func:`echelon_add`
@@ -207,13 +210,16 @@ def inverse_ints(d: int, den: int, rows) -> tuple:
     n = len(rows)
     one = (den, 0, 0, 0)
     pivots: dict = {}     # pivot -> (numerators, denominator), 1 at the pivot
+    diagonal = []
     for i, row in enumerate(rows):
         vec = {**row, n + i: one}
-        vec, _ = _subtract(vec, 1, [(vec[q], *pivots[q]) for q in vec if q in pivots], d)
+        vec, r = _subtract(vec, 1, [(vec[q], *pivots[q]) for q in vec if q in pivots], d)
+        diagonal.append(complex_from_ints(*vec.get(i, (0, 0, 0, 0)), r * den, d))
         p = min(vec)
         if p >= n:
             raise SingularMatrixError("matrix is singular")
-        vec, r = _unit_row(vec, vec[p], 1, d)
+        w, norm = _pivot_inverse(vec[p], d)
+        vec, r = _primitive({j: mul_ints(y, w, d) for j, y in vec.items()}, norm)
         for q, (other, s) in pivots.items():
             f = other.get(p)
             if f is not None:
@@ -226,7 +232,7 @@ def inverse_ints(d: int, den: int, rows) -> tuple:
         m = common // r
         inv.append({j - n: (a * m, b * m, c * m, e * m)
                     for j, (a, b, c, e) in vec.items() if j >= n})
-    return common, inv
+    return common, inv, diagonal
 
 
 def _subtract(vec: dict, r: int, hits, d: int) -> tuple:
@@ -362,64 +368,6 @@ def hermitian_pivots(g) -> list:
             for s in active:
                 m[r][s] = m[r][s] - (fi * m[j][s] + fj * m[i][s])
     return pivots
-
-
-def hermitian_pivots_ints(d: int, den: int, rows) -> list:
-    """:func:`hermitian_pivots` of the Hermitian matrix rows / den, given as
-    :func:`matrix_ints` writes it, on numerators as :func:`inverse_ints`
-    eliminates: the same steps, and so the same pivots.  ``rows`` is not
-    modified.
-    """
-    # active row r: its nonzero entries in the active columns, over its denominator
-    rows = [(dict(row), den) for row in rows]
-    active = list(range(len(rows)))
-    pivots = []
-    while active:
-        piv = next((i for i in active if i in rows[i][0]), None)
-        if piv is not None:
-            prow, s = rows[piv]
-            x = prow[piv]
-            if x[2] or x[3]:
-                raise ValueError("matrix is not Hermitian")
-            pivots.append(complex_from_ints(*x, s, d).re)
-            active.remove(piv)
-            del prow[piv]
-            eliminate = [(piv, prow, x, 1)]
-        else:
-            pair = next(((i, j) for i in active for j in active
-                         if i < j and j in rows[i][0]), None)
-            if pair is None:
-                pivots.extend([ZERO] * len(active))
-                break
-            i, j = pair
-            (irow, s), (jrow, t) = rows[i], rows[j]
-            x = irow[j]
-            pivots.extend((ONE, -complex_from_ints(*x, s, d).abs2()))
-            active.remove(i)
-            active.remove(j)
-            for row in (irow, jrow):
-                row.pop(i, None)
-                row.pop(j, None)
-            # m[r] -= m[r][i] m[j] / conj(x) + m[r][j] m[i] / x
-            eliminate = [(i, jrow, (x[0] * t, x[1] * t, -x[2] * t, -x[3] * t), s),
-                         (j, irow, x, 1)]
-        # (column c, row, y, scale): rows with an entry f at c lose f row scale / y
-        touched = [r for r in active if any(c in rows[r][0] for c, *_ in eliminate)]
-        if touched:
-            units = [(c, _unit_row(row, y, scale, d)) for c, row, y, scale in eliminate]
-            for r in touched:
-                row, t = rows[r]
-                rows[r] = _subtract(row, t, [(row.pop(c), *unit) for c, unit in units if c in row],
-                                    d)
-    return pivots
-
-
-def _unit_row(row: dict, x: tuple, scale: int, d: int) -> tuple:
-    """(numerators, denominator) of the row ``row`` times ``scale`` / x."""
-    w, norm = _pivot_inverse(x, d)
-    if scale != 1:
-        w = (w[0] * scale, w[1] * scale, w[2] * scale, w[3] * scale)
-    return _primitive({j: mul_ints(y, w, d) for j, y in row.items()}, norm)
 
 
 def hermitian_definiteness(g) -> str:

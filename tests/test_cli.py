@@ -330,6 +330,8 @@ def test_bad_option_or_entry_is_input_error(qbal12_file, args, metric, location)
     (["1", "1"], "$.metric.entries[0][0]: matrix is not Hermitian"),
     # Hermitian and compatible, but not positive
     (["-1", "0"], "$.metric.entries: metric form is not q-positive"),
+    # Hermitian and compatible, but singular
+    (["0", "0"], "$.metric.entries: metric form is not q-positive"),
 ])
 def test_a_gram_matrix_that_is_no_metric_is_refused_at_its_entries(qbal12_file, entry,
                                                                    message):
@@ -518,6 +520,13 @@ def test_search_cli(tmp_path):
     assert "no witness" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_below_one_is_input_error(qbal12_file, budget):
+    code, out, err = run_cli(["search", qbal12_file, "--predicate", "hkt", "--budget", budget])
+    assert (code, out) == (2, "")
+    assert err == f"error: --budget: expected a positive integer, got {budget}\n"
+
+
 def test_search_large_height_stops_at_the_budget(tmp_path):
     # the height grid is built in O(height^2), and the budget ends the
     # search before the off-diagonal points of the full family
@@ -589,6 +598,11 @@ def test_entry_point_runs_as_subprocess(qbal12_file):
     (["construct", "joyce", "FILE", "--su3"], "construct joyce"),
     (["construct", "bf", "FILE", "--k", "-1"], "--k"),
     (["construct", "bf", "FILE", "--k", "0"], "--k"),
+    # a gluing index is a basis index of its own factor
+    (["construct", "an", "FILE", "FILE", "--e1", "0"], "--e1"),
+    (["construct", "an", "FILE", "FILE", "--e1", "99"], "--e1"),
+    (["construct", "an", "FILE", "FILE", "--e2", "13"], "--e2"),
+    (["construct", "an", "FILE", "FILE", "--e2", "-1"], "--e2"),
 ])
 def test_construct_bad_inputs_are_input_errors(qbal12_file, args, location):
     code, out, err = run_cli([qbal12_file if a == "FILE" else a for a in args])

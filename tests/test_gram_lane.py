@@ -1,14 +1,16 @@
 """G^-1 on integers, and every read of G and G^-1 summed on numerators.
 
 ``Metric`` holds G and G^-1 as numerators over one denominator
-(``_gram_ints``, ``_g_inv_ints``; the inverse by ``linalg.inverse_ints``).
-Its readers sum on those ints and fall back to the scalar objects only for
-what the ints cannot hold: a float metric, or a form whose radicand differs
-from the metric's, which still raises ``FieldMismatchError``.  Here the
-integer routes are checked against the object routes on random
-quaternionic-Hermitian positive-definite Gram matrices.
+(``_gram_ints``, ``_g_inv_ints``; the inverse, with the pivots that decide
+positivity, by one ``linalg.inverse_ints``).  Its readers sum on those ints
+and fall back to the scalar objects only for what the ints cannot hold: a
+float metric, or a form whose radicand differs from the metric's, which
+still raises ``FieldMismatchError``.  Here the integer routes are checked
+against the object routes on random quaternionic-Hermitian positive-definite
+Gram matrices.
 """
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -23,7 +25,7 @@ from hha import hermitian, linalg
 from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
 from hha.forms import Form, contract_ints, mask
-from hha.hermitian import Metric
+from hha.hermitian import ConsistencyError, Metric, MetricError
 from hha.hypercomplex import Geometry
 from hha.scalars import (
     C_ONE,
@@ -115,7 +117,10 @@ def test_the_integer_inverse_is_the_object_inverse(gram):
     assert mat_mul(gram, expect) == identity(N)
     d, den, ints = Metric.from_hermitian_matrix(_geometry(N // 2), gram)._g_inv_ints
     assert _matrix(d, den, ints) == expect
-    assert _matrix(d, *linalg.inverse_ints(*linalg.matrix_ints(gram))) == expect
+    hden, inv, pivots = linalg.inverse_ints(*linalg.matrix_ints(gram))
+    assert _matrix(d, hden, inv) == expect
+    # a positive definite G is eliminated in natural order either way
+    assert pivots == [ComplexScalar(p) for p in linalg.hermitian_pivots(gram)]
 
 
 def _matrix(d, den, ints):
@@ -130,40 +135,51 @@ def test_a_singular_matrix_still_raises():
     c = lambda x: ComplexScalar(Scalar(x))   # noqa: E731
     with pytest.raises(linalg.SingularMatrixError):
         linalg.inverse_ints(*linalg.matrix_ints([[c(1), c(2)], [c(2), c(4)]]))
-    # a zero diagonal is not singular: the rows are taken in pivot order
+    # a zero diagonal is not singular: the rows are taken in pivot order,
+    # and each reads the pivot 0 at its own column
     skew = [[c(0), c(1)], [c(-1), c(0)]]
-    assert (_matrix(0, *linalg.inverse_ints(*linalg.matrix_ints(skew)))
-            == [[c(0), c(-1)], [c(1), c(0)]])
-
-
-@st.composite
-def hermitian_matrices(draw):
-    """A Hermitian matrix over Q or Q(sqrt d) of any inertia.  Half of them
-    have a zero diagonal, so that the elimination starts with a hyperbolic
-    step and carries its Schur complement on."""
-    n = draw(st.integers(1, 6))
-    d = draw(st.sampled_from((0, 2, 5)))
-    zero_diagonal = draw(st.booleans())
-
-    def entry():
-        return Scalar(0) if draw(st.booleans()) else _scalar(draw, d)[0]
-
-    m = [[None] * n for _ in range(n)]
-    for i in range(n):
-        m[i][i] = ComplexScalar(Scalar(0) if zero_diagonal else entry())
-        for j in range(i + 1, n):
-            m[i][j] = ComplexScalar(entry(), entry())
-            m[j][i] = m[i][j].conjugate()
-    return m
+    den, inv, pivots = linalg.inverse_ints(*linalg.matrix_ints(skew))
+    assert _matrix(0, den, inv) == [[c(0), c(-1)], [c(1), c(0)]]
+    assert pivots == [C_ZERO, C_ZERO]
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(hermitian_matrices())
-def test_the_integer_pivots_are_the_object_pivots(m):
-    lane = linalg.matrix_ints(m)
-    rows = [dict(row) for row in lane[2]]
-    assert linalg.hermitian_pivots_ints(*lane) == linalg.hermitian_pivots(m)
-    assert lane[2] == rows   # the input rows are not modified
+@given(gram_matrices(), st.data())
+def test_positivity_is_sylvester_on_the_gauss_jordan_pivots(gram, data):
+    """G - t 1 for t = 0 or a diagonal entry of G stays compatible, and is
+    definite, semidefinite, singular or indefinite: the metric exists exactly
+    when the object pivots call it positive, and then reads their Pf and det."""
+    t = data.draw(st.sampled_from([C_ZERO, *(row[r] for r, row in enumerate(gram))]))
+    g = [[x - t if r == c else x for c, x in enumerate(row)] for r, row in enumerate(gram)]
+    geometry = _geometry(len(g) // 2)
+    if linalg.hermitian_definiteness(g) != "positive":
+        with pytest.raises(MetricError) as refused:
+            Metric.from_hermitian_matrix(geometry, g)
+        assert type(refused.value) is MetricError and refused.value.entry is None
+        assert str(refused.value) == "metric form is not q-positive"
+        return
+    m = Metric.from_hermitian_matrix(geometry, g)
+    pivots = linalg.hermitian_pivots(g)
+    assert m.pf == ComplexScalar(math.prod(pivots[0::2]))
+    assert m.det_g == math.prod(pivots)
+
+
+@pytest.mark.parametrize("first, error", [(C_ONE, ConsistencyError), (C_ZERO, MetricError)])
+def test_a_pivot_that_is_not_real_is_a_fault_up_to_the_first_non_positive(monkeypatch, first,
+                                                                          error):
+    """G is Hermitian, so a pivot that is not real is a fault; but only up to
+    the first pivot that is not positive, as the rows after it are not
+    reduced in natural order."""
+    inverse_ints = linalg.inverse_ints
+
+    def rotated(d, den, rows):
+        hden, inv, pivots = inverse_ints(d, den, rows)
+        return hden, inv, [first, pivots[1].times_i(), *pivots[2:]]
+
+    monkeypatch.setattr(linalg, "inverse_ints", rotated)
+    with pytest.raises(error) as raised:
+        Metric.unitary(_geometry(2))
+    assert type(raised.value) is error
 
 
 @settings(max_examples=20, deadline=None, database=None)

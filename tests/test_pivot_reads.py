@@ -1,9 +1,10 @@
-"""One Hermitian elimination per metric, and everything else read off G and G^-1.
+"""One elimination of G per metric, and everything else read off G and G^-1.
 
-``Metric`` reads positivity, Pf and det G off the pivots of one symmetric
-elimination of its Hermitian matrix G.  The Lefschetz adjoint reads the
-raised Omega as a signed read of G^-1; beta's division route, the trace
-against Omega and phi, phi^-1 are signed reads of G, G^-1 and ``j_index``.
+``Metric`` reads positivity, Pf and det G off the natural-order pivots of
+the one Gauss-Jordan elimination of its Hermitian matrix G that gives G^-1
+(``linalg.inverse_ints``).  The Lefschetz adjoint reads the raised Omega as
+a signed read of G^-1; beta's division route, the trace against Omega and
+phi, phi^-1 are signed reads of G, G^-1 and ``j_index``.
 The oracles are the skew Pfaffian of ``pfaffian_oracle``, ``linalg.det``,
 and the Gram-matrix solve, the beta elimination, the wedged trace ratio and
 the evaluated phi, phi^-1 of ``test_metric_oracles``.
@@ -26,6 +27,7 @@ from test_metric_oracles import (
 )
 
 from hha import linalg
+from hha.classify import classify_metric
 from hha.forms import Form, bidegree_project
 from hha.hermitian import Metric, phi, phi_inverse
 from hha.hypercomplex import Geometry
@@ -112,27 +114,21 @@ def test_metric_construction_is_one_pivot_elimination(monkeypatch):
     geom = _abelian(2)
     expect = SkewMatrix.from_form(Metric.from_hermitian_matrix(geom, gram).omega, 4)
     calls = []
-    pivots = linalg.hermitian_pivots
+    inverse_ints = linalg.inverse_ints
 
-    def counting(matrix):
-        calls.append(len(matrix))
-        return pivots(matrix)
-
-    pivots_ints = linalg.hermitian_pivots_ints
-
-    def counting_ints(d, den, rows):
+    def counting(d, den, rows):
         calls.append(len(rows))
-        return pivots_ints(d, den, rows)
+        return inverse_ints(d, den, rows)
 
     def refuse(*args, **kwargs):
         raise AssertionError("metric construction made a second elimination")
 
     monkeypatch.setattr(linalg, "det", refuse)
     monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(linalg, "hermitian_pivots", refuse)
     monkeypatch.setattr(pfaffian_oracle, "pfaffian", refuse)
     monkeypatch.setattr(SkewMatrix, "pfaffian", refuse)
-    monkeypatch.setattr(linalg, "hermitian_pivots", counting)
-    monkeypatch.setattr(linalg, "hermitian_pivots_ints", counting_ints)
+    monkeypatch.setattr(linalg, "inverse_ints", counting)
     m = Metric.from_hermitian_matrix(geom, gram)
     monkeypatch.undo()
     assert calls == [4]
@@ -222,6 +218,10 @@ def test_metric_reads_make_no_wedge_and_one_elimination(case, monkeypatch):
     forward = phi(g, m.omega_i())
     back = phi_inverse(g, m.omega)
     monkeypatch.undo()
-    assert len(calls) == 1   # G^-1, by linalg.inverse_ints
     assert not cf.beta.is_zero() or not cur.del_j_alpha.is_zero()
     assert forward == m.omega and back == m.omega_i()
+    # G^-1 came with the metric: classification eliminates G no further
+    monkeypatch.setattr(linalg, "inverse_ints", counting)
+    classify_metric(m)
+    monkeypatch.undo()
+    assert calls == []
