@@ -21,7 +21,6 @@ from .scalars import (
     ComplexScalar,
     FLOAT_TOLERANCE,
     Scalar,
-    ScalarError,
     ScalarField,
     ZERO,
     parse_scalar,
@@ -74,12 +73,13 @@ class InputDocument:
     field: ScalarField
     structure_equations: dict | None
     brackets: list | None
+    # "standard", or the matrices (I, J) as parse_input parsed and coerced them
     hypercomplex: object
     metric: dict
     # the metric's scalars as parse_input parsed, field-checked and coerced
     # into the declared field (to floats in the float field): None
     # (diagonal_unitary), diagonal entries, {(i, j): coefficient} of Omega
-    # (0-based), or the Gram matrix
+    # (0-based, repeated terms summed), or the Gram matrix
     metric_values: object
     raw: dict
 
@@ -125,13 +125,6 @@ def _field_member_at(field: ScalarField, text, location, parsed: dict) -> Scalar
         if isinstance(text, str):
             parsed[text] = s
     return s
-
-
-def _field_scalar_at(field: ScalarField, text, location) -> Scalar:
-    try:
-        return field.coerce(_parse_scalar_at(text, location))
-    except ScalarError as exc:
-        raise InputError(location, str(exc)) from None
 
 
 def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
@@ -190,10 +183,12 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
         parsed_eqs = {}
         for key, terms in eqs.items():
             loc = f"$.structure_equations.{key}"
+            # ASCII digits only: int() also reads "1_0", "+2", " 3" and other digits
             try:
-                k = int(key)
-            except ValueError:
-                raise InputError(loc, "generator label must be an integer") from None
+                k = int(key) if key.isascii() and key.isdigit() else None
+            except ValueError:      # more digits than int() converts
+                k = None
+            _expect(k is not None, loc, "generator label must be an integer")
             _expect(1 <= k <= dim, loc, f"generator index {k} out of range")
             _expect(k not in parsed_eqs, loc, f"another label already names generator {k}")
             _expect(isinstance(terms, list), loc, "must be a list of [i, j, coeff]")
@@ -237,6 +232,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
     if hc != "standard":
         _expect(isinstance(hc, dict) and "I" in hc and "J" in hc, "$.hypercomplex",
                 'must be "standard" or an object with matrices I and J')
+        matrices = []
         for label in ("I", "J"):
             mat = hc[label]
             loc = f"$.hypercomplex.{label}"
@@ -245,6 +241,9 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             for row in mat:
                 _expect(isinstance(row, list) and len(row) == dim, loc,
                         f"must be a {dim}x{dim} matrix")
+            matrices.append([[field.coerce(_field_member_at(field, x, f"{loc}[{r}][{c}]", parsed))
+                              for c, x in enumerate(row)] for r, row in enumerate(mat)])
+        hc = tuple(matrices)
 
     metric = raw.get("metric", {"type": "diagonal_unitary"})
     _expect(isinstance(metric, dict), "$.metric", "must be an object")
@@ -276,9 +275,10 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             _expect(_is_int(i) and _is_int(j)
                     and 1 <= i < j <= dim // 2, loc,
                     "indices must satisfy 1 <= i < j <= 2n")
-            values[(i - 1, j - 1)] = ComplexScalar(
+            # repeated terms sum, and an exact-zero sum is not stored
+            add_term(values, (i - 1, j - 1), ComplexScalar(
                 field.coerce(_field_member_at(field, term[2], loc, parsed)),
-                field.coerce(_field_member_at(field, term[3], loc, parsed)))
+                field.coerce(_field_member_at(field, term[3], loc, parsed))))
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
@@ -327,11 +327,7 @@ def build_geometry(doc: InputDocument) -> Geometry:
     if doc.hypercomplex == "standard":
         structure = HypercomplexStructure.standard(doc.dimension // 4)
     else:
-        I = [[_field_scalar_at(field, x, "$.hypercomplex.I")
-              for x in row] for row in doc.hypercomplex["I"]]
-        J = [[_field_scalar_at(field, x, "$.hypercomplex.J")
-              for x in row] for row in doc.hypercomplex["J"]]
-        structure = HypercomplexStructure(I, J)
+        structure = HypercomplexStructure(*doc.hypercomplex)
     return Geometry(algebra, structure)
 
 

@@ -32,9 +32,10 @@ radicand differs from the table's, which still raises ``FieldMismatchError``.
 
 A table can also be made from its numerators alone
 (:meth:`DerivationTable.from_ints`).  A complex frame builds its tables that
-way, with :func:`leibniz_ints` and :func:`substitute_ints`, and reads a
+way, with :func:`leibniz_ints` and :func:`substitute_ints`.  It reads a
 table on all the monomials of corank two at once with
-:func:`corank_two_images`.  A metric's reads of G^-1 use
+:func:`corank_two_images`, on the table's scalar objects, as that read runs
+once per frame.  A metric's reads of G^-1 use
 :func:`substitute_ints`, :func:`contract_ints` and :func:`cofactor_ints`,
 ``Form.substitute``, ``Form.contract`` and :func:`cofactor_power` on
 numerators, so that no other module touches a key's bits.
@@ -326,13 +327,6 @@ class NumeratorForm(Form):
         """This form's degree and denominator, with the numerators ``ints``."""
         return Form.from_numerators(self.nsym, self.degree, self._num[0], self._num[1], ints)
 
-    def restrict(self, keys) -> Form:
-        ints = self._num[2]
-        return self.remade({k: ints[k] for k in keys})
-
-    def __neg__(self) -> Form:
-        return self.remade({k: neg_ints(x) for k, x in self._num[2].items()})
-
     def map_indices(self, mapping) -> Form:
         out: dict = {}
         for key, x in self._num[2].items():
@@ -546,32 +540,24 @@ def corank_two_images(table: DerivationTable, half: int) -> dict:
     {r, s} = {o, t}, t outside {k, o}, landing on z^{[half] minus {t}}.  The
     sign is the kernel's: the position of k in S, plus
     ``(rest & _odd_above(key)).bit_count()`` for rest = S minus {k}.
-    Generators and terms go in the kernel's order, on the table's lane when
-    it has one (each value built once, as ``leibniz_ints`` sums), else on its
-    ``Form``s times the monomial's coefficient 1, as the object route
-    multiplies, so each image is summed alike, float rounding included.
+    Generators and terms go in the kernel's order, each coefficient times the
+    monomial's coefficient 1, as the object route multiplies, so each image
+    is summed alike, float rounding included.  The images are built once per
+    frame, so they are summed on scalar objects for exact and float tables
+    alike: summing them on numerators was no faster.
     """
-    full, lane = (1 << half) - 1, table.lane
+    full = (1 << half) - 1
     images = {mask(idx): {} for idx in combinations(range(half), half - 2)}
     for k in range(half):
         bit = 1 << k
-        entries = lane[2][k] if lane else [(key, _odd_above(key), c)
-                                           for key, c in table[k].terms.items()]
-        for key, odd, *x in entries:
-            other = key ^ bit
+        for key, c in table[k].terms.items():
+            odd, other = _odd_above(key), key ^ bit
+            term = c * C_ONE   # times the monomial's coefficient, as the kernel multiplies
             for source in ([full ^ other ^ (1 << t) for t in range(half)
                             if t != k and not other >> t & 1] if key & bit else [full ^ key]):
                 rest = source ^ bit
                 flip = ((source & (bit - 1)).bit_count() + (rest & odd).bit_count()) & 1
-                if lane:
-                    add_ints(images[source], key | rest, neg_ints(x) if flip else tuple(x))
-                else:   # times the monomial's coefficient, as the kernel multiplies
-                    term = x[0] * C_ONE
-                    add_term(images[source], key | rest, -term if flip else term)
-    if lane:
-        for image in images.values():
-            for key, x in image.items():
-                image[key] = complex_from_ints(*x, lane[1], lane[0])
+                add_term(images[source], key | rest, -term if flip else term)
     return images
 
 

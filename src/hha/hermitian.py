@@ -27,16 +27,16 @@ The adjoint of wedging with ``L`` contracts by the raised ``L#``, read
 directly from G^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
 a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
-Reads on numerators.  An exact metric holds G and G^-1 as int numerators
-over one denominator each (``Metric._gram_ints`` and ``Metric._g_inv_ints``,
-the inverse by the one ``linalg.inverse_ints`` of construction, whose
-natural-order pivots also decide positivity).  Every read of them
-(Omega^{n-1}, omega_I^{N-1}, the Lefschetz adjoint, both traces, the inner
-product and the division route of ``beta``) takes its operands'
-``forms.numerators`` and makes its form with ``Form.from_numerators``.  The
-reads on scalar objects stay for a float metric under ``--float``, and for
-a form whose radicand differs from the metric's, which still raises
-``FieldMismatchError``.
+Reads on numerators.  An exact metric holds G^-1 as int numerators over
+one denominator (``Metric._g_inv_ints``, by the one ``linalg.inverse_ints``
+of construction, whose natural-order pivots also decide positivity).  Every
+read of it (Omega^{n-1}, omega_I^{N-1}, the Lefschetz adjoint, both traces
+and the inner product) takes its operands' ``forms.numerators`` and makes
+its form with ``Form.from_numerators``.  The reads on scalar objects stay
+for a float metric under ``--float``, and for a form whose radicand differs
+from the metric's, which still raises ``FieldMismatchError``.  The division
+route of ``beta`` reads G itself, on scalar objects for every metric: summed
+on numerators it was no faster.
 
 ``alpha`` and ``beta`` are always computed along two independent routes
 (coefficient division against the relevant power, read against A and A^-1,
@@ -309,14 +309,14 @@ class Metric:
             raise QRealError("metric form must be q-real")
         self.omega = omega
         self.gram = hermitian_matrix_of(geometry, omega)
-        # G and G^-1 on numerators, (d, den, rows) with G[r][s] = rows[r][s] / den
-        # (linalg.matrix_ints), or None when G has a float entry
-        self._gram_ints = linalg.matrix_ints(self.gram)
-        if self._gram_ints is None:
+        # G^-1 on numerators, (d, den, rows) with G^-1[r][s] = rows[r][s] / den,
+        # eliminated from G's (linalg.matrix_ints); None when G has a float entry
+        gram_ints = linalg.matrix_ints(self.gram)
+        if gram_ints is None:
             self._g_inv_ints = None
             pivots = linalg.hermitian_pivots(self.gram)
         else:
-            d, den, rows = self._gram_ints
+            d, den, rows = gram_ints
             try:
                 hden, h, diagonal = linalg.inverse_ints(d, den, rows)
             except linalg.SingularMatrixError:
@@ -748,23 +748,6 @@ class Metric:
         n, N = self.n, self.N
         target = self.del_power
         scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
-        joined = _joined(self._gram_ints, (target,))
-        if joined is not None:
-            d, ((den, ints),) = joined
-            _, gden, g = self._gram_ints
-            terms = [[] for _ in range(N)]
-            for key, x in ints.items():
-                s = N * (N - 1) // 2 - sum(indices(key))
-                x = neg_ints(x) if s % 2 else x
-                for p, y in g[s].items():
-                    r, sign = j_index(p)
-                    y = mul_ints(x, y, d)
-                    terms[r].append(neg_ints(y) if sign > 0 else y)
-            coeffs = [sum_ints(ys) for ys in terms]
-            _, sden, (x,) = complex_ints([scale])   # in the field of G, as Pf is
-            return Form.from_numerators(self.geometry.algebra.dim, 1, d, den * gden * sden,
-                                        {mask((r,)): mul_ints(c, x, d)
-                                         for r, c in enumerate(coeffs) if any(c)})
         coeffs = [C_ZERO] * N
         for key, c in target.terms.items():
             s = N * (N - 1) // 2 - sum(indices(key))   # the one index missing from key

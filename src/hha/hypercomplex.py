@@ -376,12 +376,11 @@ class ComplexFrame:
         return {k: (self.conj_index(k), 1) for k in range(self.dim)}
 
     def conjugate(self, form: Form) -> Form:
-        if isinstance(form, NumeratorForm):
-            return form.remade(self._conjugate_ints(numerators(form)[2]))
         return form.map_coefficients(lambda c: c.conjugate()).map_indices(self._conj_map)
 
     def _conjugate_ints(self, ints: dict) -> dict:
-        """:meth:`conjugate` on numerators: c and e negated, the keys mapped."""
+        """:meth:`conjugate` of the numerators ``ints``: c and e negated, the
+        keys mapped (the barred half of the d table)."""
         out = {}
         for key, (a, b, c, e) in ints.items():
             image, odd = map_key(key, self._conj_map)

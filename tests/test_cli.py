@@ -9,6 +9,8 @@ import hha
 from hha.cli import main
 from hha.documents import geometry_to_input, load_document, parse_input
 from hha.hermitian import ConsistencyError
+from hha.hypercomplex import HypercomplexStructure
+from hha.scalars import ZERO, scalar_str
 
 
 def run_cli(args):
@@ -273,7 +275,7 @@ def _identity_gram(r, s, entry):
     # two labels of one generator are refused, not merged or overwritten
     (["check", "FILE"], {"structure_equations": {"3": [[1, 2, "-1"]], "03": [[1, 2, "-1"]]}},
      "$.structure_equations.03"),
-    (["check", "FILE"], {"structure_equations": {"+3": [[1, 2, "-1"]], "3": [[1, 2, "-1"]]}},
+    (["check", "FILE"], {"structure_equations": {"03": [[1, 2, "-1"]], "3": [[1, 2, "-1"]]}},
      "$.structure_equations.3"),
     # a radicand is a JSON integer, neither truncated nor read from a string
     (["check", "FILE"], {"scalar_field": {"kind": "quadratic", "d": 2.9}}, "$.scalar_field.d"),
@@ -379,6 +381,61 @@ def test_option_integers_take_ascii_digits_only(tmp_path, args, location):
     assert code == 2
     assert err.startswith(f"error: {location}: ")
     assert out == ""
+
+
+def _run_document(tmp_path, doc, command, *options):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return run_cli([command, str(path), *options])
+
+
+@pytest.mark.parametrize("label", ["1_0", "+2", " 3", "\u0661"])
+def test_a_generator_label_takes_ascii_digits_only(tmp_path, label):
+    doc = {"name": "labels", "dimension": 12, "structure_equations": {label: []}}
+    code, out, err = _run_document(tmp_path, doc, "check")
+    assert code == 2 and out == ""
+    assert err == f"error: $.structure_equations.{label}: generator label must be an integer\n"
+
+
+@pytest.mark.parametrize("dim, terms", [
+    # 5 - 4 on one pair: the unitary form, not the last term alone
+    (4, [[1, 2, "5", "0"], [1, 2, "-4", "0"]]),
+    # an explicit zero term stores no coefficient
+    (8, [[1, 2, "1", "0"], [3, 4, "1", "0"], [1, 3, "0", "0"]]),
+])
+def test_omega_terms_sum_as_structure_terms_do(tmp_path, dim, terms):
+    doc = {"name": "sums", "dimension": dim, "structure_equations": {}}
+    code, unitary, err = _run_document(tmp_path, doc, "classify", "--format", "json")
+    assert code == 0, err
+    doc["metric"] = {"type": "omega", "terms": terms}
+    code, out, err = _run_document(tmp_path, doc, "classify", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["flags"] == json.loads(unitary)["flags"]
+
+
+def _standard_matrices(dim):
+    cols = HypercomplexStructure.standard(dim // 4).columns
+    return {label: [[scalar_str(c.get(r, ZERO)) for c in cols[label]] for r in range(dim)]
+            for label in ("I", "J")}
+
+
+def test_explicit_standard_matrices_classify_as_standard(tmp_path):
+    doc = {"name": "explicit", "dimension": 8, "structure_equations": {}}
+    _, standard, _ = _run_document(tmp_path, doc, "classify", "--format", "json")
+    doc["hypercomplex"] = _standard_matrices(8)
+    code, out, err = _run_document(tmp_path, doc, "classify", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["flags"] == json.loads(standard)["flags"]
+
+
+@pytest.mark.parametrize("entry", ["sqrt(2)", True, "float:0.0", "1/0", [1]])
+def test_a_bad_structure_entry_is_an_input_error_at_its_entry(tmp_path, entry):
+    doc = {"name": "entries", "dimension": 4, "structure_equations": {},
+           "hypercomplex": _standard_matrices(4)}
+    doc["hypercomplex"]["J"][1][2] = entry
+    code, out, err = _run_document(tmp_path, doc, "check")
+    assert code == 2 and out == ""
+    assert err.startswith("error: $.hypercomplex.J[1][2]: "), err
 
 
 def _unitary_terms(**edit):
