@@ -40,8 +40,10 @@ from .hypercomplex import Geometry
 from .scalars import (
     C_ZERO,
     ComplexScalar,
+    HALF,
     ONE,
     Scalar,
+    TWO,
     ZERO,
     rational,
 )
@@ -173,7 +175,7 @@ def einstein_factor(m: Metric):
     if m.curvature().s_ch != lam * rational(2 * m.n):
         raise ConsistencyError("Einstein factor does not match s^Ch = 2 n lambda")
     ric = m.curvature().ric_ch
-    anti = (ric - fr.j_action(ric)).scale(rational(1, 2))
+    anti = (ric - fr.j_action(ric)).scale(HALF)
     if anti != m.omega_i().scale(lam):
         raise ConsistencyError("Einstein factor fails the (1,1) reformulation")
     return lam, Form.zero(m.geometry.algebra.dim, 2)
@@ -199,7 +201,7 @@ def _gauduchon_scalar_residual(m: Metric) -> Scalar:
     cf = m.canonical_forms()
     cur = m.curvature()
     ab = cf.alpha + cf.beta
-    return cur.s_ch - cur.s_bis - m.norm2(ab) * rational(2)
+    return cur.s_ch - cur.s_bis - m.norm2(ab) * TWO
 
 
 def _characterisation_routes(m: Metric):
@@ -241,7 +243,7 @@ def _characterisation_routes(m: Metric):
         ),
         "q_gauduchon": (
             ddj_power.is_zero(),
-            (m.curvature().s_bis + m.norm2(cf.beta) * rational(2)).is_zero(),
+            (m.curvature().s_bis + m.norm2(cf.beta) * TWO).is_zero(),
         ),
     }
     residuals = {
@@ -334,7 +336,7 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     if with_obstruction and routes["gauduchon"][0]:
         obstruction = conformal_class_obstruction(m)
 
-    if geom.algebra.nilpotent and not geom.is_abelian():
+    if not geom.is_abelian() and geom.algebra.nilpotent:
         notes.append(
             "nilpotent with non-abelian structure: no invariant HKT metric exists"
         )
@@ -387,7 +389,7 @@ def conformal_class_obstruction(m: Metric) -> ObstructionReport:
         )
     cf = m.canonical_forms()
     cur = m.curvature()
-    c1 = cur.s_ch - m.norm2(cf.alpha) * rational(2)
+    c1 = cur.s_ch - m.norm2(cf.alpha) * TWO
     gamma_unit = cur.s_bis
     gamma_scaled = cur.s_bis * m.volume_coefficient()
     q_gau = c1.is_zero() and gamma_unit.sign() <= 0

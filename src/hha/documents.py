@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from . import __version__
@@ -71,6 +72,7 @@ class InputDocument:
     name: str
     dimension: int
     field: ScalarField
+    # the structure constants as parse_input parsed, field-checked and coerced
     structure_equations: dict | None
     brackets: list | None
     # "standard", or the matrices (I, J) as parse_input parsed and coerced them
@@ -124,6 +126,18 @@ def _field_member_at(field: ScalarField, text, location, parsed: dict) -> Scalar
                 f"coefficient {text!r} is outside the declared scalar field")
         if isinstance(text, str):
             parsed[text] = s
+    return s
+
+
+def _coerced_at(field: ScalarField, text, location, parsed: dict) -> Scalar:
+    """:func:`_field_member_at` coerced into ``field``: under the float field
+    an exact scalar too large for a float is an input error at its location."""
+    try:
+        s = field.coerce(_field_member_at(field, text, location, parsed))
+    except OverflowError:   # the division in Scalar.to_float
+        s = None
+    _expect(s is not None and not (s.is_float and math.isinf(s.p)), location,
+            f"coefficient {text!r} is too large for a float")
     return s
 
 
@@ -202,7 +216,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                         "indices must be integers")
                 _expect(1 <= i < j <= dim, tloc,
                         f"indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
-                out.append((i, j, _field_member_at(field, c, tloc, parsed)))
+                out.append((i, j, _coerced_at(field, c, tloc, parsed)))
             parsed_eqs[k] = out
     else:
         _expect(isinstance(brackets, list), "$.brackets", "must be a list")
@@ -225,7 +239,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 k, c = pair
                 _expect(_is_int(k) and 1 <= k <= dim, ploc,
                         "target index out of range")
-                comp_out.append((k, _field_member_at(field, c, ploc, parsed)))
+                comp_out.append((k, _coerced_at(field, c, ploc, parsed)))
             parsed_brackets.append((i, j, comp_out))
 
     hc = raw.get("hypercomplex", "standard")
@@ -241,7 +255,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             for row in mat:
                 _expect(isinstance(row, list) and len(row) == dim, loc,
                         f"must be a {dim}x{dim} matrix")
-            matrices.append([[field.coerce(_field_member_at(field, x, f"{loc}[{r}][{c}]", parsed))
+            matrices.append([[_coerced_at(field, x, f"{loc}[{r}][{c}]", parsed)
                               for c, x in enumerate(row)] for r, row in enumerate(mat)])
         hc = tuple(matrices)
 
@@ -258,10 +272,10 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                 "$.metric.entries", f"needs {dim // 4} diagonal entries")
         values = []
         for t, e in enumerate(entries):
-            s = _field_member_at(field, e, f"$.metric.entries[{t}]", parsed)
-            _expect(s.sign() > 0, f"$.metric.entries[{t}]",
+            loc = f"$.metric.entries[{t}]"
+            _expect(_field_member_at(field, e, loc, parsed).sign() > 0, loc,
                     "diagonal entries must be positive")
-            values.append(field.coerce(s))
+            values.append(_coerced_at(field, e, loc, parsed))
     if mtype == "omega":
         terms = metric.get("terms")
         _expect(isinstance(terms, list), "$.metric.terms",
@@ -277,8 +291,7 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
                     "indices must satisfy 1 <= i < j <= 2n")
             # repeated terms sum, and an exact-zero sum is not stored
             add_term(values, (i - 1, j - 1), ComplexScalar(
-                field.coerce(_field_member_at(field, term[2], loc, parsed)),
-                field.coerce(_field_member_at(field, term[3], loc, parsed))))
+                _coerced_at(field, term[2], loc, parsed), _coerced_at(field, term[3], loc, parsed)))
     if mtype == "gram":
         entries = metric.get("entries")
         N = dim // 2
@@ -292,8 +305,8 @@ def parse_input(text: str, default_field: dict | None = None) -> InputDocument:
             out = []
             for t, (re, im) in enumerate(row):
                 loc = f"$.metric.entries[{r}][{t}]"
-                out.append(ComplexScalar(field.coerce(_field_member_at(field, re, loc, parsed)),
-                                         field.coerce(_field_member_at(field, im, loc, parsed))))
+                out.append(ComplexScalar(_coerced_at(field, re, loc, parsed),
+                                         _coerced_at(field, im, loc, parsed)))
             values.append(out)
 
     return InputDocument(
@@ -313,7 +326,7 @@ def build_geometry(doc: InputDocument) -> Geometry:
     field = doc.field
     if doc.structure_equations is not None:
         eqs = {
-            k - 1: [(i - 1, j - 1, field.coerce(c)) for (i, j, c) in terms]
+            k - 1: [(i - 1, j - 1, c) for (i, j, c) in terms]
             for k, terms in doc.structure_equations.items()
         }
         algebra = LieAlgebraData.from_structure_equations(doc.dimension, eqs, field)
@@ -322,7 +335,7 @@ def build_geometry(doc: InputDocument) -> Geometry:
         for (i, j, comps) in doc.brackets:
             dest = table.setdefault((i - 1, j - 1), {})
             for (k, c) in comps:
-                add_term(dest, k - 1, field.coerce(c))
+                add_term(dest, k - 1, c)
         algebra = LieAlgebraData(doc.dimension, table, field)
     if doc.hypercomplex == "standard":
         structure = HypercomplexStructure.standard(doc.dimension // 4)

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 from . import linalg
 from .forms import (
     Form,
+    NumeratorForm,
     bidegree_project,
     cofactor_ints,
     cofactor_power,
@@ -67,8 +68,10 @@ from .linalg import add_ints, add_scaled
 from .scalars import (
     C_I,
     C_ONE,
+    C_TWO,
     C_ZERO,
     ComplexScalar,
+    HALF,
     Scalar,
     ZERO,
     complex_from_ints,
@@ -498,12 +501,19 @@ class Metric:
         return power
 
     def mixed_power(self) -> Form:
-        """Omega^{n-1} ^ conj(Omega^n).  conj(Omega^n) is the one monomial
-        n! Pf z^{[N, 2N)} (Pf is real), whose indices follow every index of
-        Omega^{n-1}: each key gains that block, with sign +1."""
+        """Omega^{n-1} ^ conj(Omega^n), a relabelling: conj(Omega^n) is the one
+        monomial c z^{[N, 2N)}, c = n! Pf (Pf is real), whose indices follow
+        every index of Omega^{n-1}, so each key gains that block with sign +1
+        and each coefficient the factor c, on numerators when it has them."""
+        low = self.omega_power(self.n - 1)
         c = self.omega_power(self.n).coefficient(range(self.N)).conjugate()
-        top_bar = Form.monomial(self.geometry.algebra.dim, range(self.N, 2 * self.N), c)
-        return self.omega_power(self.n - 1).wedge(top_bar)
+        dim, bar = self.geometry.algebra.dim, mask(range(self.N, 2 * self.N))
+        if isinstance(low, NumeratorForm):
+            (d, den, ints), (sd, sden, (y,)) = numerators(low), complex_ints([c])
+            return Form.from_numerators(dim, 2 * self.N - 2, d or sd, den * sden,
+                                        {key | bar: mul_ints(x, y, d or sd) for key, x in ints.items()})
+        return Form(dim, 2 * self.N - 2, {key | bar: y for key, x in low.terms.items()
+                                          if not (y := x * c).is_zero()})
 
     def volume_coefficient(self) -> Scalar:
         """Coefficient of the volume against the frame top form: |pf|^2."""
@@ -766,10 +776,10 @@ class Metric:
         cf = self.canonical_forms()
         dja = self._del_j_alpha   # formed by canonical_forms for its q-real check
         djb = fr.del_j(cf.beta)
-        s_ch_c = self._trace_ratio(dja) * ComplexScalar(rational(2))
+        s_ch_c = self._trace_ratio(dja) * C_TWO
         if not s_ch_c.is_real():
             raise ConsistencyError("Chern scalar curvature has an imaginary part")
-        s_bis_c = self._trace_ratio(djb) * ComplexScalar(rational(-2))
+        s_bis_c = -(self._trace_ratio(djb) * C_TWO)
         if not s_bis_c.is_real():
             raise ConsistencyError("Bismut scalar curvature has an imaginary part")
         ric_ch = fr.d(fr.i_action(cf.eta))
@@ -809,7 +819,7 @@ class Metric:
         H = rotated.structure
         omega_j, omega_k = (self.omega_for_L(_sphere_point(base, H.columns[label]))
                             for label in ("J", "K"))
-        omega_old_frame = (omega_j + omega_k.scale(C_I)).scale(rational(1, 2))
+        omega_old_frame = (omega_j + omega_k.scale(C_I)).scale(HALF)
         real = self.geometry.frame.to_real(omega_old_frame)
         return Metric(rotated, rotated.frame.to_complex(real))
 

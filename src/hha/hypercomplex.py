@@ -7,8 +7,9 @@ algebra's real basis; the action on a k-form is pullback,
 
 Each structure has a deterministic adapted basis
 ``u_1, u_2, ... `` assembled in quadruples ``(v, Iv, Jv, Kv)`` greedily over
-the original basis; the adapted frame takes its holomorphic covectors
-``z^r = u^{2r-1} + i u^{2r}`` from it.
+the original basis; the elimination that chooses it also gives its dual
+coframe u^a, from which the adapted frame takes its holomorphic covectors
+``z^r = u^{2r-1} + i u^{2r}``.
 In this frame ``J z^{2i-1} = -conj(z^{2i})`` always holds, so the index
 bookkeeping of the standard block convention applies verbatim.
 
@@ -22,12 +23,13 @@ holomorphic generators are differentiated.  The pullback J* is a signed
 permutation of the generators and an algebra automorphism, so J^{-1} D J is
 a derivation when D is one.
 
-The five tables are compiled once per frame from the algebra's structure
-constants: d z^r is read off the int lane of the algebra's d table and the
-ints of the frame's two image tables (``scalars.complex_ints``), and the
-other tables are splits and signed permutations of its keys, so no ``Form``
-arithmetic runs.  The ``Form`` route (``to_complex`` of the CE differential)
-remains only for what the ints cannot stand for: float coefficients, and a
+Each of the five tables is compiled from the algebra's structure constants
+on its first use, so classification never builds delbar_J's: d z^r is read
+off the int lane of the algebra's d table and the ints of the frame's two
+image tables (``scalars.complex_ints``), and the other tables are splits and
+signed permutations of its keys, so no ``Form`` arithmetic runs.  The
+``Form`` route (``to_complex`` of the CE differential) remains only for
+what the ints cannot stand for: float coefficients, and a
 frame whose radicand differs from the algebra's, which raises
 ``FieldMismatchError``.  del and del_J of the (N-2, 0) monomials, the systems
 of the q-strongly-Gauduchon test, are read once per frame off their tables.
@@ -52,7 +54,7 @@ from .forms import (
     substitute_ints,
 )
 from .liealg import LieAlgebraData, wire_vector
-from .linalg import _apply, _columns, add_ints, add_scaled, add_term, echelon, echelon_add
+from .linalg import _apply, _columns, add_ints, add_scaled, add_term, echelon_add
 from .scalars import (
     C_ONE,
     ComplexScalar,
@@ -63,6 +65,7 @@ from .scalars import (
     complex_ints,
     mul_ints,
     neg_ints,
+    real_ints,
 )
 
 
@@ -150,25 +153,29 @@ class HypercomplexStructure:
         self.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
 
     @cached_property
-    def adapted_basis(self) -> list:
-        """Real basis in quadruples (v, Iv, Jv, Kv), as sparse columns over the
-        e-basis: v runs greedily over the e_i outside the span so far, and
-        ``linalg.echelon_add`` decides membership."""
-        rows: dict = {}  # the reduced row echelon basis of the chosen vectors
-        chosen: list = []
-        for i in range(self.dim):
-            block = [{i: ONE}] + [self.columns[label][i] for label in ("I", "J", "K")]
-            if echelon_add(rows, block[0]) is None:
-                continue
-            for img in block[1:]:
-                if echelon_add(rows, img) is None:
+    def adapted_basis(self) -> tuple:
+        """``(basis, coframe)``: the real basis u_a in quadruples (v, Iv, Jv, Kv),
+        v running greedily over the e_i outside the span so far, and its dual
+        coframe, ``coframe[a][p] = u^a(e_p)``.  ``linalg.echelon_add`` reduces
+        each [u_a | t_a], t_a a tag at column dim + a: e_i lies in the span
+        when no key below dim is left of it, and at the end row p is
+        [e_p | sum_a u^a(e_p) t_a], so the coframe is read off the tags."""
+        dim, rows, basis = self.dim, {}, []
+        for i in range(dim):
+            if i in rows and all(k == i or k >= dim for k in rows[i]):
+                continue   # e_i reduces to minus the rest of row i, all tags
+            for vec in ({i: ONE}, *(self.columns[label][i] for label in ("I", "J", "K"))):
+                if echelon_add(rows, {**vec, dim + len(basis): ONE}) >= dim:
                     raise StructureError("quaternionic block failed to extend the span")
-            chosen.extend(dict(vec) for vec in block)
-            if len(chosen) == self.dim:
+                basis.append(dict(vec))
+            if len(basis) == dim:
                 break
-        if len(chosen) != self.dim:
-            raise StructureError("could not build an adapted basis")
-        return chosen
+        coframe: list = [{} for _ in range(dim)]
+        for p in range(dim):
+            for k, x in rows[p].items():
+                if k >= dim:
+                    coframe[k - dim][p] = x
+        return basis, coframe
 
     @classmethod
     def standard(cls, n: int) -> "HypercomplexStructure":
@@ -227,8 +234,7 @@ def _coframe_integrable(d: LieAlgebraData, columns: dict):
     symmetric.
     """
     lane = d._d_table.lane
-    own = complex_ints([ComplexScalar(x) for cols in columns.values()
-                        for col in cols for x in col.values()])
+    own = real_ints([x for cols in columns.values() for col in cols for x in col.values()])
     if lane is None or own is None or (lane[0] and own[0] and lane[0] != own[0]):
         return None
     rad, scale = lane[0] or own[0], (own[1] ** 2, 0, 0, 0)
@@ -304,14 +310,15 @@ class ComplexFrame:
     block, J z^{2i-1} = -conj(z^{2i}).
 
     ``basis`` is the structure's ``adapted_basis``, the u_a as sparse
-    columns.  No frame inverse is formed: one real ``linalg.echelon`` of the
-    sparse rows [P | 1], P having the columns u_a, gives the coframe u^a,
-    and both image tables (z^r in the real coframe, e^i in the complex one)
-    are read off the nonzeros of the coframe rows and of the rows of P.  For
-    the standard structure P is the identity and each row costs one pivot.
+    columns, and no frame inverse is formed: the coframe u^a comes with it,
+    read off the tag columns of the elimination that chose the u_a.  Both
+    image tables (z^r in the real coframe, e^i in the complex one) are read
+    off the nonzeros of the coframe rows and of the rows of P, the matrix
+    with the columns u_a.
 
     Each differential is one ``leibniz_differential`` call on a generator
-    table (``forms.DerivationTable``) built once per frame, on first use.
+    table (``forms.DerivationTable``) built once per frame, on its first
+    use (:meth:`_table`).
     When the algebra and both image tables are exact over one field, the
     tables are built on int numerators and made from their lanes, their
     ``Form``s only on first read; otherwise (floats, or two radicands, which
@@ -330,17 +337,13 @@ class ComplexFrame:
         self.structure = H
         self.dim = dim = d.dim
         self.N = N = dim // 2
-        self.basis = H.adapted_basis  # u_a as sparse columns over the e-basis
+        self.basis, coframe = H.adapted_basis   # u_a and u^a as sparse dicts
+        self._tables: dict = {}
         self._corank_two: dict = {}
-        # P has the columns u_a; [P | 1] reduces to [1 | P^-1], whose row a is u^a
-        P: list = [{} for _ in range(dim)]
+        P: list = [{} for _ in range(dim)]   # P has the columns u_a
         for a, u in enumerate(self.basis):
             for i, x in u.items():
                 P[i][a] = x
-        rows = echelon({**row, dim + i: ONE} for i, row in enumerate(P))
-        if list(rows) != list(range(dim)):
-            raise StructureError("the adapted basis is singular")
-        coframe = [{k - dim: x for k, x in row.items() if k >= dim} for row in rows.values()]
         # z^r = u^{2r} + i u^{2r+1} (0-based), and its conjugate, in the real coframe
         hol = [Form(dim, 1, {mask((i,)): ComplexScalar(re.get(i, ZERO), im.get(i, ZERO))
                              for i in sorted(re.keys() | im.keys())})
@@ -462,20 +465,14 @@ class ComplexFrame:
         return d, algebra[1] * z_ints[1] * e_ints[1] ** 2, rows
 
     @cached_property
-    def _tables(self) -> dict:
-        """Compiled generator tables of del, delbar, del_J and delbar_J.
-
-        Each is read off the d table's terms: a split by the holomorphic
-        degree of the key, and for the twisted ones the signed permutation
-        J of the keys.  On the d table's numerators when it has them, else
-        on its scalar objects."""
+    def _split(self) -> dict:
+        """The rows of the del and delbar tables: the d table's terms split by
+        the holomorphic degree of the key, on its numerators when it has
+        them, else on its scalar objects."""
         N, table = self.N, self._d_table
-        if table.lane is None:
-            rows, neg = [dg.terms for dg in table], ComplexScalar.__neg__
-        else:
-            d, den, entries = table.lane
-            rows, neg = [{t[0]: t[2:] for t in row} for row in entries], neg_ints
-        tables: dict = {"del": [], "delbar": []}
+        rows = ([dg.terms for dg in table] if table.lane is None
+                else [{t[0]: t[2:] for t in row} for row in table.lane[2]])
+        split: dict = {"del": [], "delbar": []}
         for k, row in enumerate(rows):
             p = 1 if k < N else 0
             parts: dict = {p + 1: {}, p: {}}
@@ -484,23 +481,27 @@ class ComplexFrame:
                 if part is None:
                     raise StructureError(f"I is not integrable: d z^{k % N + 1} has a (0,2) part")
                 part[key] = x
-            tables["del"].append(parts[p + 1])
-            tables["delbar"].append(parts[p])
-        jmap = self._j_form_map
-        for name, inner in (("del_j", "delbar"), ("delbar_j", "del")):
-            tables[name] = []
-            for k in range(self.dim):
-                j, s = jmap[k]
-                twisted: dict = {}
-                for key, x in tables[inner][j].items():
-                    image, odd = map_key(key, jmap)
-                    twisted[image] = neg(x) if odd ^ (s < 0) else x
-                tables[name].append(twisted)
-        if table.lane is None:
-            return {name: DerivationTable(Form(self.dim, 2, row) for row in rows)
-                    for name, rows in tables.items()}
-        return {name: DerivationTable.from_ints(self.dim, d, den, rows)
-                for name, rows in tables.items()}
+            split["del"].append(parts[p + 1])
+            split["delbar"].append(parts[p])
+        return split
+
+    def _table(self, name: str) -> DerivationTable:
+        """The generator table of ``name`` (del, delbar, del_j or delbar_j),
+        built on first request: a part of :attr:`_split`, or for the twisted
+        ones the signed permutation J of the keys of delbar (del_j) or del
+        (delbar_j)."""
+        if name not in self._tables:
+            lane, rows = self._d_table.lane, self._split.get(name)
+            if rows is None:   # for J g^k = s g^j: s J(delbar g^j), or s J(del g^j)
+                inner, jmap = self._split["delbar" if name == "del_j" else "del"], self._j_form_map
+                neg = ComplexScalar.__neg__ if lane is None else neg_ints
+                rows = [{image: neg(x) if odd ^ (s < 0) else x
+                         for key, x in inner[j].items() for image, odd in (map_key(key, jmap),)}
+                        for j, s in map(jmap.get, range(self.dim))]
+            self._tables[name] = (
+                DerivationTable(Form(self.dim, 2, row) for row in rows) if lane is None
+                else DerivationTable.from_ints(self.dim, lane[0], lane[1], rows))
+        return self._tables[name]
 
     def d(self, form: Form) -> Form:
         """Exterior differential in the complex frame."""
@@ -508,25 +509,25 @@ class ComplexFrame:
 
     def del_(self, form: Form) -> Form:
         """(p, q) -> (p+1, q) component of d."""
-        return leibniz_differential(form, self._tables["del"])
+        return leibniz_differential(form, self._table("del"))
 
     def delbar(self, form: Form) -> Form:
         """(p, q) -> (p, q+1) component of d."""
-        return leibniz_differential(form, self._tables["delbar"])
+        return leibniz_differential(form, self._table("delbar"))
 
     def del_j(self, form: Form) -> Form:
         """Twisted differential J^{-1} delbar J, of type (p, q) -> (p+1, q)."""
-        return leibniz_differential(form, self._tables["del_j"])
+        return leibniz_differential(form, self._table("del_j"))
 
     def delbar_j(self, form: Form) -> Form:
         """Twisted differential J^{-1} del J, of type (p, q) -> (p, q+1)."""
-        return leibniz_differential(form, self._tables["delbar_j"])
+        return leibniz_differential(form, self._table("delbar_j"))
 
     def corank_two_images(self, name: str) -> dict:
         """del (``"del"``) or del_J (``"del_j"``) of every (N-2, 0) monomial,
         read once per frame off its table (``forms.corank_two_images``)."""
         if name not in self._corank_two:
-            self._corank_two[name] = corank_two_images(self._tables[name], self.N)
+            self._corank_two[name] = corank_two_images(self._table(name), self.N)
         return self._corank_two[name]
 
     def is_abelian(self) -> bool:

@@ -431,6 +431,7 @@ def _reduced(p: int, q: int, r: int, d: int) -> Scalar:
 ZERO = Scalar(0)
 ONE = Scalar(1)
 HALF = Scalar(Fraction(1, 2))
+TWO = Scalar(2)
 
 
 def rational(p, q=1) -> Scalar:
@@ -677,6 +678,7 @@ def _complex(re: Scalar, im: Scalar) -> ComplexScalar:
 C_ZERO = ComplexScalar(ZERO)
 C_ONE = ComplexScalar(ONE)
 C_I = ComplexScalar(ZERO, ONE)
+C_TWO = ComplexScalar(TWO)
 
 
 def is_negation(x: ComplexScalar, y: ComplexScalar) -> bool:
@@ -721,6 +723,17 @@ def complex_ints(values):
         m, n = den // re._r, den // im._r
         ints.append((re._p * m, re._q * m, im._p * n, im._q * n))
     return d, den, ints
+
+
+def real_ints(values):
+    """:func:`complex_ints` of real ``Scalar``s, read off their fields: each
+    value becomes ``(a, b, 0, 0)``; ``values`` is a sequence."""
+    radicands = {s._d for s in values} - {0}
+    if FLOAT_KIND in radicands or len(radicands) > 1:
+        return None
+    den = math.lcm(*(s._r for s in values))
+    return max(radicands, default=0), den, [(s._p * (den // s._r), s._q * (den // s._r), 0, 0)
+                                             for s in values]
 
 
 def complex_from_ints(a: int, b: int, c: int, e: int, den: int, d: int) -> ComplexScalar:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,11 +7,12 @@ import sys
 import pytest
 
 import hha
+from hha.catalog import get_example
 from hha.cli import main
 from hha.documents import geometry_to_input, load_document, parse_input
-from hha.hermitian import ConsistencyError
-from hha.hypercomplex import HypercomplexStructure
-from hha.scalars import ZERO, scalar_str
+from hha.hermitian import ConsistencyError, Metric
+from hha.hypercomplex import HypercomplexStructure, SpherePoint
+from hha.scalars import HALF, ZERO, rational, root, scalar_str
 
 
 def run_cli(args):
@@ -436,6 +438,86 @@ def test_a_bad_structure_entry_is_an_input_error_at_its_entry(tmp_path, entry):
     code, out, err = _run_document(tmp_path, doc, "check")
     assert code == 2 and out == ""
     assert err.startswith("error: $.hypercomplex.J[1][2]: "), err
+
+
+# exact scalars too large for a float: the division in the conversion
+# overflows, or the two parts convert and their sum does not
+_HUGE = "1" + "0" * 400
+_INFINITE_SUM = "1" + "0" * 308 + "+" + "1" + "0" * 308 + "*sqrt(2)"
+
+
+def _huge_entry_document(where, huge):
+    doc = {"name": "huge", "dimension": 12, "scalar_field": {"kind": "float"},
+           "structure_equations": {}}
+    if where == "structure":
+        doc["structure_equations"] = {"3": [[1, 2, huge]]}
+    elif where == "diagonal":
+        doc["metric"] = {"type": "diagonal", "entries": [huge, "1", "1"]}
+    elif where in ("omega re", "omega im"):
+        terms = _unitary_terms()
+        terms[1][2 if where == "omega re" else 3] = huge
+        doc["metric"] = {"type": "omega", "terms": terms}
+    elif where == "gram":
+        doc["metric"] = {"type": "gram", "entries": _identity_gram(2, 3, ["0", huge])}
+    else:
+        doc["dimension"] = 4
+        doc["hypercomplex"] = _standard_matrices(4)
+        doc["hypercomplex"][where][3][2] = huge
+    return doc
+
+
+@pytest.mark.parametrize("huge", [_HUGE, _INFINITE_SUM], ids=["1e400", "overflowing-sum"])
+@pytest.mark.parametrize("where, location", [
+    ("structure", "$.structure_equations.3[0]"),
+    ("diagonal", "$.metric.entries[0]"),
+    ("omega re", "$.metric.terms[1]"),
+    ("omega im", "$.metric.terms[1]"),
+    ("gram", "$.metric.entries[2][3]"),
+    ("I", "$.hypercomplex.I[3][2]"),
+    ("J", "$.hypercomplex.J[3][2]"),
+])
+def test_a_float_document_refuses_a_scalar_too_large_for_a_float(tmp_path, where, location,
+                                                                  huge):
+    doc = _huge_entry_document(where, huge)
+    code, out, err = _run_document(tmp_path, doc, "classify", "--format", "json")
+    assert code == 2 and out == "", err
+    assert err == f"error: {location}: coefficient {huge!r} is too large for a float\n"
+
+
+def test_float_mode_refuses_a_scalar_too_large_for_a_float(tmp_path):
+    """An exact document that ``--float`` turns into floats."""
+    doc = _huge_entry_document("diagonal", _HUGE)
+    del doc["scalar_field"]
+    code, out, err = _run_document(tmp_path, doc, "classify", "--float")
+    assert code == 2 and out == ""
+    assert err.startswith("error: $.metric.entries[0]: coefficient "), err
+
+
+# sha256 of `classify --format json` on qsg12 under a rotated pair, as explicit
+# float matrices: recorded when the frame still inverted [P | 1] by its own
+# elimination, so the float rounding of the coframe read off the adapted
+# basis is checked against it
+_ROTATED_FLOAT_DIGESTS = {
+    "thirds": "460d522788d82d1ade01b29edd17054ed89f2c51a3b4c9781ae83356a561bea4",
+    "sqrt2": "79b8727ea103037aab469e8c6af2bcf7a9f023c432abdd86b702be7d380d64f7",
+}
+_ROTATIONS = {
+    "thirds": (SpherePoint(rational(1, 3), rational(2, 3), rational(2, 3)),
+               SpherePoint(rational(2, 3), rational(1, 3), rational(-2, 3))),
+    "sqrt2": (SpherePoint(HALF * root(2), HALF * root(2), 0), SpherePoint(0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_ROTATIONS))
+def test_a_float_document_with_rotated_matrices_keeps_its_bytes(tmp_path, pair):
+    geometry, _ = get_example("qsg12").load()
+    rotated = geometry.rotated(*_ROTATIONS[pair])
+    doc = geometry_to_input("qsg12", rotated, Metric.unitary(rotated))
+    assert doc["hypercomplex"] != "standard"
+    doc["scalar_field"] = {"kind": "float"}
+    code, out, err = _run_document(tmp_path, doc, "classify", "--format", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == _ROTATED_FLOAT_DIGESTS[pair]
 
 
 def _unitary_terms(**edit):

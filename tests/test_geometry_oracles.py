@@ -3,7 +3,7 @@ and corank-two shortcuts replaced.
 
 ``validate_hypercomplex`` decides each Nijenhuis tensor N_L on the coframe,
 from the structure constants, and scans the basis pairs only for a label
-that fails there.  ``ComplexFrame._d_table`` and ``_tables`` build the five
+that fails there.  ``ComplexFrame._d_table`` and ``_table`` build the five
 generator tables of d, del, delbar, del_J and delbar_J on int numerators,
 read off the algebra's structure constants and the frame's image ints, and
 ``ComplexFrame.corank_two_images`` reads del and del_J of every (N-2, 0)
@@ -163,8 +163,13 @@ def object_tables(frame):
     return tables
 
 
+def split_tables(frame):
+    """The four tables read off the d table, each requested by name."""
+    return {name: frame._table(name) for name in TABLES[1:]}
+
+
 def frame_tables(frame):
-    return {"d": frame._d_table, **frame._tables}
+    return {"d": frame._d_table, **split_tables(frame)}
 
 
 def _ordered(forms):
@@ -196,11 +201,12 @@ def assert_tables_match_direct_route(alg, H):
     try:
         expected = direct_tables(frame)
     except StructureError as exc:
-        with pytest.raises(StructureError) as got:
-            frame._tables
-        assert str(got.value) == str(exc)
+        for name in TABLES[1:]:
+            with pytest.raises(StructureError) as got:
+                frame._table(name)
+            assert str(got.value) == str(exc)
         return
-    assert {name: list(t) for name, t in frame._tables.items()} == expected
+    assert {name: list(t) for name, t in split_tables(frame).items()} == expected
 
 
 def assert_tables_match_object_route(alg, H):
@@ -328,11 +334,11 @@ def test_exact_classification_builds_its_tables_without_form_arithmetic(monkeypa
     building, builds, calls = [], [], []
 
     def build(fn):
-        def wrapper(frame):
+        def wrapper(frame, *args):
             building.append(fn)
             builds.append(fn)
             try:
-                return fn(frame)
+                return fn(frame, *args)
             finally:
                 building.pop()
         return wrapper
@@ -344,15 +350,35 @@ def test_exact_classification_builds_its_tables_without_form_arithmetic(monkeypa
             return fn(*args, **kwargs)
         return wrapper
 
-    for attr in ("_d_table", "_tables"):
-        prop = ComplexFrame.__dict__[attr]
-        monkeypatch.setattr(prop, "func", build(prop.func))
+    prop = ComplexFrame.__dict__["_d_table"]
+    monkeypatch.setattr(prop, "func", build(prop.func))
+    monkeypatch.setattr(ComplexFrame, "_table", build(ComplexFrame._table))
     for attr in ("substitute", "wedge"):
         monkeypatch.setattr(Form, attr, counting(attr, getattr(Form, attr)))
     for name in entry_names():
         builds.clear()
         classify_metric(get_example(name).load()[1])
         assert builds and calls == [], name
+
+
+def test_classification_never_builds_the_delbar_j_table(monkeypatch):
+    """Each table is built on its first request, and classifying a catalog
+    entry never asks for delbar_J, which no flag reads."""
+    built = []
+    table = ComplexFrame._table
+
+    def counting(frame, name):
+        if name not in frame._tables:
+            built.append(name)
+        return table(frame, name)
+
+    monkeypatch.setattr(ComplexFrame, "_table", counting)
+    for name in entry_names():
+        built.clear()
+        geometry, metric = get_example(name).load()
+        classify_metric(metric)
+        assert "del" in built and "delbar_j" not in built, name
+        assert sorted(built) == sorted(set(built)) == sorted(geometry.frame._tables), name
 
 
 def _float_geometry(name):
@@ -388,8 +414,9 @@ def test_a_sqrt5_algebra_in_a_sqrt2_frame_still_raises():
     frame = Geometry(alg, H, check_integrability=False).frame
     with pytest.raises(FieldMismatchError, match="cannot mix"):
         frame._d_table
-    with pytest.raises(FieldMismatchError, match="cannot mix"):
-        frame._tables
+    for name in TABLES[1:]:
+        with pytest.raises(FieldMismatchError, match="cannot mix"):
+            frame._table(name)
 
 
 # -- the coframe verdict and the corank-two systems --------------------------------
@@ -442,7 +469,7 @@ def test_catalog_systems_and_verdicts_match_the_oracles(name):
 @pytest.mark.parametrize("name", ["qsg12", "joyce_su2xsu2", "qgau16"])
 def test_float_systems_match_the_oracle_bit_for_bit(name):
     geom = _float_geometry(name)
-    assert geom.frame._tables["del_j"].lane is None
+    assert geom.frame._table("del_j").lane is None
     assert _coframe_integrable(geom.algebra, geom.structure.columns) is None
     assert_systems_match_the_oracle(geom.frame)
 

@@ -17,6 +17,8 @@ from hha.hypercomplex import (
     is_abelian,
     validate_hypercomplex,
 )
+from hha import linalg
+from hha.constructions import _block_structure
 from hha.liealg import LieAlgebraData
 from hha.linalg import _apply
 from hha.scalars import (
@@ -27,6 +29,7 @@ from hha.scalars import (
     ONE,
     ZERO,
     rational,
+    root,
 )
 
 
@@ -192,6 +195,44 @@ def test_is_abelian_invariant_under_rotation():
     H = HypercomplexStructure.standard(3)
     rot = H.rotate_pair(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
     assert is_abelian(alg, H) == is_abelian(alg, rot)
+
+
+# -- the adapted basis and its coframe ----------------------------------------------
+
+
+_THIRDS = (SpherePoint(rational(1, 3), rational(2, 3), rational(2, 3)),
+           SpherePoint(rational(2, 3), rational(1, 3), rational(-2, 3)))
+_SQRT2 = (SpherePoint(HALF * root(2), HALF * root(2), 0), SpherePoint(0, 0, 1))
+
+
+def _adapted_cases():
+    std1, std2 = HypercomplexStructure.standard(1), HypercomplexStructure.standard(2)
+    thirds, sqrt2 = std1.rotate_pair(*_THIRDS), std1.rotate_pair(*_SQRT2)
+    yield "standard", std2
+    yield "sqrt2", std2.rotate_pair(*_SQRT2)
+    yield "thirds", std2.rotate_pair(*_THIRDS)
+    yield "thirds+standard", _block_structure([thirds, std1])
+    yield "standard+sqrt2+thirds", _block_structure([std1, sqrt2, thirds])
+    yield "swapped+thirds", _block_structure([
+        HypercomplexStructure.from_columns(std1.columns["J"], std1.columns["I"]), thirds])
+
+
+@pytest.mark.parametrize("label, H", list(_adapted_cases()))
+def test_the_coframe_read_off_the_adapted_basis_inverts_it(label, H):
+    """u^a(u_b) is 1 when a = b and 0 otherwise, and the coframe is the
+    inverse of the matrix P with columns u_a, row by row."""
+    basis, coframe = H.adapted_basis
+    dim = H.dim
+    assert len(basis) == len(coframe) == dim
+    for a, row in enumerate(coframe):
+        for b, u in enumerate(basis):
+            value = sum((row.get(p, ZERO) * x for p, x in u.items()), ZERO)
+            assert value == (ONE if a == b else ZERO), (a, b)
+    P = [[u.get(i, ZERO) for u in basis] for i in range(dim)]
+    inverse = [{p: x.re for p, x in enumerate(row) if not x.is_zero()}
+               for row in linalg.inverse(P)]
+    assert coframe == inverse
+    assert all(list(row) == sorted(row) for row in coframe)
 
 
 # -- frames and conversions ---------------------------------------------------

@@ -198,7 +198,8 @@ def test_beta_trace_and_phi_reads_match_the_old_routes(gram, k):
 def test_metric_reads_make_no_wedge_and_one_elimination(case, monkeypatch):
     base = _metric(case)
     g = base.geometry
-    g.frame._tables   # built lazily, before the reads are watched
+    for name in ("del", "delbar", "del_j", "delbar_j"):
+        g.frame._table(name)   # built lazily, before the reads are watched
     m = Metric(g, base.omega)
     calls = []
     inverse_ints = linalg.inverse_ints

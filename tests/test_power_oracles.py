@@ -11,6 +11,7 @@ polarised check replaced, and for the power cone the root-extraction route
 that the inertia read replaced.
 """
 import itertools
+import json
 import math
 import random
 
@@ -30,7 +31,8 @@ from hha.classify import (
     qgau_family_symbolic_check,
 )
 from hha.constructions import arroyo_nicolini, direct_sum
-from hha.forms import Form, cofactor_power, indices, mask
+from hha.documents import geometry_to_input, load_document, parse_input
+from hha.forms import Form, NumeratorForm, cofactor_power, indices, mask
 from hha.hermitian import (
     Metric,
     QRealError,
@@ -157,6 +159,45 @@ def test_omega_power_reads_only_the_top_two_exponents(name):
         else:
             with pytest.raises(ValueError):
                 m.omega_power(k)
+
+
+# -- the mixed power ----------------------------------------------------------------
+
+
+def wedge_mixed_power(m: Metric) -> Form:
+    """The route ``Metric.mixed_power`` replaced: Omega^{n-1} wedged with the
+    one monomial conj(Omega^n)."""
+    c = m.omega_power(m.n).coefficient(range(m.N)).conjugate()
+    top_bar = Form.monomial(m.geometry.algebra.dim, range(m.N, 2 * m.N), c)
+    return m.omega_power(m.n - 1).wedge(top_bar)
+
+
+def _float_loaded(name):
+    data = geometry_to_input(name, *catalog.get_example(name).load())
+    data["scalar_field"] = {"kind": "float"}
+    return load_document(parse_input(json.dumps(data)))
+
+
+def _fields(form: Form) -> list:
+    """Each key with every field of its coefficient, floats by ``repr``."""
+    return [(key, repr([(x.p, x.q, x.r, x.d) for x in (c.re, c.im)]))
+            for key, c in form.terms.items()]
+
+
+@pytest.mark.parametrize("name", catalog.entry_names())
+def test_mixed_power_is_the_wedge_relabelled(name, monkeypatch):
+    """Key by key, in order and bit for bit on floats, with no wedge, and on
+    numerators exactly when Omega^{n-1} keeps them."""
+    g, m = _loaded(name)
+    for metric in (m, random_metric(random.Random(len(name)), g), _float_loaded(name)[1]):
+        want = wedge_mixed_power(metric)
+        monkeypatch.setattr(Form, "wedge", None)
+        got = metric.mixed_power()
+        monkeypatch.undo()
+        assert (got.nsym, got.degree) == (want.nsym, want.degree)
+        assert _fields(got) == _fields(want)
+        low = metric.omega_power(metric.n - 1)
+        assert isinstance(got, NumeratorForm) == isinstance(low, NumeratorForm)
 
 
 # -- the power cone ------------------------------------------------------------------
