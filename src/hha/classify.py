@@ -10,16 +10,28 @@ The balanced, Gauduchon and q-Gauduchon characterisations live in one place,
 ``equivalence_audit`` read; the hyperkaehler and q-balanced audits are checked
 inline in ``classify_metric``.
 
-SKT for L in {I, J, K} is dd^c_L omega_L = 0 (Bismut 1989).  ``classify_metric``
-decides all three in the base frame.  For I, omega_I is of type (1,1), so the
-condition is del delbar omega_I = 0.  For J and K it reuses d omega_J and
-d omega_K from the hyperkaehler audit (omega_J = Omega + conj(Omega),
-omega_K = -i(Omega - conj(Omega))): the frame's ``j_action`` and ``i_action``
-are the pullbacks J* and I*, K* = J* I*, and omega_L is L-invariant, so
-dd^c_L omega_L = -d(L* d omega_L).  The rotated-frame route
-(``Geometry.rotated`` and ``Metric.in_rotated_frame``, where the same condition
-reads del delbar omega_I of the rotated metric) serves ``--pair`` and is the
-oracle the tests compare against.
+SKT for L in {I, J, K} is dd^c_L omega_L = 0 (Bismut 1989) and strong HKT is
+del del_J conj(Omega) = 0 (Grantcharov-Poon 2000); ``classify_metric``
+decides them in the base frame.  For I, omega_I has type (1,1), so SKT is
+del delbar omega_I = 0, delbar omega_I being the (1,2) part of the
+d omega_I of the hyperkaehler flag.  For J and K: the frame's ``j_action``
+and ``i_action`` are the pullbacks J* and I*, K* = J* I*, and omega_L is
+L-invariant, so dd^c_L omega_L = -d(L* d omega_L).  I is integrable, so
+d Omega has the parts del Omega of type (3,0) and delbar Omega of type (2,1).
+As d, I* and J* are real, omega_J = Omega + conj(Omega), omega_K = -i Omega +
+conj(-i Omega) and I*(-i d Omega) = delbar Omega - del Omega,
+d(J* d omega_J) = w_J + conj(w_J) and d(K* d omega_K) = w_K + conj(w_K) with
+w_J = b + a and w_K = b - a, for a = d(J* del Omega), of types (1,3) and
+(0,4), and b = d(J* delbar Omega), of types (2,2) and (1,3).  Type by type,
+SKT for J (for K) holds exactly when a^{0,4} = 0, a^{1,3} = -b^{1,3}
+(+b^{1,3}) and b^{2,2} + conj(b^{2,2}) = 0.  Strong HKT: J* conj(Omega) =
+Omega (q-reality, checked by ``Metric``) and J^-1 = -J* on 3-forms give
+del_J conj(Omega) = J^-1 delbar(J* conj(Omega)) = -J* delbar Omega, so
+del del_J conj(Omega) = -b^{2,2}, the flag's residual (a float metric forms
+del del_J conj(Omega) itself, keeping that route's rounding).  The tests keep
+the full forms as oracles, and the rotated-frame route (``Geometry.rotated``
+and ``Metric.in_rotated_frame``, where SKT for L reads del delbar omega_I of
+the rotated metric), which serves ``--pair``.
 """
 from __future__ import annotations
 
@@ -28,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .forms import Form, bidegree_project, indices, mask, pure_bidegree
+from .forms import Form, NumeratorForm, bidegree_project, indices, mask, pure_bidegree
 from .hermitian import (
     ConsistencyError,
     Metric,
@@ -298,7 +310,10 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
         if len(set(routes[name])) != 1:
             raise ConsistencyError(message)
 
-    ddj_omega_bar = fr.del_(fr.del_j(m.omega_bar()))
+    # b = d(J* delbar Omega), and del del_J conj(Omega) = -b^{2,2}: see the module docstring
+    b = fr.d(fr.j_action(bidegree_project(d_omega, m.N, 2, 1)))
+    ddj_omega_bar = (-bidegree_project(b, m.N, 2, 2) if isinstance(b, NumeratorForm)
+                     else fr.del_(fr.del_j(m.omega_bar())))
     strong_hkt = hkt and ddj_omega_bar.is_zero()
 
     flags = {
@@ -324,10 +339,9 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
 
     skt = {}
     if skt_structures:
-        # dd^c_L omega_L = -d(L* d omega_L) with K* = J* I*; see the module docstring
-        skt["I"] = fr.del_(fr.delbar(omega_i)).is_zero()
-        skt["J"] = fr.d(fr.j_action(d_oj)).is_zero()
-        skt["K"] = fr.d(fr.j_action(fr.i_action(d_ok))).is_zero()
+        # del delbar omega_I, and a and b for J and K; see the module docstring
+        skt["I"] = fr.del_(bidegree_project(d_omega_i, m.N, 1, 2)).is_zero()
+        skt["J"], skt["K"] = _skt_j_k(fr, fr.d(fr.j_action(del_omega)), b)
 
     lam, lam_res = einstein_factor(m)
     sl = sl_and_class_check(m)
@@ -354,6 +368,14 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
         notes=notes,
         witnesses=witnesses,
     )
+
+
+def _skt_j_k(fr, a: Form, b: Form) -> tuple:
+    """SKT for J and for K, read off a = d(J* del Omega) and b = d(J* delbar Omega)."""
+    N = fr.N
+    a13, b13, b22 = (bidegree_project(f, N, p, 4 - p) for f, p in ((a, 1), (b, 1), (b, 2)))
+    common = bidegree_project(a, N, 0, 4).is_zero() and fr.conjugate(b22) == -b22
+    return common and a13 == -b13, common and a13 == b13
 
 
 def _check_implication_chain(flags: dict):

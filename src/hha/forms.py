@@ -25,7 +25,8 @@ numerators and scalar objects: every integer kernel
 reads of G^-1, the frame's maps) reads its operands with it and makes its
 result with :meth:`Form.from_numerators`, a :class:`NumeratorForm`, which
 builds its scalar objects (``scalars.complex_from_ints``) only when
-``terms`` is read.
+``terms`` is read; its parts (:meth:`Form.restrict`, so
+:func:`bidegree_project`) and its negation keep the numerators.
 The loop over scalar objects stays for a float coefficient under
 ``--float``, whose sums must keep their rounding, and for a form whose
 radicand differs from the table's, which still raises ``FieldMismatchError``.
@@ -147,7 +148,10 @@ class Form:
         return (self.terms if self._num is None else self._num[2]).keys()
 
     def restrict(self, keys) -> "Form":
-        """The terms on ``keys``, keys of the form, in that order."""
+        """The terms on ``keys``, keys of the form, in that order; a
+        :class:`NumeratorForm` keeps its numerators, building no coefficient."""
+        if self._num is not None:
+            return self.remade({k: self._num[2][k] for k in keys})
         terms = self.terms
         return Form(self.nsym, self.degree, {k: terms[k] for k in keys})
 
@@ -326,6 +330,9 @@ class NumeratorForm(Form):
     def remade(self, ints: dict) -> Form:
         """This form's degree and denominator, with the numerators ``ints``."""
         return Form.from_numerators(self.nsym, self.degree, self._num[0], self._num[1], ints)
+
+    def __neg__(self) -> Form:
+        return self.remade({k: neg_ints(x) for k, x in self._num[2].items()})
 
     def map_indices(self, mapping) -> Form:
         out: dict = {}
@@ -641,6 +648,7 @@ def bidegree_split(form: Form, half: int) -> dict:
 
 
 def bidegree_project(form: Form, half: int, p: int, q: int) -> Form:
+    """The (p, q) part, on numerators when the form keeps them (``Form.restrict``)."""
     return form.restrict([key for key in form.keys() if bidegree_of_key(key, half) == (p, q)])
 
 

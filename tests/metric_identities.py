@@ -2,19 +2,20 @@
 
 Classification needs none of these, so they are not methods of ``Metric``:
 the volume form, the Riemannian Gram matrix on the adapted real basis, the
-Hodge star, the trace against Omega, the hard Lefschetz bijection, and both
-sides of the torsion and product-trace identities.  A power of Omega other
-than the n-th and (n-1)-st, which ``Metric.omega_power`` reads, is
-multiplied out with ``Form.wedge_power``.
+Hodge star, the trace against Omega, the hard Lefschetz bijection, both
+sides of the torsion and product-trace identities, and the SKT and strong-HKT
+conditions as full forms.  A power of Omega other than the n-th and
+(n-1)-st, which ``Metric.omega_power`` reads, is multiplied out with
+``Form.wedge_power``.
 """
 import itertools
 import math
 
 from frame_evaluation import conj_vector, evaluate, j_vector
 from hha import linalg
-from hha.forms import Form, indices, mask
+from hha.forms import Form, bidegree_project, indices, mask
 from hha.hermitian import ConsistencyError, MetricError, QRealError
-from hha.scalars import C_I, C_ONE, ComplexScalar, rational
+from hha.scalars import C_I, C_ONE, ONE, ZERO, ComplexScalar, rational
 from tuple_keys import merge_keys
 
 
@@ -118,3 +119,28 @@ def product_trace_identity(m, psi: Form, zeta: Form):
     rhs = scal * m.omega_power(n).coefficient(top) \
         * ComplexScalar(rational(1, math.factorial(n)))
     return lhs, rhs
+
+
+def full_form_routes(m) -> dict:
+    """The SKT and strong-HKT conditions as full forms, each as its defining
+    differentials give it: d(J* d omega_J) and d(J* I* d omega_K)
+    (dd^c_L omega_L = -d(L* d omega_L), K* = J* I*), del del_J conj(Omega) and
+    delbar omega_I.  ``classify_metric`` reads them off the halves of d Omega."""
+    fr = m.geometry.frame
+    d_oj = fr.d(m.omega + m.omega_bar())
+    d_ok = fr.d((m.omega - m.omega_bar()) * ComplexScalar(ZERO, -ONE))
+    return {
+        "J": fr.d(fr.j_action(d_oj)),
+        "K": fr.d(fr.j_action(fr.i_action(d_ok))),
+        "ddj_omega_bar": fr.del_(fr.del_j(m.omega_bar())),
+        "delbar_omega_i": fr.delbar(m.omega_i()),
+    }
+
+
+def skt_halves(m) -> tuple:
+    """a = d(J* del Omega) and b = d(J* delbar Omega), delbar Omega being the
+    (2,1) part of d Omega."""
+    fr = m.geometry.frame
+    a = fr.d(fr.j_action(m.del_omega))
+    b = fr.d(fr.j_action(bidegree_project(fr.d(m.omega), m.N, 2, 1)))
+    return a, b

@@ -39,6 +39,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hha import hypercomplex
 from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
 from hha.documents import geometry_to_input, load_document, parse_input
@@ -379,6 +380,37 @@ def test_classification_never_builds_the_delbar_j_table(monkeypatch):
         classify_metric(metric)
         assert "del" in built and "delbar_j" not in built, name
         assert sorted(built) == sorted(set(built)) == sorted(geometry.frame._tables), name
+
+
+def test_classification_never_differentiates_a_full_three_form(monkeypatch):
+    """SKT for J and K and strong HKT are read off the halves of d Omega (see
+    the ``classify`` module docstring): classifying a catalog entry never
+    asks for del_J of conj(Omega), never asks for delbar, and never
+    differentiates a form with both a (3,0) and a (0,3) part, as forming
+    d(J* d omega_J), d(J* I* d omega_K) or del_J conj(Omega) would.  For
+    n = 1 the Gauduchon route's mixed power Omega^{n-1} ^ conj(Omega^n) is
+    conj(Omega) itself, and it is the one del_J of conj(Omega) there."""
+    differentiated, del_j_of, delbar_calls = [], [], []
+    kernel, del_j, delbar = (hypercomplex.leibniz_differential, ComplexFrame.del_j,
+                             ComplexFrame.delbar)
+    monkeypatch.setattr(hypercomplex, "leibniz_differential",
+                        lambda form, table: differentiated.append(form) or kernel(form, table))
+    monkeypatch.setattr(ComplexFrame, "del_j",
+                        lambda frame, form: del_j_of.append(form) or del_j(frame, form))
+    monkeypatch.setattr(ComplexFrame, "delbar",
+                        lambda frame, form: delbar_calls.append(form) or delbar(frame, form))
+    for name in entry_names():
+        differentiated.clear()
+        del_j_of.clear()
+        geometry, metric = get_example(name).load()
+        classify_metric(metric)
+        N = geometry.N
+        omega_bar = sum(form == metric.omega_bar() for form in del_j_of)
+        assert del_j_of and omega_bar == (metric.n == 1), name
+        assert differentiated and not delbar_calls, name
+        for form in differentiated:
+            types = {(key & ((1 << N) - 1)).bit_count() for key in form.keys()}
+            assert form.degree != 3 or not {0, 3} <= types, name
 
 
 def _float_geometry(name):

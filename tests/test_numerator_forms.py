@@ -3,9 +3,10 @@
 An integer kernel makes its result with ``Form.from_numerators``: a
 ``NumeratorForm`` keeps the int numerators and builds its scalar objects
 only when ``terms`` is read.  The frame's maps ``j_action`` and
-``i_action``, ``==`` and the next kernel read the numerators;
-``conjugate``, ``bidegree_project`` and negation read the scalar objects.  The oracle is the
-object route: the same terms in a plain ``Form``, mapped on scalar objects.
+``i_action``, ``bidegree_project`` (``Form.restrict``), negation, ``==`` and
+the next kernel read the numerators; ``conjugate`` reads the scalar objects.
+The oracle is the object route: the same terms in a plain ``Form``, mapped on
+scalar objects.
 Each map must give the same keys, in the same order, with the same values;
 ``==`` and ``hash`` must not tell the two apart.  A float document never keeps
 numerators, and a mixed-radicand operand still raises
@@ -70,9 +71,9 @@ def assert_matches_the_object_route(frame, form: Form):
     assert form == twin and twin == form and not form != twin
     assert hash(form) == hash(twin)
     # (map, whether it keeps the numerators)
-    maps = [(frame.conjugate, False), (lambda f: -f, False), (frame.j_action, True),
+    maps = [(frame.conjugate, False), (lambda f: -f, True), (frame.j_action, True),
             (frame.i_action, True)]
-    maps += [(lambda f, p=p: bidegree_project(f, frame.N, p, f.degree - p), False)
+    maps += [(lambda f, p=p: bidegree_project(f, frame.N, p, f.degree - p), True)
              for p in range(form.degree + 1)]
     for fn, kept in maps:
         got, want = fn(form), fn(twin)
