@@ -36,11 +36,10 @@ the rotated metric), which serves ``--pair``.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from . import linalg
-from .forms import Form, NumeratorForm, bidegree_project, indices, mask, pure_bidegree
+from .forms import Form, NumeratorForm, bidegree_project, indices, pure_bidegree
 from .hermitian import (
     ConsistencyError,
     Metric,
@@ -544,24 +543,23 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
 
 
 # -- family-level certificates ------------------------------------------------------
+#
+# Together these decide the graded family's claims for every invariant metric,
+# not only for the given one.  No q-sG metric: ``qbal_nonexistence_certificate``
+# proves no metric is q-balanced, and ``family_qsg_obstruction`` proves a q-sG
+# metric would be q-balanced (its del(Omega^{n-1}) lies in im del_J and in the
+# del-span, which meet only in zero).  Every metric q-Gauduchon:
+# ``qgau_family_symbolic_check`` proves del del_J kills every (2n-2,0)-form, so
+# in particular every Omega^{n-1}.
 
 
-@dataclass
-class FamilyExactnessReport:
-    image_intersection_trivial: bool
-    samples_all_fail: bool
-    sample_count: int
-    nonvanishing_on_samples: bool
-
-
-def family_qsg_obstruction(geom: Geometry, samples: int = 6,
-                           seed: int = 11) -> FamilyExactnessReport:
-    """Family-level test that no invariant metric is q-strongly-Gauduchon.
+def family_qsg_obstruction(geom: Geometry) -> bool:
+    """True when a q-strongly-Gauduchon invariant metric would be q-balanced.
 
     Certifies that the (complex) span of del(Omega^{n-1}) over all q-real
     Omega meets the image of the twisted differential only in zero - a
-    sufficient certificate, since the complex span contains the real one -
-    and additionally exhausts a diagonal grid plus random q-real samples.
+    sufficient certificate, since the complex span contains the real one.
+    A q-sG metric has del(Omega^{n-1}) = del_J(x) in both, so it vanishes.
 
     The span has a closed form.  The q-real (2,0)-forms are the fixed set of
     the antilinear involution J o conj of the (2,0)-forms, so their complex
@@ -570,88 +568,50 @@ def family_qsg_obstruction(geom: Geometry, samples: int = 6,
     (2,0)-forms, and that is every (2n-2,0)-form, since each monomial is a
     product of the z^{ab}.  So the span of del(Omega^{n-1}) is spanned by
     del of the binom(N, 2n-2) holomorphic monomials, and the image of del_J
-    on (2n-2,0)-forms by del_J of the same monomials; the certificate
-    compares three ranks.  The samples are diagonal metrics, whose
-    del(Omega^{n-1}) is a combination of the fixed forms of
-    :func:`_diagonal_power_derivatives`; no metric is built.
+    on (2n-2,0)-forms by del_J of the same monomials.  The two meet in zero
+    exactly when adding the del_J rows to the echelon basis of the del rows
+    raises its rank by the rank of del_J.
     """
-    import random as _random
     fr = geom.frame
-    n = geom.n
-    span_rows = list(fr.corank_two_images("del").values())
-    image_rows = list(fr.corank_two_images("del_j").values())
-    r_span = len(linalg.echelon(span_rows))
-    r_image = len(linalg.echelon(image_rows))
-    r_union = len(linalg.echelon(span_rows + image_rows))
-    trivial = r_union == r_span + r_image
-
-    rng = _random.Random(seed)
-    grid = itertools.product((ONE, rational(2), rational(1, 2)), repeat=n)
-    drawn = ([rational(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(n)]
-             for _ in range(samples))
-    all_fail = True
-    nonvanishing = True
-    count = 0
-    derivatives = _diagonal_power_derivatives(geom)
-    for diag in itertools.chain(itertools.islice(grid, samples), drawn):
-        dp = _diagonal_power_derivative(derivatives, diag)
-        if dp.is_zero():
-            nonvanishing = False
-        w, _ = solve_exactness(geom, "del_j", dp, (2 * n - 2, 0))
-        if w is not None:
-            all_fail = False
-        count += 1
-    return FamilyExactnessReport(
-        image_intersection_trivial=trivial,
-        samples_all_fail=all_fail,
-        sample_count=count,
-        nonvanishing_on_samples=nonvanishing,
-    )
-
-
-def _diagonal_power_derivatives(geom: Geometry) -> list:
-    """del(sigma_hat_k) for k < n, the polarised pieces of del(Omega^{n-1}).
-
-    A diagonal metric diag(t_0..t_{n-1}) is Omega(t) = sum_k t_k sigma_k with
-    sigma_k = z^{2k} ^ z^{2k+1} (``Metric.diagonal``).  The sigma_k are even
-    and square to zero, so Omega(t)^{n-1} = (n-1)! sum_k (prod_{i != k} t_i)
-    sigma_hat_k, where sigma_hat_k = wedge_{i != k} sigma_i is the single
-    monomial on the indices outside the k-th block.
-    """
-    N, dim = geom.N, geom.algebra.dim
-    images = geom.frame.corank_two_images("del")
-    return [Form(dim, N - 1, images[mask([j for j in range(N) if j // 2 != k])])
-            for k in range(geom.n)]
-
-
-def _diagonal_power_derivative(derivatives: list, t) -> Form:
-    """del(Omega(t)^{n-1}) of diag(t), from :func:`_diagonal_power_derivatives`."""
-    n = len(derivatives)
-    out = Form.zero(derivatives[0].nsym, derivatives[0].degree)
-    for k, dsig in enumerate(derivatives):
-        prod = rational(math.factorial(n - 1))
-        for i in range(n):
-            if i != k:
-                prod = prod * t[i]
-        out = out + dsig.scale(prod)
-    return out
+    rows: dict = {}
+    for vec in fr.corank_two_images("del").values():
+        linalg.echelon_add(rows, vec)
+    r_span = len(rows)
+    image_rows = fr.corank_two_images("del_j").values()
+    for vec in image_rows:
+        linalg.echelon_add(rows, vec)
+    return len(rows) == r_span + len(linalg.echelon(image_rows))
 
 
 def qgau_family_symbolic_check(geom: Geometry) -> bool:
-    """Polarised proof of the diagonal-family derivative formula.
+    """True when del del_J vanishes on every (2n-2,0)-form, that is, when
+    every invariant metric is q-Gauduchon.
 
-    For the graded family with del z^{2n-1} the only nonclosed holomorphic
-    generator (0-based), del(Omega^{n-1}) of a diagonal metric
-    diag(t_0..t_{n-1}) equals -((n-1)!/2) (sum_{k<n-1} prod_{i != k} t_i)
-    z^0...z^{2n-2}.  By :func:`_diagonal_power_derivatives` the left side is
-    (n-1)! sum_k (prod_{i != k} t_i) del(sigma_hat_k), and the products
-    prod_{i != k} t_i are linearly independent polynomials, so the identity
-    holds for every t exactly when del(sigma_hat_k) = -(1/2) z^0...z^{2n-2}
-    for k < n-1 and del(sigma_hat_{n-1}) = 0.  The right side is minus a sum
-    of products of positive entries, hence nonzero on every q-positive
-    diagonal metric.
+    Sufficient, as Omega^{n-1} is a (2n-2,0)-form.  Necessary too: if every
+    q-positive Omega has del del_J(Omega^{n-1}) = 0, the polynomial identity
+    holds on the open q-positive cone, hence on every q-real Omega, hence on
+    their complex span, every (2,0)-form; by polarisation it holds on every
+    product of n-1 (2,0)-forms, and these span the (2n-2,0)-forms (see
+    :func:`family_qsg_obstruction`).
+
+    del_J of a (2n-2,0) monomial is sum_k c_k z^{[N] minus k}
+    (``corank_two_images``), and del z^{[N] minus k} = tau_k z^{[N]}, so
+    del del_J of the monomial is (sum_k tau_k c_k) times the top form: the N
+    numbers tau_k are read once and no form is built per monomial.
     """
-    n, dim = geom.n, geom.algebra.dim
-    half = Form.monomial(dim, range(2 * n - 1), ComplexScalar(rational(-1, 2)))
-    return all(dsig == half if k < n - 1 else dsig.is_zero()
-               for k, dsig in enumerate(_diagonal_power_derivatives(geom)))
+    fr, N, dim = geom.frame, geom.N, geom.algebra.dim
+    full = (1 << N) - 1
+    tau = {}
+    for k in range(N):
+        t = fr.del_(Form.monomial(dim, [j for j in range(N) if j != k])).terms.get(full)
+        if t is not None and not t.is_zero():
+            tau[full ^ (1 << k)] = t
+    for image in fr.corank_two_images("del_j").values():
+        total = C_ZERO
+        for key, t in tau.items():
+            c = image.get(key)
+            if c is not None:
+                total = total + t * c
+        if not total.is_zero():
+            return False
+    return True

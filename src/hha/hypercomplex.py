@@ -122,7 +122,8 @@ class HypercomplexStructure:
     structure, by the frame and by the constructions.  ``__init__`` takes
     the dense matrices I and J of the exchange format, and
     :meth:`from_columns` their columns; both check I^2 = J^2 = -1 and
-    IJ = -JI on the columns.
+    IJ = -JI on the columns.  :meth:`standard` writes its known columns
+    directly.
     """
 
     def __init__(self, I, J):
@@ -180,12 +181,20 @@ class HypercomplexStructure:
     @classmethod
     def standard(cls, n: int) -> "HypercomplexStructure":
         """The block convention: per quadruple (e1, e2, e3, e4),
-        I: e1->e2, e2->-e1, e3->e4, e4->-e3 and J: e1->e3, e2->-e4, e3->-e1, e4->e2."""
-        cols_i, cols_j = [], []
+        I: e1->e2, e2->-e1, e3->e4, e4->-e3 and J: e1->e3, e2->-e4, e3->-e1, e4->e2,
+        so K = IJ: e1->e4, e2->e3, e3->-e2, e4->-e1.  The relations hold on
+        these constants, so the columns are set without the check of
+        :meth:`from_columns`."""
+        minus = -ONE
+        cols_i, cols_j, cols_k = [], [], []
         for b in range(0, 4 * n, 4):
-            cols_i += [{b + 1: ONE}, {b: -ONE}, {b + 3: ONE}, {b + 2: -ONE}]
-            cols_j += [{b + 2: ONE}, {b + 3: -ONE}, {b: -ONE}, {b + 1: ONE}]
-        return cls.from_columns(cols_i, cols_j)
+            cols_i += [{b + 1: ONE}, {b: minus}, {b + 3: ONE}, {b + 2: minus}]
+            cols_j += [{b + 2: ONE}, {b + 3: minus}, {b: minus}, {b + 1: ONE}]
+            cols_k += [{b + 3: ONE}, {b + 2: ONE}, {b + 1: minus}, {b: minus}]
+        H = cls.__new__(cls)
+        H.dim = 4 * n
+        H.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
+        return H
 
     def combo(self, p: SpherePoint) -> list:
         """Sparse columns of aI + bJ + cK, each sorted by row."""

@@ -451,12 +451,28 @@ def floating(x: float) -> Scalar:
     return Scalar(x, d=FLOAT_KIND)
 
 
+def _int_str(x: int) -> str:
+    """``str(x)``, also past the interpreter's limit on the digits of an int
+    it prints (``sys.get_int_max_str_digits``): an input under that limit can
+    give a result over it, so such an int is printed as two halves in base
+    10^k."""
+    try:
+        return str(x)
+    except ValueError:
+        pass
+    if x < 0:
+        return "-" + _int_str(-x)
+    k = x.bit_length() * 3 // 20   # about half its decimal digits
+    high, low = divmod(x, 10 ** k)
+    return _int_str(high) + _int_str(low).zfill(k)
+
+
 def _ratio_str(n: int, r: int) -> str:
     """``str(Fraction(n, r))`` for ``r > 0``, by one gcd."""
     g = _gcd(n, r)
     if g != r:
-        return f"{n // g}/{r // g}"
-    return str(n // g)
+        return f"{_int_str(n // g)}/{_int_str(r // g)}"
+    return _int_str(n // g)
 
 
 def scalar_str(s: Scalar) -> str:
@@ -470,7 +486,7 @@ def scalar_str(s: Scalar) -> str:
         return f"float:{p!r}"
     if not q:
         # canonical: gcd(p, r) == 1 already
-        return f"{p}/{r}" if r != 1 else str(p)
+        return f"{_int_str(p)}/{_int_str(r)}" if r != 1 else _int_str(p)
     if q == r:
         radical = f"sqrt({d})"
     elif q == -r:

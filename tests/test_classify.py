@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     nil12_qbal,
@@ -280,11 +281,12 @@ def test_search_exhausts_qbal_on_qsg12():
 
 
 def test_family_qsg_obstruction_certificate():
+    # the rank test makes a q-sG metric q-balanced, and the certificate rules
+    # q-balanced metrics out: no invariant metric is q-sG
     g = geom(nil_qgau(2))
-    rep = family_qsg_obstruction(g, samples=4)
-    assert rep.image_intersection_trivial
-    assert rep.samples_all_fail
-    assert rep.nonvanishing_on_samples
+    assert family_qsg_obstruction(g)
+    psi = g.zeta(2 * g.n) * rational(2)
+    assert isinstance(qbal_nonexistence_certificate(g, psi), Certificate)
 
 
 def test_qgau_family_symbolic_formula():
@@ -304,8 +306,7 @@ def test_pair_dependence_of_qsg_on_qsg12():
     m2 = Metric.unitary(g).in_rotated_frame(rot)
     rep2 = classify_metric(m2, with_obstruction=False, skt_structures=False)
     assert not rep2.flag("q_strongly_gauduchon")
-    fam = family_qsg_obstruction(rot, samples=4)
-    assert fam.image_intersection_trivial and fam.samples_all_fail
+    assert family_qsg_obstruction(rot)
 
 
 def test_pair_independence_of_qbal_and_qgau():
@@ -529,14 +530,44 @@ def test_polarisation_span_is_del_of_the_holomorphic_monomials(name, pair):
     image = [fr.del_j(f).terms for f in monomials]
     trivial = (len(linalg.echelon(wedged + image))
                == len(linalg.echelon(wedged)) + len(linalg.echelon(image)))
-    report = family_qsg_obstruction(g, samples=1)
-    assert report.image_intersection_trivial == trivial
+    assert family_qsg_obstruction(g) == trivial
+
+
+# -- the family claims on sampled metrics -------------------------------------------
+# The catalog proves them for every invariant metric; these draw non-diagonal
+# metrics and classify each one.
+
+_family_samples = settings(max_examples=5, deadline=None, database=None)
+
+
+@pytest.mark.parametrize("name", ["qgau8", "qgau12", "qgau16"])
+@_family_samples
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_qgau_metrics_are_q_gauduchon_and_not_q_sg(name, seed):
+    g, _ = get_example(name).load()
+    rep = classify_metric(random_metric(random.Random(seed), g),
+                          with_obstruction=False, skt_structures=False)
+    assert rep.flag("q_gauduchon")
+    assert not rep.flag("q_balanced")
+    assert not rep.flag("q_strongly_gauduchon")
+
+
+@_family_samples
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_metrics_on_swapped_qsg12_are_not_q_sg(seed):
+    # no del(psi) is q-real in this frame, so the q-balanced certificate does
+    # not apply, and the rank test alone makes a q-sG metric q-balanced
+    g, _ = get_example("qsg12").load()
+    rot = g.rotated(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
+    rep = classify_metric(random_metric(random.Random(seed), rot),
+                          with_obstruction=False, skt_structures=False)
+    assert not rep.flag("q_strongly_gauduchon")
 
 
 @pytest.mark.parametrize("name", ["qgau16", "qgau20", "qgau24"])
 def test_family_qsg_obstruction_certifies_large_qgau(name):
     g, _ = get_example(name).load()
-    rep = family_qsg_obstruction(g, samples=4)
-    assert rep.image_intersection_trivial
-    assert rep.samples_all_fail
-    assert rep.nonvanishing_on_samples
+    assert family_qsg_obstruction(g)
+    psi = g.zeta(2 * g.n) * rational(2)
+    assert isinstance(qbal_nonexistence_certificate(g, psi), Certificate)
+    assert qgau_family_symbolic_check(g)

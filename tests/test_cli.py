@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -491,6 +492,21 @@ def test_float_mode_refuses_a_scalar_too_large_for_a_float(tmp_path):
     code, out, err = _run_document(tmp_path, doc, "classify", "--float")
     assert code == 2 and out == ""
     assert err.startswith("error: $.metric.entries[0]: coefficient "), err
+
+
+@pytest.mark.parametrize("entry", ["1" * 2200, "1/" + "3" * 4200],
+                         ids=["2200-digits", "4200-digit-denominator"])
+def test_an_exact_input_whose_results_pass_the_printed_digit_limit_classifies(tmp_path,
+                                                                              entry):
+    """Python prints no int of more than 4,300 digits by default; each input
+    here is under that limit, and its report prints ints over it."""
+    _, export, _ = run_cli(["catalog", "export", "qsg12"])
+    doc = json.loads(export)
+    doc["metric"] = {"type": "diagonal", "entries": [entry, "1", "1"]}
+    for options in (["--format", "json"], ["--format", "text"]):
+        code, out, err = _run_document(tmp_path, doc, "classify", *options)
+        assert code == 0, err
+        assert re.search(r"\d{4301}", out)
 
 
 # sha256 of `classify --format json` on qsg12 under a rotated pair, as explicit

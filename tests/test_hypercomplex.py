@@ -61,6 +61,17 @@ def test_standard_structure_relations():
     assert not {"I", "J", "K"} & set(dir(H))   # the columns are the only form
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_standard_columns_pass_the_checked_constructor(n):
+    # standard() writes I, J and K = IJ without checking the relations;
+    # from_columns checks them and computes K itself
+    H = HypercomplexStructure.standard(n)
+    checked = HypercomplexStructure.from_columns(H.columns["I"], H.columns["J"])
+    assert checked.dim == H.dim == 4 * n
+    assert checked.columns == H.columns
+    assert [list(col) for col in checked.columns["K"]] == [list(col) for col in H.columns["K"]]
+
+
 def test_sphere_combo_squares_to_minus_identity():
     H = HypercomplexStructure.standard(1)
     p = SpherePoint(rational(3, 5), rational(4, 5), 0)

@@ -1,0 +1,23 @@
+"""``tools/pair.py``, which times two source trees against each other in one
+process, run on this tree against itself."""
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import pair  # noqa: E402
+
+
+def test_one_pair_of_catalog_passes_prints_a_ratio_and_the_wins(capsys):
+    assert pair.main([str(ROOT), str(ROOT), "--pairs", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload catalog, 21 inputs, 1 pairs"
+    assert out[2].startswith("median ") and out[2].endswith("/1")
+
+
+def test_the_two_trees_load_as_separate_packages():
+    first, second = (pair.load_tree(ROOT, name)["catalog"] for name in ("hha_one", "hha_two"))
+    assert first is not second
+    assert first.__name__ == "hha_one.catalog" and second.__name__ == "hha_two.catalog"
+    assert first.entry_names() == second.entry_names()

@@ -3,12 +3,16 @@
 Classification reads the powers of Omega it needs from Pfaffian data instead
 of multiplying them out: Omega^n is one monomial, Omega^{n-1} is Pf times a
 signed read of A^-1, and the mixed power Omega^{n-1} ^ conj(Omega^n) is a
-relabelling.  The diagonal-family checks polarise Omega^{n-1} into n fixed
-monomials, and the cone of (n-1)-st powers of q-positive forms is decided by
-one inertia read.  The oracles are ``Form.wedge_power``, for the family
-formula the 2^n-point multilinear interpolation over built metrics that the
-polarised check replaced, and for the power cone the root-extraction route
-that the inertia read replaced.
+relabelling.  The cone of (n-1)-st powers of q-positive forms is decided by
+one inertia read.  The family checks read del and del_J of the (2n-2,0)
+monomials instead of any power: ``qgau_family_symbolic_check`` decides
+whether every invariant metric is q-Gauduchon, and the span that
+``family_qsg_obstruction`` compares holds del(Omega^{n-1}) of every metric.
+The oracles are ``Form.wedge_power``; for the family checks, del del_J of
+each monomial as a form, the 2^n-point multilinear interpolation of the
+diagonal family over built metrics, and del(Omega^{n-1}) of built
+non-diagonal metrics; and for the power cone the root-extraction route that
+the inertia read replaced.
 """
 import itertools
 import json
@@ -25,8 +29,6 @@ from test_liealg_oracles import _glue_indices, _loaded
 
 from hha import catalog, linalg
 from hha.classify import (
-    _diagonal_power_derivative,
-    _diagonal_power_derivatives,
     classify_metric,
     qgau_family_symbolic_check,
 )
@@ -40,7 +42,7 @@ from hha.hermitian import (
     qpositivity_verdict,
 )
 from hha.hypercomplex import SpherePoint
-from hha.scalars import C_ZERO, ComplexScalar, ONE, Scalar, ZERO, rational
+from hha.scalars import C_ZERO, ComplexScalar, ONE, Scalar, rational
 
 _powers = settings(max_examples=20, deadline=None, database=None)
 
@@ -49,28 +51,23 @@ _powers = settings(max_examples=20, deadline=None, database=None)
 
 
 def interpolated_family_check(geom) -> bool:
-    """The diagonal-family formula checked at the 2^n points of {1, 2}^n.
-
-    Both sides are multilinear in t, so agreement on {1,2}^n proves it for
-    every t: del(Omega^{n-1}) of diag(t) equals
-    -((n-1)!/2) (sum_{k<n-1} prod_{i != k} t_i) z^0...z^{2n-2}.
-    """
+    """Every diagonal metric is q-Gauduchon, checked at the 2^n points of
+    {1, 2}^n: Omega(t)^{n-1} of diag(t) is multilinear in t, so
+    del del_J(Omega(t)^{n-1}) vanishes for every t exactly when it vanishes
+    at those points."""
     fr = geom.frame
-    n, dim = geom.n, geom.algebra.dim
-    for point in itertools.product((ONE, rational(2)), repeat=n):
-        m = Metric.diagonal(geom, list(point))
-        dp = fr.del_(m.omega.wedge_power(n - 1))
-        expected = ZERO
-        for k in range(n - 1):
-            prod = ONE
-            for i in range(n):
-                if i != k:
-                    prod = prod * point[i]
-            expected = expected + prod
-        expected = expected * rational(-math.factorial(n - 1), 2)
-        if dp != Form.monomial(dim, range(2 * n - 1), ComplexScalar(expected)):
+    for point in itertools.product((ONE, rational(2)), repeat=geom.n):
+        power = Metric.diagonal(geom, list(point)).omega.wedge_power(geom.n - 1)
+        if not fr.del_(fr.del_j(power)).is_zero():
             return False
     return True
+
+
+def per_monomial_family_check(geom) -> bool:
+    """del del_J of every (2n-2,0) monomial, each a form through the kernel."""
+    fr, dim = geom.frame, geom.algebra.dim
+    return all(fr.del_(fr.del_j(Form.monomial(dim, key))).is_zero()
+               for key in itertools.combinations(range(geom.N), 2 * geom.n - 2))
 
 
 # -- skew matrices over Q and Q(sqrt 2) ------------------------------------------
@@ -323,19 +320,22 @@ def test_power_decision_is_one_inertia_read(monkeypatch):
     assert calls == [g.N]
 
 
-# -- the diagonal family -----------------------------------------------------------
+# -- the family checks -------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", [
-    "qgau8", "qgau12", "qgau16", "qgau20", "qgau24",
-    "qsg12", "qsg16", "qbal12", "abelian8", "abelian4", "joyce_su2", "solv_third",
+    "qgau8", "qgau12", "qgau16", "qgau20", "qgau24", "qsg12", "qsg16", "qbal12",
+    "abelian8", "abelian4", "joyce_su2", "joyce_su2xsu2", "solv_third",
 ])
 def test_polarised_family_check_matches_the_interpolation(name):
     g, _ = _loaded(name)
-    expect = interpolated_family_check(g)
-    assert qgau_family_symbolic_check(g) == expect
-    if name.startswith("qgau"):
-        assert expect
+    polarised = qgau_family_symbolic_check(g)
+    assert polarised == per_monomial_family_check(g)
+    if polarised:
+        # the diagonal metrics are among the invariant metrics
+        assert interpolated_family_check(g)
+    # every listed entry but joyce_su2xsu2 has q-Gauduchon for all metrics
+    assert polarised == (name != "joyce_su2xsu2")
 
 
 @pytest.mark.parametrize("name, pair", [
@@ -343,15 +343,18 @@ def test_polarised_family_check_matches_the_interpolation(name):
     ("qsg12", (SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))),
 ])
 def test_polarised_family_derivative_matches_built_metrics(name, pair):
+    # del(Omega^{n-1}) of a built metric lies in the closed-form span that
+    # family_qsg_obstruction reads: del of the holomorphic monomials
     g, _ = _loaded(name)
     if pair is not None:
         g = g.rotated(*pair)
+    span = linalg.echelon(g.frame.corank_two_images("del").values())
     rng = random.Random(17)
-    derivatives = _diagonal_power_derivatives(g)
     for _ in range(3):
-        t = [rational(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(g.n)]
-        built = g.frame.del_(Metric.diagonal(g, t).omega.wedge_power(g.n - 1))
-        assert _diagonal_power_derivative(derivatives, t) == built
+        m = random_metric(rng, g)
+        built = g.frame.del_(m.omega.wedge_power(g.n - 1))
+        assert built == m.del_power
+        assert len(linalg.echelon([*span.values(), built.terms])) == len(span)
 
 
 # -- classification never multiplies a power out ------------------------------------

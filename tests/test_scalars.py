@@ -116,6 +116,14 @@ def test_scalar_str_round_trip():
         assert parse_scalar(scalar_str(s)) == s
 
 
+@pytest.mark.parametrize("digits", [4299, 4300, 4301, 9001])
+def test_scalar_str_prints_ints_past_the_interpreters_digit_limit(digits):
+    big, text = 10 ** digits - 7, "9" * (digits - 1) + "3"
+    for s, want in [(rational(big), text), (rational(-1, big), f"-1/{text}"),
+                    (quadratic(Fraction(1, 7), Fraction(big, 7), 2), f"1/7+{text}/7*sqrt(2)")]:
+        assert scalar_str(s) == want
+
+
 def test_parse_rejects_garbage():
     for bad in ["", "1//2", "sqrt(2", "1 2", "x"]:
         with pytest.raises(Exception):
