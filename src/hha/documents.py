@@ -131,13 +131,17 @@ def _field_member_at(field: ScalarField, text, location, parsed: dict) -> Scalar
 
 def _coerced_at(field: ScalarField, text, location, parsed: dict) -> Scalar:
     """:func:`_field_member_at` coerced into ``field``: under the float field
-    an exact scalar too large for a float is an input error at its location."""
+    an exact scalar too large for a float, or a nonzero one so small that it
+    becomes 0.0, is an input error at its location."""
+    exact = _field_member_at(field, text, location, parsed)
     try:
-        s = field.coerce(_field_member_at(field, text, location, parsed))
+        s = field.coerce(exact)
     except OverflowError:   # the division in Scalar.to_float
         s = None
     _expect(s is not None and not (s.is_float and math.isinf(s.p)), location,
             f"coefficient {text!r} is too large for a float")
+    _expect(not (s.is_float and s.p == 0) or exact.is_zero(), location,
+            f"coefficient {text!r} is too small for a float")
     return s
 
 

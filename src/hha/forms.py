@@ -25,8 +25,12 @@ numerators and scalar objects: every integer kernel
 reads of G^-1, the frame's maps) reads its operands with it and makes its
 result with :meth:`Form.from_numerators`, a :class:`NumeratorForm`, which
 builds its scalar objects (``scalars.complex_from_ints``) only when
-``terms`` is read; its parts (:meth:`Form.restrict`, so
-:func:`bidegree_project`) and its negation keep the numerators.
+``terms`` is read.  What is made from a numerator form keeps numerators too:
+its parts (:meth:`Form.restrict`, so :func:`bidegree_project`), its
+negation, :meth:`Form.scale` by an exact scalar of its field, and a sum or
+difference with a form exact over the same field (over the lcm of the two
+denominators), as do the frame's conjugation and J and I actions;
+:func:`keep_numerators` makes an exact plain form one (the metric's Omega).
 The loop over scalar objects stays for a float coefficient under
 ``--float``, whose sums must keep their rounding, and for a form whose
 radicand differs from the table's, which still raises ``FieldMismatchError``.
@@ -43,6 +47,7 @@ numerators, so that no other module touches a key's bits.
 """
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 from .linalg import add_ints, add_term
@@ -168,28 +173,50 @@ class Form:
             raise ValueError("forms live over different frames")
 
     def __add__(self, other: "Form") -> "Form":
-        self._check_mate(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.degree != other.degree:
-            raise ValueError("cannot add forms of different degree")
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            add_term(terms, k, c)
-        return Form(self.nsym, self.degree, terms)
+        return self._sum(other, False)
 
     def __neg__(self) -> "Form":
         return Form(self.nsym, self.degree, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._sum(other, True)
+
+    def _sum(self, other: "Form", negate: bool) -> "Form":
+        """self + other, or self - other when ``negate``: the terms of self,
+        then each term of other added in its order, a key whose sum is an
+        exact zero dropped (``add_term``); on numerators over the lcm of the
+        two denominators when :func:`_common_numerators` finds them."""
+        self._check_mate(other)
+        if self.is_zero():
+            return -other if negate else other
+        if other.is_zero():
+            return self
+        if self.degree != other.degree:
+            raise ValueError("cannot add forms of different degree")
+        both = _common_numerators(self, other)
+        if both is not None:
+            d, den, mine, ints = both
+            out = dict(mine)
+            for k, x in ints.items():
+                add_ints(out, k, neg_ints(x) if negate else x)
+            return Form.from_numerators(self.nsym, self.degree, d, den, out)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            add_term(terms, k, -c if negate else c)
+        return Form(self.nsym, self.degree, terms)
 
     def scale(self, c) -> "Form":
         c = _as_coeff(c)
         if c.is_zero():
             return Form.zero(self.nsym, self.degree)
+        if self._num is not None:
+            d, den, ints = self._num
+            own = complex_ints((c,))
+            if own is not None and (not d or not own[0] or d == own[0]):
+                d, y = d or own[0], own[2][0]
+                # a product of nonzeros of the field Q(sqrt d)(i) is not zero
+                return Form.from_numerators(self.nsym, self.degree, d, den * own[1],
+                                            {k: mul_ints(x, y, d) for k, x in ints.items()})
         return Form(self.nsym, self.degree, {k: v * c for k, v in self.terms.items()})
 
     def __mul__(self, c):
@@ -357,6 +384,20 @@ class NumeratorForm(Form):
     __hash__ = Form.__hash__
 
 
+def keep_numerators(form: Form) -> Form:
+    """``form`` as a :class:`NumeratorForm` that keeps its :func:`numerators`
+    and shares its terms; ``form`` itself when it keeps them already or is
+    not exact over one field."""
+    if form._num is not None:
+        return form
+    own = numerators(form)
+    if own is None:
+        return form
+    kept = Form.from_numerators(form.nsym, form.degree, *own)
+    kept._terms = form.terms
+    return kept
+
+
 def numerators(form: Form):
     """``(d, den, {key: (a, b, c, e)})`` of an exact form, in its order: the
     kept ones of a :class:`NumeratorForm` (read only), else ``complex_ints``
@@ -366,6 +407,28 @@ def numerators(form: Form):
     terms = form.terms
     own = complex_ints(terms.values())
     return None if own is None else (own[0], own[1], dict(zip(terms, own[2])))
+
+
+def _common_numerators(a: Form, b: Form):
+    """``(d, den, a_ints, b_ints)``: the numerators of ``a`` and ``b`` over
+    the lcm ``den`` of their denominators (read only), when one
+    of them keeps numerators and both are exact over one field; else None,
+    for the scalar objects to sum a float or raise ``FieldMismatchError``."""
+    if a._num is None and b._num is None:
+        return None
+    x, y = numerators(a), numerators(b)
+    if x is None or y is None or (x[0] and y[0] and x[0] != y[0]):
+        return None
+    den = math.lcm(x[1], y[1])
+    return x[0] or y[0], den, _over(x, den), _over(y, den)
+
+
+def _over(own, den: int) -> dict:
+    """The numerators ``own[2]`` over ``den``, a multiple of ``own[1]``."""
+    f = den // own[1]
+    if f == 1:
+        return own[2]
+    return {k: (a * f, b * f, c * f, e * f) for k, (a, b, c, e) in own[2].items()}
 
 
 def wedge(a: Form, b: Form) -> Form:

@@ -27,12 +27,16 @@ The adjoint of wedging with ``L`` contracts by the raised ``L#``, read
 directly from G^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
 a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
-Reads on numerators.  An exact metric holds G^-1 as int numerators over
-one denominator (``Metric._g_inv_ints``, by the one ``linalg.inverse_ints``
-of construction, whose natural-order pivots also decide positivity).  Every
-read of it (Omega^{n-1}, omega_I^{N-1}, the Lefschetz adjoint, both traces
-and the inner product) takes its operands' ``forms.numerators`` and makes
-its form with ``Form.from_numerators``.  The reads on scalar objects stay
+Reads on numerators.  An exact metric keeps Omega as a
+``forms.NumeratorForm`` (``forms.keep_numerators``), so conj(Omega), its
+J-image, d Omega and the sums Omega +- conj(Omega) stay on numerators, and
+holds G and G^-1 as int numerators over one denominator
+(``Metric._gram_ints``, which omega_I reads, and ``Metric._g_inv_ints``, by
+the one ``linalg.inverse_ints`` of construction, whose natural-order pivots
+also decide positivity).  Every read of G^-1 (Omega^{n-1}, omega_I^{N-1},
+the Lefschetz adjoint, both traces and the inner product) takes its
+operands' ``forms.numerators`` and makes its form with
+``Form.from_numerators``.  The reads on scalar objects stay
 for a float metric under ``--float``, and for a form whose radicand differs
 from the metric's, which still raises ``FieldMismatchError``.  The division
 route of ``beta`` reads G itself, on scalar objects for every metric: summed
@@ -58,6 +62,7 @@ from .forms import (
     cofactor_power,
     contract_ints,
     indices,
+    keep_numerators,
     mask,
     numerators,
     pure_bidegree,
@@ -275,10 +280,13 @@ class CurvatureData:
 class Metric:
     """The q-real q-positive (2,0)-form of an invariant hyperhermitian metric.
 
-    Construction makes one elimination of the Hermitian read G and reads
-    positivity, Pf and det G off its pivots: :func:`linalg.inverse_ints` on
-    numerators, which also gives G^-1, or :func:`linalg.hermitian_pivots`
-    for a float G, whose G^-1 follows on first use.
+    Construction keeps an exact Omega on its numerators
+    (:func:`forms.keep_numerators`; ``omega`` is then a ``NumeratorForm``
+    that shares the given form's terms), makes one elimination of the
+    Hermitian read G and reads positivity, Pf and det G off its pivots:
+    :func:`linalg.inverse_ints` on numerators, which also gives G^-1, or
+    :func:`linalg.hermitian_pivots` for a float G, whose G^-1 follows on
+    first use.
 
     * Positivity.  Omega is q-positive exactly when every pivot is positive:
       by Sylvester's criterion for the natural-order pivots of inverse_ints
@@ -306,6 +314,7 @@ class Metric:
         fr = geometry.frame
         if not omega.is_zero() and pure_bidegree(omega, self.N) != (2, 0):
             raise MetricError("metric form must have bidegree (2,0)")
+        omega = keep_numerators(omega)
         # q-real: J conj(Omega) = Omega; conj(Omega) is kept for omega_bar
         self._omega_bar = fr.conjugate(omega)
         if fr.j_action(self._omega_bar) != omega:
@@ -314,7 +323,7 @@ class Metric:
         self.gram = hermitian_matrix_of(geometry, omega)
         # G^-1 on numerators, (d, den, rows) with G^-1[r][s] = rows[r][s] / den,
         # eliminated from G's (linalg.matrix_ints); None when G has a float entry
-        gram_ints = linalg.matrix_ints(self.gram)
+        self._gram_ints = gram_ints = linalg.matrix_ints(self.gram)
         if gram_ints is None:
             self._g_inv_ints = None
             pivots = linalg.hermitian_pivots(self.gram)
@@ -520,8 +529,15 @@ class Metric:
         return self.det_g
 
     def omega_i(self) -> Form:
-        """The real (1,1)-form of the metric for the frame's first structure."""
+        """The real (1,1)-form of the metric for the frame's first structure:
+        i G[r][s] on z^r ^ conj(z^s), on the numerators of G when it has them."""
         N = self.N
+        if self._gram_ints is not None:
+            d, den, rows = self._gram_ints
+            # i (a + b r + i(c + e r)) = -(c + e r) + i(a + b r)
+            return Form.from_numerators(self.geometry.algebra.dim, 2, d, den, {
+                mask((r, N + s)): (-c, -e, a, b)
+                for r, row in enumerate(rows) for s, (a, b, c, e) in row.items()})
         terms = {}
         for r in range(N):
             for s in range(N):

@@ -9,7 +9,8 @@ Each structure has a deterministic adapted basis
 ``u_1, u_2, ... `` assembled in quadruples ``(v, Iv, Jv, Kv)`` greedily over
 the original basis; the elimination that chooses it also gives its dual
 coframe u^a, from which the adapted frame takes its holomorphic covectors
-``z^r = u^{2r-1} + i u^{2r}``.
+``z^r = u^{2r-1} + i u^{2r}``.  The standard structure's basis and coframe
+are the identity, written without the elimination.
 In this frame ``J z^{2i-1} = -conj(z^{2i})`` always holds, so the index
 bookkeeping of the standard block convention applies verbatim.
 
@@ -122,8 +123,9 @@ class HypercomplexStructure:
     structure, by the frame and by the constructions.  ``__init__`` takes
     the dense matrices I and J of the exchange format, and
     :meth:`from_columns` their columns; both check I^2 = J^2 = -1 and
-    IJ = -JI on the columns.  :meth:`standard` writes its known columns
-    directly.
+    IJ = -JI on the columns, and eliminate for the :attr:`adapted_basis` on
+    its first read.  :meth:`standard` writes its known columns and its
+    adapted basis, the identity, directly.
     """
 
     def __init__(self, I, J):
@@ -184,7 +186,10 @@ class HypercomplexStructure:
         I: e1->e2, e2->-e1, e3->e4, e4->-e3 and J: e1->e3, e2->-e4, e3->-e1, e4->e2,
         so K = IJ: e1->e4, e2->e3, e3->-e2, e4->-e1.  The relations hold on
         these constants, so the columns are set without the check of
-        :meth:`from_columns`."""
+        :meth:`from_columns`.  Per block v = e1 has Iv = e2, Jv = e3 and
+        Kv = e4, so the elimination of :attr:`adapted_basis` would keep every
+        e_i: the basis and its coframe are both the identity, and are set
+        without it."""
         minus = -ONE
         cols_i, cols_j, cols_k = [], [], []
         for b in range(0, 4 * n, 4):
@@ -194,6 +199,7 @@ class HypercomplexStructure:
         H = cls.__new__(cls)
         H.dim = 4 * n
         H.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
+        H.adapted_basis = ([{i: ONE} for i in range(H.dim)], [{i: ONE} for i in range(H.dim)])
         return H
 
     def combo(self, p: SpherePoint) -> list:
@@ -388,6 +394,9 @@ class ComplexFrame:
         return {k: (self.conj_index(k), 1) for k in range(self.dim)}
 
     def conjugate(self, form: Form) -> Form:
+        """conj(form), on numerators when the form keeps them."""
+        if isinstance(form, NumeratorForm):
+            return form.remade(self._conjugate_ints(numerators(form)[2]))
         return form.map_coefficients(lambda c: c.conjugate()).map_indices(self._conj_map)
 
     def _conjugate_ints(self, ints: dict) -> dict:

@@ -51,6 +51,7 @@ from .scalars import (
     ScalarField,
     ZERO,
     ONE,
+    real_ints,
 )
 
 
@@ -176,7 +177,8 @@ class LieAlgebraData:
     def validate(self) -> "LieAlgebraData":
         """Check Jacobi exactly as d^2 e^k = 0 for every k; returns self.
 
-        The constructor calls it, so every algebra is checked once, on load.
+        The constructor calls it, so every algebra is checked once, on load,
+        on the numerators of its d table when it has them.
 
         A key (i, j, l) of d^2 e^m is a failing triple, and its coefficient is
         the m-th component of the Jacobiator; the smallest one is reported.
@@ -192,7 +194,10 @@ class LieAlgebraData:
         return self
 
     def _span_of_brackets(self, us, vs) -> list:
-        return list(linalg.echelon(self.bracket(u, v) for u in us for v in vs).values())
+        """The reduced row echelon basis of the span of the brackets [u, v],
+        of which only the nonzero ones are eliminated."""
+        brackets = (self.bracket(u, v) for u in us for v in vs)
+        return list(linalg.echelon(b for b in brackets if b).values())
 
     @cached_property
     def _derived(self) -> list:
@@ -309,12 +314,23 @@ class LieAlgebraData:
 
     @cached_property
     def _d_table(self) -> DerivationTable:
-        """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j; brackets never change after init."""
+        """d e^k = -sum_{i<j} c^k_{ij} e^i ^ e^j; brackets never change after init.
+
+        Made from its numerators (``DerivationTable.from_ints``) when the
+        structure constants are exact over one field, so its forms, which
+        :meth:`validate` differentiates, keep them; else from scalar objects."""
         terms: list = [{} for _ in range(self.dim)]
         for (i, j), comps in self.brackets.items():
             for k, c in comps.items():
-                terms[k][mask((i, j))] = ComplexScalar(-c)
-        return DerivationTable(Form(self.dim, 2, t) for t in terms)
+                terms[k][mask((i, j))] = -c
+        own = real_ints([c for t in terms for c in t.values()])
+        if own is None:
+            return DerivationTable(Form(self.dim, 2, {key: ComplexScalar(c) for key, c in t.items()})
+                                   for t in terms)
+        d, den, ints = own
+        ints = iter(ints)
+        return DerivationTable.from_ints(self.dim, d, den, [{key: next(ints) for key in t}
+                                                            for t in terms])
 
     def ce_differential(self, form: Form) -> Form:
         """Chevalley-Eilenberg differential of a real-frame invariant form."""

@@ -494,6 +494,27 @@ def test_float_mode_refuses_a_scalar_too_large_for_a_float(tmp_path):
     assert err.startswith("error: $.metric.entries[0]: coefficient "), err
 
 
+_TINY = "1/1" + "0" * 400
+
+
+@pytest.mark.parametrize("route", ["--float", "scalar_field"])
+def test_a_float_run_refuses_a_nonzero_scalar_that_underflows_to_zero(tmp_path, route):
+    """1/10^400 becomes 0.0 as a float: an input error at its entry, not a
+    metric that fails q-reality; the exact run classifies it."""
+    _, export, _ = run_cli(["catalog", "export", "qsg12"])
+    doc = json.loads(export)
+    doc["metric"] = {"type": "diagonal", "entries": [_TINY, "1", "1"]}
+    code, out, err = _run_document(tmp_path, doc, "classify", "--format", "json")
+    assert code == 0, err
+    options = ["--float"]
+    if route == "scalar_field":
+        doc["scalar_field"] = {"kind": "float"}
+        options = []
+    code, out, err = _run_document(tmp_path, doc, "classify", *options)
+    assert code == 2 and out == ""
+    assert err == f"error: $.metric.entries[0]: coefficient {_TINY!r} is too small for a float\n"
+
+
 @pytest.mark.parametrize("entry", ["1" * 2200, "1/" + "3" * 4200],
                          ids=["2200-digits", "4200-digit-denominator"])
 def test_an_exact_input_whose_results_pass_the_printed_digit_limit_classifies(tmp_path,

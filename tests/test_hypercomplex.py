@@ -1,11 +1,14 @@
 import itertools
+import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import nil12_qbal, nil12_qsg
 from dense_matrices import dense, mat_add, mat_mul, mat_scale
+from hha.documents import geometry_to_input, load_document, parse_input
 from hha.forms import Form
 from hha.hypercomplex import (
     ComplexFrame,
@@ -17,7 +20,8 @@ from hha.hypercomplex import (
     is_abelian,
     validate_hypercomplex,
 )
-from hha import linalg
+from hha import hypercomplex, linalg
+from hha.catalog import entry_names, get_example
 from hha.constructions import _block_structure
 from hha.liealg import LieAlgebraData
 from hha.linalg import _apply
@@ -70,6 +74,44 @@ def test_standard_columns_pass_the_checked_constructor(n):
     assert checked.dim == H.dim == 4 * n
     assert checked.columns == H.columns
     assert [list(col) for col in checked.columns["K"]] == [list(col) for col in H.columns["K"]]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_standard_adapted_basis_is_the_eliminated_one(n):
+    """standard() writes the identity basis and coframe; the elimination on
+    the same columns, which from_columns keeps, finds them."""
+    H = HypercomplexStructure.standard(n)
+    assert "adapted_basis" in vars(H)
+    checked = HypercomplexStructure.from_columns(H.columns["I"], H.columns["J"])
+    assert "adapted_basis" not in vars(checked)
+    assert H.adapted_basis == checked.adapted_basis
+    assert H.adapted_basis == ([{i: ONE} for i in range(4 * n)],) * 2
+
+
+@pytest.mark.parametrize("name", entry_names())
+def test_a_standard_frame_builds_the_eliminated_frames_tables(name):
+    """The d table's lane of a catalog geometry, each on the standard
+    structure, is the one the frame of the eliminated basis builds, key by
+    key and number by number, and loading its export eliminates nothing."""
+    geometry, metric = get_example(name).load()
+    data = geometry_to_input(name, geometry, metric)
+    assert data["hypercomplex"] == "standard"
+    H = geometry.structure
+    checked = ComplexFrame(geometry.algebra,
+                           HypercomplexStructure.from_columns(H.columns["I"], H.columns["J"]))
+    assert geometry.frame._d_table.lane == checked._d_table.lane
+    doc = parse_input(json.dumps(data))
+    calls = []
+    original = linalg.echelon_add
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    with mock.patch.object(linalg, "echelon_add", counting), \
+            mock.patch.object(hypercomplex, "echelon_add", counting):
+        load_document(doc)
+    assert calls == []
 
 
 def test_sphere_combo_squares_to_minus_identity():

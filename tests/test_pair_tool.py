@@ -21,3 +21,27 @@ def test_the_two_trees_load_as_separate_packages():
     assert first is not second
     assert first.__name__ == "hha_one.catalog" and second.__name__ == "hha_two.catalog"
     assert first.entry_names() == second.entry_names()
+
+
+def test_each_workload_given_prints_its_block_in_the_order_of_the_workloads(capsys):
+    assert pair.main([str(ROOT), str(ROOT), "--pairs", "1",
+                      "--workload", "quadratic", "--workload", "catalog"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 6
+    assert out[0] == "workload catalog, 21 inputs, 1 pairs"
+    assert out[3].startswith("workload quadratic, ") and out[3].endswith(" inputs, 1 pairs")
+    assert [line.endswith("/1") for line in out] == [False, False, True] * 2
+
+
+def test_all_runs_the_three_workloads(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(pair, "run_pairs", lambda base, change, pairs: ran.append(len(base))
+                        or [1.0] * pairs)
+    monkeypatch.setattr(pair, "tasks", lambda tree, workload, paths:
+                        [lambda: None] * (len(paths) or 21))
+    assert pair.main([str(ROOT), str(ROOT), "--pairs", "2", "--workload", "all"]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("workload ")]
+    assert [h.split(",")[0] for h in headers] == ["workload catalog", "workload dense",
+                                                   "workload quadratic"]
+    assert len(ran) == 3

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time two source trees of ``hha`` against each other in one process.
 
-    python3 tools/pair.py BASE CHANGE [--workload catalog|dense|quadratic]
+    python3 tools/pair.py BASE CHANGE [--workload catalog|dense|quadratic|all ...]
                           [--pairs 20] [--seed 1]
 
 BASE and CHANGE are checkouts of this repository (for example a ``git
@@ -22,6 +22,10 @@ so neither side is always the one that runs warm.  Each pass gives one pair:
 the CHANGE/BASE ratio of the two sides' summed wall times.  The script prints
 every ratio, then their median and quartiles, and the number of pairs that
 CHANGE won (ratio below 1).
+
+``--workload`` may be given more than once, or as ``all`` for the three; the
+workloads run one after the other, each with its own warm-up pass, and each
+prints its block of three lines, the last one its summary.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOADS = ("catalog", "dense", "quadratic")
 
 
 def load_tree(root: Path, name: str) -> dict:
@@ -91,34 +96,40 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", choices=("catalog", "dense", "quadratic"),
-                        default="catalog")
+    parser.add_argument("--workload", choices=(*WORKLOADS, "all"), action="append",
+                        help="a workload to time (repeatable; all: the three); default catalog")
     parser.add_argument("--pairs", type=int, default=20)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    chosen = args.workload or ["catalog"]
+    workloads = [w for w in WORKLOADS if w in chosen or "all" in chosen]
 
     base, change = load_tree(args.base, "hha_base"), load_tree(args.change, "hha_change")
     with tempfile.TemporaryDirectory() as directory:
-        paths = []
-        if args.workload != "catalog":
-            sys.path.insert(0, str(BENCH))
-            import inputs
-            paths = inputs.write_inputs(args.workload, args.seed, Path(directory))
-        sides = [tasks(tree, args.workload, paths) for tree in (base, change)]
-        for task in (*sides[0], *sides[1]):   # a warm-up pass on each side
-            task()
-        ratios = run_pairs(*sides, args.pairs)
+        for workload in workloads:
+            paths = []
+            if workload != "catalog":
+                sys.path.insert(0, str(BENCH))
+                import inputs
+                paths = inputs.write_inputs(workload, args.seed, Path(directory) / workload)
+            sides = [tasks(tree, workload, paths) for tree in (base, change)]
+            for task in (*sides[0], *sides[1]):   # a warm-up pass on each side
+                task()
+            report(workload, len(sides[0]), run_pairs(*sides, args.pairs))
+    return 0
 
-    print(f"workload {args.workload}, {len(sides[0])} inputs, {args.pairs} pairs")
+
+def report(workload: str, inputs: int, ratios: list) -> None:
+    """Print the workload's block: its header, every ratio, and the summary."""
+    print(f"workload {workload}, {inputs} inputs, {len(ratios)} pairs")
     print("ratios (change/base): " + " ".join(f"{r:.3f}" for r in ratios))
     q1, median, q3 = (statistics.quantiles(ratios, n=4) if len(ratios) > 1
                       else (ratios[0],) * 3)
     wins = sum(r < 1 for r in ratios)
     print(f"median {median:.3f} (quartiles {q1:.3f}-{q3:.3f}), "
           f"change won {wins}/{len(ratios)}")
-    return 0
 
 
 if __name__ == "__main__":
