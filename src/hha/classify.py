@@ -265,9 +265,10 @@ def _characterisation_routes(m: Metric):
     return values, residuals
 
 
-def classify_metric(m: Metric, with_obstruction: bool = True,
-                    skt_structures: bool = True) -> ClassificationReport:
-    """Full special-metric report with built-in equivalence audits."""
+def classify_metric(m: Metric, flags_only: bool = False) -> ClassificationReport:
+    """Full special-metric report with built-in equivalence audits; with
+    ``flags_only``, without SKT per structure (``skt`` empty) and the
+    conformal-class obstruction (``obstruction`` None)."""
     geom = m.geometry
     fr = geom.frame
     n = m.n
@@ -337,7 +338,7 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     _check_implication_chain(flags)
 
     skt = {}
-    if skt_structures:
+    if not flags_only:
         # del delbar omega_I, and a and b for J and K; see the module docstring
         skt["I"] = fr.del_(bidegree_project(d_omega_i, m.N, 1, 2)).is_zero()
         skt["J"], skt["K"] = _skt_j_k(fr, fr.d(fr.j_action(del_omega)), b)
@@ -346,7 +347,7 @@ def classify_metric(m: Metric, with_obstruction: bool = True,
     sl = sl_and_class_check(m)
 
     obstruction = None
-    if with_obstruction and routes["gauduchon"][0]:
+    if not flags_only and routes["gauduchon"][0]:
         obstruction = conformal_class_obstruction(m)
 
     if not geom.is_abelian() and geom.algebra.nilpotent:
@@ -510,7 +511,7 @@ def search_metrics(geom: Geometry, predicate, family: str = "diagonal",
     exhausted = True
 
     def check(m: Metric):
-        rep = classify_metric(m, with_obstruction=False, skt_structures=False)
+        rep = classify_metric(m, flags_only=True)
         return rep.flag(predicate) if named else predicate(rep)
 
     for combo in itertools.product(vals, repeat=n):

@@ -244,6 +244,8 @@ def cmd_construct(args) -> int:
                          f"expected {count} input file(s), got {len(args.inputs)}")
     if args.k < 1:
         raise InputError("--k", f"expected a positive integer, got {args.k}")
+    if args.k != 1 and (args.kind, args.rep) != ("bf", "zero"):
+        raise InputError("--k", "only construct bf --rep zero takes a block count")
     if args.kind == "an":
         _, ga, ma = _load_file(args.inputs[0])
         _, gb, mb = _load_file(args.inputs[1])
@@ -251,8 +253,7 @@ def cmd_construct(args) -> int:
             if not 1 <= index <= g.algebra.dim:
                 raise InputError(option, f"basis index {index} out of range 1..{g.algebra.dim}")
         res = arroyo_nicolini(ga, ma, args.e1, gb, mb, args.e2)
-        geom, metric, report = res.geometry, res.metric, res.output_report
-        print(f"glued algebra: dimension {geom.algebra.dim}")
+        print(f"glued algebra: dimension {res.geometry.algebra.dim}")
         print(f"flag closure holds: {res.iff_flags_hold()}")
     elif args.kind == "bf":
         _, gbase, mbase = _load_file(args.inputs[0])
@@ -262,12 +263,13 @@ def cmd_construct(args) -> int:
             su2 = _su2_indices(gbase.algebra, args.su2)
             rho = sp1_spin_rep(gbase.algebra, su2_indices=su2)
         res = barberis_fino(gbase, mbase, rho)
-        geom, metric, report = res.geometry, res.metric, res.output_report
-        print(f"extended algebra: dimension {geom.algebra.dim}")
+        print(f"extended algebra: dimension {res.geometry.algebra.dim}")
         print(f"representation skew: {res.rep_is_skew}; "
               f"canonical forms pulled back: {res.pullback_verified}")
     else:  # joyce
         if args.su3:
+            if args.blocks:
+                raise InputError("--blocks", "give either --blocks or --su3, not both")
             data = joyce_su3_data()
         elif args.blocks:
             ds = _parse_indices("--blocks", args.blocks)
@@ -281,10 +283,9 @@ def cmd_construct(args) -> int:
         else:
             raise InputError("construct joyce", "need --blocks or --su3")
         res = joyce_build(data)
-        geom, metric = res.geometry, res.metric
-        report = classify_metric(metric)
-        print(f"block algebra: dimension {geom.algebra.dim}, "
+        print(f"block algebra: dimension {res.geometry.algebra.dim}, "
               f"einstein factor {res.einstein_factor}")
+    geom, metric = res.geometry, res.metric
     if args.out:
         data = geometry_to_input(args.name or "constructed", geom, metric)
         try:
@@ -293,7 +294,7 @@ def cmd_construct(args) -> int:
         except OSError as exc:
             raise InputError("--out", f"cannot write the file: {exc}") from None
         print(f"wrote {args.out}")
-    _emit_report(report, None, geom, args.format)
+    _emit_report(classify_metric(metric), None, geom, args.format)
     return 0
 
 

@@ -2,6 +2,11 @@
 semidirect extensions, and the compact-group block builder with its
 Einstein metric.
 
+The first three are block sums, all assembled by :func:`_block_sum_geometry`:
+the inputs side by side, ``k`` new standard quaternionic blocks, the
+construction's own brackets, the block-diagonal structure, and Omega the
+inputs' Omegas plus the unitary term on each new block.
+
 All outputs are fully re-validated (Jacobi, integrability, metric axioms);
 the constructions also verify the structural identities they promise
 (pullback of canonical forms, the exact Einstein identity, flag closure).
@@ -59,19 +64,14 @@ def embed_complex_form(form: Form, n_src: int, n_dst: int, hol_offset: int) -> F
     return Form(2 * n_dst, form.degree, terms)
 
 
-def _block_sum(maps) -> list:
-    """Sparse columns of the block diagonal sum of linear maps given by theirs."""
-    out, off = [], 0
-    for cols in maps:
-        out += [{off + r: x for r, x in col.items()} for col in cols]
-        off += len(cols)
-    return out
-
-
 def _block_structure(structs) -> HypercomplexStructure:
-    return HypercomplexStructure.from_columns(
-        _block_sum(H.columns["I"] for H in structs),
-        _block_sum(H.columns["J"] for H in structs))
+    """The block-diagonal sum of hypercomplex structures, from sparse columns."""
+    def block_sum(label):
+        out = []
+        for H in structs:
+            out += [{len(out) + r: x for r, x in col.items()} for col in H.columns[label]]
+        return out
+    return HypercomplexStructure.from_columns(block_sum("I"), block_sum("J"))
 
 
 def _merge_fields(*fields):
@@ -86,15 +86,30 @@ def _merge_fields(*fields):
     return ScalarField("rational")
 
 
-def _block_brackets(*algebras) -> dict:
-    """Brackets of the direct sum of ``algebras``: each algebra's brackets, in
-    their key order, with every index shifted past the algebras before it."""
+def _block_sum_geometry(parts, k: int = 0, extra=None) -> tuple:
+    """``(geometry, metric)`` of the block sum of the ``(geometry, metric)``
+    ``parts`` and ``k`` standard blocks, with the brackets ``extra`` (keys on
+    the sum's basis) after the parts' own, each shifted past the parts before."""
     brackets, shift = {}, 0
-    for alg in algebras:
-        for (i, j), comps in alg.brackets.items():
-            brackets[(shift + i, shift + j)] = {shift + k: c for k, c in comps.items()}
-        shift += alg.dim
-    return brackets
+    for g, _ in parts:
+        for (i, j), comps in g.algebra.brackets.items():
+            brackets[(shift + i, shift + j)] = {shift + c: x for c, x in comps.items()}
+        shift += g.algebra.dim
+    brackets.update(extra or {})
+    algebra = LieAlgebraData(shift + 4 * k, brackets,
+                             field=_merge_fields(*(g.algebra.field for g, _ in parts)))
+    structs = [g.structure for g, _ in parts]
+    if k:
+        structs.append(HypercomplexStructure.standard(k))
+    geom = Geometry(algebra, _block_structure(structs))
+    n_dst, offset = geom.N, 0
+    omega = Form(2 * n_dst, 2, {})
+    for g, m in parts:
+        omega = omega + embed_complex_form(m.omega, g.N, n_dst, offset)
+        offset += g.N
+    omega = omega + Form(2 * n_dst, 2, {mask((offset + 2 * b, offset + 2 * b + 1)): C_ONE
+                                        for b in range(k)})
+    return geom, Metric(geom, omega)
 
 
 @dataclass
@@ -110,23 +125,11 @@ PRODUCT_CLOSED_FLAGS = ("hyperkaehler", "hkt", "q_balanced")
 def direct_sum(geom_a: Geometry, metric_a: Metric,
                geom_b: Geometry, metric_b: Metric) -> DirectSumResult:
     """Block sum of two hyperhermitian algebras with Omega = Omega_1 + Omega_2."""
-    da, db = geom_a.algebra.dim, geom_b.algebra.dim
-    brackets = _block_brackets(geom_a.algebra, geom_b.algebra)
-    algebra = LieAlgebraData(
-        da + db, brackets,
-        field=_merge_fields(geom_a.algebra.field, geom_b.algebra.field),
-    )
-    structure = _block_structure([geom_a.structure, geom_b.structure])
-    geom = Geometry(algebra, structure)
-    n_src_a, n_src_b = geom_a.N, geom_b.N
-    n_dst = geom.N
-    omega = embed_complex_form(metric_a.omega, n_src_a, n_dst, 0) + \
-        embed_complex_form(metric_b.omega, n_src_b, n_dst, n_src_a)
-    metric = Metric(geom, omega)
+    geom, metric = _block_sum_geometry([(geom_a, metric_a), (geom_b, metric_b)])
     flags = {}
-    rep_a = classify_metric(metric_a, with_obstruction=False, skt_structures=False)
-    rep_b = classify_metric(metric_b, with_obstruction=False, skt_structures=False)
-    rep = classify_metric(metric, with_obstruction=False, skt_structures=False)
+    rep_a = classify_metric(metric_a, flags_only=True)
+    rep_b = classify_metric(metric_b, flags_only=True)
+    rep = classify_metric(metric, flags_only=True)
     for name in PRODUCT_CLOSED_FLAGS:
         expected = rep_a.flag(name) and rep_b.flag(name)
         if expected and not rep.flag(name):
@@ -142,12 +145,12 @@ class GluingResult:
     input_reports: tuple
     output_report: object
 
-    def iff_flags_hold(self, names=("hkt", "q_balanced", "q_strongly_gauduchon")) -> bool:
-        """Output metric carries a flag iff both input metrics do."""
+    def iff_flags_hold(self) -> bool:
+        """Output metric carries hkt, q_balanced, q_strongly_gauduchon iff both inputs do."""
         rep_a, rep_b = self.input_reports
         return all(
             self.output_report.flag(n) == (rep_a.flag(n) and rep_b.flag(n))
-            for n in names
+            for n in ("hkt", "q_balanced", "q_strongly_gauduchon")
         )
 
 
@@ -172,30 +175,14 @@ def arroyo_nicolini(geom_a: Geometry, metric_a: Metric, e1_index: int,
         if not alg.nilpotent:
             raise ConstructionError("gluing requires nilpotent inputs")
     da, db = geom_a.algebra.dim, geom_b.algebra.dim
-    dim = da + db + 4
-    brackets = _block_brackets(geom_a.algebra, geom_b.algebra)
-    X, Y, Z, W = dim - 4, dim - 3, dim - 2, dim - 1
+    X, Y, Z, W = range(da + db, da + db + 4)
     target = {e1_index - 1: ONE, da + e2_index - 1: ONE}
-    brackets[(X, Y)] = dict(target)
-    brackets[(Z, W)] = {k: -c for k, c in target.items()}
-    algebra = LieAlgebraData(
-        dim, brackets,
-        field=_merge_fields(geom_a.algebra.field, geom_b.algebra.field),
-    )
-    structure = _block_structure([
-        geom_a.structure, geom_b.structure, HypercomplexStructure.standard(1),
-    ])
-    geom = Geometry(algebra, structure)
-    n_dst = geom.N
-    na, nb = geom_a.N, geom_b.N
-    new_block = Form.monomial(2 * n_dst, (na + nb, na + nb + 1))
-    omega = embed_complex_form(metric_a.omega, na, n_dst, 0) \
-        + embed_complex_form(metric_b.omega, nb, n_dst, na) \
-        + new_block
-    metric = Metric(geom, omega)
-    rep_a = classify_metric(metric_a, with_obstruction=False, skt_structures=False)
-    rep_b = classify_metric(metric_b, with_obstruction=False, skt_structures=False)
-    rep = classify_metric(metric, with_obstruction=False, skt_structures=False)
+    geom, metric = _block_sum_geometry(
+        [(geom_a, metric_a), (geom_b, metric_b)], 1,
+        {(X, Y): target, (Z, W): {k: -c for k, c in target.items()}})
+    rep_a = classify_metric(metric_a, flags_only=True)
+    rep_b = classify_metric(metric_b, flags_only=True)
+    rep = classify_metric(metric, flags_only=True)
     return GluingResult(geometry=geom, metric=metric,
                         input_reports=(rep_a, rep_b), output_report=rep)
 
@@ -321,23 +308,12 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
     base = geom_base.algebra
     if rho.algebra is not base:
         raise ConstructionError("representation is attached to a different algebra")
-    d0, k = base.dim, rho.k
-    dim = d0 + 4 * k
-    brackets = _block_brackets(base)
-    for idx, cols in rho.images.items():
-        for a, col in enumerate(cols):
-            if col:
-                brackets[(idx, d0 + a)] = {d0 + b: c for b, c in col.items()}
-    algebra = LieAlgebraData(dim, brackets, field=base.field)
-    structure = _block_structure([
-        geom_base.structure, HypercomplexStructure.standard(k),
-    ])
-    geom = Geometry(algebra, structure)
+    d0 = base.dim
+    geom, metric = _block_sum_geometry(
+        [(geom_base, metric_base)], rho.k,
+        {(idx, d0 + a): {d0 + b: c for b, c in col.items()}
+         for idx, cols in rho.images.items() for a, col in enumerate(cols) if col})
     n_dst, n0 = geom.N, geom_base.N
-    new_terms = {mask((n0 + 2 * i, n0 + 2 * i + 1)): C_ONE for i in range(k)}
-    omega = embed_complex_form(metric_base.omega, n0, n_dst, 0) + \
-        Form(2 * n_dst, 2, new_terms)
-    metric = Metric(geom, omega)
     skew = rho.is_skew()
     pullback_ok = False
     if skew:
@@ -351,11 +327,11 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
         for f0, f1 in ((cur0.ric_ch, cur1.ric_ch), (cur0.ric_bis, cur1.ric_bis)):
             fr0 = geom_base.frame
             real0 = fr0.to_real(f0)
-            emb_real = Form(dim, real0.degree, dict(real0.terms))
+            emb_real = Form(geom.algebra.dim, real0.degree, dict(real0.terms))
             if geom.frame.to_real(f1) != emb_real:
                 raise ConsistencyError("Ricci forms failed to pull back")
         pullback_ok = True
-    rep = classify_metric(metric, with_obstruction=False, skt_structures=False)
+    rep = classify_metric(metric, flags_only=True)
     return ExtensionResult(
         geometry=geom,
         metric=metric,
@@ -365,8 +341,7 @@ def barberis_fino(geom_base: Geometry, metric_base: Metric,
     )
 
 
-def sp1_spin_rep(algebra: LieAlgebraData, su2_indices=(1, 2, 3),
-                 scale: Scalar | None = None) -> QuaternionicRep:
+def sp1_spin_rep(algebra: LieAlgebraData, su2_indices=(1, 2, 3)) -> QuaternionicRep:
     """The weight-1/2 action of a rescaled su(2) block on H.
 
     ``su2_indices`` are the 0-based positions of the cyclic triple with
@@ -378,7 +353,7 @@ def sp1_spin_rep(algebra: LieAlgebraData, su2_indices=(1, 2, 3),
     s = algebra.bracket_basis(i1, i2).get(i3)
     if s is None:
         raise ConstructionError("indices do not carry an su(2) block")
-    c = scale if scale is not None else -(s / 2)
+    c = -(s / 2)
     images = {idx: [{r: c * x for r, x in col.items()} for col in R]
               for idx, R in zip(su2_indices, _RIGHT_MULT)}
     return QuaternionicRep.from_columns(algebra, 1, images)

@@ -212,11 +212,11 @@ def test_criterion_6_construction_round_trips():
 
 def test_criterion_7_pair_dependence():
     geom, metric = get_example("qsg12").load()
-    rep = classify_metric(metric, with_obstruction=False, skt_structures=False)
+    rep = classify_metric(metric, flags_only=True)
     assert rep.flag("q_strongly_gauduchon")
     swapped = geom.rotated(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
     m2 = metric.in_rotated_frame(swapped)
-    rep2 = classify_metric(m2, with_obstruction=False, skt_structures=False)
+    rep2 = classify_metric(m2, flags_only=True)
     assert not rep2.flag("q_strongly_gauduchon")
     assert family_qsg_obstruction(swapped)
     for p, q in [(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0)),
@@ -225,7 +225,7 @@ def test_criterion_7_pair_dependence():
                   SpherePoint(0, rational(-4, 5), rational(3, 5)))]:
         rot = geom.rotated(p, q)
         rep_rot = classify_metric(metric.in_rotated_frame(rot),
-                                  with_obstruction=False, skt_structures=False)
+                                  flags_only=True)
         assert rep_rot.flag("q_balanced") == rep.flag("q_balanced")
         assert rep_rot.flag("q_gauduchon") == rep.flag("q_gauduchon")
     _line("7 (pair dependence of the twisted-exactness condition)", True)

@@ -229,7 +229,7 @@ def test_qbal_certificate_rejected_off_sl_n_h(entry, index, sign, reason):
     rej = qbal_nonexistence_certificate(g, g.zeta(index) * rational(sign))
     assert isinstance(rej, CertificateRejection)
     assert reason in rej.reason
-    assert classify_metric(m, with_obstruction=False).flag("q_balanced")
+    assert classify_metric(m, flags_only=True).flag("q_balanced")
 
 
 def test_qbal_certificate_rejections():
@@ -299,12 +299,11 @@ def test_pair_dependence_of_qsg_on_qsg12():
     # (I, J): strongly Gauduchon; (J, I): the whole invariant family fails
     alg = nil12_qsg()
     g = geom(alg)
-    rep = classify_metric(Metric.unitary(g), with_obstruction=False,
-                          skt_structures=False)
+    rep = classify_metric(Metric.unitary(g), flags_only=True)
     assert rep.flag("q_strongly_gauduchon")
     rot = g.rotated(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
     m2 = Metric.unitary(g).in_rotated_frame(rot)
-    rep2 = classify_metric(m2, with_obstruction=False, skt_structures=False)
+    rep2 = classify_metric(m2, flags_only=True)
     assert not rep2.flag("q_strongly_gauduchon")
     assert family_qsg_obstruction(rot)
 
@@ -313,7 +312,7 @@ def test_pair_independence_of_qbal_and_qgau():
     alg = nil12_qsg()
     g = geom(alg)
     m = Metric.unitary(g)
-    rep = classify_metric(m, with_obstruction=False, skt_structures=False)
+    rep = classify_metric(m, flags_only=True)
     pairs = [
         (SpherePoint(0, 1, 0), SpherePoint(1, 0, 0)),
         (SpherePoint(0, 0, 1), SpherePoint(1, 0, 0)),
@@ -322,8 +321,7 @@ def test_pair_independence_of_qbal_and_qgau():
     ]
     for p, q in pairs:
         rot = g.rotated(p, q)
-        rep2 = classify_metric(m.in_rotated_frame(rot), with_obstruction=False,
-                               skt_structures=False)
+        rep2 = classify_metric(m.in_rotated_frame(rot), flags_only=True)
         assert rep2.flag("q_balanced") == rep.flag("q_balanced")
         assert rep2.flag("q_gauduchon") == rep.flag("q_gauduchon")
         assert rep2.flag("balanced") == rep.flag("balanced")
@@ -338,7 +336,7 @@ def test_implication_chain_on_random_metrics():
         g = geom(alg)
         for _ in range(3):
             m = random_metric(rng, g, diagonal=(g.algebra.dim > 8))
-            rep = classify_metric(m, with_obstruction=False, skt_structures=False)
+            rep = classify_metric(m, flags_only=True)
             # chain enforcement happens inside classify_metric; verify order here
             chain = ["hyperkaehler", "hkt", "q_balanced",
                      "q_strongly_gauduchon", "q_gauduchon"]
@@ -349,8 +347,7 @@ def test_implication_chain_on_random_metrics():
 
 def test_strong_hkt_flag_on_joyce():
     g = geom(joyce_su2_algebra())
-    rep = classify_metric(Metric.diagonal(g, [rational(1, 2)]),
-                          with_obstruction=False)
+    rep = classify_metric(Metric.diagonal(g, [rational(1, 2)]))
     assert rep.flag("hkt") and rep.flag("strong_hkt")
     assert rep.skt == {"I": True, "J": True, "K": True}
     assert rep.einstein_factor == ONE
@@ -462,7 +459,7 @@ def test_skt_of_j_and_k_matches_the_rotated_frame(case):
     minus_2i = ComplexScalar(ZERO, rational(-2))
     omega_j = m.omega + m.omega_bar()
     omega_k = (m.omega - m.omega_bar()) * ComplexScalar(ZERO, -ONE)
-    skt = classify_metric(m, with_obstruction=False).skt
+    skt = classify_metric(m).skt
     for label, pair, base_frame in (
         ("J", (SpherePoint(0, 1, 0), SpherePoint(0, 0, 1)),
          fr.d(fr.j_action(fr.d(omega_j)))),
@@ -546,7 +543,7 @@ _family_samples = settings(max_examples=5, deadline=None, database=None)
 def test_random_qgau_metrics_are_q_gauduchon_and_not_q_sg(name, seed):
     g, _ = get_example(name).load()
     rep = classify_metric(random_metric(random.Random(seed), g),
-                          with_obstruction=False, skt_structures=False)
+                          flags_only=True)
     assert rep.flag("q_gauduchon")
     assert not rep.flag("q_balanced")
     assert not rep.flag("q_strongly_gauduchon")
@@ -560,7 +557,7 @@ def test_random_metrics_on_swapped_qsg12_are_not_q_sg(seed):
     g, _ = get_example("qsg12").load()
     rot = g.rotated(SpherePoint(0, 1, 0), SpherePoint(1, 0, 0))
     rep = classify_metric(random_metric(random.Random(seed), rot),
-                          with_obstruction=False, skt_structures=False)
+                          flags_only=True)
     assert not rep.flag("q_strongly_gauduchon")
 
 

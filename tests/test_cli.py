@@ -753,6 +753,30 @@ def test_construct_bf_spin(tmp_path):
     assert "strong_hkt" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["an", "QBAL", "QSG", "--e1", "2", "--e2", "2"],
+    ["bf", "QBAL", "--rep", "zero", "--k", "2"],
+])
+def test_construct_prints_the_full_report_of_what_it_writes(tmp_path, args):
+    """The report construct prints is the one classify gives for its --out file."""
+    files = {}
+    for key, entry in (("QBAL", "qbal12"), ("QSG", "qsg12")):
+        files[key] = tmp_path / f"{entry}.json"
+        files[key].write_text(run_cli(["catalog", "export", entry])[1])
+    built = tmp_path / "built.json"
+    code, out, _ = run_cli(["construct", *(str(files.get(a, a)) for a in args),
+                            "--out", str(built), "--format", "json"])
+    assert code == 0
+    printed = json.loads(out[out.index("{"):])
+    code, out, _ = run_cli(["classify", str(built), "--format", "json"])
+    assert code == 0
+    classified = json.loads(out)
+    for doc in (printed, classified):
+        del doc["name"], doc["input_sha256"]
+    assert printed == classified
+    assert printed["skt"] and printed["obstruction"] is not None
+
+
 def test_entry_point_runs_as_subprocess(qbal12_file):
     # the child does not inherit this process's sys.path: put the directory
     # holding the imported hha package on its PYTHONPATH
@@ -779,6 +803,11 @@ def test_entry_point_runs_as_subprocess(qbal12_file):
     (["construct", "an", "FILE", "FILE", "--e1", "99"], "--e1"),
     (["construct", "an", "FILE", "FILE", "--e2", "13"], "--e2"),
     (["construct", "an", "FILE", "FILE", "--e2", "-1"], "--e2"),
+    # a block count is read only by the zero representation
+    (["construct", "bf", "FILE", "--rep", "spin", "--k", "3"], "--k"),
+    (["construct", "an", "FILE", "FILE", "--k", "2"], "--k"),
+    (["construct", "joyce", "--su3", "--k", "2"], "--k"),
+    (["construct", "joyce", "--blocks", "0,0", "--su3"], "--blocks"),
 ])
 def test_construct_bad_inputs_are_input_errors(qbal12_file, args, location):
     code, out, err = run_cli([qbal12_file if a == "FILE" else a for a in args])

@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from conftest import nil12_qbal, nil12_qsg
 from dense_matrices import dense
+from hha.catalog import get_example
 from hha.classify import classify_metric, einstein_factor
 from hha.constructions import (
     ConstructionError,
@@ -19,6 +23,7 @@ from hha.constructions import (
     joyce_su3_data,
     sp1_spin_rep,
 )
+from hha.documents import geometry_to_input, report_document, report_json
 from hha.forms import Form, mask
 from hha.hermitian import Metric, qpositivity_verdict
 from hha.hypercomplex import Geometry, HypercomplexStructure
@@ -189,7 +194,7 @@ def test_bf_on_aff_c_zero_rep_preserves_flags():
     expect = res.geometry.zeta(2) * (-C_I)
     assert cf.alpha == expect
     assert res.pullback_verified
-    base_rep = classify_metric(m, with_obstruction=False, skt_structures=False)
+    base_rep = classify_metric(m, flags_only=True)
     for name in ("hkt", "balanced", "q_balanced", "q_gauduchon"):
         assert res.output_report.flag(name) == base_rep.flag(name)
 
@@ -217,6 +222,19 @@ def test_bf_einstein_propagates_only_at_zero_factor():
     assert lam == ZERO
 
 
+def test_bf_with_two_blocks_reproduces_its_recorded_bytes():
+    """The extension of qbal12 by H^2 through the zero representation, the
+    one multi-block case, exported and reported byte for byte as recorded."""
+    g, m = get_example("qbal12").load()
+    res = barberis_fino(g, m, QuaternionicRep.zero(g.algebra, 2))
+    assert res.geometry.algebra.dim == 20
+    exported = json.dumps(geometry_to_input("extension", res.geometry, res.metric),
+                          sort_keys=True)
+    report = report_json(report_document(res.output_report, None, frame=res.geometry.frame))
+    assert hashlib.sha256((exported + report).encode()).hexdigest() == \
+        "442b900ea41d9324399786e1894a16bc1daa4b109a4d56490dee32c67cd6994f"
+
+
 # -- block builder ------------------------------------------------------------------
 
 
@@ -225,7 +243,7 @@ def test_joyce_su2_build():
     assert res.geometry.algebra.dim == 4
     assert res.einstein_factor == ONE
     assert res.mus == [root(2).inverse()]
-    rep = classify_metric(res.metric, with_obstruction=False)
+    rep = classify_metric(res.metric, flags_only=True)
     assert rep.flag("strong_hkt")
     assert not rep.sl_flags["alpha_zero"]
     assert not rep.sl_flags["del_j_alpha_zero"]
@@ -238,8 +256,7 @@ def test_joyce_su2xsu2_build():
     fr = res.geometry.frame
     dja = fr.del_j(res.metric.canonical_forms().alpha)
     assert dja == res.metric.omega
-    rep = classify_metric(res.metric, with_obstruction=False,
-                          skt_structures=False)
+    rep = classify_metric(res.metric, flags_only=True)
     assert rep.flag("strong_hkt")
     # del_J alpha is exactly PSD and nonzero
     verdict = qpositivity_verdict(res.geometry, dja)
@@ -254,8 +271,7 @@ def test_joyce_su3_build():
     assert prof.semisimple
     assert res.einstein_factor == ONE
     assert res.mus == [rational(1, 2)]
-    rep = classify_metric(res.metric, with_obstruction=False,
-                          skt_structures=False)
+    rep = classify_metric(res.metric, flags_only=True)
     assert rep.flag("strong_hkt")
     dja = res.geometry.frame.del_j(res.metric.canonical_forms().alpha)
     assert qpositivity_verdict(res.geometry, dja) == "positive"

@@ -45,3 +45,12 @@ def test_all_runs_the_three_workloads(capsys, monkeypatch):
     assert [h.split(",")[0] for h in headers] == ["workload catalog", "workload dense",
                                                    "workload quadratic"]
     assert len(ran) == 3
+
+
+def test_construct_runs_the_four_constructions_after_the_benchmark_workloads(capsys):
+    assert pair.main([str(ROOT), str(ROOT), "--pairs", "1",
+                      "--workload", "construct", "--workload", "catalog"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [out[0], out[3]] == ["workload catalog, 21 inputs, 1 pairs",
+                                "workload construct, 4 inputs, 1 pairs"]
+    assert out[5].startswith("median ") and out[5].endswith("/1")

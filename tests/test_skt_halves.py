@@ -50,7 +50,7 @@ def assert_halves_match_the_full_forms(m):
     assert full["K"] == w_k + fr.conjugate(w_k)
     assert full["ddj_omega_bar"] == -bidegree_project(b, N, 2, 2)
     assert full["delbar_omega_i"] == bidegree_project(fr.d(m.omega_i()), N, 1, 2)
-    report = classify_metric(m, with_obstruction=False)
+    report = classify_metric(m)
     skt = {"I": fr.del_(full["delbar_omega_i"]).is_zero(),
            "J": full["J"].is_zero(), "K": full["K"].is_zero()}
     assert report.skt == skt
