@@ -218,6 +218,19 @@ def cmd_catalog(args) -> int:
 
 # input files each construction reads
 CONSTRUCT_INPUTS = {"an": 2, "bf": 1, "joyce": 0}
+# the options of construct that not every kind reads, with the kind that does
+CONSTRUCT_OPTIONS = (("e1", "construct an"), ("e2", "construct an"), ("rep", "construct bf"),
+                     ("k", "construct bf --rep zero"), ("su2", "construct bf --rep spin"),
+                     ("blocks", "construct joyce"), ("su3", "construct joyce"))
+
+
+def _check_construct_options(args) -> None:
+    """Refuse, at its name, an option given to a kind that does not read it."""
+    reads = {"an": ("e1", "e2"), "bf": ("rep", "su2" if args.rep == "spin" else "k"),
+             "joyce": ("blocks", "su3")}[args.kind]
+    for name, reader in CONSTRUCT_OPTIONS:
+        if name not in reads and getattr(args, name) not in (None, False):
+            raise InputError(f"--{name}", f"only {reader} reads this option")
 
 
 def _su2_indices(algebra, text: str) -> tuple:
@@ -242,25 +255,26 @@ def cmd_construct(args) -> int:
     if len(args.inputs) != count:
         raise InputError(f"construct {args.kind}",
                          f"expected {count} input file(s), got {len(args.inputs)}")
-    if args.k < 1:
-        raise InputError("--k", f"expected a positive integer, got {args.k}")
-    if args.k != 1 and (args.kind, args.rep) != ("bf", "zero"):
-        raise InputError("--k", "only construct bf --rep zero takes a block count")
+    _check_construct_options(args)
+    k = 1 if args.k is None else args.k
+    if k < 1:
+        raise InputError("--k", f"expected a positive integer, got {k}")
     if args.kind == "an":
         _, ga, ma = _load_file(args.inputs[0])
         _, gb, mb = _load_file(args.inputs[1])
-        for option, index, g in (("--e1", args.e1, ga), ("--e2", args.e2, gb)):
+        e1, e2 = (2 if e is None else e for e in (args.e1, args.e2))
+        for option, index, g in (("--e1", e1, ga), ("--e2", e2, gb)):
             if not 1 <= index <= g.algebra.dim:
                 raise InputError(option, f"basis index {index} out of range 1..{g.algebra.dim}")
-        res = arroyo_nicolini(ga, ma, args.e1, gb, mb, args.e2)
+        res = arroyo_nicolini(ga, ma, e1, gb, mb, e2)
         print(f"glued algebra: dimension {res.geometry.algebra.dim}")
         print(f"flag closure holds: {res.iff_flags_hold()}")
     elif args.kind == "bf":
         _, gbase, mbase = _load_file(args.inputs[0])
-        if args.rep == "zero":
-            rho = QuaternionicRep.zero(gbase.algebra, args.k)
+        if args.rep != "spin":
+            rho = QuaternionicRep.zero(gbase.algebra, k)
         else:
-            su2 = _su2_indices(gbase.algebra, args.su2)
+            su2 = _su2_indices(gbase.algebra, "2,3,4" if args.su2 is None else args.su2)
             rho = sp1_spin_rep(gbase.algebra, su2_indices=su2)
         res = barberis_fino(gbase, mbase, rho)
         print(f"extended algebra: dimension {res.geometry.algebra.dim}")
@@ -286,15 +300,17 @@ def cmd_construct(args) -> int:
         print(f"block algebra: dimension {res.geometry.algebra.dim}, "
               f"einstein factor {res.einstein_factor}")
     geom, metric = res.geometry, res.metric
+    # the report is that of the document --out writes, its name and field included
+    text = json.dumps(geometry_to_input(args.name or "constructed", geom, metric),
+                      sort_keys=True, indent=2) + "\n"
     if args.out:
-        data = geometry_to_input(args.name or "constructed", geom, metric)
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+                fh.write(text)
         except OSError as exc:
             raise InputError("--out", f"cannot write the file: {exc}") from None
         print(f"wrote {args.out}")
-    _emit_report(classify_metric(metric), None, geom, args.format)
+    _emit_report(classify_metric(metric), parse_input(text), geom, args.format)
     return 0
 
 
@@ -362,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="run a construction")
     p.add_argument("kind", choices=("an", "bf", "joyce"))
     p.add_argument("inputs", nargs="*")
-    p.add_argument("--e1", type=int, default=2, help="gluing index in the first factor")
-    p.add_argument("--e2", type=int, default=2, help="gluing index in the second factor")
-    p.add_argument("--rep", choices=("zero", "spin"), default="zero")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--su2", default="2,3,4",
-                   help="1-based indices of the su(2) triple for the spin representation")
+    p.add_argument("--e1", type=int, help="gluing index in the first factor (default 2)")
+    p.add_argument("--e2", type=int, help="gluing index in the second factor (default 2)")
+    p.add_argument("--rep", choices=("zero", "spin"), help="representation (default zero)")
+    p.add_argument("--k", type=int, help="blocks of the zero representation (default 1)")
+    p.add_argument("--su2", help="1-based indices of the su(2) triple for the spin "
+                   "representation (default 2,3,4)")
     p.add_argument("--blocks", help="comma list of module dimensions, e.g. 0,0")
     p.add_argument("--su3", action="store_true")
     p.add_argument("--out", help="write the constructed data as an input file")

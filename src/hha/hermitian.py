@@ -31,9 +31,11 @@ Reads on numerators.  An exact metric keeps Omega as a
 ``forms.NumeratorForm`` (``forms.keep_numerators``), so conj(Omega), its
 J-image, d Omega and the sums Omega +- conj(Omega) stay on numerators, and
 holds G and G^-1 as int numerators over one denominator
-(``Metric._gram_ints``, which omega_I reads, and ``Metric._g_inv_ints``, by
-the one ``linalg.inverse_ints`` of construction, whose natural-order pivots
-also decide positivity).  Every read of G^-1 (Omega^{n-1}, omega_I^{N-1},
+(``Metric._gram_ints``, read off Omega's numerators, which omega_I reads,
+and ``Metric._g_inv_ints``, by the one
+``linalg.quaternionic_inverse_ints`` of construction, which reads G as an
+n x n quaternionic matrix and whose natural-order pivots also decide
+positivity).  Every read of G^-1 (Omega^{n-1}, omega_I^{N-1},
 the Lefschetz adjoint, both traces and the inner product) takes its
 operands' ``forms.numerators`` and makes its form with
 ``Form.from_numerators``.  The reads on scalar objects stay
@@ -69,7 +71,7 @@ from .forms import (
     substitute_ints,
 )
 from .hypercomplex import Geometry, HypercomplexStructure, SpherePoint, j_index
-from .linalg import add_ints, add_scaled
+from .linalg import ConsistencyError, add_ints, add_scaled
 from .scalars import (
     C_I,
     C_ONE,
@@ -101,10 +103,6 @@ class MetricError(ValueError):
 
 class QRealError(MetricError):
     pass
-
-
-class ConsistencyError(RuntimeError):
-    """Two paper-equivalent computations disagreed; indicates a convention bug."""
 
 
 # -- the (1,1) <-> (2,0) correspondence --------------------------------------
@@ -163,19 +161,35 @@ def hermitian_matrix_of(geom: Geometry, sigma: Form):
 
     With (P, s) = :func:`hypercomplex.j_index`, J conj(Z_t) = -s(t) Z_{P(t)},
     so each entry is a signed read of the skew matrix A of sigma,
-    M[r][P(t)] = s(t) A[r][t]: a term c z^r ^ z^t (r < t) fills
-    M[r][P(t)] = s(t) c and M[t][P(r)] = -s(r) c.
+    M[r][P(t)] = s(t) A[r][t] (:func:`_gram_rows`).
     """
     N = geom.N
-    M = [[C_ZERO] * N for _ in range(N)]
-    for key, c in sigma.terms.items():
+    rows = _gram_rows(sigma.terms, N, ComplexScalar.__neg__)
+    return [[row.get(s, C_ZERO) for s in range(N)] for row in rows]
+
+
+def _gram_rows(terms: dict, N: int, neg) -> list:
+    """The rows of M = :func:`hermitian_matrix_of` as dicts from column to the
+    nonzero entries, for the coefficients ``terms`` of a (2,0)-form, scalar
+    objects or numerators (``neg`` negates one): a term c z^r ^ z^t (r < t)
+    fills M[r][P(t)] = s(t) c and M[t][P(r)] = -s(r) c, and no two terms
+    fill one entry, as P is a bijection."""
+    rows: list = [{} for _ in range(N)]
+    for key, c in terms.items():
         r, t = indices(key)
         if t >= N:
             raise ValueError("form has components outside the holomorphic block")
         (pr, sr), (pt, st) = j_index(r), j_index(t)
-        M[r][pt] = c if st > 0 else -c
-        M[t][pr] = -c if sr > 0 else c
-    return M
+        rows[r][pt] = c if st > 0 else neg(c)
+        rows[t][pr] = neg(c) if sr > 0 else c
+    return rows
+
+
+# The checks of ``Metric.from_hermitian_matrix`` (x == -y, x == conj y, x == 0
+# and -x) on scalar objects and on numerators
+_OBJECT_OPS = (is_negation, is_conjugate, ComplexScalar.is_zero, ComplexScalar.__neg__)
+_INT_OPS = (lambda x, y: x == neg_ints(y), lambda x, y: x == (y[0], y[1], -y[2], -y[3]),
+            lambda x: not any(x), neg_ints)
 
 
 def qpositivity_verdict(geom: Geometry, form: Form) -> str:
@@ -282,29 +296,34 @@ class Metric:
 
     Construction keeps an exact Omega on its numerators
     (:func:`forms.keep_numerators`; ``omega`` is then a ``NumeratorForm``
-    that shares the given form's terms), makes one elimination of the
-    Hermitian read G and reads positivity, Pf and det G off its pivots:
-    :func:`linalg.inverse_ints` on numerators, which also gives G^-1, or
-    :func:`linalg.hermitian_pivots` for a float G, whose G^-1 follows on
-    first use.
+    that shares the given form's terms) and reads the Hermitian matrix G off
+    them (``_gram_ints``, by the signed placement of
+    :func:`hermitian_matrix_of`).  It makes one elimination of G and reads
+    positivity, Pf and det G off its pivots:
+    :func:`linalg.quaternionic_inverse_ints` on numerators, which also gives
+    G^-1, or :func:`linalg.hermitian_pivots` for a float G, whose G^-1
+    follows on first use.  ``gram``, G as scalar objects, is built on its
+    first read (at construction only for a float G).
 
-    * Positivity.  Omega is q-positive exactly when every pivot is positive:
-      by Sylvester's criterion for the natural-order pivots of inverse_ints
-      (a singular G has none), and as the inertia of G for the object ones.
-      A pivot that is not real is a ``ConsistencyError``: G is Hermitian.
-    * Pivots pair up.  q-reality makes G commute with the antilinear J conj:
-      it is the complex form of a quaternionic Hermitian matrix, with 2x2
-      blocks [[a, b], [-conj b, conj a]] and diagonal blocks d 1, d real.
-      A diagonal block has pivots d and d - 0 = d, and eliminating it leaves
-      the Schur complement C - B (d 1)^-1 B^*, a sum of products of
-      quaternionic matrices, so again quaternionic Hermitian.  By induction
-      pivot 2i+1 equals pivot 2i; a broken pair is a ``ConsistencyError``.
+    * G is quaternionic.  q-reality makes G commute with the antilinear
+      J conj: it is the complex form of an n x n quaternionic Hermitian
+      matrix Q, with 2x2 blocks [[a, b], [-conj b, conj a]] and diagonal
+      blocks d 1, d real.  The exact elimination reads Q off G and checks
+      every block on the way in; a broken block is a ``ConsistencyError``.
+    * Positivity.  Omega is q-positive exactly when Q is positive definite:
+      by Sylvester's criterion, when every natural-order pivot of the
+      elimination of Q is positive, which stops at the first that is not.
+      A pivot that is not real is a ``ConsistencyError``: Q is Hermitian.
+      A float G is read by the inertia of its object pivots.  Eliminating a
+      diagonal block d 1 gives the pivots d and d and leaves a quaternionic
+      Hermitian Schur complement, so these come in equal pairs, one per
+      pivot of Q; a broken pair is a ``ConsistencyError``.
     * Pf and det.  A = G P for the signed permutation P of
       :func:`hypercomplex.j_index`, and det P = 1, so
-      Pf(A)^2 = det G = prod of the pivots = (prod of pivots 2i)^2.  On the
-      convex q-positive cone Pf(A) is real, nonzero, and 1 at the unitary
-      form, so Pf(A) > 0 (see :func:`is_power_of_qpositive`); the positive
-      pivots give Pf(A) = prod_i pivot 2i and det G = Pf(A)^2.
+      Pf(A)^2 = det G = (prod of the n pivots of Q)^2.  On the convex
+      q-positive cone Pf(A) is real, nonzero, and 1 at the unitary form, so
+      Pf(A) > 0 (see :func:`is_power_of_qpositive`): Pf(A) is the product
+      of the pivots of Q and det G = Pf(A)^2.
     """
 
     def __init__(self, geometry: Geometry, omega: Form):
@@ -320,38 +339,37 @@ class Metric:
         if fr.j_action(self._omega_bar) != omega:
             raise QRealError("metric form must be q-real")
         self.omega = omega
-        self.gram = hermitian_matrix_of(geometry, omega)
-        # G^-1 on numerators, (d, den, rows) with G^-1[r][s] = rows[r][s] / den,
-        # eliminated from G's (linalg.matrix_ints); None when G has a float entry
-        self._gram_ints = gram_ints = linalg.matrix_ints(self.gram)
-        if gram_ints is None:
-            self._g_inv_ints = None
-            pivots = linalg.hermitian_pivots(self.gram)
-        else:
-            d, den, rows = gram_ints
-            try:
-                hden, h, diagonal = linalg.inverse_ints(d, den, rows)
-            except linalg.SingularMatrixError:
-                raise MetricError("metric form is not q-positive") from None
+        if isinstance(omega, NumeratorForm):
+            # G and G^-1 on numerators, (d, den, rows) with G[r][s] = rows[r][s] / den
+            d, den, ints = numerators(omega)
+            rows = _gram_rows(ints, self.N, neg_ints)
+            self._gram_ints = (d, den, [dict(sorted(row.items())) for row in rows])
+            lane = linalg.quaternionic_inverse_ints(d, den, self._gram_ints[2])
+            if lane is None:
+                raise MetricError("metric form is not q-positive")
+            hden, h, pivots = lane
             self._g_inv_ints = (d, hden, h)
-            pivots = []   # up to the first that is not positive: rows after it are out of order
-            for x in diagonal:
-                if not x.is_real():
-                    raise ConsistencyError("a pivot of the Hermitian matrix G is not real")
-                pivots.append(x.re)
-                if x.re.sign() <= 0:
-                    break
-        if any(p.sign() <= 0 for p in pivots):
-            raise MetricError("metric form is not q-positive")
-        if pivots[1::2] != pivots[0::2]:
-            raise ConsistencyError("the pivots of a quaternionic Hermitian matrix "
-                                   "do not come in equal pairs")
-        pf = math.prod(pivots[0::2])
+        else:   # a float coefficient, or two radicands
+            self._gram_ints = self._g_inv_ints = None
+            pivots = linalg.hermitian_pivots(self.gram)
+            if any(p.sign() <= 0 for p in pivots):
+                raise MetricError("metric form is not q-positive")
+            if pivots[1::2] != pivots[0::2]:
+                raise ConsistencyError("the pivots of a quaternionic Hermitian matrix "
+                                       "do not come in equal pairs")
+            pivots = pivots[0::2]
+        pf = math.prod(pivots)
         self.pf = ComplexScalar(pf)
         self.det_g = pf * pf
         self._omega_powers: dict = {}
         self._canonical: CanonicalForms | None = None
         self._curvature: CurvatureData | None = None
+
+    @functools.cached_property
+    def gram(self) -> list:
+        """G as scalar objects, G[r][s] = Omega(Z_r, J conj(Z_s))
+        (:func:`hermitian_matrix_of`)."""
+        return hermitian_matrix_of(self.geometry, self.omega)
 
     # The raise images, and a float G^-1, are computed on first use: many
     # metrics (the family checks, the search) are built only for their flags.
@@ -417,46 +435,64 @@ class Metric:
         Skew-symmetry of A is exactly the hyperhermitian compatibility of the
         input and is verified on G itself: entry (r, c) and its partner
         (P(c), P(r)) must satisfy G[r][c] = s(r) s(c) G[P(c)][P(r)], and an
-        entry that is its own partner (c = P(r)) must vanish.  A negated
-        partner is compared by :func:`scalars.is_negation`, so the check
-        forms no negatives.  G must then be Hermitian, G[r][c] =
-        conj G[c][r] by :func:`scalars.is_conjugate`, which is q-reality of
-        the rebuilt form, and the rebuilt metric's ``gram`` must equal the
-        input.  Each of these failures raises a :class:`MetricError` naming
-        the first failing entry of G in row-major order.
+        entry that is its own partner (c = P(r)) must vanish.  G must then be
+        Hermitian, G[r][c] = conj G[c][r], which is q-reality of the rebuilt
+        form, and the rebuilt metric's G must equal the input.  Each of these
+        failures raises a :class:`MetricError` naming the first failing entry
+        of G in row-major order.
+
+        An input exact over one field is checked on its numerators over one
+        denominator (``scalars.complex_ints``), and Omega is made from them
+        as a ``NumeratorForm``.  A float entry, or two radicands, is checked
+        on the scalar objects, a negated partner and a conjugate by
+        :func:`scalars.is_negation` and :func:`scalars.is_conjugate`, which
+        form no negatives.
         """
-        N = geometry.N
+        N, dim = geometry.N, geometry.algebra.dim
         g = [[ComplexScalar._coerce(x) for x in row] for row in gram]
+        lane = complex_ints([x for row in g for x in row])
+        if lane is None:
+            entries, (negates, conjugates, is_zero, neg) = g, _OBJECT_OPS
+        else:
+            ints = iter(lane[2])
+            entries = [[next(ints) for _ in row] for row in g]
+            negates, conjugates, is_zero, neg = _INT_OPS
         index = [j_index(t) for t in range(N)]
-        for r, row in enumerate(g):
+        for r, row in enumerate(entries):
             pr, sr = index[r]
             for c, (t, sc) in enumerate(index):
                 # entry (r, c) and its partner (t, P(r)) are checked once,
                 # from the earlier of their rows
                 if t == r:
-                    ok = row[c].is_zero()
+                    ok = is_zero(row[c])
                 elif t > r:
-                    x, y = row[c], g[t][pr]
-                    ok = x == y if sr == sc else is_negation(x, y)
+                    x, y = row[c], entries[t][pr]
+                    ok = x == y if sr == sc else negates(x, y)
                 else:
                     continue
                 if not ok:
                     raise MetricError("matrix is not hyperhermitian-compatible", (r, c))
-        for r, row in enumerate(g):
+        for r, row in enumerate(entries):
             for c in range(r, N):
-                if not is_conjugate(row[c], g[c][r]):
+                if not conjugates(row[c], entries[c][r]):
                     raise MetricError("matrix is not Hermitian", (r, c))
         terms = {}
-        for r, row in enumerate(g):
+        for r, row in enumerate(entries):
             for t in range(r + 1, N):
                 pt, st = index[t]
                 x = row[pt]
-                if not x.is_zero():
-                    terms[mask((r, t))] = x if st > 0 else -x
-        m = cls(geometry, Form(geometry.algebra.dim, 2, terms))
-        if m.gram != g:
-            entry = next((r, c) for r, row in enumerate(g)
-                         for c, x in enumerate(row) if m.gram[r][c] != x)
+                if not is_zero(x):
+                    terms[mask((r, t))] = x if st > 0 else neg(x)
+        if lane is None:
+            m = cls(geometry, Form(dim, 2, terms))
+            rebuilt = m.gram
+        else:
+            m = cls(geometry, Form.from_numerators(dim, 2, lane[0], lane[1], terms))
+            # Omega keeps the input's denominator, and G is read off Omega's numerators
+            rebuilt = [[row.get(c, (0, 0, 0, 0)) for c in range(N)] for row in m._gram_ints[2]]
+        if rebuilt != entries:
+            entry = next((r, c) for r, row in enumerate(entries)
+                         for c, x in enumerate(row) if rebuilt[r][c] != x)
             raise MetricError("matrix is not the Gram matrix of a hyperhermitian metric",
                               entry)
         return m

@@ -26,8 +26,9 @@ a derivation when D is one.
 
 Each of the five tables is compiled from the algebra's structure constants
 on its first use, so classification never builds delbar_J's: d z^r is read
-off the int lane of the algebra's d table and the ints of the frame's two
-image tables (``scalars.complex_ints``), and the other tables are splits and
+off the int lane of the algebra's d table and the numerators of the
+frame's two image tables, read off its coframe and basis
+(``ComplexFrame._image_ints``), and the other tables are splits and
 signed permutations of its keys, so no ``Form`` arithmetic runs.  The
 ``Form`` route (``to_complex`` of the CE differential) remains only for
 what the ints cannot stand for: float coefficients, and a
@@ -63,7 +64,6 @@ from .scalars import (
     ONE,
     Scalar,
     ZERO,
-    complex_ints,
     mul_ints,
     neg_ints,
     real_ints,
@@ -326,10 +326,13 @@ class ComplexFrame:
 
     ``basis`` is the structure's ``adapted_basis``, the u_a as sparse
     columns, and no frame inverse is formed: the coframe u^a comes with it,
-    read off the tag columns of the elimination that chose the u_a.  Both
-    image tables (z^r in the real coframe, e^i in the complex one) are read
-    off the nonzeros of the coframe rows and of the rows of P, the matrix
-    with the columns u_a.
+    read off the tag columns of the elimination that chose the u_a.  The
+    two image tables, z^r in the real coframe and e^i in the complex one,
+    are read off the nonzeros of the coframe rows and of the rows of P, the
+    matrix with the columns u_a: as numerators by :meth:`_image_ints`, for
+    the d table, and as ``Form``s (``_complex_images`` and
+    ``_real_images``), built on first use by ``to_real``, ``to_complex``
+    and the float route.
 
     Each differential is one ``leibniz_differential`` call on a generator
     table (``forms.DerivationTable``) built once per frame, on its first
@@ -350,31 +353,76 @@ class ComplexFrame:
     def __init__(self, d: LieAlgebraData, H: HypercomplexStructure):
         self.algebra = d
         self.structure = H
-        self.dim = dim = d.dim
-        self.N = N = dim // 2
-        self.basis, coframe = H.adapted_basis   # u_a and u^a as sparse dicts
+        self.dim = d.dim
+        self.N = d.dim // 2
+        self.basis, self._coframe = H.adapted_basis   # u_a and u^a as sparse dicts
         self._tables: dict = {}
         self._corank_two: dict = {}
-        P: list = [{} for _ in range(dim)]   # P has the columns u_a
+
+    def _p_rows(self) -> list:
+        """The rows of P, the matrix with the columns u_a, as sparse dicts."""
+        P: list = [{} for _ in range(self.dim)]
         for a, u in enumerate(self.basis):
             for i, x in u.items():
                 P[i][a] = x
-        # z^r = u^{2r} + i u^{2r+1} (0-based), and its conjugate, in the real coframe
-        hol = [Form(dim, 1, {mask((i,)): ComplexScalar(re.get(i, ZERO), im.get(i, ZERO))
-                             for i in sorted(re.keys() | im.keys())})
+        return P
+
+    @cached_property
+    def _complex_images(self) -> list:
+        """z^r = u^{2r} + i u^{2r+1} (0-based), then the conj(z^r), in the real
+        coframe."""
+        coframe = self._coframe
+        hol = [Form(self.dim, 1, {mask((i,)): ComplexScalar(re.get(i, ZERO), im.get(i, ZERO))
+                                  for i in sorted(re.keys() | im.keys())})
                for re, im in zip(coframe[0::2], coframe[1::2])]
-        self._complex_images = hol + [
-            Form(dim, 1, {k: c.conjugate() for k, c in z.terms.items()}) for z in hol]
-        # e^i = sum_a P[i][a] u^a = sum_r h z^r + conj(h) conj(z^r),
-        # h = P[i][2r]/2 - i P[i][2r+1]/2
-        self._real_images = []
-        for row in P:
+        return hol + [Form(self.dim, 1, {k: c.conjugate() for k, c in z.terms.items()})
+                      for z in hol]
+
+    @cached_property
+    def _real_images(self) -> list:
+        """e^i = sum_a P[i][a] u^a = sum_r h z^r + conj(h) conj(z^r) in the
+        complex frame, h = P[i][2r]/2 - i P[i][2r+1]/2."""
+        N, out = self.N, []
+        for row in self._p_rows():
             terms: dict = {}
             for r in sorted({a // 2 for a in row}):
                 h = ComplexScalar(HALF * row.get(2 * r, ZERO), -HALF * row.get(2 * r + 1, ZERO))
                 terms[mask((r,))] = h
                 terms[mask((N + r,))] = h.conjugate()
-            self._real_images.append(Form(dim, 1, terms))
+            out.append(Form(self.dim, 1, terms))
+        return out
+
+    def _image_ints(self):
+        """``(z, e)``: the numerators of the N holomorphic
+        :attr:`_complex_images` and of :attr:`_real_images`, each
+        ``(d, den, rows)`` as ``scalars.complex_ints`` writes the images'
+        coefficients, ``rows[k]`` a dict from key to numerators in the key
+        order of image k; None when an entry is a float or two radicands
+        occur.  They are read off the coframe and P, and no ``Form`` or
+        complex scalar is built.  The coefficients of e^i are P[i][2r]/2 and
+        -P[i][2r+1]/2, over 2 den(P): some column of P is a basis vector e_k,
+        so the numerator den(P) of its 1 is not even."""
+        coframe, P = self._coframe, self._p_rows()
+        co = real_ints([x for row in coframe for x in row.values()])
+        own = real_ints([x for row in P for x in row.values()])
+        if co is None or own is None:
+            return None
+        ints = iter(co[2])
+        co_rows = [{i: next(ints)[:2] for i in row} for row in coframe]
+        z = [{mask((i,)): (*re.get(i, (0, 0)), *im.get(i, (0, 0)))
+              for i in sorted(re.keys() | im.keys())}
+             for re, im in zip(co_rows[0::2], co_rows[1::2])]
+        ints, e = iter(own[2]), []
+        for row in P:
+            row = {a: next(ints) for a in row}
+            terms = {}
+            for r in sorted({a // 2 for a in row}):
+                p, q, _, _ = row.get(2 * r, (0, 0, 0, 0))
+                u, v, _, _ = row.get(2 * r + 1, (0, 0, 0, 0))
+                terms[mask((r,))] = (p, q, -u, -v)
+                terms[mask((self.N + r,))] = (p, q, u, v)
+            e.append(terms)
+        return (co[0], co[1], z), (own[0], 2 * own[1], e)
 
     # -- conversions ------------------------------------------------------------
 
@@ -465,22 +513,18 @@ class ComplexFrame:
         come out in the order of that route.  d conj(z^r) = conj(d z^r)
         swaps the two halves of each key and negates the imaginary parts."""
         algebra = self.algebra._d_table.lane
-        hol = self._complex_images[:self.N]
-        z_ints = complex_ints([c for z in hol for c in z.terms.values()])
-        e_ints = complex_ints([c for e in self._real_images for c in e.terms.values()])
-        if algebra is None or z_ints is None or e_ints is None:
+        images = None if algebra is None else self._image_ints()
+        if images is None:
             return None
-        fields = {algebra[0], z_ints[0], e_ints[0]} - {0}
+        (zd, zden, z), (ed, eden, e) = images
+        fields = {algebra[0], zd, ed} - {0}
         if len(fields) > 1:
             return None
         d = max(fields, default=0)
-        ints = iter(z_ints[2])
-        real = [leibniz_ints({key: next(ints) for key in z.terms}, algebra[2], d) for z in hol]
-        ints = iter(e_ints[2])
-        images = [[(key, *next(ints)) for key in e.terms] for e in self._real_images]
-        rows = substitute_ints(real, images, d)
+        real = [leibniz_ints(dz, algebra[2], d) for dz in z]
+        rows = substitute_ints(real, [[(key, *x) for key, x in row.items()] for row in e], d)
         rows += [self._conjugate_ints(dz) for dz in rows]
-        return d, algebra[1] * z_ints[1] * e_ints[1] ** 2, rows
+        return d, algebra[1] * zden * eden ** 2, rows
 
     @cached_property
     def _split(self) -> dict:

@@ -15,15 +15,17 @@ image of a quaternionic representation) is held as its sparse columns only:
 :func:`_columns` reads them off a dense matrix, the input format, and
 :func:`_apply` applies them to a sparse vector.
 
-The exact Gram matrix of a metric is eliminated once, on integers.
-:func:`matrix_ints` writes a matrix exact over one field as numerators
-(a, b, c, e) over one denominator, standing for
-((a + b sqrt(d)) + i (c + e sqrt(d))) / den (``scalars.complex_ints``).
-:func:`inverse_ints` is Gauss-Jordan on such rows with one denominator per
-row; ``hermitian.Metric`` reads positivity (Sylvester's criterion), Pf and
-det G off its natural-order pivots.  The scalar-object ``inverse`` and
-``hermitian_pivots`` stay for a float entry, whose sums must keep their
-rounding, and for every other caller.
+The exact Gram matrix G of a metric is eliminated once, on integers and
+over H.  ``hermitian.Metric`` reads G as numerators (a, b, c, e) over one
+denominator, standing for ((a + b sqrt(d)) + i (c + e sqrt(d))) / den
+(``scalars.complex_ints``), off those of Omega.  G is the complex form of an
+n x n quaternionic Hermitian matrix: :func:`quaternionic_inverse_ints` reads
+that matrix off it, checking each 2x2 block on the way in, and runs
+Gauss-Jordan on its n rows, one quaternion product per update; positivity
+(Sylvester's criterion), Pf and det G are read off its n natural-order
+pivots.  The scalar-object ``inverse`` and ``hermitian_pivots`` stay for a
+float entry, whose sums must keep their rounding, and for every other
+caller.
 
 :func:`add_term` is the one cancellation rule of the package: every sparse
 sum (rows here, form coefficients in ``forms``, brackets in ``liealg``,
@@ -42,14 +44,15 @@ from .scalars import (
     ComplexScalar,
     Scalar,
     complex_from_ints,
-    complex_ints,
-    mul_ints,
-    neg_ints,
 )
 
 
 class SingularMatrixError(ArithmeticError):
     pass
+
+
+class ConsistencyError(RuntimeError):
+    """Two paper-equivalent computations disagreed; indicates a convention bug."""
 
 
 def _c(x) -> ComplexScalar:
@@ -166,19 +169,6 @@ def solve(a, b):
     return x
 
 
-def matrix_ints(a):
-    """``(d, den, rows)``: the matrix ``a`` as numerators over one denominator
-    (``scalars.complex_ints``), ``rows[i]`` a dict from column to the nonzero
-    numerators of row i; None when an entry is a float or two radicands occur."""
-    rows = [_nonzeros(row) for row in a]
-    lane = complex_ints([x for row in rows for x in row.values()])
-    if lane is None:
-        return None
-    d, den, ints = lane
-    ints = iter(ints)
-    return d, den, [{j: next(ints) for j in row} for row in rows]
-
-
 def inverse(a):
     """A^-1 from the reduced rows of [A | 1], columns n...2n-1 holding 1."""
     n = len(a)
@@ -188,94 +178,169 @@ def inverse(a):
     return [[row.get(n + j, C_ZERO) for j in range(n)] for row in rows.values()]
 
 
-def inverse_ints(d: int, den: int, rows) -> tuple:
-    """The inverse of A = rows / den, for rows of numerators (a, b, c, e) over
-    the one denominator ``den`` (``scalars.complex_ints``), in Z[sqrt(d)][i].
+def quaternionic_inverse_ints(d: int, den: int, rows):
+    """G^-1 and the pivots of a Hermitian matrix G that is the complex form of
+    an n x n quaternionic matrix Q, eliminated once over H; None when Q is
+    not positive definite.
 
-    Each row, and each row of the result, is a dict from column to nonzero
-    numerators.  Returns ``(den', inv, pivots)`` with A^-1 = inv / den' and
-    ``pivots[i]`` the entry of row i at column i once the earlier pivot rows
-    have reduced it: D_{i+1} / D_i for the leading principal minors D_k of A
-    up to the first that vanishes, where it is 0.
+    ``rows`` are the 2n rows of G = rows / den as numerators (a, b, c, e) in
+    Z[sqrt(d)][i] (``scalars.complex_ints``), each a dict from column to
+    nonzero numerators.  Q is read off them by :func:`_quaternion_row`:
+    q_pq = G[2p][2q] + G[2p][2q+1] j, whose block of G must be
+    [[a, b], [-conj b, conj a]].  As (a_1 + b_1 j)(a_2 + b_2 j) =
+    (a_1 a_2 - b_1 conj b_2) + (a_1 b_2 + b_1 conj a_2) j, a + b j -> that
+    block is a ring map, so G^-1 is the complex form of Q^-1.
 
-    This is Gauss-Jordan on the rows of [rows | den 1] = den [A | 1], whose
-    reduced form is [1 | A^-1], added one at a time as :func:`echelon_add`
-    adds them.  Each row is numerators over its own denominator, made
-    primitive by one gcd per update.  A new row is reduced by every pivot row
-    at once, as the pivot rows vanish at each other's pivots, and divided by
-    its pivot x through the conjugates of x, whose product with x is the norm
-    of x, a nonzero integer.  The reduced form is unique, so this is the
-    value :func:`inverse` computes.
+    This is Gauss-Jordan over H (Zhang, Linear Algebra Appl. 251, 1997) on
+    the rows of den [Q | 1], added in natural order as :func:`echelon_add`
+    adds them: a new row is reduced by every pivot row at once, as the pivot
+    rows vanish at each other's pivots, each update the left product of one
+    quaternion with a row (:func:`_q_subtract`), made primitive by one gcd.
+    Row p then holds its pivot at column p: the (p, p) entry of the Schur
+    complement of the leading p x p block of Q.  Q is Hermitian, so each
+    pivot is real, and one that is not is a ``ConsistencyError``; Q is
+    positive definite exactly when every pivot is positive (Sylvester's
+    criterion), and the elimination stops at the first that is not.
+    A pivot u + v sqrt(d) divides as (u - v sqrt(d)) / (u^2 - d v^2).
+
+    Returns ``(den', inv, pivots)``: G^-1 = inv / den', ``inv`` in the shape
+    of ``rows``, and the n positive pivots as ``Scalar``s.  G has each of
+    them twice among its own natural-order pivots, so det G is the square of
+    their product.
     """
-    n = len(rows)
-    one = (den, 0, 0, 0)
+    n = len(rows) // 2
+    one = (den, 0, 0, 0, 0, 0, 0, 0)
     pivots: dict = {}     # pivot -> (numerators, denominator), 1 at the pivot
     diagonal = []
-    for i, row in enumerate(rows):
-        vec = {**row, n + i: one}
-        vec, r = _subtract(vec, 1, [(vec[q], *pivots[q]) for q in vec if q in pivots], d)
-        diagonal.append(complex_from_ints(*vec.get(i, (0, 0, 0, 0)), r * den, d))
-        p = min(vec)
-        if p >= n:
-            raise SingularMatrixError("matrix is singular")
-        w, norm = _pivot_inverse(vec[p], d)
-        vec, r = _primitive({j: mul_ints(y, w, d) for j, y in vec.items()}, norm)
+    for p in range(n):
+        vec = _quaternion_row(rows, p)
+        vec[n + p] = one
+        vec, r = _q_subtract(vec, 1, [(vec[q], *pivots[q]) for q in vec if q in pivots], d)
+        u, v, *rest = vec.get(p, _ZERO8)
+        if any(rest):
+            raise ConsistencyError("a pivot of the Hermitian matrix G is not real")
+        pivot = complex_from_ints(u, v, 0, 0, r * den, d).re
+        if pivot.sign() <= 0:
+            return None
+        diagonal.append(pivot)
+        norm = u
+        if v:
+            norm = u * u - d * v * v
+            vec = {j: _q_real_mul(y, u, -v, d) for j, y in vec.items()}
+        if norm < 0:
+            norm, vec = -norm, {j: tuple(-x for x in y) for j, y in vec.items()}
+        vec, r = _q_primitive(vec, norm)
         for q, (other, s) in pivots.items():
             f = other.get(p)
             if f is not None:
-                pivots[q] = _subtract(other, s, [(f, vec, r)], d)
+                pivots[q] = _q_subtract(other, s, [(f, vec, r)], d)
         pivots[p] = (vec, r)
     common = math.lcm(*(r for _, r in pivots.values()))
     inv = []
     for p in range(n):
         vec, r = pivots[p]
         m = common // r
-        inv.append({j - n: (a * m, b * m, c * m, e * m)
-                    for j, (a, b, c, e) in vec.items() if j >= n})
+        top, bottom = {}, {}
+        for j in sorted(vec):
+            if j >= n:   # q_pq = a + b j fills [[a, b], [-conj b, conj a]]
+                a, b = (tuple(x * m for x in part) for part in (vec[j][:4], vec[j][4:]))
+                col = 2 * (j - n)
+                for row, k, x in ((top, col, a), (top, col + 1, b),
+                                  (bottom, col, (-b[0], -b[1], b[2], b[3])),
+                                  (bottom, col + 1, (a[0], a[1], -a[2], -a[3]))):
+                    if any(x):
+                        row[k] = x
+        inv += [top, bottom]
     return common, inv, diagonal
 
 
-def _subtract(vec: dict, r: int, hits, d: int) -> tuple:
-    """vec / r minus (f / r) (row / s) for each (f, row, s) in ``hits``, as
-    numerators over r times the lcm of the s, made primitive."""
+_ZERO4 = (0,) * 4
+_ZERO8 = (0,) * 8
+
+
+def _quaternion_row(rows, p: int) -> dict:
+    """Row p of Q, read off rows 2p and 2p + 1 of G: q_pq = (G[2p][2q],
+    G[2p][2q+1]) as one 8-tuple of numerators, for each q where the block is
+    not zero.  The lower row must hold -conj G[2p][2q+1] and conj G[2p][2q];
+    a block that does not is a ``ConsistencyError``."""
+    top, bottom = rows[2 * p], rows[2 * p + 1]
+    out = {}
+    for q in sorted({c >> 1 for c in top} | {c >> 1 for c in bottom}):
+        a = top.get(2 * q, _ZERO4)
+        b = top.get(2 * q + 1, _ZERO4)
+        if (bottom.get(2 * q, _ZERO4) != (-b[0], -b[1], b[2], b[3])
+                or bottom.get(2 * q + 1, _ZERO4) != (a[0], a[1], -a[2], -a[3])):
+            raise ConsistencyError(f"the block of G at ({2 * p}, {2 * q}) is not the "
+                                   "complex form of a quaternion")
+        out[q] = a + b
+    return out
+
+
+def _q_subtract(vec: dict, r: int, hits, d: int) -> tuple:
+    """vec / r minus (f / r) (row / s) for each (f, row, s) in ``hits``, each
+    product taken with f on the left, as numerators over r times the lcm of
+    the s, made primitive."""
     if not hits:
         return vec, r
+    mul = _q_mul if d else _q_mul_rational
     big = math.lcm(*(s for _, _, s in hits))
-    out = {j: (a * big, b * big, c * big, e * big) for j, (a, b, c, e) in vec.items()}
+    out = ({j: (a * big, b * big, c * big, e * big, f * big, g * big, h * big, k * big)
+            for j, (a, b, c, e, f, g, h, k) in vec.items()} if big > 1 else dict(vec))
     for f, row, s in hits:
         m = big // s
-        f = (f[0] * m, f[1] * m, f[2] * m, f[3] * m)
+        f = tuple(-x * m for x in f)
         for j, y in row.items():
-            add_ints(out, j, neg_ints(mul_ints(f, y, d)))
-    return _primitive(out, r * big)
+            x = mul(f, y, d)
+            old = out.get(j)
+            if old is not None:
+                x = (old[0] + x[0], old[1] + x[1], old[2] + x[2], old[3] + x[3],
+                     old[4] + x[4], old[5] + x[5], old[6] + x[6], old[7] + x[7])
+                if not any(x):
+                    del out[j]
+                    continue
+            out[j] = x
+    return _q_primitive(out, r * big)
 
 
-def _primitive(vec: dict, r: int) -> tuple:
+def _q_primitive(vec: dict, r: int) -> tuple:
     """vec / r with the gcd of every numerator and r divided out."""
-    g = math.gcd(r, *(v for x in vec.values() for v in x))
-    if g == 1:
-        return vec, r
-    return {j: (a // g, b // g, c // g, e // g) for j, (a, b, c, e) in vec.items()}, r // g
+    g = r
+    for y in vec.values():
+        g = math.gcd(g, *y)
+        if g == 1:
+            return vec, r
+    return {j: (a // g, b // g, c // g, e // g, f // g, h // g, k // g, m // g)
+            for j, (a, b, c, e, f, h, k, m) in vec.items()}, r // g
 
 
-def _pivot_inverse(x: tuple, d: int) -> tuple:
-    """(w, norm) with x w = norm, a positive integer, for nonzero x in
-    Z[sqrt(d)][i]: w is the product of the conjugates of x under
-    i -> -i and sqrt(d) -> -sqrt(d), or of those that move x."""
-    a, b, c, e = x
-    if not (b or c or e):
-        w, norm = (1, 0, 0, 0), a
-    elif not (c or e):          # a + b sqrt(d)
-        w, norm = (a, -b, 0, 0), a * a - d * b * b
-    elif not (b or e):          # a + i c
-        w, norm = (a, 0, -c, 0), a * a + c * c
-    else:                       # |x|^2 = u + v sqrt(d), of positive norm
-        u, v = a * a + d * (b * b + e * e) + c * c, 2 * (a * b + c * e)
-        w, norm = mul_ints((a, b, -c, -e), (u, -v, 0, 0), d), u * u - d * v * v
-    if norm < 0:
-        w, norm = neg_ints(w), -norm
-    return w, norm
+def _q_mul(x: tuple, y: tuple, d: int) -> tuple:
+    """(a_1 + b_1 j)(a_2 + b_2 j) = (a_1 a_2 - b_1 conj b_2) + (a_1 b_2 + b_1 conj a_2) j
+    on 8-tuples of numerators, each complex part (p + q sqrt(d)) + i (s + u sqrt(d))
+    as in ``scalars.mul_ints``: sixty-four int products."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = x
+    c0, c1, c2, c3, e0, e1, e2, e3 = y
+    return (a0 * c0 - a2 * c2 - b0 * e0 - b2 * e2 + d * (a1 * c1 - a3 * c3 - b1 * e1 - b3 * e3),
+            a0 * c1 + a1 * c0 - a2 * c3 - a3 * c2 - b0 * e1 - b1 * e0 - b2 * e3 - b3 * e2,
+            a0 * c2 + a2 * c0 - b2 * e0 + b0 * e2 + d * (a1 * c3 + a3 * c1 - b3 * e1 + b1 * e3),
+            a0 * c3 + a1 * c2 + a2 * c1 + a3 * c0 - b2 * e1 - b3 * e0 + b0 * e3 + b1 * e2,
+            a0 * e0 - a2 * e2 + b0 * c0 + b2 * c2 + d * (a1 * e1 - a3 * e3 + b1 * c1 + b3 * c3),
+            a0 * e1 + a1 * e0 - a2 * e3 - a3 * e2 + b0 * c1 + b1 * c0 + b2 * c3 + b3 * c2,
+            a0 * e2 + a2 * e0 + b2 * c0 - b0 * c2 + d * (a1 * e3 + a3 * e1 + b3 * c1 - b1 * c3),
+            a0 * e3 + a1 * e2 + a2 * e1 + a3 * e0 + b2 * c1 + b3 * c0 - b0 * c3 - b1 * c2)
 
+
+def _q_mul_rational(x: tuple, y: tuple, d: int) -> tuple:
+    """:func:`_q_mul` when no sqrt(d) part occurs: sixteen int products."""
+    a0, _, a2, _, b0, _, b2, _ = x
+    c0, _, c2, _, e0, _, e2, _ = y
+    return (a0 * c0 - a2 * c2 - b0 * e0 - b2 * e2, 0, a0 * c2 + a2 * c0 - b2 * e0 + b0 * e2, 0,
+            a0 * e0 - a2 * e2 + b0 * c0 + b2 * c2, 0, a0 * e2 + a2 * e0 + b2 * c0 - b0 * c2, 0)
+
+
+def _q_real_mul(y: tuple, u: int, v: int, d: int) -> tuple:
+    """The quaternion y times the real u + v sqrt(d), part by part."""
+    return tuple(x for k in range(0, 8, 2)
+                 for x in (y[k] * u + y[k + 1] * v * d, y[k] * v + y[k + 1] * u))
 
 def det(a) -> ComplexScalar:
     n = len(a)

@@ -389,30 +389,30 @@ def test_family_check_never_inverts_the_gram_matrix(monkeypatch):
     from hha.catalog import get_example
     g, _ = get_example("qgau8").load()
     inverted = []
-    inverse_ints = linalg.inverse_ints
+    eliminate = linalg.quaternionic_inverse_ints
 
     def counting(d, den, rows):
-        inverted.append(len(rows))
-        return inverse_ints(d, den, rows)
+        inverted.append(len(rows) // 2)   # quaternionic rows
+        return eliminate(d, den, rows)
 
     def refuse(a):
         raise AssertionError("an exact G^-1 was inverted on scalar objects")
 
     monkeypatch.setattr(linalg, "inverse", refuse)
-    monkeypatch.setattr(linalg, "inverse_ints", counting)
+    monkeypatch.setattr(linalg, "quaternionic_inverse_ints", counting)
     assert qgau_family_symbolic_check(g)
     assert inverted == []
     # G^-1 is computed once per metric, at construction
     m = Metric.diagonal(g, [ONE, rational(2)])
-    assert inverted == [m.N]
+    assert inverted == [m.n]
     zeta = [g.zeta(r + 1) for r in range(m.N)]
     half = ComplexScalar(rational(1, 2))
     assert [[m.inner_product(a, b) for b in zeta] for a in zeta] == [
         [(C_ONE if r < 2 else half) if r == s else ComplexScalar(ZERO)
          for s in range(m.N)] for r in range(m.N)]
-    assert inverted == [m.N]
+    assert inverted == [m.n]
     monkeypatch.undo()
-    assert linalg.inverse_ints is inverse_ints
+    assert linalg.quaternionic_inverse_ints is eliminate
 
 
 # -- oracles for the closed forms: catalog entries up to dimension 16, random

@@ -756,9 +756,11 @@ def test_construct_bf_spin(tmp_path):
 @pytest.mark.parametrize("args", [
     ["an", "QBAL", "QSG", "--e1", "2", "--e2", "2"],
     ["bf", "QBAL", "--rep", "zero", "--k", "2"],
+    ["joyce", "--su3", "--name", "su3"],   # over Q(sqrt 3)
 ])
 def test_construct_prints_the_full_report_of_what_it_writes(tmp_path, args):
-    """The report construct prints is the one classify gives for its --out file."""
+    """The report construct prints is the one classify gives for its --out
+    file, in every key: its name, input hash and scalar field too."""
     files = {}
     for key, entry in (("QBAL", "qbal12"), ("QSG", "qsg12")):
         files[key] = tmp_path / f"{entry}.json"
@@ -771,10 +773,11 @@ def test_construct_prints_the_full_report_of_what_it_writes(tmp_path, args):
     code, out, _ = run_cli(["classify", str(built), "--format", "json"])
     assert code == 0
     classified = json.loads(out)
-    for doc in (printed, classified):
-        del doc["name"], doc["input_sha256"]
     assert printed == classified
     assert printed["skt"] and printed["obstruction"] is not None
+    assert printed["name"] == (args[-1] if "--name" in args else "constructed")
+    assert printed["scalar_field"] == ({"kind": "quadratic", "d": 3} if "--su3" in args
+                                       else {"kind": "rational"})
 
 
 def test_entry_point_runs_as_subprocess(qbal12_file):
@@ -808,6 +811,19 @@ def test_entry_point_runs_as_subprocess(qbal12_file):
     (["construct", "an", "FILE", "FILE", "--k", "2"], "--k"),
     (["construct", "joyce", "--su3", "--k", "2"], "--k"),
     (["construct", "joyce", "--blocks", "0,0", "--su3"], "--blocks"),
+    # every other option is read by one kind only, and refused elsewhere
+    (["construct", "joyce", "--su3", "--rep", "spin", "--e1", "7", "--su2", "1,2"], "--e1"),
+    (["construct", "joyce", "--su3", "--e2", "2"], "--e2"),
+    (["construct", "joyce", "--su3", "--rep", "zero"], "--rep"),
+    (["construct", "joyce", "--su3", "--su2", "2,3,4"], "--su2"),
+    (["construct", "an", "FILE", "FILE", "--rep", "spin"], "--rep"),
+    (["construct", "an", "FILE", "FILE", "--k", "1"], "--k"),
+    (["construct", "an", "FILE", "FILE", "--su3"], "--su3"),
+    (["construct", "bf", "FILE", "--e1", "2"], "--e1"),
+    (["construct", "bf", "FILE", "--su2", "2,3,4"], "--su2"),
+    (["construct", "bf", "FILE", "--rep", "zero", "--su2", "2,3,4"], "--su2"),
+    (["construct", "bf", "FILE", "--rep", "spin", "--k", "1"], "--k"),
+    (["construct", "bf", "FILE", "--blocks", "0"], "--blocks"),
 ])
 def test_construct_bad_inputs_are_input_errors(qbal12_file, args, location):
     code, out, err = run_cli([qbal12_file if a == "FILE" else a for a in args])

@@ -2,8 +2,8 @@
 attribute.
 
 The docstrings of ``src/hha/*.py`` and ``README.md`` name code as
-``module.name`` in backticks (``linalg.inverse_ints``, :func:`linalg.echelon`,
-`hermitian.Metric.omega_power`).  When the module is an ``hha`` module, the
+``module.name`` in backticks (``linalg.quaternionic_inverse_ints``,
+:func:`linalg.echelon`, `hermitian.Metric.omega_power`).  When the module is an ``hha`` module, the
 reference must resolve, attribute by attribute, so that deleting or renaming
 a function leaves no stale name behind in the prose.  They also name code as
 ``Class.name`` (``Form.substitute``, :meth:`Form.contract`,
@@ -62,7 +62,7 @@ def test_every_module_qualified_reference_resolves():
     found = references()
     # both docstring roles and the README are read
     names = {f"{module}.{path}" for _, module, path in found}
-    assert {"linalg.inverse_ints", "hypercomplex.j_index"} <= names
+    assert {"linalg.quaternionic_inverse_ints", "hypercomplex.j_index"} <= names
     assert any(where == "README.md" for where, _, _ in found)
     stale = [(where, f"{module}.{path}") for where, module, path in found
              if not _resolves(module, path)]

@@ -2,7 +2,7 @@
 
 ``Metric`` holds G^-1 as numerators over one denominator (``_g_inv_ints``;
 the inverse, with the pivots that decide positivity, by one
-``linalg.inverse_ints``).  Its readers sum on those ints and fall back to
+``linalg.quaternionic_inverse_ints``).  Its readers sum on those ints and fall back to
 the scalar objects only for what the ints cannot hold: a float metric, or a
 form whose radicand differs from the metric's, which still raises
 ``FieldMismatchError``.  Here the integer routes are checked against the
@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from complex_elimination import inverse_ints, matrix_ints
 from conftest import nil_qgau, solv_rank1
 from dense_matrices import identity, mat_mul
 from test_pivot_reads import block_gram
@@ -117,7 +118,7 @@ def test_the_integer_inverse_is_the_object_inverse(gram):
     assert mat_mul(gram, expect) == identity(N)
     d, den, ints = Metric.from_hermitian_matrix(_geometry(N // 2), gram)._g_inv_ints
     assert _matrix(d, den, ints) == expect
-    hden, inv, pivots = linalg.inverse_ints(*linalg.matrix_ints(gram))
+    hden, inv, pivots = inverse_ints(*matrix_ints(gram))
     assert _matrix(d, hden, inv) == expect
     # a positive definite G is eliminated in natural order either way
     assert pivots == [ComplexScalar(p) for p in linalg.hermitian_pivots(gram)]
@@ -134,11 +135,11 @@ def _matrix(d, den, ints):
 def test_a_singular_matrix_still_raises():
     c = lambda x: ComplexScalar(Scalar(x))   # noqa: E731
     with pytest.raises(linalg.SingularMatrixError):
-        linalg.inverse_ints(*linalg.matrix_ints([[c(1), c(2)], [c(2), c(4)]]))
+        inverse_ints(*matrix_ints([[c(1), c(2)], [c(2), c(4)]]))
     # a zero diagonal is not singular: the rows are taken in pivot order,
     # and each reads the pivot 0 at its own column
     skew = [[c(0), c(1)], [c(-1), c(0)]]
-    den, inv, pivots = linalg.inverse_ints(*linalg.matrix_ints(skew))
+    den, inv, pivots = inverse_ints(*matrix_ints(skew))
     assert _matrix(0, den, inv) == [[c(0), c(-1)], [c(1), c(0)]]
     assert pivots == [C_ZERO, C_ZERO]
 
@@ -168,15 +169,21 @@ def test_positivity_is_sylvester_on_the_gauss_jordan_pivots(gram, data):
 def test_a_pivot_that_is_not_real_is_a_fault_up_to_the_first_non_positive(monkeypatch, first,
                                                                           error):
     """G is Hermitian, so a pivot that is not real is a fault; but only up to
-    the first pivot that is not positive, as the rows after it are not
-    reduced in natural order."""
-    inverse_ints = linalg.inverse_ints
+    the first pivot that is not positive, where the elimination stops.  The
+    unitary G = 1 is eliminated with its first quaternionic diagonal entry
+    set to ``first`` and its second rotated to i, a block that stays the
+    complex form of a quaternion."""
+    eliminate = linalg.quaternionic_inverse_ints
 
     def rotated(d, den, rows):
-        hden, inv, pivots = inverse_ints(d, den, rows)
-        return hden, inv, [first, pivots[1].times_i(), *pivots[2:]]
+        rows = [dict(row) for row in rows]
+        if first.is_zero():
+            del rows[0][0], rows[1][1]
+        a = rows[2][2]
+        rows[2][2], rows[3][3] = (-a[2], -a[3], a[0], a[1]), (-a[2], -a[3], -a[0], -a[1])
+        return eliminate(d, den, rows)
 
-    monkeypatch.setattr(linalg, "inverse_ints", rotated)
+    monkeypatch.setattr(linalg, "quaternionic_inverse_ints", rotated)
     with pytest.raises(error) as raised:
         Metric.unitary(_geometry(2))
     assert type(raised.value) is error

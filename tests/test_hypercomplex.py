@@ -32,6 +32,7 @@ from hha.scalars import (
     HALF,
     ONE,
     ZERO,
+    complex_ints,
     rational,
     root,
 )
@@ -286,6 +287,19 @@ def test_the_coframe_read_off_the_adapted_basis_inverts_it(label, H):
                for row in linalg.inverse(P)]
     assert coframe == inverse
     assert all(list(row) == sorted(row) for row in coframe)
+
+
+@pytest.mark.parametrize("label, H", list(_adapted_cases()))
+def test_the_image_numerators_are_those_of_the_image_forms(label, H):
+    """The d table reads both image tables as numerators off the coframe and
+    P: key for key and in order, they are ``complex_ints`` of the ``Form``
+    images, radicand and denominator included."""
+    fr = ComplexFrame(LieAlgebraData.abelian(H.dim), H)
+    for lane, images in zip(fr._image_ints(), (fr._complex_images[:fr.N], fr._real_images)):
+        d, den, ints = complex_ints([c for form in images for c in form.terms.values()])
+        ints = iter(ints)
+        expect = [[(key, next(ints)) for key in form.terms] for form in images]
+        assert (lane[0], lane[1], [list(row.items()) for row in lane[2]]) == (d, den, expect)
 
 
 # -- frames and conversions ---------------------------------------------------

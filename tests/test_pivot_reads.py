@@ -1,10 +1,11 @@
 """One elimination of G per metric, and everything else read off G and G^-1.
 
 ``Metric`` reads positivity, Pf and det G off the natural-order pivots of
-the one Gauss-Jordan elimination of its Hermitian matrix G that gives G^-1
-(``linalg.inverse_ints``).  The Lefschetz adjoint reads the raised Omega as
-a signed read of G^-1; beta's division route, the trace against Omega and
-phi, phi^-1 are signed reads of G, G^-1 and ``j_index``.
+the one Gauss-Jordan elimination of its Hermitian matrix G, as an n x n
+quaternionic matrix, that gives G^-1 (``linalg.quaternionic_inverse_ints``).
+The Lefschetz adjoint reads the raised Omega as a signed read of G^-1;
+beta's division route, the trace against Omega and phi, phi^-1 are signed
+reads of G, G^-1 and ``j_index``.
 The oracles are the skew Pfaffian of ``pfaffian_oracle``, ``linalg.det``,
 and the Gram-matrix solve, the beta elimination, the wedged trace ratio and
 the evaluated phi, phi^-1 of ``test_metric_oracles``.
@@ -114,11 +115,11 @@ def test_metric_construction_is_one_pivot_elimination(monkeypatch):
     geom = _abelian(2)
     expect = SkewMatrix.from_form(Metric.from_hermitian_matrix(geom, gram).omega, 4)
     calls = []
-    inverse_ints = linalg.inverse_ints
+    eliminate = linalg.quaternionic_inverse_ints
 
     def counting(d, den, rows):
-        calls.append(len(rows))
-        return inverse_ints(d, den, rows)
+        calls.append(len(rows) // 2)   # quaternionic rows
+        return eliminate(d, den, rows)
 
     def refuse(*args, **kwargs):
         raise AssertionError("metric construction made a second elimination")
@@ -128,10 +129,10 @@ def test_metric_construction_is_one_pivot_elimination(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_pivots", refuse)
     monkeypatch.setattr(pfaffian_oracle, "pfaffian", refuse)
     monkeypatch.setattr(SkewMatrix, "pfaffian", refuse)
-    monkeypatch.setattr(linalg, "inverse_ints", counting)
+    monkeypatch.setattr(linalg, "quaternionic_inverse_ints", counting)
     m = Metric.from_hermitian_matrix(geom, gram)
     monkeypatch.undo()
-    assert calls == [4]
+    assert calls == [2]
     assert m.pf == expect.pfaffian()
     assert m.det_g == linalg.det(gram)
 
@@ -202,18 +203,18 @@ def test_metric_reads_make_no_wedge_and_one_elimination(case, monkeypatch):
         g.frame._table(name)   # built lazily, before the reads are watched
     m = Metric(g, base.omega)
     calls = []
-    inverse_ints = linalg.inverse_ints
+    eliminate = linalg.quaternionic_inverse_ints
 
     def counting(*args):
         calls.append(1)
-        return inverse_ints(*args)
+        return eliminate(*args)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a metric read made a wedge or an object elimination")
 
     monkeypatch.setattr(Form, "wedge", refuse)
     monkeypatch.setattr(linalg, "echelon", refuse)
-    monkeypatch.setattr(linalg, "inverse_ints", counting)
+    monkeypatch.setattr(linalg, "quaternionic_inverse_ints", counting)
     cf = m.canonical_forms()
     cur = m.curvature()
     forward = phi(g, m.omega_i())
@@ -222,7 +223,7 @@ def test_metric_reads_make_no_wedge_and_one_elimination(case, monkeypatch):
     assert not cf.beta.is_zero() or not cur.del_j_alpha.is_zero()
     assert forward == m.omega and back == m.omega_i()
     # G^-1 came with the metric: classification eliminates G no further
-    monkeypatch.setattr(linalg, "inverse_ints", counting)
+    monkeypatch.setattr(linalg, "quaternionic_inverse_ints", counting)
     classify_metric(m)
     monkeypatch.undo()
     assert calls == []
