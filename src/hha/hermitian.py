@@ -342,8 +342,7 @@ class Metric:
         if isinstance(omega, NumeratorForm):
             # G and G^-1 on numerators, (d, den, rows) with G[r][s] = rows[r][s] / den
             d, den, ints = numerators(omega)
-            rows = _gram_rows(ints, self.N, neg_ints)
-            self._gram_ints = (d, den, [dict(sorted(row.items())) for row in rows])
+            self._gram_ints = (d, den, _gram_rows(ints, self.N, neg_ints))
             lane = linalg.quaternionic_inverse_ints(d, den, self._gram_ints[2])
             if lane is None:
                 raise MetricError("metric form is not q-positive")
