@@ -9,22 +9,24 @@ both scalar curvatures.
 
 The skew matrix A of ``Omega`` is A[r][t] = s(t) G[r][P(t)] for the one
 index map (P, s) = :func:`hypercomplex.j_index`.  Every matrix fact of a
-metric comes from one elimination of G (positivity, Pf, det G and G^-1) or
-is a signed read of G^-1 through that map (A^-1 and the raised Omega).  The
-division routes of ``alpha`` and ``beta`` and the trace against Omega are
-reads against A and A^-1, and phi, phi^-1 are signed reads of coefficients.
+metric comes from one elimination of G (positivity, Pf, det G and G^-1),
+and is read against three arrays: A, Omega's own coefficients (the division
+route of ``beta``); A^-1 = P^T G^-1; and the transpose of G^-1, omega_I's
+skew inverse up to the factor i on the block (r, N + s).  phi and phi^-1 are
+signed reads of coefficients.
 
-Powers of ``Omega`` are read, never multiplied out: Omega^n is n! Pf times the
-top monomial and Omega^{n-1} is (n-1)! Pf times a signed read of A^-1 (A the
-skew matrix of ``Omega``, whose inverse is a signed read of G^-1); no other
-power is needed.  The cone of (n-1)-st powers of q-positive forms is, read
-linearly, the q-positive cone itself (:func:`is_power_of_qpositive`).
+Powers are read, never multiplied out: Omega^n is n! Pf times the top
+monomial, and Omega^{n-1} and omega_I^{N-1} are each a
+:func:`forms.cofactor_power` of A^-1 or of omega_I's inverse, as the traces
+against Omega and omega_I are one pairing with either.  The cone of (n-1)-st
+powers of q-positive forms is, read linearly, the q-positive cone itself
+(:func:`is_power_of_qpositive`).
 
 Inner products pair by raising: a form ``b`` is raised to ``b#`` by
 conjugating its coefficients and substituting z^j -> sum_i (G^-1)_{ji} z^i
 (conjugated on the antiholomorphic block), and <a, b> = sum_I a_I (b#)_I.
 The adjoint of wedging with ``L`` contracts by the raised ``L#``, read
-directly from G^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
+directly from A^-1.  The form omega_L of L = aI + bJ + cK is linear in L:
 a omega_I + b (Omega + conj Omega) - i c (Omega - conj Omega).
 
 Reads on numerators.  An exact metric keeps Omega as a
@@ -35,18 +37,19 @@ holds G and G^-1 as int numerators over one denominator
 and ``Metric._g_inv_ints``, by the one
 ``linalg.quaternionic_inverse_ints`` of construction, which reads G as an
 n x n quaternionic matrix and whose natural-order pivots also decide
-positivity).  Every read of G^-1 (Omega^{n-1}, omega_I^{N-1},
+positivity).  Every read of an inverse (Omega^{n-1}, omega_I^{N-1},
 the Lefschetz adjoint, both traces and the inner product) takes its
 operands' ``forms.numerators`` and makes its form with
 ``Form.from_numerators``.  The reads on scalar objects stay
 for a float metric under ``--float``, and for a form whose radicand differs
 from the metric's, which still raises ``FieldMismatchError``.  The division
-route of ``beta`` reads G itself, on scalar objects for every metric: summed
-on numerators it was no faster.
+route of ``beta`` reads A off Omega's coefficients, on scalar objects for
+every metric: summed on numerators it was no faster.  Classifying an exact
+metric builds no object G (``Metric.gram``).
 
 ``alpha`` and ``beta`` are always computed along two independent routes
-(coefficient division against the relevant power, read against A and A^-1,
-and the Lefschetz-adjoint formula, read from G^-1); any disagreement raises,
+(coefficient division against the relevant power, read against Pf and A,
+and the Lefschetz-adjoint formula, read from A^-1); any disagreement raises,
 acting as a built-in convention audit.
 """
 from __future__ import annotations
@@ -302,8 +305,9 @@ class Metric:
     positivity, Pf and det G off its pivots:
     :func:`linalg.quaternionic_inverse_ints` on numerators, which also gives
     G^-1, or :func:`linalg.hermitian_pivots` for a float G, whose G^-1
-    follows on first use.  ``gram``, G as scalar objects, is built on its
-    first read (at construction only for a float G).
+    follows on first use.  The readers take A (Omega's coefficients), A^-1
+    (``_a_inv_ints``, ``_a_inv``) and omega_I's inverse
+    (``_omega_i_inv_ints``, ``_omega_i_inv``), each placed once from G^-1.
 
     * G is quaternionic.  q-reality makes G commute with the antilinear
       J conj: it is the complex form of an n x n quaternionic Hermitian
@@ -367,7 +371,9 @@ class Metric:
     @functools.cached_property
     def gram(self) -> list:
         """G as scalar objects, G[r][s] = Omega(Z_r, J conj(Z_s))
-        (:func:`hermitian_matrix_of`)."""
+        (:func:`hermitian_matrix_of`), read by the elimination of a float G,
+        the rebuild check of a float :meth:`from_hermitian_matrix` and the
+        object routes' G^-1; an exact classification never builds it."""
         return hermitian_matrix_of(self.geometry, self.omega)
 
     # The raise images, and a float G^-1, are computed on first use: many
@@ -377,6 +383,37 @@ class Metric:
     def _g_inv(self):
         """G^-1 as scalar objects, read only by the object routes."""
         return linalg.inverse(self.gram)
+
+    @functools.cached_property
+    def _a_inv_ints(self) -> list:
+        """A^-1 on numerators over G^-1's denominator, as rows of dicts from
+        column to the nonzero entries.  A = G P (A[r][t] = s(t) G[r][P(t)],
+        :func:`hypercomplex.j_index`), so row t of A^-1 = P^T G^-1 is s(t)
+        times row P(t) of G^-1."""
+        h = self._g_inv_ints[2]
+        return [h[p] if s > 0 else {k: neg_ints(y) for k, y in h[p].items()}
+                for p, s in map(j_index, range(self.N))]
+
+    @functools.cached_property
+    def _a_inv(self) -> list:
+        """:attr:`_a_inv_ints` as dense rows of scalar objects."""
+        h = self._g_inv
+        return [h[p] if s > 0 else [-c for c in h[p]] for p, s in map(j_index, range(self.N))]
+
+    @functools.cached_property
+    def _omega_i_inv_ints(self) -> list:
+        """The inverse of omega_I over i, as :attr:`_a_inv_ints`: the skew
+        matrix W of omega_I = i sum G[r][s] z^r ^ conj(z^s) has i G on the
+        block (r, N + s), so W^-1 has i (G^-1)_{sr} there and nothing else."""
+        N, h = self.N, self._g_inv_ints[2]
+        return [{N + s: row[r] for s, row in enumerate(h) if r in row} for r in range(N)] + [{}] * N
+
+    @functools.cached_property
+    def _omega_i_inv(self) -> list:
+        """:attr:`_omega_i_inv_ints` as dense rows of scalar objects."""
+        N, h = self.N, self._g_inv
+        return ([[C_ZERO] * N + [h[s][r] for s in range(N)] for r in range(N)]
+                + [[C_ZERO] * (2 * N)] * N)
 
     @functools.cached_property
     def _raise_ints(self) -> list:
@@ -513,10 +550,9 @@ class Metric:
 
         Omega^n is the one monomial n! Pf z^{[N]}.  For n >= 2, Omega^{n-1}
         is (n-1)! times :func:`forms.cofactor_power` of Pf and A^-1: the
-        coefficient on z^{[N] minus {r, s}} is (n-1)! (-1)^{r+s} Pf (A^-1)[r][s].
-        A = G P for the signed permutation P of :func:`hypercomplex.j_index`
-        (A[r][t] = s(t) G[r][P(t)]), so A^-1 = P^T G^-1: row t of A^-1 is
-        s(t) times row P(t) of G^-1.  At n = 1, Omega^0 is the constant 1.
+        coefficient on z^{[N] minus {r, s}} is (n-1)! (-1)^{r+s} Pf (A^-1)[r][s],
+        read off the rows of :attr:`_a_inv_ints`.  At n = 1, Omega^0 is the
+        constant 1.
         """
         n = self.n
         if k not in (n - 1, n):
@@ -530,17 +566,12 @@ class Metric:
             elif k == 0:
                 power = Form.constant(dim, C_ONE)
             elif self._g_inv_ints is not None:
-                d, den, h = self._g_inv_ints
+                d, den, _ = self._g_inv_ints
                 sd, sden, (x,) = complex_ints([self.pf * fact])
-                d, den = d or sd, den * sden
-                a_inv = [h[p] if s > 0 else {t: neg_ints(y) for t, y in h[p].items()}
-                         for p, s in map(j_index, range(self.N))]
-                power = Form.from_numerators(dim, self.N - 2, d, den, cofactor_ints(x, a_inv, d))
+                power = Form.from_numerators(dim, self.N - 2, d or sd, den * sden,
+                                             cofactor_ints(x, self._a_inv_ints, d or sd))
             else:
-                g_inv = self._g_inv
-                a_inv = [g_inv[p] if s > 0 else [-c for c in g_inv[p]]
-                         for p, s in map(j_index, range(self.N))]
-                power = cofactor_power(self.pf, a_inv, dim).scale(fact)
+                power = cofactor_power(self.pf, self._a_inv, dim).scale(fact)
             self._omega_powers[k] = power
         return power
 
@@ -573,47 +604,29 @@ class Metric:
             return Form.from_numerators(self.geometry.algebra.dim, 2, d, den, {
                 mask((r, N + s)): (-c, -e, a, b)
                 for r, row in enumerate(rows) for s, (a, b, c, e) in row.items()})
-        terms = {}
-        for r in range(N):
-            for s in range(N):
-                g = self.gram[r][s]
-                if not g.is_zero():
-                    terms[mask((r, N + s))] = g.times_i()
-        return Form(self.geometry.algebra.dim, 2, terms)
+        rows = _gram_rows(self.omega.terms, N, ComplexScalar.__neg__)
+        return Form(self.geometry.algebra.dim, 2, {
+            mask((r, N + s)): g.times_i()
+            for r, row in enumerate(rows) for s, g in sorted(row.items()) if not g.is_zero()})
 
     def omega_i_top_minus_one(self) -> Form:
-        """omega_I^{N-1} (N = 2n) read from the cofactors of the Gram matrix.
+        """omega_I^{N-1} (N = 2n), by :func:`forms.cofactor_power` of omega_I.
 
-        With omega_I = i sum G[r][s] z^r ^ conj(z^s), the coefficient on
-        z^{[N] minus r} ^ conj(z)^{[N] minus s} is (-1)^{r+s+(N-1)(N-2)/2}
-        (N-1)! i^{N-1} det(G) (G^-1)_{sr}: the (N-1)-minors of iG times the
-        sign of gathering the holomorphic factors in front.
+        The skew matrix W of omega_I has i G on the block (r, N + s) and W^-1
+        has i (G^-1)_{sr} there (:attr:`_omega_i_inv_ints`).  W is
+        [[0, iG], [-iG^T, 0]], so Pf(W) = (-1)^{N(N-1)/2} det(iG) = det G for
+        N = 2n, and the coefficient on z^{[N] minus r} ^ conj(z)^{[N] minus s}
+        is (-1)^{r+s} (N-1)! i det G (G^-1)_{sr}: the rows of the transposed
+        G^-1 times the one scale (N-1)! i det G.
         """
-        N = self.N
-        # i^{N-1} (-1)^{(N-1)(N-2)/2} = i: for N = 2n both signs are (-1)^{n-1}
+        N, dim = self.N, self.geometry.algebra.dim
         scale = ComplexScalar(self.det_g * rational(math.factorial(N - 1))).times_i()
-        hol = [tuple(k for k in range(N) if k != r) for r in range(N)]
-        anti = [tuple(N + k for k in range(N) if k != s) for s in range(N)]
-        terms = {}
-        lane = self._g_inv_ints
-        if lane is not None:
-            d, den, h = lane
-            sd, sden, (x,) = complex_ints([scale])
-            d, den = d or sd, den * sden
-            for r in range(N):
-                for s in range(N):
-                    y = h[s].get(r)
-                    if y is not None:
-                        y = mul_ints(y, x, d)
-                        terms[mask(hol[r] + anti[s])] = neg_ints(y) if (r + s) % 2 else y
-            return Form.from_numerators(self.geometry.algebra.dim, 2 * N - 2, d, den, terms)
-        for r in range(N):
-            for s in range(N):
-                c = self._g_inv[s][r]
-                if not c.is_zero():
-                    c = c * scale
-                    terms[mask(hol[r] + anti[s])] = -c if (r + s) % 2 else c
-        return Form(self.geometry.algebra.dim, 2 * N - 2, terms)
+        if self._g_inv_ints is None:
+            return cofactor_power(scale, self._omega_i_inv, dim)
+        d, den, _ = self._g_inv_ints
+        sd, sden, (x,) = complex_ints([scale])
+        return Form.from_numerators(dim, 2 * N - 2, d or sd, den * sden,
+                                    cofactor_ints(x, self._omega_i_inv_ints, d or sd))
 
     # -- inner products ---------------------------------------------------------------
 
@@ -652,51 +665,45 @@ class Metric:
         L# is read from H = G^-1: raising conj(A) gives H^T conj(A) H = P H,
         as A = G P (P real, :func:`hypercomplex.j_index`) and
         H^T conj(G) = conj(H G) = 1.  P H is skew, so
-        (Omega#)_{kl} = s(l) H[P(l)][k] for k < l, and conj(Omega) raises to
-        the conjugates on the barred pairs (N + k, N + l).
+        (Omega#)_{kl} = s(l) H[P(l)][k] = (A^-1)[l][k] for k < l, and
+        conj(Omega) raises to the conjugates on the barred pairs (N + k, N + l).
         """
         N = self.N
         shift = N if conjugate else 0
-        index = [j_index(l) for l in range(N)]
         joined = _joined(self._g_inv_ints, (a,))
         if joined is not None:
-            return self._lefschetz_ints(a, joined, shift, index)
-        h = self._g_inv
+            return self._lefschetz_ints(a, joined, shift)
+        a_inv = self._a_inv
         out = Form.zero(self.geometry.algebra.dim, max(a.degree - 2, 0))
         for k in range(N):
             row = {}
             for l in range(k + 1, N):
-                p, s = index[l]
-                c = h[p][k]
-                if c.is_zero():
-                    continue
-                c = c if s > 0 else -c
-                row[shift + l] = c.conjugate() if conjugate else c
+                c = a_inv[l][k]
+                if not c.is_zero():
+                    row[shift + l] = c.conjugate() if conjugate else c
             if row:
                 out = out + a.contract({shift + k: C_ONE}).contract(row)
         return out
 
-    def _lefschetz_ints(self, a: Form, joined, shift: int, index) -> Form:
+    def _lefschetz_ints(self, a: Form, joined, shift: int) -> Form:
         """:meth:`lefschetz_adjoint` on numerators: the same two contractions
         per k (``forms.contract_ints``), summed in the same order, so the keys
         come out in that order."""
         d, ((den, terms),) = joined
-        _, hden, h = self._g_inv_ints
+        a_inv = self._a_inv_ints
         out: dict = {}
         for k in range(self.N):
             row = {}
             for l in range(k + 1, self.N):
-                p, s = index[l]
-                x = h[p].get(k)
+                x = a_inv[l].get(k)
                 if x is not None:
-                    x = x if s > 0 else neg_ints(x)
                     row[shift + l] = (x[0], x[1], -x[2], -x[3]) if shift else x
             if row:
                 first = contract_ints(terms, {shift + k: (1, 0, 0, 0)}, d)
                 for key, y in contract_ints(first, row, d).items():
                     add_ints(out, key, y)
         return Form.from_numerators(self.geometry.algebra.dim, max(a.degree - 2, 0), d,
-                                    den * hden, out)
+                                    den * self._g_inv_ints[1], out)
 
     # -- traces --------------------------------------------------------------------
 
@@ -706,57 +713,40 @@ class Metric:
         Only the (2,0) part of xi reaches z^{[N]}.  By :func:`forms.cofactor_power`
         z^r ^ z^s ^ Omega^{n-1} (r < s) keeps (n-1)! (-1)^{r+s} Pf (A^-1)[r][s]
         on z^{[N] minus {r, s}}, and sorting costs (-1)^{r+s-1}.  Against
-        Omega^n = n! Pf z^{[N]} the ratio is -sum_{r<s<N} xi_{rs} (A^-1)[r][s],
-        with (A^-1)[r][s] = s(r) (G^-1)[P(r)][s] (:meth:`omega_power`).
+        Omega^n = n! Pf z^{[N]} the ratio is -sum_{r<s<N} xi_{rs} (A^-1)[r][s]
+        (:meth:`_pair`).
         """
+        return -self._pair(xi, False)
+
+    def trace_omega_i(self, gamma: Form) -> ComplexScalar:
+        """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s),
+        the pairing of gamma with the inverse of omega_I over i (:meth:`_pair`)."""
+        return -(self._pair(gamma, True).times_i())
+
+    def _pair(self, xi: Form, omega_i: bool) -> ComplexScalar:
+        """sum xi_{rs} M[r][s] over the keys (r, s) of the 2-form xi in one
+        block, in xi's key order: M = A^-1 (:attr:`_a_inv_ints`) on
+        r < s < N, or the inverse of omega_I over i (:attr:`_omega_i_inv_ints`)
+        on r < N <= s."""
         N = self.N
+        block = range(N, 2 * N) if omega_i else range(N)
         joined = _joined(self._g_inv_ints, (xi,))
         if joined is not None:
             d, ((den, ints),) = joined
-            _, hden, h = self._g_inv_ints
+            m = self._omega_i_inv_ints if omega_i else self._a_inv_ints
             terms = []
             for key, x in ints.items():
                 r, s = indices(key)
-                if s < N:
-                    p, sign = j_index(r)
-                    y = h[p].get(s)
-                    if y is not None:
-                        y = mul_ints(x, y, d)
-                        terms.append(neg_ints(y) if sign > 0 else y)
-            return complex_from_ints(*sum_ints(terms), den * hden, d)
-        h = self._g_inv
+                if r < N and s in block and (y := m[r].get(s)) is not None:
+                    terms.append(mul_ints(x, y, d))
+            return complex_from_ints(*sum_ints(terms), den * self._g_inv_ints[1], d)
+        m = self._omega_i_inv if omega_i else self._a_inv
         total = C_ZERO
         for key, c in xi.terms.items():
             r, s = indices(key)
-            if s < N:
-                p, sign = j_index(r)
-                c = c * h[p][s]
-                total = total + c if sign > 0 else total - c
-        return -total
-
-    def trace_omega_i(self, gamma: Form) -> ComplexScalar:
-        """Metric trace of a (1,1)-form: -i sum (G^-1)_{sr} gamma(Z_r, conj Z_s)."""
-        N = self.N
-        joined = _joined(self._g_inv_ints, (gamma,))
-        if joined is not None:
-            d, ((den, ints),) = joined
-            _, hden, h = self._g_inv_ints
-            terms = []
-            for key, x in ints.items():
-                i, j = indices(key)
-                y = h[j - N].get(i) if i < N <= j else None
-                if y is not None:
-                    terms.append(mul_ints(y, x, d))
-            re, re_d, im, im_d = sum_ints(terms)
-            # -i (re + i im) = im - i re
-            return complex_from_ints(im, im_d, -re, -re_d, den * hden, d)
-        total = C_ZERO
-        for key, c in gamma.terms.items():
-            i, j = indices(key)
-            if i < N <= j:
-                r, s = i, j - N
-                total = total + self._g_inv[s][r] * c
-        return -(total.times_i())
+            if r < N and s in block:
+                total = total + c * m[r][s]
+        return total
 
     # -- canonical forms and curvature ------------------------------------------------
 
@@ -767,13 +757,13 @@ class Metric:
         n, N, dim = self.n, self.N, self.geometry.algebra.dim
         omega_bar_n = fr.conjugate(self.omega_power(n))
         d_obn = fr.del_(omega_bar_n)
-        pf_bar_fact = self.pf.conjugate() * ComplexScalar(rational(math.factorial(n)))
+        inv = (self.pf.conjugate() * ComplexScalar(rational(math.factorial(n)))).inverse()
         alpha_terms = {}
         for key, c in d_obn.terms.items():
             r = indices(key)[0]
             if r >= N:
                 raise ConsistencyError("unexpected key in the top-power derivative")
-            alpha_terms[mask((r,))] = c * pf_bar_fact.inverse()
+            alpha_terms[mask((r,))] = c * inv
         alpha_div = Form(dim, 1, alpha_terms)
         alpha_lef = self.lefschetz_adjoint(fr.del_(self.omega_bar()), conjugate=True)
         if alpha_div != alpha_lef:
@@ -801,22 +791,25 @@ class Metric:
         (n-1)! Pf (-1)^s (A^-1)[r][s] on z^{[N] minus {s}}, for s < r as for
         s > r.  So if c_s is the coefficient of del Omega^{n-1} on
         z^{[N] minus {s}}, beta A^-1 is the row (-1)^s c_s / ((n-1)! Pf), and
-        A[s][r] = s(r) G[s][P(r)] gives
-        beta_r = sum_s (-1)^s c_s s(r) G[s][P(r)] / ((n-1)! Pf).  Hard
-        Lefschetz makes beta -> beta ^ Omega^{n-1} an isomorphism of the
+        beta_r = sum_s (-1)^s c_s A[s][r] / ((n-1)! Pf), with A read off
+        Omega's coefficients: A[s][r] = Omega_{sr} = -A[r][s] for s < r.
+        Hard Lefschetz makes beta -> beta ^ Omega^{n-1} an isomorphism of the
         (1,0)- onto the (2n-1,0)-forms, so this is the one solution.
         """
         n, N = self.n, self.N
         target = self.del_power
         scale = (self.pf * ComplexScalar(rational(math.factorial(n - 1)))).inverse()
+        a: list = [{} for _ in range(N)]
+        for key, w in self.omega.terms.items():
+            if not w.is_zero():
+                s, r = indices(key)
+                a[s][r], a[r][s] = w, -w
         coeffs = [C_ZERO] * N
         for key, c in target.terms.items():
             s = N * (N - 1) // 2 - sum(indices(key))   # the one index missing from key
             c = c if s % 2 == 0 else -c
-            for p, g in enumerate(self.gram[s]):
-                if not g.is_zero():
-                    r, sign = j_index(p)   # P(r) = p and s(r) = -s(p)
-                    coeffs[r] = coeffs[r] - c * g if sign > 0 else coeffs[r] + c * g
+            for r, w in a[s].items():
+                coeffs[r] = coeffs[r] + c * w
         return Form(self.geometry.algebra.dim, 1,
                     {mask((r,)): c * scale for r, c in enumerate(coeffs) if not c.is_zero()})
 

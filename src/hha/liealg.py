@@ -25,7 +25,8 @@ expectation ``semisimple``:
 * ``unimodular``: tr ad(e_i) = sum_j c_{ij}^j vanishes for every i;
 * ``center_dim``, ``derived_dim``: the dimensions of the centre and of
   [g, g];
-* ``semisimple``: the Killing form is nondegenerate (Cartan's criterion).
+* ``semisimple``: the Killing form is nondegenerate (Cartan's criterion),
+  which is full echelon rank.
 
 The reads touch only nonzeros:
 
@@ -296,8 +297,7 @@ class LieAlgebraData:
 
     @cached_property
     def semisimple(self) -> bool:
-        kmat = [[ComplexScalar(x) for x in row] for row in self.killing_form()]
-        return not linalg.det(kmat).is_zero()
+        return len(linalg.echelon(dict(enumerate(row)) for row in self.killing_form())) == self.dim
 
     def in_derived_subalgebra(self, vec: dict) -> bool:
         rows = linalg.echelon(self._derived)  # a copy: a new vector updates its rows

@@ -5,7 +5,8 @@ Every row reduction of scalar objects in ``hha`` apart from ``det`` and
 dict from column to scalar) to a reduced row echelon basis and touches
 only nonzeros.  Callers that hold forms pass ``form.terms`` as rows
 directly.  ``solve``, ``inverse`` and ``rank`` read :func:`echelon` on
-the nonzeros of their dense input.  ``det`` is forward elimination with a
+the nonzeros of their dense input.  ``det``, which nothing in the package
+calls (the tests read it as an oracle), is forward elimination with a
 pivot product; :func:`hermitian_pivots` is the symmetric elimination of a
 Hermitian matrix, whose pivots give its definiteness here and the Pfaffian,
 determinant and positivity of a float metric in ``hermitian``.

@@ -7,13 +7,16 @@ the scalar objects only for what the ints cannot hold: a float metric, or a
 form whose radicand differs from the metric's, which still raises
 ``FieldMismatchError``.  Here the integer routes are checked against the
 object routes on random quaternionic-Hermitian positive-definite Gram
-matrices, and the division route of beta, which reads G on scalar objects
-for every metric, against the Lefschetz-adjoint route it is audited by.
+matrices, and the division route of beta, which reads A off Omega's
+coefficients on scalar objects for every metric, against the
+Lefschetz-adjoint route it is audited by.
 """
 import functools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,10 +24,11 @@ from hypothesis import given, settings, strategies as st
 from complex_elimination import inverse_ints, matrix_ints
 from conftest import nil_qgau, solv_rank1
 from dense_matrices import identity, mat_mul
-from test_pivot_reads import block_gram
+from test_pivot_reads import block_gram, coupled_grams
 
 from hha import hermitian, linalg
 from hha.catalog import entry_names, get_example
+from hha.documents import load_document, parse_input
 from hha.classify import classify_metric
 from hha.forms import Form, contract_ints, mask
 from hha.hermitian import ConsistencyError, Metric, MetricError
@@ -280,6 +284,65 @@ def test_exact_classification_takes_no_object_route(object_routes):
     assert object_routes["lane"] > 0
     assert object_routes == {"g_inv": 0, "inverse_objects": 0, "pivots_objects": 0,
                              "refused": 0, "lane": object_routes["lane"]}
+
+
+def test_an_exact_classification_never_builds_the_object_gram(monkeypatch):
+    """Every exact reader reads A, A^-1 or omega_I's inverse, so ``Metric.gram``
+    is built for no catalog entry and no seed-1 ``dense`` or ``quadratic``
+    input of the benchmark."""
+    built = []
+    gram = Metric.gram.func
+
+    def counted_gram(self):
+        built.append(self)
+        return gram(self)
+
+    counted_property = functools.cached_property(counted_gram)
+    counted_property.__set_name__(Metric, "gram")
+    monkeypatch.setattr(Metric, "gram", counted_property)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import inputs
+    metrics = [get_example(name).load()[1] for name in entry_names()]
+    for doc in inputs.dense_documents(1) + inputs.quadratic_documents(1):
+        metrics.append(load_document(parse_input(json.dumps(doc)))[1])
+    for metric in metrics:
+        classify_metric(metric)
+    assert (len(metrics), len(built)) == (45, 0)
+
+
+def _check_traces(m: Metric, rng, d):
+    """Lambda = tr_Omega on 2-forms, and the trace against omega_I is
+    N (gamma ^ omega_I^{N-1}) / omega_I^N, with the powers multiplied out."""
+    N = m.N
+    xi = _random_form(rng, m, 2, d) + m.omega
+    assert m._trace_ratio(xi) == m.lefschetz_adjoint(xi).coefficient(())
+    omega_i = m.omega_i()
+    power = omega_i.wedge_power(N - 1)
+    top = tuple(range(2 * N))
+    for gamma in (omega_i, _random_form(rng, m, 2, d) + omega_i):
+        ratio = (gamma.wedge(power).coefficient(top) * ComplexScalar(Scalar(N))
+                 / power.wedge(omega_i).coefficient(top))
+        assert m.trace_omega_i(gamma) == ratio
+    assert m.trace_omega_i(omega_i) == ComplexScalar(Scalar(N))
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(st.one_of(gram_matrices(fields=(0, 2), sizes=(1, 3)),
+                 coupled_grams(fields=(0, 2)).filter(lambda gram: len(gram) <= 6)),
+       st.integers(0, 2**32 - 1))
+def test_the_traces_are_the_lefschetz_adjoint_and_the_wedge_ratio(gram, seed):
+    m = Metric.from_hermitian_matrix(_geometry(len(gram) // 2), gram)
+    _check_traces(m, random.Random(seed), m._g_inv_ints[0])
+
+
+def test_the_traces_of_a_float_metric_are_the_lefschetz_adjoint_and_the_wedge_ratio():
+    g = _geometry(2)
+    gram = block_gram([floating(5.5), floating(7.25)],
+                      {(0, 1): (ComplexScalar(floating(1.5), floating(-0.75)),
+                                ComplexScalar(floating(0.5), floating(2.0)))})
+    m = Metric.from_hermitian_matrix(g, gram)
+    assert m._g_inv_ints is None
+    _check_traces(m, random.Random(4), 0)
 
 
 def test_a_float_metric_takes_the_object_route(object_routes):

@@ -1,5 +1,6 @@
 """``tools/pair.py``, which times two source trees against each other in one
 process, run on this tree against itself."""
+import json
 import sys
 from pathlib import Path
 
@@ -54,3 +55,18 @@ def test_construct_runs_the_four_constructions_after_the_benchmark_workloads(cap
     assert [out[0], out[3]] == ["workload catalog, 21 inputs, 1 pairs",
                                 "workload construct, 4 inputs, 1 pairs"]
     assert out[5].startswith("median ") and out[5].endswith("/1")
+
+
+def test_cap_loads_the_three_cap_documents_and_prints_its_block(capsys, monkeypatch):
+    from hha.documents import load_document, parse_input
+    shapes = []
+    for doc in pair.cap_documents(1):
+        geometry, metric = load_document(parse_input(json.dumps(doc)))
+        shapes.append((geometry.algebra.dim, metric._g_inv_ints[0]))
+    assert shapes == [(48, 5), (64, 0), (80, 5)]
+    # the same recipe in smaller dimensions, so that the timed passes stay short
+    monkeypatch.setattr(pair, "CAP", ((8, 5), (12, 0), (16, 5)))
+    assert pair.main([str(ROOT), str(ROOT), "--pairs", "1", "--workload", "cap"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload cap, 3 inputs, 1 pairs"
+    assert len(out) == 3 and out[2].startswith("median ") and out[2].endswith("/1")

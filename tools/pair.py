@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time two source trees of ``hha`` against each other in one process.
 
-    python3 tools/pair.py BASE CHANGE [--workload catalog|dense|quadratic|construct|all ...]
-                          [--pairs 20] [--seed 1]
+    python3 tools/pair.py BASE CHANGE
+        [--workload catalog|dense|quadratic|construct|cap|all ...] [--pairs 20] [--seed 1]
 
 BASE and CHANGE are checkouts of this repository (for example a ``git
 archive`` of the parent commit and the working tree).  Each tree's
@@ -19,7 +19,10 @@ A pass runs the workload's inputs once on each side:
   ``constructions`` module, each loading its inputs from
   ``bench/inputs.write_inputs``: ``arroyo_nicolini`` on qbal12 x qbal12,
   ``direct_sum`` on qbal12 x qsg12, ``barberis_fino`` on joyce_su2 with the
-  spin representation, and ``joyce_build`` on su(3).
+  spin representation, and ``joyce_build`` on su(3);
+- ``cap``: ``hha classify FILE --format json``, as for ``dense``, on three
+  ``omega`` documents at the dimension cap that :func:`cap_documents` makes
+  for the seed: dimension 48 over Q(sqrt 5), 64 over Q and 80 over Q(sqrt 5).
 
 Within a pass the side that runs an input first alternates from input to
 input, and the first side of the first input alternates from pass to pass,
@@ -39,6 +42,8 @@ import argparse
 import importlib
 import importlib.util
 import io
+import json
+import random
 import statistics
 import sys
 import tempfile
@@ -48,6 +53,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = ("catalog", "dense", "quadratic")   # what ``all`` runs
+CAP = ((48, 5), (64, 0), (80, 5))   # (dimension, radicand) of the cap documents
 
 
 def load_tree(root: Path, name: str) -> dict:
@@ -99,6 +105,56 @@ def construct_tasks(tree: dict, paths: list) -> list:
             lambda: con.joyce_build(con.joyce_su3_data())]
 
 
+def cap_documents(seed: int) -> list:
+    """The dimension-cap recipe: the 4n-dimensional nilpotent q-Gauduchon
+    algebra of the tests (``nil_qgau``: de^{4n-2}, de^{4n-1}, de^{4n} are
+    sum_{k<n} e^{4k-3} ^ e^{4k-2}, e^{4k-3} ^ e^{4k-1}, e^{4k-3} ^ e^{4k}) on
+    the standard structure, with Omega 13 dim times the unitary form plus
+    c z^r ^ z^s + J conj(c z^r ^ z^s) for every pair r < s of frame indices
+    in different quaternionic blocks.  The real and imaginary parts of c are
+    a + b sqrt(d), a in [-3, 3] and b in [-1, 1] (b = 0 over Q), drawn from
+    the seed.  Each of the dim/2 - 2 entries off the diagonal of a row of G
+    is a sum of two such c, |c| < 7.5, so G is strictly diagonally dominant."""
+    rng = random.Random(f"cap/{seed}")
+    docs = []
+    for dim, d in CAP:
+        n, N = dim // 4, dim // 2
+
+        def text(a: int, b: int) -> str:
+            return f"{a}{b:+}*sqrt({d})" if b else str(a)
+
+        terms = [[2 * i + 1, 2 * i + 2, str(13 * dim), "0"] for i in range(N // 2)]
+        for r in range(N):
+            for s in range(r + 1, N):
+                if r // 2 != s // 2:
+                    a, e = rng.randint(-3, 3), rng.randint(-3, 3)
+                    b, f = (rng.randint(-1, 1), rng.randint(-1, 1)) if d else (0, 0)
+                    terms.append([r + 1, s + 1, text(a, b), text(e, f)])
+                    # J conj(z^h) = s(h) z^{P(h)} (P swaps 2i and 2i + 1, s(2i) = -1,
+                    # so P keeps r < s), conj(c) = (a + b sqrt d) - i (e + f sqrt d)
+                    sign = 1 if r % 2 == s % 2 else -1
+                    terms.append([(r ^ 1) + 1, (s ^ 1) + 1, text(sign * a, sign * b),
+                                  text(-sign * e, -sign * f)])
+        docs.append({
+            "name": f"cap{dim}", "dimension": dim, "hypercomplex": "standard",
+            "scalar_field": {"kind": "quadratic", "d": d} if d else {"kind": "rational"},
+            "structure_equations": {str(dim - 2 + j): [[4 * k - 3, 4 * k - 2 + j, "1"]
+                                                       for k in range(1, n)] for j in range(3)},
+            "metric": {"type": "omega", "terms": terms},
+        })
+    return docs
+
+
+def write_cap_inputs(seed: int, directory: Path) -> list:
+    """Write :func:`cap_documents` as input files; returns their paths."""
+    directory.mkdir(parents=True)
+    paths = []
+    for doc in cap_documents(seed):
+        paths.append(directory / f"{doc['name']}.json")
+        paths[-1].write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    return paths
+
+
 def timed(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -122,7 +178,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", choices=(*WORKLOADS, "construct", "all"),
+    parser.add_argument("--workload", choices=(*WORKLOADS, "construct", "cap", "all"),
                         action="append", help="a workload to time (repeatable; all: "
                         "catalog, dense and quadratic); default catalog")
     parser.add_argument("--pairs", type=int, default=20)
@@ -131,14 +187,16 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     chosen = args.workload or ["catalog"]
-    workloads = [w for w in (*WORKLOADS, "construct")
+    workloads = [w for w in (*WORKLOADS, "construct", "cap")
                  if w in chosen or ("all" in chosen and w in WORKLOADS)]
 
     base, change = load_tree(args.base, "hha_base"), load_tree(args.change, "hha_change")
     with tempfile.TemporaryDirectory() as directory:
         for workload in workloads:
             paths = []
-            if workload != "catalog":
+            if workload == "cap":
+                paths = write_cap_inputs(args.seed, Path(directory) / workload)
+            elif workload != "catalog":
                 sys.path.insert(0, str(BENCH))
                 import inputs
                 paths = inputs.write_inputs(workload, args.seed, Path(directory) / workload)
