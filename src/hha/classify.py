@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import linalg
-from .forms import Form, NumeratorForm, bidegree_project, indices, pure_bidegree
+from .forms import Form, NumeratorForm, bidegree_project, indices, mask, pure_bidegree
 from .hermitian import (
     ConsistencyError,
     Metric,
@@ -601,12 +601,12 @@ def qgau_family_symbolic_check(geom: Geometry) -> bool:
     numbers tau_k are read once and no form is built per monomial.
     """
     fr, N, dim = geom.frame, geom.N, geom.algebra.dim
-    full = (1 << N) - 1
     tau = {}
     for k in range(N):
-        t = fr.del_(Form.monomial(dim, [j for j in range(N) if j != k])).terms.get(full)
-        if t is not None and not t.is_zero():
-            tau[full ^ (1 << k)] = t
+        rest = [j for j in range(N) if j != k]
+        t = fr.del_(Form.monomial(dim, rest)).coefficient(range(N))
+        if not t.is_zero():
+            tau[mask(rest)] = t
     for image in fr.corank_two_images("del_j").values():
         total = C_ZERO
         for key, t in tau.items():

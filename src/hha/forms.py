@@ -29,7 +29,7 @@ builds its scalar objects (``scalars.complex_from_ints``) only when
 its parts (:meth:`Form.restrict`, so :func:`bidegree_project`), its
 negation, :meth:`Form.scale` by an exact scalar of its field, and a sum or
 difference with a form exact over the same field (over the lcm of the two
-denominators), as do the frame's conjugation and J and I actions;
+denominators), as do the frame's conjugation and J action;
 :func:`keep_numerators` makes an exact plain form one (the metric's Omega).
 The loop over scalar objects stays for a float coefficient under
 ``--float``, whose sums must keep their rounding, and for a form whose
@@ -369,33 +369,17 @@ class NumeratorForm(Form):
                 add_ints(out, image[0], neg_ints(x) if image[1] else x)
         return self.remade(out)
 
-    def __eq__(self, other):
-        """Cross-multiplied numerators when ``other`` is a form of the same
-        shape, exact over a field of this one; else as :class:`Form` compares."""
-        if not isinstance(other, Form) or (self.nsym, self.degree) != (other.nsym, other.degree):
-            return Form.__eq__(self, other)
-        (d, m, xs), theirs = self._num, numerators(other)
-        if theirs is None or (d and theirs[0] and d != theirs[0]):
-            return Form.__eq__(self, other)
-        _, n, ys = theirs
-        return xs.keys() == ys.keys() and all(
-            a * n == b * m for key, x in xs.items() for a, b in zip(x, ys[key]))
-
-    __hash__ = Form.__hash__
-
 
 def keep_numerators(form: Form) -> Form:
-    """``form`` as a :class:`NumeratorForm` that keeps its :func:`numerators`
-    and shares its terms; ``form`` itself when it keeps them already or is
-    not exact over one field."""
+    """``form`` as a :class:`NumeratorForm` that keeps its :func:`numerators`;
+    ``form`` itself when it keeps them already or is not exact over one
+    field."""
     if form._num is not None:
         return form
     own = numerators(form)
     if own is None:
         return form
-    kept = Form.from_numerators(form.nsym, form.degree, *own)
-    kept._terms = form.terms
-    return kept
+    return Form.from_numerators(form.nsym, form.degree, *own)
 
 
 def numerators(form: Form):
@@ -488,8 +472,7 @@ class DerivationTable:
         table.nsym, table._forms = nsym, None
         if d and not any(x[1] or x[3] for row in rows for x in row.values()):
             d = 0
-        # _odd_above of a key of two bits lo < hi is hi - lo, the bits from lo up
-        table.lane = (d, den, [[(key, key - ((key & -key) << 1), *x) for key, x in row.items()]
+        table.lane = (d, den, [[(key, _odd_above(key), *x) for key, x in row.items()]
                                for row in rows])
         return table
 
@@ -655,18 +638,14 @@ def substitute_ints(forms, images, d: int) -> list:
     term's coefficient v with the images of the term's indices in turn, so
     its product is v times the wedge of those images, and as v is not zero a
     key of the product cancels exactly where it cancels in the wedge alone.
-    So the wedge is made once per monomial, and v times it is added in
-    ``substitute``'s order: the keys come out in the same order.
+    So v times the wedge of the images is added in ``substitute``'s order:
+    the keys come out in the same order.
     """
-    wedges: dict = {}
     out = []
     for form in forms:
         acc: dict = {}
         for key, v in form.items():
-            terms = wedges.get(key)
-            if terms is None:
-                terms = wedges[key] = _wedge_images(key, images, d)
-            for k, x in terms.items():
+            for k, x in _wedge_images(key, images, d).items():
                 add_ints(acc, k, mul_ints(v, x, d))
         out.append(acc)
     return out

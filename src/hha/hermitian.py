@@ -298,9 +298,9 @@ class Metric:
     """The q-real q-positive (2,0)-form of an invariant hyperhermitian metric.
 
     Construction keeps an exact Omega on its numerators
-    (:func:`forms.keep_numerators`; ``omega`` is then a ``NumeratorForm``
-    that shares the given form's terms) and reads the Hermitian matrix G off
-    them (``_gram_ints``, by the signed placement of
+    (:func:`forms.keep_numerators`; ``omega`` is then a ``NumeratorForm``,
+    whose terms are built again from its numerators when read) and reads the
+    Hermitian matrix G off them (``_gram_ints``, by the signed placement of
     :func:`hermitian_matrix_of`).  It makes one elimination of G and reads
     positivity, Pf and det G off its pivots:
     :func:`linalg.quaternionic_inverse_ints` on numerators, which also gives
@@ -372,8 +372,8 @@ class Metric:
     def gram(self) -> list:
         """G as scalar objects, G[r][s] = Omega(Z_r, J conj(Z_s))
         (:func:`hermitian_matrix_of`), read by the elimination of a float G,
-        the rebuild check of a float :meth:`from_hermitian_matrix` and the
-        object routes' G^-1; an exact classification never builds it."""
+        the rebuild check of a float :meth:`from_hermitian_matrix` and a
+        float metric's G^-1; an exact metric never builds it."""
         return hermitian_matrix_of(self.geometry, self.omega)
 
     # The raise images, and a float G^-1, are computed on first use: many
@@ -381,8 +381,14 @@ class Metric:
 
     @functools.cached_property
     def _g_inv(self):
-        """G^-1 as scalar objects, read only by the object routes."""
-        return linalg.inverse(self.gram)
+        """G^-1 as scalar objects, read only by the object routes: built off
+        :attr:`_g_inv_ints` for an exact metric, so no metric eliminates G
+        twice, and ``linalg.inverse`` of :attr:`gram` for a float one."""
+        if self._g_inv_ints is None:
+            return linalg.inverse(self.gram)
+        d, den, h = self._g_inv_ints
+        return [[complex_from_ints(*row[s], den, d) if s in row else C_ZERO
+                 for s in range(self.N)] for row in h]
 
     @functools.cached_property
     def _a_inv_ints(self) -> list:

@@ -471,16 +471,12 @@ class ComplexFrame:
         return form.map_indices(self._j_form_map)
 
     def i_action(self, form: Form) -> Form:
-        """Pullback action of I: multiplies a (p, q) term by i^p (-i)^q."""
+        """Pullback action of I: multiplies a (p, q) term by i^p (-i)^q, on
+        scalar objects, as classification applies it only to eta and
+        beta + conj(beta), which the division routes build as plain forms."""
         N = self.N
         out: dict = {}
         # i^(p-q): times i when p - q is odd, then minus when (p - q) % 4 >= 2
-        if isinstance(form, NumeratorForm):
-            for key, (a, b, c, e) in numerators(form)[2].items():
-                p, q = bidegree_of_key(key, N)
-                x = (-c, -e, a, b) if (p - q) & 1 else (a, b, c, e)
-                out[key] = neg_ints(x) if (p - q) & 2 else x
-            return form.remade(out)
         for key, c in form.terms.items():
             p, q = bidegree_of_key(key, N)
             c = c.times_i() if (p - q) & 1 else c

@@ -21,9 +21,8 @@ tolerance.
 Integer lanes.  ``+``, ``*`` and ``inverse`` form the result's numerators and
 denominator in ints and divide out at most one gcd of the result:
 
-* a sum over coprime denominators is already canonical, and over
-  denominators with ``g = gcd(r1, r2) > 1`` only ``gcd(p, q, g)`` can divide
-  out, as in ``Fraction``'s sum;
+* a sum is ``(p1*r2 + p2*r1) + (q1*r2 + q2*r1)*sqrt(d)`` over ``r1*r2``,
+  reduced by one gcd;
 * a product is ``(p1*p2 + q1*q2*d) + (p1*q2 + q1*p2)*sqrt(d)`` over
   ``r1*r2``, reduced by one gcd;
 * no gcd is taken when the unreduced denominator is 1;
@@ -46,13 +45,10 @@ products that vanish in ``*``, ``abs2`` and ``inverse``.  A lane only ever
 skips an operation whose result is known to be zero; every ``Scalar`` sum,
 product and inverse it does perform still goes through ``Scalar.__add__``,
 ``__mul__`` or ``inverse``.  Inside those, no new object is made where the
-result already exists: ``*`` by an exact +-1 (``d == 0``, ``r == 1``,
-``p == +-1``) returns the other operand or its negation, the same float
-bits as the general path for a float operand; beside an exact operand, an
-exact zero is the product and leaves the other operand as the sum; and
-``-`` of an exact zero returns it (a float zero is still negated, so -0.0
-keeps its sign).  Float
-operands and mixed radicands take the general path: a float promotes the
+result already exists: beside an exact operand, an exact zero is the
+product and leaves the other operand as the sum; and ``-`` of an exact
+zero returns it (a float zero is still negated, so -0.0 keeps its sign).
+Float operands and mixed radicands take the general path: a float promotes the
 result to float, and two different radicands raise
 :class:`FieldMismatchError`.
 
@@ -260,17 +256,7 @@ class Scalar:
         if d == FLOAT_KIND:
             return _make(self.to_float() + other.to_float(), 0, 1, FLOAT_KIND)
         p1, q1, r1, p2, q2, r2 = self._p, self._q, self._r, other._p, other._q, other._r
-        if r1 == r2:
-            return _reduced(p1 + p2, q1 + q2, r1, d)
-        g = 1 if r1 == 1 or r2 == 1 else _gcd(r1, r2)
-        if g == 1:
-            q = q1 * r2 + q2 * r1
-            return _make(p1 * r2 + p2 * r1, q, r1 * r2, d if q else 0)
-        s, t = r1 // g, r2 // g
-        p, q = p1 * t + p2 * s, q1 * t + q2 * s
-        g = _gcd(p, q, g)
-        q //= g
-        return _make(p // g, q, s * r2 // g, d if q else 0)
+        return _reduced(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
 
     __radd__ = __add__
 
@@ -305,12 +291,6 @@ class Scalar:
             return self
         if not d2 and not p2 and d1 != FLOAT_KIND:
             return other
-        # an exact +-1 factor: the product is the other operand or its
-        # negation, which is what the general path makes, a float included
-        if r1 == 1 and not d1 and (p1 == 1 or p1 == -1):
-            return other if p1 == 1 else -other
-        if r2 == 1 and not d2 and (p2 == 1 or p2 == -1):
-            return self if p2 == 1 else -self
         d = d1 if d1 == d2 else self._join(other)
         if d == FLOAT_KIND:
             return _make(self.to_float() * other.to_float(), 0, 1, FLOAT_KIND)

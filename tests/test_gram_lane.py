@@ -360,6 +360,25 @@ def test_a_float_metric_takes_the_object_route(object_routes):
     assert pf.is_float and m.omega_power(1) == exact.omega_power(1)
 
 
+def test_an_exact_metric_reads_a_float_form_without_eliminating_g_again(object_routes):
+    """A float form takes the object route of an exact metric, whose object
+    G^-1 is built off ``_g_inv_ints``: no ``linalg.inverse``, and the values
+    of the object twin, which eliminates the object G."""
+    g, m = get_example("qbal12").load()
+    dim, N = g.algebra.dim, g.N
+    c = ComplexScalar(floating(0.25), floating(-2.0))
+    a = Form(dim, 1, {mask((0,)): ComplexScalar(floating(1.5)), mask((N + 1,)): c})
+    b = Form(dim, 2, {mask((0, 1)): ComplexScalar(floating(1.5)), mask((2, 3)): c})
+    got = (m.inner_product(a, a), m.lefschetz_adjoint(a), m.lefschetz_adjoint(b))
+    assert object_routes["inverse_objects"] == 0 and object_routes["g_inv"] == 1
+    twin = _object_twin(m)
+    assert got == (twin.inner_product(a, a), twin.lefschetz_adjoint(a),
+                   twin.lefschetz_adjoint(b))
+    assert object_routes["inverse_objects"] == 1
+    assert got[0] == ComplexScalar(floating(6.3125))
+    assert got[2].coefficient(()) == ComplexScalar(floating(1.75), floating(-2.0))
+
+
 def test_a_sqrt2_form_against_a_sqrt5_metric_raises():
     g = _geometry(2)
     s5 = root(5)
