@@ -134,7 +134,9 @@ def phi(geom: Geometry, gamma: Form) -> Form:
 
 
 def phi_inverse(geom: Geometry, sigma: Form) -> Form:
-    """Inverse of :func:`phi`, complex-linear, onto the (1,1)-forms that J negates.
+    """Inverse of :func:`phi`, complex-linear, onto the (1,1)-forms that J negates:
+    i M[r][s] on z^r ^ conj(z^s), for the Hermitian read M of sigma
+    (:func:`_gram_rows`), by rows and then columns.
 
     A term c z^r ^ z^t (r < t) maps to -i s(r) c on z^t ^ conj(z^{P(r)}) plus
     i s(t) c on z^r ^ conj(z^{P(t)}).  J swaps these two monomials with the
@@ -146,14 +148,10 @@ def phi_inverse(geom: Geometry, sigma: Form) -> Form:
     if pure_bidegree(sigma, geom.N) != (2, 0) and not sigma.is_zero():
         raise MetricError("phi_inverse expects a (2,0)-form")
     N = geom.N
-    terms = {}
-    for key, c in sigma.terms.items():
-        r, t = indices(key)
-        (pr, sr), (pt, st) = j_index(r), j_index(t)
-        c = c.times_i()
-        terms[mask((t, N + pr))] = -c if sr > 0 else c
-        terms[mask((r, N + pt))] = c if st > 0 else -c
-    out = Form(sigma.nsym, 2, terms)
+    rows = _gram_rows(sigma.terms, N, ComplexScalar.__neg__)
+    out = Form(sigma.nsym, 2, {
+        mask((r, N + s)): g.times_i()
+        for r, row in enumerate(rows) for s, g in sorted(row.items()) if not g.is_zero()})
     if phi(geom, out) != sigma:
         raise ConsistencyError("phi(phi_inverse(sigma)) != sigma")
     return out
@@ -581,39 +579,22 @@ class Metric:
             self._omega_powers[k] = power
         return power
 
-    def mixed_power(self) -> Form:
-        """Omega^{n-1} ^ conj(Omega^n), a relabelling: conj(Omega^n) is the one
-        monomial c z^{[N, 2N)}, c = n! Pf (Pf is real), whose indices follow
-        every index of Omega^{n-1}, so each key gains that block with sign +1
-        and each coefficient the factor c, on numerators when it has them."""
-        low = self.omega_power(self.n - 1)
-        c = self.omega_power(self.n).coefficient(range(self.N)).conjugate()
-        dim, bar = self.geometry.algebra.dim, mask(range(self.N, 2 * self.N))
-        if isinstance(low, NumeratorForm):
-            (d, den, ints), (sd, sden, (y,)) = numerators(low), complex_ints([c])
-            return Form.from_numerators(dim, 2 * self.N - 2, d or sd, den * sden,
-                                        {key | bar: mul_ints(x, y, d or sd) for key, x in ints.items()})
-        return Form(dim, 2 * self.N - 2, {key | bar: y for key, x in low.terms.items()
-                                          if not (y := x * c).is_zero()})
-
     def volume_coefficient(self) -> Scalar:
         """Coefficient of the volume against the frame top form: |pf|^2."""
         return self.det_g
 
     def omega_i(self) -> Form:
-        """The real (1,1)-form of the metric for the frame's first structure:
-        i G[r][s] on z^r ^ conj(z^s), on the numerators of G when it has them."""
+        """The real (1,1)-form of the metric for the frame's first structure,
+        phi^-1(Omega): i G[r][s] on z^r ^ conj(z^s), on the numerators of G
+        when it has them."""
+        if self._gram_ints is None:
+            return phi_inverse(self.geometry, self.omega)
         N = self.N
-        if self._gram_ints is not None:
-            d, den, rows = self._gram_ints
-            # i (a + b r + i(c + e r)) = -(c + e r) + i(a + b r)
-            return Form.from_numerators(self.geometry.algebra.dim, 2, d, den, {
-                mask((r, N + s)): (-c, -e, a, b)
-                for r, row in enumerate(rows) for s, (a, b, c, e) in row.items()})
-        rows = _gram_rows(self.omega.terms, N, ComplexScalar.__neg__)
-        return Form(self.geometry.algebra.dim, 2, {
-            mask((r, N + s)): g.times_i()
-            for r, row in enumerate(rows) for s, g in sorted(row.items()) if not g.is_zero()})
+        d, den, rows = self._gram_ints
+        # i (a + b r + i(c + e r)) = -(c + e r) + i(a + b r)
+        return Form.from_numerators(self.geometry.algebra.dim, 2, d, den, {
+            mask((r, N + s)): (-c, -e, a, b)
+            for r, row in enumerate(rows) for s, (a, b, c, e) in row.items()})
 
     def omega_i_top_minus_one(self) -> Form:
         """omega_I^{N-1} (N = 2n), by :func:`forms.cofactor_power` of omega_I.

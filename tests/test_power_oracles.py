@@ -1,11 +1,13 @@
 """Closed forms of the powers of Omega against repeated wedges.
 
 Classification reads the powers of Omega it needs from Pfaffian data instead
-of multiplying them out: Omega^n is one monomial, Omega^{n-1} is Pf times a
-signed read of A^-1, and the mixed power Omega^{n-1} ^ conj(Omega^n) is a
-relabelling.  The cone of (n-1)-st powers of q-positive forms is decided by
-one inertia read.  The family checks read del and del_J of the (2n-2,0)
-monomials instead of any power: ``qgau_family_symbolic_check`` decides
+of multiplying them out: Omega^n is one monomial and Omega^{n-1} is Pf times
+a signed read of A^-1.  The mixed power Omega^{n-1} ^ conj(Omega^n) of the
+audit oracles (``wedge_mixed_power``) wedges Omega^{n-1} with one monomial,
+and is checked against the relabelling that this amounts to.  The cone of
+(n-1)-st powers of q-positive forms is decided by one inertia read.  The
+family checks read del and del_J of the (2n-2,0) monomials instead of any
+power: ``qgau_family_symbolic_check`` decides
 whether every invariant metric is q-Gauduchon, and the span that
 ``family_qsg_obstruction`` compares holds del(Omega^{n-1}) of every metric.
 The oracles are ``Form.wedge_power``; for the family checks, del del_J of
@@ -34,7 +36,7 @@ from hha.classify import (
 )
 from hha.constructions import arroyo_nicolini, direct_sum
 from hha.documents import geometry_to_input, load_document, parse_input
-from hha.forms import Form, NumeratorForm, cofactor_power, indices, mask
+from hha.forms import Form, cofactor_power, indices, mask
 from hha.hermitian import (
     Metric,
     QRealError,
@@ -119,23 +121,28 @@ def assert_powers_match_the_wedges(m: Metric):
     for k in (n - 1, n):
         assert m.omega_power(k) == m.omega.wedge_power(k), k
     mixed = m.omega.wedge_power(n - 1).wedge(fr.conjugate(m.omega.wedge_power(n)))
-    assert m.mixed_power() == mixed
+    assert wedge_mixed_power(m) == mixed
     assert m.pf == SkewMatrix.from_form(m.omega, m.N).pfaffian()
 
 
-@_powers
-@given(data=st.data())
-def test_metric_powers_match_the_wedges_on_constructions(data):
-    kind = data.draw(st.sampled_from(("direct_sum", "arroyo_nicolini")))
+@st.composite
+def construction_metrics(draw):
+    """A random metric on a direct sum or a central gluing of catalog entries."""
+    kind = draw(st.sampled_from(("direct_sum", "arroyo_nicolini")))
     pool = _SUMMANDS if kind == "direct_sum" else _NILPOTENT
-    (ga, ma), (gb, mb) = (_loaded(data.draw(st.sampled_from(pool))) for _ in range(2))
+    (ga, ma), (gb, mb) = (_loaded(draw(st.sampled_from(pool))) for _ in range(2))
     if kind == "direct_sum":
         geom = direct_sum(ga, ma, gb, mb).geometry
     else:
-        ia = data.draw(st.sampled_from(_glue_indices(ga.algebra)))
-        ib = data.draw(st.sampled_from(_glue_indices(gb.algebra)))
+        ia = draw(st.sampled_from(_glue_indices(ga.algebra)))
+        ib = draw(st.sampled_from(_glue_indices(gb.algebra)))
         geom = arroyo_nicolini(ga, ma, ia, gb, mb, ib).geometry
-    m = random_metric(random.Random(data.draw(st.integers(0, 10 ** 6))), geom)
+    return random_metric(random.Random(draw(st.integers(0, 10 ** 6))), geom)
+
+
+@_powers
+@given(construction_metrics())
+def test_metric_powers_match_the_wedges_on_constructions(m):
     assert_powers_match_the_wedges(m)
 
 
@@ -162,8 +169,9 @@ def test_omega_power_reads_only_the_top_two_exponents(name):
 
 
 def wedge_mixed_power(m: Metric) -> Form:
-    """The route ``Metric.mixed_power`` replaced: Omega^{n-1} wedged with the
-    one monomial conj(Omega^n)."""
+    """Omega^{n-1} ^ conj(Omega^n): Omega^{n-1} wedged with the one monomial
+    conj(Omega^n), the oracle of the balanced and Gauduchon routes that
+    classification does not run (``test_audit_oracles``)."""
     c = m.omega_power(m.n).coefficient(range(m.N)).conjugate()
     top_bar = Form.monomial(m.geometry.algebra.dim, range(m.N, 2 * m.N), c)
     return m.omega_power(m.n - 1).wedge(top_bar)
@@ -182,19 +190,22 @@ def _fields(form: Form) -> list:
 
 
 @pytest.mark.parametrize("name", catalog.entry_names())
-def test_mixed_power_is_the_wedge_relabelled(name, monkeypatch):
-    """Key by key, in order and bit for bit on floats, with no wedge, and on
-    numerators exactly when Omega^{n-1} keeps them."""
+def test_mixed_power_is_the_wedge_relabelled(name):
+    """The oracles' mixed power is Omega^{n-1} relabelled: conj(Omega^n) is
+    the one monomial c z^{[N, 2N)}, c = n! Pf (Pf is real), whose indices
+    follow every index of Omega^{n-1}, so each key gains that block with sign
+    +1 and each coefficient the factor c; key by key, in order and bit for
+    bit on floats."""
     g, m = _loaded(name)
     for metric in (m, random_metric(random.Random(len(name)), g), _float_loaded(name)[1]):
-        want = wedge_mixed_power(metric)
-        monkeypatch.setattr(Form, "wedge", None)
-        got = metric.mixed_power()
-        monkeypatch.undo()
+        got = wedge_mixed_power(metric)
+        low = metric.omega_power(metric.n - 1)
+        c = metric.omega_power(metric.n).coefficient(range(metric.N)).conjugate()
+        bar = mask(range(metric.N, 2 * metric.N))
+        want = Form(low.nsym, 2 * metric.N - 2, {key | bar: y for key, x in low.terms.items()
+                                                 if not (y := x * c).is_zero()})
         assert (got.nsym, got.degree) == (want.nsym, want.degree)
         assert _fields(got) == _fields(want)
-        low = metric.omega_power(metric.n - 1)
-        assert isinstance(got, NumeratorForm) == isinstance(low, NumeratorForm)
 
 
 # -- the power cone ------------------------------------------------------------------

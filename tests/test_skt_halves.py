@@ -13,6 +13,7 @@ and by (3/5, 4/5), and under ``--float``.  SKT for I, J and K and strong HKT
 seldom part on these inputs, so the last test decides SKT for J and K on
 drawn halves whose parts cancel, or not, type by type.
 """
+import functools
 import itertools
 import json
 
@@ -116,15 +117,25 @@ def test_random_halves_match_the_full_forms(case, which, data):
 _FRAME = Geometry.standard(LieAlgebraData.abelian(8)).frame
 
 
-@st.composite
-def typed_forms(draw, p, q):
-    """A nonzero (p, q)-form of the 8-dimensional frame over Q or Q(sqrt 2)."""
+_RADICANDS = st.sampled_from((0, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _key_sets(p, q):
+    """One to four distinct (p, q) keys of the 8-dimensional frame, a strategy
+    built once per type rather than on every draw."""
     N = _FRAME.N
     keys = [mask(h + b) for h in itertools.combinations(range(N), p)
             for b in itertools.combinations(range(N, 2 * N), q)]
-    d = draw(st.sampled_from((0, 2)))
-    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
-    return Form(2 * N, p + q, {key: draw(coefficients(d)) for key in chosen})
+    return st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def typed_forms(draw, p, q):
+    """A nonzero (p, q)-form of the 8-dimensional frame over Q or Q(sqrt 2)."""
+    d = draw(_RADICANDS)
+    chosen = draw(_key_sets(p, q))
+    return Form(2 * _FRAME.N, p + q, {key: draw(coefficients(d)) for key in chosen})
 
 
 @settings(max_examples=300, deadline=None, database=None)
