@@ -22,6 +22,7 @@ from .scalars import (
     ComplexScalar,
     FLOAT_TOLERANCE,
     Scalar,
+    ScalarError,
     ScalarField,
     ZERO,
     parse_scalar,
@@ -51,7 +52,9 @@ class InputError(ValueError):
 
 
 def default_field_from_env(value: str | None) -> dict | None:
-    """Interpret HHA_DEFAULT_FIELD: "rational", "quadratic:D" or "float"."""
+    """Interpret HHA_DEFAULT_FIELD: "rational", "quadratic:D" or "float".  The
+    radicand D is checked here, by building its field, whether or not a
+    document declares its own."""
     if not value:
         return None
     if value == "rational":
@@ -61,7 +64,9 @@ def default_field_from_env(value: str | None) -> dict | None:
     kind, _, d = value.partition(":")
     try:
         if kind == "quadratic" and d.isascii() and d.isdigit():
-            return {"kind": "quadratic", "d": int(d)}
+            return {"kind": "quadratic", "d": ScalarField("quadratic", int(d)).d}
+    except ScalarError as exc:
+        raise InputError("$HHA_DEFAULT_FIELD", str(exc)) from None
     except ValueError:      # more digits than int() converts
         pass
     raise InputError("$HHA_DEFAULT_FIELD", f"cannot interpret {value!r}")

@@ -66,10 +66,6 @@ class DegreeOverflowError(ValueError):
     """Wedge product would exceed the top degree of the frame."""
 
 
-def _as_coeff(c) -> ComplexScalar:
-    return ComplexScalar._coerce(c)
-
-
 def mask(idx) -> int:
     """The key of the monomial on the distinct indices ``idx``."""
     key = 0
@@ -129,7 +125,7 @@ class Form:
             raise ValueError(f"indices {idx} must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= nsym):
             raise ValueError(f"indices {idx} out of range")
-        c = _as_coeff(coeff)
+        c = ComplexScalar._coerce(coeff)
         return cls(nsym, len(idx), {mask(idx): c} if not c.is_zero() else {})
 
     @classmethod
@@ -206,7 +202,7 @@ class Form:
         return Form(self.nsym, self.degree, terms)
 
     def scale(self, c) -> "Form":
-        c = _as_coeff(c)
+        c = ComplexScalar._coerce(c)
         if c.is_zero():
             return Form.zero(self.nsym, self.degree)
         if self._num is not None:
@@ -277,7 +273,7 @@ class Form:
             return Form.zero(self.nsym, 0)
         vec: dict = {}
         for idx, v in vector.items():
-            v = _as_coeff(v)
+            v = ComplexScalar._coerce(v)
             if not v.is_zero():
                 vec[idx] = v
         support = mask(vec)

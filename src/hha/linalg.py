@@ -56,10 +56,6 @@ class ConsistencyError(RuntimeError):
     """Two paper-equivalent computations disagreed; indicates a convention bug."""
 
 
-def _c(x) -> ComplexScalar:
-    return ComplexScalar._coerce(x)
-
-
 def _columns(mat) -> list:
     """Sparse columns of a real square matrix: ``_columns(L)[j]`` is L e_j as a
     dict of ``Scalar`` entries, sorted by row, with no exact (or, for a float,
@@ -149,7 +145,7 @@ def echelon(vectors) -> dict:
 
 def _nonzeros(row) -> dict:
     """The nonzero entries of a dense row as a sparse row."""
-    return {j: y for j, x in enumerate(row) if not (y := _c(x)).is_zero()}
+    return {j: y for j, x in enumerate(row) if not (y := ComplexScalar._coerce(x)).is_zero()}
 
 
 def solve(a, b):
@@ -283,15 +279,14 @@ def _q_subtract(vec: dict, r: int, hits, d: int) -> tuple:
     the s, made primitive."""
     if not hits:
         return vec, r
-    mul = _q_mul if d else _q_mul_rational
     big = math.lcm(*(s for _, _, s in hits))
-    out = ({j: (a * big, b * big, c * big, e * big, f * big, g * big, h * big, k * big)
-            for j, (a, b, c, e, f, g, h, k) in vec.items()} if big > 1 else dict(vec))
+    out = {j: (a * big, b * big, c * big, e * big, f * big, g * big, h * big, k * big)
+           for j, (a, b, c, e, f, g, h, k) in vec.items()}
     for f, row, s in hits:
         m = big // s
         f = tuple(-x * m for x in f)
         for j, y in row.items():
-            x = mul(f, y, d)
+            x = _q_mul(f, y, d)
             old = out.get(j)
             if old is not None:
                 x = (old[0] + x[0], old[1] + x[1], old[2] + x[2], old[3] + x[3],
@@ -305,11 +300,7 @@ def _q_subtract(vec: dict, r: int, hits, d: int) -> tuple:
 
 def _q_primitive(vec: dict, r: int) -> tuple:
     """vec / r with the gcd of every numerator and r divided out."""
-    g = r
-    for y in vec.values():
-        g = math.gcd(g, *y)
-        if g == 1:
-            return vec, r
+    g = math.gcd(r, *(x for y in vec.values() for x in y))
     return {j: (a // g, b // g, c // g, e // g, f // g, h // g, k // g, m // g)
             for j, (a, b, c, e, f, h, k, m) in vec.items()}, r // g
 
@@ -317,7 +308,7 @@ def _q_primitive(vec: dict, r: int) -> tuple:
 def _q_mul(x: tuple, y: tuple, d: int) -> tuple:
     """(a_1 + b_1 j)(a_2 + b_2 j) = (a_1 a_2 - b_1 conj b_2) + (a_1 b_2 + b_1 conj a_2) j
     on 8-tuples of numerators, each complex part (p + q sqrt(d)) + i (s + u sqrt(d))
-    as in ``scalars.mul_ints``: sixty-four int products."""
+    as in ``scalars.mul_ints``: sixty-four int products, over Q (d = 0) too."""
     a0, a1, a2, a3, b0, b1, b2, b3 = x
     c0, c1, c2, c3, e0, e1, e2, e3 = y
     return (a0 * c0 - a2 * c2 - b0 * e0 - b2 * e2 + d * (a1 * c1 - a3 * c3 - b1 * e1 - b3 * e3),
@@ -330,22 +321,15 @@ def _q_mul(x: tuple, y: tuple, d: int) -> tuple:
             a0 * e3 + a1 * e2 + a2 * e1 + a3 * e0 + b2 * c1 + b3 * c0 - b0 * c3 - b1 * c2)
 
 
-def _q_mul_rational(x: tuple, y: tuple, d: int) -> tuple:
-    """:func:`_q_mul` when no sqrt(d) part occurs: sixteen int products."""
-    a0, _, a2, _, b0, _, b2, _ = x
-    c0, _, c2, _, e0, _, e2, _ = y
-    return (a0 * c0 - a2 * c2 - b0 * e0 - b2 * e2, 0, a0 * c2 + a2 * c0 - b2 * e0 + b0 * e2, 0,
-            a0 * e0 - a2 * e2 + b0 * c0 + b2 * c2, 0, a0 * e2 + a2 * e0 + b2 * c0 - b0 * c2, 0)
-
-
 def _q_real_mul(y: tuple, u: int, v: int, d: int) -> tuple:
     """The quaternion y times the real u + v sqrt(d), part by part."""
     return tuple(x for k in range(0, 8, 2)
                  for x in (y[k] * u + y[k + 1] * v * d, y[k] * v + y[k + 1] * u))
 
+
 def det(a) -> ComplexScalar:
     n = len(a)
-    m = [[_c(x) for x in row] for row in a]
+    m = [[ComplexScalar._coerce(x) for x in row] for row in a]
     out = C_ONE
     for c in range(n):
         piv = None
@@ -391,7 +375,7 @@ def hermitian_pivots(g) -> list:
     determinant, so their product is det g.  The input is not modified.
     """
     n = len(g)
-    m = [[_c(g[i][j]) for j in range(n)] for i in range(n)]
+    m = [[ComplexScalar._coerce(g[i][j]) for j in range(n)] for i in range(n)]
     active = list(range(n))
     pivots = []
     while active:

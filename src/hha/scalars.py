@@ -25,7 +25,6 @@ denominator in ints and divide out at most one gcd of the result:
   reduced by one gcd;
 * a product is ``(p1*p2 + q1*q2*d) + (p1*q2 + q1*p2)*sqrt(d)`` over
   ``r1*r2``, reduced by one gcd;
-* no gcd is taken when the unreduced denominator is 1;
 * the inverse is ``r*(p - q*sqrt(d)) / (p*p - q*q*d)``, with the sign of the
   norm moved into the numerator.
 
@@ -400,11 +399,10 @@ def _make(p, q: int, r: int, d: int) -> Scalar:
 
 def _reduced(p: int, q: int, r: int, d: int) -> Scalar:
     """``(p + q*sqrt(d)) / r`` for ints with ``r > 0``, in canonical form:
-    one gcd unless ``r == 1``, and ``q == 0`` collapses to a rational."""
-    if r != 1:
-        g = _gcd(p, q, r)
-        if g != 1:
-            p, q, r = p // g, q // g, r // g
+    one gcd, and ``q == 0`` collapses to a rational."""
+    g = _gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
     return _make(p, q, r, d if q else 0)
 
 

@@ -5,7 +5,7 @@ equal pair of the Hermitian elimination of G.  The skew Schur elimination it
 replaced, with the strictly-upper-triangular matrix type it ran on, checks
 that read here and the closed forms of ``forms.cofactor_power``.
 """
-from hha.forms import Form, _as_coeff, indices
+from hha.forms import Form, indices
 from hha.scalars import C_ONE, C_ZERO, ComplexScalar
 
 
@@ -24,7 +24,7 @@ class SkewMatrix:
             for (i, j), c in entries.items():
                 if not (0 <= i < j < size):
                     raise ValueError(f"entry ({i},{j}) not strictly upper triangular")
-                c = _as_coeff(c)
+                c = ComplexScalar._coerce(c)
                 if not c.is_zero():
                     self.entries[(i, j)] = c
 
@@ -76,7 +76,7 @@ def pfaffian(matrix) -> ComplexScalar:
         raise ValueError("Pfaffian needs an even-dimensional matrix")
     if m == 0:
         return C_ONE
-    work = [[_as_coeff(matrix[i][j]) for j in range(m)] for i in range(m)]
+    work = [[ComplexScalar._coerce(matrix[i][j]) for j in range(m)] for i in range(m)]
     sign = 1
     result = C_ONE
     while len(work) > 2:

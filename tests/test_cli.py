@@ -192,11 +192,22 @@ def test_float_mode_coerces_omega_and_gram_entries(tmp_path, mtype):
     assert scalars and all(c.re.is_float and c.im.is_float for c in scalars)
 
 
-def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch):
-    monkeypatch.setenv("HHA_DEFAULT_FIELD", "quadratic:x")
+@pytest.mark.parametrize("declared", [True, False], ids=["declared", "undeclared"])
+@pytest.mark.parametrize("value", ["quadratic:x", "quadratic:0", "quadratic:1", "quadratic:4",
+                                   f"quadratic:{10**18 + 3}"])
+def test_bad_default_field_env_is_input_error(qbal12_file, monkeypatch, value, declared):
+    # a bad radicand is refused at the variable, whether or not the document
+    # declares its own field
+    if not declared:
+        with open(qbal12_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        del data["scalar_field"]
+        with open(qbal12_file, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    monkeypatch.setenv("HHA_DEFAULT_FIELD", value)
     code, _, err = run_cli(["check", qbal12_file])
     assert code == 2
-    assert "$HHA_DEFAULT_FIELD" in err
+    assert err.startswith("error: $HHA_DEFAULT_FIELD: ")
 
 
 @pytest.mark.parametrize("tolerance, code", [(0.5, 2), (1e-9, 0)])

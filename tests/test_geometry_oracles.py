@@ -37,11 +37,12 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hha import hypercomplex
 from hha.catalog import entry_names, get_example
 from hha.classify import classify_metric
+from hha.constructions import _RIGHT_MULT
 from hha.documents import geometry_to_input, load_document, parse_input
 from hha.forms import Form, bidegree_project, indices, mask
 from hha.hypercomplex import (
@@ -56,8 +57,8 @@ from hha.hypercomplex import (
     validate_hypercomplex,
 )
 from hha.liealg import LieAlgebraData
-from hha.linalg import add_scaled, add_term
-from hha.scalars import HALF, ONE, FieldMismatchError, ScalarField, rational, root
+from hha.linalg import SingularMatrixError, add_scaled, add_term, inverse
+from hha.scalars import HALF, ONE, ZERO, FieldMismatchError, ScalarField, rational, root
 
 _PAIRS = (
     None,
@@ -249,14 +250,60 @@ def test_catalog_geometries_match_the_oracles(name):
         assert_tables_match_object_route(alg, H)
 
 
+# the non-abelian catalog entries of dimension 4 or 8 over Q that ``transported_tables`` moves
+_TRANSPORTED = ("qgau8", "solv_rank1", "solv_third")
+
+
+@st.composite
+def transported_tables(draw):
+    """(dim, table): the bracket of a ``_TRANSPORTED`` entry moved by a random
+    quaternionic change of basis A, [x, y]' = A^-1 [Ax, Ay].  Block (p, q) of
+    A is a + b R_i + c R_j + d R_k, with R the right multiplications of
+    ``constructions._RIGHT_MULT``, so A commutes with I, J and K of the
+    standard structure, which multiply each block on the left.  The moved
+    structure is therefore integrable, non-abelian and isomorphic to the
+    entry's, and so is each structure of ``_structures``.  A block off the
+    diagonal is zero half the time, which keeps the moved tables sparser and
+    the oracles quicker."""
+    alg = _catalog_algebra(draw(st.sampled_from(_TRANSPORTED)))
+    dim = alg.dim
+    cols = [{} for _ in range(dim)]
+    for p, q in itertools.product(range(0, dim, 4), repeat=2):
+        if p != q and draw(st.booleans()):
+            continue
+        a, *bcd = draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+        for c in range(4):
+            add_term(cols[q + c], p + c, rational(a))
+            for x, R in zip(bcd, _RIGHT_MULT):
+                for r, v in R[c].items():
+                    add_term(cols[q + c], p + r, v * x)
+    try:
+        inv = inverse([[cols[j].get(i, ZERO) for j in range(dim)] for i in range(dim)])
+    except SingularMatrixError:
+        assume(False)
+    inv_cols = [{i: inv[i][j].re for i in range(dim) if not inv[i][j].is_zero()}
+                for j in range(dim)]
+    table = {}
+    for i, j in itertools.combinations(range(dim), 2):
+        image = _apply(inv_cols, alg.bracket(cols[i], cols[j]))
+        if image:
+            table[(i, j)] = image
+    return dim, table
+
+
 @st.composite
 def two_step_tables(draw):
-    """(dim, table, abelian): a random two-step nilpotent bracket table over Q in
-    dimension 4 or 8, brackets of the first generators landing among the last.
-    When ``abelian``, the bracket B is first replaced by its average
-    B(X, Y) + B(IX, IY) + B(JX, JY) + B(KX, KY) over the standard structure on
-    a complement of the last quaternionic block, so that [LX, LY] = [X, Y] for
-    L = I, J, K and the structure is integrable."""
+    """(dim, table, kind): a bracket table over Q in dimension 4 or 8 of one of
+    three kinds, each drawn a third of the time.  ``"random"``: a random
+    two-step nilpotent table, brackets of the first generators landing among
+    the last.  ``"abelian"``: such a table whose bracket B is first replaced
+    by its average B(X, Y) + B(IX, IY) + B(JX, JY) + B(KX, KY) over the
+    standard structure on a complement of the last quaternionic block, so
+    that [LX, LY] = [X, Y] for L = I, J, K and the structure is integrable.
+    ``"transported"``: a :func:`transported_tables` draw, integrable and not
+    abelian."""
+    if draw(st.integers(0, 2)) == 0:
+        return (*draw(transported_tables()), "transported")
     abelian = draw(st.booleans())
     dim = 8 if abelian else draw(st.sampled_from((4, 8)))
     split = 4 if abelian else draw(st.integers(min_value=2, max_value=dim - 1))
@@ -269,7 +316,7 @@ def two_step_tables(draw):
         raw.setdefault(ij, {})[k] = c
     if not abelian:
         return dim, {ij: comps for ij, comps in raw.items()
-                     if any(not c.is_zero() for c in comps.values())}, False
+                     if any(not c.is_zero() for c in comps.values())}, "random"
     alg = LieAlgebraData(dim, raw)
     cols = HypercomplexStructure.standard(dim // 4).columns
     table = {}
@@ -281,18 +328,18 @@ def two_step_tables(draw):
                 add_term(total, k, c)
         if total:
             table[(i, j)] = total
-    return dim, table, True
+    return dim, table, "abelian"
 
 
 @settings(max_examples=120, deadline=None, database=None)
 @given(case=two_step_tables(), which=st.integers(min_value=0, max_value=3))
 def test_random_geometries_match_the_oracles(case, which):
-    dim, table, abelian = case
+    dim, table, kind = case
     alg = LieAlgebraData(dim, table)
     H = list(_structures(HypercomplexStructure.standard(dim // 4)))[which]
-    if abelian:
+    if kind != "random":
         assert full_scan_failure(alg, H) is None
-        assert is_abelian(alg, H)
+        assert is_abelian(alg, H) == (kind == "abelian")
     assert_validation_matches_full_scan(alg, H)
     assert_tables_match_direct_route(alg, H)
     assert_tables_match_object_route(alg, H)
