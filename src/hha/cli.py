@@ -196,7 +196,7 @@ def cmd_catalog(args) -> int:
         else:
             geom, metric = entry.load()
             data = geometry_to_input(entry.name, geom, metric)
-        sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(report_json(data))
         return 0
     # run
     names = None if args.name in (None, "all") else [args.name]
@@ -301,8 +301,7 @@ def cmd_construct(args) -> int:
               f"einstein factor {res.einstein_factor}")
     geom, metric = res.geometry, res.metric
     # the report is that of the document --out writes, its name and field included
-    text = json.dumps(geometry_to_input(args.name or "constructed", geom, metric),
-                      sort_keys=True, indent=2) + "\n"
+    text = report_json(geometry_to_input(args.name or "constructed", geom, metric))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -361,7 +361,10 @@ def build_metric(doc: InputDocument, geom: Geometry) -> Metric:
         return Metric.diagonal(geom, doc.metric_values)
     if mtype == "omega":
         terms = {mask(ij): c for ij, c in doc.metric_values.items()}
-        return Metric(geom, Form(doc.dimension, 2, terms))
+        try:
+            return Metric(geom, Form(doc.dimension, 2, terms))
+        except MetricError as exc:   # not q-real (QRealError), or not q-positive
+            raise InputError("$.metric.terms", str(exc)) from None
     try:
         return Metric.from_hermitian_matrix(geom, doc.metric_values)
     except MetricError as exc:   # an entry, or the matrix as a whole (not positive)
@@ -460,6 +463,9 @@ def report_document(report: ClassificationReport, doc: InputDocument | None = No
 
 
 def report_json(document: dict) -> str:
+    """``document`` as indented JSON with sorted keys, ending in a newline:
+    the package's one indented JSON writer, through which reports,
+    ``catalog export`` and ``construct`` write their documents."""
     return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 

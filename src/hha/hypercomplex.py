@@ -125,8 +125,11 @@ class HypercomplexStructure:
     :meth:`from_columns` their columns; both check I^2 = J^2 = -1 and
     IJ = -JI on the columns, and eliminate for the :attr:`adapted_basis` on
     its first read.  :meth:`standard` writes its known columns and its
-    adapted basis, the identity, directly.
+    adapted basis, the identity, directly, and marks the structure
+    ``is_standard``, so that its frame writes its image tables too.
     """
+
+    is_standard = False   # made by :meth:`standard`, not by the columns
 
     def __init__(self, I, J):
         self._set_columns(_columns(I), _columns(J))
@@ -189,7 +192,9 @@ class HypercomplexStructure:
         :meth:`from_columns`.  Per block v = e1 has Iv = e2, Jv = e3 and
         Kv = e4, so the elimination of :attr:`adapted_basis` would keep every
         e_i: the basis and its coframe are both the identity, and are set
-        without it."""
+        without it.  The frame of this structure writes its image tables
+        (:meth:`ComplexFrame._image_ints`); a structure made from the same
+        columns by :meth:`from_columns` eliminates and reads them."""
         minus = -ONE
         cols_i, cols_j, cols_k = [], [], []
         for b in range(0, 4 * n, 4):
@@ -200,6 +205,7 @@ class HypercomplexStructure:
         H.dim = 4 * n
         H.columns = {"I": cols_i, "J": cols_j, "K": cols_k}
         H.adapted_basis = ([{i: ONE} for i in range(H.dim)], [{i: ONE} for i in range(H.dim)])
+        H.is_standard = True
         return H
 
     def combo(self, p: SpherePoint) -> list:
@@ -401,7 +407,21 @@ class ComplexFrame:
         occur.  They are read off the coframe and P, and no ``Form`` or
         complex scalar is built.  The coefficients of e^i are P[i][2r]/2 and
         -P[i][2r+1]/2, over 2 den(P): some column of P is a basis vector e_k,
-        so the numerator den(P) of its 1 is not even."""
+        so the numerator den(P) of its 1 is not even.
+
+        The standard structure's coframe and basis are the identity, so its
+        tables are written, in the keys' order of this read:
+        z^r = e^{2r} + i e^{2r+1} over 1, and e^{2r} = (z^r + conj(z^r))/2,
+        e^{2r+1} = i (conj(z^r) - z^r)/2 over 2."""
+        if self.structure.is_standard:
+            N = self.N
+            z = [{mask((2 * r,)): (1, 0, 0, 0), mask((2 * r + 1,)): (0, 0, 1, 0)}
+                 for r in range(N)]
+            e = []
+            for r in range(N):
+                e += [{mask((r,)): (1, 0, 0, 0), mask((N + r,)): (1, 0, 0, 0)},
+                      {mask((r,)): (0, 0, -1, 0), mask((N + r,)): (0, 0, 1, 0)}]
+            return (0, 1, z), (0, 2, e)
         coframe, P = self._coframe, self._p_rows()
         co = real_ints([x for row in coframe for x in row.values()])
         own = real_ints([x for row in P for x in row.values()])

@@ -363,6 +363,26 @@ def test_a_gram_matrix_that_is_no_metric_is_refused_at_its_entries(qbal12_file, 
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("options", [[], ["--float"]], ids=["exact", "float"])
+@pytest.mark.parametrize("terms, message", [
+    # degenerate: one quaternionic block of three
+    ([[1, 2, "1", "0"]], "metric form is not q-positive"),
+    ([], "metric form is not q-positive"),
+    ([[1, 2, "-1", "0"], [3, 4, "1", "0"], [5, 6, "1", "0"]], "metric form is not q-positive"),
+    ([[1, 3, "1", "0"], [3, 5, "1", "0"]], "metric form must be q-real"),
+], ids=["degenerate", "empty", "negative-block", "not-q-real"])
+def test_an_omega_that_is_no_metric_is_refused_at_its_terms(qbal12_file, options, terms,
+                                                            message):
+    with open(qbal12_file, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["metric"] = {"type": "omega", "terms": terms}
+    with open(qbal12_file, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, out, err = run_cli(["classify", qbal12_file, *options])
+    assert code == 2 and out == ""
+    assert err == f"error: $.metric.terms: {message}\n"
+
+
 @pytest.mark.parametrize("field", ["quadratic:\u0665", "quadratic:1_1", "quadratic:+5",
                                    "quadratic: 5"])
 def test_the_default_field_radicand_takes_ascii_digits_only(qbal12_file, monkeypatch, field):

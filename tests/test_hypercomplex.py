@@ -302,6 +302,29 @@ def test_the_image_numerators_are_those_of_the_image_forms(label, H):
         assert (lane[0], lane[1], [list(row.items()) for row in lane[2]]) == (d, den, expect)
 
 
+@pytest.mark.parametrize("name", entry_names())
+def test_the_written_standard_tables_are_those_the_general_read_finds(name):
+    """The standard structure's frame writes its image tables; the same
+    columns through ``from_columns`` take the elimination and the general
+    read.  Both give the same image tables and the same d, del, delbar and
+    del_J lanes, key for key and in order."""
+    algebra = get_example(name).load()[0].algebra
+    std = HypercomplexStructure.standard(algebra.dim // 4)
+    read = HypercomplexStructure.from_columns(std.columns["I"], std.columns["J"])
+    assert std.is_standard and not read.is_standard
+    written, general = ComplexFrame(algebra, std), ComplexFrame(algebra, read)
+
+    def in_order(lane):
+        d, den, rows = lane
+        return d, den, [list(row.items()) for row in rows]
+
+    for mine, theirs in zip(written._image_ints(), general._image_ints()):
+        assert in_order(mine) == in_order(theirs)
+    assert written._d_table.lane == general._d_table.lane
+    for table in ("del", "delbar", "del_j"):
+        assert written._table(table).lane == general._table(table).lane
+
+
 # -- frames and conversions ---------------------------------------------------
 
 

@@ -70,3 +70,17 @@ def test_cap_loads_the_three_cap_documents_and_prints_its_block(capsys, monkeypa
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "workload cap, 3 inputs, 1 pairs"
     assert len(out) == 3 and out[2].startswith("median ") and out[2].endswith("/1")
+
+
+def test_the_warm_up_pass_alternates_the_sides_from_input_to_input(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pair, "tasks", lambda tree, workload, paths: [
+        lambda i=i, side=tree["catalog"].__name__.split(".")[0]: calls.append((side, i))
+        for i in range(4)])
+    monkeypatch.setattr(pair, "report", lambda workload, inputs, ratios: None)
+    assert pair.main([str(ROOT), str(ROOT), "--pairs", "2"]) == 0
+    order = [("hha_base", 0), ("hha_change", 0), ("hha_change", 1), ("hha_base", 1),
+             ("hha_base", 2), ("hha_change", 2), ("hha_change", 3), ("hha_base", 3)]
+    flipped = [(("hha_base", "hha_change")[side == "hha_base"], i) for side, i in order]
+    # the warm-up, then the two timed passes, the second starting with CHANGE
+    assert calls == order + order + flipped

@@ -26,7 +26,9 @@ A pass runs the workload's inputs once on each side:
 
 Within a pass the side that runs an input first alternates from input to
 input, and the first side of the first input alternates from pass to pass,
-so neither side is always the one that runs warm.  Each pass gives one pair:
+so neither side is always the one that runs warm.  The untimed warm-up pass
+before the pairs alternates its sides in the same way, so that no side runs
+all its inputs before the other's.  Each pass gives one pair:
 the CHANGE/BASE ratio of the two sides' summed wall times.  The script prints
 every ratio, then their median and quartiles, and the number of pairs that
 CHANGE won (ratio below 1).
@@ -161,15 +163,23 @@ def timed(fn) -> float:
     return time.perf_counter() - start
 
 
+def run_pass(base: list, change: list, first: int) -> list:
+    """The summed wall times ``[BASE, CHANGE]`` of one pass: each input runs
+    on both sides, and the side that runs it first alternates from input to
+    input, starting with ``first`` (0 for BASE, 1 for CHANGE)."""
+    totals = [0.0, 0.0]
+    for i, both in enumerate(zip(base, change)):
+        side = (first + i) % 2
+        for s in (side, 1 - side):
+            totals[s] += timed(both[s])
+    return totals
+
+
 def run_pairs(base: list, change: list, pairs: int) -> list:
     """CHANGE/BASE ratios of ``pairs`` passes."""
     ratios = []
     for p in range(pairs):
-        totals = [0.0, 0.0]
-        for i, both in enumerate(zip(base, change)):
-            first = (p + i) % 2
-            for side in (first, 1 - first):
-                totals[side] += timed(both[side])
+        totals = run_pass(base, change, p % 2)
         ratios.append(totals[1] / totals[0])
     return ratios
 
@@ -201,8 +211,7 @@ def main(argv=None) -> int:
                 import inputs
                 paths = inputs.write_inputs(workload, args.seed, Path(directory) / workload)
             sides = [tasks(tree, workload, paths) for tree in (base, change)]
-            for task in (*sides[0], *sides[1]):   # a warm-up pass on each side
-                task()
+            run_pass(*sides, 0)   # the warm-up pass
             report(workload, len(sides[0]), run_pairs(*sides, args.pairs))
     return 0
 
